@@ -40,8 +40,8 @@ USAGE:
                                         engine fuzzer; see docs/TESTING.md
   parsched fleet [OPTIONS]              multi-tenant serving demo: N
                                         scheduling scenarios advance in
-                                        slices on the shard pool via
-                                        snapshot suspend/resume; output is
+                                        slices on the shard pool, parked
+                                        between slices; output is
                                         byte-identical for every --jobs N
   parsched lint [OPTIONS] [paths...]    static analysis: determinism, float
                                         hygiene, registry contracts, and
@@ -1513,11 +1513,11 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
 /// `parsched fleet` — the multi-tenant serving demo. Generates a seeded
 /// mix of scheduling scenarios (policy × machine count × engine mode),
 /// submits them under the admission caps, and drives them round-by-round
-/// on the shard pool via snapshot suspend/resume. The report (text or
-/// `--json`) is **byte-identical for every `--jobs N`** and with
-/// `--migrate` on or off — that invariance is pinned by `tests/cli.rs`
-/// and CI's fleet job. `Ok(false)` (exit 1) when any tenant was shed or
-/// failed; parameter errors are `Err` (exit 2).
+/// on the shard pool, parking each tenant's engine between slices. The
+/// report (text or `--json`) is **byte-identical for every `--jobs N`**
+/// and with `--migrate` on or off — that invariance is pinned by
+/// `tests/cli.rs` and CI's fleet job. `Ok(false)` (exit 1) when any
+/// tenant was shed or failed; parameter errors are `Err` (exit 2).
 fn cmd_fleet(flags: &Flags) -> Result<bool, String> {
     use parsched_analysis::Pool;
     use parsched_fleet::{FleetConfig, FleetSession, TenantStatus};

@@ -72,8 +72,9 @@ impl PolicyKind {
         kinds
     }
 
-    /// Builds a boxed policy instance.
-    pub fn build(&self) -> Box<dyn Policy> {
+    /// Builds a boxed policy instance (`Send`, so a fleet tenant can own
+    /// it while shards pass the tenant between threads).
+    pub fn build(&self) -> Box<dyn Policy + Send> {
         match *self {
             PolicyKind::IntermediateSrpt => Box::new(IntermediateSrpt::new()),
             PolicyKind::ParallelSrpt => Box::new(ParallelSrpt::new()),

@@ -1,9 +1,19 @@
 //! SETF: Shortest Elapsed Time First.
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
+use parsched_speedup::Curve;
 
 /// Relative tolerance for "tied" elapsed work (floats from prior merges).
 const TIE_TOL: f64 = 1e-7;
+
+/// Bisection steps of the common-rate search on `[0, ρ_max]`. The search
+/// also stops at the first fixed point of `(lo, hi)`, after which further
+/// steps could not change the result.
+const BISECTION_STEPS: u32 = 64;
+
+/// Bit pattern of `+∞`: the top of the ordered range of non-negative
+/// floats that [`sum_threshold`] searches.
+const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 
 /// **SETF** — serve the jobs that have received the *least processing so
 /// far* (elapsed work `p_j − p_j(t)`).
@@ -29,54 +39,216 @@ const TIE_TOL: f64 = 1e-7;
 /// events, so the policy requests one exact re-decision when the group's
 /// elapsed work catches up to the next-least-processed job — the
 /// simulation is event-exact, like the SRPT family.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Setf;
+///
+/// # Evaluating the bisection
+///
+/// The bisection's result is defined by its predicate `demand(mid) ≤ m`,
+/// where `demand` is the left-fold `.sum()` of the members' inverses in
+/// group order. When the whole group shares one curve (always in a
+/// single-α fleet tenant, usually in adversary instances), `demand(ρ) =
+/// S_G(Γ⁻¹(ρ))` with `S_G(x)` the sum of `G` copies of `x`. IEEE addition
+/// is monotone in each operand, so `S_G` is monotone and the predicate is
+/// exactly `Γ⁻¹(mid) ≤ x*` for `x*` the largest float with `S_G(x*) ≤ m`.
+/// [`sum_threshold`] finds `x*` once with `O(log G)` sums, and the
+/// bisection replays the same midpoints at one inverse each — the same `ρ`
+/// to the last bit. Mixed groups evaluate the plain demand sum at each
+/// step. Both stop at the first fixed point of the bisection. The 64-step
+/// reference implementation is kept as a test oracle
+/// (`tests/setf_equalizer.rs`).
+#[derive(Debug, Default, Clone)]
+pub struct Setf {
+    /// Positions in `jobs` of the tied least-elapsed group.
+    group: Vec<usize>,
+}
 
 impl Setf {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 
-    /// Rate-equalizing shares for the group `jobs[i]` for `i ∈ group`:
-    /// returns `(ρ, shares for the group in group order)`.
-    fn equalize(m: f64, jobs: &[AliveJob<'_>], group: &[usize]) -> (f64, Vec<f64>) {
-        // The group's achievable common rate is capped by each member's
-        // saturation at full machine.
+    /// Rate-equalizes all of `jobs` as one tie group on `m` processors:
+    /// writes each job's share into `shares` and returns the common rate
+    /// `ρ`. This is the computation [`Policy::assign`] runs on its
+    /// least-elapsed group.
+    pub fn equalize_all(&mut self, m: f64, jobs: &[AliveJob<'_>], shares: &mut [f64]) -> f64 {
+        self.group.clear();
+        self.group.extend(0..jobs.len());
+        self.equalize(m, jobs, shares)
+    }
+
+    /// Rate-equalizes the group `self.group`: writes each member's share
+    /// `min(Γ_j⁻¹(ρ), m)` into `shares` and returns `ρ`.
+    fn equalize(&self, m: f64, jobs: &[AliveJob<'_>], shares: &mut [f64]) -> f64 {
+        let group = &self.group;
+        let Some(curve) = group.first().map(|&i| jobs[i].curve()) else {
+            // The sum over no members is 0 ≤ m at any rate.
+            return f64::INFINITY;
+        };
+        if group.iter().all(|&i| same_curve(jobs[i].curve(), curve)) {
+            let (rho, share) = equalize_shared(curve, group.len(), m);
+            for &i in group {
+                shares[i] = share;
+            }
+            return rho;
+        }
+        // A mixed group. Its achievable common rate is capped by each
+        // member's saturation at full machine.
         let rho_max = group
             .iter()
             .map(|&i| jobs[i].curve().rate(m))
             .fold(f64::INFINITY, f64::min);
-        let demand = |rho: f64| -> f64 {
+        let fits = |rho: f64| {
             group
                 .iter()
                 .map(|&i| jobs[i].curve().inverse_rate(rho).unwrap_or(f64::INFINITY))
-                .sum()
+                .sum::<f64>()
+                <= m
         };
         // If even the saturation rate under-uses the machine, run saturated
         // (the leftover processors cannot speed up the least-processed
         // jobs; SETF does not look ahead).
-        let rho = if demand(rho_max) <= m {
+        let rho = if fits(rho_max) {
             rho_max
         } else {
-            let (mut lo, mut hi) = (0.0f64, rho_max);
-            for _ in 0..64 {
-                let mid = 0.5 * (lo + hi);
-                if demand(mid) <= m {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
+            bisect(rho_max, fits)
         };
-        let shares = group
-            .iter()
-            .map(|&i| jobs[i].curve().inverse_rate(rho).unwrap_or(m))
-            // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-            .collect();
-        (rho, shares)
+        for &i in group {
+            shares[i] = jobs[i].curve().inverse_rate(rho).unwrap_or(m).min(m);
+        }
+        rho
     }
+}
+
+/// `ρ` and the common share for a group of `g` members that all carry
+/// `curve` (see the type docs for why this is the bisection's exact
+/// result).
+fn equalize_shared(curve: &Curve, g: usize, m: f64) -> (f64, f64) {
+    let kernel = curve.kernel();
+    let x_star = sum_threshold(g, m);
+    let fits = |rho: f64| {
+        curve
+            .inverse_rate_with(kernel, rho)
+            .is_some_and(|x| x <= x_star)
+    };
+    let rho_max = f64::INFINITY.min(curve.rate(m));
+    let rho = if fits(rho_max) {
+        rho_max
+    } else {
+        bisect(rho_max, fits)
+    };
+    let share = curve.inverse_rate_with(kernel, rho).unwrap_or(m).min(m);
+    (rho, share)
+}
+
+/// The largest float `x*` with `S_g(x*) ≤ m`, where `S_g(x)` is the
+/// left-fold `.sum()` of `g` copies of `x` — the demand of `g` members
+/// that each need `x`.
+///
+/// `S_g` is monotone (IEEE addition is monotone in each operand), so
+/// `S_g(x) ≤ m ⟺ x ≤ x*` for every non-NaN `x`. The search runs over the
+/// bit patterns of non-negative floats, which order like their values:
+/// exponential steps away from `m/g` (within about `g` ulps of `x*`),
+/// then binary search, `O(log g)` sums in all. Returns `−∞` when not
+/// even `x = 0` fits (`m < 0`).
+fn sum_threshold(g: usize, m: f64) -> f64 {
+    let fits = |bits: u64| (0..g).map(|_| f64::from_bits(bits)).sum::<f64>() <= m;
+    let start = (m / g as f64).to_bits().min(INF_BITS);
+    // Invariant once set: `fits(lo)` and `!fits(hi)`, where
+    // `hi = INF_BITS + 1` stands for "past +∞".
+    let (mut lo, mut hi);
+    let mut step = 1u64;
+    if fits(start) {
+        lo = start;
+        loop {
+            let probe = lo.saturating_add(step);
+            if probe > INF_BITS {
+                hi = INF_BITS + 1;
+                break;
+            }
+            if fits(probe) {
+                lo = probe;
+                step = step.saturating_mul(2);
+            } else {
+                hi = probe;
+                break;
+            }
+        }
+    } else {
+        hi = start;
+        loop {
+            let probe = hi.saturating_sub(step);
+            if fits(probe) {
+                lo = probe;
+                break;
+            }
+            if probe == 0 {
+                return f64::NEG_INFINITY;
+            }
+            hi = probe;
+            step = step.saturating_mul(2);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(lo)
+}
+
+/// The largest rate in `[0, rho_max]` that `fits`, by bisection: at most
+/// [`BISECTION_STEPS`] halvings, stopping at the first fixed point.
+fn bisect(rho_max: f64, fits: impl Fn(f64) -> bool) -> f64 {
+    let (mut lo, mut hi) = (0.0f64, rho_max);
+    for _ in 0..BISECTION_STEPS {
+        let mid = 0.5 * (lo + hi);
+        let (next_lo, next_hi) = if fits(mid) { (mid, hi) } else { (lo, mid) };
+        if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+            break;
+        }
+        lo = next_lo;
+        hi = next_hi;
+    }
+    lo
+}
+
+/// Whether two curves are the same bit for bit (so every evaluation of
+/// one is an evaluation of the other).
+fn same_curve(a: &Curve, b: &Curve) -> bool {
+    match (a, b) {
+        (Curve::FullyParallel, Curve::FullyParallel) | (Curve::Sequential, Curve::Sequential) => {
+            true
+        }
+        (Curve::Power { alpha: x }, Curve::Power { alpha: y })
+        | (Curve::Amdahl { serial_fraction: x }, Curve::Amdahl { serial_fraction: y }) => {
+            x.to_bits() == y.to_bits()
+        }
+        (Curve::Piecewise(p), Curve::Piecewise(q)) => {
+            p.points().len() == q.points().len()
+                && p.points()
+                    .iter()
+                    .zip(q.points())
+                    .all(|(u, v)| u.0.to_bits() == v.0.to_bits() && u.1.to_bits() == v.1.to_bits())
+        }
+        _ => false,
+    }
+}
+
+/// Fills `group` with the positions of the jobs whose elapsed work is
+/// within `tol` of `min_elapsed`.
+fn tie_group(
+    jobs: &[AliveJob<'_>],
+    elapsed: impl Fn(&AliveJob<'_>) -> f64,
+    min_elapsed: f64,
+    tol: f64,
+    group: &mut Vec<usize>,
+) {
+    group.clear();
+    group.extend((0..jobs.len()).filter(|&i| elapsed(&jobs[i]) <= min_elapsed + tol));
 }
 
 impl Policy for Setf {
@@ -100,14 +272,8 @@ impl Policy for Setf {
         let elapsed = |j: &AliveJob<'_>| (j.size() - j.remaining).max(0.0);
         let min_elapsed = jobs.iter().map(elapsed).fold(f64::INFINITY, f64::min);
         let tol = TIE_TOL * min_elapsed.max(1.0);
-        let group: Vec<usize> = (0..n)
-            .filter(|&i| elapsed(&jobs[i]) <= min_elapsed + tol)
-            // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-            .collect();
-        let (rho, group_shares) = Self::equalize(m, jobs, &group);
-        for (&i, &s) in group.iter().zip(&group_shares) {
-            shares[i] = s.min(m);
-        }
+        tie_group(jobs, elapsed, min_elapsed, tol, &mut self.group);
+        let rho = self.equalize(m, jobs, shares);
         if rho <= 0.0 {
             // Degenerate (cannot happen for valid curves with m > 0), but
             // never divide by zero below.

@@ -6,19 +6,32 @@
 //! the shared work-stealing shard pool ([`Pool`]): each round, every
 //! in-flight tenant advances by at most [`FleetConfig::slice_events`]
 //! engine events on whichever shard claims it, then is either finalized
-//! (ran out of events) or suspended into a [`Snapshot`].
+//! (ran out of events) or parked until the next round.
+//!
+//! # Tenant lifecycle
+//!
+//! An admitted tenant owns its policy, its arrival source, and — from its
+//! first slice on — an engine built on them. Between slices the engine is
+//! a [`ParkedEngine`]: the run state by value, detached from the policy
+//! and source it continues with. A slice is resume → at most
+//! `slice_events` [`Engine::step`] calls → park, so it costs what the same
+//! events cost in a dedicated run; nothing is cleared, copied, or
+//! re-validated per slice. When a tenant finishes, its engine's buffers
+//! are handed to the next admitted tenant.
 //!
 //! # Determinism and migration
 //!
-//! Between rounds a tenant exists only as its snapshot, so which shard
-//! resumes it next round is irrelevant: restore is bit-exact, and
-//! [`Pool::map_with`] commits results by input index. The fleet therefore
-//! produces **byte-identical** per-tenant results for any worker count.
+//! A tenant's state travels with it as one pool item, so which shard runs
+//! it next round is irrelevant, and [`Pool::map_with`] commits results by
+//! input index. The fleet therefore produces **byte-identical** per-tenant
+//! results for any worker count, equal to dedicated uninterrupted runs.
 //! With [`FleetConfig::migrate`] set, every suspension is additionally
 //! forced through the `parsched-snap/v1` text codec
-//! ([`Snapshot::to_json`] → [`Snapshot::from_json`]) — the exact document
-//! a real cross-host migration would ship — and the decoded snapshot must
-//! reproduce the original bit-for-bit or the tenant is failed.
+//! ([`Engine::snapshot`] → [`Snapshot::to_json`] →
+//! [`Snapshot::from_json`]) — the exact document a real cross-host
+//! migration would ship — and the decoded snapshot must reproduce the
+//! original bit-for-bit or the tenant is failed; the tenant then continues
+//! from the decoded document ([`Engine::restore`]).
 //!
 //! # Admission and backpressure
 //!
@@ -32,20 +45,22 @@
 //! # Queries
 //!
 //! [`FleetSession::query_batch`] answers projection queries from live
-//! engine state: a scratch engine restores the tenant's snapshot on a
-//! pool shard and runs it forward (the run is deterministic, so the
-//! projection is exact, not an estimate). See [`FleetQuery`].
+//! engine state: each queried tenant's parked engine is captured as a
+//! [`Snapshot`], and a scratch engine restores it on a pool shard and runs
+//! it forward (the run is deterministic, so the projection is exact, not
+//! an estimate). See [`FleetQuery`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::VecDeque;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 use parsched::PolicyKind;
 use parsched_analysis::Pool;
 use parsched_sim::{
     Engine, EngineBuffers, EngineConfig, Instance, JobId, JobSpec, NullObserver, Observer,
-    RunMetrics, SimError, Snapshot, StaticSource, Time,
+    ParkedEngine, Policy, RunMetrics, SimError, Snapshot, StaticSource, Time,
 };
 
 /// One tenant: an independent scheduling scenario.
@@ -238,11 +253,8 @@ pub enum QueryAnswer {
 enum TenantState {
     /// Waiting in the overflow queue.
     Pending,
-    /// Holding an in-flight slot; `snap` is `None` until the first round
-    /// runs.
-    Running {
-        snap: Option<Box<Snapshot>>,
-    },
+    /// Holding an in-flight slot.
+    Running(Live),
     Done {
         metrics: Box<RunMetrics>,
     },
@@ -254,6 +266,45 @@ enum TenantState {
     },
 }
 
+/// An in-flight tenant between slices.
+enum Live {
+    /// Not started yet: the buffers its engine is built on at its first
+    /// slice.
+    Admitted(Box<EngineBuffers>),
+    /// Started: its own policy and source, and its engine parked on them.
+    Parked(Box<Resident>),
+}
+
+/// A started tenant's state between slices.
+struct Resident {
+    policy: Box<dyn Policy + Send>,
+    source: StaticSource,
+    engine: ParkedEngine,
+}
+
+impl Resident {
+    /// Captures the tenant's current state: resume on its own policy and
+    /// source, snapshot, park again. Fails, dropping the tenant's state,
+    /// only when the engine cannot be resumed.
+    fn snapshot(self) -> Result<(Self, Result<Snapshot, SimError>), SimError> {
+        let Resident {
+            mut policy,
+            mut source,
+            engine,
+        } = self;
+        let mut obs = NullObserver;
+        let engine = engine.resume(policy.as_mut(), &mut source, &mut obs)?;
+        let snap = engine.snapshot();
+        let engine = engine.park();
+        let resident = Resident {
+            policy,
+            source,
+            engine,
+        };
+        Ok((resident, snap))
+    }
+}
+
 struct TenantSlot {
     spec: TenantSpec,
     state: TenantState,
@@ -262,31 +313,45 @@ struct TenantSlot {
 
 enum SliceResult {
     Done(Box<RunMetrics>),
-    Suspended(Box<Snapshot>),
+    Suspended(Box<Resident>),
     Failed(String),
 }
 
-/// Advance one tenant by at most `slice` events on the current shard,
-/// reusing the shard's warm buffers.
+/// Advances one tenant by at most `slice` events, building its engine
+/// first if this is its first slice. Returns the slice's result and, when
+/// the tenant's engine was torn down, its buffers for reuse.
 fn run_slice(
-    bufs: &mut EngineBuffers,
     spec: &TenantSpec,
-    snap: Option<Box<Snapshot>>,
+    live: Live,
     slice: u64,
     migrate: bool,
-) -> SliceResult {
-    let mut policy = spec.policy.build();
-    let mut source = StaticSource::new(&spec.instance);
-    let mut obs = NullObserver;
-    let cfg = EngineConfig::new(spec.m).with_streaming(spec.streaming);
-    let taken = std::mem::replace(bufs, EngineBuffers::new());
-    let mut engine = Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, taken);
-    if let Some(s) = &snap {
-        if let Err(e) = engine.restore(s) {
-            *bufs = engine.into_buffers();
-            return SliceResult::Failed(format!("restore: {e}"));
+) -> (SliceResult, Option<EngineBuffers>) {
+    let (mut policy, mut source, parked) = match live {
+        Live::Parked(r) => {
+            let Resident {
+                policy,
+                source,
+                engine,
+            } = *r;
+            (policy, source, Ok(engine))
         }
-    }
+        Live::Admitted(bufs) => (
+            spec.policy.build(),
+            StaticSource::new(&spec.instance),
+            Err(*bufs),
+        ),
+    };
+    let mut obs = NullObserver;
+    let mut engine = match parked {
+        Ok(engine) => match engine.resume(policy.as_mut(), &mut source, &mut obs) {
+            Ok(engine) => engine,
+            Err(e) => return (SliceResult::Failed(format!("resume: {e}")), None),
+        },
+        Err(bufs) => {
+            let cfg = EngineConfig::new(spec.m).with_streaming(spec.streaming);
+            Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, bufs)
+        }
+    };
     let mut stepped = 0u64;
     let mut live = true;
     while stepped < slice {
@@ -297,8 +362,10 @@ fn run_slice(
                 break;
             }
             Err(e) => {
-                *bufs = engine.into_buffers();
-                return SliceResult::Failed(format!("step: {e}"));
+                return (
+                    SliceResult::Failed(format!("step: {e}")),
+                    Some(engine.into_buffers()),
+                )
             }
         }
     }
@@ -307,33 +374,38 @@ fn run_slice(
         // valid in either mode and its metrics are bit-identical to the
         // in-memory path's.
         return match engine.run_streaming_reusing() {
-            Ok((out, b)) => {
-                *bufs = b;
-                SliceResult::Done(Box::new(out.metrics))
-            }
-            Err(e) => SliceResult::Failed(format!("finalize: {e}")),
+            Ok((out, bufs)) => (SliceResult::Done(Box::new(out.metrics)), Some(bufs)),
+            Err(e) => (SliceResult::Failed(format!("finalize: {e}")), None),
         };
     }
-    let snap = match engine.snapshot() {
-        Ok(s) => s,
-        Err(e) => {
-            *bufs = engine.into_buffers();
-            return SliceResult::Failed(format!("snapshot: {e}"));
-        }
-    };
-    *bufs = engine.into_buffers();
     if migrate {
-        // Ship the suspension through the text codec, exactly as a
-        // cross-host migration would, and require the decoded snapshot to
-        // reproduce the captured one bit-for-bit.
-        let doc = snap.to_json();
-        return match Snapshot::from_json(&doc) {
-            Ok(decoded) if decoded == snap => SliceResult::Suspended(Box::new(decoded)),
-            Ok(_) => SliceResult::Failed("migration codec divergence".to_string()),
-            Err(e) => SliceResult::Failed(format!("migration decode: {e}")),
-        };
+        if let Err(error) = migrate_through_codec(&mut engine) {
+            return (SliceResult::Failed(error), Some(engine.into_buffers()));
+        }
     }
-    SliceResult::Suspended(Box::new(snap))
+    let engine = engine.park();
+    let resident = Resident {
+        policy,
+        source,
+        engine,
+    };
+    (SliceResult::Suspended(Box::new(resident)), None)
+}
+
+/// Ships the engine's state through the text codec, exactly as a
+/// cross-host migration would: snapshot, render, parse, require the
+/// decoded snapshot to reproduce the captured one bit-for-bit, and
+/// continue from the decoded document.
+fn migrate_through_codec(engine: &mut Engine<'_>) -> Result<(), String> {
+    let snap = engine.snapshot().map_err(|e| format!("snapshot: {e}"))?;
+    let decoded =
+        Snapshot::from_json(&snap.to_json()).map_err(|e| format!("migration decode: {e}"))?;
+    if decoded != snap {
+        return Err("migration codec divergence".to_string());
+    }
+    engine
+        .restore(&decoded)
+        .map_err(|e| format!("restore: {e}"))
 }
 
 /// A fleet of tenants being served round-by-round.
@@ -344,6 +416,9 @@ pub struct FleetSession {
     active: Vec<usize>,
     /// FIFO overflow queue of admitted-but-waiting tenants.
     pending: VecDeque<usize>,
+    /// Buffers of finished tenants' engines, for the next admissions (at
+    /// most one per pending tenant).
+    spare: Vec<EngineBuffers>,
     rounds: u64,
 }
 
@@ -368,13 +443,14 @@ impl FleetSession {
             slots: Vec::with_capacity(tenants.len()),
             active: Vec::new(),
             pending: VecDeque::new(),
+            spare: Vec::new(),
             rounds: 0,
         };
         for spec in tenants {
             let idx = session.slots.len();
             let state = if session.active.len() < cfg.max_in_flight {
                 session.active.push(idx);
-                TenantState::Running { snap: None }
+                TenantState::Running(Live::Admitted(Box::default()))
             } else if session.pending.len() < cfg.max_pending {
                 session.pending.push_back(idx);
                 TenantState::Pending
@@ -419,31 +495,40 @@ impl FleetSession {
             return 0;
         }
         self.rounds += 1;
-        // Detach each in-flight tenant's snapshot so the shard that
-        // claims it owns the state for the duration of the slice.
-        let mut items: Vec<(usize, Option<Box<Snapshot>>)> = Vec::with_capacity(self.active.len());
+        // Detach each in-flight tenant's state so the shard that claims it
+        // owns the tenant for the duration of the slice.
+        let mut taken: Vec<(usize, Live)> = Vec::with_capacity(self.active.len());
         for &idx in &self.active {
-            let snap = match &mut self.slots[idx].state {
-                TenantState::Running { snap } => snap.take(),
-                // In-flight list only ever holds Running slots.
-                _ => None,
-            };
-            self.slots[idx].rounds += 1;
-            items.push((idx, snap));
+            let slot = &mut self.slots[idx];
+            slot.rounds += 1;
+            // The in-flight list only ever holds Running slots.
+            if let TenantState::Running(live) =
+                std::mem::replace(&mut slot.state, TenantState::Pending)
+            {
+                taken.push((idx, live));
+            }
         }
+        let items: Vec<(usize, &TenantSpec, Live)> = taken
+            .into_iter()
+            .map(|(idx, live)| (idx, &self.slots[idx].spec, live))
+            .collect();
         let slice = self.cfg.slice_events;
         let migrate = self.cfg.migrate;
-        let slots = &self.slots;
-        let results = pool.map_with(EngineBuffers::new, items, |bufs, (idx, snap)| {
-            (idx, run_slice(bufs, &slots[idx].spec, snap, slice, migrate))
+        let results = pool.map(items, |(idx, spec, live)| {
+            (idx, run_slice(spec, live, slice, migrate))
         });
         // Commit serially, in item order — deterministic whatever the
         // shard interleaving was.
         let mut freed = Vec::new();
-        for (idx, res) in results {
+        for (idx, (res, bufs)) in results {
+            // Keep a finished engine's buffers only for a tenant still
+            // waiting to take them; past that they are dropped.
+            if self.spare.len() < self.pending.len() {
+                self.spare.extend(bufs);
+            }
             match res {
-                SliceResult::Suspended(s) => {
-                    self.slots[idx].state = TenantState::Running { snap: Some(s) };
+                SliceResult::Suspended(resident) => {
+                    self.slots[idx].state = TenantState::Running(Live::Parked(resident));
                 }
                 SliceResult::Done(metrics) => {
                     self.slots[idx].state = TenantState::Done { metrics };
@@ -457,15 +542,21 @@ impl FleetSession {
         }
         if !freed.is_empty() {
             self.active.retain(|idx| !freed.contains(idx));
-            while self.active.len() < self.cfg.max_in_flight {
-                let Some(next) = self.pending.pop_front() else {
-                    break;
-                };
-                self.slots[next].state = TenantState::Running { snap: None };
-                self.active.push(next);
-            }
+            self.admit_pending();
         }
         self.active.len()
+    }
+
+    /// Refills free in-flight slots from the overflow queue, in FIFO order.
+    fn admit_pending(&mut self) {
+        while self.active.len() < self.cfg.max_in_flight {
+            let Some(next) = self.pending.pop_front() else {
+                break;
+            };
+            let bufs = self.spare.pop().unwrap_or_default();
+            self.slots[next].state = TenantState::Running(Live::Admitted(Box::new(bufs)));
+            self.active.push(next);
+        }
     }
 
     /// Runs rounds until every admitted tenant is done or failed, then
@@ -509,7 +600,7 @@ impl FleetSession {
                     TenantState::Pending => TenantStatus::Failed {
                         error: "still pending (fleet not run to completion)".to_string(),
                     },
-                    TenantState::Running { .. } => TenantStatus::Failed {
+                    TenantState::Running(_) => TenantStatus::Failed {
                         error: "still in flight (fleet not run to completion)".to_string(),
                     },
                 };
@@ -534,105 +625,182 @@ impl FleetSession {
     /// Answers a batch of projection queries on the pool. Answers are
     /// returned in query order; each is independent (a scratch engine per
     /// query), so a failed query never poisons its neighbours.
+    ///
+    /// Each queried in-flight tenant is first captured as a [`Snapshot`]
+    /// (serially: resume its parked engine, snapshot, park again), which
+    /// is why this takes `&mut self`; the tenant's run is unaffected.
     pub fn query_batch(
-        &self,
+        &mut self,
         pool: &Pool,
         queries: &[FleetQuery],
     ) -> Vec<Result<QueryAnswer, String>> {
-        let items: Vec<FleetQuery> = queries.to_vec();
-        pool.map_with(EngineBuffers::new, items, |bufs, query| {
-            self.answer(bufs, &query)
-        })
-    }
-
-    fn find(&self, name: &str) -> Result<&TenantSlot, String> {
-        self.slots
-            .iter()
-            .find(|s| s.spec.name == name)
-            .ok_or_else(|| format!("unknown tenant {name:?}"))
-    }
-
-    fn answer(&self, bufs: &mut EngineBuffers, query: &FleetQuery) -> Result<QueryAnswer, String> {
-        let slot = self.find(query.tenant())?;
-        match &slot.state {
-            TenantState::Shed { reason } => return Err(format!("tenant shed: {reason}")),
-            TenantState::Failed { error } => return Err(format!("tenant failed: {error}")),
-            _ => {}
-        }
-        let snap = match &slot.state {
-            TenantState::Running { snap } => snap.as_deref(),
-            _ => None,
-        };
-        match query {
-            FleetQuery::ProjectedCompletion { job, .. } => {
-                // Pre-suspend completions are recorded in the snapshot on
-                // the in-memory path; otherwise watch the remaining run.
-                if let Some(s) = snap {
-                    if let Some(t) = s.completion_of(*job) {
-                        return Ok(QueryAnswer::Completion(t));
-                    }
-                }
-                let at = match &slot.state {
-                    // Completed tenants retain aggregates only; re-run the
-                    // whole deterministic scenario from scratch.
-                    TenantState::Done { .. } => project_completion(bufs, &slot.spec, None, *job)?,
-                    _ => project_completion(bufs, &slot.spec, snap, *job)?,
-                };
-                match at {
-                    Some(t) => Ok(QueryAnswer::Completion(t)),
-                    None => {
-                        if slot.spec.instance.jobs().iter().any(|j| j.id == *job) {
-                            Err(format!(
-                                "job {:?} completed before the suspend point and the \
-                                 streaming path retains no completion records",
-                                job
-                            ))
-                        } else {
-                            Err(format!("job {:?} is not in the tenant's instance", job))
-                        }
+        let mut snaps: BTreeMap<usize, Result<Snapshot, String>> = BTreeMap::new();
+        for query in queries {
+            if let Ok(idx) = self.find(query.tenant()) {
+                if let Entry::Vacant(slot) = snaps.entry(idx) {
+                    if let Some(snap) = self.capture(idx) {
+                        slot.insert(snap.map_err(|e| format!("snapshot: {e}")));
                     }
                 }
             }
-            FleetQuery::ProjectedFlow { .. } => match &slot.state {
-                TenantState::Done { metrics } => Ok(QueryAnswer::Flow(metrics.total_flow)),
-                _ => project_flow(bufs, &slot.spec, snap).map(QueryAnswer::Flow),
-            },
-            FleetQuery::FlowSoFar { .. } => match &slot.state {
-                TenantState::Done { metrics } => Ok(QueryAnswer::Flow(metrics.total_flow)),
-                TenantState::Running { .. } => Ok(QueryAnswer::Flow(
-                    snap.map_or(0.0, Snapshot::total_flow_so_far),
-                )),
-                _ => Ok(QueryAnswer::Flow(0.0)),
-            },
-            FleetQuery::Progress { .. } => match &slot.state {
-                TenantState::Done { metrics } => Ok(QueryAnswer::Progress {
-                    now: metrics.makespan,
-                    events: metrics.events,
-                    completed: metrics.num_jobs as u64,
-                    admitted: metrics.num_jobs,
-                }),
-                TenantState::Running { .. } => match snap {
-                    Some(s) => Ok(QueryAnswer::Progress {
-                        now: s.now(),
-                        events: s.events(),
-                        completed: s.completed_count(),
-                        admitted: s.admitted(),
-                    }),
-                    None => Ok(QueryAnswer::Progress {
-                        now: 0.0,
-                        events: 0,
-                        completed: 0,
-                        admitted: 0,
-                    }),
-                },
-                _ => Ok(QueryAnswer::Progress {
-                    now: 0.0,
-                    events: 0,
-                    completed: 0,
-                    admitted: 0,
-                }),
-            },
         }
+        let items: Vec<(FleetQuery, Result<Target<'_>, String>)> = queries
+            .iter()
+            .map(|q| (q.clone(), self.target(q.tenant(), &snaps)))
+            .collect();
+        pool.map_with(EngineBuffers::new, items, |bufs, (query, target)| {
+            answer(bufs, &query, target?)
+        })
+    }
+
+    /// The snapshot of tenant `idx`'s parked engine, or `None` when the
+    /// tenant has no engine (not started, or no longer in flight). A
+    /// tenant whose engine cannot be resumed has lost its state: it is
+    /// failed and its in-flight slot refilled.
+    fn capture(&mut self, idx: usize) -> Option<Result<Snapshot, SimError>> {
+        let slot = &mut self.slots[idx];
+        match std::mem::replace(&mut slot.state, TenantState::Pending) {
+            TenantState::Running(live) => match live {
+                Live::Parked(resident) => match resident.snapshot() {
+                    Ok((resident, snap)) => {
+                        slot.state = TenantState::Running(Live::Parked(Box::new(resident)));
+                        Some(snap)
+                    }
+                    Err(e) => {
+                        slot.state = TenantState::Failed {
+                            error: format!("resume: {e}"),
+                        };
+                        self.active.retain(|&i| i != idx);
+                        self.admit_pending();
+                        Some(Err(e))
+                    }
+                },
+                admitted => {
+                    slot.state = TenantState::Running(admitted);
+                    None
+                }
+            },
+            other => {
+                slot.state = other;
+                None
+            }
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, String> {
+        self.slots
+            .iter()
+            .position(|s| s.spec.name == name)
+            .ok_or_else(|| format!("unknown tenant {name:?}"))
+    }
+
+    /// What a query about tenant `name` needs, given the captured
+    /// snapshots.
+    fn target<'s>(
+        &'s self,
+        name: &str,
+        snaps: &'s BTreeMap<usize, Result<Snapshot, String>>,
+    ) -> Result<Target<'s>, String> {
+        let idx = self.find(name)?;
+        let slot = &self.slots[idx];
+        let standing = match &slot.state {
+            TenantState::Shed { reason } => return Err(format!("tenant shed: {reason}")),
+            TenantState::Failed { error } => return Err(format!("tenant failed: {error}")),
+            TenantState::Done { metrics } => Standing::Done(metrics),
+            TenantState::Running(_) => match snaps.get(&idx) {
+                Some(Ok(s)) => Standing::Running(Some(s)),
+                Some(Err(e)) => return Err(e.clone()),
+                None => Standing::Running(None),
+            },
+            TenantState::Pending => Standing::Pending,
+        };
+        Ok(Target {
+            spec: &slot.spec,
+            standing,
+        })
+    }
+}
+
+/// A query's tenant, as the pool shard answering it sees it.
+struct Target<'s> {
+    spec: &'s TenantSpec,
+    standing: Standing<'s>,
+}
+
+/// Where a queried tenant stands.
+enum Standing<'s> {
+    /// Waiting in the overflow queue.
+    Pending,
+    /// In flight; the snapshot is `None` until its first slice has run.
+    Running(Option<&'s Snapshot>),
+    /// Finished with these metrics.
+    Done(&'s RunMetrics),
+}
+
+fn answer(
+    bufs: &mut EngineBuffers,
+    query: &FleetQuery,
+    target: Target<'_>,
+) -> Result<QueryAnswer, String> {
+    let spec = target.spec;
+    let (snap, done) = match target.standing {
+        Standing::Running(snap) => (snap, None),
+        Standing::Done(metrics) => (None, Some(metrics)),
+        Standing::Pending => (None, None),
+    };
+    let not_started = QueryAnswer::Progress {
+        now: 0.0,
+        events: 0,
+        completed: 0,
+        admitted: 0,
+    };
+    match query {
+        FleetQuery::ProjectedCompletion { job, .. } => {
+            // Pre-suspend completions are recorded in the snapshot on the
+            // in-memory path; otherwise watch the remaining run. Completed
+            // tenants retain aggregates only, so theirs re-runs the whole
+            // deterministic scenario from scratch (`snap` is `None`).
+            if let Some(t) = snap.and_then(|s| s.completion_of(*job)) {
+                return Ok(QueryAnswer::Completion(t));
+            }
+            match project_completion(bufs, spec, snap, *job)? {
+                Some(t) => Ok(QueryAnswer::Completion(t)),
+                None => {
+                    if spec.instance.jobs().iter().any(|j| j.id == *job) {
+                        Err(format!(
+                            "job {:?} completed before the suspend point and the \
+                             streaming path retains no completion records",
+                            job
+                        ))
+                    } else {
+                        Err(format!("job {:?} is not in the tenant's instance", job))
+                    }
+                }
+            }
+        }
+        FleetQuery::ProjectedFlow { .. } => match done {
+            Some(metrics) => Ok(QueryAnswer::Flow(metrics.total_flow)),
+            None => project_flow(bufs, spec, snap).map(QueryAnswer::Flow),
+        },
+        FleetQuery::FlowSoFar { .. } => Ok(QueryAnswer::Flow(match done {
+            Some(metrics) => metrics.total_flow,
+            None => snap.map_or(0.0, Snapshot::total_flow_so_far),
+        })),
+        FleetQuery::Progress { .. } => Ok(match (done, snap) {
+            (Some(metrics), _) => QueryAnswer::Progress {
+                now: metrics.makespan,
+                events: metrics.events,
+                completed: metrics.num_jobs as u64,
+                admitted: metrics.num_jobs,
+            },
+            (None, Some(s)) => QueryAnswer::Progress {
+                now: s.now(),
+                events: s.events(),
+                completed: s.completed_count(),
+                admitted: s.admitted(),
+            },
+            (None, None) => not_started,
+        }),
     }
 }
 
@@ -657,15 +825,13 @@ impl Observer for CompletionWatcher {
 }
 
 /// Scratch engine for a query: build the tenant's scenario on the warm
-/// buffers, restore `snap` if given, and return the finalized engine's
-/// observer + metrics via `finish`.
-fn scratch_run<R>(
+/// buffers, restore `snap` if given, and run it to the end under `obs`.
+fn scratch_run(
     bufs: &mut EngineBuffers,
     spec: &TenantSpec,
     snap: Option<&Snapshot>,
     obs: &mut dyn Observer,
-    finish: impl FnOnce(RunMetrics) -> R,
-) -> Result<R, String> {
+) -> Result<RunMetrics, String> {
     let mut policy = spec.policy.build();
     let mut source = StaticSource::new(&spec.instance);
     let cfg = EngineConfig::new(spec.m).with_streaming(spec.streaming);
@@ -680,7 +846,7 @@ fn scratch_run<R>(
     match engine.run_streaming_reusing() {
         Ok((out, b)) => {
             *bufs = b;
-            Ok(finish(out.metrics))
+            Ok(out.metrics)
         }
         Err(e) => Err(format!("projection run: {e}")),
     }
@@ -696,7 +862,7 @@ fn project_completion(
         target: job,
         at: None,
     };
-    scratch_run(bufs, spec, snap, &mut watcher, |_| ())?;
+    scratch_run(bufs, spec, snap, &mut watcher)?;
     Ok(watcher.at)
 }
 
@@ -705,8 +871,7 @@ fn project_flow(
     spec: &TenantSpec,
     snap: Option<&Snapshot>,
 ) -> Result<f64, String> {
-    let mut obs = NullObserver;
-    scratch_run(bufs, spec, snap, &mut obs, |m| m.total_flow)
+    scratch_run(bufs, spec, snap, &mut NullObserver).map(|m| m.total_flow)
 }
 
 #[cfg(test)]

@@ -4,6 +4,11 @@
 //!   whatever the shard count (`Pool::new(1)` vs `Pool::new(4)`) and
 //!   whether or not every suspension is forced through a cross-shard
 //!   migration (the `parsched-snap/v1` text codec);
+//! * tenants kept as parked engines between slices finish bit-identically
+//!   to dedicated solo runs, for every registry policy;
+//! * mid-run projection queries answered from parked tenants equal the
+//!   answers derived from a tenant driven slice by slice through
+//!   `snapshot` / `restore` on fresh engines;
 //! * batched projection queries agree with the heSRPT closed form
 //!   (`parsched_opt::hesrpt_batch_lb`) on batch-release pure-power
 //!   tenants — the one family where an exact external answer exists.
@@ -14,7 +19,10 @@ use parsched_fleet::{
     FleetConfig, FleetOutcome, FleetQuery, FleetSession, QueryAnswer, TenantSpec, TenantStatus,
 };
 use parsched_opt::hesrpt_batch_lb;
-use parsched_sim::{Instance, JobId, JobSpec};
+use parsched_sim::{
+    Engine, EngineConfig, Instance, JobId, JobSpec, NullObserver, Observer, RunMetrics, Snapshot,
+    StaticSource, Time,
+};
 use parsched_speedup::Curve;
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -204,5 +212,242 @@ fn batched_queries_cross_check_against_the_hesrpt_closed_form() {
             ),
             other => panic!("{}: {other:?}", report.name),
         }
+    }
+}
+
+fn solo_metrics(t: &TenantSpec) -> RunMetrics {
+    let mut policy = t.policy.build();
+    let mut source = StaticSource::new(&t.instance);
+    let mut obs = NullObserver;
+    let cfg = EngineConfig::new(t.m).with_streaming(t.streaming);
+    Engine::new(cfg, policy.as_mut(), &mut source, &mut obs)
+        .run_streaming()
+        .expect("solo run")
+        .metrics
+}
+
+fn metric_bits(m: &RunMetrics) -> [u64; 10] {
+    [
+        m.events,
+        m.num_jobs as u64,
+        m.total_flow.to_bits(),
+        m.fractional_flow.to_bits(),
+        m.makespan.to_bits(),
+        m.max_flow.to_bits(),
+        m.total_stretch.to_bits(),
+        m.max_stretch.to_bits(),
+        m.total_weighted_flow.to_bits(),
+        m.alive_integral.to_bits(),
+    ]
+}
+
+#[test]
+fn parked_tenants_finish_bit_identically_to_solo_runs() {
+    let tenants = fleet(30);
+    assert!(
+        PolicyKind::all_registered()
+            .iter()
+            .all(|p| tenants.iter().any(|t| t.policy == *p)),
+        "the fleet must cover every registry policy"
+    );
+    let solo: Vec<[u64; 10]> = tenants
+        .iter()
+        .map(|t| metric_bits(&solo_metrics(t)))
+        .collect();
+    for (slice_events, migrate) in [(1, false), (3, true), (7, false), (64, false)] {
+        let cfg = FleetConfig {
+            max_in_flight: 6,
+            max_pending: 64,
+            slice_events,
+            migrate,
+        };
+        let mut session = FleetSession::new(cfg, tenants.clone()).expect("session");
+        let out = session.run(&Pool::new(2));
+        assert_eq!(out.done, tenants.len(), "{}", render(&out));
+        for (report, want) in out.reports.iter().zip(&solo) {
+            match &report.status {
+                TenantStatus::Done { metrics, .. } => assert_eq!(
+                    &metric_bits(metrics),
+                    want,
+                    "{} ({}) slice {slice_events} migrate {migrate}",
+                    report.name,
+                    report.policy
+                ),
+                other => panic!("{}: {other:?}", report.name),
+            }
+        }
+    }
+}
+
+/// Where a tenant driven slice by slice through `snapshot` / `restore` on
+/// fresh engines stands after `slices` slices.
+enum Reference {
+    Suspended(Box<Snapshot>),
+    Done(RunMetrics),
+}
+
+fn snapshot_restore_drive(t: &TenantSpec, slice: u64, slices: u64) -> Reference {
+    let cfg = EngineConfig::new(t.m).with_streaming(t.streaming);
+    let mut snap: Option<Snapshot> = None;
+    for _ in 0..slices {
+        let mut policy = t.policy.build();
+        let mut source = StaticSource::new(&t.instance);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
+        if let Some(s) = &snap {
+            engine.restore(s).expect("restore");
+        }
+        for _ in 0..slice {
+            if !engine.step().expect("step") {
+                return Reference::Done(engine.run_streaming().expect("finalize").metrics);
+            }
+        }
+        snap = Some(engine.snapshot().expect("snapshot"));
+    }
+    Reference::Suspended(Box::new(snap.expect("at least one slice")))
+}
+
+struct Watch {
+    job: JobId,
+    at: Option<Time>,
+}
+
+impl Observer for Watch {
+    fn on_completion(&mut self, t: Time, job: &JobSpec) {
+        if job.id == self.job && self.at.is_none() {
+            self.at = Some(t);
+        }
+    }
+
+    fn needs_allocation_stream(&self) -> bool {
+        false
+    }
+}
+
+/// Runs `t` to the end from `snap` (or from scratch), watching `job`.
+fn project(t: &TenantSpec, snap: Option<&Snapshot>, job: JobId) -> (RunMetrics, Option<Time>) {
+    let cfg = EngineConfig::new(t.m).with_streaming(t.streaming);
+    let mut policy = t.policy.build();
+    let mut source = StaticSource::new(&t.instance);
+    let mut watch = Watch { job, at: None };
+    let mut engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut watch);
+    if let Some(s) = snap {
+        engine.restore(s).expect("restore");
+    }
+    let metrics = engine.run_streaming().expect("projection").metrics;
+    (metrics, watch.at)
+}
+
+#[test]
+fn mid_run_queries_from_parked_tenants_match_the_snapshot_restore_path() {
+    let tenants = fleet(20);
+    let slice = 4;
+    let rounds = 2;
+    let cfg = FleetConfig {
+        max_in_flight: tenants.len(),
+        max_pending: 0,
+        slice_events: slice,
+        migrate: false,
+    };
+    let mut session = FleetSession::new(cfg, tenants.clone()).expect("session");
+    let pool = Pool::new(2);
+    for _ in 0..rounds {
+        session.round(&pool);
+    }
+    for t in &tenants {
+        let last_job = t.instance.jobs().last().expect("non-empty").id;
+        let queries = vec![
+            FleetQuery::ProjectedFlow {
+                tenant: t.name.clone(),
+            },
+            FleetQuery::ProjectedCompletion {
+                tenant: t.name.clone(),
+                job: JobId(0),
+            },
+            FleetQuery::ProjectedCompletion {
+                tenant: t.name.clone(),
+                job: last_job,
+            },
+            FleetQuery::FlowSoFar {
+                tenant: t.name.clone(),
+            },
+            FleetQuery::Progress {
+                tenant: t.name.clone(),
+            },
+        ];
+        let got = session.query_batch(&pool, &queries);
+        let reference = snapshot_restore_drive(t, slice, rounds);
+        let completion = |job: JobId| -> Result<QueryAnswer, String> {
+            let (snap, recorded) = match &reference {
+                Reference::Suspended(s) => (Some(&**s), s.completion_of(job)),
+                Reference::Done(_) => (None, None),
+            };
+            match recorded.or_else(|| project(t, snap, job).1) {
+                Some(at) => Ok(QueryAnswer::Completion(at)),
+                None => Err("no completion record".to_string()),
+            }
+        };
+        let want: Vec<Result<QueryAnswer, String>> = match &reference {
+            Reference::Suspended(s) => vec![
+                Ok(QueryAnswer::Flow(
+                    project(t, Some(s), JobId(0)).0.total_flow,
+                )),
+                completion(JobId(0)),
+                completion(last_job),
+                Ok(QueryAnswer::Flow(s.total_flow_so_far())),
+                Ok(QueryAnswer::Progress {
+                    now: s.now(),
+                    events: s.events(),
+                    completed: s.completed_count(),
+                    admitted: s.admitted(),
+                }),
+            ],
+            Reference::Done(m) => vec![
+                Ok(QueryAnswer::Flow(m.total_flow)),
+                completion(JobId(0)),
+                completion(last_job),
+                Ok(QueryAnswer::Flow(m.total_flow)),
+                Ok(QueryAnswer::Progress {
+                    now: m.makespan,
+                    events: m.events,
+                    completed: m.num_jobs as u64,
+                    admitted: m.num_jobs,
+                }),
+            ],
+        };
+        for (q, (g, w)) in queries.iter().zip(got.iter().zip(&want)) {
+            match (g, w) {
+                (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{}: {q:?}", t.name),
+                (Err(_), Err(_)) => {}
+                _ => panic!("{}: {q:?}: parked {g:?} vs snapshot-restore {w:?}", t.name),
+            }
+        }
+    }
+    // Capturing the parked tenants for the queries left their runs intact.
+    let out = session.run(&pool);
+    for (report, t) in out.reports.iter().zip(&tenants) {
+        match &report.status {
+            TenantStatus::Done { metrics, .. } => assert_eq!(
+                metric_bits(metrics),
+                metric_bits(&solo_metrics(t)),
+                "{}",
+                t.name
+            ),
+            other => panic!("{}: {other:?}", t.name),
+        }
+    }
+}
+
+/// A query answer as exact bits.
+fn bits(a: &QueryAnswer) -> Vec<u64> {
+    match a {
+        QueryAnswer::Completion(t) => vec![0, t.to_bits()],
+        QueryAnswer::Flow(f) => vec![1, f.to_bits()],
+        QueryAnswer::Progress {
+            now,
+            events,
+            completed,
+            admitted,
+        } => vec![2, now.to_bits(), *events, *completed, *admitted as u64],
     }
 }

@@ -1,8 +1,8 @@
 //! L009 — `parsched-snap/v1` completeness.
 //!
 //! The snapshot codec round-trips the engine mid-run (suspend/resume,
-//! fleet migration). Its failure mode is silent: add a field to `Engine`,
-//! `JobArena`, or `SrptSet`, forget the codec, and every test that doesn't
+//! fleet migration). Its failure mode is silent: add a field to `Engine`'s
+//! `RunState`, `JobArena`, or `SrptSet`, forget the codec, and every test that doesn't
 //! cross a suspend point still passes — restore just resurrects a subtly
 //! different engine. This rule makes the omission a lint error: every
 //! field of the participating structs must be *referenced* both somewhere
@@ -33,6 +33,7 @@ use crate::Diagnostic;
 /// Structs participating in `parsched-snap/v1`.
 const CHECKED: &[&str] = &[
     "Engine",
+    "RunState",
     "JobArena",
     "SrptSet",
     "Snapshot",

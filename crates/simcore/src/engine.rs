@@ -212,10 +212,10 @@ impl EngineConfig {
 #[cfg(feature = "hotpath")]
 macro_rules! hp_phase {
     ($self:ident, $slot:ident, $body:expr) => {{
-        if $self.cfg.hotpath_profile {
+        if $self.state.cfg.hotpath_profile {
             let __hp_t0 = crate::hotpath::stamp();
             let __hp_r = $body;
-            $self.hotpath.$slot += crate::hotpath::ns_since(__hp_t0);
+            $self.state.hotpath.$slot += crate::hotpath::ns_since(__hp_t0);
             __hp_r
         } else {
             $body
@@ -538,12 +538,18 @@ impl CachedProfile {
 /// The simulation engine. See the crate docs for the architecture and
 /// [`simulate`] for the one-call entry point.
 pub struct Engine<'a> {
-    cfg: EngineConfig,
     policy: &'a mut dyn Policy,
     // lint:allow(L009) borrowed collaborator, not engine state; restore re-attaches a caller-supplied source
     source: &'a mut dyn ArrivalSource,
     // lint:allow(L009) borrowed collaborator, not engine state; restore re-attaches a caller-supplied observer
     observer: &'a mut dyn Observer,
+    state: RunState,
+}
+
+/// Everything an [`Engine`] holds besides its policy, source, and
+/// observer: the run state that [`Engine::park`] detaches by value.
+struct RunState {
+    cfg: EngineConfig,
     jobs: JobArena,
     // lint:allow(L009) id map is rebuilt from the admitted specs during restore; rendering it would duplicate the spec lane
     ids: IdMap,
@@ -689,6 +695,80 @@ impl EngineBuffers {
     }
 }
 
+/// An [`Engine`] detached from its policy, source, and observer: the
+/// whole run state, held by value between stretches of stepping.
+///
+/// [`Engine::park`] and [`ParkedEngine::resume`] are plain moves — no
+/// buffer is cleared, no job copied, and the policy is not reset — so
+/// parking between [`Engine::step`] calls costs `O(1)` whatever the run's
+/// size. Resume with the collaborators the engine was parked from: the
+/// same policy value (its internal state, such as an RNG, simply
+/// continues), the same source (positioned where the engine left it), and
+/// an observer of the same kind. The resumed engine then continues the run
+/// bit-for-bit as if it had never stopped. A multi-tenant server uses this
+/// to keep each tenant's engine between slices without a snapshot;
+/// [`Engine::snapshot`] remains the way to move a run across processes.
+pub struct ParkedEngine(RunState);
+
+impl ParkedEngine {
+    /// Re-attaches the collaborators the engine was parked from (see
+    /// [`ParkedEngine`]) and returns the engine, ready to step on from
+    /// where it stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadInstance`], dropping the parked run, when the
+    /// collaborators visibly differ from the ones the engine was parked
+    /// from: a policy with a different SRPT-ordering claim, a policy or
+    /// observer that would put the run on the other execution path, or a
+    /// source whose next arrival is not the one the engine expects. The
+    /// checks are `O(1)`, so they cannot tell a different policy of the
+    /// same kind, or a source that agrees on its next arrival only.
+    pub fn resume<'a>(
+        self,
+        policy: &'a mut dyn Policy,
+        source: &'a mut dyn ArrivalSource,
+        observer: &'a mut dyn Observer,
+    ) -> Result<Engine<'a>, SimError> {
+        let state = self.0;
+        let mismatch = |what: &str| {
+            Err(SimError::BadInstance {
+                what: format!("resume mismatch: {what}"),
+            })
+        };
+        if policy.srpt_ordered() != state.policy_srpt_ordered {
+            return mismatch("the policy differs in its SRPT-ordering claim");
+        }
+        if exec_mode(&state.cfg, policy, observer) != state.mode {
+            return mismatch("the policy or observer selects the other execution path");
+        }
+        if source.next_time().map(f64::to_bits) != state.next_arrival.map(f64::to_bits) {
+            return mismatch("the source is not positioned where the engine left it");
+        }
+        Ok(Engine {
+            policy,
+            source,
+            observer,
+            state,
+        })
+    }
+}
+
+/// The execution path for a run of `policy` under `cfg` watched by
+/// `observer`: the incremental `O(log n)` path when the policy declares
+/// [`AllocationStability::SrptPrefix`], the observer does not consume the
+/// allocation stream, and [`EngineConfig::full_reassign`] is off.
+fn exec_mode(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -> ExecMode {
+    if !cfg.full_reassign
+        && policy.stability() == AllocationStability::SrptPrefix
+        && !observer.needs_allocation_stream()
+    {
+        ExecMode::Incremental
+    } else {
+        ExecMode::Exhaustive
+    }
+}
+
 /// Applies a reported [`Placement`] to the per-job lanes.
 fn apply_placement(jobs: &mut JobArena, idx: usize, p: Placement) {
     match p {
@@ -735,14 +815,7 @@ impl<'a> Engine<'a> {
     ) -> Self {
         bufs.clear();
         policy.reset();
-        let mode = if !cfg.full_reassign
-            && policy.stability() == AllocationStability::SrptPrefix
-            && !observer.needs_allocation_stream()
-        {
-            ExecMode::Incremental
-        } else {
-            ExecMode::Exhaustive
-        };
+        let mode = exec_mode(&cfg, policy, observer);
         let auditor = (!cfg.audit.is_off()).then(|| Auditor::new(cfg.audit));
         let policy_name = policy.name();
         let policy_srpt_ordered = policy.srpt_ordered();
@@ -767,47 +840,49 @@ impl<'a> Engine<'a> {
             }
         }
         Self {
-            cfg,
             policy,
             source,
             observer,
-            jobs: bufs.jobs,
-            ids: bufs.ids,
-            mode,
-            alive: bufs.alive,
-            shares: bufs.shares,
-            rates: bufs.rates,
-            srpt: bufs.srpt,
-            profile: PrefixAllocation {
-                count: 0,
-                share: 0.0,
+            state: RunState {
+                cfg,
+                jobs: bufs.jobs,
+                ids: bufs.ids,
+                mode,
+                alive: bufs.alive,
+                shares: bufs.shares,
+                rates: bufs.rates,
+                srpt: bufs.srpt,
+                profile: PrefixAllocation {
+                    count: 0,
+                    share: 0.0,
+                },
+                interval: IntervalKind::Idle,
+                profile_cache: bufs.profile_cache,
+                next_completion: None,
+                next_arrival,
+                equeue,
+                arr_gen: 0,
+                coalesced: 0,
+                scratch_moves: bufs.scratch_moves,
+                scratch_batch: bufs.scratch_batch,
+                now: 0.0,
+                alloc_fresh: false,
+                quantum_deadline: None,
+                events: 0,
+                finished: false,
+                auditor,
+                policy_name,
+                policy_srpt_ordered,
+                frac_flow: NeumaierSum::new(),
+                alive_integral: NeumaierSum::new(),
+                sink: bufs.sink,
+                completed: bufs.completed,
+                free: bufs.free,
+                admitted: 0,
+                peak_alive: 0,
+                #[cfg(feature = "hotpath")]
+                hotpath: crate::hotpath::PhaseTotals::ZERO,
             },
-            interval: IntervalKind::Idle,
-            profile_cache: bufs.profile_cache,
-            next_completion: None,
-            next_arrival,
-            equeue,
-            arr_gen: 0,
-            coalesced: 0,
-            scratch_moves: bufs.scratch_moves,
-            scratch_batch: bufs.scratch_batch,
-            now: 0.0,
-            alloc_fresh: false,
-            quantum_deadline: None,
-            events: 0,
-            finished: false,
-            auditor,
-            policy_name,
-            policy_srpt_ordered,
-            frac_flow: NeumaierSum::new(),
-            alive_integral: NeumaierSum::new(),
-            sink: bufs.sink,
-            completed: bufs.completed,
-            free: bufs.free,
-            admitted: 0,
-            peak_alive: 0,
-            #[cfg(feature = "hotpath")]
-            hotpath: crate::hotpath::PhaseTotals::ZERO,
         }
     }
 
@@ -831,47 +906,48 @@ impl<'a> Engine<'a> {
 
     /// Clears all per-run state, retaining buffer capacity.
     fn clear_run_state(&mut self) {
-        self.jobs.clear();
-        self.ids.reset();
-        self.alive.clear();
-        self.shares.clear();
-        self.rates.clear();
-        self.srpt.reset();
-        self.profile = PrefixAllocation {
+        self.state.jobs.clear();
+        self.state.ids.reset();
+        self.state.alive.clear();
+        self.state.shares.clear();
+        self.state.rates.clear();
+        self.state.srpt.reset();
+        self.state.profile = PrefixAllocation {
             count: 0,
             share: 0.0,
         };
-        self.interval = IntervalKind::Idle;
-        self.profile_cache.clear();
-        self.next_completion = None;
-        self.equeue.clear();
-        debug_assert_eq!(self.equeue.len(), 0);
-        self.arr_gen = 0;
-        self.coalesced = 0;
-        self.next_arrival = self.source.next_time();
-        if self.mode == ExecMode::Incremental {
-            if let Some(t) = self.next_arrival {
-                self.equeue.insert(t, 0);
+        self.state.interval = IntervalKind::Idle;
+        self.state.profile_cache.clear();
+        self.state.next_completion = None;
+        self.state.equeue.clear();
+        debug_assert_eq!(self.state.equeue.len(), 0);
+        self.state.arr_gen = 0;
+        self.state.coalesced = 0;
+        self.state.next_arrival = self.source.next_time();
+        if self.state.mode == ExecMode::Incremental {
+            if let Some(t) = self.state.next_arrival {
+                self.state.equeue.insert(t, 0);
             }
         }
-        self.scratch_moves.clear();
-        self.scratch_batch.clear();
-        self.now = 0.0;
-        self.alloc_fresh = false;
-        self.quantum_deadline = None;
-        self.events = 0;
-        self.finished = false;
-        self.auditor = (!self.cfg.audit.is_off()).then(|| Auditor::new(self.cfg.audit));
-        self.frac_flow = NeumaierSum::new();
-        self.alive_integral = NeumaierSum::new();
-        self.sink.reset();
-        self.completed.clear();
-        self.free.clear();
-        self.admitted = 0;
-        self.peak_alive = 0;
+        self.state.scratch_moves.clear();
+        self.state.scratch_batch.clear();
+        self.state.now = 0.0;
+        self.state.alloc_fresh = false;
+        self.state.quantum_deadline = None;
+        self.state.events = 0;
+        self.state.finished = false;
+        self.state.auditor =
+            (!self.state.cfg.audit.is_off()).then(|| Auditor::new(self.state.cfg.audit));
+        self.state.frac_flow = NeumaierSum::new();
+        self.state.alive_integral = NeumaierSum::new();
+        self.state.sink.reset();
+        self.state.completed.clear();
+        self.state.free.clear();
+        self.state.admitted = 0;
+        self.state.peak_alive = 0;
         #[cfg(feature = "hotpath")]
         {
-            self.hotpath = crate::hotpath::PhaseTotals::ZERO;
+            self.state.hotpath = crate::hotpath::PhaseTotals::ZERO;
         }
     }
 
@@ -880,44 +956,50 @@ impl<'a> Engine<'a> {
     pub fn into_buffers(mut self) -> EngineBuffers {
         self.clear_run_state();
         EngineBuffers {
-            jobs: std::mem::take(&mut self.jobs),
-            ids: std::mem::take(&mut self.ids),
-            alive: std::mem::take(&mut self.alive),
-            shares: std::mem::take(&mut self.shares),
-            rates: std::mem::take(&mut self.rates),
-            srpt: std::mem::take(&mut self.srpt),
-            scratch_moves: std::mem::take(&mut self.scratch_moves),
-            scratch_batch: std::mem::take(&mut self.scratch_batch),
-            completed: std::mem::take(&mut self.completed),
-            free: std::mem::take(&mut self.free),
-            sink: std::mem::take(&mut self.sink),
-            equeue: std::mem::take(&mut self.equeue),
-            profile_cache: std::mem::take(&mut self.profile_cache),
+            jobs: std::mem::take(&mut self.state.jobs),
+            ids: std::mem::take(&mut self.state.ids),
+            alive: std::mem::take(&mut self.state.alive),
+            shares: std::mem::take(&mut self.state.shares),
+            rates: std::mem::take(&mut self.state.rates),
+            srpt: std::mem::take(&mut self.state.srpt),
+            scratch_moves: std::mem::take(&mut self.state.scratch_moves),
+            scratch_batch: std::mem::take(&mut self.state.scratch_batch),
+            completed: std::mem::take(&mut self.state.completed),
+            free: std::mem::take(&mut self.state.free),
+            sink: std::mem::take(&mut self.state.sink),
+            equeue: std::mem::take(&mut self.state.equeue),
+            profile_cache: std::mem::take(&mut self.state.profile_cache),
         }
+    }
+
+    /// Detaches the engine from its policy, source, and observer, keeping
+    /// the run state by value; see [`ParkedEngine`].
+    pub fn park(self) -> ParkedEngine {
+        ParkedEngine(self.state)
     }
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.now
+        self.state.now
     }
 
     /// Whether this engine runs the incremental `O(log n)`-per-event path
     /// (as opposed to the exhaustive per-event reassignment path).
     pub fn uses_incremental_path(&self) -> bool {
-        self.mode == ExecMode::Incremental
+        self.state.mode == ExecMode::Incremental
     }
 
     /// Number of unfinished released jobs `|A(t)|`.
     pub fn num_alive(&self) -> usize {
-        match self.mode {
-            ExecMode::Exhaustive => self.alive.len(),
-            ExecMode::Incremental => self.srpt.len(),
+        match self.state.mode {
+            ExecMode::Exhaustive => self.state.alive.len(),
+            ExecMode::Incremental => self.state.srpt.len(),
         }
     }
 
     /// Whether the run has finished (no alive jobs, source exhausted).
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.state.finished
     }
 
     /// Steps that processed a completion *and* an arrival at a single
@@ -927,7 +1009,7 @@ impl<'a> Engine<'a> {
     /// where every completion coincides with the next release (see
     /// `docs/PERF.md` §4).
     pub fn coalesced_steps(&self) -> u64 {
-        self.coalesced
+        self.state.coalesced
     }
 
     /// The hot-path profiler's accumulated per-phase totals (only under
@@ -936,7 +1018,7 @@ impl<'a> Engine<'a> {
     /// finalizing — the finalizers consume the engine.
     #[cfg(feature = "hotpath")]
     pub fn hotpath_totals(&self) -> crate::hotpath::PhaseTotals {
-        self.hotpath
+        self.state.hotpath
     }
 
     /// Remaining work of a job: `Some(0.0)` once completed, `None` if the
@@ -944,13 +1026,13 @@ impl<'a> Engine<'a> {
     /// completed job's slot is retired, so `None` is also returned after
     /// completion (there is no per-job record to consult).
     pub fn remaining_of(&self, id: JobId) -> Option<Work> {
-        self.ids.get(id).map(|i| {
-            if self.jobs.done[i] {
+        self.state.ids.get(id).map(|i| {
+            if self.state.jobs.done[i] {
                 0.0
-            } else if self.jobs.in_running[i] {
-                (self.jobs.run_key[i] - self.srpt.drain_offset()).max(0.0)
+            } else if self.state.jobs.in_running[i] {
+                (self.state.jobs.run_key[i] - self.state.srpt.drain_offset()).max(0.0)
             } else {
-                self.jobs.remaining[i]
+                self.state.jobs.remaining[i]
             }
         })
     }
@@ -958,7 +1040,7 @@ impl<'a> Engine<'a> {
     /// Owned snapshots of all alive jobs (in no contractual order).
     pub fn alive_snapshot(&self) -> Vec<AliveSnapshot> {
         let snap = |i: usize, remaining: Work| {
-            let spec = &self.jobs.specs[i];
+            let spec = &self.state.jobs.specs[i];
             AliveSnapshot {
                 id: spec.id,
                 release: spec.release,
@@ -967,13 +1049,15 @@ impl<'a> Engine<'a> {
                 curve: spec.curve.clone(),
             }
         };
-        match self.mode {
+        match self.state.mode {
             ExecMode::Exhaustive => self
+                .state
                 .alive
                 .iter()
-                .map(|&i| snap(i, self.jobs.remaining[i]))
+                .map(|&i| snap(i, self.state.jobs.remaining[i]))
                 .collect(),
             ExecMode::Incremental => self
+                .state
                 .srpt
                 .iter_alive()
                 .map(|(i, remaining)| snap(i, remaining))
@@ -984,11 +1068,14 @@ impl<'a> Engine<'a> {
     /// Total unfinished work `Σ_{j ∈ A(t)} p_j(t)` (the paper's volume
     /// `V(t)`). `O(1)` on the incremental path.
     pub fn total_remaining(&self) -> Work {
-        match self.mode {
-            ExecMode::Exhaustive => {
-                NeumaierSum::total(self.alive.iter().map(|&i| self.jobs.remaining[i]))
-            }
-            ExecMode::Incremental => self.srpt.total_remaining(),
+        match self.state.mode {
+            ExecMode::Exhaustive => NeumaierSum::total(
+                self.state
+                    .alive
+                    .iter()
+                    .map(|&i| self.state.jobs.remaining[i]),
+            ),
+            ExecMode::Incremental => self.state.srpt.total_remaining(),
         }
     }
 
@@ -1001,68 +1088,69 @@ impl<'a> Engine<'a> {
     /// Requires auditing off: audit state is a debugging aid, not run
     /// state, and is deliberately not captured.
     pub fn snapshot(&self) -> Result<Snapshot, SimError> {
-        if self.auditor.is_some() {
+        if self.state.auditor.is_some() {
             return Err(SimError::BadInstance {
                 what: "snapshot requires AuditLevel::Off (audit state is not captured)".into(),
             });
         }
-        let jobs = (0..self.jobs.len())
+        let jobs = (0..self.state.jobs.len())
             .map(|i| SnapJob {
-                spec: self.jobs.specs[i].clone(),
-                remaining: self.jobs.remaining[i],
-                run_key: self.jobs.run_key[i],
-                class: self.jobs.class[i],
-                in_running: self.jobs.in_running[i],
-                done: self.jobs.done[i],
+                spec: self.state.jobs.specs[i].clone(),
+                remaining: self.state.jobs.remaining[i],
+                run_key: self.state.jobs.run_key[i],
+                class: self.state.jobs.class[i],
+                in_running: self.state.jobs.in_running[i],
+                done: self.state.jobs.done[i],
             })
             .collect();
-        let (equeue_entries, equeue_next_seq) = self.equeue.snapshot_entries();
+        let (equeue_entries, equeue_next_seq) = self.state.equeue.snapshot_entries();
         Ok(Snapshot {
             cfg: SnapCfg {
-                m: self.cfg.m,
-                speed: self.cfg.speed,
-                full_reassign: self.cfg.full_reassign,
-                streaming: self.cfg.streaming,
-                pow_kernel: self.cfg.pow_kernel,
-                heap_queue: self.cfg.event_queue == EventQueueKind::Heap,
+                m: self.state.cfg.m,
+                speed: self.state.cfg.speed,
+                full_reassign: self.state.cfg.full_reassign,
+                streaming: self.state.cfg.streaming,
+                pow_kernel: self.state.cfg.pow_kernel,
+                heap_queue: self.state.cfg.event_queue == EventQueueKind::Heap,
             },
-            policy_name: self.policy_name.clone(),
+            policy_name: self.state.policy_name.clone(),
             policy_state: self.policy.snapshot_state(),
-            incremental: self.mode == ExecMode::Incremental,
-            now: self.now,
-            events: self.events,
-            coalesced: self.coalesced,
-            arr_gen: self.arr_gen,
-            finished: self.finished,
-            alloc_fresh: self.alloc_fresh,
-            quantum_deadline: self.quantum_deadline,
-            next_completion: self.next_completion,
-            next_arrival: self.next_arrival,
-            profile_count: self.profile.count,
-            profile_share: self.profile.share,
-            interval: match self.interval {
+            incremental: self.state.mode == ExecMode::Incremental,
+            now: self.state.now,
+            events: self.state.events,
+            coalesced: self.state.coalesced,
+            arr_gen: self.state.arr_gen,
+            finished: self.state.finished,
+            alloc_fresh: self.state.alloc_fresh,
+            quantum_deadline: self.state.quantum_deadline,
+            next_completion: self.state.next_completion,
+            next_arrival: self.state.next_arrival,
+            profile_count: self.state.profile.count,
+            profile_share: self.state.profile.share,
+            interval: match self.state.interval {
                 IntervalKind::Idle => SnapInterval::Idle,
                 IntervalKind::Uniform { rate } => SnapInterval::Uniform { rate },
                 IntervalKind::Scan => SnapInterval::Scan,
             },
-            frac_flow: self.frac_flow.parts(),
-            alive_integral: self.alive_integral.parts(),
-            admitted: self.admitted,
-            peak_alive: self.peak_alive,
-            sink: self.sink.snapshot_state(),
+            frac_flow: self.state.frac_flow.parts(),
+            alive_integral: self.state.alive_integral.parts(),
+            admitted: self.state.admitted,
+            peak_alive: self.state.peak_alive,
+            sink: self.state.sink.snapshot_state(),
             jobs,
             class_alpha_bits: self
+                .state
                 .jobs
                 .classes
                 .iter()
                 .map(|k| k.alpha().to_bits())
                 .collect(),
-            free: self.free.clone(),
-            alive: self.alive.clone(),
-            shares: self.shares.clone(),
-            rates: self.rates.clone(),
-            srpt: self.srpt.snapshot_state(),
-            completed: self.completed.clone(),
+            free: self.state.free.clone(),
+            alive: self.state.alive.clone(),
+            shares: self.state.shares.clone(),
+            rates: self.state.rates.clone(),
+            srpt: self.state.srpt.snapshot_state(),
+            completed: self.state.completed.clone(),
             equeue_entries,
             equeue_next_seq,
         })
@@ -1080,18 +1168,18 @@ impl<'a> Engine<'a> {
     /// is refused.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SimError> {
         let bad = |what: String| SimError::BadInstance { what };
-        if self.auditor.is_some() {
+        if self.state.auditor.is_some() {
             return Err(bad(
                 "restore requires AuditLevel::Off (audit state is not captured)".into(),
             ));
         }
         let have = SnapCfg {
-            m: self.cfg.m,
-            speed: self.cfg.speed,
-            full_reassign: self.cfg.full_reassign,
-            streaming: self.cfg.streaming,
-            pow_kernel: self.cfg.pow_kernel,
-            heap_queue: self.cfg.event_queue == EventQueueKind::Heap,
+            m: self.state.cfg.m,
+            speed: self.state.cfg.speed,
+            full_reassign: self.state.cfg.full_reassign,
+            streaming: self.state.cfg.streaming,
+            pow_kernel: self.state.cfg.pow_kernel,
+            heap_queue: self.state.cfg.event_queue == EventQueueKind::Heap,
         };
         if have.m.to_bits() != snap.cfg.m.to_bits()
             || have.speed.to_bits() != snap.cfg.speed.to_bits()
@@ -1105,11 +1193,11 @@ impl<'a> Engine<'a> {
                 snap.cfg
             )));
         }
-        if (self.mode == ExecMode::Incremental) != snap.incremental {
+        if (self.state.mode == ExecMode::Incremental) != snap.incremental {
             return Err(bad(format!(
                 "restore path mismatch: engine is {:?} but the snapshot was taken on the {} path \
                  (policy stability and observer must match the original run)",
-                self.mode,
+                self.state.mode,
                 if snap.incremental {
                     "incremental"
                 } else {
@@ -1117,10 +1205,10 @@ impl<'a> Engine<'a> {
                 },
             )));
         }
-        if self.policy_name != snap.policy_name {
+        if self.state.policy_name != snap.policy_name {
             return Err(bad(format!(
                 "restore policy mismatch: engine runs '{}', snapshot was taken under '{}'",
-                self.policy_name, snap.policy_name
+                self.state.policy_name, snap.policy_name
             )));
         }
         // Structural validation up front, so a corrupt document errors
@@ -1186,7 +1274,7 @@ impl<'a> Engine<'a> {
         if !self.policy.restore_state(&snap.policy_state) {
             return Err(bad(format!(
                 "policy '{}' rejected its captured state ({} words)",
-                self.policy_name,
+                self.state.policy_name,
                 snap.policy_state.len()
             )));
         }
@@ -1194,7 +1282,7 @@ impl<'a> Engine<'a> {
         // `clear_run_state` refreshed `next_arrival` from the
         // fast-forwarded source; it must agree with the capture bit-for-bit
         // or the source replays a different stream than the original run.
-        let arrivals_agree = match (self.next_arrival, snap.next_arrival) {
+        let arrivals_agree = match (self.state.next_arrival, snap.next_arrival) {
             (None, None) => true,
             (Some(a), Some(b)) => a.to_bits() == b.to_bits(),
             _ => false,
@@ -1202,7 +1290,7 @@ impl<'a> Engine<'a> {
         if !arrivals_agree {
             return Err(bad(format!(
                 "arrival stream diverged at restore: source offers {:?}, snapshot expects {:?}",
-                self.next_arrival, snap.next_arrival
+                self.state.next_arrival, snap.next_arrival
             )));
         }
         // Arena lanes. The kernel lane is reconstructed from each curve
@@ -1214,30 +1302,31 @@ impl<'a> Engine<'a> {
         // recycling, where retired slots may have carried classes no
         // resident job mentions.
         for j in &snap.jobs {
-            let kernel = if self.cfg.pow_kernel {
+            let kernel = if self.state.cfg.pow_kernel {
                 j.spec.curve.kernel()
             } else {
                 j.spec.curve.alpha().map(PowKernel::powf_reference)
             };
-            self.jobs
+            self.state
+                .jobs
                 .kern
                 .push(kernel.unwrap_or_else(|| PowKernel::new(1.0)));
-            self.jobs.specs.push(j.spec.clone());
-            self.jobs.remaining.push(j.remaining);
-            self.jobs.run_key.push(j.run_key);
-            self.jobs.class.push(j.class);
-            self.jobs.in_running.push(j.in_running);
-            self.jobs.done.push(j.done);
+            self.state.jobs.specs.push(j.spec.clone());
+            self.state.jobs.remaining.push(j.remaining);
+            self.state.jobs.run_key.push(j.run_key);
+            self.state.jobs.class.push(j.class);
+            self.state.jobs.in_running.push(j.in_running);
+            self.state.jobs.done.push(j.done);
         }
         for &bits in &snap.class_alpha_bits {
             let alpha = f64::from_bits(bits);
-            let k = if self.cfg.pow_kernel {
+            let k = if self.state.cfg.pow_kernel {
                 PowKernel::new(alpha)
             } else {
                 PowKernel::powf_reference(alpha)
             };
-            self.jobs.classes.push(k);
-            self.jobs.class_rates.push(0.0);
+            self.state.jobs.classes.push(k);
+            self.state.jobs.class_rates.push(0.0);
         }
         // Id map: every resident slot except (in streaming mode) retired
         // ones, whose ids were forgotten by the original run too. Dense
@@ -1245,54 +1334,57 @@ impl<'a> Engine<'a> {
         // history — that is a lookup-performance detail, not observable
         // state.
         for (idx, j) in snap.jobs.iter().enumerate() {
-            if self.cfg.streaming && j.done {
+            if self.state.cfg.streaming && j.done {
                 continue;
             }
-            if self.ids.get(j.spec.id).is_some() {
+            if self.state.ids.get(j.spec.id).is_some() {
                 return Err(bad(format!("snapshot duplicates job id {}", j.spec.id)));
             }
-            self.ids.insert(j.spec.id, idx);
+            self.state.ids.insert(j.spec.id, idx);
         }
-        self.free.extend_from_slice(&snap.free);
-        self.alive.extend_from_slice(&snap.alive);
-        self.shares.extend_from_slice(&snap.shares);
-        self.rates.extend_from_slice(&snap.rates);
-        self.srpt.restore_state(&snap.srpt);
-        self.equeue
+        self.state.free.extend_from_slice(&snap.free);
+        self.state.alive.extend_from_slice(&snap.alive);
+        self.state.shares.extend_from_slice(&snap.shares);
+        self.state.rates.extend_from_slice(&snap.rates);
+        self.state.srpt.restore_state(&snap.srpt);
+        self.state
+            .equeue
             .restore_entries(&snap.equeue_entries, snap.equeue_next_seq);
-        self.profile = PrefixAllocation {
+        self.state.profile = PrefixAllocation {
             count: snap.profile_count,
             share: snap.profile_share,
         };
-        self.interval = match snap.interval {
+        self.state.interval = match snap.interval {
             SnapInterval::Idle => IntervalKind::Idle,
             SnapInterval::Uniform { rate } => IntervalKind::Uniform { rate },
             SnapInterval::Scan => IntervalKind::Scan,
         };
-        self.next_completion = snap.next_completion;
-        self.arr_gen = snap.arr_gen;
-        self.coalesced = snap.coalesced;
-        self.now = snap.now;
-        self.alloc_fresh = snap.alloc_fresh;
-        self.quantum_deadline = snap.quantum_deadline;
-        self.events = snap.events;
-        self.finished = snap.finished;
-        self.frac_flow = NeumaierSum::from_parts(snap.frac_flow.0, snap.frac_flow.1);
-        self.alive_integral = NeumaierSum::from_parts(snap.alive_integral.0, snap.alive_integral.1);
-        if !self.sink.restore_state(&snap.sink) {
+        self.state.next_completion = snap.next_completion;
+        self.state.arr_gen = snap.arr_gen;
+        self.state.coalesced = snap.coalesced;
+        self.state.now = snap.now;
+        self.state.alloc_fresh = snap.alloc_fresh;
+        self.state.quantum_deadline = snap.quantum_deadline;
+        self.state.events = snap.events;
+        self.state.finished = snap.finished;
+        self.state.frac_flow = NeumaierSum::from_parts(snap.frac_flow.0, snap.frac_flow.1);
+        self.state.alive_integral =
+            NeumaierSum::from_parts(snap.alive_integral.0, snap.alive_integral.1);
+        if !self.state.sink.restore_state(&snap.sink) {
             return Err(bad(
                 "snapshot sketch bucket array has the wrong length".into()
             ));
         }
-        self.completed.extend(snap.completed.iter().cloned());
-        self.admitted = snap.admitted;
-        self.peak_alive = snap.peak_alive;
+        self.state.completed.extend(snap.completed.iter().cloned());
+        self.state.admitted = snap.admitted;
+        self.state.peak_alive = snap.peak_alive;
         // The per-class rate cache is only contractually valid while the
         // interval is Scan; refill it for exactly that case (same call
         // site semantics as the profile refresh that classified it).
-        if matches!(self.interval, IntervalKind::Scan) {
-            self.jobs
-                .refresh_class_rates(self.cfg.speed, self.profile.share);
+        if matches!(self.state.interval, IntervalKind::Scan) {
+            self.state
+                .jobs
+                .refresh_class_rates(self.state.cfg.speed, self.state.profile.share);
         }
         Ok(())
     }
@@ -1342,12 +1434,12 @@ impl<'a> Engine<'a> {
     ) -> Result<bool, SimError> {
         let mut any = false;
         let mut rounds = 0u32;
-        while let Some(t) = self.next_arrival {
-            if t > self.now + crate::source::arrival_tolerance(self.now) {
+        while let Some(t) = self.state.next_arrival {
+            if t > self.state.now + crate::source::arrival_tolerance(self.state.now) {
                 break;
             }
             rounds += 1;
-            let mut batch = std::mem::take(&mut self.scratch_batch);
+            let mut batch = std::mem::take(&mut self.state.scratch_batch);
             batch.clear();
             {
                 // Adaptive sources get the full alive view; replay sources
@@ -1355,21 +1447,23 @@ impl<'a> Engine<'a> {
                 // on the incremental path (and allocation-free via the
                 // reused batch buffer).
                 let views: Vec<AliveJob<'_>> = if self.source.needs_system_view() {
-                    match self.mode {
+                    match self.state.mode {
                         ExecMode::Exhaustive => self
+                            .state
                             .alive
                             .iter()
                             .map(|&i| AliveJob {
-                                spec: &self.jobs.specs[i],
-                                remaining: self.jobs.remaining[i],
+                                spec: &self.state.jobs.specs[i],
+                                remaining: self.state.jobs.remaining[i],
                             })
                             // lint:allow(L007) system-view materialization for view-needing adaptive sources; the audited StaticSource arm skips it entirely
                             .collect(),
                         ExecMode::Incremental => self
+                            .state
                             .srpt
                             .iter_alive()
                             .map(|(i, remaining)| AliveJob {
-                                spec: &self.jobs.specs[i],
+                                spec: &self.state.jobs.specs[i],
                                 remaining,
                             })
                             // lint:allow(L007) system-view materialization for view-needing adaptive sources; the audited StaticSource arm skips it entirely
@@ -1379,22 +1473,23 @@ impl<'a> Engine<'a> {
                     Vec::new()
                 };
                 let view = SystemView {
-                    now: self.now,
-                    m: self.cfg.m,
+                    now: self.state.now,
+                    m: self.state.cfg.m,
                     alive: &views,
                 };
                 self.source.emit_into(&view, &mut batch);
             }
             // The emission is the only thing that can move the source's
             // clock; refresh the cache once per round, not per query.
-            self.next_arrival = self.source.next_time();
+            self.state.next_arrival = self.source.next_time();
             if batch.is_empty() {
-                self.scratch_batch = batch;
+                self.state.scratch_batch = batch;
                 // An empty batch is a decision-only wakeup (used by
                 // adaptive adversaries at phase midpoints); the
                 // source must still make progress or we'd loop
                 // forever.
                 let stuck = self
+                    .state
                     .next_arrival
                     .is_some_and(|nt| nt <= t + EPS * t.abs().max(1.0));
                 if stuck {
@@ -1419,9 +1514,9 @@ impl<'a> Engine<'a> {
                         what: format!("job {} has invalid release {}", spec.id, spec.release),
                     });
                 }
-                if spec.release < self.now - EPS * self.now.max(1.0) {
+                if spec.release < self.state.now - EPS * self.state.now.max(1.0) {
                     return Err(SimError::ArrivalInPast {
-                        now: self.now,
+                        now: self.state.now,
                         release: spec.release,
                     });
                 }
@@ -1443,8 +1538,10 @@ impl<'a> Engine<'a> {
                         what: format!("job {} has invalid curve {:?}", spec.id, spec.curve),
                     });
                 }
-                // lint:allow(L007) range slice bounded by the enumeration index i < batch.len()
-                if self.ids.get(spec.id).is_some() || batch[..i].iter().any(|s| s.id == spec.id) {
+                if self.state.ids.get(spec.id).is_some()
+                    // lint:allow(L007) range slice bounded by the enumeration index i < batch.len()
+                    || batch[..i].iter().any(|s| s.id == spec.id)
+                {
                     return Err(SimError::BadInstance {
                         // lint:allow(L007) error construction: a failed admission validation terminates the run
                         what: format!("duplicate job id {}", spec.id),
@@ -1452,7 +1549,7 @@ impl<'a> Engine<'a> {
                 }
             }
             if NOTIFY {
-                self.observer.on_arrivals(self.now, &batch);
+                self.observer.on_arrivals(self.state.now, &batch);
             }
             for spec in batch.drain(..) {
                 // Streaming mode recycles retired slots so the arena stays
@@ -1460,71 +1557,71 @@ impl<'a> Engine<'a> {
                 // ordering key (SRPT orders by `(remaining, release, id)`),
                 // so slot reuse cannot perturb the arithmetic relative to
                 // an ever-growing arena.
-                let idx = self.free.pop().unwrap_or(self.jobs.len());
-                self.ids.insert(spec.id, idx);
-                self.admitted += 1;
+                let idx = self.state.free.pop().unwrap_or(self.state.jobs.len());
+                self.state.ids.insert(spec.id, idx);
+                self.state.admitted += 1;
                 let remaining = spec.size;
-                let kernel = if self.cfg.pow_kernel {
+                let kernel = if self.state.cfg.pow_kernel {
                     spec.curve.kernel()
                 } else {
                     spec.curve.alpha().map(PowKernel::powf_reference)
                 };
-                let (kern, class) = self.jobs.classify(kernel);
-                let (run_key, in_running) = match self.mode {
+                let (kern, class) = self.state.jobs.classify(kernel);
+                let (run_key, in_running) = match self.state.mode {
                     ExecMode::Exhaustive => {
-                        self.alive.push(idx);
+                        self.state.alive.push(idx);
                         (0.0, false)
                     }
-                    ExecMode::Incremental => match self.srpt.insert(idx, &spec, remaining) {
+                    ExecMode::Incremental => match self.state.srpt.insert(idx, &spec, remaining) {
                         Placement::Running { key } => (key, true),
                         Placement::Queued { .. } => (0.0, false),
                     },
                 };
-                if idx == self.jobs.len() {
-                    self.jobs.specs.push(spec);
-                    self.jobs.remaining.push(remaining);
-                    self.jobs.run_key.push(run_key);
-                    self.jobs.kern.push(kern);
-                    self.jobs.class.push(class);
-                    self.jobs.in_running.push(in_running);
-                    self.jobs.done.push(false);
+                if idx == self.state.jobs.len() {
+                    self.state.jobs.specs.push(spec);
+                    self.state.jobs.remaining.push(remaining);
+                    self.state.jobs.run_key.push(run_key);
+                    self.state.jobs.kern.push(kern);
+                    self.state.jobs.class.push(class);
+                    self.state.jobs.in_running.push(in_running);
+                    self.state.jobs.done.push(false);
                 } else {
-                    self.jobs.specs[idx] = spec;
-                    self.jobs.remaining[idx] = remaining;
-                    self.jobs.run_key[idx] = run_key;
-                    self.jobs.kern[idx] = kern;
-                    self.jobs.class[idx] = class;
-                    self.jobs.in_running[idx] = in_running;
-                    self.jobs.done[idx] = false;
+                    self.state.jobs.specs[idx] = spec;
+                    self.state.jobs.remaining[idx] = remaining;
+                    self.state.jobs.run_key[idx] = run_key;
+                    self.state.jobs.kern[idx] = kern;
+                    self.state.jobs.class[idx] = class;
+                    self.state.jobs.in_running[idx] = in_running;
+                    self.state.jobs.done[idx] = false;
                 }
             }
-            self.scratch_batch = batch;
+            self.state.scratch_batch = batch;
             if PHOOKS {
-                self.policy.on_arrival(self.now, self.num_alive());
+                self.policy.on_arrival(self.state.now, self.num_alive());
             }
-            self.peak_alive = self.peak_alive.max(self.num_alive());
+            self.state.peak_alive = self.state.peak_alive.max(self.num_alive());
             any = true;
         }
         if rounds > 0 {
             // The cached next-arrival moved: retag the live arrival
             // candidate and queue the new wakeup (older entries go
             // stale and are lazily discarded at the queue front).
-            self.arr_gen += 1;
-            if EQUEUE && self.mode == ExecMode::Incremental {
+            self.state.arr_gen += 1;
+            if EQUEUE && self.state.mode == ExecMode::Incremental {
                 // The superseded wakeup is the queue minimum (its time
                 // was just admitted, hence ≤ now): retire it eagerly so
                 // the queue holds exactly the live arrival timeline. The
                 // generation tags and the lazy discard in
                 // `next_event_time` remain as a safety net, but after
                 // this pop they never fire on the steady-state path.
-                let _ = self.equeue.pop();
-                if let Some(t) = self.next_arrival {
-                    self.equeue.insert(t, self.arr_gen);
+                let _ = self.state.equeue.pop();
+                if let Some(t) = self.state.next_arrival {
+                    self.state.equeue.insert(t, self.state.arr_gen);
                 }
             }
         }
         if any {
-            self.alloc_fresh = false;
+            self.state.alloc_fresh = false;
         }
         Ok(any)
     }
@@ -1532,7 +1629,7 @@ impl<'a> Engine<'a> {
     /// Revalidates the allocation for the interval starting now, whichever
     /// path is active.
     fn ensure_fresh(&mut self) -> Result<(), SimError> {
-        match self.mode {
+        match self.state.mode {
             ExecMode::Exhaustive => self.refresh_allocation(),
             ExecMode::Incremental => self.refresh_profile(),
         }
@@ -1545,15 +1642,15 @@ impl<'a> Engine<'a> {
     /// family; threshold crossings can move a batch, which the rebalance
     /// handles in bulk).
     fn refresh_profile(&mut self) -> Result<(), SimError> {
-        self.quantum_deadline = None;
-        self.next_completion = None;
-        let n = self.srpt.len();
+        self.state.quantum_deadline = None;
+        self.state.next_completion = None;
+        let n = self.state.srpt.len();
         if n == 0 {
-            self.interval = IntervalKind::Idle;
-            self.alloc_fresh = true;
+            self.state.interval = IntervalKind::Idle;
+            self.state.alloc_fresh = true;
             return Ok(());
         }
-        let Some(profile) = self.policy.prefix_allocation(n, self.cfg.m) else {
+        let Some(profile) = self.policy.prefix_allocation(n, self.state.cfg.m) else {
             return Err(SimError::BadInstance {
                 // lint:allow(L007) error construction: an infeasible profile terminates the run
                 what: format!(
@@ -1566,7 +1663,7 @@ impl<'a> Engine<'a> {
         // taxonomy, O(1) instead of O(n)).
         if !profile.share.is_finite() || profile.share < -EPS {
             return Err(SimError::InvalidShare {
-                at: self.now,
+                at: self.state.now,
                 share: profile.share,
                 policy: self.policy.name(),
             });
@@ -1574,57 +1671,62 @@ impl<'a> Engine<'a> {
         let count = profile.count.clamp(1, n);
         let share = profile.share.max(0.0);
         let total = count as f64 * share;
-        if total > self.cfg.m * (1.0 + 1e-9) + EPS {
+        if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
             return Err(SimError::InfeasibleAllocation {
-                at: self.now,
+                at: self.state.now,
                 requested: total,
-                available: self.cfg.m,
+                available: self.state.cfg.m,
                 policy: self.policy.name(),
             });
         }
-        self.profile = PrefixAllocation { count, share };
-        let jobs = &mut self.jobs;
-        self.srpt
+        self.state.profile = PrefixAllocation { count, share };
+        let jobs = &mut self.state.jobs;
+        self.state
+            .srpt
             .maybe_rebase(|idx, p| apply_placement(jobs, idx, p));
-        self.srpt
+        self.state
+            .srpt
             .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
         // Classify the interval. Uniform (O(1) drain) whenever every
         // running job provably drains at one common rate: a single runner,
         // identical curves, or share 1 with Γ(1) = 1 across the prefix.
         let share_is_unit = (share - 1.0).abs() <= 1e-12;
-        let unit_rate = share_is_unit && self.srpt.unit_rate_at_one();
-        let uniform = self.srpt.running_len() <= 1 || self.srpt.uniform_curves() || unit_rate;
+        let unit_rate = share_is_unit && self.state.srpt.unit_rate_at_one();
+        let uniform =
+            self.state.srpt.running_len() <= 1 || self.state.srpt.uniform_curves() || unit_rate;
         if uniform {
-            let rate = match self.srpt.front_running() {
+            let rate = match self.state.srpt.front_running() {
                 // Γ(1) = 1 across the prefix ⇒ rate is the bare speed; skip
                 // the (powf-backed) curve evaluation in the overload steady
                 // state.
                 Some((slot, rem)) => {
                     let rate = if unit_rate {
-                        self.cfg.speed
+                        self.state.cfg.speed
                     } else {
-                        self.cfg.speed * self.jobs.gamma(slot.idx, share)
+                        self.state.cfg.speed * self.state.jobs.gamma(slot.idx, share)
                     };
                     if rate > 0.0 {
                         // Invariant under uniform drain, so it doubles as
                         // the completion candidate for this interval.
-                        self.next_completion = Some(self.now + rem / rate);
+                        self.state.next_completion = Some(self.state.now + rem / rate);
                     }
                     rate
                 }
                 None => 0.0,
             };
-            self.interval = IntervalKind::Uniform { rate };
+            self.state.interval = IntervalKind::Uniform { rate };
         } else {
             // Scan interval: one Γ evaluation per kernel *class*, then a
             // contiguous walk over the prefix through the per-class rate
             // cache (no per-job pointer chase, no per-job powf).
-            self.jobs.refresh_class_rates(self.cfg.speed, share);
+            self.state
+                .jobs
+                .refresh_class_rates(self.state.cfg.speed, share);
             let mut next: Option<Time> = None;
-            let jobs = &self.jobs;
-            let now = self.now;
-            let speed = self.cfg.speed;
-            self.srpt.for_each_running_ordered(|slot, rem| {
+            let jobs = &self.state.jobs;
+            let now = self.state.now;
+            let speed = self.state.cfg.speed;
+            self.state.srpt.for_each_running_ordered(|slot, rem| {
                 let rate = jobs.rate_cached(slot.idx, speed, share);
                 if rate > 0.0 {
                     let t = now + rem / rate;
@@ -1633,10 +1735,10 @@ impl<'a> Engine<'a> {
                     }
                 }
             });
-            self.interval = IntervalKind::Scan;
-            self.next_completion = next;
+            self.state.interval = IntervalKind::Scan;
+            self.state.next_completion = next;
         }
-        self.alloc_fresh = true;
+        self.state.alloc_fresh = true;
         Ok(())
     }
 
@@ -1657,22 +1759,22 @@ impl<'a> Engine<'a> {
     /// [`Engine::refresh_profile`].
     #[inline]
     fn refresh_profile_fast(&mut self) -> Result<(), SimError> {
-        self.quantum_deadline = None;
-        self.next_completion = None;
-        let n = self.srpt.len();
+        self.state.quantum_deadline = None;
+        self.state.next_completion = None;
+        let n = self.state.srpt.len();
         if n == 0 {
-            self.interval = IntervalKind::Idle;
-            self.alloc_fresh = true;
+            self.state.interval = IntervalKind::Idle;
+            self.state.alloc_fresh = true;
             return Ok(());
         }
-        if self.profile_cache.len() <= n {
-            self.profile_cache.resize(n + 1, CachedProfile::EMPTY);
+        if self.state.profile_cache.len() <= n {
+            self.state.profile_cache.resize(n + 1, CachedProfile::EMPTY);
         }
-        let memo = self.profile_cache[n];
+        let memo = self.state.profile_cache[n];
         let (count, share) = if memo.count != u32::MAX {
             (memo.count as usize, memo.share)
         } else {
-            let Some(profile) = self.policy.prefix_allocation(n, self.cfg.m) else {
+            let Some(profile) = self.policy.prefix_allocation(n, self.state.cfg.m) else {
                 return Err(SimError::BadInstance {
                     // lint:allow(L007) error construction: an infeasible profile terminates the run
                     what: format!(
@@ -1683,7 +1785,7 @@ impl<'a> Engine<'a> {
             };
             if !profile.share.is_finite() || profile.share < -EPS {
                 return Err(SimError::InvalidShare {
-                    at: self.now,
+                    at: self.state.now,
                     share: profile.share,
                     policy: self.policy.name(),
                 });
@@ -1691,17 +1793,17 @@ impl<'a> Engine<'a> {
             let count = profile.count.clamp(1, n);
             let share = profile.share.max(0.0);
             let total = count as f64 * share;
-            if total > self.cfg.m * (1.0 + 1e-9) + EPS {
+            if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
                 return Err(SimError::InfeasibleAllocation {
-                    at: self.now,
+                    at: self.state.now,
                     requested: total,
-                    available: self.cfg.m,
+                    available: self.state.cfg.m,
                     policy: self.policy.name(),
                 });
             }
             // lint:allow(L005, L007) count ≤ n ≤ the u32 arena-slot envelope the IdMap already enforces
             let count_u32 = u32::try_from(count).expect("alive count exceeds u32");
-            self.profile_cache[n] = CachedProfile {
+            self.state.profile_cache[n] = CachedProfile {
                 count: count_u32,
                 rate_class: CLASS_CURVE,
                 share,
@@ -1709,50 +1811,55 @@ impl<'a> Engine<'a> {
             };
             (count, share)
         };
-        self.profile = PrefixAllocation { count, share };
-        let jobs = &mut self.jobs;
-        self.srpt
+        self.state.profile = PrefixAllocation { count, share };
+        let jobs = &mut self.state.jobs;
+        self.state
+            .srpt
             .maybe_rebase(|idx, p| apply_placement(jobs, idx, p));
-        self.srpt
+        self.state
+            .srpt
             .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
         // Interval classification — same predicates as refresh_profile.
         let share_is_unit = (share - 1.0).abs() <= 1e-12;
-        let unit_rate = share_is_unit && self.srpt.unit_rate_at_one();
-        let uniform = self.srpt.running_len() <= 1 || self.srpt.uniform_curves() || unit_rate;
+        let unit_rate = share_is_unit && self.state.srpt.unit_rate_at_one();
+        let uniform =
+            self.state.srpt.running_len() <= 1 || self.state.srpt.uniform_curves() || unit_rate;
         if uniform {
-            let rate = match self.srpt.front_running() {
+            let rate = match self.state.srpt.front_running() {
                 Some((slot, rem)) => {
                     let rate = if unit_rate {
-                        self.cfg.speed
+                        self.state.cfg.speed
                     } else {
-                        let class = self.jobs.class[slot.idx];
-                        let memo = self.profile_cache[n];
+                        let class = self.state.jobs.class[slot.idx];
+                        let memo = self.state.profile_cache[n];
                         if class < CLASS_UNGROUPED && memo.rate_class == class {
                             memo.rate
                         } else {
-                            let r = self.cfg.speed * self.jobs.gamma(slot.idx, share);
+                            let r = self.state.cfg.speed * self.state.jobs.gamma(slot.idx, share);
                             if class < CLASS_UNGROUPED {
-                                self.profile_cache[n].rate_class = class;
-                                self.profile_cache[n].rate = r;
+                                self.state.profile_cache[n].rate_class = class;
+                                self.state.profile_cache[n].rate = r;
                             }
                             r
                         }
                     };
                     if rate > 0.0 {
-                        self.next_completion = Some(self.now + rem / rate);
+                        self.state.next_completion = Some(self.state.now + rem / rate);
                     }
                     rate
                 }
                 None => 0.0,
             };
-            self.interval = IntervalKind::Uniform { rate };
+            self.state.interval = IntervalKind::Uniform { rate };
         } else {
-            self.jobs.refresh_class_rates(self.cfg.speed, share);
+            self.state
+                .jobs
+                .refresh_class_rates(self.state.cfg.speed, share);
             let mut next: Option<Time> = None;
-            let jobs = &self.jobs;
-            let now = self.now;
-            let speed = self.cfg.speed;
-            self.srpt.for_each_running_ordered(|slot, rem| {
+            let jobs = &self.state.jobs;
+            let now = self.state.now;
+            let speed = self.state.cfg.speed;
+            self.state.srpt.for_each_running_ordered(|slot, rem| {
                 let rate = jobs.rate_cached(slot.idx, speed, share);
                 if rate > 0.0 {
                     let t = now + rem / rate;
@@ -1761,81 +1868,86 @@ impl<'a> Engine<'a> {
                     }
                 }
             });
-            self.interval = IntervalKind::Scan;
-            self.next_completion = next;
+            self.state.interval = IntervalKind::Scan;
+            self.state.next_completion = next;
         }
-        self.alloc_fresh = true;
+        self.state.alloc_fresh = true;
         Ok(())
     }
 
     /// Re-runs the policy and recomputes rates and the quantum deadline.
     fn refresh_allocation(&mut self) -> Result<(), SimError> {
-        self.shares.clear();
-        self.shares.resize(self.alive.len(), 0.0);
-        self.rates.clear();
-        self.rates.resize(self.alive.len(), 0.0);
-        self.quantum_deadline = None;
-        if self.alive.is_empty() {
-            self.alloc_fresh = true;
+        self.state.shares.clear();
+        self.state.shares.resize(self.state.alive.len(), 0.0);
+        self.state.rates.clear();
+        self.state.rates.resize(self.state.alive.len(), 0.0);
+        self.state.quantum_deadline = None;
+        if self.state.alive.is_empty() {
+            self.state.alloc_fresh = true;
             return Ok(());
         }
         let views: Vec<AliveJob<'_>> = self
+            .state
             .alive
             .iter()
             .map(|&i| AliveJob {
-                spec: &self.jobs.specs[i],
-                remaining: self.jobs.remaining[i],
+                spec: &self.state.jobs.specs[i],
+                remaining: self.state.jobs.remaining[i],
             })
             // lint:allow(L007) exhaustive-oracle arm only (ensure_fresh routes the audited incremental arm to refresh_profile)
             .collect();
-        let quantum = self
-            .policy
-            .assign(self.now, self.cfg.m, &views, &mut self.shares);
+        let quantum = self.policy.assign(
+            self.state.now,
+            self.state.cfg.m,
+            &views,
+            &mut self.state.shares,
+        );
         // Validate feasibility.
         let mut total = 0.0;
-        for &s in &self.shares {
+        for &s in &self.state.shares {
             if !s.is_finite() || s < -EPS {
                 return Err(SimError::InvalidShare {
-                    at: self.now,
+                    at: self.state.now,
                     share: s,
                     policy: self.policy.name(),
                 });
             }
             total += s.max(0.0);
         }
-        if total > self.cfg.m * (1.0 + 1e-9) + EPS {
+        if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
             return Err(SimError::InfeasibleAllocation {
-                at: self.now,
+                at: self.state.now,
                 requested: total,
-                available: self.cfg.m,
+                available: self.state.cfg.m,
                 policy: self.policy.name(),
             });
         }
-        for (i, &idx) in self.alive.iter().enumerate() {
-            let share = self.shares[i].max(0.0);
-            self.shares[i] = share;
-            self.rates[i] = self.cfg.speed * self.jobs.gamma(idx, share);
+        for (i, &idx) in self.state.alive.iter().enumerate() {
+            let share = self.state.shares[i].max(0.0);
+            self.state.shares[i] = share;
+            self.state.rates[i] = self.state.cfg.speed * self.state.jobs.gamma(idx, share);
         }
         if let Some(q) = quantum {
             if q.is_finite() && q > 0.0 {
-                self.quantum_deadline = Some(self.now + q);
+                self.state.quantum_deadline = Some(self.state.now + q);
             }
         }
-        self.observer.on_allocation(self.now, &views, &self.shares);
-        self.alloc_fresh = true;
+        self.observer
+            .on_allocation(self.state.now, &views, &self.state.shares);
+        self.state.alloc_fresh = true;
         Ok(())
     }
 
     /// The next time at which anything happens (completion, arrival, or
     /// quantum expiry), or `None` when the run is over.
     pub fn next_event_time(&mut self) -> Result<Option<Time>, SimError> {
-        if self.finished {
+        if self.state.finished {
             return Ok(None);
         }
         // Arrivals due exactly now (including the ones at t = 0 before the
         // first step) must be admitted before deciding the allocation.
         hp_phase!(self, queue_ns, self.admit_due_arrivals())?;
-        if !self.alloc_fresh {
+        if !self.state.alloc_fresh {
             hp_phase!(self, refresh_ns, self.ensure_fresh())?;
         }
         let next = hp_phase!(self, queue_ns, {
@@ -1845,15 +1957,18 @@ impl<'a> Engine<'a> {
                     next = Some(t);
                 }
             };
-            match self.mode {
+            match self.state.mode {
                 ExecMode::Exhaustive => {
-                    for (i, &idx) in self.alive.iter().enumerate() {
-                        if self.rates[i] > 0.0 {
-                            consider(self.now + self.jobs.remaining[idx] / self.rates[i]);
+                    for (i, &idx) in self.state.alive.iter().enumerate() {
+                        if self.state.rates[i] > 0.0 {
+                            consider(
+                                self.state.now
+                                    + self.state.jobs.remaining[idx] / self.state.rates[i],
+                            );
                         }
                     }
-                    if let Some(t) = self.next_arrival {
-                        consider(t.max(self.now));
+                    if let Some(t) = self.state.next_arrival {
+                        consider(t.max(self.state.now));
                     }
                 }
                 // Incremental: the interval's completion candidate is a plain
@@ -1863,20 +1978,20 @@ impl<'a> Engine<'a> {
                 // front). Clamping to `now` after the min is identical to
                 // clamping before it (max(·, now) is monotone).
                 ExecMode::Incremental => {
-                    if let Some(t) = self.next_completion {
-                        consider(t.max(self.now));
+                    if let Some(t) = self.state.next_completion {
+                        consider(t.max(self.state.now));
                     }
-                    while let Some((t, gen)) = self.equeue.peek() {
-                        if gen == self.arr_gen {
-                            consider(t.max(self.now));
+                    while let Some((t, gen)) = self.state.equeue.peek() {
+                        if gen == self.state.arr_gen {
+                            consider(t.max(self.state.now));
                             break;
                         }
-                        self.equeue.pop();
+                        self.state.equeue.pop();
                     }
                 }
             }
-            if let Some(t) = self.quantum_deadline {
-                consider(t.max(self.now));
+            if let Some(t) = self.state.quantum_deadline {
+                consider(t.max(self.state.now));
             }
             next
         });
@@ -1884,11 +1999,11 @@ impl<'a> Engine<'a> {
             Some(t) => Ok(Some(t)),
             None => {
                 if self.num_alive() == 0 {
-                    self.finished = true;
+                    self.state.finished = true;
                     Ok(None)
                 } else {
                     Err(SimError::Stalled {
-                        at: self.now,
+                        at: self.state.now,
                         alive: self.num_alive(),
                     })
                 }
@@ -1901,43 +2016,43 @@ impl<'a> Engine<'a> {
     /// that fall exactly at `t`.
     pub fn advance_to(&mut self, t: Time) -> Result<(), SimError> {
         debug_assert!(
-            t >= self.now - EPS * self.now.max(1.0),
+            t >= self.state.now - EPS * self.state.now.max(1.0),
             "time went backwards"
         );
-        if !self.alloc_fresh {
+        if !self.state.alloc_fresh {
             hp_phase!(self, refresh_ns, self.ensure_fresh())?;
         }
-        let dt = (t - self.now).max(0.0);
+        let dt = (t - self.state.now).max(0.0);
         if dt > 0.0 {
             hp_phase!(
                 self,
                 metrics_ns,
-                match self.mode {
+                match self.state.mode {
                     ExecMode::Exhaustive => self.integrate_exhaustive(dt),
                     ExecMode::Incremental => self.integrate_incremental(dt),
                 }
             );
-            self.observer.on_advance(self.now, t);
-            self.now = t;
+            self.observer.on_advance(self.state.now, t);
+            self.state.now = t;
         } else {
-            self.now = self.now.max(t);
+            self.state.now = self.state.now.max(t);
         }
         // Completions at the new time.
         let completed_any = hp_phase!(self, dispatch_ns, {
-            let completed_any = match self.mode {
+            let completed_any = match self.state.mode {
                 ExecMode::Exhaustive => self.collect_completions_exhaustive(),
                 ExecMode::Incremental => self.collect_completions_incremental(),
             };
             if completed_any {
-                self.alloc_fresh = false;
-                self.policy.on_completion(self.now, self.num_alive());
+                self.state.alloc_fresh = false;
+                self.policy.on_completion(self.state.now, self.num_alive());
             }
             completed_any
         });
         // Quantum expiry forces a re-decision.
-        if let Some(q) = self.quantum_deadline {
-            if self.now + EPS * self.now.max(1.0) >= q {
-                self.alloc_fresh = false;
+        if let Some(q) = self.state.quantum_deadline {
+            if self.state.now + EPS * self.state.now.max(1.0) >= q {
+                self.state.alloc_fresh = false;
             }
         }
         // Arrivals due exactly now. A completion and an arrival landing
@@ -1947,22 +2062,25 @@ impl<'a> Engine<'a> {
         // can pin the behavior instead of inferring it from event totals.
         let arrived = hp_phase!(self, queue_ns, self.admit_due_arrivals())?;
         if completed_any && arrived {
-            self.coalesced += 1;
+            self.state.coalesced += 1;
         }
         Ok(())
     }
 
     /// Exhaustive-path interval integration: per-job linear drain.
     fn integrate_exhaustive(&mut self, dt: f64) {
-        self.alive_integral.add(self.alive.len() as f64 * dt);
-        for (i, &idx) in self.alive.iter().enumerate() {
-            let rem = self.jobs.remaining[idx];
-            let drained = self.rates[i] * dt;
+        self.state
+            .alive_integral
+            .add(self.state.alive.len() as f64 * dt);
+        for (i, &idx) in self.state.alive.iter().enumerate() {
+            let rem = self.state.jobs.remaining[idx];
+            let drained = self.state.rates[i] * dt;
             // Fractional flow: ∫ p_j(τ)/p_j dτ over [now, t], exact for
             // the linear drain.
-            self.frac_flow
-                .add((rem - drained / 2.0).max(0.0) * dt / self.jobs.specs[idx].size);
-            self.jobs.remaining[idx] = (rem - drained).max(0.0);
+            self.state
+                .frac_flow
+                .add((rem - drained / 2.0).max(0.0) * dt / self.state.jobs.specs[idx].size);
+            self.state.jobs.remaining[idx] = (rem - drained).max(0.0);
         }
     }
 
@@ -1976,37 +2094,44 @@ impl<'a> Engine<'a> {
     /// prefix only.
     #[inline]
     fn integrate_incremental(&mut self, dt: f64) {
-        self.alive_integral.add(self.srpt.len() as f64 * dt);
-        match self.interval {
+        self.state
+            .alive_integral
+            .add(self.state.srpt.len() as f64 * dt);
+        match self.state.interval {
             IntervalKind::Idle => {}
             IntervalKind::Uniform { rate } => {
-                let s1 = self.srpt.running_inv_size_sum();
-                let run = (self.srpt.running_key_frac_sum() - self.srpt.drain_offset() * s1) * dt
+                let s1 = self.state.srpt.running_inv_size_sum();
+                let run = (self.state.srpt.running_key_frac_sum()
+                    - self.state.srpt.drain_offset() * s1)
+                    * dt
                     - rate * dt * dt / 2.0 * s1;
-                self.frac_flow
-                    .add(run.max(0.0) + self.srpt.queued_frac_sum() * dt);
-                self.srpt.advance_uniform(rate * dt);
+                self.state
+                    .frac_flow
+                    .add(run.max(0.0) + self.state.srpt.queued_frac_sum() * dt);
+                self.state.srpt.advance_uniform(rate * dt);
             }
             IntervalKind::Scan => {
-                let share = self.profile.share;
-                let speed = self.cfg.speed;
+                let share = self.state.profile.share;
+                let speed = self.state.cfg.speed;
                 // The per-class rate cache is valid for this (speed, share)
                 // whenever the interval is Scan (refilled by the profile
                 // refresh that classified it).
                 let mut run = 0.0;
                 {
-                    let jobs = &self.jobs;
-                    self.srpt.for_each_running_ordered(|slot, rem| {
+                    let jobs = &self.state.jobs;
+                    self.state.srpt.for_each_running_ordered(|slot, rem| {
                         let rate = jobs.rate_cached(slot.idx, speed, share);
                         run += (rem - rate * dt / 2.0).max(0.0) / slot.size;
                     });
                 }
-                self.frac_flow.add((run + self.srpt.queued_frac_sum()) * dt);
-                let mut moves = std::mem::take(&mut self.scratch_moves);
+                self.state
+                    .frac_flow
+                    .add((run + self.state.srpt.queued_frac_sum()) * dt);
+                let mut moves = std::mem::take(&mut self.state.scratch_moves);
                 moves.clear();
                 {
-                    let jobs = &self.jobs;
-                    self.srpt.drain_scan(
+                    let jobs = &self.state.jobs;
+                    self.state.srpt.drain_scan(
                         dt,
                         |idx| jobs.rate_cached(idx, speed, share),
                         // lint:allow(L007) pushes into scratch_moves taken via mem::take; donated capacity is retained across events
@@ -2014,12 +2139,12 @@ impl<'a> Engine<'a> {
                     );
                 }
                 for &(idx, p) in &moves {
-                    apply_placement(&mut self.jobs, idx, p);
+                    apply_placement(&mut self.state.jobs, idx, p);
                 }
-                self.scratch_moves = moves;
+                self.state.scratch_moves = moves;
                 // The scan may have reordered the prefix; re-classify
                 // before the next interval.
-                self.alloc_fresh = false;
+                self.state.alloc_fresh = false;
             }
         }
     }
@@ -2036,30 +2161,32 @@ impl<'a> Engine<'a> {
     /// (elided by the fast loop, whose eligibility requires
     /// [`Observer::is_noop`]). `<true>` is the generic path, unchanged.
     fn finish_job_core<const NOTIFY: bool>(&mut self, idx: usize) {
-        self.jobs.remaining[idx] = 0.0;
-        self.jobs.in_running[idx] = false;
-        self.jobs.done[idx] = true;
-        let spec = &self.jobs.specs[idx];
-        self.sink
-            .record(spec.release, spec.size, self.now, spec.weight);
-        if !self.cfg.streaming {
-            self.completed.push(CompletedJob {
+        self.state.jobs.remaining[idx] = 0.0;
+        self.state.jobs.in_running[idx] = false;
+        self.state.jobs.done[idx] = true;
+        let spec = &self.state.jobs.specs[idx];
+        self.state
+            .sink
+            .record(spec.release, spec.size, self.state.now, spec.weight);
+        if !self.state.cfg.streaming {
+            self.state.completed.push(CompletedJob {
                 id: spec.id,
                 release: spec.release,
                 size: spec.size,
-                completion: self.now,
+                completion: self.state.now,
                 weight: spec.weight,
             });
         }
         if NOTIFY {
-            self.observer.on_completion(self.now, &self.jobs.specs[idx]);
+            self.observer
+                .on_completion(self.state.now, &self.state.jobs.specs[idx]);
         }
-        if self.cfg.streaming {
+        if self.state.cfg.streaming {
             // Retire the slot: forget the id and hand the arena index to
             // the next arrival. The spec stays in place (inert) until
             // overwritten — nothing reads `done` slots.
-            self.ids.remove(self.jobs.specs[idx].id);
-            self.free.push(idx);
+            self.state.ids.remove(self.state.jobs.specs[idx].id);
+            self.state.free.push(idx);
         }
     }
 
@@ -2067,17 +2194,17 @@ impl<'a> Engine<'a> {
     fn collect_completions_exhaustive(&mut self) -> bool {
         let mut completed_any = false;
         let mut i = 0;
-        while i < self.alive.len() {
-            let idx = self.alive[i];
-            let rem = self.jobs.remaining[idx];
-            let size = self.jobs.specs[idx].size;
-            if rem <= Self::completion_tolerance(size, self.rates[i], self.now) {
-                self.alive.swap_remove(i);
+        while i < self.state.alive.len() {
+            let idx = self.state.alive[i];
+            let rem = self.state.jobs.remaining[idx];
+            let size = self.state.jobs.specs[idx].size;
+            if rem <= Self::completion_tolerance(size, self.state.rates[i], self.state.now) {
+                self.state.alive.swap_remove(i);
                 // Keep the parallel share/rate vectors aligned with `alive`
                 // for the rest of this sweep (they are rebuilt on the next
                 // refresh either way).
-                self.rates.swap_remove(i);
-                self.shares.swap_remove(i);
+                self.state.rates.swap_remove(i);
+                self.state.shares.swap_remove(i);
                 self.finish_job(idx);
                 completed_any = true;
             } else {
@@ -2099,20 +2226,21 @@ impl<'a> Engine<'a> {
     #[inline]
     fn collect_completions_incremental_core<const NOTIFY: bool>(&mut self) -> bool {
         let mut completed_any = false;
-        while let Some((slot, rem)) = self.srpt.front_running() {
-            let rate = match self.interval {
+        while let Some((slot, rem)) = self.state.srpt.front_running() {
+            let rate = match self.state.interval {
                 IntervalKind::Uniform { rate } => rate,
-                IntervalKind::Scan => {
-                    self.jobs
-                        .rate_cached(slot.idx, self.cfg.speed, self.profile.share)
-                }
+                IntervalKind::Scan => self.state.jobs.rate_cached(
+                    slot.idx,
+                    self.state.cfg.speed,
+                    self.state.profile.share,
+                ),
                 IntervalKind::Idle => 0.0,
             };
-            if rem > Self::completion_tolerance(slot.size, rate, self.now) {
+            if rem > Self::completion_tolerance(slot.size, rate, self.state.now) {
                 break;
             }
             let idx = slot.idx;
-            self.srpt.pop_front_running();
+            self.state.srpt.pop_front_running();
             self.finish_job_core::<NOTIFY>(idx);
             completed_any = true;
         }
@@ -2121,7 +2249,7 @@ impl<'a> Engine<'a> {
 
     /// Which [`EnginePath`] this run executes (for audit context).
     fn path(&self) -> EnginePath {
-        match self.mode {
+        match self.state.mode {
             ExecMode::Exhaustive => EnginePath::Exhaustive,
             ExecMode::Incremental => EnginePath::Incremental,
         }
@@ -2133,35 +2261,35 @@ impl<'a> Engine<'a> {
     /// [`Engine::next_event_time`]).
     fn build_audit_frame(&self) -> AuditFrame {
         let mut jobs = Vec::with_capacity(self.num_alive());
-        match self.mode {
+        match self.state.mode {
             ExecMode::Exhaustive => {
-                for (i, &idx) in self.alive.iter().enumerate() {
-                    let spec = &self.jobs.specs[idx];
+                for (i, &idx) in self.state.alive.iter().enumerate() {
+                    let spec = &self.state.jobs.specs[idx];
                     jobs.push(FrameJob {
                         id: spec.id,
                         release: spec.release,
                         size: spec.size,
-                        remaining: self.jobs.remaining[idx],
-                        share: self.shares[i],
-                        rate: self.rates[i],
+                        remaining: self.state.jobs.remaining[idx],
+                        share: self.state.shares[i],
+                        rate: self.state.rates[i],
                     });
                 }
             }
             ExecMode::Incremental => {
-                let share = self.profile.share;
-                for (slot, remaining) in self.srpt.iter_running() {
-                    let spec = &self.jobs.specs[slot.idx];
+                let share = self.state.profile.share;
+                for (slot, remaining) in self.state.srpt.iter_running() {
+                    let spec = &self.state.jobs.specs[slot.idx];
                     jobs.push(FrameJob {
                         id: spec.id,
                         release: spec.release,
                         size: spec.size,
                         remaining,
                         share,
-                        rate: self.cfg.speed * self.jobs.gamma(slot.idx, share),
+                        rate: self.state.cfg.speed * self.state.jobs.gamma(slot.idx, share),
                     });
                 }
-                for (slot, remaining) in self.srpt.iter_queued() {
-                    let spec = &self.jobs.specs[slot.idx];
+                for (slot, remaining) in self.state.srpt.iter_queued() {
+                    let spec = &self.state.jobs.specs[slot.idx];
                     jobs.push(FrameJob {
                         id: spec.id,
                         release: spec.release,
@@ -2174,17 +2302,17 @@ impl<'a> Engine<'a> {
             }
         }
         AuditFrame {
-            event: self.events,
-            t: self.now,
-            m: self.cfg.m,
+            event: self.state.events,
+            t: self.state.now,
+            m: self.state.cfg.m,
             path: self.path(),
-            policy: self.policy_name.clone(),
+            policy: self.state.policy_name.clone(),
             jobs,
             // The incremental path iterates its maintained SRPT order
             // (running prefix, then queue); the exhaustive alive vector is
             // reordered by swap_remove and promises nothing.
-            srpt_ordered_iteration: self.mode == ExecMode::Incremental,
-            srpt_ordered_policy: self.policy_srpt_ordered,
+            srpt_ordered_iteration: self.state.mode == ExecMode::Incremental,
+            srpt_ordered_policy: self.state.policy_srpt_ordered,
         }
     }
 
@@ -2196,29 +2324,29 @@ impl<'a> Engine<'a> {
         // Audit hook: at this point the allocation is fresh and constant
         // over `[now, t]`, so the frame captures exactly what the engine is
         // about to execute.
-        if let Some(mut aud) = self.auditor.take() {
-            let checked = if aud.wants_frame(self.events) {
+        if let Some(mut aud) = self.state.auditor.take() {
+            let checked = if aud.wants_frame(self.state.events) {
                 aud.check_frame(self.build_audit_frame())
             } else {
                 Ok(())
             };
-            self.auditor = Some(aud);
+            self.state.auditor = Some(aud);
             checked?;
         }
-        if t > self.cfg.max_time {
+        if t > self.state.cfg.max_time {
             return Err(SimError::TimeLimit {
-                limit: self.cfg.max_time,
+                limit: self.state.cfg.max_time,
             });
         }
-        self.events += 1;
-        if self.events > self.cfg.max_events {
+        self.state.events += 1;
+        if self.state.events > self.state.cfg.max_events {
             return Err(SimError::EventLimit {
-                limit: self.cfg.max_events,
+                limit: self.state.cfg.max_events,
             });
         }
         #[cfg(feature = "hotpath")]
-        if self.cfg.hotpath_profile {
-            self.hotpath.events += 1;
+        if self.state.cfg.hotpath_profile {
+            self.state.hotpath.events += 1;
         }
         self.advance_to(t)?;
         Ok(true)
@@ -2246,9 +2374,9 @@ impl<'a> Engine<'a> {
     /// read from the cached `next_arrival` field instead of
     /// round-tripping the event queue.
     pub fn run_loop(&mut self) -> Result<(), SimError> {
-        let fast = self.cfg.fast_loop
-            && self.mode == ExecMode::Incremental
-            && self.auditor.is_none()
+        let fast = self.state.cfg.fast_loop
+            && self.state.mode == ExecMode::Incremental
+            && self.state.auditor.is_none()
             && self.observer.is_noop();
         if !fast {
             while self.step()? {}
@@ -2272,10 +2400,10 @@ impl<'a> Engine<'a> {
     /// arrival, strict `<` to replace) and its `max(now)` clamping.
     fn run_fast_loop<const VALIDATE: bool, const PHOOKS: bool>(&mut self) -> Result<(), SimError> {
         debug_assert!(
-            self.quantum_deadline.is_none(),
+            self.state.quantum_deadline.is_none(),
             "the incremental path never schedules a quantum"
         );
-        if self.finished {
+        if self.state.finished {
             return Ok(());
         }
         // `step()` admits due arrivals at the top of every step, but inside
@@ -2289,16 +2417,16 @@ impl<'a> Engine<'a> {
             self.admit_core::<VALIDATE, false, false, PHOOKS>()
         )?;
         loop {
-            if !self.alloc_fresh {
+            if !self.state.alloc_fresh {
                 hp_phase!(self, refresh_ns, self.refresh_profile_fast())?;
             }
             let next = hp_phase!(self, queue_ns, {
                 let mut next: Option<Time> = None;
-                if let Some(t) = self.next_completion {
-                    next = Some(t.max(self.now));
+                if let Some(t) = self.state.next_completion {
+                    next = Some(t.max(self.state.now));
                 }
-                if let Some(t) = self.next_arrival {
-                    let t = t.max(self.now);
+                if let Some(t) = self.state.next_arrival {
+                    let t = t.max(self.state.now);
                     if next.is_none_or(|n| t < n) {
                         next = Some(t);
                     }
@@ -2306,48 +2434,49 @@ impl<'a> Engine<'a> {
                 next
             });
             let Some(t) = next else {
-                if self.srpt.len() == 0 {
-                    self.finished = true;
+                if self.state.srpt.len() == 0 {
+                    self.state.finished = true;
                     return Ok(());
                 }
                 return Err(SimError::Stalled {
-                    at: self.now,
-                    alive: self.srpt.len(),
+                    at: self.state.now,
+                    alive: self.state.srpt.len(),
                 });
             };
-            if t > self.cfg.max_time {
+            if t > self.state.cfg.max_time {
                 return Err(SimError::TimeLimit {
-                    limit: self.cfg.max_time,
+                    limit: self.state.cfg.max_time,
                 });
             }
-            self.events += 1;
-            if self.events > self.cfg.max_events {
+            self.state.events += 1;
+            if self.state.events > self.state.cfg.max_events {
                 return Err(SimError::EventLimit {
-                    limit: self.cfg.max_events,
+                    limit: self.state.cfg.max_events,
                 });
             }
             #[cfg(feature = "hotpath")]
-            if self.cfg.hotpath_profile {
-                self.hotpath.events += 1;
+            if self.state.cfg.hotpath_profile {
+                self.state.hotpath.events += 1;
             }
             // `advance_to`, fused.
             debug_assert!(
-                t >= self.now - EPS * self.now.max(1.0),
+                t >= self.state.now - EPS * self.state.now.max(1.0),
                 "time went backwards"
             );
-            let dt = (t - self.now).max(0.0);
+            let dt = (t - self.state.now).max(0.0);
             if dt > 0.0 {
                 hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
-                self.now = t;
+                self.state.now = t;
             } else {
-                self.now = self.now.max(t);
+                self.state.now = self.state.now.max(t);
             }
             let completed_any = hp_phase!(self, dispatch_ns, {
                 let completed_any = self.collect_completions_incremental_core::<false>();
                 if completed_any {
-                    self.alloc_fresh = false;
+                    self.state.alloc_fresh = false;
                     if PHOOKS {
-                        self.policy.on_completion(self.now, self.srpt.len());
+                        self.policy
+                            .on_completion(self.state.now, self.state.srpt.len());
                     }
                 }
                 completed_any
@@ -2357,9 +2486,9 @@ impl<'a> Engine<'a> {
             // state) skip the call entirely. The test has no side effects
             // and uses the same float ops, so admission behavior is
             // unchanged.
-            let due = self
-                .next_arrival
-                .is_some_and(|t| t <= self.now + crate::source::arrival_tolerance(self.now));
+            let due = self.state.next_arrival.is_some_and(|t| {
+                t <= self.state.now + crate::source::arrival_tolerance(self.state.now)
+            });
             let arrived = if due {
                 hp_phase!(
                     self,
@@ -2370,7 +2499,7 @@ impl<'a> Engine<'a> {
                 false
             };
             if completed_any && arrived {
-                self.coalesced += 1;
+                self.state.coalesced += 1;
             }
         }
     }
@@ -2379,7 +2508,7 @@ impl<'a> Engine<'a> {
     /// [`Engine::run_streaming`] instead — a `RunOutcome` materializes the
     /// full completion list and instance, defeating the memory bound.
     pub fn run(mut self) -> Result<RunOutcome, SimError> {
-        if self.cfg.streaming {
+        if self.state.cfg.streaming {
             return Err(SimError::BadInstance {
                 what: "streaming engines produce a StreamingOutcome; \
                        call run_streaming() instead of run()"
@@ -2396,7 +2525,7 @@ impl<'a> Engine<'a> {
     /// those allocations transfer with the outcome by design — but the
     /// arena, heaps, and scratch are all recycled.
     pub fn run_reusing(mut self) -> Result<(RunOutcome, EngineBuffers), SimError> {
-        if self.cfg.streaming {
+        if self.state.cfg.streaming {
             return Err(SimError::BadInstance {
                 what: "streaming engines produce a StreamingOutcome; \
                        call run_streaming_reusing() instead of run_reusing()"
@@ -2410,7 +2539,7 @@ impl<'a> Engine<'a> {
         // next run on these buffers logs completions without regrowing —
         // the steady-state zero-allocation contract (docs/PERF.md §6)
         // covers the in-memory reuse path too.
-        self.completed.reserve_exact(outcome.completed.len());
+        self.state.completed.reserve_exact(outcome.completed.len());
         Ok((outcome, self.into_buffers()))
     }
 
@@ -2435,18 +2564,18 @@ impl<'a> Engine<'a> {
 
     /// Runs the end-of-run audit identities, if auditing is on.
     fn check_final_audit(&mut self) -> Result<Option<crate::invariant::AuditReport>, SimError> {
-        match self.auditor.take() {
+        match self.state.auditor.take() {
             Some(mut aud) => {
                 aud.check_final(&FinalAccounting {
-                    total_flow: self.sink.total_flow(),
-                    alive_integral: self.alive_integral.value(),
-                    fractional_flow: self.frac_flow.value(),
-                    completed: self.sink.count() as usize,
-                    admitted: self.admitted,
+                    total_flow: self.state.sink.total_flow(),
+                    alive_integral: self.state.alive_integral.value(),
+                    fractional_flow: self.state.frac_flow.value(),
+                    completed: self.state.sink.count() as usize,
+                    admitted: self.state.admitted,
                     alive_left: self.num_alive(),
-                    at: self.now,
-                    events: self.events,
-                    policy: self.policy_name.clone(),
+                    at: self.state.now,
+                    events: self.state.events,
+                    policy: self.state.policy_name.clone(),
                     path: self.path(),
                 })?;
                 Ok(Some(aud.report()))
@@ -2458,10 +2587,10 @@ impl<'a> Engine<'a> {
     /// Aggregate metrics from the sink — the single construction site for
     /// both finalizers, so the streaming and in-memory paths cannot drift.
     fn final_metrics(&self) -> RunMetrics {
-        self.sink.run_metrics(
-            self.events,
-            self.frac_flow.value(),
-            self.alive_integral.value(),
+        self.state.sink.run_metrics(
+            self.state.events,
+            self.state.frac_flow.value(),
+            self.state.alive_integral.value(),
         )
     }
 
@@ -2474,12 +2603,12 @@ impl<'a> Engine<'a> {
         let metrics = self.final_metrics();
         Ok(RunOutcome {
             metrics,
-            completed: std::mem::take(&mut self.completed),
+            completed: std::mem::take(&mut self.state.completed),
             // The arena holds every spec ever emitted (done or not), in
             // admission order, already validated at admission; rebuilding
             // the instance from it avoids both the seed engine's duplicate
             // `emitted` clone stream and a second O(n) validation pass.
-            instance: Instance::from_admitted(self.jobs.specs.drain(..).collect()),
+            instance: Instance::from_admitted(self.state.jobs.specs.drain(..).collect()),
             audit,
         })
     }
@@ -2490,16 +2619,16 @@ impl<'a> Engine<'a> {
         let metrics = self.final_metrics();
         Ok(StreamingOutcome {
             metrics,
-            quantiles: self.sink.sketch().clone(),
-            peak_alive: self.peak_alive,
-            admitted: self.admitted,
+            quantiles: self.state.sink.sketch().clone(),
+            peak_alive: self.state.peak_alive,
+            admitted: self.state.admitted,
             audit,
         })
     }
 
     /// Finalizes the run into a [`RunOutcome`] (all jobs must be finished).
     pub fn into_outcome(mut self) -> Result<RunOutcome, SimError> {
-        if self.cfg.streaming {
+        if self.state.cfg.streaming {
             return Err(SimError::BadInstance {
                 what: "streaming engines produce a StreamingOutcome; \
                        call into_streaming_outcome() instead"
@@ -3214,9 +3343,9 @@ mod tests {
             &mut obs,
         );
         while engine.step().unwrap() {}
-        assert_eq!(engine.peak_alive, 1);
-        assert_eq!(engine.jobs.len(), 1, "slots were not recycled");
-        assert_eq!(engine.admitted, 16);
+        assert_eq!(engine.state.peak_alive, 1);
+        assert_eq!(engine.state.jobs.len(), 1, "slots were not recycled");
+        assert_eq!(engine.state.admitted, 16);
         let out = engine.into_streaming_outcome().unwrap();
         assert_eq!(out.metrics.num_jobs, 16);
         assert!((out.metrics.total_flow - 16.0).abs() < 1e-9);

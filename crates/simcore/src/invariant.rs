@@ -251,8 +251,10 @@ pub struct FinalAccounting {
 ///
 /// Implementations are stateful (the auditor keeps them across the whole
 /// run) but the built-in suite only ever compares *consecutive* frames,
-/// which the auditor hands over explicitly.
-pub trait Invariant {
+/// which the auditor hands over explicitly. `Send`, so an audited engine
+/// can be parked (see [`crate::ParkedEngine`]) and resumed on another
+/// thread.
+pub trait Invariant: Send {
     /// Stable identifier used in violations and reports.
     fn name(&self) -> &'static str;
 

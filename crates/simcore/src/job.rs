@@ -1,5 +1,7 @@
 //! Jobs, instances, and the paper's size-class arithmetic.
 
+use std::sync::Arc;
+
 use parsched_speedup::Curve;
 use serde::{Deserialize, Serialize};
 
@@ -70,7 +72,9 @@ impl JobSpec {
 /// `(release, id)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Instance {
-    jobs: Vec<JobSpec>,
+    /// Shared, so replaying the instance ([`crate::StaticSource`]) and
+    /// cloning it never copy the jobs.
+    jobs: Arc<Vec<JobSpec>>,
 }
 
 impl Instance {
@@ -113,7 +117,9 @@ impl Instance {
                 .expect("releases are finite")
                 .then(a.id.cmp(&b.id))
         });
-        Ok(Self { jobs })
+        Ok(Self {
+            jobs: Arc::new(jobs),
+        })
     }
 
     /// Builds an instance from specs the engine already admitted.
@@ -137,7 +143,10 @@ impl Instance {
                     .then(a.id.cmp(&b.id))
             });
         }
-        Self { jobs }
+        Self {
+            // lint:allow(L007) run finalization, outside the event loop: the spec vector transfers to the outcome, and its shared handle is one small allocation per finished run
+            jobs: Arc::new(jobs),
+        }
     }
 
     /// Convenience constructor: jobs `(release, size)` all sharing one curve,
@@ -154,6 +163,11 @@ impl Instance {
     /// The jobs, sorted by `(release, id)`.
     pub fn jobs(&self) -> &[JobSpec] {
         &self.jobs
+    }
+
+    /// The job storage itself, shared with the caller.
+    pub(crate) fn shared_jobs(&self) -> Arc<Vec<JobSpec>> {
+        Arc::clone(&self.jobs)
     }
 
     /// Number of jobs.
@@ -205,7 +219,7 @@ impl Instance {
     /// stay unique. Returns the sorted union.
     pub fn merged_with(&self, other: &Instance) -> Result<Instance, SimError> {
         let next_id = self.jobs.iter().map(|j| j.id.0 + 1).max().unwrap_or(0);
-        let mut all = self.jobs.clone();
+        let mut all = self.jobs.to_vec();
         all.extend(other.jobs.iter().enumerate().map(|(i, j)| JobSpec {
             id: JobId(next_id + i as u64),
             ..j.clone()

@@ -70,6 +70,7 @@ pub mod trace;
 pub use engine::{
     simulate, simulate_audited, simulate_streaming, simulate_streaming_audited,
     simulate_with_observer, AliveSnapshot, Engine, EngineBuffers, EngineConfig, EventQueueKind,
+    ParkedEngine,
 };
 pub use error::SimError;
 pub use invariant::{AuditLevel, AuditReport, Auditor, EnginePath, Invariant, Violation};

@@ -1,5 +1,7 @@
 //! Arrival sources: static replay and the hook for adaptive adversaries.
 
+use std::sync::Arc;
+
 use parsched_speedup::EPS;
 
 use crate::job::{Instance, JobSpec, Time};
@@ -131,16 +133,16 @@ pub fn arrival_tolerance(now: Time) -> f64 {
 /// Replays a fixed [`Instance`].
 #[derive(Debug, Clone)]
 pub struct StaticSource {
-    jobs: Vec<JobSpec>,
+    jobs: Arc<Vec<JobSpec>>,
     cursor: usize,
 }
 
 impl StaticSource {
     /// A source that replays the given instance's jobs at their release
-    /// times.
+    /// times. It shares the instance's job storage instead of copying it.
     pub fn new(instance: &Instance) -> Self {
         Self {
-            jobs: instance.jobs().to_vec(),
+            jobs: instance.shared_jobs(),
             cursor: 0,
         }
     }

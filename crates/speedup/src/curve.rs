@@ -104,6 +104,20 @@ impl Curve {
     /// Returns `None` when the curve saturates below `r` (e.g. a sequential
     /// job can never be processed faster than rate 1).
     pub fn inverse_rate(&self, r: f64) -> Option<f64> {
+        self.inverse_rate_with(None, r)
+    }
+
+    /// [`Curve::inverse_rate`] with the power kernel supplied by the
+    /// caller: `kernel` must be `None` or this curve's [`Curve::kernel`],
+    /// so a loop that inverts one curve at many rates compiles the kernel
+    /// once instead of per call. `None` compiles it on demand; either way
+    /// the result is bit-identical, because kernel construction is
+    /// deterministic in α.
+    pub fn inverse_rate_with(
+        &self,
+        kernel: Option<crate::kernel::PowKernel>,
+        r: f64,
+    ) -> Option<f64> {
         debug_assert!(r >= 0.0);
         if r <= 1.0 && !matches!(self, Curve::Piecewise(_)) {
             // The model curves are the identity on [0, 1]; a general
@@ -117,7 +131,11 @@ impl Curve {
                 if crate::float::exact_eq(*alpha, 0.0) {
                     None
                 } else {
-                    Some(crate::kernel::PowKernel::new(*alpha).invert(r))
+                    debug_assert!(
+                        !matches!(kernel, Some(k) if k.alpha().to_bits() != alpha.to_bits())
+                    );
+                    let kernel = kernel.unwrap_or_else(|| crate::kernel::PowKernel::new(*alpha));
+                    Some(kernel.invert(r))
                 }
             }
             Curve::Amdahl { serial_fraction } => {

@@ -10,12 +10,16 @@
 //! source clones the instance, and the streaming finalizer clones the
 //! constant-size quantile sketch; none of that is per-event.
 //!
+//! The counter is per thread and armed only around the audited window on
+//! the measuring thread, so allocations made concurrently by sibling
+//! tests under the default parallel harness are never attributed to it.
+//!
 //! This is an integration test on purpose: the workspace crates carry
 //! `#![forbid(unsafe_code)]`, and a `GlobalAlloc` impl is necessarily
 //! `unsafe`. Keeping the counter here confines the unsafety to test code.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use parsched::PolicyKind;
 use parsched_sim::{
@@ -25,11 +29,23 @@ use parsched_speedup::Curve;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and destructor-free, so reading them from inside
+    // the allocator never allocates or re-enters it.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation if this thread's counter is armed.
+fn note_alloc() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -40,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves or grows is an allocation for the purpose
         // of this audit: buffer reuse is supposed to prevent regrowth.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +64,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Runs `f` with this thread's allocation counter armed; returns its
+/// result and the allocations it made (on this thread only).
+fn counting_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Cell::get))
 }
 
 /// A deterministic arrival-heavy workload: `n` power-law jobs with LCG
@@ -91,9 +113,7 @@ fn audited_run(inst: &Instance, bufs: EngineBuffers) -> (u64, EngineBuffers) {
     let mut obs = NullObserver;
     let cfg = EngineConfig::new(8.0).with_streaming(true);
     let mut engine = Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, bufs);
-    let before = allocs();
-    while engine.step().expect("run failed") {}
-    let during = allocs() - before;
+    let ((), during) = counting_allocs(|| while engine.step().expect("run failed") {});
     // Finalize outside the audited window (clones the 8 KiB sketch).
     let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
     assert_eq!(outcome.metrics.num_jobs, inst.jobs().len());
@@ -141,9 +161,7 @@ fn audited_fast_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u
     let mut obs = NullObserver;
     let cfg = EngineConfig::new(8.0).with_streaming(streaming);
     let mut engine = Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, bufs);
-    let before = allocs();
-    engine.run_loop().expect("fast run failed");
-    let during = allocs() - before;
+    let ((), during) = counting_allocs(|| engine.run_loop().expect("fast run failed"));
     let (num_jobs, bufs) = if streaming {
         let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
         (outcome.metrics.num_jobs, bufs)
@@ -201,10 +219,10 @@ fn engine_reset_reruns_allocate_nothing() {
     // Warm-up run.
     while engine.step().expect("run failed") {}
     // In-place reset + rerun: zero allocations in reset and the rerun.
-    let before = allocs();
-    engine.reset().expect("static source rewinds");
-    while engine.step().expect("rerun failed") {}
-    let during = allocs() - before;
+    let ((), during) = counting_allocs(|| {
+        engine.reset().expect("static source rewinds");
+        while engine.step().expect("rerun failed") {}
+    });
     assert_eq!(during, 0, "reset rerun allocated {during} times");
 }
 

@@ -9,11 +9,16 @@
 //! Suspend points are drawn pseudo-randomly (splitmix64, fixed seed) plus
 //! the structural corners (0, 1, midpoint, last event), so the suite is
 //! deterministic yet not tuned to any particular event alignment.
+//!
+//! The fleet keeps tenants between slices as parked engines
+//! (`Engine::park` / `ParkedEngine::resume`), so the same bit-identity is
+//! required of parking every `k` events.
 
 use parsched::PolicyKind;
 use parsched_bench::mixed_alpha_fixture;
 use parsched_sim::{
-    Engine, EngineConfig, Instance, NullObserver, RunMetrics, Snapshot, StaticSource,
+    AliveJob, AllocationStability, Engine, EngineConfig, Instance, NullObserver, Observer,
+    ParkedEngine, Policy, PrefixAllocation, RunMetrics, Snapshot, StaticSource, Time,
 };
 
 const M: f64 = 8.0;
@@ -34,16 +39,19 @@ fn splitmix(state: &mut u64) -> u64 {
 /// bit-identical to the in-memory path's, so one shape fits both modes;
 /// the completion list is compared separately on the in-memory mode.
 fn baseline(inst: &Instance, kind: &PolicyKind, streaming: bool) -> (RunMetrics, Vec<(u64, u64)>) {
+    baseline_with(inst, kind, engine_cfg(streaming))
+}
+
+fn baseline_with(
+    inst: &Instance,
+    kind: &PolicyKind,
+    cfg: EngineConfig,
+) -> (RunMetrics, Vec<(u64, u64)>) {
     let mut policy = kind.build();
     let mut source = StaticSource::new(inst);
     let mut obs = NullObserver;
-    let engine = Engine::new(
-        engine_cfg(streaming),
-        policy.as_mut(),
-        &mut source,
-        &mut obs,
-    );
-    if streaming {
+    let engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
+    if cfg.streaming {
         let out = engine.run_streaming().expect("baseline streaming run");
         (out.metrics, Vec::new())
     } else {
@@ -178,6 +186,226 @@ fn every_policy_and_mode_resumes_bit_identically_from_random_suspend_points() {
                     completions, want_completions,
                     "{ctx}: completion sequence diverged"
                 );
+            }
+        }
+    }
+}
+
+/// A registry policy that refuses to round-trip its state and counts its
+/// resets: parking must carry the policy value itself across the pause
+/// (so `Random(7)`'s RNG simply continues), never capture or reset it.
+struct NoRoundTrip {
+    inner: Box<dyn Policy + Send>,
+    resets: u32,
+}
+
+impl Policy for NoRoundTrip {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn assign(
+        &mut self,
+        now: Time,
+        m: f64,
+        jobs: &[AliveJob<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        self.inner.assign(now, m, jobs, shares)
+    }
+
+    fn reset(&mut self) {
+        self.resets += 1;
+        self.inner.reset();
+    }
+
+    fn stability(&self) -> AllocationStability {
+        self.inner.stability()
+    }
+
+    fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
+        self.inner.prefix_allocation(n_alive, m)
+    }
+
+    fn srpt_ordered(&self) -> bool {
+        self.inner.srpt_ordered()
+    }
+
+    fn on_arrival(&mut self, now: Time, n_alive: usize) {
+        self.inner.on_arrival(now, n_alive);
+    }
+
+    fn on_completion(&mut self, now: Time, n_alive: usize) {
+        self.inner.on_completion(now, n_alive);
+    }
+
+    fn event_hooks_are_noop(&self) -> bool {
+        self.inner.event_hooks_are_noop()
+    }
+
+    fn snapshot_state(&self) -> Vec<u64> {
+        panic!("parking must not capture policy state")
+    }
+
+    fn restore_state(&mut self, _state: &[u64]) -> bool {
+        panic!("resuming must not restore policy state")
+    }
+}
+
+/// Runs `inst` parking the engine every `k` events and resuming it on the
+/// same policy and source; returns the final metrics (+ completion list
+/// on the in-memory path).
+fn park_every(
+    inst: &Instance,
+    kind: &PolicyKind,
+    cfg: EngineConfig,
+    k: u64,
+    ctx: &str,
+) -> (RunMetrics, Vec<(u64, u64)>) {
+    let mut policy = NoRoundTrip {
+        inner: kind.build(),
+        resets: 0,
+    };
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let mut parked = Engine::new(cfg, &mut policy, &mut source, &mut obs).park();
+    let mut parks = 0u64;
+    let engine = loop {
+        let mut engine = parked
+            .resume(&mut policy, &mut source, &mut obs)
+            .expect("resume on the parked-from collaborators");
+        let mut live = true;
+        for _ in 0..k {
+            if !engine.step().expect("step between parks") {
+                live = false;
+                break;
+            }
+        }
+        if !live {
+            break engine;
+        }
+        parked = engine.park();
+        parks += 1;
+    };
+    let out = if cfg.streaming {
+        let out = engine
+            .into_streaming_outcome()
+            .expect("parked streaming outcome");
+        (out.metrics, Vec::new())
+    } else {
+        let out = engine.into_outcome().expect("parked outcome");
+        let completions = out
+            .completed
+            .iter()
+            .map(|c| (c.id.0, c.completion.to_bits()))
+            .collect();
+        (out.metrics, completions)
+    };
+    assert_eq!(
+        policy.resets, 1,
+        "{ctx}: only construction resets the policy"
+    );
+    assert!(parks >= out.0.events / k, "{ctx}: parked {parks} times");
+    out
+}
+
+/// An observer that consumes the allocation stream (the trait default),
+/// so an engine watched by it runs on the exhaustive path.
+struct AllocationStreamObserver;
+
+impl Observer for AllocationStreamObserver {}
+
+/// Steps a fresh in-memory engine over `policy` and `source` ten times and
+/// parks it.
+fn park_after_ten(policy: &mut dyn Policy, source: &mut StaticSource) -> ParkedEngine {
+    let mut obs = NullObserver;
+    let mut engine = Engine::new(engine_cfg(false), policy, source, &mut obs);
+    for _ in 0..10 {
+        assert!(engine.step().expect("step"));
+    }
+    engine.park()
+}
+
+/// The error `resume` returns, or a panic if it resumes.
+fn resume_error(
+    parked: ParkedEngine,
+    policy: &mut dyn Policy,
+    source: &mut StaticSource,
+    observer: &mut dyn Observer,
+) -> String {
+    match parked.resume(policy, source, observer) {
+        Ok(_) => panic!("resume accepted mismatched collaborators"),
+        Err(e) => e.to_string(),
+    }
+}
+
+#[test]
+fn resume_rejects_collaborators_that_visibly_differ() {
+    let inst = mixed_alpha_fixture(120, 0.9, M);
+    let mut policy = PolicyKind::IntermediateSrpt.build();
+    let mut source = StaticSource::new(&inst);
+
+    // A policy with another SRPT-ordering claim.
+    let parked = park_after_ten(policy.as_mut(), &mut source);
+    let mut setf = PolicyKind::Setf.build();
+    let err = resume_error(parked, setf.as_mut(), &mut source, &mut NullObserver);
+    assert!(err.contains("SRPT-ordering"), "{err}");
+
+    // An observer that would move the incremental run to the exhaustive
+    // path.
+    let mut source = StaticSource::new(&inst);
+    let parked = park_after_ten(policy.as_mut(), &mut source);
+    let err = resume_error(
+        parked,
+        policy.as_mut(),
+        &mut source,
+        &mut AllocationStreamObserver,
+    );
+    assert!(err.contains("execution path"), "{err}");
+
+    // A source that is not where the engine left it.
+    let mut source = StaticSource::new(&inst);
+    let parked = park_after_ten(policy.as_mut(), &mut source);
+    let mut rewound = StaticSource::new(&inst);
+    let err = resume_error(parked, policy.as_mut(), &mut rewound, &mut NullObserver);
+    assert!(err.contains("positioned"), "{err}");
+
+    // The parked-from collaborators resume.
+    let mut source = StaticSource::new(&inst);
+    let parked = park_after_ten(policy.as_mut(), &mut source);
+    assert!(parked
+        .resume(policy.as_mut(), &mut source, &mut NullObserver)
+        .is_ok());
+}
+
+#[test]
+fn parking_every_k_events_is_bit_identical_for_every_policy_mode_and_path() {
+    let inst = mixed_alpha_fixture(120, 0.9, M);
+    for kind in PolicyKind::all_registered() {
+        for streaming in [false, true] {
+            // `full_reassign` forces the exhaustive path even for the
+            // SRPT-prefix policies that would otherwise run incrementally.
+            for full_reassign in [false, true] {
+                let cfg = engine_cfg(streaming).with_full_reassign(full_reassign);
+                let (want_metrics, want_completions) = baseline_with(&inst, &kind, cfg);
+                for k in [1, 7, 64] {
+                    let ctx = format!(
+                        "{} / {} / {} / park every {k}",
+                        kind.name(),
+                        if streaming { "streaming" } else { "in-memory" },
+                        if full_reassign {
+                            "exhaustive"
+                        } else {
+                            "default path"
+                        },
+                    );
+                    let (metrics, completions) = park_every(&inst, &kind, cfg, k, &ctx);
+                    assert_metrics_bit_identical(&metrics, &want_metrics, &ctx);
+                    assert_eq!(
+                        completions, want_completions,
+                        "{ctx}: completion sequence diverged"
+                    );
+                }
             }
         }
     }

@@ -1,0 +1,334 @@
+//! Oracle for SETF's rate equalizer: the production equalizer (threshold
+//! replay for one-curve tie groups, the plain demand sum with an early
+//! fixed-point stop for mixed ones) must reproduce the plain 64-step
+//! bisection — kept here verbatim as the reference — bit for bit: the
+//! same common rate `ρ`, the same shares, and the same re-decision
+//! quantum.
+
+use parsched::Setf;
+use parsched_sim::{AliveJob, JobId, JobSpec, Policy};
+use parsched_speedup::{Curve, PiecewiseLinear};
+use proptest::prelude::*;
+
+/// Relative tie tolerance of the reference (same as the policy's).
+const TIE_TOL: f64 = 1e-7;
+
+/// The reference equalizer: `(ρ, shares in group order)`.
+fn reference_equalize(m: f64, jobs: &[AliveJob<'_>], group: &[usize]) -> (f64, Vec<f64>) {
+    let rho_max = group
+        .iter()
+        .map(|&i| jobs[i].curve().rate(m))
+        .fold(f64::INFINITY, f64::min);
+    let demand = |rho: f64| -> f64 {
+        group
+            .iter()
+            .map(|&i| jobs[i].curve().inverse_rate(rho).unwrap_or(f64::INFINITY))
+            .sum()
+    };
+    let rho = if demand(rho_max) <= m {
+        rho_max
+    } else {
+        let (mut lo, mut hi) = (0.0f64, rho_max);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if demand(mid) <= m {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    let shares = group
+        .iter()
+        .map(|&i| jobs[i].curve().inverse_rate(rho).unwrap_or(m))
+        .collect();
+    (rho, shares)
+}
+
+/// The reference `Policy::assign`.
+fn reference_assign(m: f64, jobs: &[AliveJob<'_>], shares: &mut [f64]) -> Option<f64> {
+    let n = jobs.len();
+    if n == 0 {
+        return None;
+    }
+    shares.fill(0.0);
+    let elapsed = |j: &AliveJob<'_>| (j.size() - j.remaining).max(0.0);
+    let min_elapsed = jobs.iter().map(elapsed).fold(f64::INFINITY, f64::min);
+    let tol = TIE_TOL * min_elapsed.max(1.0);
+    let group: Vec<usize> = (0..n)
+        .filter(|&i| elapsed(&jobs[i]) <= min_elapsed + tol)
+        .collect();
+    let (rho, group_shares) = reference_equalize(m, jobs, &group);
+    for (&i, &s) in group.iter().zip(&group_shares) {
+        shares[i] = s.min(m);
+    }
+    if rho <= 0.0 {
+        return None;
+    }
+    let next_gap = jobs
+        .iter()
+        .map(elapsed)
+        .filter(|&e| e > min_elapsed + tol)
+        .map(|e| e - min_elapsed)
+        .fold(f64::INFINITY, f64::min);
+    if next_gap.is_finite() {
+        Some((next_gap / rho).max(1e-9))
+    } else {
+        None
+    }
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+fn unit(state: &mut u64) -> f64 {
+    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Curve menu entry `k` (the last draws a uniform α).
+fn menu_curve(k: u64, state: &mut u64) -> Curve {
+    match k % 12 {
+        0 => Curve::power(0.0),
+        1 => Curve::power(0.25),
+        2 => Curve::power(0.5),
+        3 => Curve::power(0.75),
+        4 => Curve::power(1.0),
+        5 => Curve::power(0.37),
+        6 => Curve::Sequential,
+        7 => Curve::FullyParallel,
+        8 => Curve::try_amdahl(0.05 + 0.5 * unit(state)).expect("amdahl"),
+        9 => Curve::Piecewise(
+            PiecewiseLinear::new(vec![(0.0, 0.0), (1.0, 1.0), (4.0, 2.5), (16.0, 4.0)])
+                .expect("piecewise"),
+        ),
+        10 => Curve::Piecewise(PiecewiseLinear::saturating(3.0).expect("saturating")),
+        _ => Curve::power(unit(state)),
+    }
+}
+
+/// `g` curves: one shared curve (`mix == 0`), a few menu curves, or a
+/// fresh draw per member.
+fn group_curves(g: usize, mix: u64, state: &mut u64) -> Vec<Curve> {
+    match mix % 3 {
+        0 => {
+            let k = splitmix(state);
+            let c = menu_curve(k, state);
+            vec![c; g]
+        }
+        1 => {
+            let palette: Vec<Curve> = (0..2 + splitmix(state) % 3)
+                .map(|_| {
+                    let k = splitmix(state);
+                    menu_curve(k, state)
+                })
+                .collect();
+            (0..g)
+                .map(|_| palette[(splitmix(state) % palette.len() as u64) as usize].clone())
+                .collect()
+        }
+        _ => (0..g)
+            .map(|_| {
+                let k = splitmix(state);
+                menu_curve(k, state)
+            })
+            .collect(),
+    }
+}
+
+fn specs_for(curves: Vec<Curve>, state: &mut u64) -> Vec<JobSpec> {
+    curves
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| JobSpec::new(JobId(i as u64), 0.0, 1.0 + 9.0 * unit(state), c))
+        .collect()
+}
+
+fn fresh_views(specs: &[JobSpec]) -> Vec<AliveJob<'_>> {
+    specs
+        .iter()
+        .map(|s| AliveJob {
+            spec: s,
+            remaining: s.size,
+        })
+        .collect()
+}
+
+fn assert_equalize_matches(m: f64, jobs: &[AliveJob<'_>], ctx: &str) {
+    let all: Vec<usize> = (0..jobs.len()).collect();
+    let (want_rho, want) = reference_equalize(m, jobs, &all);
+    let mut got = vec![f64::NAN; jobs.len()];
+    let rho = Setf::new().equalize_all(m, jobs, &mut got);
+    assert_eq!(
+        rho.to_bits(),
+        want_rho.to_bits(),
+        "{ctx}: ρ {rho} vs {want_rho}"
+    );
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        let w = w.min(m);
+        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: share {i}: {g} vs {w}");
+    }
+}
+
+fn assert_assign_matches(policy: &mut Setf, m: f64, jobs: &[AliveJob<'_>], ctx: &str) {
+    let mut want = vec![f64::NAN; jobs.len()];
+    let want_q = reference_assign(m, jobs, &mut want);
+    let mut got = vec![f64::NAN; jobs.len()];
+    let got_q = policy.assign(0.0, m, jobs, &mut got);
+    assert_eq!(
+        got_q.map(f64::to_bits),
+        want_q.map(f64::to_bits),
+        "{ctx}: quantum {got_q:?} vs {want_q:?}"
+    );
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: share {i}: {g} vs {w}");
+    }
+}
+
+/// `m` from 1 to 10⁴: integral half the time (the common case), real
+/// otherwise.
+fn machine(draw: f64, integral: bool) -> f64 {
+    let m = 1.0 + draw * 9_999.0;
+    if integral {
+        m.floor()
+    } else {
+        m
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn equalizer_matches_the_bisection_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        g in 1usize..=512,
+        mix in 0u64..3,
+        m_draw in 0.0f64..1.0,
+        integral in 0u32..2,
+    ) {
+        let mut state = seed;
+        let m = machine(m_draw, integral == 1);
+        let curves = group_curves(g, mix, &mut state);
+        let specs = specs_for(curves, &mut state);
+        let jobs = fresh_views(&specs);
+        assert_equalize_matches(m, &jobs, &format!("seed {seed} g {g} mix {mix} m {m}"));
+    }
+
+    #[test]
+    fn assign_matches_the_reference_with_exact_ties(
+        seed in 0u64..u64::MAX,
+        n in 1usize..=512,
+        mix in 0u64..3,
+        m_draw in 0.0f64..1.0,
+        integral in 0u32..2,
+    ) {
+        let mut state = seed;
+        let m = machine(m_draw, integral == 1);
+        let curves = group_curves(n, mix, &mut state);
+        let specs = specs_for(curves, &mut state);
+        // Elapsed work: a tied least-elapsed group at exactly `e0` (some
+        // members inside the tie tolerance), the rest strictly behind.
+        let e0 = 0.5 * unit(&mut state);
+        let mut policy = Setf::new();
+        for round in 0..2 {
+            let jobs: Vec<AliveJob<'_>> = specs
+                .iter()
+                .map(|s| {
+                    let u = unit(&mut state);
+                    let elapsed = if u < 0.4 {
+                        e0
+                    } else if u < 0.5 {
+                        e0 * (1.0 + 0.5 * TIE_TOL)
+                    } else {
+                        e0 + 0.5 * unit(&mut state)
+                    };
+                    AliveJob { spec: s, remaining: s.size - elapsed }
+                })
+                .collect();
+            let ctx = format!("seed {seed} n {n} mix {mix} m {m} round {round}");
+            // Reused scratch across decisions must not leak state.
+            assert_assign_matches(&mut policy, m, &jobs, &ctx);
+        }
+    }
+}
+
+fn views_of(curves: Vec<Curve>) -> Vec<JobSpec> {
+    curves
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| JobSpec::new(JobId(i as u64), 0.0, 4.0, c))
+        .collect()
+}
+
+#[test]
+fn single_member_group() {
+    for curve in [
+        Curve::power(0.5),
+        Curve::power(0.37),
+        Curve::Sequential,
+        Curve::FullyParallel,
+        Curve::try_amdahl(0.2).expect("amdahl"),
+    ] {
+        let specs = views_of(vec![curve.clone()]);
+        let jobs = fresh_views(&specs);
+        for m in [1.0, 3.0, 8.0, 1e4] {
+            assert_equalize_matches(m, &jobs, &format!("G=1 {curve:?} m {m}"));
+        }
+    }
+}
+
+#[test]
+fn saturated_groups_run_at_the_saturation_rate() {
+    // demand(ρ_max) ≤ m: a flat-tailed piecewise curve and Amdahl on a
+    // machine far wider than the group can use.
+    for (curve, g, m) in [
+        (
+            Curve::Piecewise(PiecewiseLinear::saturating(2.0).expect("saturating")),
+            2,
+            8.0,
+        ),
+        (Curve::power(0.0), 5, 16.0),
+    ] {
+        let specs = views_of(vec![curve.clone(); g]);
+        let jobs = fresh_views(&specs);
+        let all: Vec<usize> = (0..g).collect();
+        let (rho, _) = reference_equalize(m, &jobs, &all);
+        assert_eq!(
+            rho.to_bits(),
+            curve.rate(m).to_bits(),
+            "{curve:?} saturates"
+        );
+        assert_equalize_matches(m, &jobs, &format!("saturated {curve:?}"));
+    }
+}
+
+#[test]
+fn all_sequential_group() {
+    for (g, m) in [(1, 1.0), (3, 8.0), (8, 8.0), (40, 8.0), (512, 1e4)] {
+        let specs = views_of(vec![Curve::Sequential; g]);
+        let jobs = fresh_views(&specs);
+        assert_equalize_matches(m, &jobs, &format!("sequential G={g} m={m}"));
+    }
+}
+
+#[test]
+fn identity_region_rates_at_most_one() {
+    // Fewer processors than members: ρ ≤ 1, where every model curve's
+    // inverse is the identity.
+    for curve in [Curve::power(0.5), Curve::power(0.75), Curve::FullyParallel] {
+        for (g, m) in [(16, 4.0), (512, 7.0), (3, 2.5)] {
+            let specs = views_of(vec![curve.clone(); g]);
+            let jobs = fresh_views(&specs);
+            let mut shares = vec![0.0; g];
+            let rho = Setf::new().equalize_all(m, &jobs, &mut shares);
+            assert!(rho <= 1.0, "{curve:?} G={g} m={m}: ρ = {rho}");
+            assert_equalize_matches(m, &jobs, &format!("identity {curve:?} G={g} m={m}"));
+        }
+    }
+}
