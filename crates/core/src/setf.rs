@@ -1,7 +1,7 @@
 //! SETF: Shortest Elapsed Time First.
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
-use parsched_speedup::Curve;
+use parsched_speedup::{Curve, PowKernel};
 
 /// Relative tolerance for "tied" elapsed work (floats from prior merges).
 const TIE_TOL: f64 = 1e-7;
@@ -51,14 +51,25 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// exactly `Γ⁻¹(mid) ≤ x*` for `x*` the largest float with `S_G(x*) ≤ m`.
 /// [`sum_threshold`] finds `x*` once with `O(log G)` sums, and the
 /// bisection replays the same midpoints at one inverse each — the same `ρ`
-/// to the last bit. Mixed groups evaluate the plain demand sum at each
-/// step. Both stop at the first fixed point of the bisection. The 64-step
-/// reference implementation is kept as a test oracle
-/// (`tests/setf_equalizer.rs`).
+/// to the last bit. That answer is a pure function of `(curve, G, m)`, so
+/// it is memoized by group size for the current curve and `m` (piecewise
+/// curves bypass the memo). Mixed groups evaluate the demand sum at each
+/// step, with every member's kernel compiled once per decision and the
+/// fold stopped as soon as a partial sum exceeds `m`: the inverses are
+/// non-negative (or `+∞`/NaN), so under round-to-nearest the partial sums
+/// never decrease, a partial sum above `m` (or NaN) means the whole sum
+/// is too, and the predicate — hence `ρ` — is unchanged. Both stop at the
+/// first fixed point of the bisection. The 64-step reference
+/// implementation is kept as a test oracle (`tests/setf_equalizer.rs`).
 #[derive(Debug, Default, Clone)]
 pub struct Setf {
     /// Positions in `jobs` of the tied least-elapsed group.
     group: Vec<usize>,
+    /// One-curve answers of the current curve and `m`.
+    memo: SharedMemo,
+    /// The compiled kernel of each member of the current mixed group, in
+    /// group order (grows to the largest mixed group).
+    kernels: Vec<Option<PowKernel>>,
 }
 
 impl Setf {
@@ -79,31 +90,46 @@ impl Setf {
 
     /// Rate-equalizes the group `self.group`: writes each member's share
     /// `min(Γ_j⁻¹(ρ), m)` into `shares` and returns `ρ`.
-    fn equalize(&self, m: f64, jobs: &[AliveJob<'_>], shares: &mut [f64]) -> f64 {
-        let group = &self.group;
+    fn equalize(&mut self, m: f64, jobs: &[AliveJob<'_>], shares: &mut [f64]) -> f64 {
+        let Self {
+            group,
+            memo,
+            kernels,
+        } = self;
         let Some(curve) = group.first().map(|&i| jobs[i].curve()) else {
             // The sum over no members is 0 ≤ m at any rate.
             return f64::INFINITY;
         };
         if group.iter().all(|&i| same_curve(jobs[i].curve(), curve)) {
-            let (rho, share) = equalize_shared(curve, group.len(), m);
-            for &i in group {
+            let g = group.len();
+            let (rho, share) = match CurveKey::of(curve) {
+                Some(key) => memo.recall(key, g, m, || equalize_shared(curve, g, m)),
+                None => equalize_shared(curve, g, m),
+            };
+            for &i in group.iter() {
                 shares[i] = share;
             }
             return rho;
         }
         // A mixed group. Its achievable common rate is capped by each
         // member's saturation at full machine.
+        kernels.clear();
+        // lint:allow(L007) `kernels` is Setf's retained scratch: it grows to the largest mixed tie group, then reuses its capacity
+        kernels.extend(group.iter().map(|&i| jobs[i].curve().kernel()));
+        let members = || group.iter().zip(kernels.iter()).map(|(&i, &k)| (i, k));
         let rho_max = group
             .iter()
             .map(|&i| jobs[i].curve().rate(m))
             .fold(f64::INFINITY, f64::min);
         let fits = |rho: f64| {
-            group
-                .iter()
-                .map(|&i| jobs[i].curve().inverse_rate(rho).unwrap_or(f64::INFINITY))
-                .sum::<f64>()
-                <= m
+            let mut demand = 0.0;
+            members().all(|(i, kernel)| {
+                demand += jobs[i]
+                    .curve()
+                    .inverse_rate_with(kernel, rho)
+                    .unwrap_or(f64::INFINITY);
+                demand <= m
+            })
         };
         // If even the saturation rate under-uses the machine, run saturated
         // (the leftover processors cannot speed up the least-processed
@@ -113,10 +139,77 @@ impl Setf {
         } else {
             bisect(rho_max, fits)
         };
-        for &i in group {
-            shares[i] = jobs[i].curve().inverse_rate(rho).unwrap_or(m).min(m);
+        for (i, kernel) in members() {
+            shares[i] = jobs[i]
+                .curve()
+                .inverse_rate_with(kernel, rho)
+                .unwrap_or(m)
+                .min(m);
         }
         rho
+    }
+}
+
+/// A curve as a `Copy` memo key: its variant and parameter bits.
+/// Piecewise curves have none and bypass the memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CurveKey {
+    FullyParallel,
+    Sequential,
+    Power(u64),
+    Amdahl(u64),
+}
+
+impl CurveKey {
+    fn of(curve: &Curve) -> Option<Self> {
+        match curve {
+            Curve::FullyParallel => Some(Self::FullyParallel),
+            Curve::Sequential => Some(Self::Sequential),
+            Curve::Power { alpha } => Some(Self::Power(alpha.to_bits())),
+            Curve::Amdahl { serial_fraction } => Some(Self::Amdahl(serial_fraction.to_bits())),
+            Curve::Piecewise(_) => None,
+        }
+    }
+}
+
+/// [`equalize_shared`]'s `(ρ, share)` by group size, for one curve and
+/// one `m` (the bits of `m`, so the key is exact); a different curve or
+/// `m` starts the table over.
+#[derive(Debug, Default, Clone)]
+struct SharedMemo {
+    key: Option<(CurveKey, u64)>,
+    /// `by_size[g]`: the answer for a group of `g` members, if computed
+    /// (grows to the largest one-curve group).
+    by_size: Vec<Option<(f64, f64)>>,
+}
+
+impl SharedMemo {
+    /// The answer for `g` members of `curve` on `m` processors, computed
+    /// by `solve` on a miss.
+    fn recall(
+        &mut self,
+        curve: CurveKey,
+        g: usize,
+        m: f64,
+        solve: impl FnOnce() -> (f64, f64),
+    ) -> (f64, f64) {
+        let key = Some((curve, m.to_bits()));
+        if self.key != key {
+            self.key = key;
+            self.by_size.clear();
+        }
+        if let Some(&Some(hit)) = self.by_size.get(g) {
+            return hit;
+        }
+        let answer = solve();
+        if g >= self.by_size.len() {
+            // lint:allow(L007) `by_size` is the memo's retained table: it grows to the largest one-curve tie group, then reuses its capacity
+            self.by_size.resize(g + 1, None);
+        }
+        if let Some(cell) = self.by_size.get_mut(g) {
+            *cell = Some(answer);
+        }
+        answer
     }
 }
 

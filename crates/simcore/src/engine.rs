@@ -2256,57 +2256,64 @@ impl<'a> Engine<'a> {
     }
 
     /// Builds an audit snapshot of the alive set with the allocation
-    /// decided for the interval starting now. Only valid while the
-    /// allocation is fresh (callers capture right after
-    /// [`Engine::next_event_time`]).
-    fn build_audit_frame(&self) -> AuditFrame {
-        let mut jobs = Vec::with_capacity(self.num_alive());
-        match self.state.mode {
+    /// decided for the interval starting now, refilling the policy string
+    /// and job vector the auditor lent back ([`Auditor::take_spare`]).
+    /// Only valid while the allocation is fresh (callers capture right
+    /// after [`Engine::next_event_time`]).
+    fn build_audit_frame(&mut self, (mut policy, mut jobs): (String, Vec<FrameJob>)) -> AuditFrame {
+        policy.push_str(&self.state.policy_name);
+        let state = &mut self.state;
+        match state.mode {
             ExecMode::Exhaustive => {
-                for (i, &idx) in self.state.alive.iter().enumerate() {
-                    let spec = &self.state.jobs.specs[idx];
+                for (i, &idx) in state.alive.iter().enumerate() {
+                    let spec = &state.jobs.specs[idx];
                     jobs.push(FrameJob {
                         id: spec.id,
+                        slot: idx,
                         release: spec.release,
                         size: spec.size,
-                        remaining: self.state.jobs.remaining[idx],
-                        share: self.state.shares[i],
-                        rate: self.state.rates[i],
+                        remaining: state.jobs.remaining[idx],
+                        share: state.shares[i],
+                        rate: state.rates[i],
                     });
                 }
             }
             ExecMode::Incremental => {
-                let share = self.state.profile.share;
-                for (slot, remaining) in self.state.srpt.iter_running() {
-                    let spec = &self.state.jobs.specs[slot.idx];
+                let share = state.profile.share;
+                let speed = state.cfg.speed;
+                let arena = &state.jobs;
+                state.srpt.for_each_running_ordered(|slot, remaining| {
+                    let spec = &arena.specs[slot.idx];
                     jobs.push(FrameJob {
                         id: spec.id,
+                        slot: slot.idx,
                         release: spec.release,
                         size: spec.size,
                         remaining,
                         share,
-                        rate: self.state.cfg.speed * self.state.jobs.gamma(slot.idx, share),
+                        rate: speed * arena.gamma(slot.idx, share),
                     });
-                }
-                for (slot, remaining) in self.state.srpt.iter_queued() {
-                    let spec = &self.state.jobs.specs[slot.idx];
+                });
+                state.srpt.for_each_queued_ordered(|slot, remaining| {
+                    let spec = &arena.specs[slot.idx];
                     jobs.push(FrameJob {
                         id: spec.id,
+                        slot: slot.idx,
                         release: spec.release,
                         size: spec.size,
                         remaining,
                         share: 0.0,
                         rate: 0.0,
                     });
-                }
+                });
             }
         }
         AuditFrame {
-            event: self.state.events,
-            t: self.state.now,
-            m: self.state.cfg.m,
+            event: state.events,
+            t: state.now,
+            m: state.cfg.m,
             path: self.path(),
-            policy: self.state.policy_name.clone(),
+            policy,
             jobs,
             // The incremental path iterates its maintained SRPT order
             // (running prefix, then queue); the exhaustive alive vector is
@@ -2326,7 +2333,8 @@ impl<'a> Engine<'a> {
         // about to execute.
         if let Some(mut aud) = self.state.auditor.take() {
             let checked = if aud.wants_frame(self.state.events) {
-                aud.check_frame(self.build_audit_frame())
+                let frame = self.build_audit_frame(aud.take_spare());
+                aud.check_frame(frame)
             } else {
                 Ok(())
             };

@@ -51,9 +51,9 @@ pub enum AuditLevel {
     /// events (a *pair*, so the drain check applies) every `stride`
     /// events, plus the end-of-run identities.
     Sampled(u32),
-    /// Every event is checked, plus the end-of-run identities. On the
-    /// incremental path this makes audited events `O(n)` again — auditing
-    /// is a diagnostic mode, not a production fast path.
+    /// Every event is checked, plus the end-of-run identities. This makes
+    /// audited events `O(alive)` again, on the incremental path too —
+    /// auditing is a diagnostic mode, not a production fast path.
     Strict,
 }
 
@@ -183,6 +183,12 @@ impl std::fmt::Display for Violation {
 pub struct FrameJob {
     /// Job id.
     pub id: JobId,
+    /// The producer's slot for the job: its arena index on both engine
+    /// paths, its own index in the trace replayer. A slot is stable while
+    /// its job is alive (it may be reused once the job retires), which is
+    /// what lets [`WorkDrainConsistency`] find the job's previous-frame
+    /// entry without an id index; a wrong slot only costs that shortcut.
+    pub slot: usize,
     /// Release time.
     pub release: Time,
     /// Original size `p_j`.
@@ -406,11 +412,44 @@ impl Invariant for MonotoneClock {
     }
 }
 
+/// Widest slot range the [`WorkDrainConsistency`] position table covers;
+/// previous-frame jobs whose slot lies further above the frame's lowest
+/// slot are found by id search instead.
+const SLOT_WINDOW: usize = 1 << 20;
+
+/// Fill for new cells of the [`WorkDrainConsistency`] position table
+/// (never a valid position).
+const NO_POS: u32 = u32::MAX;
+
 /// Work drains exactly at the speed-up curve: between two *consecutive*
 /// events, `p_j(t₁) = max(0, p_j(t₀) − speed·Γ_j(x_j)·(t₁ − t₀))` for every
 /// job alive in both frames.
+///
+/// A job is paired with the previous frame's entry of the same id. The
+/// lookup goes through a retained table from slot (relative to the
+/// previous frame's lowest slot) to previous-frame position, written for
+/// the previous frame's jobs at each check, so a frame costs `O(alive)`
+/// whatever the arena size. A table hit counts only when its id matches;
+/// any miss falls back to searching the previous frame by id, last match
+/// first. Frames list distinct ids (the engine rejects a duplicate alive
+/// id, the replayer a duplicate trace id), so an entry whose id matches
+/// is *the* entry of that id: every job is paired with exactly the entry
+/// an id-keyed map of the previous frame would give it, whatever slots
+/// the producer reports — and cells left over from older frames need no
+/// clearing, since a stale cell either misses or names that same entry.
 #[derive(Debug, Default)]
-pub struct WorkDrainConsistency;
+pub struct WorkDrainConsistency {
+    /// `pos[slot − base]`: position in the previous frame of the last
+    /// job with that slot, for the previous frame's slots; other cells
+    /// hold [`NO_POS`] or stale positions. Grows to the widest slot range
+    /// seen (its high-water mark).
+    pos: Vec<u32>,
+}
+
+/// The table cell of `slot` for a frame whose lowest slot is `base`.
+fn window_cell(base: usize, slot: usize) -> Option<usize> {
+    slot.checked_sub(base).filter(|&k| k < SLOT_WINDOW)
+}
 
 impl Invariant for WorkDrainConsistency {
     fn name(&self) -> &'static str {
@@ -430,10 +469,26 @@ impl Invariant for WorkDrainConsistency {
             return;
         }
         let dt = (cur.t - prev.t).max(0.0);
-        let index: std::collections::BTreeMap<JobId, &FrameJob> =
-            prev.jobs.iter().map(|j| (j.id, j)).collect();
+        let base = prev.jobs.iter().map(|p| p.slot).min().unwrap_or(0);
+        for (i, p) in prev.jobs.iter().enumerate() {
+            let Some(k) = window_cell(base, p.slot) else {
+                continue;
+            };
+            if k >= self.pos.len() {
+                self.pos.resize(k + 1, NO_POS);
+            }
+            // A position past `u32::MAX` would wrap, and then miss the id
+            // check like any stale cell.
+            self.pos[k] = i as u32;
+        }
         for j in &cur.jobs {
-            let Some(p) = index.get(&j.id) else { continue };
+            let hit = window_cell(base, j.slot)
+                .and_then(|k| self.pos.get(k))
+                .and_then(|&i| prev.jobs.get(i as usize))
+                .filter(|p| p.id == j.id);
+            let Some(p) = hit.or_else(|| prev.jobs.iter().rev().find(|p| p.id == j.id)) else {
+                continue;
+            };
             let expected = (p.remaining - p.rate * dt).max(0.0);
             let tol = REL_TOL * j.size.max(1.0);
             if (j.remaining - expected).abs() > tol {
@@ -627,7 +682,7 @@ pub fn builtin_invariants() -> Vec<Box<dyn Invariant>> {
         Box::new(MonotoneClock),
         Box::new(CapacityConservation),
         Box::new(NonNegativeRemaining),
-        Box::new(WorkDrainConsistency),
+        Box::new(WorkDrainConsistency::default()),
         Box::new(SrptOrderPreserved),
         Box::new(SrptPrefixShares),
         Box::new(FlowTimeIdentity),
@@ -671,6 +726,9 @@ pub struct Auditor {
     level: AuditLevel,
     invariants: Vec<Box<dyn Invariant>>,
     prev: Option<AuditFrame>,
+    /// The frame retired by the last check, lent back to the producer by
+    /// [`Auditor::take_spare`] so frames reuse their buffers.
+    spare: Option<AuditFrame>,
     frames: u64,
     final_checked: bool,
 }
@@ -697,6 +755,7 @@ impl Auditor {
             level,
             invariants,
             prev: None,
+            spare: None,
             frames: 0,
             final_checked: false,
         }
@@ -713,6 +772,25 @@ impl Auditor {
         self.level.wants_frame(event)
     }
 
+    /// The policy string and job vector of the frame retired by the last
+    /// check, emptied, for the producer to refill into its next frame (a
+    /// fresh pair before two frames have been checked). After warm-up a
+    /// producer that builds every frame from these allocates nothing.
+    pub fn take_spare(&mut self) -> (String, Vec<FrameJob>) {
+        match self.spare.take() {
+            Some(AuditFrame {
+                mut policy,
+                mut jobs,
+                ..
+            }) => {
+                policy.clear();
+                jobs.clear();
+                (policy, jobs)
+            }
+            None => (String::new(), Vec::new()),
+        }
+    }
+
     /// Checks one frame against the suite. Fails with the first (most
     /// severe by suite order) violation.
     pub fn check_frame(&mut self, frame: AuditFrame) -> Result<(), SimError> {
@@ -721,7 +799,7 @@ impl Auditor {
             inv.check_frame(self.prev.as_ref(), &frame, &mut out);
         }
         self.frames += 1;
-        self.prev = Some(frame);
+        self.spare = self.prev.replace(frame);
         match out.into_iter().next() {
             Some(v) => Err(SimError::AuditFailed {
                 violation: Box::new(v),
@@ -776,6 +854,7 @@ mod tests {
     fn job(id: u64, remaining: f64, share: f64, rate: f64) -> FrameJob {
         FrameJob {
             id: JobId(id),
+            slot: id as usize,
             release: 0.0,
             size: 10.0,
             remaining,
@@ -913,6 +992,27 @@ mod tests {
             panic!("wrong error kind")
         };
         assert_eq!(violation.invariant, "flow-identity");
+    }
+
+    #[test]
+    fn retired_frames_are_lent_back_emptied() {
+        let mut aud = Auditor::new(AuditLevel::Strict);
+        let (policy, jobs) = aud.take_spare();
+        assert!(policy.is_empty() && jobs.capacity() == 0);
+        let three = vec![
+            job(0, 9.0, 1.0, 1.0),
+            job(1, 8.0, 1.0, 1.0),
+            job(2, 7.0, 0.0, 0.0),
+        ];
+        aud.check_frame(frame(0, 0.0, three)).unwrap();
+        aud.check_frame(frame(1, 0.0, vec![])).unwrap();
+        // Frame 0 is retired by the second check and comes back empty,
+        // with its buffers.
+        let (policy, jobs) = aud.take_spare();
+        assert!(policy.is_empty() && policy.capacity() >= "test".len());
+        assert!(jobs.is_empty() && jobs.capacity() >= 3);
+        let (_, jobs) = aud.take_spare();
+        assert_eq!(jobs.capacity(), 0, "a spare is lent once");
     }
 
     #[test]

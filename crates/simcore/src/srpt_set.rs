@@ -32,10 +32,12 @@
 //! engine runs allocation-free after warm-up (see `docs/PERF.md` §6).
 //!
 //! Ordered iteration (audit frames, snapshots, heterogeneous-prefix
-//! scans) is off the steady-state path and materializes a sorted copy; the
-//! sort uses the same total order the B-tree kept, so every externally
-//! observable sequence — completion order, tie-breaks, floating-point
-//! accumulation order of the running sums — is unchanged.
+//! scans) sorts a copy of the entries — into the retained `ordered`
+//! scratch for the engine's Scan intervals and audit frames, into a fresh
+//! vector for observers and snapshots; the sort uses the same total order
+//! the B-tree kept, so every externally observable sequence — completion
+//! order, tie-breaks, floating-point accumulation order of the running
+//! sums — is unchanged.
 //!
 //! Heterogeneous prefixes (different curves at share ≠ 1) drain at
 //! per-job rates; [`SrptSet::drain_scan`] handles those intervals in
@@ -498,7 +500,7 @@ impl SrptSet {
     /// The running prefix in SRPT order as `(slot, remaining)`.
     ///
     /// Materializes a sorted copy: ordered views are off the steady-state
-    /// path (audit frames, heterogeneous scans, snapshots), and sorting by
+    /// path (observers, snapshots, tests), and sorting by
     /// the same total order the old B-tree kept preserves every observable
     /// iteration sequence bit-for-bit.
     pub fn iter_running(&self) -> impl Iterator<Item = (Slot, f64)> + '_ {
@@ -528,6 +530,20 @@ impl SrptSet {
         let drain = self.drain;
         for e in &self.ordered {
             f(e.slot, (e.key.key - drain).max(0.0));
+        }
+    }
+
+    /// Visits the queue in SRPT order without allocating once the
+    /// retained `ordered` scratch has reached its high-water mark: the
+    /// queue twin of [`SrptSet::for_each_running_ordered`], visiting in
+    /// the order of [`SrptSet::iter_queued`] (same entries, same total
+    /// order, unique keys).
+    pub fn for_each_queued_ordered(&mut self, mut f: impl FnMut(Slot, f64)) {
+        self.ordered.clear();
+        self.ordered.extend(self.queued.iter().map(|r| r.0));
+        self.ordered.sort_unstable();
+        for e in &self.ordered {
+            f(e.slot, e.key.key);
         }
     }
 
@@ -863,6 +879,24 @@ mod tests {
         set.for_each_running_ordered(|s, rem| via_visit.push((s.idx, rem.to_bits())));
         assert_eq!(via_iter, via_visit);
         assert_eq!(via_visit.len(), 5);
+    }
+
+    #[test]
+    fn for_each_queued_ordered_matches_iter_queued_bitwise() {
+        let mut set = SrptSet::default();
+        let sizes = [5.0, 1.0, 3.0, 2.75, 4.5, 0.25, 7.0, 6.125, 3.0];
+        for (i, size) in sizes.iter().enumerate() {
+            set.insert(i, &spec(i as u64, 0.1 * i as f64, *size), *size);
+        }
+        set.rebalance(3, |_, _| {});
+        let via_iter: Vec<(usize, u64)> = set
+            .iter_queued()
+            .map(|(s, rem)| (s.idx, rem.to_bits()))
+            .collect();
+        let mut via_visit = Vec::new();
+        set.for_each_queued_ordered(|s, rem| via_visit.push((s.idx, rem.to_bits())));
+        assert_eq!(via_iter, via_visit);
+        assert_eq!(via_visit.len(), 6);
     }
 
     #[test]

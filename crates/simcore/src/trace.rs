@@ -515,32 +515,32 @@ pub fn replay(trace: &Trace, level: AuditLevel) -> Result<ReplayOutcome, SimErro
                 let event = frames;
                 frames += 1;
                 if auditor.wants_frame(event) {
-                    let frame_jobs: Vec<FrameJob> = alive
-                        .iter()
-                        .map(|&idx| {
-                            let j = &jobs[idx];
-                            let share = shares.get(&j.spec.id).copied().unwrap_or(0.0);
-                            let rate = if share > 0.0 {
-                                trace.speed * j.spec.curve.rate(share)
-                            } else {
-                                0.0
-                            };
-                            FrameJob {
-                                id: j.spec.id,
-                                release: j.spec.release,
-                                size: j.spec.size,
-                                remaining: j.remaining,
-                                share,
-                                rate,
-                            }
-                        })
-                        .collect();
+                    let (mut policy, mut frame_jobs) = auditor.take_spare();
+                    policy.push_str(&trace.policy);
+                    frame_jobs.extend(alive.iter().map(|&idx| {
+                        let j = &jobs[idx];
+                        let share = shares.get(&j.spec.id).copied().unwrap_or(0.0);
+                        let rate = if share > 0.0 {
+                            trace.speed * j.spec.curve.rate(share)
+                        } else {
+                            0.0
+                        };
+                        FrameJob {
+                            id: j.spec.id,
+                            slot: idx,
+                            release: j.spec.release,
+                            size: j.spec.size,
+                            remaining: j.remaining,
+                            share,
+                            rate,
+                        }
+                    }));
                     auditor.check_frame(AuditFrame {
                         event,
                         t: now,
                         m: trace.m,
                         path: EnginePath::Replay,
-                        policy: trace.policy.clone(),
+                        policy,
                         jobs: frame_jobs,
                         // Replay iterates admission order, not SRPT order;
                         // the (order-independent) srpt-prefix check still

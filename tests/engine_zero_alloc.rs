@@ -14,6 +14,14 @@
 //! the measuring thread, so allocations made concurrently by sibling
 //! tests under the default parallel harness are never attributed to it.
 //!
+//! Strict-audited runs are held to a weaker, per-run bound: the auditor
+//! is built with each engine and grows its frames and its drain-check
+//! table to the run's high-water marks, but a run must allocate the same
+//! number of times at n = 2,000 as at n = 8,000 (four copies of the same
+//! trajectory, so no new high-water mark), i.e. nothing per event. Only
+//! the incremental path is audited that way: the exhaustive path still
+//! builds its policy view with a fresh allocation at every event.
+//!
 //! This is an integration test on purpose: the workspace crates carry
 //! `#![forbid(unsafe_code)]`, and a `GlobalAlloc` impl is necessarily
 //! `unsafe`. Keeping the counter here confines the unsafety to test code.
@@ -23,7 +31,8 @@ use std::cell::Cell;
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    Engine, EngineBuffers, EngineConfig, Instance, JobId, JobSpec, NullObserver, StaticSource,
+    AuditLevel, Engine, EngineBuffers, EngineConfig, Instance, JobId, JobSpec, NullObserver,
+    StaticSource,
 };
 use parsched_speedup::Curve;
 
@@ -100,6 +109,28 @@ fn workload_with_alphas(n: usize, alphas: &[f64]) -> Instance {
             let size = 0.5 + 8.0 * next();
             let alpha = alphas[i % alphas.len()];
             JobSpec::new(JobId(i as u64), release, size, Curve::power(alpha))
+        })
+        .collect();
+    Instance::new(jobs).expect("valid workload")
+}
+
+/// `blocks` copies of the 2,000-job [`workload_with_alphas`], each
+/// released 10⁵ time units after the previous one, by which time the
+/// previous copy has drained. Every copy then replays the same alive-set
+/// trajectory, so a longer run reaches no new high-water mark: any
+/// allocation it adds is per event.
+fn repeated_workload(blocks: usize, alphas: &[f64]) -> Instance {
+    let block = workload_with_alphas(2_000, alphas);
+    let jobs = (0..blocks)
+        .flat_map(|b| {
+            block.jobs().iter().map(move |j| {
+                JobSpec::new(
+                    JobId(j.id.0 + (b * 2_000) as u64),
+                    j.release + b as f64 * 1e5,
+                    j.size,
+                    j.curve.clone(),
+                )
+            })
         })
         .collect();
     Instance::new(jobs).expect("valid workload")
@@ -199,6 +230,55 @@ fn fast_loop_steady_state_allocates_nothing() {
             third, 0,
             "third fast run (streaming={streaming}) allocated {third} times"
         );
+    }
+}
+
+/// Runs `inst` on the incremental path under [`AuditLevel::Strict`] on
+/// donated buffers; returns the allocations made strictly inside the
+/// event loop (every event audited), plus the buffers.
+fn strict_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u64, EngineBuffers) {
+    let mut policy = PolicyKind::IntermediateSrpt.build();
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let cfg = EngineConfig::new(8.0)
+        .with_streaming(streaming)
+        .with_audit(AuditLevel::Strict);
+    let mut engine = Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, bufs);
+    assert!(engine.uses_incremental_path());
+    let ((), during) = counting_allocs(|| engine.run_loop().expect("strict run failed"));
+    let (frames, num_jobs, bufs) = if streaming {
+        let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
+        let frames = outcome.audit.expect("audited").frames;
+        (frames, outcome.metrics.num_jobs, bufs)
+    } else {
+        let (outcome, bufs) = engine.run_reusing().expect("finalize failed");
+        let frames = outcome.audit.expect("audited").frames;
+        (frames, outcome.metrics.num_jobs, bufs)
+    };
+    assert_eq!(num_jobs, inst.jobs().len());
+    assert!(frames as usize >= 2 * num_jobs - 1, "{frames} frames");
+    (during, bufs)
+}
+
+#[test]
+fn strict_audited_runs_allocate_per_run_not_per_event() {
+    for alphas in [&[0.5][..], &[0.25, 0.5, 0.75, 0.37]] {
+        for streaming in [false, true] {
+            let mut counts = Vec::new();
+            for blocks in [1, 4] {
+                let inst = repeated_workload(blocks, alphas);
+                // Warm-up at the same size grows the engine's own buffers.
+                let (_, bufs) = strict_run(&inst, streaming, EngineBuffers::new());
+                let (allocs, _) = strict_run(&inst, streaming, bufs);
+                counts.push(allocs);
+            }
+            assert_eq!(
+                counts[0], counts[1],
+                "α {alphas:?}, streaming={streaming}: {} allocations at n = 2,000 \
+                 but {} at n = 8,000",
+                counts[0], counts[1]
+            );
+        }
     }
 }
 

@@ -1,9 +1,13 @@
-//! Oracle for SETF's rate equalizer: the production equalizer (threshold
-//! replay for one-curve tie groups, the plain demand sum with an early
-//! fixed-point stop for mixed ones) must reproduce the plain 64-step
+//! Oracle for SETF's rate equalizer: the production equalizer (memoized
+//! threshold replay for one-curve tie groups, a demand sum over
+//! precompiled kernels that stops once it exceeds `m` for mixed ones,
+//! both with an early fixed-point stop) must reproduce the plain 64-step
 //! bisection — kept here verbatim as the reference — bit for bit: the
 //! same common rate `ρ`, the same shares, and the same re-decision
-//! quantum.
+//! quantum. The property tests share one `Setf` across all their cases,
+//! so its memo is hit and invalidated along the way.
+
+use std::sync::Mutex;
 
 use parsched::Setf;
 use parsched_sim::{AliveJob, JobId, JobSpec, Policy};
@@ -159,11 +163,25 @@ fn fresh_views(specs: &[JobSpec]) -> Vec<AliveJob<'_>> {
         .collect()
 }
 
-fn assert_equalize_matches(m: f64, jobs: &[AliveJob<'_>], ctx: &str) {
+/// The policy each property test runs all its cases on, memo and all
+/// (one per test, so each sequence is deterministic).
+static EQUALIZE_POLICY: Mutex<Option<Setf>> = Mutex::new(None);
+static ASSIGN_POLICY: Mutex<Option<Setf>> = Mutex::new(None);
+
+/// Runs `f` on a shared policy.
+fn with_shared<R>(shared: &Mutex<Option<Setf>>, f: impl FnOnce(&mut Setf) -> R) -> R {
+    let mut guard = shared
+        .lock()
+        .expect("no earlier case panicked while holding the shared policy");
+    f(guard.get_or_insert_with(Setf::new))
+}
+
+/// Checks one equalization on `policy` against the reference; returns ρ.
+fn assert_equalize_matches_on(policy: &mut Setf, m: f64, jobs: &[AliveJob<'_>], ctx: &str) -> f64 {
     let all: Vec<usize> = (0..jobs.len()).collect();
     let (want_rho, want) = reference_equalize(m, jobs, &all);
     let mut got = vec![f64::NAN; jobs.len()];
-    let rho = Setf::new().equalize_all(m, jobs, &mut got);
+    let rho = policy.equalize_all(m, jobs, &mut got);
     assert_eq!(
         rho.to_bits(),
         want_rho.to_bits(),
@@ -173,6 +191,11 @@ fn assert_equalize_matches(m: f64, jobs: &[AliveJob<'_>], ctx: &str) {
         let w = w.min(m);
         assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: share {i}: {g} vs {w}");
     }
+    rho
+}
+
+fn assert_equalize_matches(m: f64, jobs: &[AliveJob<'_>], ctx: &str) {
+    assert_equalize_matches_on(&mut Setf::new(), m, jobs, ctx);
 }
 
 fn assert_assign_matches(policy: &mut Setf, m: f64, jobs: &[AliveJob<'_>], ctx: &str) {
@@ -217,7 +240,12 @@ proptest! {
         let curves = group_curves(g, mix, &mut state);
         let specs = specs_for(curves, &mut state);
         let jobs = fresh_views(&specs);
-        assert_equalize_matches(m, &jobs, &format!("seed {seed} g {g} mix {mix} m {m}"));
+        let ctx = format!("seed {seed} g {g} mix {mix} m {m}");
+        with_shared(&EQUALIZE_POLICY, |policy| {
+            // The second call of a one-curve group is a memo hit.
+            assert_equalize_matches_on(policy, m, &jobs, &ctx);
+            assert_equalize_matches_on(policy, m, &jobs, &format!("{ctx} again"));
+        });
     }
 
     #[test]
@@ -235,7 +263,6 @@ proptest! {
         // Elapsed work: a tied least-elapsed group at exactly `e0` (some
         // members inside the tie tolerance), the rest strictly behind.
         let e0 = 0.5 * unit(&mut state);
-        let mut policy = Setf::new();
         for round in 0..2 {
             let jobs: Vec<AliveJob<'_>> = specs
                 .iter()
@@ -252,8 +279,8 @@ proptest! {
                 })
                 .collect();
             let ctx = format!("seed {seed} n {n} mix {mix} m {m} round {round}");
-            // Reused scratch across decisions must not leak state.
-            assert_assign_matches(&mut policy, m, &jobs, &ctx);
+            // Reused scratch and memo across decisions must not leak state.
+            with_shared(&ASSIGN_POLICY, |policy| assert_assign_matches(policy, m, &jobs, &ctx));
         }
     }
 }
@@ -331,4 +358,49 @@ fn identity_region_rates_at_most_one() {
             assert_equalize_matches(m, &jobs, &format!("identity {curve:?} G={g} m={m}"));
         }
     }
+}
+
+#[test]
+fn memo_is_invalidated_by_curve_and_machine() {
+    // One policy throughout, so each call runs against the memo the
+    // previous calls left behind.
+    let mut policy = Setf::new();
+    let mut check = |curve: &Curve, g: usize, m: f64, ctx: &str| {
+        let specs = views_of(vec![curve.clone(); g]);
+        let jobs = fresh_views(&specs);
+        assert_equalize_matches_on(&mut policy, m, &jobs, ctx)
+    };
+    // The same G under a different α.
+    let a = check(&Curve::power(0.5), 24, 64.0, "α ½");
+    let b = check(&Curve::power(0.75), 24, 64.0, "α ¾");
+    assert_ne!(a.to_bits(), b.to_bits());
+    assert_eq!(
+        check(&Curve::power(0.5), 24, 64.0, "α ½ again").to_bits(),
+        a.to_bits()
+    );
+    // The same curve and G under a different m.
+    let c = check(&Curve::power(0.5), 24, 96.0, "m 96");
+    assert_ne!(a.to_bits(), c.to_bits());
+    // Same-size groups of other curve families, each after the others.
+    for curve in [
+        Curve::FullyParallel,
+        Curve::try_amdahl(0.1).expect("amdahl"),
+        Curve::try_amdahl(0.2).expect("amdahl"),
+        Curve::power(0.5),
+    ] {
+        check(&curve, 24, 96.0, &format!("{curve:?}"));
+    }
+    // Two piecewise curves with equal point counts but different points.
+    let p = Curve::Piecewise(
+        PiecewiseLinear::new(vec![(0.0, 0.0), (1.0, 1.0), (4.0, 2.5), (16.0, 4.0)])
+            .expect("piecewise"),
+    );
+    let q = Curve::Piecewise(
+        PiecewiseLinear::new(vec![(0.0, 0.0), (1.0, 1.0), (4.0, 3.0), (16.0, 6.0)])
+            .expect("piecewise"),
+    );
+    let rp = check(&p, 24, 64.0, "piecewise p");
+    let rq = check(&q, 24, 64.0, "piecewise q");
+    assert_ne!(rp.to_bits(), rq.to_bits());
+    check(&p, 24, 64.0, "piecewise p again");
 }
