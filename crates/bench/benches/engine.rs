@@ -7,9 +7,9 @@ use std::hint::black_box;
 use parsched::IntermediateSrpt;
 use parsched_bench::{
     mixed_alpha_fixture, overload_fixture, poisson_fixture, poisson_stream_fixture,
-    timed_audited_run, timed_run, timed_run_cfg, timed_streaming_run,
+    timed_audited_run, timed_run, timed_run_cfg, timed_step_run, timed_streaming_run,
 };
-use parsched_sim::{simulate, AuditLevel, EngineConfig, EventQueueKind, PlannedPolicy};
+use parsched_sim::{simulate, AuditLevel, EngineConfig, PlannedPolicy};
 use parsched_workloads::GreedyTrap;
 
 fn engine_scaling_n(c: &mut Criterion) {
@@ -113,33 +113,6 @@ fn engine_mixed_alpha(c: &mut Criterion) {
             )
         })
     });
-    g.finish();
-}
-
-fn engine_event_queue_arms(c: &mut Criterion) {
-    // Calendar queue vs binary-heap control arm on the overload fixture
-    // (the densest event stream we have). Both arms must produce
-    // bit-identical runs (tests/engine_event_queue.rs); this group keeps
-    // the *cost* comparison honest: the calendar arm must not lag the
-    // heap it replaces as the default.
-    let mut g = c.benchmark_group("engine/event_queue");
-    g.sample_size(10);
-    let n = 10_000usize;
-    let inst = overload_fixture(n, 8.0);
-    g.throughput(Throughput::Elements(n as u64));
-    for (label, kind) in [
-        ("calendar", EventQueueKind::Calendar),
-        ("heap", EventQueueKind::Heap),
-    ] {
-        g.bench_with_input(BenchmarkId::new(label, n), &inst, |b, inst| {
-            b.iter(|| {
-                let cfg = EngineConfig::new(8.0).with_event_queue(kind);
-                black_box(
-                    timed_run_cfg(black_box(inst), &mut IntermediateSrpt::new(), cfg).total_flow,
-                )
-            })
-        });
-    }
     g.finish();
 }
 
@@ -298,11 +271,12 @@ fn engine_sweep_pool(c: &mut Criterion) {
 }
 
 fn engine_hotpath(c: &mut Criterion) {
-    // Monomorphized fast loop vs the generic `step()` control arm, same
-    // binary and fixtures: the specialized-vs-generic ratio is readable
-    // from one report (docs/PERF.md §8). The two arms compute
-    // bit-identical results (tests/engine_fastpath_differential.rs), so
-    // any gap is pure dispatch/bookkeeping.
+    // `run_loop` (the specialized instantiation of the event loop) vs a
+    // `step()`-driven run (the all-checks instantiation, iterated), same
+    // binary and fixtures: the ratio is readable from one report
+    // (docs/PERF.md §8). The two arms compute bit-identical results
+    // (tests/engine_fastpath_differential.rs), so any gap is pure
+    // dispatch/bookkeeping.
     let m = 8.0;
     let mut g = c.benchmark_group("engine/hotpath");
     g.sample_size(20);
@@ -316,11 +290,14 @@ fn engine_hotpath(c: &mut Criterion) {
         for (arm, fast) in [("fast", true), ("generic", false)] {
             g.bench_with_input(BenchmarkId::new(arm, label), &inst, |b, inst| {
                 b.iter(|| {
-                    let cfg = EngineConfig::new(m).with_fast_loop(fast);
-                    black_box(
-                        timed_run_cfg(black_box(inst), &mut IntermediateSrpt::new(), cfg)
-                            .total_flow,
-                    )
+                    let cfg = EngineConfig::new(m);
+                    let mut policy = IntermediateSrpt::new();
+                    let s = if fast {
+                        timed_run_cfg(black_box(inst), &mut policy, cfg)
+                    } else {
+                        timed_step_run(black_box(inst), &mut policy, cfg)
+                    };
+                    black_box(s.total_flow)
                 })
             });
         }
@@ -332,14 +309,16 @@ fn engine_hotpath(c: &mut Criterion) {
         #[cfg(feature = "hotpath")]
         for (arm, fast) in [("fast", true), ("generic", false)] {
             use parsched_sim::{Engine, NullObserver, StaticSource};
-            let cfg = EngineConfig::new(m)
-                .with_fast_loop(fast)
-                .with_hotpath_profile(true);
+            let cfg = EngineConfig::new(m).with_hotpath_profile(true);
             let mut policy = IntermediateSrpt::new();
             let mut src = StaticSource::new(&inst);
             let mut obs = NullObserver;
             let mut eng = Engine::new(cfg, &mut policy, &mut src, &mut obs);
-            eng.run_loop().expect("profiled run");
+            if fast {
+                eng.run_loop().expect("profiled run");
+            } else {
+                while eng.step().expect("profiled step") {}
+            }
             let hp = eng.hotpath_totals();
             let (queue, refresh, metrics, dispatch) = hp.per_event();
             eprintln!(
@@ -356,7 +335,6 @@ criterion_group!(
     engine_scaling_n,
     engine_overload_scaling,
     engine_mixed_alpha,
-    engine_event_queue_arms,
     engine_audit_overhead,
     engine_streaming_path,
     engine_scaling_m,

@@ -101,7 +101,7 @@ FLEET OPTIONS:
                       cap + queue are shed with a reason (default: enough
                       for everyone)
   --slice <E>         engine events per tenant per round (default 16)
-  --migrate           force every suspension through the parsched-snap/v1
+  --migrate           force every suspension through the parsched-snap/v2
                       text codec, as a cross-host migration would
   --jobs <N>          shard-pool workers (0 = auto). Wall clock only:
                       output is byte-identical for every N
@@ -693,9 +693,9 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     use parsched::PolicyKind;
     use parsched_bench::{
         mixed_alpha_fixture, overload_fixture, poisson_fixture, poisson_stream_fixture,
-        timed_audited_run, timed_run, timed_run_cfg, timed_streaming_run,
+        timed_audited_run, timed_run, timed_run_cfg, timed_step_run, timed_streaming_run,
     };
-    use parsched_sim::{AllocationStability, AuditLevel, EngineConfig, EventQueueKind};
+    use parsched_sim::{AllocationStability, AuditLevel, EngineConfig};
 
     struct Row {
         policy: String,
@@ -773,60 +773,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
                 policy: kind.name(),
                 fixture: "poisson-0.9",
                 mode,
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Fast-loop control arm: the incremental rows above run the
-        // monomorphized fast event loop (the default); this row pins the
-        // same binary, engine, and fixture with `fast_loop` off, so the
-        // row pair differences exactly the dispatch and bookkeeping the
-        // specialization removes (docs/PERF.md §8).
-        {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run_cfg(
-                &inst,
-                policy.as_mut(),
-                EngineConfig::new(m).with_fast_loop(false),
-            );
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "generic-loop", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "generic-loop",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Kernel A/B baseline arm: identical engine and fixture, but jobs
-        // admitted with the `powf_reference` kernel so every Γ evaluation
-        // pays the per-call `powf` cost the classified kernel replaced.
-        // The incremental-row / this-row ratio at n = 100_000 is the
-        // `kernel_speedup_n1e5` headline field.
-        {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run_cfg(
-                &inst,
-                policy.as_mut(),
-                EngineConfig::new(m).with_pow_kernel(false),
-            );
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "powf-baseline", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "powf-baseline",
                 n,
                 m,
                 events: s.events,
@@ -947,31 +893,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         // Overload-heavy fixture: the alive set grows ~linearly with n, so
         // this is where the O(n) vs O(log n) per-event separation shows.
         let over = overload_fixture(n, m);
-        // Binary-heap control arm for the event queue on the densest
-        // event stream; the default incremental row below is the
-        // calendar arm, so the two rows difference the queue cost.
-        {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run_cfg(
-                &over,
-                policy.as_mut(),
-                EngineConfig::new(m).with_event_queue(EventQueueKind::Heap),
-            );
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (overload)",
-                "Intermediate-SRPT", "heap-queue", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-1.5",
-                mode: "heap-queue",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
         let mut policy = PolicyKind::IntermediateSrpt.build();
         let s = timed_run(&over, policy.as_mut(), m, false);
         eprintln!(
@@ -1028,16 +949,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     let speedup = ratio("poisson-0.9");
     let overload_speedup = ratio("poisson-1.5");
     let mixed_alpha_speedup = ratio("mixed-alpha-0.9");
-    // Event-queue A/B on the overload fixture: calendar arm (the default
-    // incremental row) over the binary-heap control arm. ≥ ~1.0 is the
-    // acceptance bar — the calendar must not lag the heap it replaces.
-    let queue_ratio = match (
-        pick_rate("poisson-1.5", "incremental", 10_000),
-        pick_rate("poisson-1.5", "heap-queue", 10_000),
-    ) {
-        (Some(cal), Some(heap)) if heap > 0.0 => cal / heap,
-        _ => f64::NAN,
-    };
     // Audit overhead: unaudited / audited throughput at n = 10_000
     // (≥ 1; the acceptance bar for the sampled level is ≤ 2).
     let audit_overhead = |mode: &str| {
@@ -1062,10 +973,9 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     // shares spanning (1, m] — the supra-knee domain where the power law
     // actually evaluates — through the classified kernel vs per-call
     // `powf`, best of 7 passes each. This is what the kernel delivers per
-    // call; the *engine-level* effect is the incremental vs powf-baseline
-    // row pair (`kernel_engine_ratio_n1e5` below): Γ evaluations are a
-    // few percent of event cost on these fixtures, so that ratio sits
-    // near 1.0 by design. See docs/PERF.md §6 for the cost model.
+    // call; Γ evaluations are a few percent of event cost on these
+    // fixtures, so the engine-level effect is small by design. See
+    // docs/PERF.md §6 for the cost model.
     let (kernel_speedup_n1e5, kernel_eval_ns, powf_eval_ns) = {
         use parsched_speedup::PowKernel;
         let pts = 100_000usize;
@@ -1103,33 +1013,13 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         "  kernel eval: {kernel_eval_ns:.1} ns vs powf {powf_eval_ns:.1} ns \
          ({kernel_speedup_n1e5:.1}x over 10^5 evaluations, α = 0.5)"
     );
-    // Engine-level kernel A/B at n = 100_000 (None in --quick runs, which
-    // stop at n = 10_000).
-    let kernel_engine_ratio_n1e5 = {
-        let pick = |mode: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.policy == "Intermediate-SRPT"
-                        && r.fixture == "poisson-0.9"
-                        && r.mode == mode
-                        && r.n == 100_000
-                })
-                .map(|r| r.events_per_sec)
-        };
-        match (pick("incremental"), pick("powf-baseline")) {
-            (Some(on), Some(off)) if off > 0.0 => Some(on / off),
-            _ => None,
-        }
-    };
-    // Fast-loop A/B: specialized loop over the generic-loop control arm,
-    // same binary and fixture. The one-shot rows above record both arms
-    // for the table, but the headline *ratio* keys are measured here as
-    // an interleaved best-of-5 pair — single-shot wall clocks on a busy
-    // host swing ±20%, and a CI floor needs the stable within-run ratio,
-    // not the difference of two noisy one-shots. The quick-mode key
-    // (`stable_load_fastpath_speedup`, n = 10_000) is what the CI
-    // bench-smoke floor guards; the n = 100_000 key is the full-run
-    // headline (null in --quick).
+    // Loop A/B: `run_loop` (the specialized instantiation of the event
+    // loop) over a `step()`-driven run (the all-checks instantiation,
+    // iterated), same binary and fixture, measured as an interleaved
+    // best-of-5 pair — single-shot wall clocks on a busy host swing ±20%.
+    // Reported, not gated: `step()` shares the loop's memoized refresh
+    // and arrival spine, so the ratio prices dispatch and bookkeeping
+    // only. The n = 100_000 key is null in --quick.
     let fastpath_ab = |n: usize| {
         let inst = poisson_fixture(n, 0.9, m);
         let mut best_fast = f64::INFINITY;
@@ -1138,11 +1028,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
             let mut p = PolicyKind::IntermediateSrpt.build();
             let f = timed_run_cfg(&inst, p.as_mut(), EngineConfig::new(m));
             let mut p = PolicyKind::IntermediateSrpt.build();
-            let g = timed_run_cfg(
-                &inst,
-                p.as_mut(),
-                EngineConfig::new(m).with_fast_loop(false),
-            );
+            let g = timed_step_run(&inst, p.as_mut(), EngineConfig::new(m));
             best_fast = best_fast.min(f.seconds);
             best_generic = best_generic.min(g.seconds);
         }
@@ -1156,7 +1042,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     };
     if let Some(s) = stable_load_fastpath_speedup {
         eprintln!(
-            "  fast loop vs generic loop: {s:.2}x at n=10^4{}",
+            "  run_loop vs step(): {s:.2}x at n=10^4{}",
             isrpt_fastpath_speedup_n1e5
                 .map(|s5| format!(", {s5:.2}x at n=10^5"))
                 .unwrap_or_default()
@@ -1171,14 +1057,16 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         use parsched_sim::{Engine, NullObserver, StaticSource};
         let inst = poisson_fixture(10_000, 0.9, m);
         let profile = |fast: bool| {
-            let cfg = EngineConfig::new(m)
-                .with_fast_loop(fast)
-                .with_hotpath_profile(true);
+            let cfg = EngineConfig::new(m).with_hotpath_profile(true);
             let mut policy = PolicyKind::IntermediateSrpt.build();
             let mut src = StaticSource::new(&inst);
             let mut obs = NullObserver;
             let mut eng = Engine::new(cfg, policy.as_mut(), &mut src, &mut obs);
-            eng.run_loop().expect("profiled run");
+            if fast {
+                eng.run_loop().expect("profiled run");
+            } else {
+                while eng.step().expect("profiled step") {}
+            }
             let hp = eng.hotpath_totals();
             let (queue, refresh, metrics, dispatch) = hp.per_event();
             format!(
@@ -1300,10 +1188,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         mixed_alpha_speedup
     ));
     json.push_str(&format!(
-        "  \"queue_calendar_vs_heap_overload_n10000\": {:.2},\n",
-        queue_ratio
-    ));
-    json.push_str(&format!(
         "  \"audit_sampled_overhead_n10000\": {:.2},\n",
         sampled_overhead
     ));
@@ -1316,12 +1200,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     ));
     json.push_str(&format!("  \"kernel_eval_ns\": {kernel_eval_ns:.2},\n"));
     json.push_str(&format!("  \"powf_eval_ns\": {powf_eval_ns:.2},\n"));
-    json.push_str(&format!(
-        "  \"kernel_engine_ratio_n1e5\": {},\n",
-        kernel_engine_ratio_n1e5
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
     json.push_str(&format!(
         "  \"stable_load_fastpath_speedup\": {},\n",
         stable_load_fastpath_speedup
@@ -1375,8 +1253,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     println!(
         "wrote {out_path} ({} rows); Intermediate-SRPT incremental/legacy speed-up at \
          n=10_000: {:.1}x (load 0.9), {:.1}x (overload), {:.1}x (mixed-alpha); \
-         fast loop vs generic: {}; calendar/heap queue on overload: {:.2}x; \
-         audit overhead: {:.2}x sampled, {:.2}x strict",
+         run_loop vs step(): {}; audit overhead: {:.2}x sampled, {:.2}x strict",
         rows.len(),
         speedup,
         overload_speedup,
@@ -1384,7 +1261,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         stable_load_fastpath_speedup
             .map(|s| format!("{s:.2}x"))
             .unwrap_or_else(|| "n/a".to_string()),
-        queue_ratio,
         sampled_overhead,
         strict_overhead
     );

@@ -114,6 +114,7 @@ impl Policy for GreedyHybrid {
             let Some((_, _, i)) = heap.pop() else { break };
             counts[i] += 1;
             shares[i] += 1.0;
+            // lint:allow(L007) re-pushes the entry just popped, so the heap never outgrows the capacity it was collected with
             heap.push((
                 Gain(jobs[i].curve().marginal(counts[i]) / jobs[i].remaining),
                 Reverse(jobs[i].id().0),

@@ -79,7 +79,7 @@ impl Policy for ThresholdSrpt {
 
     fn event_hooks_are_noop(&self) -> bool {
         // Stateless between decisions: both event hooks are the empty
-        // defaults, so the fast loop may elide the per-event calls.
+        // defaults, so the event loop may elide the per-event calls.
         true
     }
 

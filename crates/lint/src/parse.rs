@@ -753,7 +753,7 @@ impl<'a> Parser<'a> {
             // `<…>` closes directly onto `(` this classifies exactly like
             // the plain `name(…)` shape below. Without this, const-generic
             // helpers invoked as `self.helper::<true>()` (the engine's
-            // monomorphized fast-loop cores) would fall out of the call
+            // monomorphized event-loop phases) would fall out of the call
             // graph and look unreachable to L007/L008.
             let turbofish_call = next == "::"
                 && i + 2 < self.len()
@@ -960,7 +960,7 @@ mod tests {
         let it = items(
             "fn f(&mut self) {\n\
                  self.admit_core::<true, false, NOTIFY>();\n\
-                 run_fast_loop::<false>();\n\
+                 run_events::<false>();\n\
                  parse::<Vec<Vec<u8>>>(s);\n\
                  Wrapper::lift::<u32>(x);\n\
                  let small = a < b;\n\
@@ -976,7 +976,7 @@ mod tests {
         assert!(
             f.calls
                 .iter()
-                .any(|c| c.kind.name() == "run_fast_loop" && matches!(&c.kind, CallKind::Plain(_))),
+                .any(|c| c.kind.name() == "run_events" && matches!(&c.kind, CallKind::Plain(_))),
             "plain turbofish call recorded"
         );
         assert!(

@@ -6,7 +6,7 @@
 //! warm-up, stepping events neither allocates nor panics. The dynamic
 //! test only sees the configurations it runs; this rule complements it
 //! statically: from the event-loop roots (`Engine::run*`, `Engine::step`,
-//! `SrptSet` mutation, `CalendarQueue`/`EventQueue` ops) every reachable
+//! `SrptSet` mutation) every reachable
 //! function is checked for panic sinks (`unwrap`/`expect`, panic macros,
 //! unchecked indexing) and allocation sinks (`Vec::push`, `Box::new`,
 //! `format!`, …).
@@ -50,22 +50,19 @@ use crate::rules::{diag_at, Rule};
 use crate::Diagnostic;
 
 /// Event-loop entry points on `Engine`. `run_loop` is the shared driver
-/// behind the four `run*` finalizers and `run_fast_loop` the
-/// monomorphized incremental loop it dispatches to; both are listed
-/// explicitly so the reachability analysis keeps covering them even if
-/// a future refactor changes how the finalizers delegate.
+/// behind the four `run*` finalizers and `run_events` the one
+/// monomorphized event loop that it and `step` instantiate; both are
+/// listed explicitly so the reachability analysis keeps covering them
+/// even if a future refactor changes how the finalizers delegate.
 const ENGINE_ROOTS: &[&str] = &[
     "run",
     "run_reusing",
     "run_streaming",
     "run_streaming_reusing",
     "run_loop",
-    "run_fast_loop",
+    "run_events",
     "step",
 ];
-
-/// Queue types whose mutation ops are event-loop roots.
-const QUEUE_OWNERS: &[&str] = &["CalendarQueue", "EventQueue"];
 
 /// Methods excluded from the root set even when `&mut self`: they run
 /// outside the steady-state loop (suspend/resume is governed by L009,
@@ -143,11 +140,7 @@ pub fn event_loop_roots(graph: &CallGraph) -> Vec<usize> {
         };
         let name = f.def.name.as_str();
         let is_root = (owner == "Engine" && ENGINE_ROOTS.contains(&name))
-            || (owner == "SrptSet" && f.def.mut_self && !NON_LOOP_METHODS.contains(&name))
-            || (QUEUE_OWNERS.contains(&owner)
-                && f.def.mut_self
-                && !name.starts_with("snapshot")
-                && !name.starts_with("restore"));
+            || (owner == "SrptSet" && f.def.mut_self && !NON_LOOP_METHODS.contains(&name));
         if is_root {
             roots.push(id);
         }
@@ -217,7 +210,7 @@ impl Rule for EventLoopReachability {
 
     fn summary(&self) -> &'static str {
         "panic or allocation reachable from an event-loop root (Engine::run*/step, SrptSet \
-         mutation, event-queue ops); the steady-state loop must be panic- and alloc-free"
+         mutation); the steady-state loop must be panic- and alloc-free"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {

@@ -81,7 +81,7 @@ fn l007_fixture_trips_only_l007() {
     let out = fixture("l007");
     assert_eq!(rules_hit(&out), vec!["L007"], "{:?}", out.violations);
     // Non-donated push, local-buffer push, panic!, unchecked indexing,
-    // and the assert reached only via `run_fast_loop`'s turbofish call —
+    // and the assert reached only via `run_events`'s turbofish call —
     // and NOT the EngineBuffers-donated `completed.push`.
     assert_eq!(out.violations.len(), 5, "{:?}", out.violations);
     let msgs: Vec<&str> = out.violations.iter().map(|d| d.message.as_str()).collect();
@@ -90,7 +90,7 @@ fn l007_fixture_trips_only_l007() {
     assert!(
         out.violations
             .iter()
-            .any(|d| d.message.contains("assert!") && d.message.contains("run_fast_loop")),
+            .any(|d| d.message.contains("assert!") && d.message.contains("run_events")),
         "turbofish-only root path not resolved: {msgs:?}"
     );
     assert!(

@@ -1,5 +1,5 @@
 //! L007 fixture: panic and allocation sinks reachable from `Engine::run`
-//! and from the monomorphized `Engine::run_fast_loop` root (reached only
+//! and from the monomorphized `Engine::run_events` root (reached only
 //! through a const-generic turbofish call, which the parser must record).
 //! `completed.push` is exempt (EngineBuffers-donated state); the other
 //! five sites must each produce one diagnostic.
@@ -25,10 +25,10 @@ impl Engine {
     }
 
     pub fn run_loop(&mut self) {
-        self.run_fast_loop::<true>();
+        self.run_events::<true>();
     }
 
-    fn run_fast_loop<const V: bool>(&mut self) {
+    fn run_events<const V: bool>(&mut self) {
         guard_capacity::<u64>(self.trace.len());
     }
 
@@ -52,6 +52,6 @@ fn first(xs: &[u64]) -> u64 {
 }
 
 fn guard_capacity<T>(n: usize) {
-    // Reachable only via `run_fast_loop`'s turbofish call: flags.
+    // Reachable only via `run_events`'s turbofish call: flags.
     assert!(n < 1_000_000, "arena overflow");
 }

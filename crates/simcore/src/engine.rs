@@ -29,7 +29,6 @@
 
 use parsched_speedup::{Curve, PowKernel, EPS};
 
-use crate::calendar::EventQueue;
 use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
 use crate::job::{Instance, JobId, JobSpec, Time, Work};
@@ -77,29 +76,6 @@ pub struct EngineConfig {
     /// job retires, and a duplicate of an already-*retired* id is no
     /// longer detected.
     pub streaming: bool,
-    /// Benchmark control: when `false`, power-family jobs are admitted
-    /// with a [`PowKernel::powf_reference`] kernel so every Γ evaluation
-    /// pays the per-call `powf` cost the classified kernel replaced.
-    /// `bench-snapshot` runs the same fixture both ways to compute the
-    /// `kernel_speedup_n1e5` field; everything else leaves this `true`.
-    pub pow_kernel: bool,
-    /// Which future-event ordering structure the incremental path uses
-    /// (see [`crate::calendar`]): the calendar queue tuned to
-    /// near-monotone event times (default), or the conventional binary
-    /// heap kept as a differential control arm. Both arms observe the
-    /// same generation-tagged candidates and pop in the same
-    /// `(time, insertion)` order, so runs are bit-identical across the
-    /// flag — which is exactly what the queue-differential tests check.
-    pub event_queue: EventQueueKind,
-    /// Whether the `run*` finalizers may use the monomorphized fast event
-    /// loop ([`Engine::run_loop`]): a fused dispatch loop for the
-    /// incremental path with the per-event `dyn` calls, admission
-    /// re-validation, and event-queue bookkeeping hoisted out, plus a
-    /// per-`n` memo of the policy's prefix profile. Bit-identical to the
-    /// generic `step()` loop (the differential suite pins this); `false`
-    /// keeps the generic loop as the control arm, like
-    /// [`EngineConfig::with_full_reassign`] does for the exhaustive path.
-    pub fast_loop: bool,
     /// Runtime switch for the per-phase hot-path profiler (only
     /// meaningful when the crate is built with the `hotpath` feature;
     /// inert otherwise). When on, the event loops accumulate wall-clock
@@ -107,18 +83,6 @@ pub struct EngineConfig {
     /// [`Engine::hotpath_report`]. Leave off for headline measurements:
     /// the timestamping itself costs tens of ns per event.
     pub hotpath_profile: bool,
-}
-
-/// Selector for the engine's future-event queue arm — see
-/// [`EngineConfig::event_queue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// Calendar-queue arm (default): amortized `O(1)` insert/pop on the
-    /// near-monotone event times a forward-running clock produces.
-    Calendar,
-    /// Binary-heap control arm: `O(log n)` per op, kept for
-    /// differential runs.
-    Heap,
 }
 
 impl EngineConfig {
@@ -132,9 +96,6 @@ impl EngineConfig {
             full_reassign: false,
             audit: AuditLevel::Off,
             streaming: false,
-            pow_kernel: true,
-            event_queue: EventQueueKind::Calendar,
-            fast_loop: true,
             hotpath_profile: false,
         }
     }
@@ -176,27 +137,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables (or, for the benchmark baseline arm, disables) the
-    /// classified power kernel — see [`EngineConfig::pow_kernel`].
-    pub fn with_pow_kernel(mut self, pow_kernel: bool) -> Self {
-        self.pow_kernel = pow_kernel;
-        self
-    }
-
-    /// Selects the future-event queue arm — see
-    /// [`EngineConfig::event_queue`].
-    pub fn with_event_queue(mut self, event_queue: EventQueueKind) -> Self {
-        self.event_queue = event_queue;
-        self
-    }
-
-    /// Enables (or, for the differential control arm, disables) the
-    /// monomorphized fast event loop — see [`EngineConfig::fast_loop`].
-    pub fn with_fast_loop(mut self, fast_loop: bool) -> Self {
-        self.fast_loop = fast_loop;
-        self
-    }
-
     /// Enables the per-phase hot-path profiler — see
     /// [`EngineConfig::hotpath_profile`].
     pub fn with_hotpath_profile(mut self, hotpath_profile: bool) -> Self {
@@ -229,13 +169,6 @@ macro_rules! hp_phase {
         $body
     }};
 }
-
-// The event queue holds only the *arrival timeline*: wakeups whose times
-// come straight from the source, so they are near-monotone and are never
-// re-scheduled once queued (a superseded wakeup has time ≤ now and is
-// discarded from the queue front on the next peek). Interval-completion
-// candidates stay in a plain field — they are recomputed by every profile
-// refresh, and queueing them would only pile up stale future-time entries.
 
 /// An owned snapshot of one alive job (used by lockstep analyses that hold
 /// snapshots of two engines simultaneously).
@@ -288,7 +221,7 @@ struct JobArena {
     /// and `powf` (see [`PowKernel`]). A placeholder for curves outside
     /// the power-law family (`class == CLASS_CURVE`), which keep the
     /// generic path.
-    // lint:allow(L009) kern lane is reconstructed bit-identically from each curve and the pow_kernel flag on restore (snapshot.rs module docs)
+    // lint:allow(L009) kern lane is reconstructed bit-identically from each curve on restore (snapshot.rs module docs)
     kern: Vec<PowKernel>,
     /// Kernel-class registry index, or one of the sentinels above. Jobs
     /// of one class share bit-identical kernels, so a Scan interval needs
@@ -299,8 +232,7 @@ struct JobArena {
     done: Vec<bool>,
     /// Kernel-class registry: one representative kernel per distinct α
     /// seen this run (same α ⇒ bit-identical kernel, since construction
-    /// is deterministic in α and the reference/classified choice is
-    /// per-run constant).
+    /// is deterministic in α).
     classes: Vec<PowKernel>,
     /// Per-class speed-adjusted rate `speed·Γ_c(share)` for the *current*
     /// Scan interval; refilled by [`JobArena::refresh_class_rates`] on
@@ -504,7 +436,7 @@ enum IntervalKind {
     Scan,
 }
 
-/// One slot of the fast loop's per-`n` allocation memo. The
+/// One slot of the per-`n` allocation memo. The
 /// [`PrefixAllocation`] contract makes the policy's profile a pure
 /// function of `(n_alive, m)` (see [`crate::policy`]), and `m` is fixed
 /// per run, so the *validated* `(count, share)` pair for each alive count
@@ -567,7 +499,7 @@ struct RunState {
     profile: PrefixAllocation,
     /// Incremental path: drain shape of the current interval.
     interval: IntervalKind,
-    /// Fast loop only: per-`n` memo of the validated prefix profile and
+    /// Incremental path: per-`n` memo of the validated prefix profile and
     /// uniform rate, indexed by alive count (slot 0 unused). O(peak
     /// alive) — same order as the SRPT set itself.
     // lint:allow(L009) pure memo of the policy's (n, m)-pure prefix profile; a cold cache re-derives every entry bit-identically
@@ -580,16 +512,10 @@ struct RunState {
     /// Cached `source.next_time()`, refreshed after every emission round.
     /// `next_time` takes `&self` and the engine holds the only borrow of
     /// the source, so the value can only change when the engine itself
-    /// emits — caching it turns the three-per-event virtual source calls
-    /// into plain float compares.
+    /// emits. It is the whole arrival timeline: the next event is the
+    /// minimum of this, the interval's completion candidate, and (on the
+    /// exhaustive path) the quantum deadline.
     next_arrival: Option<Time>,
-    /// Incremental path: the arrival timeline as future-event wakeups,
-    /// generation-tagged for lazy discard; see [`crate::calendar`].
-    equeue: EventQueue,
-    /// Generation of the live arrival wakeup (bumped whenever the
-    /// cached `next_arrival` is refreshed; older queue entries are
-    /// stale, have times ≤ `now`, and are popped at the queue front).
-    arr_gen: u64,
     /// Steps that processed a completion *and* an arrival at one
     /// timestamp — the same-timestamp coalescing the event loop performs
     /// as a first-class step (see `docs/PERF.md` §4).
@@ -667,7 +593,6 @@ pub struct EngineBuffers {
     completed: Vec<CompletedJob>,
     free: Vec<usize>,
     sink: StreamingMetrics,
-    equeue: EventQueue,
     profile_cache: Vec<CachedProfile>,
 }
 
@@ -690,7 +615,6 @@ impl EngineBuffers {
         self.completed.clear();
         self.free.clear();
         self.sink.reset();
-        self.equeue.clear();
         self.profile_cache.clear();
     }
 }
@@ -769,6 +693,39 @@ fn exec_mode(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -
     }
 }
 
+/// The per-spec invariants every [`Instance`] constructor guarantees: a
+/// finite non-negative release, finite positive size and weight, and a
+/// valid curve. Admission checks each emitted spec against them (before
+/// its own arrival-time and duplicate-id checks) and restore checks each
+/// snapshot arena slot, so every spec in the arena satisfies them.
+fn check_spec(spec: &JobSpec) -> Result<(), SimError> {
+    if !spec.release.is_finite() || spec.release < 0.0 {
+        return Err(SimError::BadInstance {
+            // lint:allow(L007) error construction: a failed admission validation terminates the run
+            what: format!("job {} has invalid release {}", spec.id, spec.release),
+        });
+    }
+    if !spec.size.is_finite() || spec.size <= 0.0 {
+        return Err(SimError::BadInstance {
+            // lint:allow(L007) error construction: a failed admission validation terminates the run
+            what: format!("job {} has invalid size {}", spec.id, spec.size),
+        });
+    }
+    if !spec.weight.is_finite() || spec.weight <= 0.0 {
+        return Err(SimError::BadInstance {
+            // lint:allow(L007) error construction: a failed admission validation terminates the run
+            what: format!("job {} has invalid weight {}", spec.id, spec.weight),
+        });
+    }
+    if spec.curve.validate().is_err() {
+        return Err(SimError::BadInstance {
+            // lint:allow(L007) error construction: a failed admission validation terminates the run
+            what: format!("job {} has invalid curve {:?}", spec.id, spec.curve),
+        });
+    }
+    Ok(())
+}
+
 /// Applies a reported [`Placement`] to the per-job lanes.
 fn apply_placement(jobs: &mut JobArena, idx: usize, p: Placement) {
     match p {
@@ -819,26 +776,7 @@ impl<'a> Engine<'a> {
         let auditor = (!cfg.audit.is_off()).then(|| Auditor::new(cfg.audit));
         let policy_name = policy.name();
         let policy_srpt_ordered = policy.srpt_ordered();
-        // Prime the arrival cache and, on the incremental path, seed the
-        // event queue with the first arrival wakeup. Donated buffers may
-        // carry the other queue arm; swap only then (the donation
-        // contract assumes a stable config, so this never reallocates at
-        // steady state).
         let next_arrival = source.next_time();
-        let mut equeue = bufs.equeue;
-        let want_heap = cfg.event_queue == EventQueueKind::Heap;
-        if want_heap != equeue.is_heap() {
-            equeue = if want_heap {
-                EventQueue::heap()
-            } else {
-                EventQueue::default()
-            };
-        }
-        if mode == ExecMode::Incremental {
-            if let Some(t) = next_arrival {
-                equeue.insert(t, 0);
-            }
-        }
         Self {
             policy,
             source,
@@ -860,8 +798,6 @@ impl<'a> Engine<'a> {
                 profile_cache: bufs.profile_cache,
                 next_completion: None,
                 next_arrival,
-                equeue,
-                arr_gen: 0,
                 coalesced: 0,
                 scratch_moves: bufs.scratch_moves,
                 scratch_batch: bufs.scratch_batch,
@@ -919,16 +855,8 @@ impl<'a> Engine<'a> {
         self.state.interval = IntervalKind::Idle;
         self.state.profile_cache.clear();
         self.state.next_completion = None;
-        self.state.equeue.clear();
-        debug_assert_eq!(self.state.equeue.len(), 0);
-        self.state.arr_gen = 0;
         self.state.coalesced = 0;
         self.state.next_arrival = self.source.next_time();
-        if self.state.mode == ExecMode::Incremental {
-            if let Some(t) = self.state.next_arrival {
-                self.state.equeue.insert(t, 0);
-            }
-        }
         self.state.scratch_moves.clear();
         self.state.scratch_batch.clear();
         self.state.now = 0.0;
@@ -967,7 +895,6 @@ impl<'a> Engine<'a> {
             completed: std::mem::take(&mut self.state.completed),
             free: std::mem::take(&mut self.state.free),
             sink: std::mem::take(&mut self.state.sink),
-            equeue: std::mem::take(&mut self.state.equeue),
             profile_cache: std::mem::take(&mut self.state.profile_cache),
         }
     }
@@ -1103,23 +1030,14 @@ impl<'a> Engine<'a> {
                 done: self.state.jobs.done[i],
             })
             .collect();
-        let (equeue_entries, equeue_next_seq) = self.state.equeue.snapshot_entries();
         Ok(Snapshot {
-            cfg: SnapCfg {
-                m: self.state.cfg.m,
-                speed: self.state.cfg.speed,
-                full_reassign: self.state.cfg.full_reassign,
-                streaming: self.state.cfg.streaming,
-                pow_kernel: self.state.cfg.pow_kernel,
-                heap_queue: self.state.cfg.event_queue == EventQueueKind::Heap,
-            },
+            cfg: self.snap_cfg(),
             policy_name: self.state.policy_name.clone(),
             policy_state: self.policy.snapshot_state(),
             incremental: self.state.mode == ExecMode::Incremental,
             now: self.state.now,
             events: self.state.events,
             coalesced: self.state.coalesced,
-            arr_gen: self.state.arr_gen,
             finished: self.state.finished,
             alloc_fresh: self.state.alloc_fresh,
             quantum_deadline: self.state.quantum_deadline,
@@ -1151,16 +1069,24 @@ impl<'a> Engine<'a> {
             rates: self.state.rates.clone(),
             srpt: self.state.srpt.snapshot_state(),
             completed: self.state.completed.clone(),
-            equeue_entries,
-            equeue_next_seq,
         })
+    }
+
+    /// The semantic configuration a snapshot records and restore matches.
+    fn snap_cfg(&self) -> SnapCfg {
+        SnapCfg {
+            m: self.state.cfg.m,
+            speed: self.state.cfg.speed,
+            full_reassign: self.state.cfg.full_reassign,
+            streaming: self.state.cfg.streaming,
+        }
     }
 
     /// Rebuilds the engine's run state from a [`Snapshot`], so subsequent
     /// [`Engine::step`] calls continue the captured run bit-identically.
     ///
     /// The engine must have been constructed over the *same scenario*: a
-    /// config whose semantic knobs (`m`, `speed`, paths, modes, queue arm)
+    /// config whose semantic knobs (`m`, `speed`, path, memory mode)
     /// match the snapshot's, a policy with the same name, auditing off,
     /// and an arrival source that can [`ArrivalSource::fast_forward`] to
     /// the snapshot's admission count and then agrees on the next arrival
@@ -1173,20 +1099,11 @@ impl<'a> Engine<'a> {
                 "restore requires AuditLevel::Off (audit state is not captured)".into(),
             ));
         }
-        let have = SnapCfg {
-            m: self.state.cfg.m,
-            speed: self.state.cfg.speed,
-            full_reassign: self.state.cfg.full_reassign,
-            streaming: self.state.cfg.streaming,
-            pow_kernel: self.state.cfg.pow_kernel,
-            heap_queue: self.state.cfg.event_queue == EventQueueKind::Heap,
-        };
+        let have = self.snap_cfg();
         if have.m.to_bits() != snap.cfg.m.to_bits()
             || have.speed.to_bits() != snap.cfg.speed.to_bits()
             || have.full_reassign != snap.cfg.full_reassign
             || have.streaming != snap.cfg.streaming
-            || have.pow_kernel != snap.cfg.pow_kernel
-            || have.heap_queue != snap.cfg.heap_queue
         {
             return Err(bad(format!(
                 "restore config mismatch: engine {have:?} vs snapshot {:?}",
@@ -1222,6 +1139,19 @@ impl<'a> Engine<'a> {
                 "snapshot job {} references unknown kernel class {}",
                 j.spec.id, j.class
             )));
+        }
+        // Every arena slot must hold what admission would have admitted,
+        // and lanes the event loop divides by or orders on must be
+        // finite: a non-finite release, weight, or remaining work decodes
+        // fine but would poison the run that follows.
+        for j in &snap.jobs {
+            check_spec(&j.spec)?;
+            if !(j.remaining.is_finite() && j.remaining >= 0.0 && j.run_key.is_finite()) {
+                return Err(bad(format!(
+                    "snapshot job {} has invalid remaining work {} or SRPT key {}",
+                    j.spec.id, j.remaining, j.run_key
+                )));
+            }
         }
         if snap.class_alpha_bits.len() > MAX_CLASSES {
             return Err(bad(format!(
@@ -1293,24 +1223,18 @@ impl<'a> Engine<'a> {
                 self.state.next_arrival, snap.next_arrival
             )));
         }
-        // Arena lanes. The kernel lane is reconstructed from each curve
-        // plus the per-run kernel flavour; this is bit-identical to the
-        // admission-time kernels because construction is deterministic in α
-        // (see the `JobArena::classes` invariant). The registry itself is
-        // rebuilt from the captured α bit patterns in first-seen order —
-        // replaying admissions cannot recover it under streaming slot
-        // recycling, where retired slots may have carried classes no
-        // resident job mentions.
+        // Arena lanes. The kernel lane is reconstructed from each curve;
+        // this is bit-identical to the admission-time kernels because
+        // construction is deterministic in α (see the `JobArena::classes`
+        // invariant). The registry itself is rebuilt from the captured α
+        // bit patterns in first-seen order — replaying admissions cannot
+        // recover it under streaming slot recycling, where retired slots
+        // may have carried classes no resident job mentions.
         for j in &snap.jobs {
-            let kernel = if self.state.cfg.pow_kernel {
-                j.spec.curve.kernel()
-            } else {
-                j.spec.curve.alpha().map(PowKernel::powf_reference)
-            };
             self.state
                 .jobs
                 .kern
-                .push(kernel.unwrap_or_else(|| PowKernel::new(1.0)));
+                .push(j.spec.curve.kernel().unwrap_or_else(|| PowKernel::new(1.0)));
             self.state.jobs.specs.push(j.spec.clone());
             self.state.jobs.remaining.push(j.remaining);
             self.state.jobs.run_key.push(j.run_key);
@@ -1319,13 +1243,10 @@ impl<'a> Engine<'a> {
             self.state.jobs.done.push(j.done);
         }
         for &bits in &snap.class_alpha_bits {
-            let alpha = f64::from_bits(bits);
-            let k = if self.state.cfg.pow_kernel {
-                PowKernel::new(alpha)
-            } else {
-                PowKernel::powf_reference(alpha)
-            };
-            self.state.jobs.classes.push(k);
+            self.state
+                .jobs
+                .classes
+                .push(PowKernel::new(f64::from_bits(bits)));
             self.state.jobs.class_rates.push(0.0);
         }
         // Id map: every resident slot except (in streaming mode) retired
@@ -1347,9 +1268,6 @@ impl<'a> Engine<'a> {
         self.state.shares.extend_from_slice(&snap.shares);
         self.state.rates.extend_from_slice(&snap.rates);
         self.state.srpt.restore_state(&snap.srpt);
-        self.state
-            .equeue
-            .restore_entries(&snap.equeue_entries, snap.equeue_next_seq);
         self.state.profile = PrefixAllocation {
             count: snap.profile_count,
             share: snap.profile_share,
@@ -1360,7 +1278,6 @@ impl<'a> Engine<'a> {
             SnapInterval::Scan => IntervalKind::Scan,
         };
         self.state.next_completion = snap.next_completion;
-        self.state.arr_gen = snap.arr_gen;
         self.state.coalesced = snap.coalesced;
         self.state.now = snap.now;
         self.state.alloc_fresh = snap.alloc_fresh;
@@ -1405,40 +1322,41 @@ impl<'a> Engine<'a> {
         let clock_ulp = now.abs().max(1.0) * f64::EPSILON;
         Self::snap_tolerance(size).max(rate * 4.0 * clock_ulp)
     }
+
     /// Releases all arrivals due at the current time. Returns whether any
-    /// arrived.
+    /// arrived. The entry test is inlined so the common non-arrival event
+    /// pays one float compare, not a call.
+    #[inline]
+    fn admit_due<const VALIDATE: bool, const NOTIFY: bool, const PHOOKS: bool>(
+        &mut self,
+    ) -> Result<bool, SimError> {
+        let due = self.state.next_arrival.is_some_and(|t| {
+            t <= self.state.now + crate::source::arrival_tolerance(self.state.now)
+        });
+        if !due {
+            return Ok(false);
+        }
+        self.admit_core::<VALIDATE, NOTIFY, PHOOKS>()
+    }
+
+    /// Admission core, monomorphized with the event loop (see
+    /// [`Engine::run_loop`]): `VALIDATE` gates the per-spec checks (elided
+    /// when the source [`ArrivalSource::pre_validated`]s its stream),
+    /// `NOTIFY` the observer announcement (elided when
+    /// [`Observer::is_noop`]), and `PHOOKS` the [`Policy::on_arrival`]
+    /// notification (elided when [`Policy::event_hooks_are_noop`]).
     ///
     /// Specs are validated, announced to the observer, then *moved* into
     /// the job arena — the seed engine cloned each spec twice here, which
     /// dominated arrival cost for jobs with piecewise curves.
-    fn admit_due_arrivals(&mut self) -> Result<bool, SimError> {
-        self.admit_core::<true, true, true, true>()
-    }
-
-    /// Admission core, monomorphized per caller (see [`Engine::run_loop`]):
-    /// `VALIDATE` gates the per-spec invariant checks (elided when the
-    /// source [`ArrivalSource::pre_validated`]s its stream), `NOTIFY` the
-    /// observer announcement (elided when [`Observer::is_noop`]), `EQUEUE`
-    /// the event-queue bookkeeping (elided by the fast loop, which reads
-    /// the cached `next_arrival` directly and never touches the queue),
-    /// and `PHOOKS` the [`Policy::on_arrival`] notification (elided when
-    /// [`Policy::event_hooks_are_noop`]). The `<true, true, true, true>`
-    /// instantiation *is* the generic engine's admission path, unchanged.
-    fn admit_core<
-        const VALIDATE: bool,
-        const NOTIFY: bool,
-        const EQUEUE: bool,
-        const PHOOKS: bool,
-    >(
+    fn admit_core<const VALIDATE: bool, const NOTIFY: bool, const PHOOKS: bool>(
         &mut self,
     ) -> Result<bool, SimError> {
         let mut any = false;
-        let mut rounds = 0u32;
         while let Some(t) = self.state.next_arrival {
             if t > self.state.now + crate::source::arrival_tolerance(self.state.now) {
                 break;
             }
-            rounds += 1;
             let mut batch = std::mem::take(&mut self.state.scratch_batch);
             batch.clear();
             {
@@ -1508,34 +1426,11 @@ impl<'a> Engine<'a> {
             // (Skipped when the source pre-validates: its specs already
             // satisfy exactly these invariants, so the checks cannot fire.)
             for (i, spec) in batch.iter().enumerate().filter(|_| VALIDATE) {
-                if !spec.release.is_finite() || spec.release < 0.0 {
-                    return Err(SimError::BadInstance {
-                        // lint:allow(L007) error construction: a failed admission validation terminates the run
-                        what: format!("job {} has invalid release {}", spec.id, spec.release),
-                    });
-                }
+                check_spec(spec)?;
                 if spec.release < self.state.now - EPS * self.state.now.max(1.0) {
                     return Err(SimError::ArrivalInPast {
                         now: self.state.now,
                         release: spec.release,
-                    });
-                }
-                if !spec.size.is_finite() || spec.size <= 0.0 {
-                    return Err(SimError::BadInstance {
-                        // lint:allow(L007) error construction: a failed admission validation terminates the run
-                        what: format!("job {} has invalid size {}", spec.id, spec.size),
-                    });
-                }
-                if !spec.weight.is_finite() || spec.weight <= 0.0 {
-                    return Err(SimError::BadInstance {
-                        // lint:allow(L007) error construction: a failed admission validation terminates the run
-                        what: format!("job {} has invalid weight {}", spec.id, spec.weight),
-                    });
-                }
-                if spec.curve.validate().is_err() {
-                    return Err(SimError::BadInstance {
-                        // lint:allow(L007) error construction: a failed admission validation terminates the run
-                        what: format!("job {} has invalid curve {:?}", spec.id, spec.curve),
                     });
                 }
                 if self.state.ids.get(spec.id).is_some()
@@ -1561,12 +1456,7 @@ impl<'a> Engine<'a> {
                 self.state.ids.insert(spec.id, idx);
                 self.state.admitted += 1;
                 let remaining = spec.size;
-                let kernel = if self.state.cfg.pow_kernel {
-                    spec.curve.kernel()
-                } else {
-                    spec.curve.alpha().map(PowKernel::powf_reference)
-                };
-                let (kern, class) = self.state.jobs.classify(kernel);
+                let (kern, class) = self.state.jobs.classify(spec.curve.kernel());
                 let (run_key, in_running) = match self.state.mode {
                     ExecMode::Exhaustive => {
                         self.state.alive.push(idx);
@@ -1602,163 +1492,45 @@ impl<'a> Engine<'a> {
             self.state.peak_alive = self.state.peak_alive.max(self.num_alive());
             any = true;
         }
-        if rounds > 0 {
-            // The cached next-arrival moved: retag the live arrival
-            // candidate and queue the new wakeup (older entries go
-            // stale and are lazily discarded at the queue front).
-            self.state.arr_gen += 1;
-            if EQUEUE && self.state.mode == ExecMode::Incremental {
-                // The superseded wakeup is the queue minimum (its time
-                // was just admitted, hence ≤ now): retire it eagerly so
-                // the queue holds exactly the live arrival timeline. The
-                // generation tags and the lazy discard in
-                // `next_event_time` remain as a safety net, but after
-                // this pop they never fire on the steady-state path.
-                let _ = self.state.equeue.pop();
-                if let Some(t) = self.state.next_arrival {
-                    self.state.equeue.insert(t, self.state.arr_gen);
-                }
-            }
-        }
         if any {
             self.state.alloc_fresh = false;
         }
         Ok(any)
     }
 
-    /// Revalidates the allocation for the interval starting now, whichever
-    /// path is active.
-    fn ensure_fresh(&mut self) -> Result<(), SimError> {
-        match self.state.mode {
-            ExecMode::Exhaustive => self.refresh_allocation(),
-            ExecMode::Incremental => self.refresh_profile(),
+    /// Revalidates the allocation for the interval starting now:
+    /// [`Engine::refresh_allocation`] on the exhaustive path,
+    /// [`Engine::refresh_profile`] on the incremental one. `GENERIC` is
+    /// the event loop's instantiation flag; the specialized loop only
+    /// ever runs the incremental path, so it skips the mode dispatch.
+    #[inline]
+    fn refresh<const GENERIC: bool>(&mut self) -> Result<(), SimError> {
+        if GENERIC && self.state.mode == ExecMode::Exhaustive {
+            self.refresh_allocation()
+        } else {
+            self.refresh_profile()
         }
     }
 
-    /// Incremental-path allocation refresh: queries the policy's prefix
+    /// Incremental-path allocation refresh: applies the policy's prefix
     /// profile, rebalances the running/queued partition, and classifies the
     /// upcoming interval's drain shape. `O(log n)` plus `O(moved)` for the
     /// partition moves (amortized `O(1)` moves per event for the θ = 1
     /// family; threshold crossings can move a batch, which the rebalance
     /// handles in bulk).
-    fn refresh_profile(&mut self) -> Result<(), SimError> {
-        self.state.quantum_deadline = None;
-        self.state.next_completion = None;
-        let n = self.state.srpt.len();
-        if n == 0 {
-            self.state.interval = IntervalKind::Idle;
-            self.state.alloc_fresh = true;
-            return Ok(());
-        }
-        let Some(profile) = self.policy.prefix_allocation(n, self.state.cfg.m) else {
-            return Err(SimError::BadInstance {
-                // lint:allow(L007) error construction: an infeasible profile terminates the run
-                what: format!(
-                    "policy {} declares SrptPrefix stability but returned no prefix profile for n = {n}",
-                    self.policy.name()
-                ),
-            });
-        };
-        // Mirror the exhaustive path's feasibility checks (same error
-        // taxonomy, O(1) instead of O(n)).
-        if !profile.share.is_finite() || profile.share < -EPS {
-            return Err(SimError::InvalidShare {
-                at: self.state.now,
-                share: profile.share,
-                policy: self.policy.name(),
-            });
-        }
-        let count = profile.count.clamp(1, n);
-        let share = profile.share.max(0.0);
-        let total = count as f64 * share;
-        if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
-            return Err(SimError::InfeasibleAllocation {
-                at: self.state.now,
-                requested: total,
-                available: self.state.cfg.m,
-                policy: self.policy.name(),
-            });
-        }
-        self.state.profile = PrefixAllocation { count, share };
-        let jobs = &mut self.state.jobs;
-        self.state
-            .srpt
-            .maybe_rebase(|idx, p| apply_placement(jobs, idx, p));
-        self.state
-            .srpt
-            .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
-        // Classify the interval. Uniform (O(1) drain) whenever every
-        // running job provably drains at one common rate: a single runner,
-        // identical curves, or share 1 with Γ(1) = 1 across the prefix.
-        let share_is_unit = (share - 1.0).abs() <= 1e-12;
-        let unit_rate = share_is_unit && self.state.srpt.unit_rate_at_one();
-        let uniform =
-            self.state.srpt.running_len() <= 1 || self.state.srpt.uniform_curves() || unit_rate;
-        if uniform {
-            let rate = match self.state.srpt.front_running() {
-                // Γ(1) = 1 across the prefix ⇒ rate is the bare speed; skip
-                // the (powf-backed) curve evaluation in the overload steady
-                // state.
-                Some((slot, rem)) => {
-                    let rate = if unit_rate {
-                        self.state.cfg.speed
-                    } else {
-                        self.state.cfg.speed * self.state.jobs.gamma(slot.idx, share)
-                    };
-                    if rate > 0.0 {
-                        // Invariant under uniform drain, so it doubles as
-                        // the completion candidate for this interval.
-                        self.state.next_completion = Some(self.state.now + rem / rate);
-                    }
-                    rate
-                }
-                None => 0.0,
-            };
-            self.state.interval = IntervalKind::Uniform { rate };
-        } else {
-            // Scan interval: one Γ evaluation per kernel *class*, then a
-            // contiguous walk over the prefix through the per-class rate
-            // cache (no per-job pointer chase, no per-job powf).
-            self.state
-                .jobs
-                .refresh_class_rates(self.state.cfg.speed, share);
-            let mut next: Option<Time> = None;
-            let jobs = &self.state.jobs;
-            let now = self.state.now;
-            let speed = self.state.cfg.speed;
-            self.state.srpt.for_each_running_ordered(|slot, rem| {
-                let rate = jobs.rate_cached(slot.idx, speed, share);
-                if rate > 0.0 {
-                    let t = now + rem / rate;
-                    if next.is_none_or(|n| t < n) {
-                        next = Some(t);
-                    }
-                }
-            });
-            self.state.interval = IntervalKind::Scan;
-            self.state.next_completion = next;
-        }
-        self.state.alloc_fresh = true;
-        Ok(())
-    }
-
-    /// Delta-allocation refresh for the fast loop: like
-    /// [`Engine::refresh_profile`], but the validated `(count, share)`
-    /// pair is replayed from the per-`n` memo instead of re-querying the
-    /// policy through `dyn` dispatch and re-validating the answer on
-    /// every event. The [`PrefixAllocation`] contract makes the profile a
-    /// pure function of `(n_alive, m)` with `m` fixed per run, and the
+    ///
+    /// The validated `(count, share)` pair is replayed from the per-`n`
+    /// memo: the [`PrefixAllocation`] contract makes the profile a pure
+    /// function of `(n_alive, m)` with `m` fixed per run, and the
     /// clamping/feasibility pipeline applied to it is deterministic, so
-    /// caching the *validated* result is exact — a memo miss (first time
-    /// this alive count is seen) runs the full query + validation and
-    /// fills the slot. Uniform-interval rates are likewise memoized per
-    /// `(n, kernel class)`: same class ⇒ bit-identical kernel ⇒
-    /// bit-identical `speed·Γ_c(share)`. Everything downstream of the
-    /// profile (rebase, rebalance, interval classification, next
-    /// completion) is the same arithmetic in the same order as
-    /// [`Engine::refresh_profile`].
+    /// caching the *validated* result is exact. A memo miss (the first
+    /// time this alive count is seen) queries the policy, validates the
+    /// answer, and fills the slot, so the policy is asked at most once per
+    /// distinct alive count per run. Uniform-interval rates are likewise
+    /// memoized per `(n, kernel class)`: same class ⇒ bit-identical
+    /// kernel ⇒ bit-identical `speed·Γ_c(share)`.
     #[inline]
-    fn refresh_profile_fast(&mut self) -> Result<(), SimError> {
+    fn refresh_profile(&mut self) -> Result<(), SimError> {
         self.state.quantum_deadline = None;
         self.state.next_completion = None;
         let n = self.state.srpt.len();
@@ -1783,6 +1555,8 @@ impl<'a> Engine<'a> {
                     ),
                 });
             };
+            // Mirror the exhaustive path's feasibility checks (same error
+            // taxonomy, O(1) instead of O(n)).
             if !profile.share.is_finite() || profile.share < -EPS {
                 return Err(SimError::InvalidShare {
                     at: self.state.now,
@@ -1819,7 +1593,9 @@ impl<'a> Engine<'a> {
         self.state
             .srpt
             .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
-        // Interval classification — same predicates as refresh_profile.
+        // Classify the interval. Uniform (O(1) drain) whenever every
+        // running job provably drains at one common rate: a single runner,
+        // identical curves, or share 1 with Γ(1) = 1 across the prefix.
         let share_is_unit = (share - 1.0).abs() <= 1e-12;
         let unit_rate = share_is_unit && self.state.srpt.unit_rate_at_one();
         let uniform =
@@ -1827,6 +1603,9 @@ impl<'a> Engine<'a> {
         if uniform {
             let rate = match self.state.srpt.front_running() {
                 Some((slot, rem)) => {
+                    // Γ(1) = 1 across the prefix ⇒ rate is the bare speed;
+                    // skip the curve evaluation in the overload steady
+                    // state.
                     let rate = if unit_rate {
                         self.state.cfg.speed
                     } else {
@@ -1844,6 +1623,8 @@ impl<'a> Engine<'a> {
                         }
                     };
                     if rate > 0.0 {
+                        // Invariant under uniform drain, so it doubles as
+                        // the completion candidate for this interval.
                         self.state.next_completion = Some(self.state.now + rem / rate);
                     }
                     rate
@@ -1852,6 +1633,9 @@ impl<'a> Engine<'a> {
             };
             self.state.interval = IntervalKind::Uniform { rate };
         } else {
+            // Scan interval: one Γ evaluation per kernel *class*, then a
+            // contiguous walk over the prefix through the per-class rate
+            // cache (no per-job pointer chase, no per-job powf).
             self.state
                 .jobs
                 .refresh_class_rates(self.state.cfg.speed, share);
@@ -1894,7 +1678,7 @@ impl<'a> Engine<'a> {
                 spec: &self.state.jobs.specs[i],
                 remaining: self.state.jobs.remaining[i],
             })
-            // lint:allow(L007) exhaustive-oracle arm only (ensure_fresh routes the audited incremental arm to refresh_profile)
+            // lint:allow(L007) exhaustive-oracle arm only (refresh routes the incremental arm to refresh_profile)
             .collect();
         let quantum = self.policy.assign(
             self.state.now,
@@ -1939,118 +1723,144 @@ impl<'a> Engine<'a> {
     }
 
     /// The next time at which anything happens (completion, arrival, or
-    /// quantum expiry), or `None` when the run is over.
+    /// quantum expiry), or `None` when the run is over. Admits the
+    /// arrivals due now and refreshes a stale allocation first, so the
+    /// engine is at an event boundary with a fresh allocation afterwards.
+    /// With [`Engine::advance_to`] this exposes [`Engine::step`]'s phases
+    /// (minus its audit frame and event-budget charge) to drivers that
+    /// advance several engines in lockstep.
     pub fn next_event_time(&mut self) -> Result<Option<Time>, SimError> {
         if self.state.finished {
             return Ok(None);
         }
-        // Arrivals due exactly now (including the ones at t = 0 before the
-        // first step) must be admitted before deciding the allocation.
-        hp_phase!(self, queue_ns, self.admit_due_arrivals())?;
-        if !self.state.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.ensure_fresh())?;
-        }
-        let next = hp_phase!(self, queue_ns, {
-            let mut next: Option<Time> = None;
-            let mut consider = |t: Time| {
-                if next.is_none_or(|n| t < n) {
-                    next = Some(t);
-                }
-            };
-            match self.state.mode {
-                ExecMode::Exhaustive => {
-                    for (i, &idx) in self.state.alive.iter().enumerate() {
-                        if self.state.rates[i] > 0.0 {
-                            consider(
-                                self.state.now
-                                    + self.state.jobs.remaining[idx] / self.state.rates[i],
-                            );
-                        }
-                    }
-                    if let Some(t) = self.state.next_arrival {
-                        consider(t.max(self.state.now));
-                    }
-                }
-                // Incremental: the interval's completion candidate is a plain
-                // field (recomputed by every refresh); the arrival wakeup is
-                // peeked from the event queue, lazily discarding superseded
-                // generations (their times are ≤ now, so they sit at the
-                // front). Clamping to `now` after the min is identical to
-                // clamping before it (max(·, now) is monotone).
-                ExecMode::Incremental => {
-                    if let Some(t) = self.state.next_completion {
-                        consider(t.max(self.state.now));
-                    }
-                    while let Some((t, gen)) = self.state.equeue.peek() {
-                        if gen == self.state.arr_gen {
-                            consider(t.max(self.state.now));
-                            break;
-                        }
-                        self.state.equeue.pop();
-                    }
-                }
-            }
-            if let Some(t) = self.state.quantum_deadline {
-                consider(t.max(self.state.now));
-            }
-            next
-        });
-        match next {
-            Some(t) => Ok(Some(t)),
-            None => {
-                if self.num_alive() == 0 {
-                    self.state.finished = true;
-                    Ok(None)
-                } else {
-                    Err(SimError::Stalled {
-                        at: self.state.now,
-                        alive: self.num_alive(),
-                    })
-                }
-            }
-        }
+        hp_phase!(self, queue_ns, self.admit_due::<true, true, true>())?;
+        self.decide::<true>()
     }
 
     /// Advances the clock to `t` (which must not exceed the next event
     /// time), integrating metrics and processing completions and arrivals
     /// that fall exactly at `t`.
     pub fn advance_to(&mut self, t: Time) -> Result<(), SimError> {
+        if !self.state.alloc_fresh {
+            hp_phase!(self, refresh_ns, self.refresh::<true>())?;
+        }
+        self.advance::<true, true, true>(t)
+    }
+
+    /// Event-loop phase 1: refreshes a stale allocation and selects the
+    /// next event time — the interval's completion candidate (or, on the
+    /// exhaustive path, every job's), the cached next arrival, and the
+    /// quantum deadline, in that order, the earliest winning and the
+    /// first of equals kept. `None` ends the run when nothing is alive
+    /// and is a stall otherwise.
+    #[inline]
+    fn decide<const GENERIC: bool>(&mut self) -> Result<Option<Time>, SimError> {
+        if !self.state.alloc_fresh {
+            hp_phase!(self, refresh_ns, self.refresh::<GENERIC>())?;
+        }
+        let next = hp_phase!(self, queue_ns, {
+            let now = self.state.now;
+            let mut next: Option<Time> = None;
+            let mut consider = |t: Time| {
+                if next.is_none_or(|n| t < n) {
+                    next = Some(t);
+                }
+            };
+            if GENERIC && self.state.mode == ExecMode::Exhaustive {
+                for (i, &idx) in self.state.alive.iter().enumerate() {
+                    if self.state.rates[i] > 0.0 {
+                        consider(now + self.state.jobs.remaining[idx] / self.state.rates[i]);
+                    }
+                }
+            } else if let Some(t) = self.state.next_completion {
+                consider(t.max(now));
+            }
+            if let Some(t) = self.state.next_arrival {
+                consider(t.max(now));
+            }
+            // Only the exhaustive path schedules quanta.
+            if let Some(t) = self.state.quantum_deadline.filter(|_| GENERIC) {
+                consider(t.max(now));
+            }
+            next
+        });
+        if next.is_none() {
+            if self.num_alive() > 0 {
+                return Err(SimError::Stalled {
+                    at: self.state.now,
+                    alive: self.num_alive(),
+                });
+            }
+            self.state.finished = true;
+        }
+        Ok(next)
+    }
+
+    /// Event-loop phase 2: charges one event against the time and event
+    /// budgets.
+    #[inline]
+    fn charge_event(&mut self, t: Time) -> Result<(), SimError> {
+        if t > self.state.cfg.max_time {
+            return Err(SimError::TimeLimit {
+                limit: self.state.cfg.max_time,
+            });
+        }
+        self.state.events += 1;
+        if self.state.events > self.state.cfg.max_events {
+            return Err(SimError::EventLimit {
+                limit: self.state.cfg.max_events,
+            });
+        }
+        #[cfg(feature = "hotpath")]
+        if self.state.cfg.hotpath_profile {
+            self.state.hotpath.events += 1;
+        }
+        Ok(())
+    }
+
+    /// Event-loop phase 3: integrates the interval up to `t`, then
+    /// processes the completions and arrivals that fall exactly at `t`.
+    /// The allocation must be fresh.
+    #[inline]
+    fn advance<const VALIDATE: bool, const PHOOKS: bool, const GENERIC: bool>(
+        &mut self,
+        t: Time,
+    ) -> Result<(), SimError> {
         debug_assert!(
             t >= self.state.now - EPS * self.state.now.max(1.0),
             "time went backwards"
         );
-        if !self.state.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.ensure_fresh())?;
-        }
+        let exhaustive = GENERIC && self.state.mode == ExecMode::Exhaustive;
         let dt = (t - self.state.now).max(0.0);
         if dt > 0.0 {
-            hp_phase!(
-                self,
-                metrics_ns,
-                match self.state.mode {
-                    ExecMode::Exhaustive => self.integrate_exhaustive(dt),
-                    ExecMode::Incremental => self.integrate_incremental(dt),
-                }
-            );
-            self.observer.on_advance(self.state.now, t);
+            if exhaustive {
+                hp_phase!(self, metrics_ns, self.integrate_exhaustive(dt));
+            } else {
+                hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
+            }
+            if GENERIC {
+                self.observer.on_advance(self.state.now, t);
+            }
             self.state.now = t;
         } else {
             self.state.now = self.state.now.max(t);
         }
-        // Completions at the new time.
         let completed_any = hp_phase!(self, dispatch_ns, {
-            let completed_any = match self.state.mode {
-                ExecMode::Exhaustive => self.collect_completions_exhaustive(),
-                ExecMode::Incremental => self.collect_completions_incremental(),
+            let completed_any = if exhaustive {
+                self.collect_completions_exhaustive()
+            } else {
+                self.collect_completions_incremental::<GENERIC>()
             };
             if completed_any {
                 self.state.alloc_fresh = false;
-                self.policy.on_completion(self.state.now, self.num_alive());
+                if PHOOKS {
+                    self.policy.on_completion(self.state.now, self.num_alive());
+                }
             }
             completed_any
         });
         // Quantum expiry forces a re-decision.
-        if let Some(q) = self.state.quantum_deadline {
+        if let Some(q) = self.state.quantum_deadline.filter(|_| GENERIC) {
             if self.state.now + EPS * self.state.now.max(1.0) >= q {
                 self.state.alloc_fresh = false;
             }
@@ -2060,7 +1870,11 @@ impl<'a> Engine<'a> {
         // event, one step — which is the first-class same-timestamp
         // coalescing documented in `docs/PERF.md` §4; count it so tests
         // can pin the behavior instead of inferring it from event totals.
-        let arrived = hp_phase!(self, queue_ns, self.admit_due_arrivals())?;
+        let arrived = hp_phase!(
+            self,
+            queue_ns,
+            self.admit_due::<VALIDATE, GENERIC, PHOOKS>()
+        )?;
         if completed_any && arrived {
             self.state.coalesced += 1;
         }
@@ -2152,15 +1966,10 @@ impl<'a> Engine<'a> {
     /// Records a completion at the current time into the aggregate sink
     /// (both modes) and the completion list (in-memory mode), then retires
     /// the arena slot (streaming mode). Callers have already detached the
-    /// job from their alive structure.
-    fn finish_job(&mut self, idx: usize) {
-        self.finish_job_core::<true>(idx)
-    }
-
-    /// Completion-recording core; `NOTIFY` gates the observer callback
-    /// (elided by the fast loop, whose eligibility requires
-    /// [`Observer::is_noop`]). `<true>` is the generic path, unchanged.
-    fn finish_job_core<const NOTIFY: bool>(&mut self, idx: usize) {
+    /// job from their alive structure. `NOTIFY` gates the observer
+    /// callback (elided by the specialized loop, whose eligibility
+    /// requires [`Observer::is_noop`]).
+    fn finish_job<const NOTIFY: bool>(&mut self, idx: usize) {
         self.state.jobs.remaining[idx] = 0.0;
         self.state.jobs.in_running[idx] = false;
         self.state.jobs.done[idx] = true;
@@ -2205,7 +2014,7 @@ impl<'a> Engine<'a> {
                 // refresh either way).
                 self.state.rates.swap_remove(i);
                 self.state.shares.swap_remove(i);
-                self.finish_job(idx);
+                self.finish_job::<true>(idx);
                 completed_any = true;
             } else {
                 i += 1;
@@ -2216,15 +2025,10 @@ impl<'a> Engine<'a> {
 
     /// Incremental-path completions: only the *front* of the running prefix
     /// can finish (SRPT order), so this pops while the front is within
-    /// tolerance — O(log n) per completion, no sweep.
-    fn collect_completions_incremental(&mut self) -> bool {
-        self.collect_completions_incremental_core::<true>()
-    }
-
-    /// Incremental completion core; `NOTIFY` as in
-    /// [`Engine::finish_job_core`].
+    /// tolerance — O(log n) per completion, no sweep. `NOTIFY` as in
+    /// [`Engine::finish_job`].
     #[inline]
-    fn collect_completions_incremental_core<const NOTIFY: bool>(&mut self) -> bool {
+    fn collect_completions_incremental<const NOTIFY: bool>(&mut self) -> bool {
         let mut completed_any = false;
         while let Some((slot, rem)) = self.state.srpt.front_running() {
             let rate = match self.state.interval {
@@ -2241,7 +2045,7 @@ impl<'a> Engine<'a> {
             }
             let idx = slot.idx;
             self.state.srpt.pop_front_running();
-            self.finish_job_core::<NOTIFY>(idx);
+            self.finish_job::<NOTIFY>(idx);
             completed_any = true;
         }
         completed_any
@@ -2324,192 +2128,106 @@ impl<'a> Engine<'a> {
     }
 
     /// Processes one event. Returns `false` when the run is complete.
+    ///
+    /// One iteration of the all-checks instantiation of the event loop
+    /// (see [`Engine::run_loop`]): it validates admissions, notifies the
+    /// observer and the policy hooks, serves both execution paths, and
+    /// feeds the auditor.
     pub fn step(&mut self) -> Result<bool, SimError> {
-        let Some(t) = self.next_event_time()? else {
-            return Ok(false);
-        };
-        // Audit hook: at this point the allocation is fresh and constant
-        // over `[now, t]`, so the frame captures exactly what the engine is
-        // about to execute.
-        if let Some(mut aud) = self.state.auditor.take() {
-            let checked = if aud.wants_frame(self.state.events) {
-                let frame = self.build_audit_frame(aud.take_spare());
-                aud.check_frame(frame)
-            } else {
-                Ok(())
-            };
-            self.state.auditor = Some(aud);
-            checked?;
-        }
-        if t > self.state.cfg.max_time {
-            return Err(SimError::TimeLimit {
-                limit: self.state.cfg.max_time,
-            });
-        }
-        self.state.events += 1;
-        if self.state.events > self.state.cfg.max_events {
-            return Err(SimError::EventLimit {
-                limit: self.state.cfg.max_events,
-            });
-        }
-        #[cfg(feature = "hotpath")]
-        if self.state.cfg.hotpath_profile {
-            self.state.hotpath.events += 1;
-        }
-        self.advance_to(t)?;
-        Ok(true)
+        self.run_events::<true, true, true>(true)
     }
 
-    /// Drives the run to completion without finalizing: the monomorphized
-    /// fast event loop when eligible, the generic [`Engine::step`] loop
-    /// otherwise. All four `run*` finalizers route through here; it is
-    /// public so external drivers (benchmarks, the allocation audit) can
-    /// execute the exact finalizer loop and then inspect the engine
-    /// before materializing an outcome.
+    /// Drives the run to completion without finalizing. All four `run*`
+    /// finalizers route through here; it is public so external drivers
+    /// (benchmarks, the allocation audit) can execute the exact finalizer
+    /// loop and then inspect the engine before materializing an outcome.
     ///
-    /// Fast-loop eligibility: [`EngineConfig::fast_loop`] on, the
-    /// incremental path, auditing off, and a no-op observer
-    /// ([`Observer::is_noop`]). The fast loop is bit-identical to the
-    /// generic loop — same completion order, same metric bits, same
-    /// error taxonomy — which `tests/engine_fastpath_differential.rs`
-    /// pins policy by policy. What it removes is dispatch and
-    /// bookkeeping, not arithmetic: the per-event `dyn` profile query is
-    /// replayed from the per-`n` memo
-    /// ([`Engine::refresh_profile_fast`]), admission re-validation is
-    /// skipped for [`ArrivalSource::pre_validated`] sources, no-op
-    /// observer and policy-hook calls are elided
-    /// ([`Policy::event_hooks_are_noop`]), and the arrival wakeup is
-    /// read from the cached `next_arrival` field instead of
-    /// round-tripping the event queue.
+    /// There is one event loop, [`Engine::run_events`], monomorphized
+    /// over what the run is known to need. A run on the incremental path
+    /// with auditing off and a no-op observer ([`Observer::is_noop`])
+    /// takes the specialized instantiation: no mode dispatch, no audit
+    /// frames, no observer calls, no quantum bookkeeping, and — per the
+    /// source's [`ArrivalSource::pre_validated`] and the policy's
+    /// [`Policy::event_hooks_are_noop`] — no admission re-validation and
+    /// no policy hooks. Every other run takes the all-checks
+    /// instantiation that [`Engine::step`] iterates. The instantiations
+    /// differ in dispatch and bookkeeping, not arithmetic, so a run is
+    /// bit-identical either way, which
+    /// `tests/engine_fastpath_differential.rs` pins policy by policy.
     pub fn run_loop(&mut self) -> Result<(), SimError> {
-        let fast = self.state.cfg.fast_loop
-            && self.state.mode == ExecMode::Incremental
+        let specialized = self.state.mode == ExecMode::Incremental
             && self.state.auditor.is_none()
             && self.observer.is_noop();
-        if !fast {
-            while self.step()? {}
-            return Ok(());
+        if !specialized {
+            return self.run_events::<true, true, true>(false).map(drop);
         }
         let hooks = !self.policy.event_hooks_are_noop();
         match (self.source.pre_validated(), hooks) {
-            (true, true) => self.run_fast_loop::<false, true>(),
-            (true, false) => self.run_fast_loop::<false, false>(),
-            (false, true) => self.run_fast_loop::<true, true>(),
-            (false, false) => self.run_fast_loop::<true, false>(),
+            (true, true) => self.run_events::<false, true, false>(false),
+            (true, false) => self.run_events::<false, false, false>(false),
+            (false, true) => self.run_events::<true, true, false>(false),
+            (false, false) => self.run_events::<true, false, false>(false),
         }
+        .map(drop)
     }
 
-    /// The monomorphized fast event loop — see [`Engine::run_loop`] for
-    /// eligibility and the equivalence contract. One iteration performs
-    /// exactly one `step()`: leading admission, (delta-)refresh, event
-    /// selection, budget checks, interval integration, completion
-    /// collection, trailing admission — in the generic loop's order, with
-    /// its tie-breaking (completion candidate considered before the
-    /// arrival, strict `<` to replace) and its `max(now)` clamping.
-    fn run_fast_loop<const VALIDATE: bool, const PHOOKS: bool>(&mut self) -> Result<(), SimError> {
-        debug_assert!(
-            self.state.quantum_deadline.is_none(),
-            "the incremental path never schedules a quantum"
-        );
+    /// The event loop: leading admission, then per event
+    /// [`Engine::decide`], the audit frame, [`Engine::charge_event`], and
+    /// [`Engine::advance`]. Runs one event when `once`, else until the run
+    /// ends; returns `false` once the run is over.
+    ///
+    /// `VALIDATE` re-checks admitted specs, `PHOOKS` calls the policy's
+    /// event hooks, and `GENERIC` serves the exhaustive path, the
+    /// observer, and the auditor; with `GENERIC` off the run must be on
+    /// the incremental path, unaudited, and unobserved (see
+    /// [`Engine::run_loop`]).
+    #[inline]
+    fn run_events<const VALIDATE: bool, const PHOOKS: bool, const GENERIC: bool>(
+        &mut self,
+        once: bool,
+    ) -> Result<bool, SimError> {
         if self.state.finished {
-            return Ok(());
+            return Ok(false);
         }
-        // `step()` admits due arrivals at the top of every step, but inside
-        // a closed loop that leading admission is provably a no-op after
-        // the first iteration: the previous iteration's trailing admission
-        // drained everything due at `now`, and nothing advances the clock
-        // in between. One admission before the loop replaces it exactly.
+        // Arrivals due now: the ones at the first event's time before the
+        // first step. Every event ends by admitting what is due at its
+        // time, and nothing moves the clock in between, so from then on
+        // this is a no-op.
         hp_phase!(
             self,
             queue_ns,
-            self.admit_core::<VALIDATE, false, false, PHOOKS>()
+            self.admit_due::<VALIDATE, GENERIC, PHOOKS>()
         )?;
         loop {
-            if !self.state.alloc_fresh {
-                hp_phase!(self, refresh_ns, self.refresh_profile_fast())?;
-            }
-            let next = hp_phase!(self, queue_ns, {
-                let mut next: Option<Time> = None;
-                if let Some(t) = self.state.next_completion {
-                    next = Some(t.max(self.state.now));
-                }
-                if let Some(t) = self.state.next_arrival {
-                    let t = t.max(self.state.now);
-                    if next.is_none_or(|n| t < n) {
-                        next = Some(t);
-                    }
-                }
-                next
-            });
-            let Some(t) = next else {
-                if self.state.srpt.len() == 0 {
-                    self.state.finished = true;
-                    return Ok(());
-                }
-                return Err(SimError::Stalled {
-                    at: self.state.now,
-                    alive: self.state.srpt.len(),
-                });
+            let Some(t) = self.decide::<GENERIC>()? else {
+                return Ok(false);
             };
-            if t > self.state.cfg.max_time {
-                return Err(SimError::TimeLimit {
-                    limit: self.state.cfg.max_time,
-                });
+            if GENERIC {
+                self.audit_event()?;
             }
-            self.state.events += 1;
-            if self.state.events > self.state.cfg.max_events {
-                return Err(SimError::EventLimit {
-                    limit: self.state.cfg.max_events,
-                });
-            }
-            #[cfg(feature = "hotpath")]
-            if self.state.cfg.hotpath_profile {
-                self.state.hotpath.events += 1;
-            }
-            // `advance_to`, fused.
-            debug_assert!(
-                t >= self.state.now - EPS * self.state.now.max(1.0),
-                "time went backwards"
-            );
-            let dt = (t - self.state.now).max(0.0);
-            if dt > 0.0 {
-                hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
-                self.state.now = t;
-            } else {
-                self.state.now = self.state.now.max(t);
-            }
-            let completed_any = hp_phase!(self, dispatch_ns, {
-                let completed_any = self.collect_completions_incremental_core::<false>();
-                if completed_any {
-                    self.state.alloc_fresh = false;
-                    if PHOOKS {
-                        self.policy
-                            .on_completion(self.state.now, self.state.srpt.len());
-                    }
-                }
-                completed_any
-            });
-            // Trailing admission, with `admit_core`'s own entry test
-            // duplicated here so non-arrival events (half the steady
-            // state) skip the call entirely. The test has no side effects
-            // and uses the same float ops, so admission behavior is
-            // unchanged.
-            let due = self.state.next_arrival.is_some_and(|t| {
-                t <= self.state.now + crate::source::arrival_tolerance(self.state.now)
-            });
-            let arrived = if due {
-                hp_phase!(
-                    self,
-                    queue_ns,
-                    self.admit_core::<VALIDATE, false, false, PHOOKS>()
-                )?
-            } else {
-                false
-            };
-            if completed_any && arrived {
-                self.state.coalesced += 1;
+            self.charge_event(t)?;
+            self.advance::<VALIDATE, PHOOKS, GENERIC>(t)?;
+            if once {
+                return Ok(true);
             }
         }
+    }
+
+    /// Audit hook: at this point the allocation is fresh and constant over
+    /// the coming interval, so the frame captures exactly what the engine
+    /// is about to execute.
+    fn audit_event(&mut self) -> Result<(), SimError> {
+        let Some(mut aud) = self.state.auditor.take() else {
+            return Ok(());
+        };
+        let checked = if aud.wants_frame(self.state.events) {
+            let frame = self.build_audit_frame(aud.take_spare());
+            aud.check_frame(frame)
+        } else {
+            Ok(())
+        };
+        self.state.auditor = Some(aud);
+        checked
     }
 
     /// Runs to completion and returns the outcome. Streaming runs must use

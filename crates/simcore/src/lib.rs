@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod calendar;
 pub mod csv;
 mod engine;
 mod error;
@@ -69,8 +68,7 @@ pub mod trace;
 
 pub use engine::{
     simulate, simulate_audited, simulate_streaming, simulate_streaming_audited,
-    simulate_with_observer, AliveSnapshot, Engine, EngineBuffers, EngineConfig, EventQueueKind,
-    ParkedEngine,
+    simulate_with_observer, AliveSnapshot, Engine, EngineBuffers, EngineConfig, ParkedEngine,
 };
 pub use error::SimError;
 pub use invariant::{AuditLevel, AuditReport, Auditor, EnginePath, Invariant, Violation};

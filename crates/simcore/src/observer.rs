@@ -48,7 +48,7 @@ pub trait Observer {
     ///
     /// Observers returning `true` promise that skipping their callbacks
     /// entirely is indistinguishable from calling them, which lets the
-    /// engine's monomorphized fast loop elide the per-event virtual
+    /// engine's specialized event loop elide the per-event virtual
     /// dispatch (see `Engine::run_loop`). The default is `false` — the
     /// conservative answer that keeps every callback firing.
     fn is_noop(&self) -> bool {

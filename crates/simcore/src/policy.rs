@@ -169,7 +169,7 @@ pub trait Policy {
     ///
     /// Policies returning `true` promise that skipping the notifications
     /// is indistinguishable from delivering them, which lets the engine's
-    /// monomorphized fast loop elide the two per-event virtual calls (the
+    /// event loop elide the two per-event virtual calls (the
     /// [`crate::Observer::is_noop`] pattern). The default is `false` — the
     /// conservative answer that keeps every notification firing — so a
     /// policy that starts keeping event statistics cannot be silently
@@ -291,7 +291,7 @@ impl Policy for EquiSplit {
 
     fn event_hooks_are_noop(&self) -> bool {
         // Stateless: both event hooks are the empty defaults, so the
-        // fast loop may elide the two per-event virtual calls.
+        // event loop may elide the two per-event virtual calls.
         true
     }
 

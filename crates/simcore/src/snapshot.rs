@@ -1,16 +1,15 @@
 //! Suspend/resume snapshots of a running [`crate::Engine`].
 //!
 //! A [`Snapshot`] captures *everything* the event loop's future trajectory
-//! depends on — clock, arena lanes, SRPT partitions with their compensated
-//! sums, the generation-tagged event queue, policy state, and the metric
-//! accumulators — such that `restore → run-to-completion` is **bit-identical**
+//! depends on — clock and cached next arrival, arena lanes, SRPT partitions
+//! with their compensated sums, policy state, and the metric accumulators — such that `restore → run-to-completion` is **bit-identical**
 //! to running the original engine to completion: same completion order, same
 //! low-order float bits in every aggregate, same event count. That contract
 //! is what lets the fleet layer suspend a tenant at any event boundary,
 //! migrate it to another shard (or another process, via the text codec), and
 //! resume as if nothing happened.
 //!
-//! # The `parsched-snap/v1` document
+//! # The `parsched-snap/v2` document
 //!
 //! Snapshots serialize to a single-line JSON document through the same
 //! hand-rolled [`crate::jsonlite`] dialect the trace format uses. Two codec
@@ -34,9 +33,19 @@
 //! whatever observer its host wires up; snapshotting requires the null
 //! observer's path anyway on the incremental engine), auditors (snapshot
 //! requires [`crate::AuditLevel::Off`] — audit state is a debugging aid, not
-//! run state), and the calendar queue's bucket geometry (pop order is a pure
-//! function of the `(time, seq)` entries, which *are* captured; the restored
-//! queue re-primes itself on the first insert).
+//! run state), and the per-alive-count allocation memo (a pure function of
+//! the policy and `m`; the restored engine re-derives every entry
+//! bit-identically on first use).
+//!
+//! No reader for older formats is kept: a `parsched-snap/v1` document
+//! describes engine mechanisms that no longer exist (an event queue and
+//! two configuration knobs) and is refused with
+//! [`crate::SimError::BadInstance`].
+//!
+//! Restore checks every arena slot against the invariants admission
+//! enforces (finite release, size, weight, and remaining work), so a
+//! hostile document is refused with an error rather than decoded into a
+//! run that panics later.
 
 use crate::csv::{curve_from_field, curve_to_field};
 use crate::error::SimError;
@@ -47,7 +56,7 @@ use crate::srpt_set::{SetEntrySnap, SetSnap};
 use crate::streaming::SinkState;
 
 /// The format tag every document leads with.
-pub const SNAP_FORMAT: &str = "parsched-snap/v1";
+pub const SNAP_FORMAT: &str = "parsched-snap/v2";
 
 /// Engine-configuration fingerprint. Restore refuses a config whose
 /// semantics differ from the one that produced the snapshot — resuming a
@@ -59,8 +68,6 @@ pub(crate) struct SnapCfg {
     pub(crate) speed: f64,
     pub(crate) full_reassign: bool,
     pub(crate) streaming: bool,
-    pub(crate) pow_kernel: bool,
-    pub(crate) heap_queue: bool,
 }
 
 /// Mirror of the engine's private interval classification.
@@ -72,9 +79,9 @@ pub(crate) enum SnapInterval {
 }
 
 /// One arena slot: the admission spec plus every mutable lane. The `kern`
-/// lane is *not* here — kernels are reconstructed from the curve and the
-/// `pow_kernel` flag, which is bit-identical because kernel construction is
-/// deterministic in α (see the class-registry note on [`Snapshot`]).
+/// lane is *not* here — kernels are reconstructed from the curve, which is
+/// bit-identical because kernel construction is deterministic in α (see
+/// the class-registry note on [`Snapshot`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SnapJob {
     pub(crate) spec: JobSpec,
@@ -104,7 +111,6 @@ pub struct Snapshot {
     pub(crate) now: Time,
     pub(crate) events: u64,
     pub(crate) coalesced: u64,
-    pub(crate) arr_gen: u64,
     pub(crate) finished: bool,
     pub(crate) alloc_fresh: bool,
     pub(crate) quantum_deadline: Option<Time>,
@@ -126,8 +132,6 @@ pub struct Snapshot {
     pub(crate) rates: Vec<f64>,
     pub(crate) srpt: SetSnap,
     pub(crate) completed: Vec<CompletedJob>,
-    pub(crate) equeue_entries: Vec<(f64, u64, u64)>,
-    pub(crate) equeue_next_seq: u64,
 }
 
 impl Snapshot {
@@ -194,14 +198,15 @@ impl Snapshot {
         self.cfg.streaming
     }
 
-    /// Renders the `parsched-snap/v1` document (compact single line).
+    /// Renders the `parsched-snap/v2` document (compact single line).
     /// `from_json(to_json(s)) == s` exactly, and `to_json` of the parsed
     /// snapshot reproduces the document byte-for-byte.
     pub fn to_json(&self) -> String {
         self.to_value().render()
     }
 
-    /// Parses a `parsched-snap/v1` document.
+    /// Parses a `parsched-snap/v2` document. Documents of any other
+    /// format, v1 included, are refused.
     pub fn from_json(text: &str) -> Result<Snapshot, SimError> {
         let doc = Json::parse(text).map_err(|e| bad(format!("unparseable document: {e}")))?;
         Self::from_value(&doc)
@@ -221,8 +226,6 @@ impl Snapshot {
             ("speed", fbits(self.cfg.speed)),
             ("full_reassign", Json::Bool(self.cfg.full_reassign)),
             ("streaming", Json::Bool(self.cfg.streaming)),
-            ("pow_kernel", Json::Bool(self.cfg.pow_kernel)),
-            ("heap_queue", Json::Bool(self.cfg.heap_queue)),
         ]);
         let policy = obj(vec![
             ("name", Json::Str(self.policy_name.clone())),
@@ -235,7 +238,6 @@ impl Snapshot {
             ("now", fbits(self.now)),
             ("events", unum(self.events)),
             ("coalesced", unum(self.coalesced)),
-            ("arr_gen", unum(self.arr_gen)),
             ("finished", Json::Bool(self.finished)),
             ("alloc_fresh", Json::Bool(self.alloc_fresh)),
             ("quantum_deadline", opt_fbits(self.quantum_deadline)),
@@ -364,20 +366,6 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        let equeue = obj(vec![
-            (
-                "entries",
-                Json::Arr(
-                    self.equeue_entries
-                        .iter()
-                        .map(|&(t, seq, payload)| {
-                            Json::Arr(vec![fbits(t), unum(seq), unum(payload)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("next_seq", unum(self.equeue_next_seq)),
-        ]);
         obj(vec![
             ("format", Json::Str(SNAP_FORMAT.into())),
             ("cfg", cfg),
@@ -398,7 +386,6 @@ impl Snapshot {
             ("exhaustive", exhaustive),
             ("srpt", srpt),
             ("completed", completed),
-            ("equeue", equeue),
         ])
     }
 
@@ -415,8 +402,6 @@ impl Snapshot {
             speed: f_at(cfg_v, "speed")?,
             full_reassign: bool_at(cfg_v, "full_reassign")?,
             streaming: bool_at(cfg_v, "streaming")?,
-            pow_kernel: bool_at(cfg_v, "pow_kernel")?,
-            heap_queue: bool_at(cfg_v, "heap_queue")?,
         };
         let policy_v = field(doc, "policy")?;
         let policy_name = str_at(policy_v, "name")?.to_string();
@@ -564,30 +549,6 @@ impl Snapshot {
                 })
             })
             .collect::<Result<Vec<CompletedJob>, SimError>>()?;
-        let equeue_v = field(doc, "equeue")?;
-        let equeue_entries = arr_at(equeue_v, "entries")?
-            .iter()
-            .map(|row| {
-                let row = row
-                    .as_arr()
-                    .map_err(|e| bad(format!("equeue entry: {e}")))?;
-                if row.len() != 3 {
-                    return Err(bad(format!(
-                        "equeue entry has {} fields (expected 3)",
-                        row.len()
-                    )));
-                }
-                Ok((
-                    f_item(&row[0], "equeue time")?,
-                    row[1]
-                        .as_u64()
-                        .map_err(|e| bad(format!("equeue seq: {e}")))?,
-                    row[2]
-                        .as_u64()
-                        .map_err(|e| bad(format!("equeue payload: {e}")))?,
-                ))
-            })
-            .collect::<Result<Vec<(f64, u64, u64)>, SimError>>()?;
         Ok(Snapshot {
             cfg,
             policy_name,
@@ -596,7 +557,6 @@ impl Snapshot {
             now: f_at(clock, "now")?,
             events: u_at(clock, "events")?,
             coalesced: u_at(clock, "coalesced")?,
-            arr_gen: u_at(clock, "arr_gen")?,
             finished: bool_at(clock, "finished")?,
             alloc_fresh: bool_at(clock, "alloc_fresh")?,
             quantum_deadline: opt_f_at(clock, "quantum_deadline")?,
@@ -618,8 +578,6 @@ impl Snapshot {
             rates,
             srpt,
             completed,
-            equeue_entries,
-            equeue_next_seq: u_at(equeue_v, "next_seq")?,
         })
     }
 }

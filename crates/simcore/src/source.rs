@@ -102,9 +102,9 @@ pub trait ArrivalSource {
     ///
     /// Sources that replay an [`Instance`] can return `true` — the
     /// instance constructors enforce exactly those invariants — which lets
-    /// the engine's fast loop skip its per-spec re-validation. Generative
-    /// or adaptive sources keep the default `false`, the conservative
-    /// answer that re-validates every admission.
+    /// the engine's specialized event loop skip its per-spec
+    /// re-validation. Generative or adaptive sources keep the default
+    /// `false`, the conservative answer that re-validates every admission.
     fn pre_validated(&self) -> bool {
         false
     }

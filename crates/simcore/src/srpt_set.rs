@@ -350,7 +350,7 @@ pub(crate) enum Placement {
     },
 }
 
-/// One alive-set entry as captured in a `parsched-snap/v1` document:
+/// One alive-set entry as captured in a `parsched-snap/v2` document:
 /// ordering key (offset space for running, literal remaining for queued)
 /// plus the full [`Slot`] payload. The `hetero`/`nonunit` flags are stored
 /// verbatim — they were computed against the reference curve at *insert*

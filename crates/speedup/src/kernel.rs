@@ -45,8 +45,8 @@ enum Kind {
     /// Benchmark control: route every call through `f64::powf`, skipping
     /// the classified fast paths. Only built by
     /// [`PowKernel::powf_reference`]; exists so `bench-snapshot` can A/B
-    /// the kernel against the per-call `powf` it replaced on the same
-    /// binary (`kernel_speedup_n1e5` in BENCH_engine.json).
+    /// the kernel against the per-call `powf` it replaced, per evaluation
+    /// on the same binary (`kernel_speedup_n1e5` in BENCH_engine.json).
     Reference,
 }
 

@@ -1,10 +1,11 @@
-//! Differential oracle for the monomorphized fast event loop
-//! (`Engine::run_fast_loop`, see docs/PERF.md §8): with a no-op observer
-//! and no auditor, the fast loop must be **bit-identical** to the generic
-//! `step()` loop — same aggregate metric bits, same completion sequence
-//! (including intra-event order), same per-completion time bits — for
-//! every registry policy. The fast loop removes dispatch and bookkeeping,
-//! not arithmetic, so there is no tolerance anywhere in this suite.
+//! Differential oracle for the engine's specialized event-loop
+//! instantiation (`Engine::run_loop`, see docs/PERF.md §8): with a no-op
+//! observer and no auditor, `run_loop` must be **bit-identical** to a run
+//! driven one `step()` at a time (the all-checks instantiation) — same
+//! aggregate metric bits, same completion sequence (including intra-event
+//! order), same per-completion time bits — for every registry policy. The
+//! instantiations differ in dispatch and bookkeeping, not arithmetic, so
+//! there is no tolerance anywhere in this suite.
 //!
 //! Coverage:
 //! * every [`PolicyKind::all_registered`] policy × the three bench
@@ -12,36 +13,46 @@
 //!   the committed `BENCH_engine.json` rows measure;
 //! * random mixed-curve instances under proptest, including burst
 //!   arrivals and single-machine cases;
-//! * a strict audit forces the generic loop (the fast path requires
-//!   `auditor.is_none()`), and that audited run must still reproduce the
-//!   fast run bit-for-bit — pinning that the fallback is the same
-//!   schedule, not a near miss;
-//! * suspend under the generic loop, round-trip the `parsched-snap/v1`
-//!   document, resume into the *fast* loop: the memoized allocation
-//!   profile and cached next-completion are rebuilt from restored state,
-//!   so the resumed run must finish bit-identically to both uninterrupted
-//!   arms.
+//! * a strict audit forces the all-checks instantiation (the specialized
+//!   one requires `auditor.is_none()`), and that audited run must still
+//!   reproduce the specialized run bit-for-bit — pinning that the
+//!   fallback is the same schedule, not a near miss;
+//! * suspend under `step()`, round-trip the `parsched-snap/v2` document,
+//!   resume into `run_loop`: the memoized allocation profile and cached
+//!   next-completion are rebuilt from restored state, so the resumed run
+//!   must finish bit-identically to both uninterrupted arms.
 
 use parsched::PolicyKind;
 use parsched_bench::{mixed_alpha_fixture, overload_fixture, poisson_fixture};
 use parsched_sim::{
-    AuditLevel, Engine, EngineConfig, Instance, JobId, JobSpec, NullObserver, RunOutcome, SimError,
-    Snapshot, StaticSource,
+    AliveJob, AllocationStability, AuditLevel, Engine, EngineConfig, Instance, JobId, JobSpec,
+    NullObserver, Policy, PrefixAllocation, RunOutcome, SimError, Snapshot, StaticSource, Time,
 };
 use parsched_speedup::Curve;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
-/// One full run; `fast` toggles the monomorphized loop, everything else
-/// (incremental path, no observer, no audit) is the fast loop's
-/// eligibility configuration.
+/// One full run in the specialized instantiation's eligibility
+/// configuration (incremental path, no observer, no audit): through
+/// `run_loop` when `fast`, else one `step()` at a time.
 fn run_arm(inst: &Instance, kind: PolicyKind, m: f64, fast: bool) -> RunOutcome {
     let mut policy = kind.build();
     let mut source = StaticSource::new(inst);
     let mut obs = NullObserver;
-    let cfg = EngineConfig::new(m).with_fast_loop(fast);
-    Engine::new(cfg, policy.as_mut(), &mut source, &mut obs)
-        .run()
+    let mut engine = Engine::new(EngineConfig::new(m), policy.as_mut(), &mut source, &mut obs);
+    let ran = if fast {
+        engine.run_loop()
+    } else {
+        step_to_end(&mut engine)
+    };
+    ran.and_then(|()| engine.into_outcome())
         .unwrap_or_else(|e| panic!("{} (fast={fast}): {e}", kind.name()))
+}
+
+fn step_to_end(engine: &mut Engine<'_>) -> Result<(), SimError> {
+    while engine.step()? {}
+    Ok(())
 }
 
 /// Completion sequence as raw bits: order, identity, and exact times.
@@ -52,7 +63,7 @@ fn completion_bits(out: &RunOutcome) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// The headline equivalence: fast ≡ generic, exactly.
+/// The headline equivalence: `run_loop` ≡ `step()`, exactly.
 fn assert_fastpath_identical(inst: &Instance, kind: PolicyKind, m: f64, ctx: &str) {
     let name = kind.name();
     let fast = run_arm(inst, kind, m, true);
@@ -68,7 +79,7 @@ fn assert_fastpath_identical(inst: &Instance, kind: PolicyKind, m: f64, ctx: &st
     );
 }
 
-/// Every registry policy the fast loop must be transparent for.
+/// Every registry policy the specialized loop must be transparent for.
 fn registry() -> Vec<PolicyKind> {
     PolicyKind::all_registered()
 }
@@ -90,9 +101,10 @@ fn every_registry_policy_matches_on_bench_fixtures() {
     }
 }
 
-/// A strict audit disables the fast loop (its frames observe every step),
-/// yet the audited generic run must reproduce the unaudited fast run
-/// bit-for-bit: auditing observes the schedule, it never perturbs it.
+/// A strict audit disables the specialized instantiation (its frames
+/// observe every step), yet the audited run must reproduce the unaudited
+/// specialized run bit-for-bit: auditing observes the schedule, it never
+/// perturbs it.
 #[test]
 fn strict_audit_falls_back_and_matches_fast_run_exactly() {
     let m = 8.0;
@@ -120,11 +132,11 @@ fn strict_audit_falls_back_and_matches_fast_run_exactly() {
     }
 }
 
-/// Suspend mid-run under the generic `step()` loop, round-trip the
-/// snapshot document, resume into an engine whose remaining events run
-/// through the fast loop. The restored engine must rebuild the fast
-/// loop's derived state (allocation memo, cached next completion) and
-/// finish bit-identically to an uninterrupted run of either arm.
+/// Suspend mid-run under `step()`, round-trip the snapshot document,
+/// resume into an engine whose remaining events run through `run_loop`.
+/// The restored engine must rebuild the derived state (allocation memo,
+/// cached next completion) and finish bit-identically to an
+/// uninterrupted run of either arm.
 fn suspend_then_resume_fast(
     inst: &Instance,
     kind: PolicyKind,
@@ -135,8 +147,7 @@ fn suspend_then_resume_fast(
     let mut policy = kind.build();
     let mut source = StaticSource::new(inst);
     let mut obs = NullObserver;
-    let cfg = EngineConfig::new(m).with_fast_loop(false);
-    let mut engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
+    let mut engine = Engine::new(EngineConfig::new(m), policy.as_mut(), &mut source, &mut obs);
     for _ in 0..suspend_at {
         match engine.step() {
             Ok(true) => {}
@@ -163,7 +174,7 @@ fn suspend_then_resume_fast(
     resumed.restore(&decoded).expect("restore");
     resumed
         .run_loop()
-        .unwrap_or_else(|e: SimError| panic!("{name}: post-restore fast loop: {e}"));
+        .unwrap_or_else(|e: SimError| panic!("{name}: post-restore run_loop: {e}"));
     resumed
         .into_outcome()
         .unwrap_or_else(|e| panic!("{name}: resumed outcome: {e}"))
@@ -191,6 +202,109 @@ fn snapshot_resume_into_fast_loop_is_bit_identical() {
     }
 }
 
+/// Forwards to a registry policy and counts its `prefix_allocation`
+/// queries per alive count.
+struct CountingPolicy {
+    inner: Box<dyn Policy + Send>,
+    queries: RefCell<BTreeMap<usize, u32>>,
+}
+
+impl Policy for CountingPolicy {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn assign(
+        &mut self,
+        now: Time,
+        m: f64,
+        jobs: &[AliveJob<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        self.inner.assign(now, m, jobs, shares)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn stability(&self) -> AllocationStability {
+        self.inner.stability()
+    }
+
+    fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
+        *self.queries.borrow_mut().entry(n_alive).or_default() += 1;
+        self.inner.prefix_allocation(n_alive, m)
+    }
+
+    fn srpt_ordered(&self) -> bool {
+        self.inner.srpt_ordered()
+    }
+
+    fn on_arrival(&mut self, now: Time, n_alive: usize) {
+        self.inner.on_arrival(now, n_alive);
+    }
+
+    fn on_completion(&mut self, now: Time, n_alive: usize) {
+        self.inner.on_completion(now, n_alive);
+    }
+
+    fn event_hooks_are_noop(&self) -> bool {
+        self.inner.event_hooks_are_noop()
+    }
+
+    fn snapshot_state(&self) -> Vec<u64> {
+        self.inner.snapshot_state()
+    }
+
+    fn restore_state(&mut self, state: &[u64]) -> bool {
+        self.inner.restore_state(state)
+    }
+}
+
+/// The allocation memo is exact and always on: the `PrefixAllocation`
+/// contract makes the profile a pure function of `(n_alive, m)`, so a run
+/// asks the policy at most once per distinct alive count — through
+/// `step()` as through `run_loop`. A timing-free guard for the memo: a
+/// broken memo shows up here as a repeated query, whatever the host.
+#[test]
+fn prefix_profile_is_queried_at_most_once_per_alive_count() {
+    let m = 8.0;
+    let inst = mixed_alpha_fixture(1_000, 0.9, m);
+    for kind in registry() {
+        if kind.build().stability() != AllocationStability::SrptPrefix {
+            continue;
+        }
+        for fast in [true, false] {
+            let mut policy = CountingPolicy {
+                inner: kind.build(),
+                queries: RefCell::new(BTreeMap::new()),
+            };
+            let mut source = StaticSource::new(&inst);
+            let mut obs = NullObserver;
+            let mut engine = Engine::new(EngineConfig::new(m), &mut policy, &mut source, &mut obs);
+            assert!(engine.uses_incremental_path());
+            if fast {
+                engine.run_loop()
+            } else {
+                step_to_end(&mut engine)
+            }
+            .unwrap_or_else(|e| panic!("{} (fast={fast}): {e}", kind.name()));
+            drop(engine);
+            let queries = policy.queries.into_inner();
+            assert!(!queries.is_empty(), "{}: never queried", kind.name());
+            for (n, count) in queries {
+                assert_eq!(
+                    count,
+                    1,
+                    "{} (fast={fast}): prefix profile for n = {n} queried {count} times",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
 /// One generated job: `(release, size, curve selector, alpha)` — the same
 /// generator the streaming differential sweeps, so the two oracles probe
 /// the same instance space.
@@ -208,7 +322,7 @@ fn job_from(id: u64, raw: (f64, f64, u8, f64)) -> JobSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mixed-curve instances: fast ≡ generic for every registry
+    /// Random mixed-curve instances: `run_loop` ≡ `step()` for every registry
     /// policy, across machine counts including the single-machine edge.
     #[test]
     fn fast_loop_matches_generic_on_random_instances(
@@ -232,8 +346,8 @@ proptest! {
 
     /// Coincident arrivals and ties: many jobs released at identical
     /// instants force admission batching, zero-dt events, and slot reuse
-    /// in the same event — the paths the fast loop's hoisted admission
-    /// restructure touches most.
+    /// in the same event — the paths the loop's leading admission touches
+    /// most.
     #[test]
     fn coincident_releases_match(
         sizes in proptest::collection::vec(0.25f64..4.0, 2..12),

@@ -182,8 +182,8 @@ fn steady_state_mixed_alpha_runs_allocate_nothing() {
 }
 
 /// Runs `inst` through [`Engine::run_loop`] — which takes the
-/// monomorphized fast loop here (incremental policy, no-op observer, no
-/// auditor) — on donated buffers; returns the allocation count observed
+/// specialized event-loop instantiation here (incremental policy, no-op
+/// observer, no auditor) — on donated buffers; returns the allocation count observed
 /// strictly inside the loop, plus the buffers. `streaming` toggles the
 /// memory mode; both finalizers run outside the audited window.
 fn audited_fast_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u64, EngineBuffers) {
@@ -207,7 +207,7 @@ fn audited_fast_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u
 #[test]
 fn fast_loop_steady_state_allocates_nothing() {
     // The specialized loops inherit the buffer-reuse contract: after a
-    // warm-up, the monomorphized fast loop — including the delta-refresh
+    // warm-up, the specialized event loop — including the delta-refresh
     // memo, which the mixed-α workload forces through the kernel-class
     // registry and the grouped-Γ rate cache on every re-classification —
     // must run the whole event loop without touching the heap. Audited

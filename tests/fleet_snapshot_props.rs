@@ -2,7 +2,7 @@
 //! (docs/TESTING.md): the fleet's suspend/migrate/resume machinery is
 //! only sound if a snapshot taken at ANY event boundary, under EVERY
 //! registry policy, in BOTH engine modes, resumes to a bit-identical
-//! remaining trajectory — and if the `parsched-snap/v1` text codec is a
+//! remaining trajectory — and if the `parsched-snap/v2` text codec is a
 //! byte-exact fixed point, since that document is what a migration
 //! actually ships between shards.
 //!
@@ -16,9 +16,10 @@
 
 use parsched::PolicyKind;
 use parsched_bench::mixed_alpha_fixture;
+use parsched_sim::jsonlite::Json;
 use parsched_sim::{
     AliveJob, AllocationStability, Engine, EngineConfig, Instance, NullObserver, Observer,
-    ParkedEngine, Policy, PrefixAllocation, RunMetrics, Snapshot, StaticSource, Time,
+    ParkedEngine, Policy, PrefixAllocation, RunMetrics, SimError, Snapshot, StaticSource, Time,
 };
 
 const M: f64 = 8.0;
@@ -455,7 +456,7 @@ fn golden_path() -> std::path::PathBuf {
         .join("golden_snapshot.json")
 }
 
-/// The committed `parsched-snap/v1` document must match what the current
+/// The committed `parsched-snap/v2` document must match what the current
 /// engine captures for the same scenario — any change to the snapshot
 /// schema, field order, or float rendering shows up as a diff here.
 /// Regenerate deliberately with:
@@ -509,4 +510,147 @@ fn golden_snapshot_fixture_is_stable_and_restorable() {
     while resumed.step().expect("resume step") {}
     let got = resumed.into_outcome().expect("resumed outcome").metrics;
     assert_metrics_bit_identical(&got, &want, "golden resume");
+}
+
+/// A `parsched-snap/v1` document (the format before the engine's event
+/// queue and kernel knob were removed) is refused with a typed error, not
+/// misread as v2.
+#[test]
+fn v1_snapshot_documents_are_refused() {
+    let path = golden_path().with_file_name("golden_snapshot_v1.json");
+    let v1 = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert!(v1.contains("\"parsched-snap/v1\""));
+    match Snapshot::from_json(&v1) {
+        Err(SimError::BadInstance { what }) => {
+            assert!(what.contains("parsched-snap/v1"), "{what}");
+        }
+        other => panic!("v1 document was not refused: {other:?}"),
+    }
+}
+
+/// Overwrites field `lane` of arena job row `row` in a snapshot document
+/// with the bit pattern of `value` (the codec stores every f64 as bits).
+fn corrupt_job_lane(doc: &str, row: usize, lane: usize, value: f64) -> String {
+    let mut json = Json::parse(doc).expect("parse snapshot document");
+    let Json::Obj(top) = &mut json else {
+        panic!("snapshot document is not an object")
+    };
+    let arena = top
+        .iter_mut()
+        .find(|(k, _)| k == "arena")
+        .map(|(_, v)| v)
+        .expect("arena");
+    let Json::Obj(arena) = arena else {
+        panic!("arena is not an object")
+    };
+    let jobs = arena
+        .iter_mut()
+        .find(|(k, _)| k == "jobs")
+        .map(|(_, v)| v)
+        .expect("arena jobs");
+    let Json::Arr(jobs) = jobs else {
+        panic!("arena jobs is not an array")
+    };
+    let Json::Arr(fields) = &mut jobs[row] else {
+        panic!("arena job row is not an array")
+    };
+    fields[lane] = Json::Num(value.to_bits().to_string());
+    json.render()
+}
+
+/// Restore runs admission's spec checks on every arena slot and requires
+/// finite, non-negative remaining work: a document whose job lanes hold
+/// NaN, ∞, or a negative value is refused with a typed error, on the
+/// incremental path and on two exhaustive policies whose per-job state
+/// (LAPS's release order, Weighted's densities) would otherwise be
+/// poisoned, in both memory modes. Run out and finalize whatever restore
+/// accepts, so a lane that slips through panics or errors here rather
+/// than in a later session.
+#[test]
+fn corrupted_job_lanes_are_refused_with_a_typed_error() {
+    let inst = mixed_alpha_fixture(60, 0.9, M);
+    // Arena job row layout: [id, release, size, weight, curve,
+    // remaining, run_key, class, in_running, done].
+    let lanes = [(1, "release"), (2, "size"), (3, "weight"), (5, "remaining")];
+    for kind in [
+        PolicyKind::IntermediateSrpt,
+        PolicyKind::Laps(0.5),
+        PolicyKind::Weighted,
+    ] {
+        for streaming in [false, true] {
+            let mut policy = kind.build();
+            let mut source = StaticSource::new(&inst);
+            let mut obs = NullObserver;
+            let mut engine = Engine::new(
+                engine_cfg(streaming),
+                policy.as_mut(),
+                &mut source,
+                &mut obs,
+            );
+            for _ in 0..40 {
+                assert!(engine.step().expect("pre-suspend step"));
+            }
+            let doc = engine.snapshot().expect("snapshot").to_json();
+            drop(engine);
+            // An alive job: its lanes feed the run that follows.
+            let snap = Snapshot::from_json(&doc).expect("parse");
+            assert!(snap.alive_count() > 0, "suspend point has no alive job");
+            let Json::Obj(top) = Json::parse(&doc).expect("parse") else {
+                unreachable!()
+            };
+            let rows = top
+                .iter()
+                .find(|(k, _)| k == "arena")
+                .and_then(|(_, a)| a.get("jobs"))
+                .and_then(|j| j.as_arr().ok())
+                .expect("arena jobs")
+                .to_vec();
+            let row = rows
+                .iter()
+                .position(|r| {
+                    matches!(
+                        r.as_arr().ok().and_then(|f| f.get(9)),
+                        Some(Json::Bool(false))
+                    )
+                })
+                .expect("an alive arena slot");
+            for (lane, name) in lanes {
+                for value in [f64::NAN, f64::INFINITY, -1.0] {
+                    let ctx = format!(
+                        "{} / {} / {name} = {value}",
+                        kind.name(),
+                        if streaming { "streaming" } else { "in-memory" }
+                    );
+                    let bad = Snapshot::from_json(&corrupt_job_lane(&doc, row, lane, value))
+                        .unwrap_or_else(|e| panic!("{ctx}: the codec refused the lane: {e}"));
+                    let mut policy = kind.build();
+                    let mut source = StaticSource::new(&inst);
+                    let mut obs = NullObserver;
+                    let mut resumed = Engine::new(
+                        engine_cfg(streaming),
+                        policy.as_mut(),
+                        &mut source,
+                        &mut obs,
+                    );
+                    let result = resumed
+                        .restore(&bad)
+                        .and_then(|()| {
+                            while resumed.step()? {}
+                            Ok(())
+                        })
+                        .and_then(|()| {
+                            if streaming {
+                                resumed.into_streaming_outcome().map(drop)
+                            } else {
+                                resumed.into_outcome().map(drop)
+                            }
+                        });
+                    assert!(
+                        matches!(result, Err(SimError::BadInstance { .. })),
+                        "{ctx}: expected a typed restore error, got {result:?}"
+                    );
+                }
+            }
+        }
+    }
 }
