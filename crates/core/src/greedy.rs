@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
 
-use crate::util::machine_count;
+use crate::util::{machine_count, whole_processor};
 
 /// **Greedy hybrid** (paper §3): at every moment, allocate processors to
 /// maximize the instantaneous rate of decrease of the *fractional number of
@@ -32,14 +32,24 @@ use crate::util::machine_count;
 /// shortest completion horizon under the chosen allocation. Smaller values
 /// track the continuous-time policy more faithfully at the cost of more
 /// events (benchmarked in the X1 ablation).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct GreedyHybrid {
     resolution: f64,
+    /// Retained scratch for `assign`: whole processors granted per job.
+    counts: Vec<u32>,
+    /// Retained scratch for `assign`: the marginal-gain heap.
+    heap: BinaryHeap<Entry>,
 }
 
 /// Total-ordered f64 wrapper so marginal gains can live in a heap.
-#[derive(PartialEq, PartialOrd)]
+#[derive(Debug, Clone, PartialEq, PartialOrd)]
 struct Gain(f64);
+
+/// A heap entry: marginal gain, then the smaller id on ties (encoded by
+/// `Reverse`), then the job's position. Ids are unique among alive jobs,
+/// so the order is strict and the pop order does not depend on how the
+/// heap was built.
+type Entry = (Gain, Reverse<u64>, usize);
 
 impl Eq for Gain {}
 
@@ -67,13 +77,54 @@ impl GreedyHybrid {
             resolution > 0.0 && resolution <= 1.0 && resolution.is_finite(),
             "resolution must lie in (0, 1], got {resolution}"
         );
-        Self { resolution }
+        Self {
+            resolution,
+            counts: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
     }
 }
 
 impl Default for GreedyHybrid {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Hands out `machines` whole processors (`unit` each) one at a time, each
+/// to the job of largest marginal gain `(Γ_j(c_j + 1) − Γ_j(c_j)) / p_j(t)`,
+/// adding them to `shares` and counting them in the retained `counts`;
+/// `heap` is the retained max-heap of [`Entry`]s.
+fn grant_greedily(
+    jobs: &[AliveJob<'_>],
+    machines: usize,
+    unit: f64,
+    shares: &mut [f64],
+    counts: &mut Vec<u32>,
+    heap: &mut BinaryHeap<Entry>,
+) {
+    let n = jobs.len();
+    counts.clear();
+    counts.resize(n, 0);
+    heap.clear();
+    heap.extend((0..n).map(|i| {
+        (
+            Gain(jobs[i].curve().marginal(0) / jobs[i].remaining),
+            Reverse(jobs[i].id().0),
+            i,
+        )
+    }));
+    for _ in 0..machines {
+        let Some((_, _, i)) = heap.pop() else { break };
+        counts[i] += 1;
+        shares[i] += unit;
+        // Re-pushes the entry just popped, so the heap never outgrows the
+        // capacity it was built with.
+        heap.push((
+            Gain(jobs[i].curve().marginal(counts[i]) / jobs[i].remaining),
+            Reverse(jobs[i].id().0),
+            i,
+        ));
     }
 }
 
@@ -95,32 +146,14 @@ impl Policy for GreedyHybrid {
             return None;
         }
         shares.fill(0.0);
-        let machines = machine_count(m);
-        // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-        let mut counts = vec![0u32; n];
-        // Max-heap over (marginal gain, preferring smaller remaining then
-        // smaller id on ties, encoded by Reverse keys).
-        let mut heap: BinaryHeap<(Gain, Reverse<u64>, usize)> = (0..n)
-            .map(|i| {
-                (
-                    Gain(jobs[i].curve().marginal(0) / jobs[i].remaining),
-                    Reverse(jobs[i].id().0),
-                    i,
-                )
-            })
-            // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-            .collect();
-        for _ in 0..machines {
-            let Some((_, _, i)) = heap.pop() else { break };
-            counts[i] += 1;
-            shares[i] += 1.0;
-            // lint:allow(L007) re-pushes the entry just popped, so the heap never outgrows the capacity it was collected with
-            heap.push((
-                Gain(jobs[i].curve().marginal(counts[i]) / jobs[i].remaining),
-                Reverse(jobs[i].id().0),
-                i,
-            ));
-        }
+        grant_greedily(
+            jobs,
+            machine_count(m),
+            whole_processor(m),
+            shares,
+            &mut self.counts,
+            &mut self.heap,
+        );
         // Re-decide after a fraction of the shortest completion horizon so
         // the drifting argmax is tracked.
         let mut horizon = f64::INFINITY;

@@ -2,7 +2,7 @@
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, PrefixAllocation, Time};
 
-use crate::util::{machine_count, srpt_order};
+use crate::util::{machine_count, srpt_prefix, whole_processor};
 
 /// **Intermediate-SRPT** (SPAA'14, Theorem 1).
 ///
@@ -26,13 +26,16 @@ use crate::util::{machine_count, srpt_order};
 ///
 /// Ties on remaining work break by `(release, id)`, which keeps runs
 /// deterministic.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IntermediateSrpt;
+#[derive(Debug, Default, Clone)]
+pub struct IntermediateSrpt {
+    /// Retained selection scratch for `assign` (see [`srpt_prefix`]).
+    order: Vec<usize>,
+}
 
 impl IntermediateSrpt {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 }
 
@@ -58,9 +61,9 @@ impl Policy for IntermediateSrpt {
         if n >= machines {
             // Sequential-SRPT regime: one processor to each of the m jobs
             // with least remaining work.
-            let order = srpt_order(jobs);
-            for &i in order.iter().take(machines) {
-                shares[i] = 1.0;
+            let unit = whole_processor(m);
+            for &i in srpt_prefix(jobs, machines, &mut self.order) {
+                shares[i] = unit;
             }
         } else {
             // EQUI regime: even split.
@@ -92,7 +95,7 @@ impl Policy for IntermediateSrpt {
         Some(if n_alive >= machines {
             PrefixAllocation {
                 count: machines.min(n_alive),
-                share: 1.0,
+                share: whole_processor(m),
             }
         } else {
             PrefixAllocation {

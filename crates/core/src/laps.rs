@@ -2,6 +2,8 @@
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
 
+use crate::util::select_first;
+
 /// **LAPS(β)** — Latest Arrival Processor Sharing (Edmonds–Pruhs,
 /// TALG 2012): the `⌈β · |A(t)|⌉` *latest-arriving* alive jobs share the
 /// `m` processors evenly; older jobs wait.
@@ -11,9 +13,11 @@ use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
 /// related-work section. Without speed augmentation (the paper's setting)
 /// it has no constant guarantee, which our cross-policy table (experiment
 /// T1) makes visible.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Laps {
     beta: f64,
+    /// Retained selection scratch for `assign` (see [`select_first`]).
+    order: Vec<usize>,
 }
 
 impl Laps {
@@ -23,7 +27,10 @@ impl Laps {
             beta > 0.0 && beta <= 1.0 && beta.is_finite(),
             "LAPS β must lie in (0, 1], got {beta}"
         );
-        Self { beta }
+        Self {
+            beta,
+            order: Vec::new(),
+        }
     }
 
     /// The sharing fraction β.
@@ -58,12 +65,11 @@ impl Policy for Laps {
         }
         shares.fill(0.0);
         let k = ((self.beta * n as f64).ceil() as usize).clamp(1, n);
-        // Indices ordered by latest arrival first (ties: higher id first,
-        // matching "without loss of generality each job arrives at a unique
-        // time" — ids encode arrival order for equal stamps).
-        // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|&a, &b| {
+        // The k first by latest arrival (ties: higher id first, matching
+        // "without loss of generality each job arrives at a unique time" —
+        // ids encode arrival order for equal stamps). Ids are unique, so
+        // the order is strict and the selected set is the sorted prefix.
+        let latest = select_first(n, k, &mut self.order, |&a, &b| {
             jobs[b]
                 .release()
                 .partial_cmp(&jobs[a].release())
@@ -72,7 +78,7 @@ impl Policy for Laps {
                 .then(jobs[b].id().cmp(&jobs[a].id()))
         });
         let each = m / k as f64;
-        for &i in idx.iter().take(k) {
+        for &i in latest {
             shares[i] = each;
         }
         None

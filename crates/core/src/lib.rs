@@ -88,34 +88,69 @@ pub use threshold_srpt::ThresholdSrpt;
 pub use weighted::WeightedIntermediateSrpt;
 
 pub(crate) mod util {
+    use std::cmp::Ordering;
+
     use parsched_sim::AliveJob;
 
-    /// Indices of `jobs` ordered by (remaining work, release, id) — the
-    /// SRPT order with a deterministic tie-break.
-    pub(crate) fn srpt_order(jobs: &[AliveJob<'_>]) -> Vec<usize> {
-        // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-        let mut idx: Vec<usize> = (0..jobs.len()).collect();
-        idx.sort_by(|&a, &b| {
-            jobs[a]
-                .remaining
-                .partial_cmp(&jobs[b].remaining)
-                // lint:allow(L007) comparator on admission-validated finite remaining work; cannot fail at runtime
-                .expect("remaining work is finite")
-                .then(
-                    jobs[a]
-                        .release()
-                        .partial_cmp(&jobs[b].release())
-                        // lint:allow(L007) comparator on admission-validated finite releases; cannot fail at runtime
-                        .expect("release times are finite"),
-                )
-                .then(jobs[a].id().cmp(&jobs[b].id()))
-        });
-        idx
+    /// The SRPT order `(remaining work, release, id)`. Ids are unique
+    /// among alive jobs, so this is a strict total order.
+    pub(crate) fn srpt_cmp(a: &AliveJob<'_>, b: &AliveJob<'_>) -> Ordering {
+        a.remaining
+            .partial_cmp(&b.remaining)
+            // lint:allow(L007) comparator on admission-validated finite remaining work; cannot fail at runtime
+            .expect("remaining work is finite")
+            .then(
+                a.release()
+                    .partial_cmp(&b.release())
+                    // lint:allow(L007) comparator on admission-validated finite releases; cannot fail at runtime
+                    .expect("release times are finite"),
+            )
+            .then(a.id().cmp(&b.id()))
+    }
+
+    /// The positions `0..n` of the first `k` items under `cmp` (all `n`
+    /// when `k ≥ n`), in unspecified order, selected in the retained
+    /// `order` buffer in expected `O(n)`. `cmp` must be a strict total
+    /// order; the selected set is then exactly the first `k` of the sorted
+    /// order, which is all a policy that grants the same share to each of
+    /// them reads.
+    pub(crate) fn select_first(
+        n: usize,
+        k: usize,
+        order: &mut Vec<usize>,
+        cmp: impl FnMut(&usize, &usize) -> Ordering,
+    ) -> &[usize] {
+        order.clear();
+        order.extend(0..n);
+        if k < n {
+            order.select_nth_unstable_by(k, cmp);
+            order.truncate(k);
+        }
+        order
+    }
+
+    /// The positions of the (up to) `k` jobs first in SRPT order, in
+    /// unspecified order (see [`select_first`]).
+    pub(crate) fn srpt_prefix<'o>(
+        jobs: &[AliveJob<'_>],
+        k: usize,
+        order: &'o mut Vec<usize>,
+    ) -> &'o [usize] {
+        select_first(jobs.len(), k, order, |&a, &b| srpt_cmp(&jobs[a], &jobs[b]))
     }
 
     /// The integral machine count used by policies that reason about "one
-    /// job per machine" (the paper's `m` is an integer).
+    /// job per machine" (the paper's `m` is an integer): `⌊m⌋`, at least 1.
+    /// Flooring keeps `machine_count(m)` whole-processor grants within `m`
+    /// for every `m ≥ 1`; below one processor a grant is capped by
+    /// [`whole_processor`].
     pub(crate) fn machine_count(m: f64) -> usize {
-        (m.round().max(1.0)) as usize
+        (m.floor().max(1.0)) as usize
+    }
+
+    /// One job's whole-processor grant on `m` processors: 1, or all of `m`
+    /// when there is less than one processor.
+    pub(crate) fn whole_processor(m: f64) -> f64 {
+        m.min(1.0)
     }
 }

@@ -2,7 +2,7 @@
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, PrefixAllocation, Time};
 
-use crate::util::srpt_order;
+use crate::util::srpt_cmp;
 
 /// **Parallel-SRPT**: allocate *all* `m` processors to the single job with
 /// the least unprocessed work.
@@ -40,9 +40,14 @@ impl Policy for ParallelSrpt {
             return None;
         }
         shares.fill(0.0);
-        let order = srpt_order(jobs);
-        // lint:allow(L007) order is a permutation of 0..n and shares has length n; in bounds by construction
-        shares[order[0]] = m;
+        let first = jobs
+            .iter()
+            .enumerate()
+            .min_by(|a, b| srpt_cmp(a.1, b.1))
+            .map(|(i, _)| i);
+        if let Some(share) = first.and_then(|i| shares.get_mut(i)) {
+            *share = m;
+        }
         None
     }
 

@@ -63,12 +63,11 @@ impl Policy for RandomAllocation {
         if n == 0 {
             return None;
         }
-        // Random positive weights; occasionally zero a job out entirely so
+        // Random positive weights, drawn into `shares` and then scaled to
+        // `m` in place; occasionally zero a job out entirely so
         // starvation paths are exercised (but never all of them).
-        // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-        let mut weights = vec![0.0f64; n];
         let mut total = 0.0;
-        for w in weights.iter_mut() {
+        for w in shares.iter_mut().take(n) {
             let u = self.next_f64();
             *w = if u < 0.25 {
                 0.0
@@ -79,12 +78,13 @@ impl Policy for RandomAllocation {
         }
         if total <= 0.0 {
             let pick = (self.next_u64() as usize) % n;
-            // lint:allow(L007) pick is drawn modulo n and weights has length n; in bounds by construction
-            weights[pick] = 1.0;
+            if let Some(w) = shares.get_mut(pick) {
+                *w = 1.0;
+            }
             total = 1.0;
         }
-        for (s, w) in shares.iter_mut().zip(&weights) {
-            *s = m * w / total;
+        for s in shares.iter_mut().take(n) {
+            *s = m * *s / total;
         }
         Some(self.quantum)
     }

@@ -2,7 +2,7 @@
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, PrefixAllocation, Time};
 
-use crate::util::{machine_count, srpt_order};
+use crate::util::{machine_count, srpt_prefix, whole_processor};
 
 /// **Sequential-SRPT**: the up to `m` jobs with the least unprocessed work
 /// each get exactly one processor; everything else (including leftover
@@ -14,13 +14,16 @@ use crate::util::{machine_count, srpt_order};
 /// Intermediate-SRPT coincides with it whenever the system is overloaded
 /// (`|A(t)| ≥ m`) but, unlike it, refuses to idle processors when
 /// underloaded.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SequentialSrpt;
+#[derive(Debug, Default, Clone)]
+pub struct SequentialSrpt {
+    /// Retained selection scratch for `assign` (see [`srpt_prefix`]).
+    order: Vec<usize>,
+}
 
 impl SequentialSrpt {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 }
 
@@ -41,10 +44,9 @@ impl Policy for SequentialSrpt {
             return None;
         }
         shares.fill(0.0);
-        let machines = machine_count(m);
-        let order = srpt_order(jobs);
-        for &i in order.iter().take(machines) {
-            shares[i] = 1.0;
+        let unit = whole_processor(m);
+        for &i in srpt_prefix(jobs, machine_count(m), &mut self.order) {
+            shares[i] = unit;
         }
         None
     }
@@ -69,7 +71,7 @@ impl Policy for SequentialSrpt {
         }
         Some(PrefixAllocation {
             count: machine_count(m).min(n_alive),
-            share: 1.0,
+            share: whole_processor(m),
         })
     }
 }

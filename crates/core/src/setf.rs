@@ -54,7 +54,9 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// to the last bit. That answer is a pure function of `(curve, G, m)`, so
 /// it is memoized by group size for the current curve and `m` (piecewise
 /// curves bypass the memo). Mixed groups evaluate the demand sum at each
-/// step, with every member's kernel compiled once per decision and the
+/// step, but each *distinct* curve of the group is inverted once per step
+/// (equal curves give equal bits) with its kernel compiled once per
+/// decision, and the members' inverses are summed in group order, the
 /// fold stopped as soon as a partial sum exceeds `m`: the inverses are
 /// non-negative (or `+∞`/NaN), so under round-to-nearest the partial sums
 /// never decrease, a partial sum above `m` (or NaN) means the whole sum
@@ -67,9 +69,80 @@ pub struct Setf {
     group: Vec<usize>,
     /// One-curve answers of the current curve and `m`.
     memo: SharedMemo,
-    /// The compiled kernel of each member of the current mixed group, in
-    /// group order (grows to the largest mixed group).
-    kernels: Vec<Option<PowKernel>>,
+    /// The distinct curves of the current mixed group.
+    curves: CurveTable,
+}
+
+/// The distinct curves of a mixed tie group, in order of first
+/// appearance, and each member's index among them. Every vector is
+/// retained scratch that grows to the largest mixed group.
+#[derive(Debug, Default, Clone)]
+struct CurveTable {
+    /// Per distinct curve: the position in `jobs` of its first member and
+    /// its compiled kernel.
+    reps: Vec<(usize, Option<PowKernel>)>,
+    /// Per member, in group order: its curve's index in `reps`.
+    member: Vec<usize>,
+    /// Per distinct curve: its inverse at the rate being evaluated.
+    inverse: Vec<f64>,
+}
+
+impl CurveTable {
+    /// Sets `inverse[c] = Γ_c⁻¹(rho)` for each distinct curve `c`, with
+    /// `missing` standing in for a curve that saturates below `rho`.
+    fn invert(&mut self, jobs: &[AliveJob<'_>], rho: f64, missing: f64) {
+        for (&(j, kernel), x) in self.reps.iter().zip(self.inverse.iter_mut()) {
+            *x = jobs[j]
+                .curve()
+                .inverse_rate_with(kernel, rho)
+                .unwrap_or(missing);
+        }
+    }
+
+    /// Whether the members' demand at the tabulated inverses, summed in
+    /// group order, is at most `m`; stops at the first partial sum above
+    /// it.
+    fn fits(&self, m: f64) -> bool {
+        let mut demand = 0.0;
+        self.member.iter().all(|&c| {
+            self.inverse.get(c).is_some_and(|&x| {
+                demand += x;
+                demand <= m
+            })
+        })
+    }
+}
+
+/// Fills `reps` with the distinct curves of `group` (first member and
+/// compiled kernel, in order of first appearance), `member` with each
+/// member's index among them, and `inverse` with one slot per distinct
+/// curve. The search is linear in the distinct curves, which mixed tie
+/// groups hold few of.
+fn index_curves(
+    jobs: &[AliveJob<'_>],
+    group: &[usize],
+    reps: &mut Vec<(usize, Option<PowKernel>)>,
+    member: &mut Vec<usize>,
+    inverse: &mut Vec<f64>,
+) {
+    reps.clear();
+    member.clear();
+    for &i in group {
+        let curve = jobs[i].curve();
+        let c = match reps
+            .iter()
+            .position(|&(j, _)| same_curve(jobs[j].curve(), curve))
+        {
+            Some(c) => c,
+            None => {
+                reps.push((i, curve.kernel()));
+                reps.len() - 1
+            }
+        };
+        member.push(c);
+    }
+    inverse.clear();
+    inverse.resize(reps.len(), 0.0);
 }
 
 impl Setf {
@@ -94,7 +167,7 @@ impl Setf {
         let Self {
             group,
             memo,
-            kernels,
+            curves,
         } = self;
         let Some(curve) = group.first().map(|&i| jobs[i].curve()) else {
             // The sum over no members is 0 ≤ m at any rate.
@@ -112,24 +185,23 @@ impl Setf {
             return rho;
         }
         // A mixed group. Its achievable common rate is capped by each
-        // member's saturation at full machine.
-        kernels.clear();
-        // lint:allow(L007) `kernels` is Setf's retained scratch: it grows to the largest mixed tie group, then reuses its capacity
-        kernels.extend(group.iter().map(|&i| jobs[i].curve().kernel()));
-        let members = || group.iter().zip(kernels.iter()).map(|(&i, &k)| (i, k));
-        let rho_max = group
+        // member's saturation at full machine (the minimum over the
+        // distinct curves: equal curves saturate at equal bits).
+        index_curves(
+            jobs,
+            group,
+            &mut curves.reps,
+            &mut curves.member,
+            &mut curves.inverse,
+        );
+        let rho_max = curves
+            .reps
             .iter()
-            .map(|&i| jobs[i].curve().rate(m))
+            .map(|&(j, _)| jobs[j].curve().rate(m))
             .fold(f64::INFINITY, f64::min);
-        let fits = |rho: f64| {
-            let mut demand = 0.0;
-            members().all(|(i, kernel)| {
-                demand += jobs[i]
-                    .curve()
-                    .inverse_rate_with(kernel, rho)
-                    .unwrap_or(f64::INFINITY);
-                demand <= m
-            })
+        let mut fits = |rho: f64| {
+            curves.invert(jobs, rho, f64::INFINITY);
+            curves.fits(m)
         };
         // If even the saturation rate under-uses the machine, run saturated
         // (the leftover processors cannot speed up the least-processed
@@ -139,12 +211,11 @@ impl Setf {
         } else {
             bisect(rho_max, fits)
         };
-        for (i, kernel) in members() {
-            shares[i] = jobs[i]
-                .curve()
-                .inverse_rate_with(kernel, rho)
-                .unwrap_or(m)
-                .min(m);
+        curves.invert(jobs, rho, m);
+        for (&i, &c) in group.iter().zip(&curves.member) {
+            if let Some(&x) = curves.inverse.get(c) {
+                shares[i] = x.min(m);
+            }
         }
         rho
     }
@@ -295,7 +366,7 @@ fn sum_threshold(g: usize, m: f64) -> f64 {
 
 /// The largest rate in `[0, rho_max]` that `fits`, by bisection: at most
 /// [`BISECTION_STEPS`] halvings, stopping at the first fixed point.
-fn bisect(rho_max: f64, fits: impl Fn(f64) -> bool) -> f64 {
+fn bisect(rho_max: f64, mut fits: impl FnMut(f64) -> bool) -> f64 {
     let (mut lo, mut hi) = (0.0f64, rho_max);
     for _ in 0..BISECTION_STEPS {
         let mid = 0.5 * (lo + hi);
@@ -331,17 +402,36 @@ fn same_curve(a: &Curve, b: &Curve) -> bool {
     }
 }
 
-/// Fills `group` with the positions of the jobs whose elapsed work is
-/// within `tol` of `min_elapsed`.
-fn tie_group(
+/// Elapsed work `p_j − p_j(t)` (never negative, never NaN).
+fn elapsed(job: &AliveJob<'_>) -> f64 {
+    (job.size() - job.remaining).max(0.0)
+}
+
+/// One pass over `jobs`: fills `group` with the positions of the jobs
+/// whose elapsed work is at most `cut` (the tie group, whose shares the
+/// equalizer writes), zeroes every other job's share, and returns the
+/// smallest gap `e − min_elapsed` of those others (`+∞` when there are
+/// none). Elapsed work is never NaN, so "not in the group" is exactly
+/// `e > cut`.
+fn split_tie_group(
     jobs: &[AliveJob<'_>],
-    elapsed: impl Fn(&AliveJob<'_>) -> f64,
+    shares: &mut [f64],
     min_elapsed: f64,
-    tol: f64,
+    cut: f64,
     group: &mut Vec<usize>,
-) {
+) -> f64 {
     group.clear();
-    group.extend((0..jobs.len()).filter(|&i| elapsed(&jobs[i]) <= min_elapsed + tol));
+    let mut next_gap = f64::INFINITY;
+    for (i, (job, share)) in jobs.iter().zip(shares.iter_mut()).enumerate() {
+        let e = elapsed(job);
+        if e <= cut {
+            group.push(i);
+        } else {
+            *share = 0.0;
+            next_gap = next_gap.min(e - min_elapsed);
+        }
+    }
+    next_gap
 }
 
 impl Policy for Setf {
@@ -361,11 +451,17 @@ impl Policy for Setf {
         if n == 0 {
             return None;
         }
-        shares.fill(0.0);
-        let elapsed = |j: &AliveJob<'_>| (j.size() - j.remaining).max(0.0);
+        // Two passes: the least elapsed work, then the tie group together
+        // with the closest outsider's gap.
         let min_elapsed = jobs.iter().map(elapsed).fold(f64::INFINITY, f64::min);
         let tol = TIE_TOL * min_elapsed.max(1.0);
-        tie_group(jobs, elapsed, min_elapsed, tol, &mut self.group);
+        let next_gap = split_tie_group(
+            jobs,
+            shares,
+            min_elapsed,
+            min_elapsed + tol,
+            &mut self.group,
+        );
         let rho = self.equalize(m, jobs, shares);
         if rho <= 0.0 {
             // Degenerate (cannot happen for valid curves with m > 0), but
@@ -374,12 +470,6 @@ impl Policy for Setf {
         }
         // Exact next membership change: the group catches the closest
         // outsider at gap/ρ.
-        let next_gap = jobs
-            .iter()
-            .map(elapsed)
-            .filter(|&e| e > min_elapsed + tol)
-            .map(|e| e - min_elapsed)
-            .fold(f64::INFINITY, f64::min);
         if next_gap.is_finite() {
             Some((next_gap / rho).max(1e-9))
         } else {

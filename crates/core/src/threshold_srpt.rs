@@ -3,7 +3,7 @@
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, PrefixAllocation, Time};
 
-use crate::util::{machine_count, srpt_order};
+use crate::util::{machine_count, srpt_prefix, whole_processor};
 
 /// **Threshold-SRPT(θ)** — Intermediate-SRPT with the regime boundary
 /// moved from `|A(t)| ≥ m` to `|A(t)| ≥ ⌈θ·m⌉`.
@@ -20,9 +20,11 @@ use crate::util::{machine_count, srpt_order};
 /// * `θ > 1` splits processors among more than `m` jobs when
 ///   `m ≤ |A| < ⌈θm⌉`, handing sub-unit shares to *long* jobs too —
 ///   breaking the SRPT ordering argument the overload analysis needs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ThresholdSrpt {
     theta: f64,
+    /// Retained selection scratch for `assign` (see [`srpt_prefix`]).
+    order: Vec<usize>,
 }
 
 impl ThresholdSrpt {
@@ -32,7 +34,10 @@ impl ThresholdSrpt {
             theta > 0.0 && theta.is_finite(),
             "threshold must be positive, got {theta}"
         );
-        Self { theta }
+        Self {
+            theta,
+            order: Vec::new(),
+        }
     }
 
     /// The threshold multiplier θ.
@@ -62,9 +67,9 @@ impl Policy for ThresholdSrpt {
         let cutoff = ((self.theta * machines as f64).ceil() as usize).max(1);
         shares.fill(0.0);
         if n >= cutoff {
-            let order = srpt_order(jobs);
-            for &i in order.iter().take(machines.min(n)) {
-                shares[i] = 1.0;
+            let unit = whole_processor(m);
+            for &i in srpt_prefix(jobs, machines, &mut self.order) {
+                shares[i] = unit;
             }
         } else {
             let each = m / n as f64;
@@ -96,7 +101,7 @@ impl Policy for ThresholdSrpt {
         Some(if n_alive >= cutoff {
             PrefixAllocation {
                 count: machines.min(n_alive),
-                share: 1.0,
+                share: whole_processor(m),
             }
         } else {
             PrefixAllocation {

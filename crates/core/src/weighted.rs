@@ -2,7 +2,7 @@
 
 use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
 
-use crate::util::machine_count;
+use crate::util::{machine_count, select_first, whole_processor};
 
 /// **Weighted-Intermediate-SRPT** — the natural extension of the paper's
 /// algorithm to the *weighted* flow objective `Σ_j w_j·F_j`:
@@ -20,14 +20,26 @@ use crate::util::machine_count;
 /// harder (no online algorithm is `O(1)`-competitive even on one machine)
 /// — but the policy is the sensible practitioner's knob and the examples
 /// use it to prioritize tenants.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WeightedIntermediateSrpt;
+#[derive(Debug, Default, Clone)]
+pub struct WeightedIntermediateSrpt {
+    /// Retained selection scratch for `assign` (see [`select_first`]).
+    order: Vec<usize>,
+    /// Retained per-job densities `w_j / p_j(t)` for `assign`.
+    density: Vec<f64>,
+}
 
 impl WeightedIntermediateSrpt {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
+}
+
+/// Fills the retained `out` with each job's density `w_j / p_j(t)`.
+fn densities<'o>(jobs: &[AliveJob<'_>], out: &'o mut Vec<f64>) -> &'o [f64] {
+    out.clear();
+    out.extend(jobs.iter().map(|j| j.spec.weight / j.remaining));
+    out
 }
 
 impl Policy for WeightedIntermediateSrpt {
@@ -51,13 +63,14 @@ impl Policy for WeightedIntermediateSrpt {
         shares.fill(0.0);
         if n >= machines {
             // Highest density w/p(t) first; ties by (remaining, id) so the
-            // unit-weight case reproduces Intermediate-SRPT exactly.
-            // lint:allow(L007) per-refresh policy scratch; the zero-alloc contract covers the engine's donated buffers, not policy-internal views (docs/PERF.md §6.2)
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.sort_by(|&a, &b| {
-                let da = jobs[a].spec.weight / jobs[a].remaining;
-                let db = jobs[b].spec.weight / jobs[b].remaining;
-                db.partial_cmp(&da)
+            // unit-weight case reproduces Intermediate-SRPT exactly. Ids
+            // are unique, so the order is strict and the selected set is
+            // the sorted prefix.
+            let density = densities(jobs, &mut self.density);
+            let densest = select_first(n, machines, &mut self.order, |&a, &b| {
+                density
+                    .get(b)
+                    .partial_cmp(&density.get(a))
                     // lint:allow(L007) comparator on admission-validated finite densities; cannot fail at runtime
                     .expect("finite densities")
                     .then(
@@ -69,8 +82,9 @@ impl Policy for WeightedIntermediateSrpt {
                     )
                     .then(jobs[a].id().cmp(&jobs[b].id()))
             });
-            for &i in idx.iter().take(machines) {
-                shares[i] = 1.0;
+            let unit = whole_processor(m);
+            for &i in densest {
+                shares[i] = unit;
             }
         } else {
             let total_weight: f64 = jobs.iter().map(|j| j.spec.weight).sum();

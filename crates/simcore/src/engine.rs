@@ -492,6 +492,19 @@ struct RunState {
     shares: Vec<f64>,
     /// Drain rate of `alive[i]` (speed-adjusted; valid when `alloc_fresh`).
     rates: Vec<f64>,
+    /// The buffer behind every policy and source view of the alive set,
+    /// empty between uses: each use fills it and hands its capacity back
+    /// through [`recycle_views`], so building a view never allocates once
+    /// the buffer has grown to the peak alive count.
+    // lint:allow(L009) empty between events; it only lends its capacity to each view, so there is nothing to capture
+    views: Vec<AliveJob<'static>>,
+    /// Exhaustive path: the earliest `now + remaining/rate` over the
+    /// alive set (`Some(None)` when nothing drains), folded by the refresh
+    /// that set the rates so that `decide` need not sweep again. `None`
+    /// once an advance has moved the clock or the remaining work it was
+    /// computed from; `decide` then sweeps and caches the answer.
+    // lint:allow(L009) derived from the clock, remaining work and rates that the snapshot does capture; restore drops it and the next decide sweeps again
+    completion_candidate: Option<Option<Time>>,
     /// Incremental path: the alive set in SRPT order.
     srpt: SrptSet,
     /// Incremental path: the active prefix profile (valid when
@@ -587,6 +600,7 @@ pub struct EngineBuffers {
     alive: Vec<usize>,
     shares: Vec<f64>,
     rates: Vec<f64>,
+    views: Vec<AliveJob<'static>>,
     srpt: SrptSet,
     scratch_moves: Vec<(usize, Placement)>,
     scratch_batch: Vec<JobSpec>,
@@ -609,6 +623,7 @@ impl EngineBuffers {
         self.alive.clear();
         self.shares.clear();
         self.rates.clear();
+        self.views.clear();
         self.srpt.reset();
         self.scratch_moves.clear();
         self.scratch_batch.clear();
@@ -726,6 +741,25 @@ fn check_spec(spec: &JobSpec) -> Result<(), SimError> {
     Ok(())
 }
 
+/// Hands a view buffer's capacity back to its `'static` slot in the run
+/// state. The buffer is emptied, so the in-place collect into the same
+/// element type at another lifetime (same size and alignment) keeps its
+/// allocation; `tests/engine_zero_alloc.rs` audits that it does.
+fn recycle_views(mut views: Vec<AliveJob<'_>>) -> Vec<AliveJob<'static>> {
+    views.clear();
+    // lint:allow(L007) in-place collect of an emptied Vec into the same element layout keeps its allocation (audited by tests/engine_zero_alloc.rs)
+    views.into_iter().map_while(|_| None).collect()
+}
+
+/// Folds `t` into the running minimum `next`, keeping the first of equals
+/// (the strict `<` of every next-event fold in the engine).
+#[inline]
+fn fold_earliest(next: &mut Option<Time>, t: Time) {
+    if next.is_none_or(|n| t < n) {
+        *next = Some(t);
+    }
+}
+
 /// Applies a reported [`Placement`] to the per-job lanes.
 fn apply_placement(jobs: &mut JobArena, idx: usize, p: Placement) {
     match p {
@@ -789,6 +823,8 @@ impl<'a> Engine<'a> {
                 alive: bufs.alive,
                 shares: bufs.shares,
                 rates: bufs.rates,
+                views: bufs.views,
+                completion_candidate: None,
                 srpt: bufs.srpt,
                 profile: PrefixAllocation {
                     count: 0,
@@ -847,6 +883,8 @@ impl<'a> Engine<'a> {
         self.state.alive.clear();
         self.state.shares.clear();
         self.state.rates.clear();
+        self.state.views.clear();
+        self.state.completion_candidate = None;
         self.state.srpt.reset();
         self.state.profile = PrefixAllocation {
             count: 0,
@@ -889,6 +927,7 @@ impl<'a> Engine<'a> {
             alive: std::mem::take(&mut self.state.alive),
             shares: std::mem::take(&mut self.state.shares),
             rates: std::mem::take(&mut self.state.rates),
+            views: std::mem::take(&mut self.state.views),
             srpt: std::mem::take(&mut self.state.srpt),
             scratch_moves: std::mem::take(&mut self.state.scratch_moves),
             scratch_batch: std::mem::take(&mut self.state.scratch_batch),
@@ -1359,41 +1398,40 @@ impl<'a> Engine<'a> {
             }
             let mut batch = std::mem::take(&mut self.state.scratch_batch);
             batch.clear();
-            {
-                // Adaptive sources get the full alive view; replay sources
-                // declare they don't read it, which keeps arrivals O(batch)
-                // on the incremental path (and allocation-free via the
-                // reused batch buffer).
-                let views: Vec<AliveJob<'_>> = if self.source.needs_system_view() {
-                    match self.state.mode {
-                        ExecMode::Exhaustive => self
-                            .state
-                            .alive
-                            .iter()
-                            .map(|&i| AliveJob {
-                                spec: &self.state.jobs.specs[i],
-                                remaining: self.state.jobs.remaining[i],
-                            })
-                            // lint:allow(L007) system-view materialization for view-needing adaptive sources; the audited StaticSource arm skips it entirely
-                            .collect(),
-                        ExecMode::Incremental => self
-                            .state
-                            .srpt
-                            .iter_alive()
-                            .map(|(i, remaining)| AliveJob {
-                                spec: &self.state.jobs.specs[i],
-                                remaining,
-                            })
-                            // lint:allow(L007) system-view materialization for view-needing adaptive sources; the audited StaticSource arm skips it entirely
-                            .collect(),
+            // Adaptive sources get the full alive view, built in the
+            // retained view buffer; replay sources declare they don't read
+            // it, which keeps arrivals O(batch) on the incremental path
+            // (and allocation-free via the reused batch buffer).
+            let state = &mut self.state;
+            if self.source.needs_system_view() {
+                let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
+                let specs = &state.jobs.specs;
+                match state.mode {
+                    ExecMode::Exhaustive => {
+                        views.extend(state.alive.iter().map(|&i| AliveJob {
+                            spec: &specs[i],
+                            remaining: state.jobs.remaining[i],
+                        }));
                     }
-                } else {
-                    Vec::new()
-                };
+                    ExecMode::Incremental => {
+                        views.extend(state.srpt.iter_alive().map(|(i, remaining)| AliveJob {
+                            spec: &specs[i],
+                            remaining,
+                        }));
+                    }
+                }
                 let view = SystemView {
-                    now: self.state.now,
-                    m: self.state.cfg.m,
+                    now: state.now,
+                    m: state.cfg.m,
                     alive: &views,
+                };
+                self.source.emit_into(&view, &mut batch);
+                state.views = recycle_views(views);
+            } else {
+                let view = SystemView {
+                    now: state.now,
+                    m: state.cfg.m,
+                    alive: &[],
                 };
                 self.source.emit_into(&view, &mut batch);
             }
@@ -1659,67 +1697,107 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Re-runs the policy and recomputes rates and the quantum deadline.
+    /// Exhaustive-path refresh: runs the policy on a view of the alive set,
+    /// then makes one sweep over its answer that validates and clamps each
+    /// share, sets the job's drain rate, and folds the completion
+    /// candidate that [`Engine::decide`] reuses.
+    ///
+    /// The sweep is exact with respect to separate validation, rate, and
+    /// candidate passes: an invalid share still reports the first
+    /// offender in alive order, the total is summed in the same order and
+    /// checked after the sweep, and a failed check ends the run, so rates
+    /// written before it are never observed. The candidate folds the same
+    /// `now + remaining/rate` terms in the same order with the same strict
+    /// `<` as `decide`'s sweep.
     fn refresh_allocation(&mut self) -> Result<(), SimError> {
+        let n = self.state.alive.len();
         self.state.shares.clear();
-        self.state.shares.resize(self.state.alive.len(), 0.0);
+        self.state.shares.resize(n, 0.0);
         self.state.rates.clear();
-        self.state.rates.resize(self.state.alive.len(), 0.0);
+        self.state.rates.resize(n, 0.0);
         self.state.quantum_deadline = None;
-        if self.state.alive.is_empty() {
+        self.state.completion_candidate = None;
+        if n == 0 {
+            self.state.completion_candidate = Some(None);
             self.state.alloc_fresh = true;
             return Ok(());
         }
-        let views: Vec<AliveJob<'_>> = self
-            .state
-            .alive
-            .iter()
-            .map(|&i| AliveJob {
-                spec: &self.state.jobs.specs[i],
-                remaining: self.state.jobs.remaining[i],
-            })
-            // lint:allow(L007) exhaustive-oracle arm only (refresh routes the incremental arm to refresh_profile)
-            .collect();
-        let quantum = self.policy.assign(
-            self.state.now,
-            self.state.cfg.m,
-            &views,
-            &mut self.state.shares,
-        );
-        // Validate feasibility.
+        let state = &mut self.state;
+        let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
+        let specs = &state.jobs.specs;
+        views.extend(state.alive.iter().map(|&i| AliveJob {
+            spec: &specs[i],
+            remaining: state.jobs.remaining[i],
+        }));
+        let quantum = self
+            .policy
+            .assign(state.now, state.cfg.m, &views, &mut state.shares);
+        let now = state.now;
+        let speed = state.cfg.speed;
         let mut total = 0.0;
-        for &s in &self.state.shares {
+        let mut next: Option<Time> = None;
+        let mut invalid = None;
+        for (i, &idx) in state.alive.iter().enumerate() {
+            let s = state.shares[i];
             if !s.is_finite() || s < -EPS {
-                return Err(SimError::InvalidShare {
-                    at: self.state.now,
-                    share: s,
-                    policy: self.policy.name(),
-                });
+                invalid = Some(s);
+                break;
             }
             total += s.max(0.0);
-        }
-        if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
-            return Err(SimError::InfeasibleAllocation {
-                at: self.state.now,
-                requested: total,
-                available: self.state.cfg.m,
-                policy: self.policy.name(),
-            });
-        }
-        for (i, &idx) in self.state.alive.iter().enumerate() {
-            let share = self.state.shares[i].max(0.0);
-            self.state.shares[i] = share;
-            self.state.rates[i] = self.state.cfg.speed * self.state.jobs.gamma(idx, share);
-        }
-        if let Some(q) = quantum {
-            if q.is_finite() && q > 0.0 {
-                self.state.quantum_deadline = Some(self.state.now + q);
+            let share = s.max(0.0);
+            state.shares[i] = share;
+            let rate = speed * state.jobs.gamma(idx, share);
+            state.rates[i] = rate;
+            if rate > 0.0 {
+                fold_earliest(&mut next, now + state.jobs.remaining[idx] / rate);
             }
         }
-        self.observer
-            .on_allocation(self.state.now, &views, &self.state.shares);
-        self.state.alloc_fresh = true;
+        let checked = if let Some(share) = invalid {
+            Err(SimError::InvalidShare {
+                at: now,
+                share,
+                policy: self.policy.name(),
+            })
+        } else if total > state.cfg.m * (1.0 + 1e-9) + EPS {
+            Err(SimError::InfeasibleAllocation {
+                at: now,
+                requested: total,
+                available: state.cfg.m,
+                policy: self.policy.name(),
+            })
+        } else {
+            self.observer.on_allocation(now, &views, &state.shares);
+            Ok(())
+        };
+        state.views = recycle_views(views);
+        checked?;
+        if let Some(q) = quantum {
+            if q.is_finite() && q > 0.0 {
+                state.quantum_deadline = Some(now + q);
+            }
+        }
+        state.completion_candidate = Some(next);
+        state.alloc_fresh = true;
         Ok(())
+    }
+
+    /// The exhaustive path's completion candidate for the current
+    /// allocation: the refresh's fold while the clock has not moved since,
+    /// otherwise the same fold swept again (and cached until the next
+    /// advance).
+    fn exhaustive_candidate(&mut self) -> Option<Time> {
+        if let Some(candidate) = self.state.completion_candidate {
+            return candidate;
+        }
+        let now = self.state.now;
+        let mut next: Option<Time> = None;
+        for (&idx, &rate) in self.state.alive.iter().zip(&self.state.rates) {
+            if rate > 0.0 {
+                fold_earliest(&mut next, now + self.state.jobs.remaining[idx] / rate);
+            }
+        }
+        self.state.completion_candidate = Some(next);
+        next
     }
 
     /// The next time at which anything happens (completion, arrival, or
@@ -1760,21 +1838,12 @@ impl<'a> Engine<'a> {
         }
         let next = hp_phase!(self, queue_ns, {
             let now = self.state.now;
-            let mut next: Option<Time> = None;
-            let mut consider = |t: Time| {
-                if next.is_none_or(|n| t < n) {
-                    next = Some(t);
-                }
+            let mut next = if GENERIC && self.state.mode == ExecMode::Exhaustive {
+                self.exhaustive_candidate()
+            } else {
+                self.state.next_completion.map(|t| t.max(now))
             };
-            if GENERIC && self.state.mode == ExecMode::Exhaustive {
-                for (i, &idx) in self.state.alive.iter().enumerate() {
-                    if self.state.rates[i] > 0.0 {
-                        consider(now + self.state.jobs.remaining[idx] / self.state.rates[i]);
-                    }
-                }
-            } else if let Some(t) = self.state.next_completion {
-                consider(t.max(now));
-            }
+            let mut consider = |t: Time| fold_earliest(&mut next, t);
             if let Some(t) = self.state.next_arrival {
                 consider(t.max(now));
             }
@@ -1831,10 +1900,17 @@ impl<'a> Engine<'a> {
             "time went backwards"
         );
         let exhaustive = GENERIC && self.state.mode == ExecMode::Exhaustive;
+        if exhaustive {
+            self.state.completion_candidate = None;
+        }
         let dt = (t - self.state.now).max(0.0);
+        // Whether a job may complete at `t`: the exhaustive integration
+        // evaluates the completion predicate as it drains; a zero-length
+        // advance has no such answer and sweeps.
+        let mut any_due = true;
         if dt > 0.0 {
             if exhaustive {
-                hp_phase!(self, metrics_ns, self.integrate_exhaustive(dt));
+                any_due = hp_phase!(self, metrics_ns, self.integrate_exhaustive(dt, t));
             } else {
                 hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
             }
@@ -1845,9 +1921,13 @@ impl<'a> Engine<'a> {
         } else {
             self.state.now = self.state.now.max(t);
         }
+        debug_assert!(
+            !exhaustive || any_due || !(0..self.state.alive.len()).any(|i| self.completion_due(i)),
+            "the integration found no completion due, but the completion sweep would"
+        );
         let completed_any = hp_phase!(self, dispatch_ns, {
             let completed_any = if exhaustive {
-                self.collect_completions_exhaustive()
+                any_due && self.collect_completions_exhaustive()
             } else {
                 self.collect_completions_incremental::<GENERIC>()
             };
@@ -1881,21 +1961,30 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Exhaustive-path interval integration: per-job linear drain.
-    fn integrate_exhaustive(&mut self, dt: f64) {
+    /// Exhaustive-path interval integration up to `t = now + dt`: per-job
+    /// linear drain. Returns whether any job now meets the completion
+    /// predicate at `t` — the one [`Engine::collect_completions_exhaustive`]
+    /// applies to the same remaining work, size, and rate — so the
+    /// completion sweep can be skipped when none does.
+    fn integrate_exhaustive(&mut self, dt: f64, t: Time) -> bool {
         self.state
             .alive_integral
             .add(self.state.alive.len() as f64 * dt);
-        for (i, &idx) in self.state.alive.iter().enumerate() {
+        let mut any_due = false;
+        for (&idx, &rate) in self.state.alive.iter().zip(&self.state.rates) {
             let rem = self.state.jobs.remaining[idx];
-            let drained = self.state.rates[i] * dt;
+            let size = self.state.jobs.specs[idx].size;
+            let drained = rate * dt;
             // Fractional flow: ∫ p_j(τ)/p_j dτ over [now, t], exact for
             // the linear drain.
             self.state
                 .frac_flow
-                .add((rem - drained / 2.0).max(0.0) * dt / self.state.jobs.specs[idx].size);
-            self.state.jobs.remaining[idx] = (rem - drained).max(0.0);
+                .add((rem - drained / 2.0).max(0.0) * dt / size);
+            let left = (rem - drained).max(0.0);
+            self.state.jobs.remaining[idx] = left;
+            any_due |= left <= Self::completion_tolerance(size, rate, t);
         }
+        any_due
     }
 
     /// Incremental-path interval integration. Uniform intervals are O(1):
@@ -1999,15 +2088,22 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The exhaustive path's completion predicate for `alive[i]` at the
+    /// current clock.
+    fn completion_due(&self, i: usize) -> bool {
+        let idx = self.state.alive[i];
+        let size = self.state.jobs.specs[idx].size;
+        self.state.jobs.remaining[idx]
+            <= Self::completion_tolerance(size, self.state.rates[i], self.state.now)
+    }
+
     /// Exhaustive-path completion sweep over the whole alive set.
     fn collect_completions_exhaustive(&mut self) -> bool {
         let mut completed_any = false;
         let mut i = 0;
         while i < self.state.alive.len() {
-            let idx = self.state.alive[i];
-            let rem = self.state.jobs.remaining[idx];
-            let size = self.state.jobs.specs[idx].size;
-            if rem <= Self::completion_tolerance(size, self.state.rates[i], self.state.now) {
+            if self.completion_due(i) {
+                let idx = self.state.alive[i];
                 self.state.alive.swap_remove(i);
                 // Keep the parallel share/rate vectors aligned with `alive`
                 // for the rest of this sweep (they are rebuilt on the next

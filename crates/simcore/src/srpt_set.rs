@@ -59,7 +59,7 @@ const REBASE_LIMIT: f64 = 1e6;
 
 /// SRPT ordering key. For running entries `key` is in offset space
 /// (`remaining + D`); for queued entries it is the literal remaining work.
-/// Ties break by `(release, id)`, matching `parsched_core::util::srpt_order`.
+/// Ties break by `(release, id)`, matching `parsched_core::util::srpt_cmp`.
 #[derive(Debug, Clone, Copy)]
 struct OrdKey {
     key: f64,

@@ -5,7 +5,9 @@ use proptest::prelude::*;
 
 use parsched_repro::opt::bounds;
 use parsched_repro::policies::PolicyKind;
-use parsched_repro::sim::{simulate, Instance, JobId, JobSpec, Policy};
+use parsched_repro::sim::{
+    simulate, Engine, EngineConfig, Instance, JobId, JobSpec, NullObserver, Policy, StaticSource,
+};
 use parsched_repro::speedup::Curve;
 
 /// Strategy: a small random instance of power-law jobs.
@@ -116,15 +118,32 @@ proptest! {
         prop_assert!(f2 <= f1 * (1.0 + 1e-6), "m={m}: {f1} vs 2m: {f2}");
     }
 
-    /// Allocation feasibility: a spy policy wrapper confirms the engine
-    /// rejects nothing the real policies produce (shares ≥ 0, Σ ≤ m),
-    /// by simply succeeding — plus Φ's rank invariant (every policy run
-    /// keeps ranks ≤ m) holds trivially; here we assert end-to-end
-    /// success for all kinds at fractional m too.
+    /// Allocation feasibility at a non-integral processor count: the
+    /// engine rejects any allocation with a negative share or a total
+    /// above `m`, so every registry policy running to completion on both
+    /// engine paths shows that none asks for more processors than exist
+    /// (policies that grant whole processors use `⌊m⌋` of them, and less
+    /// than one processor when `m < 1`).
     #[test]
-    fn fractional_processor_counts_work(inst in arb_instance(), kind in arb_policy()) {
-        let out = simulate(&inst, &mut kind.build(), 3.0);
-        prop_assert!(out.is_ok(), "{:?}", out.err());
+    fn fractional_processor_counts_work(inst in arb_instance(), m_draw in 0.05f64..7.95) {
+        let drawn = if m_draw.fract() == 0.0 { m_draw + 0.5 } else { m_draw };
+        for m in [0.6, 2.6, 3.5, drawn] {
+            for kind in PolicyKind::all_registered() {
+                for full_reassign in [false, true] {
+                    let mut policy = kind.build();
+                    let mut source = StaticSource::new(&inst);
+                    let mut obs = NullObserver;
+                    let cfg = EngineConfig::new(m).with_full_reassign(full_reassign);
+                    let out = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs).run();
+                    prop_assert!(
+                        out.is_ok(),
+                        "{} at m = {m} (full_reassign = {full_reassign}): {:?}",
+                        kind.name(),
+                        out.err()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -18,9 +18,7 @@
 //! is built with each engine and grows its frames and its drain-check
 //! table to the run's high-water marks, but a run must allocate the same
 //! number of times at n = 2,000 as at n = 8,000 (four copies of the same
-//! trajectory, so no new high-water mark), i.e. nothing per event. Only
-//! the incremental path is audited that way: the exhaustive path still
-//! builds its policy view with a fresh allocation at every event.
+//! trajectory, so no new high-water mark), i.e. nothing per event.
 //!
 //! This is an integration test on purpose: the workspace crates carry
 //! `#![forbid(unsafe_code)]`, and a `GlobalAlloc` impl is necessarily
@@ -32,7 +30,7 @@ use std::cell::Cell;
 use parsched::PolicyKind;
 use parsched_sim::{
     AuditLevel, Engine, EngineBuffers, EngineConfig, Instance, JobId, JobSpec, NullObserver,
-    StaticSource,
+    Policy, StaticSource,
 };
 use parsched_speedup::Curve;
 
@@ -230,6 +228,85 @@ fn fast_loop_steady_state_allocates_nothing() {
             third, 0,
             "third fast run (streaming={streaming}) allocated {third} times"
         );
+    }
+}
+
+/// Runs `inst` through [`Engine::run_loop`] on the exhaustive path —
+/// where the General-stability policies always run, and where
+/// `with_full_reassign` puts the SRPT family — reusing `policy` and the
+/// donated buffers; returns the allocations made strictly inside the
+/// loop, plus the buffers. Reusing the policy value matters: its own
+/// selection and equalizer scratch is retained across `reset`, the way
+/// the engine's buffers are across runs.
+fn audited_exhaustive_run(
+    inst: &Instance,
+    policy: &mut dyn Policy,
+    streaming: bool,
+    bufs: EngineBuffers,
+) -> (u64, EngineBuffers) {
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let cfg = EngineConfig::new(8.0)
+        .with_streaming(streaming)
+        .with_full_reassign(true);
+    let mut engine = Engine::with_buffers(cfg, policy, &mut source, &mut obs, bufs);
+    assert!(!engine.uses_incremental_path());
+    let ((), during) = counting_allocs(|| engine.run_loop().expect("exhaustive run failed"));
+    let (num_jobs, bufs) = if streaming {
+        let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
+        (outcome.metrics.num_jobs, bufs)
+    } else {
+        let (outcome, bufs) = engine.run_reusing().expect("finalize failed");
+        (outcome.metrics.num_jobs, bufs)
+    };
+    assert_eq!(num_jobs, inst.jobs().len());
+    (during, bufs)
+}
+
+#[test]
+fn exhaustive_steady_state_allocates_nothing() {
+    // The exhaustive path lends one retained view buffer to every policy
+    // call and keeps its shares, rates and completion candidate in
+    // donated vectors; the General policies keep their own scratch. So
+    // after a warm-up, a rerun of the same workload must not touch the
+    // heap, for each policy on this path and in both memory modes. Three
+    // α classes make SETF's tie groups mix curves. Greedy re-decides on a
+    // quantum, about a hundred events per job, so it gets a shorter run.
+    let inst = workload_with_alphas(600, &[0.25, 0.5, 0.75]);
+    let short = workload_with_alphas(120, &[0.25, 0.5, 0.75]);
+    for kind in [
+        PolicyKind::Setf,
+        PolicyKind::Laps(0.5),
+        PolicyKind::Weighted,
+        PolicyKind::Random(7),
+        PolicyKind::Greedy,
+        PolicyKind::IntermediateSrpt,
+    ] {
+        let name = kind.name();
+        let inst = if kind == PolicyKind::Greedy {
+            &short
+        } else {
+            &inst
+        };
+        let mut policy = kind.build();
+        for streaming in [false, true] {
+            let (warmup_allocs, bufs) =
+                audited_exhaustive_run(inst, policy.as_mut(), streaming, EngineBuffers::new());
+            assert!(
+                warmup_allocs > 0,
+                "{name}: warm-up (streaming={streaming}) should have grown the buffers"
+            );
+            let (second, bufs) = audited_exhaustive_run(inst, policy.as_mut(), streaming, bufs);
+            assert_eq!(
+                second, 0,
+                "{name}: second exhaustive run (streaming={streaming}) allocated {second} times"
+            );
+            let (third, _bufs) = audited_exhaustive_run(inst, policy.as_mut(), streaming, bufs);
+            assert_eq!(
+                third, 0,
+                "{name}: third exhaustive run (streaming={streaming}) allocated {third} times"
+            );
+        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! Oracle for SETF's rate equalizer: the production equalizer (memoized
-//! threshold replay for one-curve tie groups, a demand sum over
-//! precompiled kernels that stops once it exceeds `m` for mixed ones,
-//! both with an early fixed-point stop) must reproduce the plain 64-step
-//! bisection — kept here verbatim as the reference — bit for bit: the
-//! same common rate `ρ`, the same shares, and the same re-decision
-//! quantum. The property tests share one `Setf` across all their cases,
+//! threshold replay for one-curve tie groups; for mixed ones, one inverse
+//! per distinct curve per step and a demand sum in group order that stops
+//! once it exceeds `m`; both with an early fixed-point stop) must
+//! reproduce the plain 64-step bisection — kept here verbatim as the
+//! reference — bit for bit: the same common rate `ρ`, the same shares,
+//! and the same re-decision quantum. The property tests share one `Setf` across all their cases,
 //! so its memo is hit and invalidated along the way.
 
 use std::sync::Mutex;
@@ -403,4 +403,77 @@ fn memo_is_invalidated_by_curve_and_machine() {
     let rq = check(&q, 24, 64.0, "piecewise q");
     assert_ne!(rp.to_bits(), rq.to_bits());
     check(&p, 24, 64.0, "piecewise p again");
+}
+
+#[test]
+fn interleaved_two_and_three_curve_groups() {
+    // Mixed groups evaluate each distinct curve once per bisection step
+    // and sum the members' inverses in group order. One policy runs every
+    // case, so its per-group curve table shrinks and grows in between.
+    let a = Curve::power(0.25);
+    let b = Curve::power(0.75);
+    let c = Curve::try_amdahl(0.2).expect("amdahl");
+    let mut policy = Setf::new();
+    let mut state = 0x2c0f_fee5_u64;
+    for (round, g) in [2usize, 3, 11, 7, 64, 5, 129, 10].into_iter().enumerate() {
+        let palette = if round % 2 == 0 {
+            vec![a.clone(), b.clone()]
+        } else {
+            vec![b.clone(), c.clone(), a.clone()]
+        };
+        // Strictly interleaved, then shuffled by draw.
+        for layout in 0..2 {
+            let curves: Vec<Curve> = (0..g)
+                .map(|i| {
+                    let k = if layout == 0 {
+                        i % palette.len()
+                    } else {
+                        (splitmix(&mut state) % palette.len() as u64) as usize
+                    };
+                    palette[k].clone()
+                })
+                .collect();
+            let specs = specs_for(curves, &mut state);
+            let jobs = fresh_views(&specs);
+            for m in [2.0, 8.0, 37.5, 1024.0] {
+                let ctx = format!("round {round} g {g} layout {layout} m {m}");
+                assert_equalize_matches_on(&mut policy, m, &jobs, &ctx);
+                assert_assign_matches(&mut policy, m, &jobs, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn more_distinct_curves_than_any_fixed_table_holds() {
+    // 300 distinct curves (power exponents and piecewise curves with equal
+    // point counts but different points), each appearing twice, the
+    // repeats far from their first appearance.
+    let distinct: Vec<Curve> = (0..300)
+        .map(|k| {
+            if k % 3 == 2 {
+                let top = 2.0 + f64::from(k) / 100.0;
+                Curve::Piecewise(
+                    PiecewiseLinear::new(vec![(0.0, 0.0), (1.0, 1.0), (8.0, top)])
+                        .expect("piecewise"),
+                )
+            } else {
+                Curve::power(0.05 + 0.9 * f64::from(k) / 300.0)
+            }
+        })
+        .collect();
+    let curves: Vec<Curve> = distinct
+        .iter()
+        .chain(distinct.iter().rev())
+        .cloned()
+        .collect();
+    let mut state = 0x007a_b1e5_u64;
+    let specs = specs_for(curves, &mut state);
+    let jobs = fresh_views(&specs);
+    let mut policy = Setf::new();
+    for m in [4.0, 600.0, 2_500.5] {
+        let ctx = format!("600 members, 300 curves, m {m}");
+        assert_equalize_matches_on(&mut policy, m, &jobs, &ctx);
+        assert_assign_matches(&mut policy, m, &jobs, &ctx);
+    }
 }
