@@ -17,6 +17,38 @@ use std::process::ExitCode;
 
 use parsched_analysis::experiments::{all_ids, run, ExpOptions};
 
+/// `println!` for the CLI's stdout, through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` for the CLI's stdout, through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes to stdout. A reader that closed the pipe early
+/// (`parsched gen | head -1`) has all it wanted, so the process ends
+/// quietly with status 0 rather than panicking on the broken pipe; any
+/// other write error ends it with status 2.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn usage() -> &'static str {
     "parsched — SPAA'14 'Intermediate Parallelizability' experiment harness
 
@@ -208,15 +240,15 @@ impl Flags {
 }
 
 fn print_result(res: &parsched_analysis::experiments::ExpResult, flags: &Flags) {
-    println!("{}", res.render());
+    outln!("{}", res.render());
     if flags.md {
         for t in &res.tables {
-            println!("markdown ({}):\n{}", t.title(), t.to_markdown());
+            outln!("markdown ({}):\n{}", t.title(), t.to_markdown());
         }
     }
     if flags.csv {
         for t in &res.tables {
-            println!("csv ({}):\n{}", t.title(), t.to_csv());
+            outln!("csv ({}):\n{}", t.title(), t.to_csv());
         }
     }
 }
@@ -290,7 +322,7 @@ fn cmd_all(flags: &Flags) -> bool {
             None => unreachable!("registry ids always resolve"),
         }
     }
-    println!(
+    outln!(
         "suite verdict: {}",
         if all_pass {
             "ALL SHAPES OK"
@@ -344,13 +376,15 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
             ),
         ]);
     }
-    println!("{}", table.render());
-    println!(
+    outln!("{}", table.render());
+    outln!(
         "  OPT bracket: [{:.1}, {:.1}] (UB witness: {})",
-        est.lower, est.upper, est.upper_witness
+        est.lower,
+        est.upper,
+        est.upper_witness
     );
     if flags.csv {
-        println!("{}", table.to_csv());
+        outln!("{}", table.to_csv());
     }
     Ok(())
 }
@@ -405,7 +439,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
         other => return Err(format!("unknown workload kind '{other}'")),
     }
     .map_err(|e| e.to_string())?;
-    print!("{}", instance_to_csv(&instance));
+    out!("{}", instance_to_csv(&instance));
     Ok(())
 }
 
@@ -490,7 +524,7 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .run_streaming()
         .map_err(|e| e.to_string())?;
     let mm = &outcome.metrics;
-    println!(
+    outln!(
         "{} on m={m}{} [streaming {kind_name}]: n={}, total flow={}, mean={}, max={}, \
          makespan={}, stretch Σ={} max={}, events={}",
         policy_kind.name(),
@@ -510,22 +544,23 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         mm.events
     );
     let q = &outcome.quantiles;
-    println!(
+    outln!(
         "  flow quantiles (sketch, ≤4.4% rel err): p50={} p90={} p99={}",
         fnum(q.quantile(0.5)),
         fnum(q.quantile(0.9)),
         fnum(q.quantile(0.99))
     );
-    print!(
+    out!(
         "  admitted={} peak alive={} (resident state is O(peak alive))",
-        outcome.admitted, outcome.peak_alive
+        outcome.admitted,
+        outcome.peak_alive
     );
     match peak_rss_bytes() {
-        Some(rss) => println!(", peak RSS={:.1} MiB", rss as f64 / (1024.0 * 1024.0)),
-        None => println!(),
+        Some(rss) => outln!(", peak RSS={:.1} MiB", rss as f64 / (1024.0 * 1024.0)),
+        None => outln!(),
     }
     if let Some(report) = &outcome.audit {
-        println!("  {report}");
+        outln!("  {report}");
     }
     Ok(())
 }
@@ -587,7 +622,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     .run()
     .map_err(|e| e.to_string())?;
     let mm = &outcome.metrics;
-    println!(
+    outln!(
         "{} on m={m}{}: n={}, total flow={}, mean={}, max={}, makespan={}, stretch Σ={} max={}, events={}",
         kind.name(),
         if !parsched_speedup::exact_eq(speed, 1.0) { format!(" (speed {speed})") } else { String::new() },
@@ -601,7 +636,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         mm.events
     );
     if let Some(report) = &outcome.audit {
-        println!("  {report}");
+        outln!("  {report}");
     }
     if let Some((_, path)) = flags.named.iter().find(|(k, _)| k == "trace") {
         // The recording observer consumes the allocation stream (exhaustive
@@ -614,14 +649,14 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
         std::fs::write(path, trace_to_json(&rec)).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        outln!(
             "  wrote trace {path} ({} events; replay with `parsched audit {path}`)",
             rec.events.len()
         );
     }
     if let Some((_, cols)) = flags.named.iter().find(|(k, _)| k == "gantt") {
         let width: usize = cols.parse().unwrap_or(72).clamp(8, 400);
-        println!(
+        outln!(
             "\n{}",
             render_gantt(trace.segments(), mm.makespan.max(1e-9), width, 1.0)
         );
@@ -629,7 +664,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     if flags.named.iter().any(|(k, _)| k == "bracket") {
         let est = OptEstimate::bracket(&instance, m).map_err(|e| e.to_string())?;
         let (lo, hi) = est.ratio_interval(mm.total_flow);
-        println!(
+        outln!(
             "OPT ∈ [{}, {}] (witness {}) ⇒ ratio ∈ [{}, {}]",
             fnum(est.lower),
             fnum(est.upper),
@@ -655,7 +690,7 @@ fn cmd_audit(path: &str, flags: &Flags) -> Result<bool, String> {
         .map(|(_, v)| v.parse())
         .transpose()?
         .unwrap_or(AuditLevel::Strict);
-    println!(
+    outln!(
         "replaying {path}: policy={}, m={}, speed={}, {} records{}",
         trace.policy,
         trace.m,
@@ -669,9 +704,9 @@ fn cmd_audit(path: &str, flags: &Flags) -> Result<bool, String> {
     );
     match replay(&trace, level) {
         Ok(out) => {
-            println!("audit PASS: {}", out.report);
+            outln!("audit PASS: {}", out.report);
             let mm = &out.metrics;
-            println!(
+            outln!(
                 "  replayed: n={}, total flow={}, mean={}, max={}, makespan={}",
                 mm.num_jobs,
                 fnum(mm.total_flow),
@@ -1250,7 +1285,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
-    println!(
+    outln!(
         "wrote {out_path} ({} rows); Intermediate-SRPT incremental/legacy speed-up at \
          n=10_000: {:.1}x (load 0.9), {:.1}x (overload), {:.1}x (mixed-alpha); \
          run_loop vs step(): {}; audit overhead: {:.2}x sampled, {:.2}x strict",
@@ -1321,10 +1356,10 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
             start.elapsed().as_secs_f64()
         );
         let traj: Vec<String> = out.trajectory.iter().map(|r| format!("{r:.4}")).collect();
-        println!("{token}: best-ratio trajectory {}", traj.join(" -> "));
+        outln!("{token}: best-ratio trajectory {}", traj.join(" -> "));
         for f in &out.failures {
             clean = false;
-            println!(
+            outln!(
                 "{token}: ENGINE FAILURE: {} — shrunk to {} job(s) [{}]",
                 f.error,
                 f.jobs.len(),
@@ -1378,11 +1413,11 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
                     .map_err(|err| format!("writing {dir}/{name}: {err}"))?;
                 written += 1;
             }
-            println!("{token}: wrote {written} corpus entr(y/ies)");
+            outln!("{token}: wrote {written} corpus entr(y/ies)");
         }
         results.push((token.clone(), out));
     }
-    println!("{}", summary_table(&results).render());
+    outln!("{}", summary_table(&results).render());
     Ok(clean)
 }
 
@@ -1428,9 +1463,9 @@ fn cmd_fleet(flags: &Flags) -> Result<bool, String> {
     let out = session.run(&Pool::new(jobs));
 
     if json {
-        println!("{}", fleet_report_json(&out, cap, queue, slice, migrate));
+        outln!("{}", fleet_report_json(&out, cap, queue, slice, migrate));
     } else {
-        println!(
+        outln!(
             "fleet: {} tenants, cap {cap} in-flight + {queue} queued, \
              slice {slice} events, migrate {}",
             out.reports.len(),
@@ -1443,7 +1478,7 @@ fn cmd_fleet(flags: &Flags) -> Result<bool, String> {
                 "in-memory"
             };
             match &r.status {
-                TenantStatus::Done { metrics, rounds } => println!(
+                TenantStatus::Done { metrics, rounds } => outln!(
                     "  {}  {:<22} {:<9} jobs {:>3}  done in {rounds} rounds: \
                      events {} flow {:?} makespan {:?}",
                     r.name,
@@ -1455,22 +1490,31 @@ fn cmd_fleet(flags: &Flags) -> Result<bool, String> {
                     metrics.makespan
                 ),
                 TenantStatus::Shed { reason } => {
-                    println!(
+                    outln!(
                         "  {}  {:<22} {:<9} jobs {:>3}  SHED: {reason}",
-                        r.name, r.policy, mode, r.jobs
+                        r.name,
+                        r.policy,
+                        mode,
+                        r.jobs
                     )
                 }
                 TenantStatus::Failed { error } => {
-                    println!(
+                    outln!(
                         "  {}  {:<22} {:<9} jobs {:>3}  FAILED: {error}",
-                        r.name, r.policy, mode, r.jobs
+                        r.name,
+                        r.policy,
+                        mode,
+                        r.jobs
                     )
                 }
             }
         }
-        println!(
+        outln!(
             "fleet done: {} done, {} shed, {} failed in {} rounds",
-            out.done, out.shed, out.failed, out.rounds
+            out.done,
+            out.shed,
+            out.failed,
+            out.rounds
         );
     }
     Ok(out.shed == 0 && out.failed == 0)
@@ -1660,8 +1704,8 @@ fn cmd_lint(args: &[String]) -> Result<bool, String> {
             let msg = format!("lint: cannot read {}: {e}", root.display());
             let outcome = parsched_lint::LintOutcome::from_errors(vec![msg.clone()]);
             match format.as_str() {
-                "json" => print!("{}", parsched_lint::report::render_json(&outcome)),
-                "sarif" => print!("{}", parsched_lint::report::render_sarif(&outcome)),
+                "json" => out!("{}", parsched_lint::report::render_json(&outcome)),
+                "sarif" => out!("{}", parsched_lint::report::render_sarif(&outcome)),
                 _ => {}
             }
             return Err(msg);
@@ -1669,14 +1713,14 @@ fn cmd_lint(args: &[String]) -> Result<bool, String> {
     };
     if let Some((rule, symbol)) = explain {
         let text = parsched_lint::explain(&ws, &rule, &symbol)?;
-        print!("{text}");
+        out!("{text}");
         return Ok(true);
     }
     let outcome = parsched_lint::run(&ws);
     match format.as_str() {
-        "json" => print!("{}", parsched_lint::report::render_json(&outcome)),
-        "sarif" => print!("{}", parsched_lint::report::render_sarif(&outcome)),
-        _ => print!("{}", parsched_lint::report::render_human(&outcome)),
+        "json" => out!("{}", parsched_lint::report::render_json(&outcome)),
+        "sarif" => out!("{}", parsched_lint::report::render_sarif(&outcome)),
+        _ => out!("{}", parsched_lint::report::render_human(&outcome)),
     }
     Ok(outcome.is_clean())
 }
@@ -1707,7 +1751,7 @@ fn main() -> ExitCode {
                     "t5" => "Fairness: the stretch trade-off (flow vs starvation)",
                     _ => "",
                 };
-                println!("{id}  {res_title}");
+                outln!("{id}  {res_title}");
             }
             ExitCode::SUCCESS
         }
@@ -1813,7 +1857,7 @@ fn main() -> ExitCode {
             }
         },
         "help" | "--help" | "-h" => {
-            print!("{}", usage());
+            out!("{}", usage());
             ExitCode::SUCCESS
         }
         other => {

@@ -545,3 +545,33 @@ fn lint_explain_traces_a_reachability_path() {
     // `step` is itself a root, so the shortest witness starts there.
     assert!(text.contains("Engine::step -> grow -> first"), "{text}");
 }
+
+/// A reader that closes the pipe after one line (`parsched gen | head -1`)
+/// ends the run quietly: status 0 and nothing on stderr, not a panic on
+/// the broken pipe.
+#[test]
+fn closed_stdout_pipe_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    let mut child = bin()
+        .args(["gen", "--n", "200000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let stdout = child.stdout.take().expect("stdout pipe");
+    let mut first = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("read one line");
+    assert!(!first.is_empty(), "gen printed nothing");
+    // The reader (and with it the pipe's read end) is dropped here; the
+    // CSV is megabytes, so the writer is still going.
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "status {:?}, stderr: {stderr}",
+        out.status
+    );
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+}

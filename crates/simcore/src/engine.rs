@@ -247,6 +247,19 @@ impl JobArena {
         self.specs.len()
     }
 
+    /// Splits the arena into its spec lane, which the SRPT set orders by,
+    /// and the lanes its placement callbacks write.
+    fn split_placement(&mut self) -> (&[JobSpec], PlacementLanes<'_>) {
+        (
+            &self.specs,
+            PlacementLanes {
+                in_running: &mut self.in_running,
+                run_key: &mut self.run_key,
+                remaining: &mut self.remaining,
+            },
+        )
+    }
+
     fn clear(&mut self) {
         self.specs.clear();
         self.remaining.clear();
@@ -760,16 +773,27 @@ fn fold_earliest(next: &mut Option<Time>, t: Time) {
     }
 }
 
-/// Applies a reported [`Placement`] to the per-job lanes.
-fn apply_placement(jobs: &mut JobArena, idx: usize, p: Placement) {
-    match p {
-        Placement::Running { key } => {
-            jobs.in_running[idx] = true;
-            jobs.run_key[idx] = key;
-        }
-        Placement::Queued { remaining } => {
-            jobs.in_running[idx] = false;
-            jobs.remaining[idx] = remaining;
+/// The arena lanes a [`Placement`] writes, borrowed apart from the spec
+/// lane the SRPT set reads as its tie-break context
+/// ([`JobArena::split_placement`]).
+struct PlacementLanes<'a> {
+    in_running: &'a mut [bool],
+    run_key: &'a mut [f64],
+    remaining: &'a mut [Work],
+}
+
+impl PlacementLanes<'_> {
+    /// Applies a reported [`Placement`] to the per-job lanes.
+    fn apply(&mut self, idx: usize, p: Placement) {
+        match p {
+            Placement::Running { key } => {
+                self.in_running[idx] = true;
+                self.run_key[idx] = key;
+            }
+            Placement::Queued { remaining } => {
+                self.in_running[idx] = false;
+                self.remaining[idx] = remaining;
+            }
         }
     }
 }
@@ -1025,7 +1049,7 @@ impl<'a> Engine<'a> {
             ExecMode::Incremental => self
                 .state
                 .srpt
-                .iter_alive()
+                .iter_alive(&self.state.jobs.specs)
                 .map(|(i, remaining)| snap(i, remaining))
                 .collect(),
         }
@@ -1106,7 +1130,7 @@ impl<'a> Engine<'a> {
             alive: self.state.alive.clone(),
             shares: self.state.shares.clone(),
             rates: self.state.rates.clone(),
-            srpt: self.state.srpt.snapshot_state(),
+            srpt: self.state.srpt.snapshot_state(&self.state.jobs.specs),
             completed: self.state.completed.clone(),
         })
     }
@@ -1232,6 +1256,30 @@ impl<'a> Engine<'a> {
                 "snapshot references arena slot {idx} (arena holds {n})"
             )));
         }
+        // The SRPT set breaks key ties by reading each entry's arena spec,
+        // so an entry must describe the job its slot holds, bit for bit.
+        for (part, entries) in [
+            ("running", &snap.srpt.running),
+            ("queued", &snap.srpt.queued),
+        ] {
+            for e in entries {
+                let spec = &snap.jobs[e.idx].spec;
+                let field = if e.release.to_bits() != spec.release.to_bits() {
+                    "release"
+                } else if e.id != spec.id {
+                    "id"
+                } else if e.size.to_bits() != spec.size.to_bits() {
+                    "size"
+                } else {
+                    continue;
+                };
+                return Err(bad(format!(
+                    "snapshot srpt.{part} entry for arena slot {} disagrees with the slot's \
+                     spec on {field}",
+                    e.idx
+                )));
+            }
+        }
         if !self.source.fast_forward(snap.admitted) {
             return Err(bad(format!(
                 "arrival source cannot fast-forward to {} admitted jobs; restore needs a \
@@ -1306,7 +1354,9 @@ impl<'a> Engine<'a> {
         self.state.alive.extend_from_slice(&snap.alive);
         self.state.shares.extend_from_slice(&snap.shares);
         self.state.rates.extend_from_slice(&snap.rates);
-        self.state.srpt.restore_state(&snap.srpt);
+        self.state
+            .srpt
+            .restore_state(&snap.srpt, &self.state.jobs.specs);
         self.state.profile = PrefixAllocation {
             count: snap.profile_count,
             share: snap.profile_share,
@@ -1414,7 +1464,7 @@ impl<'a> Engine<'a> {
                         }));
                     }
                     ExecMode::Incremental => {
-                        views.extend(state.srpt.iter_alive().map(|(i, remaining)| AliveJob {
+                        views.extend(state.srpt.iter_alive(specs).map(|(i, remaining)| AliveJob {
                             spec: &specs[i],
                             remaining,
                         }));
@@ -1487,7 +1537,9 @@ impl<'a> Engine<'a> {
             for spec in batch.drain(..) {
                 // Streaming mode recycles retired slots so the arena stays
                 // O(peak alive). The arena index is *not* part of any
-                // ordering key (SRPT orders by `(remaining, release, id)`),
+                // ordering key (SRPT orders by `(remaining, release, id)`;
+                // the set only looks the tie-break up through the slot,
+                // and a slot is free only once its job has left the set),
                 // so slot reuse cannot perturb the arithmetic relative to
                 // an ever-growing arena.
                 let idx = self.state.free.pop().unwrap_or(self.state.jobs.len());
@@ -1495,32 +1547,33 @@ impl<'a> Engine<'a> {
                 self.state.admitted += 1;
                 let remaining = spec.size;
                 let (kern, class) = self.state.jobs.classify(spec.curve.kernel());
-                let (run_key, in_running) = match self.state.mode {
-                    ExecMode::Exhaustive => {
-                        self.state.alive.push(idx);
-                        (0.0, false)
-                    }
-                    ExecMode::Incremental => match self.state.srpt.insert(idx, &spec, remaining) {
-                        Placement::Running { key } => (key, true),
-                        Placement::Queued { .. } => (0.0, false),
-                    },
-                };
-                if idx == self.state.jobs.len() {
-                    self.state.jobs.specs.push(spec);
-                    self.state.jobs.remaining.push(remaining);
-                    self.state.jobs.run_key.push(run_key);
-                    self.state.jobs.kern.push(kern);
-                    self.state.jobs.class.push(class);
-                    self.state.jobs.in_running.push(in_running);
-                    self.state.jobs.done.push(false);
+                // The slot is written before the SRPT insert: the set
+                // breaks key ties by reading the new job's spec there.
+                let jobs = &mut self.state.jobs;
+                if idx == jobs.len() {
+                    jobs.specs.push(spec);
+                    jobs.remaining.push(remaining);
+                    jobs.run_key.push(0.0);
+                    jobs.kern.push(kern);
+                    jobs.class.push(class);
+                    jobs.in_running.push(false);
+                    jobs.done.push(false);
                 } else {
-                    self.state.jobs.specs[idx] = spec;
-                    self.state.jobs.remaining[idx] = remaining;
-                    self.state.jobs.run_key[idx] = run_key;
-                    self.state.jobs.kern[idx] = kern;
-                    self.state.jobs.class[idx] = class;
-                    self.state.jobs.in_running[idx] = in_running;
-                    self.state.jobs.done[idx] = false;
+                    jobs.specs[idx] = spec;
+                    jobs.remaining[idx] = remaining;
+                    jobs.run_key[idx] = 0.0;
+                    jobs.kern[idx] = kern;
+                    jobs.class[idx] = class;
+                    jobs.in_running[idx] = false;
+                    jobs.done[idx] = false;
+                }
+                match self.state.mode {
+                    ExecMode::Exhaustive => self.state.alive.push(idx),
+                    ExecMode::Incremental => {
+                        let (specs, mut lanes) = jobs.split_placement();
+                        let placement = self.state.srpt.insert(idx, remaining, specs);
+                        lanes.apply(idx, placement);
+                    }
                 }
             }
             self.state.scratch_batch = batch;
@@ -1624,13 +1677,13 @@ impl<'a> Engine<'a> {
             (count, share)
         };
         self.state.profile = PrefixAllocation { count, share };
-        let jobs = &mut self.state.jobs;
+        let (specs, mut lanes) = self.state.jobs.split_placement();
         self.state
             .srpt
-            .maybe_rebase(|idx, p| apply_placement(jobs, idx, p));
+            .maybe_rebase(specs, |idx, p| lanes.apply(idx, p));
         self.state
             .srpt
-            .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
+            .rebalance(count, specs, |idx, p| lanes.apply(idx, p));
         // Classify the interval. Uniform (O(1) drain) whenever every
         // running job provably drains at one common rate: a single runner,
         // identical curves, or share 1 with Γ(1) = 1 across the prefix.
@@ -1681,15 +1734,17 @@ impl<'a> Engine<'a> {
             let jobs = &self.state.jobs;
             let now = self.state.now;
             let speed = self.state.cfg.speed;
-            self.state.srpt.for_each_running_ordered(|slot, rem| {
-                let rate = jobs.rate_cached(slot.idx, speed, share);
-                if rate > 0.0 {
-                    let t = now + rem / rate;
-                    if next.is_none_or(|n| t < n) {
-                        next = Some(t);
+            self.state
+                .srpt
+                .for_each_running_ordered(&jobs.specs, |slot, rem| {
+                    let rate = jobs.rate_cached(slot.idx, speed, share);
+                    if rate > 0.0 {
+                        let t = now + rem / rate;
+                        if next.is_none_or(|n| t < n) {
+                            next = Some(t);
+                        }
                     }
-                }
-            });
+                });
             self.state.interval = IntervalKind::Scan;
             self.state.next_completion = next;
         }
@@ -2022,10 +2077,12 @@ impl<'a> Engine<'a> {
                 let mut run = 0.0;
                 {
                     let jobs = &self.state.jobs;
-                    self.state.srpt.for_each_running_ordered(|slot, rem| {
-                        let rate = jobs.rate_cached(slot.idx, speed, share);
-                        run += (rem - rate * dt / 2.0).max(0.0) / slot.size;
-                    });
+                    self.state
+                        .srpt
+                        .for_each_running_ordered(&jobs.specs, |slot, rem| {
+                            let rate = jobs.rate_cached(slot.idx, speed, share);
+                            run += (rem - rate * dt / 2.0).max(0.0) / slot.size;
+                        });
                 }
                 self.state
                     .frac_flow
@@ -2036,13 +2093,15 @@ impl<'a> Engine<'a> {
                     let jobs = &self.state.jobs;
                     self.state.srpt.drain_scan(
                         dt,
+                        &jobs.specs,
                         |idx| jobs.rate_cached(idx, speed, share),
                         // lint:allow(L007) pushes into scratch_moves taken via mem::take; donated capacity is retained across events
                         |idx, p| moves.push((idx, p)),
                     );
                 }
+                let (_, mut lanes) = self.state.jobs.split_placement();
                 for &(idx, p) in &moves {
-                    apply_placement(&mut self.state.jobs, idx, p);
+                    lanes.apply(idx, p);
                 }
                 self.state.scratch_moves = moves;
                 // The scan may have reordered the prefix; re-classify
@@ -2140,7 +2199,7 @@ impl<'a> Engine<'a> {
                 break;
             }
             let idx = slot.idx;
-            self.state.srpt.pop_front_running();
+            self.state.srpt.pop_front_running(&self.state.jobs.specs);
             self.finish_job::<NOTIFY>(idx);
             completed_any = true;
         }
@@ -2182,30 +2241,34 @@ impl<'a> Engine<'a> {
                 let share = state.profile.share;
                 let speed = state.cfg.speed;
                 let arena = &state.jobs;
-                state.srpt.for_each_running_ordered(|slot, remaining| {
-                    let spec = &arena.specs[slot.idx];
-                    jobs.push(FrameJob {
-                        id: spec.id,
-                        slot: slot.idx,
-                        release: spec.release,
-                        size: spec.size,
-                        remaining,
-                        share,
-                        rate: speed * arena.gamma(slot.idx, share),
+                state
+                    .srpt
+                    .for_each_running_ordered(&arena.specs, |slot, remaining| {
+                        let spec = &arena.specs[slot.idx];
+                        jobs.push(FrameJob {
+                            id: spec.id,
+                            slot: slot.idx,
+                            release: spec.release,
+                            size: spec.size,
+                            remaining,
+                            share,
+                            rate: speed * arena.gamma(slot.idx, share),
+                        });
                     });
-                });
-                state.srpt.for_each_queued_ordered(|slot, remaining| {
-                    let spec = &arena.specs[slot.idx];
-                    jobs.push(FrameJob {
-                        id: spec.id,
-                        slot: slot.idx,
-                        release: spec.release,
-                        size: spec.size,
-                        remaining,
-                        share: 0.0,
-                        rate: 0.0,
+                state
+                    .srpt
+                    .for_each_queued_ordered(&arena.specs, |slot, remaining| {
+                        let spec = &arena.specs[slot.idx];
+                        jobs.push(FrameJob {
+                            id: spec.id,
+                            slot: slot.idx,
+                            release: spec.release,
+                            size: spec.size,
+                            remaining,
+                            share: 0.0,
+                            rate: 0.0,
+                        });
                     });
-                });
             }
         }
         AuditFrame {

@@ -23,21 +23,33 @@
 //! Both partitions are **`Vec`-backed heaps**, not `BTreeMap`s: the hot
 //! loop needs only `insert`, `pop-min`, `pop-max` (demotion), and the two
 //! peeks — all `O(log n)` on a contiguous array with no per-node
-//! allocation, where the seed's B-tree paid pointer chasing plus a node
-//! allocation/free per structural change on every event. The running
-//! prefix is a **min-max heap** (Atkinson et al.: even levels ordered by
-//! min, odd by max, so both ends pop in `O(log k)`); the queue only ever
-//! pops its minimum (promotion) and is a plain binary min-heap. Buffers
-//! are retained across [`SrptSet::reset`], which is what makes repeated
-//! engine runs allocation-free after warm-up (see `docs/PERF.md` §6).
+//! allocation. The running prefix is a **min-max heap** (Atkinson et al.:
+//! even levels ordered by min, odd by max, so both ends pop in
+//! `O(log k)`); the queue only ever pops its minimum (promotion) and is a
+//! hand-written 2-ary min-heap with bottom-up deletion. Buffers are
+//! retained across [`SrptSet::reset`], which is what makes repeated engine
+//! runs allocation-free after warm-up (see `docs/PERF.md` §6).
+//!
+//! Each heap element is a 24-byte [`Entry`]: the key, the job's size, its
+//! arena slot as a `u32`, and two uniformity flags. The `(release, id)`
+//! tie-break is *not* stored: the engine passes its arena's spec lane to
+//! every ordering operation, and the comparison reads the two specs only
+//! when the keys are bit-equal. Keys compare through their
+//! `f64::total_cmp` integer image ([`ord_bits`]), a shift and an xor in
+//! place of the float comparison chain, so the order is exactly the one
+//! `(key.total_cmp, release.total_cmp, id)` defines — and since ids are
+//! unique, so are the keys (see `docs/PERF.md` §12). The engine must
+//! therefore keep a slot's spec in place while the slot is in the set:
+//! admission writes the spec before [`SrptSet::insert`], and a slot is
+//! only recycled after its job left the set.
 //!
 //! Ordered iteration (audit frames, snapshots, heterogeneous-prefix
 //! scans) sorts a copy of the entries — into the retained `ordered`
 //! scratch for the engine's Scan intervals and audit frames, into a fresh
-//! vector for observers and snapshots; the sort uses the same total order
-//! the B-tree kept, so every externally observable sequence — completion
-//! order, tie-breaks, floating-point accumulation order of the running
-//! sums — is unchanged.
+//! vector for observers and snapshots; the sort uses the same total
+//! order, so every externally observable sequence — completion order,
+//! tie-breaks, floating-point accumulation order of the running sums — is
+//! independent of the heaps' internal layout.
 //!
 //! Heterogeneous prefixes (different curves at share ≠ 1) drain at
 //! per-job rates; [`SrptSet::drain_scan`] handles those intervals in
@@ -45,8 +57,7 @@
 //! differs from the first-admitted reference and jobs with `Γ(1) ≠ 1` —
 //! let the engine detect the uniform case in `O(1)`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 use parsched_speedup::Curve;
 
@@ -57,87 +68,110 @@ use crate::job::{JobId, JobSpec, Time, Work};
 /// with the offset folded in (an `O(k log k)` cleanup, amortized free).
 const REBASE_LIMIT: f64 = 1e6;
 
-/// SRPT ordering key. For running entries `key` is in offset space
-/// (`remaining + D`); for queued entries it is the literal remaining work.
-/// Ties break by `(release, id)`, matching `parsched_core::util::srpt_cmp`.
-#[derive(Debug, Clone, Copy)]
-struct OrdKey {
-    key: f64,
-    release: Time,
-    id: JobId,
+/// The integer image under which `f64::total_cmp` orders floats: flip the
+/// magnitude bits of negatives so that signed-integer order is the total
+/// order (`-NaN < -∞ < … < -0.0 < +0.0 < … < +∞ < +NaN`). This is the
+/// exact map `total_cmp` applies before its integer comparison.
+#[inline]
+fn ord_bits(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-impl PartialEq for OrdKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for OrdKey {}
-
-impl PartialOrd for OrdKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| self.release.total_cmp(&other.release))
-            .then_with(|| self.id.cmp(&other.id))
-    }
-}
-
-/// Per-job payload carried alongside the ordering key: everything the set
-/// needs to maintain its sums and counters without consulting the engine.
+/// What a caller sees of an entry: the engine's arena slot and the job's
+/// original size `p_j` (denominator of fractional flow).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     /// Index into the engine's job arena.
     pub idx: usize,
-    /// Original size `p_j` (denominator of fractional flow).
+    /// Original size `p_j`.
     pub size: Work,
+}
+
+/// One heap element (24 bytes): the SRPT key plus everything the set needs
+/// to maintain its sums and counters without consulting the engine. For
+/// running entries `key` is in offset space (`remaining + D`); for queued
+/// entries it is the literal remaining work. The tie-break lives in the
+/// arena slot `idx` (see [`cmp`]).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: f64,
+    /// Original size `p_j`.
+    size: Work,
+    /// Arena slot (the engine's slots fit `u32`, as its id map requires).
+    idx: u32,
     /// Curve differs from the set's reference curve.
     hetero: bool,
     /// `Γ(1) ≠ 1` for this job's curve.
     nonunit: bool,
 }
 
-/// One heap element: ordering key plus payload. Total order is the key's
-/// (keys are unique — `id` is a tie-break of last resort — so `Eq` by key
-/// is consistent with logical identity).
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    key: OrdKey,
-    slot: Slot,
-}
+impl Entry {
+    fn new(key: f64, idx: usize, size: Work, hetero: bool, nonunit: bool) -> Self {
+        debug_assert!(u32::try_from(idx).is_ok(), "arena slot {idx} exceeds u32");
+        Self {
+            key,
+            size,
+            idx: idx as u32,
+            hetero,
+            nonunit,
+        }
+    }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+    #[inline]
+    fn slot(&self) -> Slot {
+        Slot {
+            idx: self.idx as usize,
+            size: self.size,
+        }
     }
 }
 
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// The SRPT total order: key by [`ord_bits`], then — only for bit-equal
+/// keys — `(release, id)` read from the two entries' arena specs, matching
+/// `parsched_core::util::srpt_cmp`.
+#[inline]
+fn cmp(a: &Entry, b: &Entry, specs: &[JobSpec]) -> Ordering {
+    let (x, y) = (ord_bits(a.key), ord_bits(b.key));
+    if x == y {
+        tie(a.idx, b.idx, specs)
+    } else {
+        x.cmp(&y)
     }
 }
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+/// `(release, id)` order of two arena slots.
+#[cold]
+fn tie(a: u32, b: u32, specs: &[JobSpec]) -> Ordering {
+    let (a, b) = (&specs[a as usize], &specs[b as usize]);
+    a.release.total_cmp(&b.release).then(a.id.cmp(&b.id))
+}
+
+/// `a` precedes `b` in SRPT order: [`cmp`] as a flag. Distinct keys
+/// decide with one integer comparison, no branch on its outcome, so a heap
+/// can pick between two children without a misprediction.
+#[inline]
+fn less(a: &Entry, b: &Entry, specs: &[JobSpec]) -> bool {
+    let (x, y) = (ord_bits(a.key), ord_bits(b.key));
+    if x == y {
+        tie(a.idx, b.idx, specs) == Ordering::Less
+    } else {
+        x < y
     }
+}
+
+/// Sorts entries into SRPT order. Keys are unique, so the unstable sort
+/// yields the one possible sequence.
+fn sort_entries(v: &mut [Entry], specs: &[JobSpec]) {
+    v.sort_unstable_by(|a, b| cmp(a, b, specs));
 }
 
 /// A `Vec`-backed min-max heap (Atkinson–Sack–Santoro–Strothotte):
 /// `O(log n)` push / pop-min / pop-max, `O(1)` peek at both ends, and no
 /// per-node allocation. Levels alternate: the root level (depth 0) and
 /// every even depth satisfy the *min* property (element ≤ its subtree),
-/// odd depths the *max* property (element ≥ its subtree).
+/// odd depths the *max* property (element ≥ its subtree). Every ordering
+/// operation takes the arena's spec lane as comparison context.
 #[derive(Debug, Default)]
 struct MinMaxHeap {
     a: Vec<Entry>,
@@ -166,41 +200,45 @@ impl MinMaxHeap {
         self.a.first()
     }
 
-    fn max_index(&self) -> Option<usize> {
+    fn max_index(&self, specs: &[JobSpec]) -> Option<usize> {
         match self.a.len() {
             0 => None,
             1 => Some(0),
             2 => Some(1),
-            _ => Some(if self.a[1] >= self.a[2] { 1 } else { 2 }),
+            _ => Some(if less(&self.a[1], &self.a[2], specs) {
+                2
+            } else {
+                1
+            }),
         }
     }
 
     #[inline]
-    fn peek_max(&self) -> Option<&Entry> {
-        self.max_index().map(|i| &self.a[i])
+    fn peek_max(&self, specs: &[JobSpec]) -> Option<&Entry> {
+        self.max_index(specs).map(|i| &self.a[i])
     }
 
-    fn push(&mut self, e: Entry) {
+    fn push(&mut self, e: Entry, specs: &[JobSpec]) {
         self.a.push(e);
-        self.bubble_up(self.a.len() - 1);
+        self.bubble_up(self.a.len() - 1, specs);
     }
 
-    fn pop_min(&mut self) -> Option<Entry> {
+    fn pop_min(&mut self, specs: &[JobSpec]) -> Option<Entry> {
         if self.a.is_empty() {
             return None;
         }
         let min = self.a.swap_remove(0);
         if !self.a.is_empty() {
-            self.trickle_down(0);
+            self.trickle(0, true, specs);
         }
         Some(min)
     }
 
-    fn pop_max(&mut self) -> Option<Entry> {
-        let i = self.max_index()?;
+    fn pop_max(&mut self, specs: &[JobSpec]) -> Option<Entry> {
+        let i = self.max_index(specs)?;
         let max = self.a.swap_remove(i);
         if i < self.a.len() {
-            self.trickle_down(i);
+            self.trickle(i, on_min_level(i), specs);
         }
         Some(max)
     }
@@ -221,39 +259,38 @@ impl MinMaxHeap {
         self.a.clear();
     }
 
-    fn bubble_up(&mut self, mut i: usize) {
+    /// `a[i]` is strictly more extreme than `a[j]` in the direction `min`
+    /// selects (smaller on min levels, larger on max levels).
+    #[inline]
+    fn beats(&self, i: usize, j: usize, min: bool, specs: &[JobSpec]) -> bool {
+        if min {
+            less(&self.a[i], &self.a[j], specs)
+        } else {
+            less(&self.a[j], &self.a[i], specs)
+        }
+    }
+
+    fn bubble_up(&mut self, i: usize, specs: &[JobSpec]) {
         if i == 0 {
             return;
         }
         let parent = (i - 1) / 2;
-        if on_min_level(i) {
-            if self.a[i] > self.a[parent] {
-                self.a.swap(i, parent);
-                i = parent;
-                self.bubble_up_grand(i, false);
-            } else {
-                self.bubble_up_grand(i, true);
-            }
-        } else if self.a[i] < self.a[parent] {
+        let min = on_min_level(i);
+        if self.beats(parent, i, min, specs) {
+            // `i` belongs on the parent's (opposite) levels.
             self.a.swap(i, parent);
-            i = parent;
-            self.bubble_up_grand(i, true);
+            self.bubble_up_grand(parent, !min, specs);
         } else {
-            self.bubble_up_grand(i, false);
+            self.bubble_up_grand(i, min, specs);
         }
     }
 
     /// Sifts `i` toward the root along grandparent links; `min` selects
     /// which property (min or max levels) is being restored.
-    fn bubble_up_grand(&mut self, mut i: usize, min: bool) {
+    fn bubble_up_grand(&mut self, mut i: usize, min: bool, specs: &[JobSpec]) {
         while i > 2 {
             let gp = ((i - 1) / 2 - 1) / 2;
-            let swap = if min {
-                self.a[i] < self.a[gp]
-            } else {
-                self.a[i] > self.a[gp]
-            };
-            if !swap {
+            if !self.beats(i, gp, min, specs) {
                 break;
             }
             self.a.swap(i, gp);
@@ -261,19 +298,11 @@ impl MinMaxHeap {
         }
     }
 
-    fn trickle_down(&mut self, i: usize) {
-        if on_min_level(i) {
-            self.trickle(i, true);
-        } else {
-            self.trickle(i, false);
-        }
-    }
-
     /// Restores the heap property below `i`; `min` selects the property of
     /// `i`'s level. Standard min-max trickle: descend to the extreme child
     /// or grandchild, swapping the intervening parent when a grandchild
     /// wins.
-    fn trickle(&mut self, mut i: usize, min: bool) {
+    fn trickle(&mut self, mut i: usize, min: bool, specs: &[JobSpec]) {
         let len = self.a.len();
         loop {
             // The extreme element among children and grandchildren.
@@ -284,34 +313,17 @@ impl MinMaxHeap {
             let mut best = first_child;
             let mut best_is_grandchild = false;
             let second_child = first_child + 1;
-            if second_child < len {
-                let better = if min {
-                    self.a[second_child] < self.a[best]
-                } else {
-                    self.a[second_child] > self.a[best]
-                };
-                if better {
-                    best = second_child;
-                }
+            if second_child < len && self.beats(second_child, best, min, specs) {
+                best = second_child;
             }
             let first_grand = 4 * i + 3;
             for g in first_grand..(first_grand + 4).min(len) {
-                let better = if min {
-                    self.a[g] < self.a[best]
-                } else {
-                    self.a[g] > self.a[best]
-                };
-                if better {
+                if self.beats(g, best, min, specs) {
                     best = g;
                     best_is_grandchild = true;
                 }
             }
-            let improves = if min {
-                self.a[best] < self.a[i]
-            } else {
-                self.a[best] > self.a[i]
-            };
-            if !improves {
+            if !self.beats(best, i, min, specs) {
                 return;
             }
             self.a.swap(i, best);
@@ -321,16 +333,87 @@ impl MinMaxHeap {
             // After a grandchild swap the intervening parent (an opposite-
             // level node) may now violate its own property.
             let parent = (best - 1) / 2;
-            let parent_violated = if min {
-                self.a[best] > self.a[parent]
-            } else {
-                self.a[best] < self.a[parent]
-            };
-            if parent_violated {
+            if self.beats(parent, best, min, specs) {
                 self.a.swap(best, parent);
             }
             i = best;
         }
+    }
+}
+
+/// A `Vec`-backed 2-ary min-heap over SRPT order — the queue, which only
+/// ever pushes and pops its minimum.
+#[derive(Debug, Default)]
+struct MinHeap {
+    a: Vec<Entry>,
+}
+
+impl MinHeap {
+    #[inline]
+    fn len(&self) -> usize {
+        self.a.len()
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.a.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.a.clear();
+    }
+
+    /// Unordered view of the entries (callers sort for SRPT order).
+    #[inline]
+    fn entries(&self) -> &[Entry] {
+        &self.a
+    }
+
+    fn push(&mut self, e: Entry, specs: &[JobSpec]) {
+        let hole = self.a.len();
+        self.a.push(e);
+        self.sift_up(hole, e, specs);
+    }
+
+    /// Moves the hole at `hole` toward the root past every parent `e`
+    /// precedes, then fills it with `e`.
+    #[inline]
+    fn sift_up(&mut self, mut hole: usize, e: Entry, specs: &[JobSpec]) {
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if !less(&e, &self.a[parent], specs) {
+                break;
+            }
+            self.a[hole] = self.a[parent];
+            hole = parent;
+        }
+        self.a[hole] = e;
+    }
+
+    /// Pops the minimum by bottom-up deletion: the root's hole walks down
+    /// along smaller children to a leaf (one comparison per level), and
+    /// the former last element — a leaf, so rarely far from the bottom —
+    /// sifts up from there.
+    fn pop(&mut self, specs: &[JobSpec]) -> Option<Entry> {
+        let last = self.a.pop()?;
+        let Some(&min) = self.a.first() else {
+            return Some(last);
+        };
+        let len = self.a.len();
+        let mut hole = 0;
+        let mut child = 1;
+        while child + 1 < len {
+            child += usize::from(less(&self.a[child + 1], &self.a[child], specs));
+            self.a[hole] = self.a[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child + 1 == len {
+            self.a[hole] = self.a[child];
+            hole = child;
+        }
+        self.sift_up(hole, last, specs);
+        Some(min)
     }
 }
 
@@ -352,10 +435,12 @@ pub(crate) enum Placement {
 
 /// One alive-set entry as captured in a `parsched-snap/v2` document:
 /// ordering key (offset space for running, literal remaining for queued)
-/// plus the full [`Slot`] payload. The `hetero`/`nonunit` flags are stored
-/// verbatim — they were computed against the reference curve at *insert*
-/// time, and recomputing them on restore could diverge when the reference
-/// itself was a later-admitted job's curve in the original run.
+/// plus the entry's payload. `release` and `id` are the tie-break, filled
+/// from the arena on capture and checked against it on restore. The
+/// `hetero`/`nonunit` flags are stored verbatim — they were computed
+/// against the reference curve at *insert* time, and recomputing them on
+/// restore could diverge when the reference itself was a later-admitted
+/// job's curve in the original run.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SetEntrySnap {
     pub(crate) key: f64,
@@ -385,12 +470,15 @@ pub(crate) struct SetSnap {
 }
 
 /// The alive set in SRPT order with an `O(1)` uniform-drain fast path.
+///
+/// Every method that orders entries takes `specs`, the engine's arena
+/// spec lane, indexed by slot: the tie-break context.
 #[derive(Debug, Default)]
 pub(crate) struct SrptSet {
     /// Scheduled prefix: min-max heap over offset-space keys.
     running: MinMaxHeap,
-    /// Queue: binary min-heap over literal remaining work.
-    queued: BinaryHeap<Reverse<Entry>>,
+    /// Queue: min-heap over literal remaining work.
+    queued: MinHeap,
     /// Scratch for ordered rebuilds (`drain_scan` / `maybe_rebase`);
     /// retained so rebuilds allocate nothing after warm-up.
     // lint:allow(L009) transient scratch for ordered views, empty between events; nothing to restore
@@ -494,22 +582,20 @@ impl SrptSet {
     pub fn front_running(&self) -> Option<(Slot, f64)> {
         self.running
             .peek_min()
-            .map(|e| (e.slot, (e.key.key - self.drain).max(0.0)))
+            .map(|e| (e.slot(), (e.key - self.drain).max(0.0)))
     }
 
     /// The running prefix in SRPT order as `(slot, remaining)`.
     ///
     /// Materializes a sorted copy: ordered views are off the steady-state
-    /// path (observers, snapshots, tests), and sorting by
-    /// the same total order the old B-tree kept preserves every observable
-    /// iteration sequence bit-for-bit.
-    pub fn iter_running(&self) -> impl Iterator<Item = (Slot, f64)> + '_ {
+    /// path (observers, snapshots, tests).
+    pub fn iter_running(&self, specs: &[JobSpec]) -> impl Iterator<Item = (Slot, f64)> + '_ {
         // lint:allow(L007) ordered views are off the steady-state path (module docs): they materialize a sorted copy for observers and tests
         let mut v: Vec<Entry> = self.running.entries().to_vec();
-        v.sort_unstable();
+        sort_entries(&mut v, specs);
         let drain = self.drain;
         v.into_iter()
-            .map(move |e| (e.slot, (e.key.key - drain).max(0.0)))
+            .map(move |e| (e.slot(), (e.key - drain).max(0.0)))
     }
 
     /// Visits the running prefix in SRPT order without allocating: the
@@ -518,18 +604,18 @@ impl SrptSet {
     /// the engine's Scan interval uses on its steady-state path.
     ///
     /// The visit order is identical to [`SrptSet::iter_running`]: both
-    /// `sort_unstable` the same entries by the same total `OrdKey` order,
-    /// and keys are unique (ties broken by release then id), so unstable
-    /// sorting cannot permute observably. Order matters: the engine
-    /// accumulates per-job fractional flow in this sequence and float
-    /// addition is not associative.
-    pub fn for_each_running_ordered(&mut self, mut f: impl FnMut(Slot, f64)) {
+    /// sort the same entries by the same total order, and keys are unique
+    /// (ties broken by release then id), so unstable sorting cannot
+    /// permute observably. Order matters: the engine accumulates per-job
+    /// fractional flow in this sequence and float addition is not
+    /// associative.
+    pub fn for_each_running_ordered(&mut self, specs: &[JobSpec], mut f: impl FnMut(Slot, f64)) {
         self.ordered.clear();
         self.ordered.extend_from_slice(self.running.entries());
-        self.ordered.sort_unstable();
+        sort_entries(&mut self.ordered, specs);
         let drain = self.drain;
         for e in &self.ordered {
-            f(e.slot, (e.key.key - drain).max(0.0));
+            f(e.slot(), (e.key - drain).max(0.0));
         }
     }
 
@@ -538,30 +624,28 @@ impl SrptSet {
     /// queue twin of [`SrptSet::for_each_running_ordered`], visiting in
     /// the order of [`SrptSet::iter_queued`] (same entries, same total
     /// order, unique keys).
-    pub fn for_each_queued_ordered(&mut self, mut f: impl FnMut(Slot, f64)) {
+    pub fn for_each_queued_ordered(&mut self, specs: &[JobSpec], mut f: impl FnMut(Slot, f64)) {
         self.ordered.clear();
-        self.ordered.extend(self.queued.iter().map(|r| r.0));
-        self.ordered.sort_unstable();
+        self.ordered.extend_from_slice(self.queued.entries());
+        sort_entries(&mut self.ordered, specs);
         for e in &self.ordered {
-            f(e.slot, e.key.key);
+            f(e.slot(), e.key);
         }
     }
 
     /// Queued jobs in SRPT order as `(slot, remaining)` (sorted copy, see
     /// [`SrptSet::iter_running`]).
-    pub fn iter_queued(&self) -> impl Iterator<Item = (Slot, f64)> + '_ {
+    pub fn iter_queued(&self, specs: &[JobSpec]) -> impl Iterator<Item = (Slot, f64)> + '_ {
         // lint:allow(L007) ordered views are off the steady-state path (module docs): they materialize a sorted copy for observers and tests
-        let mut v: Vec<Entry> = Vec::with_capacity(self.queued.len());
-        // lint:allow(L007) ordered views are off the steady-state path (module docs): they materialize a sorted copy for observers and tests
-        v.extend(self.queued.iter().map(|r| r.0));
-        v.sort_unstable();
-        v.into_iter().map(|e| (e.slot, e.key.key))
+        let mut v: Vec<Entry> = self.queued.entries().to_vec();
+        sort_entries(&mut v, specs);
+        v.into_iter().map(|e| (e.slot(), e.key))
     }
 
     /// The whole alive set in SRPT order as `(idx, remaining)`.
-    pub fn iter_alive(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.iter_running()
-            .chain(self.iter_queued())
+    pub fn iter_alive(&self, specs: &[JobSpec]) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.iter_running(specs)
+            .chain(self.iter_queued(specs))
             .map(|(s, rem)| (s.idx, rem))
     }
 
@@ -572,13 +656,13 @@ impl SrptSet {
         (hetero, nonunit)
     }
 
-    fn add_running(&mut self, key: OrdKey, slot: Slot) {
-        self.s1 += 1.0 / slot.size;
-        self.sk += key.key / slot.size;
-        self.key_sum += key.key;
-        self.hetero_running += usize::from(slot.hetero);
-        self.nonunit_running += usize::from(slot.nonunit);
-        self.running.push(Entry { key, slot });
+    fn add_running(&mut self, e: Entry, specs: &[JobSpec]) {
+        self.s1 += 1.0 / e.size;
+        self.sk += e.key / e.size;
+        self.key_sum += e.key;
+        self.hetero_running += usize::from(e.hetero);
+        self.nonunit_running += usize::from(e.nonunit);
+        self.running.push(e, specs);
     }
 
     fn settle_running(&mut self) {
@@ -594,55 +678,53 @@ impl SrptSet {
         }
     }
 
-    fn forget_running(&mut self, key: &OrdKey, slot: &Slot) {
-        self.s1 -= 1.0 / slot.size;
-        self.sk -= key.key / slot.size;
-        self.key_sum -= key.key;
-        self.hetero_running -= usize::from(slot.hetero);
-        self.nonunit_running -= usize::from(slot.nonunit);
+    fn forget_running(&mut self, e: &Entry) {
+        self.s1 -= 1.0 / e.size;
+        self.sk -= e.key / e.size;
+        self.key_sum -= e.key;
+        self.hetero_running -= usize::from(e.hetero);
+        self.nonunit_running -= usize::from(e.nonunit);
     }
 
-    fn add_queued(&mut self, key: OrdKey, slot: Slot) {
-        self.q_frac += key.key / slot.size;
-        self.q_rem_sum += key.key;
-        self.queued.push(Reverse(Entry { key, slot }));
+    fn add_queued(&mut self, e: Entry, specs: &[JobSpec]) {
+        self.q_frac += e.key / e.size;
+        self.q_rem_sum += e.key;
+        self.queued.push(e, specs);
     }
 
-    fn forget_queued(&mut self, key: &OrdKey, slot: &Slot) {
-        self.q_frac -= key.key / slot.size;
-        self.q_rem_sum -= key.key;
+    fn forget_queued(&mut self, e: &Entry) {
+        self.q_frac -= e.key / e.size;
+        self.q_rem_sum -= e.key;
         if self.queued.is_empty() {
             self.q_frac = 0.0;
             self.q_rem_sum = 0.0;
         }
     }
 
-    /// Inserts a newly arrived job and returns where it landed. The caller
-    /// follows up with [`SrptSet::rebalance`] once the batch is in.
-    pub fn insert(&mut self, idx: usize, spec: &JobSpec, remaining: Work) -> Placement {
+    /// Inserts the job in arena slot `idx` with `remaining` work and
+    /// returns where it landed. `specs[idx]` must already hold the job's
+    /// spec: its curve sets the uniformity flags and its `(release, id)`
+    /// breaks key ties. The caller follows up with
+    /// [`SrptSet::rebalance`] once the batch is in.
+    pub fn insert(&mut self, idx: usize, remaining: Work, specs: &[JobSpec]) -> Placement {
+        let spec = &specs[idx];
         let (hetero, nonunit) = self.flags_for(&spec.curve);
-        let slot = Slot {
-            idx,
-            size: spec.size,
-            hetero,
-            nonunit,
-        };
-        let run_key = OrdKey {
-            key: remaining + self.drain,
-            release: spec.release,
-            id: spec.id,
-        };
-        let belongs_in_prefix = self.running.peek_max().is_some_and(|max| run_key < max.key);
+        let run = Entry::new(remaining + self.drain, idx, spec.size, hetero, nonunit);
+        let belongs_in_prefix = self
+            .running
+            .peek_max(specs)
+            .is_some_and(|max| less(&run, max, specs));
         if belongs_in_prefix {
-            self.add_running(run_key, slot);
-            Placement::Running { key: run_key.key }
+            self.add_running(run, specs);
+            Placement::Running { key: run.key }
         } else {
-            let key = OrdKey {
-                key: remaining,
-                release: spec.release,
-                id: spec.id,
-            };
-            self.add_queued(key, slot);
+            self.add_queued(
+                Entry {
+                    key: remaining,
+                    ..run
+                },
+                specs,
+            );
             Placement::Queued { remaining }
         }
     }
@@ -650,33 +732,35 @@ impl SrptSet {
     /// Restores `running.len() == min(target, len())` by demoting the
     /// largest running jobs or promoting the smallest queued jobs. Reports
     /// every move so the engine can update its per-job records.
-    pub fn rebalance(&mut self, target: usize, mut moved: impl FnMut(usize, Placement)) {
+    pub fn rebalance(
+        &mut self,
+        target: usize,
+        specs: &[JobSpec],
+        mut moved: impl FnMut(usize, Placement),
+    ) {
         let want = target.min(self.len());
         while self.running.len() > want {
             // lint:allow(L007) pop is guarded by the partition-size accounting just above; the heap is counted non-empty
-            let Entry { key, slot } = self.running.pop_max().expect("nonempty");
-            let remaining = (key.key - self.drain).max(0.0);
-            self.forget_running(&key, &slot);
+            let e = self.running.pop_max(specs).expect("nonempty");
+            let remaining = (e.key - self.drain).max(0.0);
+            self.forget_running(&e);
             self.settle_running();
-            let qkey = OrdKey {
-                key: remaining,
-                release: key.release,
-                id: key.id,
-            };
-            self.add_queued(qkey, slot);
-            moved(slot.idx, Placement::Queued { remaining });
+            self.add_queued(
+                Entry {
+                    key: remaining,
+                    ..e
+                },
+                specs,
+            );
+            moved(e.idx as usize, Placement::Queued { remaining });
         }
         while self.running.len() < want {
             // lint:allow(L007) pop is guarded by the partition-size accounting just above; the heap is counted non-empty
-            let Reverse(Entry { key, slot }) = self.queued.pop().expect("nonempty");
-            self.forget_queued(&key, &slot);
-            let rkey = OrdKey {
-                key: key.key + self.drain,
-                release: key.release,
-                id: key.id,
-            };
-            self.add_running(rkey, slot);
-            moved(slot.idx, Placement::Running { key: rkey.key });
+            let e = self.queued.pop(specs).expect("nonempty");
+            self.forget_queued(&e);
+            let key = e.key + self.drain;
+            self.add_running(Entry { key, ..e }, specs);
+            moved(e.idx as usize, Placement::Running { key });
         }
     }
 
@@ -690,43 +774,40 @@ impl SrptSet {
 
     /// Pops the front running job (the imminent completion). Returns the
     /// slot and its materialized remaining work.
-    pub fn pop_front_running(&mut self) -> Option<(Slot, f64)> {
-        let Entry { key, slot } = self.running.pop_min()?;
-        let remaining = (key.key - self.drain).max(0.0);
-        self.forget_running(&key, &slot);
+    pub fn pop_front_running(&mut self, specs: &[JobSpec]) -> Option<(Slot, f64)> {
+        let e = self.running.pop_min(specs)?;
+        let remaining = (e.key - self.drain).max(0.0);
+        self.forget_running(&e);
         self.settle_running();
-        Some((slot, remaining))
+        Some((e.slot(), remaining))
     }
 
     /// Rebuilds the running partition through `update` (applied in SRPT
-    /// order — the old B-tree's iteration order, so the floating-point sum
-    /// accumulation and the `moved` callback sequence are unchanged),
-    /// folding the drain offset to zero. Shared by [`SrptSet::drain_scan`]
-    /// and [`SrptSet::maybe_rebase`].
+    /// order, so the floating-point sum accumulation and the `moved`
+    /// callback sequence do not depend on the heap layout), folding the
+    /// drain offset to zero. Shared by [`SrptSet::drain_scan`] and
+    /// [`SrptSet::maybe_rebase`].
     fn rebuild_running(
         &mut self,
+        specs: &[JobSpec],
         mut update: impl FnMut(usize, f64) -> f64,
         mut moved: impl FnMut(usize, Placement),
     ) {
         self.scratch.clear();
         self.running.drain_into(&mut self.scratch);
         let mut old = std::mem::take(&mut self.scratch);
-        old.sort_unstable();
+        sort_entries(&mut old, specs);
         self.s1 = 0.0;
         self.sk = 0.0;
         self.key_sum = 0.0;
         self.hetero_running = 0;
         self.nonunit_running = 0;
         let drain = std::mem::replace(&mut self.drain, 0.0);
-        for Entry { key, slot } in old.drain(..) {
-            let rem = update(slot.idx, (key.key - drain).max(0.0));
-            let new_key = OrdKey {
-                key: rem,
-                release: key.release,
-                id: key.id,
-            };
-            self.add_running(new_key, slot);
-            moved(slot.idx, Placement::Running { key: rem });
+        for e in old.drain(..) {
+            let idx = e.idx as usize;
+            let key = update(idx, (e.key - drain).max(0.0));
+            self.add_running(Entry { key, ..e }, specs);
+            moved(idx, Placement::Running { key });
         }
         self.scratch = old;
     }
@@ -738,20 +819,21 @@ impl SrptSet {
     pub fn drain_scan(
         &mut self,
         dt: f64,
+        specs: &[JobSpec],
         rate_of: impl Fn(usize) -> f64,
         moved: impl FnMut(usize, Placement),
     ) {
-        self.rebuild_running(|idx, rem| (rem - rate_of(idx) * dt).max(0.0), moved);
+        self.rebuild_running(specs, |idx, rem| (rem - rate_of(idx) * dt).max(0.0), moved);
     }
 
     /// Folds the drain offset into the running keys when it has grown past
     /// [`REBASE_LIMIT`], keeping `ulp(key)` well under completion
     /// tolerances. Reports refreshed keys. No-op most of the time.
-    pub fn maybe_rebase(&mut self, moved: impl FnMut(usize, Placement)) {
+    pub fn maybe_rebase(&mut self, specs: &[JobSpec], moved: impl FnMut(usize, Placement)) {
         if self.drain <= REBASE_LIMIT {
             return;
         }
-        self.rebuild_running(|_, rem| rem, moved);
+        self.rebuild_running(specs, |_, rem| rem, moved);
     }
 
     /// Captures the full set state for a snapshot. Both partitions are
@@ -759,22 +841,24 @@ impl SrptSet {
     /// render byte-identical documents even when their heap arrays have
     /// different internal layouts (layout depends on push history, which
     /// is not observable — every read path sorts or pops by total order).
-    pub(crate) fn snapshot_state(&self) -> SetSnap {
-        fn conv(e: &Entry) -> SetEntrySnap {
+    /// Each entry's `(release, id)` comes from its arena spec.
+    pub(crate) fn snapshot_state(&self, specs: &[JobSpec]) -> SetSnap {
+        let conv = |e: &Entry| {
+            let spec = &specs[e.idx as usize];
             SetEntrySnap {
-                key: e.key.key,
-                release: e.key.release,
-                id: e.key.id,
-                idx: e.slot.idx,
-                size: e.slot.size,
-                hetero: e.slot.hetero,
-                nonunit: e.slot.nonunit,
+                key: e.key,
+                release: spec.release,
+                id: spec.id,
+                idx: e.idx as usize,
+                size: e.size,
+                hetero: e.hetero,
+                nonunit: e.nonunit,
             }
-        }
+        };
         let mut running: Vec<Entry> = self.running.entries().to_vec();
-        running.sort_unstable();
-        let mut queued: Vec<Entry> = self.queued.iter().map(|r| r.0).collect();
-        queued.sort_unstable();
+        sort_entries(&mut running, specs);
+        let mut queued: Vec<Entry> = self.queued.entries().to_vec();
+        sort_entries(&mut queued, specs);
         SetSnap {
             running: running.iter().map(conv).collect(),
             queued: queued.iter().map(conv).collect(),
@@ -791,41 +875,19 @@ impl SrptSet {
     /// Restores the state captured by [`SrptSet::snapshot_state`], retaining
     /// buffer capacity. Entries are re-pushed with their stored keys and
     /// flags; the uniformity counters are recounted from the per-entry flags
-    /// and the running/queued sums are installed bit-exact.
-    pub(crate) fn restore_state(&mut self, snap: &SetSnap) {
+    /// and the running/queued sums are installed bit-exact. The caller has
+    /// checked every entry's `(release, id, size)` against `specs`.
+    pub(crate) fn restore_state(&mut self, snap: &SetSnap, specs: &[JobSpec]) {
         self.reset();
         self.reference = snap.reference.clone();
+        let entry = |e: &SetEntrySnap| Entry::new(e.key, e.idx, e.size, e.hetero, e.nonunit);
         for e in &snap.running {
             self.hetero_running += usize::from(e.hetero);
             self.nonunit_running += usize::from(e.nonunit);
-            self.running.push(Entry {
-                key: OrdKey {
-                    key: e.key,
-                    release: e.release,
-                    id: e.id,
-                },
-                slot: Slot {
-                    idx: e.idx,
-                    size: e.size,
-                    hetero: e.hetero,
-                    nonunit: e.nonunit,
-                },
-            });
+            self.running.push(entry(e), specs);
         }
         for e in &snap.queued {
-            self.queued.push(Reverse(Entry {
-                key: OrdKey {
-                    key: e.key,
-                    release: e.release,
-                    id: e.id,
-                },
-                slot: Slot {
-                    idx: e.idx,
-                    size: e.size,
-                    hetero: e.hetero,
-                    nonunit: e.nonunit,
-                },
-            }));
+            self.queued.push(entry(e), specs);
         }
         self.drain = snap.drain;
         self.s1 = snap.s1;
@@ -844,21 +906,77 @@ mod tests {
         JobSpec::new(JobId(id), release, size, Curve::Sequential)
     }
 
-    fn remaining_in_order(set: &SrptSet) -> Vec<(usize, f64)> {
-        set.iter_alive().collect()
+    /// Arena-style spec lane: slot `i` holds job `i` released at 0.
+    fn sizes_to_specs(sizes: &[f64]) -> Vec<JobSpec> {
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| spec(i as u64, 0.0, size))
+            .collect()
+    }
+
+    /// Inserts every slot of `specs` with its full size as remaining work.
+    fn insert_all(set: &mut SrptSet, specs: &[JobSpec]) {
+        for (i, s) in specs.iter().enumerate() {
+            set.insert(i, s.size, specs);
+        }
+    }
+
+    fn remaining_in_order(set: &SrptSet, specs: &[JobSpec]) -> Vec<(usize, f64)> {
+        set.iter_alive(specs).collect()
+    }
+
+    #[test]
+    fn entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    /// The integer image orders exactly as `f64::total_cmp` does,
+    /// including signed zeros, subnormals, infinities, and NaNs.
+    #[test]
+    fn ord_bits_is_total_cmp() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            -1.0,
+            3e6,
+            -3e6,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    ord_bits(a).cmp(&ord_bits(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn insert_and_rebalance_partition_by_srpt_order() {
         let mut set = SrptSet::default();
-        for (i, size) in [5.0, 1.0, 3.0].iter().enumerate() {
-            set.insert(i, &spec(i as u64, 0.0, *size), *size);
-        }
-        set.rebalance(2, |_, _| {});
+        let specs = sizes_to_specs(&[5.0, 1.0, 3.0]);
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         assert_eq!(set.running_len(), 2);
-        let order: Vec<usize> = set.iter_alive().map(|(idx, _)| idx).collect();
+        let order: Vec<usize> = set.iter_alive(&specs).map(|(idx, _)| idx).collect();
         assert_eq!(order, vec![1, 2, 0]); // remaining 1, 3, 5
-        let running: Vec<usize> = set.iter_running().map(|(s, _)| s.idx).collect();
+        let running: Vec<usize> = set.iter_running(&specs).map(|(s, _)| s.idx).collect();
         assert_eq!(running, vec![1, 2]);
     }
 
@@ -866,17 +984,20 @@ mod tests {
     fn for_each_running_ordered_matches_iter_running_bitwise() {
         let mut set = SrptSet::default();
         let sizes = [5.0, 1.0, 3.0, 2.75, 4.5, 0.25, 7.0, 6.125];
-        for (i, size) in sizes.iter().enumerate() {
-            set.insert(i, &spec(i as u64, 0.1 * i as f64, *size), *size);
-        }
-        set.rebalance(5, |_, _| {});
+        let specs: Vec<JobSpec> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| spec(i as u64, 0.1 * i as f64, size))
+            .collect();
+        insert_all(&mut set, &specs);
+        set.rebalance(5, &specs, |_, _| {});
         set.advance_uniform(0.4375); // non-trivial drain offset
         let via_iter: Vec<(usize, u64)> = set
-            .iter_running()
+            .iter_running(&specs)
             .map(|(s, rem)| (s.idx, rem.to_bits()))
             .collect();
         let mut via_visit = Vec::new();
-        set.for_each_running_ordered(|s, rem| via_visit.push((s.idx, rem.to_bits())));
+        set.for_each_running_ordered(&specs, |s, rem| via_visit.push((s.idx, rem.to_bits())));
         assert_eq!(via_iter, via_visit);
         assert_eq!(via_visit.len(), 5);
     }
@@ -885,16 +1006,19 @@ mod tests {
     fn for_each_queued_ordered_matches_iter_queued_bitwise() {
         let mut set = SrptSet::default();
         let sizes = [5.0, 1.0, 3.0, 2.75, 4.5, 0.25, 7.0, 6.125, 3.0];
-        for (i, size) in sizes.iter().enumerate() {
-            set.insert(i, &spec(i as u64, 0.1 * i as f64, *size), *size);
-        }
-        set.rebalance(3, |_, _| {});
+        let specs: Vec<JobSpec> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| spec(i as u64, 0.1 * i as f64, size))
+            .collect();
+        insert_all(&mut set, &specs);
+        set.rebalance(3, &specs, |_, _| {});
         let via_iter: Vec<(usize, u64)> = set
-            .iter_queued()
+            .iter_queued(&specs)
             .map(|(s, rem)| (s.idx, rem.to_bits()))
             .collect();
         let mut via_visit = Vec::new();
-        set.for_each_queued_ordered(|s, rem| via_visit.push((s.idx, rem.to_bits())));
+        set.for_each_queued_ordered(&specs, |s, rem| via_visit.push((s.idx, rem.to_bits())));
         assert_eq!(via_iter, via_visit);
         assert_eq!(via_visit.len(), 6);
     }
@@ -902,11 +1026,11 @@ mod tests {
     #[test]
     fn uniform_advance_drains_only_the_prefix() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 2.0), 2.0);
-        set.insert(1, &spec(1, 0.0, 4.0), 4.0);
-        set.rebalance(1, |_, _| {});
+        let specs = sizes_to_specs(&[2.0, 4.0]);
+        insert_all(&mut set, &specs);
+        set.rebalance(1, &specs, |_, _| {});
         set.advance_uniform(1.5);
-        let rems = remaining_in_order(&set);
+        let rems = remaining_in_order(&set, &specs);
         assert!((rems[0].1 - 0.5).abs() < 1e-12); // running drained
         assert!((rems[1].1 - 4.0).abs() < 1e-12); // queued untouched
         assert!((set.total_remaining() - 4.5).abs() < 1e-12);
@@ -915,10 +1039,11 @@ mod tests {
     #[test]
     fn pop_front_returns_smallest_and_resets_offset_when_empty() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 2.0), 2.0);
-        set.rebalance(1, |_, _| {});
+        let specs = sizes_to_specs(&[2.0]);
+        insert_all(&mut set, &specs);
+        set.rebalance(1, &specs, |_, _| {});
         set.advance_uniform(2.0);
-        let (slot, rem) = set.pop_front_running().unwrap();
+        let (slot, rem) = set.pop_front_running(&specs).unwrap();
         assert_eq!(slot.idx, 0);
         assert!(rem.abs() < 1e-12);
         assert_eq!(set.len(), 0);
@@ -929,18 +1054,17 @@ mod tests {
     #[test]
     fn rebalance_promotes_in_srpt_order_after_completion() {
         let mut set = SrptSet::default();
-        for (i, size) in [1.0, 2.0, 3.0].iter().enumerate() {
-            set.insert(i, &spec(i as u64, 0.0, *size), *size);
-        }
-        set.rebalance(2, |_, _| {});
+        let specs = sizes_to_specs(&[1.0, 2.0, 3.0]);
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(1.0);
-        set.pop_front_running().unwrap(); // job 0 done
+        set.pop_front_running(&specs).unwrap(); // job 0 done
         let mut promoted = vec![];
-        set.rebalance(2, |idx, p| promoted.push((idx, p)));
+        set.rebalance(2, &specs, |idx, p| promoted.push((idx, p)));
         assert_eq!(promoted.len(), 1);
         assert_eq!(promoted[0].0, 2); // remaining 3.0 job joins the prefix
                                       // Job 1 drained 1.0 → remaining 1.0; job 2 still 3.0.
-        let rems = remaining_in_order(&set);
+        let rems = remaining_in_order(&set, &specs);
         assert!((rems[0].1 - 1.0).abs() < 1e-12);
         assert!((rems[1].1 - 3.0).abs() < 1e-12);
     }
@@ -948,25 +1072,24 @@ mod tests {
     #[test]
     fn ties_break_by_release_then_id() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(9, 1.0, 2.0), 2.0);
-        set.insert(1, &spec(3, 0.0, 2.0), 2.0);
-        set.insert(2, &spec(5, 0.0, 2.0), 2.0);
-        set.rebalance(3, |_, _| {});
-        let order: Vec<usize> = set.iter_alive().map(|(idx, _)| idx).collect();
+        let specs = vec![spec(9, 1.0, 2.0), spec(3, 0.0, 2.0), spec(5, 0.0, 2.0)];
+        insert_all(&mut set, &specs);
+        set.rebalance(3, &specs, |_, _| {});
+        let order: Vec<usize> = set.iter_alive(&specs).map(|(idx, _)| idx).collect();
         assert_eq!(order, vec![1, 2, 0]); // (0.0, id 3), (0.0, id 5), (1.0, id 9)
     }
 
     #[test]
     fn uniformity_counters_track_membership() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 2.0), 2.0); // reference: Sequential
         let mut par = spec(1, 0.0, 3.0);
         par.curve = Curve::FullyParallel;
-        set.insert(1, &par, 3.0);
-        set.rebalance(2, |_, _| {});
+        let specs = vec![spec(0, 0.0, 2.0), par]; // reference: Sequential
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         assert!(!set.uniform_curves());
         assert!(set.unit_rate_at_one()); // both Γ(1) = 1
-        set.rebalance(1, |_, _| {}); // demote the parallel job (larger)
+        set.rebalance(1, &specs, |_, _| {}); // demote the parallel job (larger)
         assert!(set.uniform_curves());
     }
 
@@ -974,15 +1097,15 @@ mod tests {
     fn drain_scan_reorders_by_new_remaining() {
         let mut set = SrptSet::default();
         // Sequential job drains at rate(2) = 1; parallel at rate(2) = 2.
-        set.insert(0, &spec(0, 0.0, 3.0), 3.0);
         let mut par = spec(1, 0.0, 3.5);
         par.curve = Curve::FullyParallel;
-        set.insert(1, &par, 3.5);
-        set.rebalance(2, |_, _| {});
+        let specs = vec![spec(0, 0.0, 3.0), par];
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         let rate = |idx: usize| if idx == 0 { 1.0 } else { 2.0 };
-        set.drain_scan(1.5, rate, |_, _| {});
+        set.drain_scan(1.5, &specs, rate, |_, _| {});
         // Remaining: job 0 → 1.5, job 1 → 0.5; order flips.
-        let order = remaining_in_order(&set);
+        let order = remaining_in_order(&set, &specs);
         assert_eq!(order[0].0, 1);
         assert!((order[0].1 - 0.5).abs() < 1e-12);
         assert!((order[1].1 - 1.5).abs() < 1e-12);
@@ -992,17 +1115,17 @@ mod tests {
     #[test]
     fn rebase_folds_offset_without_changing_state() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 3e6), 3e6);
-        set.insert(1, &spec(1, 0.0, 4e6), 4e6);
-        set.rebalance(2, |_, _| {});
+        let specs = sizes_to_specs(&[3e6, 4e6]);
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(2e6);
-        let before: Vec<(usize, f64)> = remaining_in_order(&set);
+        let before: Vec<(usize, f64)> = remaining_in_order(&set, &specs);
         let total = set.total_remaining();
         let mut updates = 0;
-        set.maybe_rebase(|_, _| updates += 1);
+        set.maybe_rebase(&specs, |_, _| updates += 1);
         assert_eq!(updates, 2);
         assert_eq!(set.drain_offset(), 0.0);
-        let after: Vec<(usize, f64)> = remaining_in_order(&set);
+        let after: Vec<(usize, f64)> = remaining_in_order(&set, &specs);
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(b.0, a.0);
             assert!((b.1 - a.1).abs() < 1e-6 * b.1.max(1.0));
@@ -1013,11 +1136,9 @@ mod tests {
     #[test]
     fn fractional_sums_match_direct_computation() {
         let mut set = SrptSet::default();
-        let sizes = [2.0, 5.0, 7.0, 11.0];
-        for (i, size) in sizes.iter().enumerate() {
-            set.insert(i, &spec(i as u64, 0.0, *size), *size);
-        }
-        set.rebalance(2, |_, _| {});
+        let specs = sizes_to_specs(&[2.0, 5.0, 7.0, 11.0]);
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(1.0);
         // Running: 2.0→1.0, 5.0→4.0. Queued: 7.0, 11.0.
         let run_frac = set.running_key_frac_sum() - set.drain_offset() * set.running_inv_size_sum();
@@ -1031,11 +1152,10 @@ mod tests {
     #[test]
     fn reset_clears_state_but_keeps_capacity() {
         let mut set = SrptSet::default();
-        for i in 0..64usize {
-            let size = 1.0 + i as f64;
-            set.insert(i, &spec(i as u64, 0.0, size), size);
-        }
-        set.rebalance(8, |_, _| {});
+        let sizes: Vec<f64> = (0..64).map(|i| 1.0 + f64::from(i)).collect();
+        let specs = sizes_to_specs(&sizes);
+        insert_all(&mut set, &specs);
+        set.rebalance(8, &specs, |_, _| {});
         set.advance_uniform(0.25);
         set.reset();
         assert_eq!(set.len(), 0);
@@ -1044,68 +1164,156 @@ mod tests {
         assert_eq!(set.total_remaining(), 0.0);
         assert!(set.uniform_curves() && set.unit_rate_at_one());
         // The set is fully reusable after reset.
-        set.insert(0, &spec(100, 0.0, 2.0), 2.0);
-        set.rebalance(1, |_, _| {});
+        let specs = vec![spec(100, 0.0, 2.0)];
+        insert_all(&mut set, &specs);
+        set.rebalance(1, &specs, |_, _| {});
         assert_eq!(set.front_running().unwrap().0.idx, 0);
+    }
+
+    /// 64-bit LCG stream for the heap fuzzers.
+    fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut rng = seed;
+        move |m: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % m
+        }
+    }
+
+    /// Reference SRPT order of entries, straight from the specs:
+    /// `(key, release, id)` under `total_cmp`.
+    fn reference_order(a: &Entry, b: &Entry, specs: &[JobSpec]) -> Ordering {
+        let (sa, sb) = (&specs[a.idx as usize], &specs[b.idx as usize]);
+        a.key
+            .total_cmp(&b.key)
+            .then(sa.release.total_cmp(&sb.release))
+            .then(sa.id.cmp(&sb.id))
+    }
+
+    /// A spec lane of `n` jobs built for ties: releases drawn from
+    /// `{-0.0, +0.0, 1.0}` and distinct ids in scrambled order.
+    fn tie_specs(n: usize, next: &mut impl FnMut(u64) -> u64) -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| {
+                let release = [-0.0, 0.0, 1.0][next(3) as usize];
+                let id = (i as u64 * 7919) % 100_003;
+                spec(id, release, 1.0)
+            })
+            .collect()
+    }
+
+    /// A key drawn from a handful of values, so most keys collide exactly
+    /// (signed zeros included).
+    fn tie_key(next: &mut impl FnMut(u64) -> u64) -> f64 {
+        [-0.0, 0.0, 0.5, 1.0, 1.0, 2.5][next(6) as usize]
+    }
+
+    fn entry(key: f64, idx: usize) -> Entry {
+        Entry::new(key, idx, 1.0, false, false)
     }
 
     /// Min-max heap fuzz: interleaved push / pop-min / pop-max against a
     /// sorted-Vec model, checking both peeks before every mutation.
     #[test]
     fn min_max_heap_matches_sorted_model_under_churn() {
+        let mut next = lcg(0x1234_5678_9abc_def0);
+        let specs: Vec<JobSpec> = (0..4000).map(|i| spec(i, 0.0, 1.0)).collect();
         let mut heap = MinMaxHeap::default();
-        let mut model: Vec<OrdKey> = Vec::new();
-        let mut rng: u64 = 0x1234_5678_9abc_def0;
-        let mut next = |m: u64| {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (rng >> 33) % m
-        };
-        let slot = Slot {
-            idx: 0,
-            size: 1.0,
-            hetero: false,
-            nonunit: false,
-        };
+        let mut model: Vec<Entry> = Vec::new();
+        let idx_of = |e: Option<&Entry>| e.map(|e| e.idx);
         for step in 0..4000 {
             // Peeks agree with the model.
-            model.sort();
-            assert_eq!(
-                heap.peek_min().map(|e| e.key.id),
-                model.first().map(|k| k.id)
-            );
-            assert_eq!(
-                heap.peek_max().map(|e| e.key.id),
-                model.last().map(|k| k.id)
-            );
+            model.sort_by(|a, b| reference_order(a, b, &specs));
+            assert_eq!(idx_of(heap.peek_min()), idx_of(model.first()));
+            assert_eq!(idx_of(heap.peek_max(&specs)), idx_of(model.last()));
             match next(4) {
                 0 | 1 => {
-                    let key = OrdKey {
-                        key: next(50) as f64 * 0.5,
-                        release: 0.0,
-                        id: JobId(step as u64),
-                    };
-                    heap.push(Entry { key, slot });
-                    model.push(key);
+                    let e = entry(next(50) as f64 * 0.5, step);
+                    heap.push(e, &specs);
+                    model.push(e);
                 }
                 2 => {
-                    let got = heap.pop_min().map(|e| e.key.id);
-                    let want = model.first().map(|k| k.id);
-                    assert_eq!(got, want, "pop_min at step {step}");
+                    let got = idx_of(heap.pop_min(&specs).as_ref());
+                    assert_eq!(got, idx_of(model.first()), "pop_min at step {step}");
                     if !model.is_empty() {
                         model.remove(0);
                     }
                 }
                 _ => {
-                    let got = heap.pop_max().map(|e| e.key.id);
-                    let want = model.last().map(|k| k.id);
-                    assert_eq!(got, want, "pop_max at step {step}");
+                    let got = idx_of(heap.pop_max(&specs).as_ref());
+                    assert_eq!(got, idx_of(model.last()), "pop_max at step {step}");
                     model.pop();
                 }
             }
             assert_eq!(heap.len(), model.len());
         }
+    }
+
+    /// Both heaps, on random multisets where most keys tie exactly and the
+    /// `(release, id)` tie-break comes from the spec lane: the queue heap
+    /// pops, and the min-max heap pops from either end, in exactly the
+    /// order of a sort by the reference comparison — across interleaved
+    /// pushes and pops, not just a fill-then-drain.
+    #[test]
+    fn heaps_pop_in_reference_order_on_tie_heavy_multisets() {
+        let mut next = lcg(0x5eed_0f71_3500);
+        for round in 0..40 {
+            let n = 1 + next(200) as usize;
+            let specs = tie_specs(n, &mut next);
+            let mut queue = MinHeap::default();
+            let mut both = MinMaxHeap::default();
+            let mut model: Vec<Entry> = Vec::new();
+            let mut idx = 0;
+            while idx < n || !model.is_empty() {
+                if idx < n && (model.is_empty() || next(3) != 0) {
+                    let e = entry(tie_key(&mut next), idx);
+                    idx += 1;
+                    queue.push(e, &specs);
+                    both.push(e, &specs);
+                    model.push(e);
+                    continue;
+                }
+                model.sort_by(|a, b| reference_order(a, b, &specs));
+                let want_min = model.remove(0);
+                let got = queue.pop(&specs).map(|e| e.idx);
+                assert_eq!(got, Some(want_min.idx), "round {round}: queue pop");
+                // The min-max heap holds the same multiset; pop the
+                // minimum, then pop and push back the maximum.
+                let got = both.pop_min(&specs).map(|e| e.idx);
+                assert_eq!(got, Some(want_min.idx), "round {round}: pop_min");
+                if let Some(want_max) = model.last().copied() {
+                    let got = both.pop_max(&specs).map(|e| e.idx);
+                    assert_eq!(got, Some(want_max.idx), "round {round}: pop_max");
+                    both.push(want_max, &specs);
+                }
+                assert_eq!(queue.len(), model.len());
+                assert_eq!(both.len(), model.len());
+            }
+            assert!(queue.is_empty() && both.is_empty());
+        }
+    }
+
+    /// The set's ordered views sort tie-heavy entries exactly as the
+    /// reference comparison does.
+    #[test]
+    fn ordered_views_sort_ties_by_the_spec_lane() {
+        let mut next = lcg(0x0bad_cafe);
+        let specs = tie_specs(300, &mut next);
+        let mut set = SrptSet::default();
+        for i in 0..specs.len() {
+            set.insert(i, tie_key(&mut next).abs() + 1.0, &specs);
+        }
+        set.rebalance(120, &specs, |_, _| {});
+        let mut want: Vec<(usize, f64)> = set.iter_alive(&specs).collect();
+        let got = want.clone();
+        want.sort_by(|a, b| {
+            let (sa, sb) = (&specs[a.0], &specs[b.0]);
+            a.1.total_cmp(&b.1)
+                .then(sa.release.total_cmp(&sb.release))
+                .then(sa.id.cmp(&sb.id))
+        });
+        assert_eq!(got, want);
     }
 
     /// Naive reference order: `(remaining, release, id)` ascending.
@@ -1125,23 +1333,18 @@ mod tests {
         // (insert-during-drain, rebases, tie-breaks) shows up here.
         const PREFIX: usize = 3;
         let mut set = SrptSet::default();
+        let mut specs: Vec<JobSpec> = Vec::new();
         let mut model: Vec<(usize, f64, f64, u64)> = Vec::new();
-        let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut next = |m: u64| {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (rng >> 33) % m
-        };
-        let mut arena = 0usize;
+        let mut next = lcg(0x9e37_79b9_7f4a_7c15);
         for step in 0..200 {
             match next(3) {
                 0 => {
                     let size = 1.0 + next(16) as f64;
                     let release = f64::from(step);
-                    set.insert(arena, &spec(arena as u64, release, size), size);
+                    let arena = specs.len();
+                    specs.push(spec(arena as u64, release, size));
+                    set.insert(arena, size, &specs);
                     model.push((arena, size, release, arena as u64));
-                    arena += 1;
                 }
                 1 => {
                     // Drain halfway to the front-running completion.
@@ -1160,7 +1363,7 @@ mod tests {
                     if let Some((_, rem)) = set.front_running() {
                         let k = set.running_len();
                         set.advance_uniform(rem);
-                        let (slot, left) = set.pop_front_running().unwrap();
+                        let (slot, left) = set.pop_front_running(&specs).unwrap();
                         assert!(left.abs() < 1e-9, "step {step}: leftover {left}");
                         sort_model(&mut model);
                         for e in model.iter_mut().take(k) {
@@ -1171,9 +1374,9 @@ mod tests {
                     }
                 }
             }
-            set.rebalance(PREFIX, |_, _| {});
+            set.rebalance(PREFIX, &specs, |_, _| {});
             sort_model(&mut model);
-            let got: Vec<(usize, f64)> = set.iter_alive().collect();
+            let got: Vec<(usize, f64)> = set.iter_alive(&specs).collect();
             assert_eq!(got.len(), model.len(), "step {step}");
             for (g, e) in got.iter().zip(&model) {
                 assert_eq!(g.0, e.0, "step {step}: order diverged");
@@ -1195,71 +1398,79 @@ mod tests {
         // Job 0 (release 0) starts at 5 and drains to 2; job 1 (release 7)
         // then arrives with remaining exactly 2. The drained job keeps
         // priority through the earlier release despite identical remaining.
-        set.insert(0, &spec(0, 0.0, 5.0), 5.0);
-        set.rebalance(1, |_, _| {});
+        let specs = vec![spec(0, 0.0, 5.0), spec(1, 7.0, 2.0)];
+        set.insert(0, 5.0, &specs);
+        set.rebalance(1, &specs, |_, _| {});
         set.advance_uniform(3.0);
-        set.insert(1, &spec(1, 7.0, 2.0), 2.0);
-        set.rebalance(2, |_, _| {});
-        let order: Vec<(usize, f64)> = set.iter_alive().collect();
+        set.insert(1, 2.0, &specs);
+        set.rebalance(2, &specs, |_, _| {});
+        let order: Vec<(usize, f64)> = set.iter_alive(&specs).collect();
         assert_eq!(order[0].0, 0);
         assert_eq!(order[1].0, 1);
         assert!((order[0].1 - 2.0).abs() < 1e-12);
         assert!((order[1].1 - 2.0).abs() < 1e-12);
         // And the completion order honors the same tie-break.
         set.advance_uniform(2.0);
-        assert_eq!(set.pop_front_running().unwrap().0.idx, 0);
-        set.rebalance(2, |_, _| {});
+        assert_eq!(set.pop_front_running(&specs).unwrap().0.idx, 0);
+        set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(2.0);
-        assert_eq!(set.pop_front_running().unwrap().0.idx, 1);
+        assert_eq!(set.pop_front_running(&specs).unwrap().0.idx, 1);
     }
 
     #[test]
     fn insert_at_prefix_boundary_queues_then_promotes_in_order() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 2.0), 2.0);
-        set.insert(1, &spec(1, 0.0, 6.0), 6.0);
-        set.rebalance(2, |_, _| {});
+        let specs = vec![
+            spec(0, 0.0, 2.0),
+            spec(1, 0.0, 6.0),
+            spec(2, 1.0, 6.0),
+            spec(3, 1.0, 1.0),
+        ];
+        set.insert(0, 2.0, &specs);
+        set.insert(1, 6.0, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         // Remaining exactly equal to the largest running job: by the SRPT
         // tie-break (later release) it does NOT belong in the prefix.
-        let p = set.insert(2, &spec(2, 1.0, 6.0), 6.0);
+        let p = set.insert(2, 6.0, &specs);
         assert_eq!(p, Placement::Queued { remaining: 6.0 });
         // Smaller than the front: belongs strictly inside the prefix.
-        let p = set.insert(3, &spec(3, 1.0, 1.0), 1.0);
+        let p = set.insert(3, 1.0, &specs);
         assert!(matches!(p, Placement::Running { .. }));
-        set.rebalance(2, |_, _| {});
+        set.rebalance(2, &specs, |_, _| {});
         assert_eq!(set.running_len(), 2);
-        let order: Vec<usize> = set.iter_alive().map(|(i, _)| i).collect();
+        let order: Vec<usize> = set.iter_alive(&specs).map(|(i, _)| i).collect();
         assert_eq!(order, vec![3, 0, 1, 2]);
     }
 
     #[test]
     fn front_completion_with_tied_pair_pops_one_at_a_time() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 3.0), 3.0);
-        set.insert(1, &spec(1, 0.0, 3.0), 3.0);
-        set.rebalance(2, |_, _| {});
+        let specs = sizes_to_specs(&[3.0, 3.0]);
+        insert_all(&mut set, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(3.0); // both hit zero simultaneously
-        let (first, r1) = set.pop_front_running().unwrap();
-        let (second, r2) = set.pop_front_running().unwrap();
+        let (first, r1) = set.pop_front_running(&specs).unwrap();
+        let (second, r2) = set.pop_front_running(&specs).unwrap();
         assert_eq!((first.idx, second.idx), (0, 1)); // id tie-break
         assert!(r1.abs() < 1e-12 && r2.abs() < 1e-12);
         assert_eq!(set.len(), 0);
         assert_eq!(set.drain_offset(), 0.0);
-        assert!(set.pop_front_running().is_none());
+        assert!(set.pop_front_running(&specs).is_none());
     }
 
     #[test]
     fn insert_during_drain_lands_in_correct_position() {
         let mut set = SrptSet::default();
-        set.insert(0, &spec(0, 0.0, 4.0), 4.0);
-        set.insert(1, &spec(1, 0.0, 10.0), 10.0);
-        set.rebalance(2, |_, _| {});
+        let specs = vec![spec(0, 0.0, 4.0), spec(1, 0.0, 10.0), spec(2, 3.0, 2.0)];
+        set.insert(0, 4.0, &specs);
+        set.insert(1, 10.0, &specs);
+        set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(3.0); // remaining: 1.0, 7.0
                                   // New arrival with remaining 2.0 belongs between them.
-        let p = set.insert(2, &spec(2, 3.0, 2.0), 2.0);
+        let p = set.insert(2, 2.0, &specs);
         assert!(matches!(p, Placement::Running { .. }));
-        set.rebalance(2, |_, _| {});
-        let order: Vec<usize> = set.iter_alive().map(|(i, _)| i).collect();
+        set.rebalance(2, &specs, |_, _| {});
+        let order: Vec<usize> = set.iter_alive(&specs).map(|(i, _)| i).collect();
         assert_eq!(order, vec![0, 2, 1]);
         assert_eq!(set.running_len(), 2);
     }

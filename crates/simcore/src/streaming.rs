@@ -29,6 +29,18 @@ const BUCKET_OFFSET: i64 = 512;
 /// Total bucket count: 8 KiB of `u64` counters, independent of `n`.
 const NUM_BUCKETS: usize = 1024;
 
+/// `y.floor() as i64` in integer arithmetic: truncate toward zero, then
+/// step down when that rounded a negative fraction up. Exact for every
+/// finite `|y| < 2^63`; [`QuantileSketch::bucket_of`] passes
+/// `8·log2(x)`, so `|y| ≤ 8592`. On a baseline x86-64 target (no SSE4.1
+/// `roundsd`) `f64::floor` is a software routine, called once per
+/// completion.
+#[inline]
+fn floor_i64(y: f64) -> i64 {
+    let t = y as i64;
+    t - i64::from((t as f64) > y)
+}
+
 /// A fixed-size quantile sketch over positive values (flow times).
 ///
 /// Values land in geometric buckets `[2^(k/8), 2^((k+1)/8))`; a quantile
@@ -75,7 +87,7 @@ impl QuantileSketch {
 
     fn bucket_of(x: f64) -> usize {
         if x > 0.0 && x.is_finite() {
-            let k = (x.log2() * BUCKETS_PER_OCTAVE).floor() as i64 + BUCKET_OFFSET;
+            let k = floor_i64(x.log2() * BUCKETS_PER_OCTAVE) + BUCKET_OFFSET;
             k.clamp(0, NUM_BUCKETS as i64 - 1) as usize
         } else {
             0
@@ -339,6 +351,65 @@ pub struct StreamingOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `floor_i64` is `f64::floor` on integers, signed zeros, negative and
+    /// positive halves, values one ulp off an integer, and the extremes
+    /// `bucket_of` can produce.
+    #[test]
+    fn integer_floor_matches_f64_floor() {
+        let mut ys = vec![0.0, -0.0, 8592.0, -8592.0, 8191.999, -8_592.000_000_1];
+        for i in -40..=40 {
+            let y = f64::from(i);
+            ys.extend([y, y + 0.5, y - 0.5, y + 0.25]);
+            ys.push(f64::from_bits(y.to_bits() + 1));
+            if y != 0.0 {
+                ys.push(f64::from_bits(y.to_bits() - 1));
+            }
+        }
+        ys.extend([f64::from_bits(1), -f64::from_bits(1), 1e-300, -1e-300]);
+        for y in ys {
+            assert_eq!(floor_i64(y), y.floor() as i64, "y = {y:e}");
+        }
+    }
+
+    /// `bucket_of` puts every value in the bucket the `f64::floor`
+    /// formula does: subnormal and huge `x`, every bucket edge `2^(k/8)`
+    /// and its neighbours one ulp away, and a run of integers.
+    #[test]
+    fn bucket_of_matches_the_float_floor_formula() {
+        let reference = |x: f64| -> usize {
+            if x > 0.0 && x.is_finite() {
+                let k = (x.log2() * BUCKETS_PER_OCTAVE).floor() as i64 + BUCKET_OFFSET;
+                k.clamp(0, NUM_BUCKETS as i64 - 1) as usize
+            } else {
+                0
+            }
+        };
+        let mut xs = vec![
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            1e300,
+            1e-300,
+            0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for k in -600..600 {
+            let edge = (f64::from(k) / BUCKETS_PER_OCTAVE).exp2();
+            xs.extend([
+                edge,
+                f64::from_bits(edge.to_bits() + 1),
+                f64::from_bits(edge.to_bits() - 1),
+            ]);
+        }
+        xs.extend((1..=2000).map(f64::from));
+        for x in xs {
+            assert_eq!(QuantileSketch::bucket_of(x), reference(x), "x = {x:e}");
+        }
+    }
 
     #[test]
     fn sketch_quantiles_respect_relative_error_bound() {

@@ -654,3 +654,97 @@ fn corrupted_job_lanes_are_refused_with_a_typed_error() {
         }
     }
 }
+
+/// Applies `edit` to field `field` of the first entry of `srpt.<part>` in
+/// a snapshot document. Entry layout: `[key, release, id, idx, size,
+/// hetero, nonunit]`, f64 fields as bit patterns.
+fn corrupt_srpt_entry(
+    doc: &str,
+    part: &str,
+    field: usize,
+    edit: impl FnOnce(&Json) -> Json,
+) -> String {
+    let mut json = Json::parse(doc).expect("parse snapshot document");
+    let Json::Obj(top) = &mut json else {
+        panic!("snapshot document is not an object")
+    };
+    let Some((_, Json::Obj(srpt))) = top.iter_mut().find(|(k, _)| k == "srpt") else {
+        panic!("srpt is not an object")
+    };
+    let Some((_, Json::Arr(entries))) = srpt.iter_mut().find(|(k, _)| k == part) else {
+        panic!("srpt.{part} is not an array")
+    };
+    let Json::Arr(fields) = &mut entries[0] else {
+        panic!("srpt.{part} entry is not an array")
+    };
+    fields[field] = edit(&fields[field]);
+    json.render()
+}
+
+/// The alive set breaks key ties by reading each entry's arena spec, so a
+/// document whose `srpt.running` or `srpt.queued` entry disagrees with
+/// its slot's spec on `release`, `id`, or `size` — each still a
+/// well-formed value the codec accepts — is refused by restore with a
+/// typed error, in both memory modes, rather than resumed into an order
+/// the original run never had.
+#[test]
+fn srpt_entries_that_disagree_with_their_arena_slot_are_refused() {
+    let inst = mixed_alpha_fixture(200, 1.5, M);
+    let f64_edit = |v: &Json| {
+        let x = f64::from_bits(v.as_u64().expect("f64 bits"));
+        Json::Num((x + 0.5).to_bits().to_string())
+    };
+    let id_edit = |v: &Json| Json::Num((v.as_u64().expect("id") + 1_000_000).to_string());
+    for streaming in [false, true] {
+        let mut policy = PolicyKind::IntermediateSrpt.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(
+            engine_cfg(streaming),
+            policy.as_mut(),
+            &mut source,
+            &mut obs,
+        );
+        for _ in 0..120 {
+            assert!(engine.step().expect("pre-suspend step"));
+        }
+        assert!(
+            engine.num_alive() > M as usize,
+            "the suspend point needs a non-empty queue"
+        );
+        let doc = engine.snapshot().expect("snapshot").to_json();
+        drop(engine);
+        let restore = |doc: &str| {
+            let snap = Snapshot::from_json(doc).expect("the codec accepts the document");
+            let mut policy = PolicyKind::IntermediateSrpt.build();
+            let mut source = StaticSource::new(&inst);
+            let mut obs = NullObserver;
+            let mut resumed = Engine::new(
+                engine_cfg(streaming),
+                policy.as_mut(),
+                &mut source,
+                &mut obs,
+            );
+            resumed.restore(&snap)
+        };
+        restore(&doc).expect("the untouched document restores");
+        for part in ["running", "queued"] {
+            for (field, name) in [(1, "release"), (2, "id"), (4, "size")] {
+                let bad = match name {
+                    "id" => corrupt_srpt_entry(&doc, part, field, id_edit),
+                    _ => corrupt_srpt_entry(&doc, part, field, f64_edit),
+                };
+                match restore(&bad) {
+                    Err(SimError::BadInstance { what }) => assert!(
+                        what.contains(&format!("srpt.{part}")) && what.contains(name),
+                        "streaming {streaming} / {part} / {name}: {what}"
+                    ),
+                    other => panic!(
+                        "streaming {streaming} / {part} / {name}: expected a typed refusal, \
+                         got {other:?}"
+                    ),
+                }
+            }
+        }
+    }
+}
