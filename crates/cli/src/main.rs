@@ -17,20 +17,20 @@ use std::process::ExitCode;
 
 use parsched_analysis::experiments::{all_ids, run, ExpOptions};
 
-/// `println!` for the CLI's stdout, through [`emit`].
+/// `println!` for the CLI's stdout, through [`write_out`].
 macro_rules! outln {
     () => {
-        emit(format_args!("\n"))
+        write_out(format_args!("\n"))
     };
     ($($arg:tt)*) => {
-        emit(format_args!("{}\n", format_args!($($arg)*)))
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 
-/// `print!` for the CLI's stdout, through [`emit`].
+/// `print!` for the CLI's stdout, through [`write_out`].
 macro_rules! out {
     ($($arg:tt)*) => {
-        emit(format_args!($($arg)*))
+        write_out(format_args!($($arg)*))
     };
 }
 
@@ -38,7 +38,7 @@ macro_rules! out {
 /// (`parsched gen | head -1`) has all it wanted, so the process ends
 /// quietly with status 0 rather than panicking on the broken pipe; any
 /// other write error ends it with status 2.
-fn emit(args: std::fmt::Arguments<'_>) {
+fn write_out(args: std::fmt::Arguments<'_>) {
     use std::io::Write;
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
@@ -133,7 +133,7 @@ FLEET OPTIONS:
                       cap + queue are shed with a reason (default: enough
                       for everyone)
   --slice <E>         engine events per tenant per round (default 16)
-  --migrate           force every suspension through the parsched-snap/v2
+  --migrate           force every suspension through the parsched-snap/v3
                       text codec, as a cross-host migration would
   --jobs <N>          shard-pool workers (0 = auto). Wall clock only:
                       output is byte-identical for every N

@@ -55,12 +55,6 @@ impl Policy for SequentialSrpt {
         AllocationStability::SrptPrefix
     }
 
-    fn event_hooks_are_noop(&self) -> bool {
-        // Stateless between decisions: both event hooks are the empty
-        // defaults, so the event loop may elide the per-event calls.
-        true
-    }
-
     fn srpt_ordered(&self) -> bool {
         true
     }

@@ -26,7 +26,7 @@
 //! input index. The fleet therefore produces **byte-identical** per-tenant
 //! results for any worker count, equal to dedicated uninterrupted runs.
 //! With [`FleetConfig::migrate`] set, every suspension is additionally
-//! forced through the `parsched-snap/v2` text codec
+//! forced through the `parsched-snap/v3` text codec
 //! ([`Engine::snapshot`] → [`Snapshot::to_json`] →
 //! [`Snapshot::from_json`]) — the exact document a real cross-host
 //! migration would ship — and the decoded snapshot must reproduce the

@@ -3,7 +3,7 @@
 //! * a fleet of N tenants produces **byte-identical** per-tenant results
 //!   whatever the shard count (`Pool::new(1)` vs `Pool::new(4)`) and
 //!   whether or not every suspension is forced through a cross-shard
-//!   migration (the `parsched-snap/v2` text codec);
+//!   migration (the `parsched-snap/v3` text codec);
 //! * tenants kept as parked engines between slices finish bit-identically
 //!   to dedicated solo runs, for every registry policy;
 //! * mid-run projection queries answered from parked tenants equal the

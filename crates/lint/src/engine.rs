@@ -254,7 +254,7 @@ pub fn explain(ws: &Workspace, rule: &str, symbol: &str) -> Result<String, Strin
         "L009" => {
             let Some((render, parse)) = snapshot_complete::coverage(ws) else {
                 return Err(
-                    "workspace has no parsched-snap/v2 codec (no Engine::snapshot / \
+                    "workspace has no parsched-snap/v3 codec (no Engine::snapshot / \
                             Snapshot::to_value roots)"
                         .to_string(),
                 );

@@ -29,7 +29,7 @@
 //! | L006 | hot-path powers route through the `PowKernel` dispatch |
 //! | L007 | no panic or allocation reachable from the event-loop roots |
 //! | L008 | the L002 forbidden set is unreachable from any sim path |
-//! | L009 | every snapshot-participant field round-trips through `parsched-snap/v2` |
+//! | L009 | every snapshot-participant field round-trips through `parsched-snap/v3` |
 //!
 //! L001–L006 are *token-local*: they see shapes in one file. L007–L009
 //! are *reachability* rules over the whole-workspace call graph. The

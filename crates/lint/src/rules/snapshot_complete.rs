@@ -1,4 +1,4 @@
-//! L009 — `parsched-snap/v2` completeness.
+//! L009 — `parsched-snap/v3` completeness.
 //!
 //! The snapshot codec round-trips the engine mid-run (suspend/resume,
 //! fleet migration). Its failure mode is silent: add a field to `Engine`'s
@@ -30,7 +30,7 @@ use crate::reach::Reach;
 use crate::rules::{diag_at, Rule};
 use crate::Diagnostic;
 
-/// Structs participating in `parsched-snap/v2`.
+/// Structs participating in `parsched-snap/v3`.
 const CHECKED: &[&str] = &[
     "Engine",
     "RunState",
@@ -98,7 +98,7 @@ impl Rule for SnapshotComplete {
     }
 
     fn summary(&self) -> &'static str {
-        "parsched-snap/v2 completeness: every field of the snapshot-participating structs is \
+        "parsched-snap/v3 completeness: every field of the snapshot-participating structs is \
          referenced on both the render and parse paths, and Policy snapshot_state/restore_state \
          come in pairs"
     }
@@ -132,7 +132,7 @@ impl Rule for SnapshotComplete {
                         field.name_tok,
                         self.id(),
                         format!(
-                            "field `{}.{}` is not referenced on the parsched-snap/v2 {missing}; \
+                            "field `{}.{}` is not referenced on the parsched-snap/v3 {missing}; \
                              extend the codec or waive here stating why restore fidelity does \
                              not need it",
                             name, field.name

@@ -44,11 +44,6 @@ pub enum SimError {
         /// The budget that was exhausted.
         limit: u64,
     },
-    /// The configured time horizon was exceeded.
-    TimeLimit {
-        /// The horizon that was exceeded.
-        limit: Time,
-    },
     /// An arrival source emitted a job releasing in the past.
     ArrivalInPast {
         /// Current simulation time.
@@ -87,7 +82,6 @@ impl fmt::Display for SimError {
                 write!(f, "simulation stalled at t={at} with {alive} starved jobs")
             }
             SimError::EventLimit { limit } => write!(f, "event budget of {limit} exhausted"),
-            SimError::TimeLimit { limit } => write!(f, "time horizon {limit} exceeded"),
             SimError::ArrivalInPast { now, release } => {
                 write!(f, "source emitted release {release} in the past of t={now}")
             }

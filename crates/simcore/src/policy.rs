@@ -97,9 +97,9 @@ pub struct PrefixAllocation {
 /// [`AllocationStability::SrptPrefix`] from [`Policy::stability`] and
 /// implementing [`Policy::prefix_allocation`]. On that path the engine
 /// never calls `assign`; it maintains the SRPT order itself and applies the
-/// profile directly. [`Policy::on_arrival`] / [`Policy::on_completion`] are
-/// lightweight event notifications (fired on every path) for policies that
-/// keep internal statistics.
+/// profile directly. A policy learns of arrivals and completions only
+/// through the alive set (and its size) passed to the next decision; the
+/// engine sends no separate event notifications.
 pub trait Policy {
     /// Stable display name (used in tables, errors, and traces).
     fn name(&self) -> String;
@@ -148,33 +148,6 @@ pub trait Policy {
     /// SRPT policy family (Intermediate/Sequential/Parallel/Threshold-SRPT)
     /// overrides this to `true`. Default: `false`, the conservative answer.
     fn srpt_ordered(&self) -> bool {
-        false
-    }
-
-    /// Notification that jobs arrived at `now`, leaving `n_alive` alive
-    /// jobs (fired once per arrival batch, on every engine path).
-    fn on_arrival(&mut self, now: Time, n_alive: usize) {
-        let _ = (now, n_alive);
-    }
-
-    /// Notification that one or more jobs completed at `now`, leaving
-    /// `n_alive` alive jobs (fired once per completion batch, on every
-    /// engine path).
-    fn on_completion(&mut self, now: Time, n_alive: usize) {
-        let _ = (now, n_alive);
-    }
-
-    /// Whether [`Policy::on_arrival`] and [`Policy::on_completion`] are
-    /// both no-ops for this policy.
-    ///
-    /// Policies returning `true` promise that skipping the notifications
-    /// is indistinguishable from delivering them, which lets the engine's
-    /// event loop elide the two per-event virtual calls (the
-    /// [`crate::Observer::is_noop`] pattern). The default is `false` — the
-    /// conservative answer that keeps every notification firing — so a
-    /// policy that starts keeping event statistics cannot be silently
-    /// starved by a stale hint it never opted into.
-    fn event_hooks_are_noop(&self) -> bool {
         false
     }
 
@@ -227,18 +200,6 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
         (**self).srpt_ordered()
     }
 
-    fn on_arrival(&mut self, now: Time, n_alive: usize) {
-        (**self).on_arrival(now, n_alive)
-    }
-
-    fn on_completion(&mut self, now: Time, n_alive: usize) {
-        (**self).on_completion(now, n_alive)
-    }
-
-    fn event_hooks_are_noop(&self) -> bool {
-        (**self).event_hooks_are_noop()
-    }
-
     fn snapshot_state(&self) -> Vec<u64> {
         (**self).snapshot_state()
     }
@@ -287,12 +248,6 @@ impl Policy for EquiSplit {
 
     fn stability(&self) -> AllocationStability {
         AllocationStability::SrptPrefix
-    }
-
-    fn event_hooks_are_noop(&self) -> bool {
-        // Stateless: both event hooks are the empty defaults, so the
-        // event loop may elide the two per-event virtual calls.
-        true
     }
 
     fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {

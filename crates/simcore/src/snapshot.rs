@@ -9,7 +9,7 @@
 //! migrate it to another shard (or another process, via the text codec), and
 //! resume as if nothing happened.
 //!
-//! # The `parsched-snap/v2` document
+//! # The `parsched-snap/v3` document
 //!
 //! Snapshots serialize to a single-line JSON document through the same
 //! hand-rolled [`crate::jsonlite`] dialect the trace format uses. Two codec
@@ -39,13 +39,17 @@
 //!
 //! No reader for older formats is kept: a `parsched-snap/v1` document
 //! describes engine mechanisms that no longer exist (an event queue and
-//! two configuration knobs) and is refused with
-//! [`crate::SimError::BadInstance`].
+//! two configuration knobs), a `parsched-snap/v2` one two SRPT-set volume
+//! sums (running and queued remaining work) that are no longer kept, and
+//! both are refused with [`crate::SimError::BadInstance`].
 //!
 //! Restore checks every arena slot against the invariants admission
-//! enforces (finite release, size, weight, and remaining work), so a
-//! hostile document is refused with an error rather than decoded into a
-//! run that panics later.
+//! enforces (finite release, size, weight, and remaining work) and every
+//! run-state scalar against the domain [`crate::Engine::snapshot`] emits
+//! it in (a finite, non-negative clock and SRPT drain offset; finite
+//! clock times, rates, shares, sums, and accumulators), so a hostile
+//! document is refused with an error rather than decoded into a run that
+//! panics later or silently reports a wrong result.
 
 use crate::csv::{curve_from_field, curve_to_field};
 use crate::error::SimError;
@@ -56,7 +60,7 @@ use crate::srpt_set::{SetEntrySnap, SetSnap};
 use crate::streaming::SinkState;
 
 /// The format tag every document leads with.
-pub const SNAP_FORMAT: &str = "parsched-snap/v2";
+pub const SNAP_FORMAT: &str = "parsched-snap/v3";
 
 /// Engine-configuration fingerprint. Restore refuses a config whose
 /// semantics differ from the one that produced the snapshot — resuming a
@@ -198,15 +202,15 @@ impl Snapshot {
         self.cfg.streaming
     }
 
-    /// Renders the `parsched-snap/v2` document (compact single line).
+    /// Renders the `parsched-snap/v3` document (compact single line).
     /// `from_json(to_json(s)) == s` exactly, and `to_json` of the parsed
     /// snapshot reproduces the document byte-for-byte.
     pub fn to_json(&self) -> String {
         self.to_value().render()
     }
 
-    /// Parses a `parsched-snap/v2` document. Documents of any other
-    /// format, v1 included, are refused.
+    /// Parses a `parsched-snap/v3` document. Documents of any other
+    /// format, v1 and v2 included, are refused.
     pub fn from_json(text: &str) -> Result<Snapshot, SimError> {
         let doc = Json::parse(text).map_err(|e| bad(format!("unparseable document: {e}")))?;
         Self::from_value(&doc)
@@ -341,9 +345,7 @@ impl Snapshot {
             ("drain", fbits(self.srpt.drain)),
             ("s1", fbits(self.srpt.s1)),
             ("sk", fbits(self.srpt.sk)),
-            ("key_sum", fbits(self.srpt.key_sum)),
             ("q_frac", fbits(self.srpt.q_frac)),
-            ("q_rem_sum", fbits(self.srpt.q_rem_sum)),
             (
                 "reference",
                 match &self.srpt.reference {
@@ -515,9 +517,7 @@ impl Snapshot {
             drain: f_at(srpt_v, "drain")?,
             s1: f_at(srpt_v, "s1")?,
             sk: f_at(srpt_v, "sk")?,
-            key_sum: f_at(srpt_v, "key_sum")?,
             q_frac: f_at(srpt_v, "q_frac")?,
-            q_rem_sum: f_at(srpt_v, "q_rem_sum")?,
             reference: match srpt_v.req("reference").map_err(bad)? {
                 Json::Null => None,
                 v => Some(curve_from_field(

@@ -44,28 +44,22 @@ impl SystemView<'_> {
 /// Produces job arrivals, possibly adaptively.
 ///
 /// The engine polls [`ArrivalSource::next_time`] to schedule the next
-/// arrival event; when simulation time reaches it, [`ArrivalSource::emit`]
-/// is called with a [`SystemView`] and must return the jobs released at that
-/// moment (each with `release` equal to the current time; emitting into the
-/// past is an error).
+/// arrival event; when simulation time reaches it,
+/// [`ArrivalSource::emit_into`] is called with a [`SystemView`] and must
+/// append the jobs released at that moment (each with `release` equal to
+/// the current time; emitting into the past is an error).
 pub trait ArrivalSource {
     /// The next time at which this source wants to emit jobs, or `None` if
     /// exhausted. Must be non-decreasing across calls.
     fn next_time(&self) -> Option<Time>;
 
-    /// Emits the jobs released at `view.now` (which equals the last value
-    /// returned by [`ArrivalSource::next_time`], up to float tolerance).
-    fn emit(&mut self, view: &SystemView<'_>) -> Vec<JobSpec>;
+    /// Appends the jobs released at `view.now` (which equals the last value
+    /// returned by [`ArrivalSource::next_time`], up to float tolerance) to
+    /// `out`. The engine passes a reused scratch vector, so steady-state
+    /// arrivals allocate nothing.
+    fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>);
 
-    /// Like [`ArrivalSource::emit`], but appends into a caller-provided
-    /// buffer. The engine calls this with a reused scratch vector so that
-    /// steady-state arrivals allocate nothing; the default simply delegates
-    /// to [`ArrivalSource::emit`].
-    fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
-        out.extend(self.emit(view));
-    }
-
-    /// Whether [`ArrivalSource::emit`] reads [`SystemView::alive`].
+    /// Whether [`ArrivalSource::emit_into`] reads [`SystemView::alive`].
     ///
     /// Adaptive adversaries do; replay sources don't. Sources returning
     /// `false` promise not to look at `alive` and are handed an empty slice
@@ -76,18 +70,9 @@ pub trait ArrivalSource {
         true
     }
 
-    /// Rewinds the source to its initial state for a fresh run, returning
-    /// `true` on success. Replay sources can; adaptive or generative
-    /// sources whose history cannot be replayed keep the default `false`,
-    /// which makes [`crate::Engine::reset`] refuse rather than silently
-    /// re-run a different workload.
-    fn rewind(&mut self) -> bool {
-        false
-    }
-
     /// Positions the source as if it had already emitted `emitted_jobs`
-    /// jobs, returning `true` on success — the [`crate::Engine::restore`]
-    /// counterpart of [`ArrivalSource::rewind`]. Replay sources seek their
+    /// jobs, returning `true` on success, so [`crate::Engine::restore`]
+    /// can resume against the same arrival stream. Replay sources seek their
     /// cursor; sources that cannot reproduce their position keep the
     /// default `false`, which makes restore refuse rather than resume
     /// against a divergent arrival stream.
@@ -153,12 +138,6 @@ impl ArrivalSource for StaticSource {
         self.jobs.get(self.cursor).map(|j| j.release)
     }
 
-    fn emit(&mut self, view: &SystemView<'_>) -> Vec<JobSpec> {
-        let mut out = Vec::new();
-        self.emit_into(view, &mut out);
-        out
-    }
-
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
         let tol = arrival_tolerance(view.now);
         while self.cursor < self.jobs.len() {
@@ -178,11 +157,6 @@ impl ArrivalSource for StaticSource {
 
     fn needs_system_view(&self) -> bool {
         false
-    }
-
-    fn rewind(&mut self) -> bool {
-        self.cursor = 0;
-        true
     }
 
     fn fast_forward(&mut self, emitted_jobs: usize) -> bool {
@@ -225,14 +199,20 @@ mod tests {
         }
     }
 
+    fn due(s: &mut StaticSource, now: Time) -> Vec<JobSpec> {
+        let mut out = Vec::new();
+        s.emit_into(&view(now), &mut out);
+        out
+    }
+
     #[test]
     fn static_source_batches_equal_release_times() {
         let mut s = StaticSource::new(&instance());
         assert_eq!(s.next_time(), Some(0.0));
-        let batch = s.emit(&view(0.0));
+        let batch = due(&mut s, 0.0);
         assert_eq!(batch.len(), 2);
         assert_eq!(s.next_time(), Some(3.0));
-        let batch = s.emit(&view(3.0));
+        let batch = due(&mut s, 3.0);
         assert_eq!(batch.len(), 1);
         assert_eq!(s.next_time(), None);
     }
@@ -240,9 +220,9 @@ mod tests {
     #[test]
     fn static_source_does_not_emit_early() {
         let mut s = StaticSource::new(&instance());
-        s.emit(&view(0.0));
+        due(&mut s, 0.0);
         // At t = 2.9 nothing is due.
-        assert_eq!(s.emit(&view(2.9)).len(), 0);
+        assert_eq!(due(&mut s, 2.9).len(), 0);
         assert_eq!(s.next_time(), Some(3.0));
     }
 

@@ -433,7 +433,7 @@ pub(crate) enum Placement {
     },
 }
 
-/// One alive-set entry as captured in a `parsched-snap/v2` document:
+/// One alive-set entry as captured in a `parsched-snap/v3` document:
 /// ordering key (offset space for running, literal remaining for queued)
 /// plus the entry's payload. `release` and `id` are the tie-break, filled
 /// from the arena on capture and checked against it on restore. The
@@ -452,7 +452,7 @@ pub(crate) struct SetEntrySnap {
     pub(crate) nonunit: bool,
 }
 
-/// Full [`SrptSet`] state for suspend/resume. The five running/queued sums
+/// Full [`SrptSet`] state for suspend/resume. The three running/queued sums
 /// are captured bit-exact rather than recomputed on restore: they were
 /// accumulated incrementally over the run's insert/forget sequence, and any
 /// re-summation order would produce different low-order bits.
@@ -463,9 +463,7 @@ pub(crate) struct SetSnap {
     pub(crate) drain: f64,
     pub(crate) s1: f64,
     pub(crate) sk: f64,
-    pub(crate) key_sum: f64,
     pub(crate) q_frac: f64,
-    pub(crate) q_rem_sum: f64,
     pub(crate) reference: Option<Curve>,
 }
 
@@ -494,12 +492,8 @@ pub(crate) struct SrptSet {
     s1: f64,
     /// `Σ key_j/p_j` over running (offset space).
     sk: f64,
-    /// `Σ key_j` over running (offset space; total remaining = key_sum − k·D).
-    key_sum: f64,
     /// `Σ rem_j/p_j` over queued.
     q_frac: f64,
-    /// `Σ rem_j` over queued.
-    q_rem_sum: f64,
     /// Running jobs whose curve differs from `reference`.
     // lint:allow(L009) derived partition statistic; rebuilt by rebuild_running during restore
     hetero_running: usize,
@@ -512,9 +506,9 @@ pub(crate) struct SrptSet {
 
 impl SrptSet {
     /// Clears all state for a fresh run while **retaining** every buffer
-    /// (both heap arrays and the rebuild scratch) — the piece of
-    /// [`crate::Engine::reset`]'s zero-allocation contract this structure
-    /// owns.
+    /// (both heap arrays and the rebuild scratch) — the piece of the
+    /// engine's buffer-reuse contract ([`crate::EngineBuffers`]) this
+    /// structure owns.
     pub fn reset(&mut self) {
         self.running.clear();
         self.queued.clear();
@@ -523,9 +517,7 @@ impl SrptSet {
         self.drain = 0.0;
         self.s1 = 0.0;
         self.sk = 0.0;
-        self.key_sum = 0.0;
         self.q_frac = 0.0;
-        self.q_rem_sum = 0.0;
         self.hetero_running = 0;
         self.nonunit_running = 0;
         self.reference = None;
@@ -559,12 +551,6 @@ impl SrptSet {
     /// `Σ rem_j/p_j` over queued jobs.
     pub fn queued_frac_sum(&self) -> f64 {
         self.q_frac
-    }
-
-    /// Total remaining work across both partitions, `O(1)`.
-    pub fn total_remaining(&self) -> f64 {
-        let running = self.key_sum - self.running.len() as f64 * self.drain;
-        (running + self.q_rem_sum).max(0.0)
     }
 
     /// `true` iff every running job has the same curve as the reference
@@ -659,7 +645,6 @@ impl SrptSet {
     fn add_running(&mut self, e: Entry, specs: &[JobSpec]) {
         self.s1 += 1.0 / e.size;
         self.sk += e.key / e.size;
-        self.key_sum += e.key;
         self.hetero_running += usize::from(e.hetero);
         self.nonunit_running += usize::from(e.nonunit);
         self.running.push(e, specs);
@@ -671,7 +656,6 @@ impl SrptSet {
             // the prefix empties.
             self.s1 = 0.0;
             self.sk = 0.0;
-            self.key_sum = 0.0;
             self.drain = 0.0;
             debug_assert_eq!(self.hetero_running, 0);
             debug_assert_eq!(self.nonunit_running, 0);
@@ -681,23 +665,19 @@ impl SrptSet {
     fn forget_running(&mut self, e: &Entry) {
         self.s1 -= 1.0 / e.size;
         self.sk -= e.key / e.size;
-        self.key_sum -= e.key;
         self.hetero_running -= usize::from(e.hetero);
         self.nonunit_running -= usize::from(e.nonunit);
     }
 
     fn add_queued(&mut self, e: Entry, specs: &[JobSpec]) {
         self.q_frac += e.key / e.size;
-        self.q_rem_sum += e.key;
         self.queued.push(e, specs);
     }
 
     fn forget_queued(&mut self, e: &Entry) {
         self.q_frac -= e.key / e.size;
-        self.q_rem_sum -= e.key;
         if self.queued.is_empty() {
             self.q_frac = 0.0;
-            self.q_rem_sum = 0.0;
         }
     }
 
@@ -799,7 +779,6 @@ impl SrptSet {
         sort_entries(&mut old, specs);
         self.s1 = 0.0;
         self.sk = 0.0;
-        self.key_sum = 0.0;
         self.hetero_running = 0;
         self.nonunit_running = 0;
         let drain = std::mem::replace(&mut self.drain, 0.0);
@@ -865,9 +844,7 @@ impl SrptSet {
             drain: self.drain,
             s1: self.s1,
             sk: self.sk,
-            key_sum: self.key_sum,
             q_frac: self.q_frac,
-            q_rem_sum: self.q_rem_sum,
             reference: self.reference.clone(),
         }
     }
@@ -892,9 +869,7 @@ impl SrptSet {
         self.drain = snap.drain;
         self.s1 = snap.s1;
         self.sk = snap.sk;
-        self.key_sum = snap.key_sum;
         self.q_frac = snap.q_frac;
-        self.q_rem_sum = snap.q_rem_sum;
     }
 }
 
@@ -1033,7 +1008,6 @@ mod tests {
         let rems = remaining_in_order(&set, &specs);
         assert!((rems[0].1 - 0.5).abs() < 1e-12); // running drained
         assert!((rems[1].1 - 4.0).abs() < 1e-12); // queued untouched
-        assert!((set.total_remaining() - 4.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1120,7 +1094,6 @@ mod tests {
         set.rebalance(2, &specs, |_, _| {});
         set.advance_uniform(2e6);
         let before: Vec<(usize, f64)> = remaining_in_order(&set, &specs);
-        let total = set.total_remaining();
         let mut updates = 0;
         set.maybe_rebase(&specs, |_, _| updates += 1);
         assert_eq!(updates, 2);
@@ -1130,7 +1103,6 @@ mod tests {
             assert_eq!(b.0, a.0);
             assert!((b.1 - a.1).abs() < 1e-6 * b.1.max(1.0));
         }
-        assert!((set.total_remaining() - total).abs() < 1e-6 * total.max(1.0));
     }
 
     #[test]
@@ -1146,7 +1118,6 @@ mod tests {
         assert!((run_frac - expect_run).abs() < 1e-12);
         let expect_q = 1.0 + 1.0; // 7/7 + 11/11
         assert!((set.queued_frac_sum() - expect_q).abs() < 1e-12);
-        assert!((set.total_remaining() - (1.0 + 4.0 + 7.0 + 11.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -1161,7 +1132,6 @@ mod tests {
         assert_eq!(set.len(), 0);
         assert_eq!(set.running_len(), 0);
         assert_eq!(set.drain_offset(), 0.0);
-        assert_eq!(set.total_remaining(), 0.0);
         assert!(set.uniform_curves() && set.unit_rate_at_one());
         // The set is fully reusable after reset.
         let specs = vec![spec(100, 0.0, 2.0)];
@@ -1387,8 +1357,6 @@ mod tests {
                     e.1
                 );
             }
-            let expect_total: f64 = model.iter().map(|e| e.1).sum();
-            assert!((set.total_remaining() - expect_total).abs() < 1e-9 * expect_total.max(1.0));
         }
     }
 

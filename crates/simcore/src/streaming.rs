@@ -311,7 +311,7 @@ impl StreamingMetrics {
 }
 
 /// Raw accumulator state of a [`StreamingMetrics`] sink, as captured for a
-/// `parsched-snap/v2` document. Every `f64` here is stored/compared by bit
+/// `parsched-snap/v3` document. Every `f64` here is stored/compared by bit
 /// pattern (the sketch's empty-state extrema are ±∞).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SinkState {

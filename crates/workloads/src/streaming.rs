@@ -87,12 +87,6 @@ impl ArrivalSource for PoissonSource {
         self.next.as_ref().map(|j| j.release)
     }
 
-    fn emit(&mut self, view: &SystemView<'_>) -> Vec<JobSpec> {
-        let mut out = Vec::new();
-        self.emit_into(view, &mut out);
-        out
-    }
-
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
         let tol = release_tol(view.now);
         while let Some(j) = &self.next {
@@ -169,12 +163,6 @@ impl TrapStreamSource {
 impl ArrivalSource for TrapStreamSource {
     fn next_time(&self) -> Option<Time> {
         self.job_at(self.cursor).map(|j| j.release)
-    }
-
-    fn emit(&mut self, view: &SystemView<'_>) -> Vec<JobSpec> {
-        let mut out = Vec::new();
-        self.emit_into(view, &mut out);
-        out
     }
 
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
@@ -336,12 +324,6 @@ impl ArrivalSource for PhaseStreamSource {
         }
     }
 
-    fn emit(&mut self, view: &SystemView<'_>) -> Vec<JobSpec> {
-        let mut out = Vec::new();
-        self.emit_into(view, &mut out);
-        out
-    }
-
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
         let tol = release_tol(view.now);
         while let Some(t) = self.next_time() {
@@ -449,7 +431,8 @@ mod tests {
                     m: 1.0,
                     alive: &[],
                 };
-                let batch = src.emit(&view);
+                let mut batch = Vec::new();
+                src.emit_into(&view, &mut batch);
                 assert!(!batch.is_empty(), "announced {t} but emitted nothing");
                 for j in &batch {
                     assert!((j.release - t).abs() <= 1e-9 * t.abs().max(1.0));

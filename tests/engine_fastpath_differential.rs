@@ -7,6 +7,12 @@
 //! instantiations differ in dispatch and bookkeeping, not arithmetic, so
 //! there is no tolerance anywhere in this suite.
 //!
+//! The specialized loop has two instantiations, with and without the
+//! per-spec admission checks; `run_loop` takes the unchecked one when the
+//! source is `pre_validated`. Both are compared with `step()`: the checked
+//! one through a forwarding source that keeps the trait's default
+//! `pre_validated() == false`.
+//!
 //! Coverage:
 //! * every [`PolicyKind::all_registered`] policy × the three bench
 //!   fixtures (stable load, overload, mixed-α) — the exact distributions
@@ -17,7 +23,7 @@
 //!   one requires `auditor.is_none()`), and that audited run must still
 //!   reproduce the specialized run bit-for-bit — pinning that the
 //!   fallback is the same schedule, not a near miss;
-//! * suspend under `step()`, round-trip the `parsched-snap/v2` document,
+//! * suspend under `step()`, round-trip the `parsched-snap/v3` document,
 //!   resume into `run_loop`: the memoized allocation profile and cached
 //!   next-completion are rebuilt from restored state, so the resumed run
 //!   must finish bit-identically to both uninterrupted arms.
@@ -25,29 +31,65 @@
 use parsched::PolicyKind;
 use parsched_bench::{mixed_alpha_fixture, overload_fixture, poisson_fixture};
 use parsched_sim::{
-    AliveJob, AllocationStability, AuditLevel, Engine, EngineConfig, Instance, JobId, JobSpec,
-    NullObserver, Policy, PrefixAllocation, RunOutcome, SimError, Snapshot, StaticSource, Time,
+    AliveJob, AllocationStability, ArrivalSource, AuditLevel, Engine, EngineConfig, Instance,
+    JobId, JobSpec, NullObserver, Policy, PrefixAllocation, RunOutcome, SimError, Snapshot,
+    StaticSource, SystemView, Time,
 };
 use parsched_speedup::Curve;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
+/// Forwards to a [`StaticSource`] but keeps the trait's default
+/// `pre_validated() == false`, so `run_loop` takes the specialized
+/// instantiation that re-checks every admitted spec.
+struct Unvalidated(StaticSource);
+
+impl ArrivalSource for Unvalidated {
+    fn next_time(&self) -> Option<Time> {
+        self.0.next_time()
+    }
+
+    fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
+        self.0.emit_into(view, out);
+    }
+
+    fn needs_system_view(&self) -> bool {
+        self.0.needs_system_view()
+    }
+}
+
+/// How [`run_arm`] drives a run.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    /// `run_loop` over the pre-validated `StaticSource`.
+    Fast,
+    /// `run_loop` over [`Unvalidated`], re-checking every admission.
+    FastChecked,
+    /// One `step()` at a time: the all-checks instantiation.
+    Step,
+}
+
 /// One full run in the specialized instantiation's eligibility
-/// configuration (incremental path, no observer, no audit): through
-/// `run_loop` when `fast`, else one `step()` at a time.
-fn run_arm(inst: &Instance, kind: PolicyKind, m: f64, fast: bool) -> RunOutcome {
+/// configuration (incremental path, no observer, no audit), driven as
+/// `arm` says.
+fn run_arm(inst: &Instance, kind: PolicyKind, m: f64, arm: Arm) -> RunOutcome {
     let mut policy = kind.build();
-    let mut source = StaticSource::new(inst);
+    let mut replay = StaticSource::new(inst);
+    let mut unvalidated = Unvalidated(StaticSource::new(inst));
+    let source: &mut dyn ArrivalSource = match arm {
+        Arm::FastChecked => &mut unvalidated,
+        Arm::Fast | Arm::Step => &mut replay,
+    };
+    assert_eq!(source.pre_validated(), !matches!(arm, Arm::FastChecked));
     let mut obs = NullObserver;
-    let mut engine = Engine::new(EngineConfig::new(m), policy.as_mut(), &mut source, &mut obs);
-    let ran = if fast {
-        engine.run_loop()
-    } else {
-        step_to_end(&mut engine)
+    let mut engine = Engine::new(EngineConfig::new(m), policy.as_mut(), source, &mut obs);
+    let ran = match arm {
+        Arm::Fast | Arm::FastChecked => engine.run_loop(),
+        Arm::Step => step_to_end(&mut engine),
     };
     ran.and_then(|()| engine.into_outcome())
-        .unwrap_or_else(|e| panic!("{} (fast={fast}): {e}", kind.name()))
+        .unwrap_or_else(|e| panic!("{} ({arm:?}): {e}", kind.name()))
 }
 
 fn step_to_end(engine: &mut Engine<'_>) -> Result<(), SimError> {
@@ -63,20 +105,23 @@ fn completion_bits(out: &RunOutcome) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// The headline equivalence: `run_loop` ≡ `step()`, exactly.
+/// The headline equivalence: both `run_loop` instantiations ≡ `step()`,
+/// exactly.
 fn assert_fastpath_identical(inst: &Instance, kind: PolicyKind, m: f64, ctx: &str) {
     let name = kind.name();
-    let fast = run_arm(inst, kind, m, true);
-    let generic = run_arm(inst, kind, m, false);
-    assert_eq!(
-        fast.metrics, generic.metrics,
-        "{ctx}/{name}: metrics diverge"
-    );
-    assert_eq!(
-        completion_bits(&fast),
-        completion_bits(&generic),
-        "{ctx}/{name}: completion sequence diverges"
-    );
+    let generic = run_arm(inst, kind, m, Arm::Step);
+    for arm in [Arm::Fast, Arm::FastChecked] {
+        let fast = run_arm(inst, kind, m, arm);
+        assert_eq!(
+            fast.metrics, generic.metrics,
+            "{ctx}/{name} ({arm:?}): metrics diverge"
+        );
+        assert_eq!(
+            completion_bits(&fast),
+            completion_bits(&generic),
+            "{ctx}/{name} ({arm:?}): completion sequence diverges"
+        );
+    }
 }
 
 /// Every registry policy the specialized loop must be transparent for.
@@ -111,7 +156,7 @@ fn strict_audit_falls_back_and_matches_fast_run_exactly() {
     let inst = mixed_alpha_fixture(1_000, 0.9, m);
     for kind in registry() {
         let name = kind.name();
-        let fast = run_arm(&inst, kind, m, true);
+        let fast = run_arm(&inst, kind, m, Arm::Fast);
         let mut policy = kind.build();
         let mut source = StaticSource::new(&inst);
         let mut obs = NullObserver;
@@ -186,7 +231,7 @@ fn snapshot_resume_into_fast_loop_is_bit_identical() {
     let inst = poisson_fixture(600, 0.9, m);
     for kind in registry() {
         let name = kind.name();
-        let fast = run_arm(&inst, kind, m, true);
+        let fast = run_arm(&inst, kind, m, Arm::Fast);
         for suspend_at in [1, 37, 250, 900] {
             let resumed = suspend_then_resume_fast(&inst, kind, m, suspend_at);
             assert_eq!(
@@ -239,18 +284,6 @@ impl Policy for CountingPolicy {
 
     fn srpt_ordered(&self) -> bool {
         self.inner.srpt_ordered()
-    }
-
-    fn on_arrival(&mut self, now: Time, n_alive: usize) {
-        self.inner.on_arrival(now, n_alive);
-    }
-
-    fn on_completion(&mut self, now: Time, n_alive: usize) {
-        self.inner.on_completion(now, n_alive);
-    }
-
-    fn event_hooks_are_noop(&self) -> bool {
-        self.inner.event_hooks_are_noop()
     }
 
     fn snapshot_state(&self) -> Vec<u64> {

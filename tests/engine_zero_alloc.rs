@@ -3,8 +3,7 @@
 //!
 //! A counting global allocator wraps the system allocator; the assertions
 //! below prove that after a warm-up run, repeated streaming runs on reused
-//! [`EngineBuffers`] (and in-place [`Engine::reset`] reruns) execute their
-//! entire event loop — arrivals, rebalances, drains, completions — without
+//! [`EngineBuffers`] execute their entire event loop — arrivals, rebalances, drains, completions — without
 //! a single heap allocation. Engine *construction* and *finalization* sit
 //! outside the audited window: construction clones the policy name and the
 //! source clones the instance, and the streaming finalizer clones the
@@ -357,30 +356,6 @@ fn strict_audited_runs_allocate_per_run_not_per_event() {
             );
         }
     }
-}
-
-#[test]
-fn engine_reset_reruns_allocate_nothing() {
-    let inst = workload(2_000);
-    let mut policy = PolicyKind::IntermediateSrpt.build();
-    let mut source = StaticSource::new(&inst);
-    let mut obs = NullObserver;
-    let cfg = EngineConfig::new(8.0).with_streaming(true);
-    let mut engine = Engine::with_buffers(
-        cfg,
-        policy.as_mut(),
-        &mut source,
-        &mut obs,
-        EngineBuffers::new(),
-    );
-    // Warm-up run.
-    while engine.step().expect("run failed") {}
-    // In-place reset + rerun: zero allocations in reset and the rerun.
-    let ((), during) = counting_allocs(|| {
-        engine.reset().expect("static source rewinds");
-        while engine.step().expect("rerun failed") {}
-    });
-    assert_eq!(during, 0, "reset rerun allocated {during} times");
 }
 
 #[test]

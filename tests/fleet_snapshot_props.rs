@@ -2,7 +2,7 @@
 //! (docs/TESTING.md): the fleet's suspend/migrate/resume machinery is
 //! only sound if a snapshot taken at ANY event boundary, under EVERY
 //! registry policy, in BOTH engine modes, resumes to a bit-identical
-//! remaining trajectory — and if the `parsched-snap/v2` text codec is a
+//! remaining trajectory — and if the `parsched-snap/v3` text codec is a
 //! byte-exact fixed point, since that document is what a migration
 //! actually ships between shards.
 //!
@@ -232,18 +232,6 @@ impl Policy for NoRoundTrip {
         self.inner.srpt_ordered()
     }
 
-    fn on_arrival(&mut self, now: Time, n_alive: usize) {
-        self.inner.on_arrival(now, n_alive);
-    }
-
-    fn on_completion(&mut self, now: Time, n_alive: usize) {
-        self.inner.on_completion(now, n_alive);
-    }
-
-    fn event_hooks_are_noop(&self) -> bool {
-        self.inner.event_hooks_are_noop()
-    }
-
     fn snapshot_state(&self) -> Vec<u64> {
         panic!("parking must not capture policy state")
     }
@@ -456,7 +444,7 @@ fn golden_path() -> std::path::PathBuf {
         .join("golden_snapshot.json")
 }
 
-/// The committed `parsched-snap/v2` document must match what the current
+/// The committed `parsched-snap/v3` document must match what the current
 /// engine captures for the same scenario — any change to the snapshot
 /// schema, field order, or float rendering shows up as a diff here.
 /// Regenerate deliberately with:
@@ -512,50 +500,81 @@ fn golden_snapshot_fixture_is_stable_and_restorable() {
     assert_metrics_bit_identical(&got, &want, "golden resume");
 }
 
-/// A `parsched-snap/v1` document (the format before the engine's event
-/// queue and kernel knob were removed) is refused with a typed error, not
-/// misread as v2.
+/// Documents in an older format are refused with a typed error, not
+/// misread as the current one: `parsched-snap/v1` (before the engine's
+/// event queue and kernel knob were removed) and `parsched-snap/v2`
+/// (before the SRPT set's two remaining-work sums were).
 #[test]
 fn v1_snapshot_documents_are_refused() {
-    let path = golden_path().with_file_name("golden_snapshot_v1.json");
-    let v1 = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    assert!(v1.contains("\"parsched-snap/v1\""));
-    match Snapshot::from_json(&v1) {
-        Err(SimError::BadInstance { what }) => {
-            assert!(what.contains("parsched-snap/v1"), "{what}");
+    for version in ["v1", "v2"] {
+        let path = golden_path().with_file_name(format!("golden_snapshot_{version}.json"));
+        let doc =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let tag = format!("parsched-snap/{version}");
+        assert!(doc.contains(&format!("\"{tag}\"")), "{}", path.display());
+        match Snapshot::from_json(&doc) {
+            Err(SimError::BadInstance { what }) => assert!(what.contains(&tag), "{what}"),
+            other => panic!("{tag} document was not refused: {other:?}"),
         }
-        other => panic!("v1 document was not refused: {other:?}"),
     }
 }
 
-/// Overwrites field `lane` of arena job row `row` in a snapshot document
-/// with the bit pattern of `value` (the codec stores every f64 as bits).
-fn corrupt_job_lane(doc: &str, row: usize, lane: usize, value: f64) -> String {
+/// Replaces the value at `path` in a snapshot document: object keys, or
+/// array indices written in decimal.
+fn corrupt_at(doc: &str, path: &[&str], value: Json) -> String {
     let mut json = Json::parse(doc).expect("parse snapshot document");
-    let Json::Obj(top) = &mut json else {
-        panic!("snapshot document is not an object")
-    };
-    let arena = top
-        .iter_mut()
-        .find(|(k, _)| k == "arena")
-        .map(|(_, v)| v)
-        .expect("arena");
-    let Json::Obj(arena) = arena else {
-        panic!("arena is not an object")
-    };
-    let jobs = arena
-        .iter_mut()
-        .find(|(k, _)| k == "jobs")
-        .map(|(_, v)| v)
-        .expect("arena jobs");
-    let Json::Arr(jobs) = jobs else {
-        panic!("arena jobs is not an array")
-    };
-    let Json::Arr(fields) = &mut jobs[row] else {
-        panic!("arena job row is not an array")
-    };
-    fields[lane] = Json::Num(value.to_bits().to_string());
+    let mut node = &mut json;
+    for &key in path {
+        node = match node {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("snapshot document has no field {key}")),
+            Json::Arr(items) => &mut items[key.parse::<usize>().expect("array index")],
+            _ => panic!("snapshot document: {key} is not inside a container"),
+        };
+    }
+    *node = value;
     json.render()
+}
+
+/// The codec's rendering of an f64: its bit pattern.
+fn f64_bits(value: f64) -> Json {
+    Json::Num(value.to_bits().to_string())
+}
+
+/// Overwrites field `lane` of arena job row `row` in a snapshot document.
+fn corrupt_job_lane(doc: &str, row: usize, lane: usize, value: f64) -> String {
+    let (row, lane) = (row.to_string(), lane.to_string());
+    corrupt_at(doc, &["arena", "jobs", &row, &lane], f64_bits(value))
+}
+
+/// Restores `bad` into a fresh engine for `kind`, then runs out and
+/// finalizes whatever restore accepts, so a value that slips through
+/// panics or errors here rather than in a later session.
+fn restore_run_finalize(
+    inst: &Instance,
+    kind: &PolicyKind,
+    streaming: bool,
+    bad: &Snapshot,
+) -> Result<(), SimError> {
+    let mut policy = kind.build();
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let mut resumed = Engine::new(
+        engine_cfg(streaming),
+        policy.as_mut(),
+        &mut source,
+        &mut obs,
+    );
+    resumed.restore(bad)?;
+    while resumed.step()? {}
+    if streaming {
+        resumed.into_streaming_outcome().map(drop)
+    } else {
+        resumed.into_outcome().map(drop)
+    }
 }
 
 /// Restore runs admission's spec checks on every arena slot and requires
@@ -623,28 +642,112 @@ fn corrupted_job_lanes_are_refused_with_a_typed_error() {
                     );
                     let bad = Snapshot::from_json(&corrupt_job_lane(&doc, row, lane, value))
                         .unwrap_or_else(|e| panic!("{ctx}: the codec refused the lane: {e}"));
-                    let mut policy = kind.build();
-                    let mut source = StaticSource::new(&inst);
-                    let mut obs = NullObserver;
-                    let mut resumed = Engine::new(
-                        engine_cfg(streaming),
-                        policy.as_mut(),
-                        &mut source,
-                        &mut obs,
+                    let result = restore_run_finalize(&inst, &kind, streaming, &bad);
+                    assert!(
+                        matches!(result, Err(SimError::BadInstance { .. })),
+                        "{ctx}: expected a typed restore error, got {result:?}"
                     );
-                    let result = resumed
-                        .restore(&bad)
-                        .and_then(|()| {
-                            while resumed.step()? {}
-                            Ok(())
-                        })
-                        .and_then(|()| {
-                            if streaming {
-                                resumed.into_streaming_outcome().map(drop)
-                            } else {
-                                resumed.into_outcome().map(drop)
-                            }
-                        });
+                }
+            }
+        }
+    }
+}
+
+/// Restore holds the run-state scalars to the domains `snapshot()` emits
+/// them in: the clock and the SRPT drain offset finite and non-negative,
+/// and every other scalar the run computes with finite — the optional
+/// clock times and the uniform interval rate when present, the profile
+/// share, the SRPT set's sums, the Neumaier accumulator parts, the sink's
+/// aggregates, and the exhaustive share and rate lanes. Each corrupted
+/// value is refused with a typed error on the incremental path and on an
+/// exhaustive policy, in both memory modes, while the untouched document
+/// (whose empty quantile sketch carries its `±∞` bounds until the first
+/// completion) restores.
+#[test]
+fn corrupted_run_scalars_are_refused_with_a_typed_error() {
+    let inst = mixed_alpha_fixture(60, 0.9, M);
+    let non_negative: &[&[&str]] = &[&["clock", "now"], &["srpt", "drain"]];
+    let finite: &[&[&str]] = &[
+        &["clock", "quantum_deadline"],
+        &["clock", "next_completion"],
+        &["interval"],
+        &["profile", "share"],
+        &["srpt", "s1"],
+        &["srpt", "sk"],
+        &["srpt", "q_frac"],
+        &["accum", "frac_flow", "0"],
+        &["accum", "frac_flow", "1"],
+        &["accum", "alive_integral", "0"],
+        &["accum", "alive_integral", "1"],
+        &["sink", "total_flow", "0"],
+        &["sink", "total_flow", "1"],
+        &["sink", "max_flow"],
+        &["sink", "total_stretch", "0"],
+        &["sink", "max_stretch"],
+        &["sink", "total_weighted_flow", "0"],
+        &["sink", "makespan"],
+        &["exhaustive", "shares", "0"],
+        &["exhaustive", "rates", "0"],
+    ];
+    let fields = non_negative
+        .iter()
+        .map(|&path| (path, &[f64::NAN, f64::INFINITY, -1.0][..]))
+        .chain(
+            finite
+                .iter()
+                .map(|&path| (path, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY][..])),
+        );
+    for kind in [PolicyKind::IntermediateSrpt, PolicyKind::Laps(0.5)] {
+        for streaming in [false, true] {
+            let mode = if streaming { "streaming" } else { "in-memory" };
+            let mut policy = kind.build();
+            let mut source = StaticSource::new(&inst);
+            let mut obs = NullObserver;
+            let mut engine = Engine::new(
+                engine_cfg(streaming),
+                policy.as_mut(),
+                &mut source,
+                &mut obs,
+            );
+            assert!(engine.step().expect("first step"));
+            let early = engine.snapshot().expect("snapshot").to_json();
+            for _ in 1..40 {
+                assert!(engine.step().expect("pre-suspend step"));
+            }
+            let doc = engine.snapshot().expect("snapshot").to_json();
+            drop(engine);
+            for untouched in [&early, &doc] {
+                let snap = Snapshot::from_json(untouched).expect("parse");
+                restore_run_finalize(&inst, &kind, streaming, &snap).unwrap_or_else(|e| {
+                    panic!("{} / {mode}: untouched document: {e}", kind.name())
+                });
+            }
+            let parsed = Json::parse(&doc).expect("parse");
+            for (path, values) in fields.clone() {
+                // The exhaustive lanes are empty on the incremental path.
+                if path[0] == "exhaustive"
+                    && parsed
+                        .get("exhaustive")
+                        .and_then(|e| e.get(path[1]))
+                        .and_then(|l| l.as_arr().ok())
+                        .is_some_and(<[Json]>::is_empty)
+                {
+                    continue;
+                }
+                for &value in values {
+                    let ctx = format!("{} / {mode} / {} = {value}", kind.name(), path.join("."));
+                    let bad = if path == ["interval"] {
+                        let uniform = Json::Obj(vec![
+                            ("kind".into(), Json::Str("uniform".into())),
+                            ("rate".into(), f64_bits(value)),
+                        ]);
+                        corrupt_at(&doc, path, uniform)
+                    } else {
+                        corrupt_at(&doc, path, f64_bits(value))
+                    };
+                    let bad = Snapshot::from_json(&bad)
+                        .unwrap_or_else(|e| panic!("{ctx}: the codec refused the value: {e}"));
+                    let result = restore_run_finalize(&inst, &kind, streaming, &bad);
                     assert!(
                         matches!(result, Err(SimError::BadInstance { .. })),
                         "{ctx}: expected a typed restore error, got {result:?}"
