@@ -249,10 +249,12 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
             }
         }
         evals += generation.len();
-        let scored: Vec<Option<Evaluated>> =
-            pool.map_with(EngineBuffers::new, generation.clone(), |bufs, genome| {
-                evaluate(bufs, genome, cfg.policy, cfg.m)
-            });
+        let (policy, m) = (cfg.policy, cfg.m);
+        let scored: Vec<Option<Evaluated>> = pool.map_with(
+            EngineBuffers::new,
+            std::mem::take(&mut generation),
+            move |bufs, genome| evaluate(bufs, genome, policy, m),
+        );
         let mut scored: Vec<Evaluated> = scored.into_iter().flatten().collect();
         sort_by_ratio(&mut scored);
 

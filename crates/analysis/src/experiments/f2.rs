@@ -34,7 +34,7 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
     let n = if opts.quick { 120 } else { 400 };
     let seed = opts.seed;
 
-    let rows = parallel_map(alphas.clone(), |alpha| {
+    let rows = parallel_map(alphas.clone(), move |alpha| {
         let sizes = SizeDist::LogUniform { p: P };
         let w = PoissonWorkload {
             n,

@@ -22,7 +22,7 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
     let stream = ((p * p) as usize).min(if opts.quick { 1024 } else { 16384 });
     let policies = PolicyKind::all_standard();
 
-    let rows = parallel_map(policies, |kind| {
+    let rows = parallel_map(policies, move |kind| {
         let fam = PhaseFamily::new(M, ALPHA, p).with_stream_len(stream);
         let (outcome, record) = fam.run_against(&mut kind.build()).expect("adversary run");
         let plan = fam.opt_plan(&record).expect("standard schedule");

@@ -33,7 +33,7 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
     // backlog makes full-length streams quadratically expensive.
     let stream = if opts.quick { 512 } else { 1024 };
 
-    let rows = parallel_map(ms, |m| {
+    let rows = parallel_map(ms, move |m| {
         let fam = PhaseFamily::new(m, ALPHA, P).with_stream_len(stream);
         let measure = |policy: &mut dyn Policy| {
             let (outcome, record) = fam.run_against(policy).expect("adversary run");

@@ -44,8 +44,10 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
     // whole share of the grid; results are committed in input order, so
     // the table is byte-identical however many workers run it (tested in
     // `tests/sweep_pool_determinism.rs`).
-    let results =
-        Pool::current().map_with(EngineBuffers::new, cells, |bufs, ((load, alpha), seed)| {
+    let results = Pool::current().map_with(
+        EngineBuffers::new,
+        cells,
+        move |bufs, ((load, alpha), seed)| {
             let sizes = SizeDist::Pareto { p: P, shape: 1.5 };
             let w = PoissonWorkload {
                 n,
@@ -83,7 +85,8 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
                 })
                 .collect();
             (load, alpha, lb, flows)
-        });
+        },
+    );
 
     // Aggregate per (load, α): normalized flow = flow / LB, geomean over
     // seeds.

@@ -47,7 +47,7 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
             cells.push((load, seed));
         }
     }
-    let runs = parallel_map(cells, |(load, seed)| {
+    let runs = parallel_map(cells, move |(load, seed)| {
         let sizes = SizeDist::Pareto { p: P, shape: 1.2 };
         let inst = PoissonWorkload {
             n,

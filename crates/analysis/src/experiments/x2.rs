@@ -76,10 +76,10 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
         }
     }
     let instances = [
-        ("poisson-1.2x", &poisson, poisson_est.upper),
-        ("phase-adversary", &adv_outcome.instance, adv_est.upper),
+        ("poisson-1.2x", poisson, poisson_est.upper),
+        ("phase-adversary", adv_outcome.instance, adv_est.upper),
     ];
-    let rows = parallel_map(cells, |(s, kind)| {
+    let rows = parallel_map(cells, move |(s, kind)| {
         let mut per_inst = Vec::new();
         for (name, inst, ub) in &instances {
             let flow = run_with_speed(inst, &mut kind.build(), M as f64, s);

@@ -47,18 +47,16 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
         ),
     ];
 
-    let rows = parallel_map(thetas.clone(), |theta| {
+    let mut headers = vec!["θ".to_string()];
+    headers.extend(workloads.iter().map(|(n, _)| format!("{n} (×θ=1)")));
+    let rows = parallel_map(thetas.clone(), move |theta| {
         let flows: Vec<f64> = workloads
             .iter()
             .map(|(_, inst)| {
-                simulate(
-                    &inst.clone(),
-                    &mut PolicyKind::Threshold(theta).build(),
-                    M as f64,
-                )
-                .expect("run")
-                .metrics
-                .total_flow
+                simulate(inst, &mut PolicyKind::Threshold(theta).build(), M as f64)
+                    .expect("run")
+                    .metrics
+                    .total_flow
             })
             .collect();
         (theta, flows)
@@ -70,8 +68,6 @@ pub(super) fn run(opts: &ExpOptions) -> ExpResult {
         .position(|&t| (t - 1.0).abs() < 1e-12)
         .expect("θ=1 in grid");
     let base = &rows[base_idx].1;
-    let mut headers = vec!["θ".to_string()];
-    headers.extend(workloads.iter().map(|(n, _)| format!("{n} (×θ=1)")));
     let mut table = Table::with_headers(
         format!("X3: Threshold-SRPT(θ) flow normalized to θ=1 (m={M}, α={ALPHA})"),
         headers,

@@ -15,8 +15,9 @@
 //!   schedule — so checking against arbitrary reference policies is sound.
 //! * [`ratio`] — direction-aware competitive-ratio measurements built on
 //!   [`parsched_opt::OptEstimate`] brackets.
-//! * [`sweep`] — a deterministic parallel parameter-sweep runner
-//!   (crossbeam channel + scoped threads) used by every experiment.
+//! * [`sweep`] — a deterministic parallel parameter-sweep runner (a
+//!   work-stealing pool of persistent helper threads) used by every
+//!   experiment, the fleet and the adversary miner.
 //! * [`table`] / [`stats`] — experiment reporting: aligned text tables,
 //!   markdown, CSV, and summary statistics.
 

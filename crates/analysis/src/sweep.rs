@@ -1,11 +1,33 @@
 //! Deterministic parallel parameter sweeps.
 //!
 //! Every experiment is a grid of independent simulation runs; this module
-//! fans them out over a bounded work-stealing [`Pool`] of scoped worker
-//! threads and commits results **in input order**, so sweep output is
-//! byte-identical to the serial path regardless of scheduling. (rayon is
-//! not in the approved offline crate set; atomics + `std::thread::scope`
-//! are all these embarrassingly parallel sweeps need.)
+//! fans them out over a bounded work-stealing [`Pool`] and commits results
+//! **in input order**, so sweep output is byte-identical to the serial
+//! path regardless of scheduling. (rayon is not in the approved offline
+//! crate set; atomics, `std::sync::mpsc` and `std::thread` are all these
+//! embarrassingly parallel sweeps need.)
+//!
+//! # Threads
+//!
+//! A [`Pool`] of `jobs` workers owns up to `jobs − 1` helper threads,
+//! spawned by the first call that needs them and kept until the pool is
+//! dropped; the calling thread runs as worker 0. Between calls a helper
+//! blocks on its channel, so an idle pool costs no CPU. The fleet maps
+//! once per round and the adversary miner once per generation, so the
+//! hundreds of calls a session makes wake the same threads instead of
+//! spawning and joining a fresh set each time (docs/PERF.md §13).
+//!
+//! Each call packs its work — the item slots, the steal ranges, `init`,
+//! `f` and the per-worker results — into one `Arc` that the caller and
+//! the helpers share. That is why [`Pool::map_with`] asks for `'static`
+//! items, results and closures: a helper outlives the call's stack frame,
+//! and the crate stays `forbid(unsafe_code)`.
+//!
+//! A panic in `f` or `init` is caught on the worker that raised it and
+//! re-raised on the caller once every worker has stopped; the helpers
+//! keep serving later calls. A call that finds the helpers busy (a `map`
+//! nested inside `f`, or a concurrent call from another thread) runs
+//! serially on its own thread, so the pool cannot deadlock on itself.
 //!
 //! # Ordering guarantee
 //!
@@ -31,8 +53,11 @@
 //! locking in principle; the per-item `Mutex<Option<T>>` below is an
 //! uncontended formality that keeps the crate `forbid(unsafe_code)`.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
+use std::thread::JoinHandle;
 
 use parsched_sim::{
     simulate_streaming_audited, ArrivalSource, AuditLevel, Engine, EngineBuffers, EngineConfig,
@@ -59,22 +84,57 @@ pub fn sweep_jobs() -> usize {
 
 /// A bounded work-stealing pool for deterministic sweeps.
 ///
-/// The pool itself is just a worker-count policy — threads are scoped to
-/// each [`Pool::map_with`] call, so a `Pool` is `Copy`, trivially cheap,
-/// and holds no OS resources between calls.
-#[derive(Debug, Clone, Copy)]
+/// The pool owns its helper threads (see the module docs): build one per
+/// session and pass it by reference to every call. Dropping it closes the
+/// helpers' channels and joins them.
 pub struct Pool {
     jobs: usize,
+    crew: Mutex<Crew>,
+}
+
+/// The helper threads, and the channel on which each reports that it has
+/// finished its share of a call.
+struct Crew {
+    helpers: Vec<Helper>,
+    done_tx: Sender<std::thread::Result<()>>,
+    done_rx: Receiver<std::thread::Result<()>>,
+}
+
+/// One helper thread: worker `w` of every call it joins, where `w` is its
+/// position in [`Crew::helpers`] plus one.
+struct Helper {
+    work: Sender<Arc<dyn Work>>,
+    thread: JoinHandle<()>,
+}
+
+/// One call's share of work for worker `w`, as a helper runs it.
+trait Work: Send + Sync {
+    fn run(&self, w: usize);
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool").field("jobs", &self.jobs).finish()
+    }
 }
 
 impl Pool {
     /// A pool with a fixed worker count (`0` = automatic: one worker per
-    /// available core, capped by the item count at each call).
+    /// available core, capped by the item count at each call). No thread
+    /// is spawned until a call needs one.
     pub fn new(jobs: usize) -> Self {
-        Pool { jobs }
+        let (done_tx, done_rx) = channel();
+        Pool {
+            jobs,
+            crew: Mutex::new(Crew {
+                helpers: Vec::new(),
+                done_tx,
+                done_rx,
+            }),
+        }
     }
 
-    /// The pool configured by [`set_sweep_jobs`] (automatic by default).
+    /// A pool sized by [`set_sweep_jobs`] (automatic by default).
     pub fn current() -> Self {
         Pool::new(sweep_jobs())
     }
@@ -94,94 +154,197 @@ impl Pool {
     /// Maps `f` over `items`, preserving input order.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
     {
-        self.map_with(|| (), items, |(), item| f(item))
+        self.map_with(|| (), items, move |(), item| f(item))
     }
 
     /// Maps `f` over `items` with per-worker state, preserving input
     /// order.
     ///
-    /// `init` runs once on each worker thread (and once on the caller for
-    /// the serial path); the state it returns is threaded through every
-    /// item that worker processes. This is how sweep workers own one set
-    /// of recycled [`EngineBuffers`] across a whole grid — see
+    /// `init` runs once on each worker that joins the call (and once on
+    /// the caller for the serial path); the state it returns is threaded
+    /// through every item that worker processes. This is how sweep workers
+    /// own one set of recycled [`EngineBuffers`] across a whole grid — see
     /// [`simulate_audited_reusing`].
     ///
-    /// Results are committed by input index after the scope joins, so the
-    /// output is identical to the serial `map` whatever the interleaving;
-    /// a panic in `f` or `init` propagates after all workers stop.
+    /// Results are committed by input index once every worker has
+    /// stopped, so the output is identical to the serial `map` whatever
+    /// the interleaving; a panic in `f` or `init` propagates after all
+    /// workers stop.
     pub fn map_with<S, T, R, I, F>(&self, init: I, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, T) -> R + Sync,
+        T: Send + 'static,
+        R: Send + 'static,
+        I: Fn() -> S + Send + Sync + 'static,
+        F: Fn(&mut S, T) -> R + Send + Sync + 'static,
     {
         let n = items.len();
         if n == 0 {
             return Vec::new();
         }
         let workers = self.workers_for(n);
-        if workers <= 1 {
-            let mut state = init();
-            return items.into_iter().map(|item| f(&mut state, item)).collect();
+        // Busy helpers mean this call is nested in `f` or races another
+        // caller: it runs serially rather than wait on itself.
+        let mut crew = match (workers > 1).then(|| self.crew.try_lock()) {
+            Some(Ok(crew)) => crew,
+            Some(Err(TryLockError::Poisoned(p))) => p.into_inner(),
+            Some(Err(TryLockError::WouldBlock)) | None => return serial(&init, items, &f),
+        };
+        let helpers = crew.hire(workers - 1);
+        if helpers == 0 {
+            return serial(&init, items, &f);
         }
         assert!(n < u32::MAX as usize, "sweep too large for packed ranges");
-        // Each item parks in a slot until the worker that won its index
-        // claims it; the winning CAS is the unique claim, so each lock is
-        // uncontended (see the module notes on `forbid(unsafe_code)`).
-        let slots: Vec<Mutex<Option<T>>> = items
-            .into_iter()
-            .map(|item| Mutex::new(Some(item)))
-            .collect();
-        // Contiguous initial partition: worker `w` owns [w·n/W, (w+1)·n/W).
-        let ranges: Vec<AtomicU64> = (0..workers)
-            .map(|w| AtomicU64::new(pack(w * n / workers, (w + 1) * n / workers)))
-            .collect();
-        let mut locals: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let slots = &slots;
-                    let ranges = &ranges;
-                    let init = &init;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut state = init();
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let idx = take_front(&ranges[w]).or_else(|| steal(ranges, w));
-                            let Some(i) = idx else { break };
-                            let item = slots[i]
-                                .lock()
-                                .expect("slot lock")
-                                .take()
-                                .expect("index claimed exactly once");
-                            out.push((i, f(&mut state, item)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(v) => locals.push(v),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+        let call = Arc::new(Call::new(items, helpers + 1, init, f));
+        let mut joined = 0;
+        for helper in &crew.helpers[..helpers] {
+            let work: Arc<dyn Work> = call.clone();
+            joined += usize::from(helper.work.send(work).is_ok());
+        }
+        // A helper that never joins leaves its range to the others'
+        // stealing, so every item is still claimed exactly once.
+        let mut panic = catch_unwind(AssertUnwindSafe(|| call.run(0))).err();
+        for _ in 0..joined {
+            // `crew` holds a sender, so the channel cannot disconnect.
+            if let Ok(Err(payload)) = crew.done_rx.recv() {
+                panic.get_or_insert(payload);
             }
-        });
+        }
+        drop(crew);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        call.merge(n)
+    }
+}
+
+impl Crew {
+    /// Spawns helpers until there are `want`, and returns how many this
+    /// call may use (fewer only if the OS refused a thread).
+    fn hire(&mut self, want: usize) -> usize {
+        while self.helpers.len() < want {
+            let w = self.helpers.len() + 1;
+            let (work, inbox) = channel::<Arc<dyn Work>>();
+            let done = self.done_tx.clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("sweep-{w}"))
+                .spawn(move || serve(w, &inbox, &done));
+            match spawned {
+                Ok(thread) => self.helpers.push(Helper { work, thread }),
+                Err(_) => break,
+            }
+        }
+        want.min(self.helpers.len())
+    }
+}
+
+/// A helper's life: run worker `w`'s share of each call it is sent, and
+/// report back (with the panic payload, if the share panicked) only after
+/// dropping its handle on the call, so the caller then holds the last.
+fn serve(w: usize, inbox: &Receiver<Arc<dyn Work>>, done: &Sender<std::thread::Result<()>>) {
+    while let Ok(work) = inbox.recv() {
+        let result = catch_unwind(AssertUnwindSafe(|| work.run(w)));
+        drop(work);
+        if done.send(result).is_err() {
+            break;
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        let crew = self.crew.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for Helper { work, thread } in crew.helpers.drain(..) {
+            // Closing the channel ends the helper's loop.
+            drop(work);
+            // A helper catches every panic of the work it runs.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The single-worker path: one state, items in order, on this thread.
+fn serial<S, T, R>(init: impl Fn() -> S, items: Vec<T>, f: impl Fn(&mut S, T) -> R) -> Vec<R> {
+    let mut state = init();
+    items.into_iter().map(|item| f(&mut state, item)).collect()
+}
+
+/// Everything one call's workers share.
+struct Call<T, R, I, F> {
+    /// Each item parks in a slot until the worker that won its index
+    /// claims it; the winning CAS is the unique claim, so each lock is
+    /// uncontended (see the module notes on `forbid(unsafe_code)`).
+    slots: Vec<Mutex<Option<T>>>,
+    /// One packed range per worker; see [`pack`].
+    ranges: Vec<AtomicU64>,
+    init: I,
+    f: F,
+    /// Each worker's `(index, result)` pairs, stored when it stops.
+    results: Vec<Mutex<Vec<(usize, R)>>>,
+}
+
+impl<T, R, I, F> Call<T, R, I, F> {
+    fn new(items: Vec<T>, workers: usize, init: I, f: F) -> Self {
+        let n = items.len();
+        Call {
+            slots: items
+                .into_iter()
+                .map(|item| Mutex::new(Some(item)))
+                .collect(),
+            // Contiguous initial partition: worker `w` owns
+            // [w·n/W, (w+1)·n/W).
+            ranges: (0..workers)
+                .map(|w| AtomicU64::new(pack(w * n / workers, (w + 1) * n / workers)))
+                .collect(),
+            init,
+            f,
+            results: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+        }
+    }
+
+    /// The results in input order; call once every worker has stopped.
+    fn merge(&self, n: usize) -> Vec<R> {
         let mut merged: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in locals.into_iter().flatten() {
-            debug_assert!(merged[i].is_none(), "index {i} produced twice");
-            merged[i] = Some(r);
+        for out in &self.results {
+            let out = std::mem::take(&mut *out.lock().unwrap_or_else(PoisonError::into_inner));
+            for (i, r) in out {
+                debug_assert!(merged[i].is_none(), "index {i} produced twice");
+                merged[i] = Some(r);
+            }
         }
         merged
             .into_iter()
             .map(|r| r.expect("every index was processed"))
             .collect()
+    }
+}
+
+impl<S, T, R, I, F> Work for Call<T, R, I, F>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Send + Sync,
+    F: Fn(&mut S, T) -> R + Send + Sync,
+{
+    fn run(&self, w: usize) {
+        let mut state = (self.init)();
+        let mut out: Vec<(usize, R)> = Vec::new();
+        loop {
+            let idx = take_front(&self.ranges[w]).or_else(|| steal(&self.ranges, w));
+            let Some(i) = idx else { break };
+            let item = self.slots[i]
+                .lock()
+                .expect("slot lock")
+                .take()
+                .expect("index claimed exactly once");
+            out.push((i, (self.f)(&mut state, item)));
+        }
+        *self.results[w]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = out;
     }
 }
 
@@ -239,6 +402,8 @@ fn steal(ranges: &[AtomicU64], w: usize) -> Option<usize> {
 ///
 /// Delegates to [`Pool::current`] — up to one worker per available core
 /// (capped by the item count), unless overridden by [`set_sweep_jobs`].
+/// That pool lives for this one call, so its helpers are spawned and
+/// joined here; code that maps many times should keep one [`Pool`].
 ///
 /// ```
 /// let squares = parsched_analysis::parallel_map(vec![1, 2, 3], |x| x * x);
@@ -246,9 +411,9 @@ fn steal(ranges: &[AtomicU64], w: usize) -> Option<usize> {
 /// ```
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
+    T: Send + 'static,
+    R: Send + 'static,
+    F: Fn(T) -> R + Send + Sync + 'static,
 {
     Pool::current().map(items, f)
 }
@@ -313,10 +478,13 @@ pub fn streaming_sweep<T, F>(
     make: F,
 ) -> Vec<Result<StreamingOutcome, SimError>>
 where
-    T: Send,
-    F: Fn(&T) -> (Box<dyn ArrivalSource + Send>, Box<dyn Policy + Send>, f64) + Sync,
+    T: Send + 'static,
+    F: Fn(&T) -> (Box<dyn ArrivalSource + Send>, Box<dyn Policy + Send>, f64)
+        + Send
+        + Sync
+        + 'static,
 {
-    parallel_map(points, |p| {
+    parallel_map(points, move |p| {
         let (mut source, mut policy, m) = make(&p);
         simulate_streaming_audited(source.as_mut(), policy.as_mut(), m, audit)
     })
@@ -338,6 +506,8 @@ pub fn grid2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn preserves_order() {
@@ -351,9 +521,10 @@ mod tests {
 
     #[test]
     fn runs_every_item_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let out = parallel_map((0..257).collect::<Vec<_>>(), |x| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        let counter = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&counter);
+        let out = parallel_map((0..257).collect::<Vec<_>>(), move |x| {
+            seen.fetch_add(1, Ordering::Relaxed);
             x
         });
         assert_eq!(counter.load(Ordering::Relaxed), 257);
@@ -394,11 +565,12 @@ mod tests {
 
     #[test]
     fn map_with_initializes_one_state_per_worker() {
-        let inits = AtomicUsize::new(0);
+        let inits = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&inits);
         let pool = Pool::new(3);
         let out = pool.map_with(
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
+            move || {
+                counted.fetch_add(1, Ordering::Relaxed);
                 0usize
             },
             (0..100).collect::<Vec<usize>>(),
@@ -520,6 +692,157 @@ mod tests {
             assert_eq!(mem.metrics, st.metrics, "m={m}");
             assert!(st.audit.as_ref().is_some_and(|a| a.final_checked));
         }
+    }
+
+    /// Maps `k` items, each of which waits until all `k` have started, so
+    /// the call completes only once `k` workers run at the same time; a
+    /// worker that never joins fails the call instead of hanging it.
+    /// Then each item runs `then` on its index. Returns the thread that
+    /// ran each item.
+    fn rendezvous(
+        pool: &Pool,
+        k: usize,
+        then: impl Fn(usize) + Send + Sync + 'static,
+    ) -> Vec<ThreadId> {
+        let started = Arc::new(AtomicUsize::new(0));
+        pool.map((0..k).collect(), move |i| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while started.load(Ordering::SeqCst) < k {
+                assert!(Instant::now() < deadline, "only some workers joined");
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            then(i);
+            std::thread::current().id()
+        })
+    }
+
+    fn helper_count(pool: &Pool) -> usize {
+        pool.crew.lock().expect("crew").helpers.len()
+    }
+
+    #[test]
+    fn helpers_persist_across_calls() {
+        let pool = Pool::new(2);
+        let caller = std::thread::current().id();
+        let first = rendezvous(&pool, 2, |_| {});
+        let helper = *first.iter().find(|&&t| t != caller).expect("a helper ran");
+        for call in 0..100 {
+            let mut ids = rendezvous(&pool, 2, |_| {});
+            ids.sort_by_key(|&t| t != caller);
+            assert_eq!(ids, vec![caller, helper], "call {call}");
+        }
+        assert_eq!(helper_count(&pool), 1);
+    }
+
+    #[test]
+    fn one_worker_never_spawns() {
+        let caller = std::thread::current().id();
+        let pool = Pool::new(1);
+        for _ in 0..10 {
+            let ids = pool.map((0..50).collect(), |_: u32| std::thread::current().id());
+            assert!(ids.iter().all(|&t| t == caller));
+        }
+        assert_eq!(helper_count(&pool), 0);
+        // A single item needs one worker whatever the pool's size.
+        let pool = Pool::new(4);
+        assert_eq!(pool.map(vec![5], |x: u32| x + 1), vec![6]);
+        assert_eq!(helper_count(&pool), 0);
+    }
+
+    #[test]
+    fn a_panic_reaches_the_caller_and_the_pool_keeps_serving() {
+        let pool = Pool::new(2);
+        let caller = std::thread::current().id();
+        let helper = rendezvous(&pool, 2, |_| {})
+            .into_iter()
+            .find(|&t| t != caller)
+            .expect("a helper ran");
+        // Item 0 runs on the caller and item 1 on the helper: both wait
+        // for each other, and each worker starts at the front of its own
+        // range.
+        for bad in [0, 1] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                rendezvous(&pool, 2, move |i| {
+                    assert_ne!(i, bad, "item {i} fails on purpose")
+                })
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains(&format!("item {bad} fails")), "{msg}");
+            let items: Vec<u64> = (0..300).collect();
+            let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+            assert_eq!(pool.map(items, |x| x * 3 + 1), expect);
+            assert!(rendezvous(&pool, 2, |_| {}).contains(&helper));
+        }
+        assert_eq!(helper_count(&pool), 1);
+    }
+
+    #[test]
+    fn nested_and_concurrent_calls_fall_back_to_serial() {
+        let expect: Vec<u64> = (0..40u64).map(|x| (0..x).map(|y| y * y).sum()).collect();
+        let pool = Arc::new(Pool::new(2));
+        let inner = Arc::clone(&pool);
+        let nested = pool.map((0..40).collect(), move |x: u64| {
+            inner.map((0..x).collect(), |y| y * y).iter().sum::<u64>()
+        });
+        assert_eq!(nested, expect);
+        // Two threads sharing one pool: whichever finds the helpers busy
+        // maps on its own thread, and both get the serial answer.
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    (0..20)
+                        .map(|_| pool.map((0..40).collect(), |x: u64| x * x))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let squares: Vec<u64> = (0..40).map(|x| x * x).collect();
+        for caller in callers {
+            for out in caller.join().expect("caller thread") {
+                assert_eq!(out, squares);
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_helpers() {
+        // Each helper that runs an item arms a thread-local guard; its
+        // destructor runs when the helper thread exits.
+        static ARMED: AtomicUsize = AtomicUsize::new(0);
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct ExitGuard;
+        impl Drop for ExitGuard {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static GUARD: std::cell::RefCell<Option<ExitGuard>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let pool = Pool::new(3);
+        let caller = std::thread::current().id();
+        rendezvous(&pool, 3, move |_| {
+            if std::thread::current().id() != caller {
+                GUARD.with(|g| *g.borrow_mut() = Some(ExitGuard));
+                ARMED.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(ARMED.load(Ordering::SeqCst), 2);
+        assert_eq!(EXITED.load(Ordering::SeqCst), 0);
+        assert_eq!(helper_count(&pool), 2);
+        drop(pool);
+        assert_eq!(
+            EXITED.load(Ordering::SeqCst),
+            ARMED.load(Ordering::SeqCst),
+            "every armed helper exited before drop returned"
+        );
     }
 
     #[test]

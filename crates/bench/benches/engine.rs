@@ -245,24 +245,24 @@ fn engine_sweep_pool(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(instances.len() as u64));
     for &jobs in &[1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
+        // One pool per row, so its helper threads persist across
+        // iterations as they do across a session's calls.
+        let pool = Pool::new(jobs);
+        g.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, _| {
             b.iter(|| {
-                let flows = Pool::new(jobs).map_with(
-                    EngineBuffers::new,
-                    instances.iter().collect(),
-                    |bufs, inst| {
+                let flows =
+                    pool.map_with(EngineBuffers::new, instances.clone(), move |bufs, inst| {
                         let mut policy = IntermediateSrpt::new();
                         let (out, next) = simulate_audited_reusing(
                             std::mem::take(bufs),
-                            inst,
+                            &inst,
                             &mut policy,
                             m,
                             AuditLevel::Off,
                         );
                         *bufs = next;
                         out.expect("sweep run").metrics.total_flow
-                    },
-                );
+                    });
                 black_box(flows)
             })
         });

@@ -1132,7 +1132,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         let run_sweep = |jobs: usize| {
             let seeds: Vec<u64> = (0..32).collect();
             let start = std::time::Instant::now();
-            let flows = Pool::new(jobs).map_with(EngineBuffers::new, seeds, |bufs, seed| {
+            let flows = Pool::new(jobs).map_with(EngineBuffers::new, seeds, move |bufs, seed| {
                 let sizes = SizeDist::LogUniform { p: 32.0 };
                 let w = PoissonWorkload {
                     n: 2_000,

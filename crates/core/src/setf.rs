@@ -49,7 +49,7 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// S_G(Γ⁻¹(ρ))` with `S_G(x)` the sum of `G` copies of `x`. IEEE addition
 /// is monotone in each operand, so `S_G` is monotone and the predicate is
 /// exactly `Γ⁻¹(mid) ≤ x*` for `x*` the largest float with `S_G(x*) ≤ m`.
-/// [`sum_threshold`] finds `x*` once with `O(log G)` sums, and the
+/// `sum_threshold` finds `x*` once with `O(log G)` sums, and the
 /// bisection replays the same midpoints at one inverse each — the same `ρ`
 /// to the last bit. That answer is a pure function of `(curve, G, m)`, so
 /// it is memoized by group size for the current curve and `m` (piecewise

@@ -55,6 +55,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use parsched::PolicyKind;
 use parsched_analysis::Pool;
@@ -306,7 +307,8 @@ impl Resident {
 }
 
 struct TenantSlot {
-    spec: TenantSpec,
+    /// Shared with the pool shard that runs the tenant's slice.
+    spec: Arc<TenantSpec>,
     state: TenantState,
     rounds: u64,
 }
@@ -463,7 +465,7 @@ impl FleetSession {
                 }
             };
             session.slots.push(TenantSlot {
-                spec,
+                spec: Arc::new(spec),
                 state,
                 rounds: 0,
             });
@@ -508,14 +510,14 @@ impl FleetSession {
                 taken.push((idx, live));
             }
         }
-        let items: Vec<(usize, &TenantSpec, Live)> = taken
+        let items: Vec<(usize, Arc<TenantSpec>, Live)> = taken
             .into_iter()
-            .map(|(idx, live)| (idx, &self.slots[idx].spec, live))
+            .map(|(idx, live)| (idx, Arc::clone(&self.slots[idx].spec), live))
             .collect();
         let slice = self.cfg.slice_events;
         let migrate = self.cfg.migrate;
-        let results = pool.map(items, |(idx, spec, live)| {
-            (idx, run_slice(spec, live, slice, migrate))
+        let results = pool.map(items, move |(idx, spec, live)| {
+            (idx, run_slice(&spec, live, slice, migrate))
         });
         // Commit serially, in item order — deterministic whatever the
         // shard interleaving was.
@@ -634,17 +636,17 @@ impl FleetSession {
         pool: &Pool,
         queries: &[FleetQuery],
     ) -> Vec<Result<QueryAnswer, String>> {
-        let mut snaps: BTreeMap<usize, Result<Snapshot, String>> = BTreeMap::new();
+        let mut snaps: BTreeMap<usize, Result<Arc<Snapshot>, String>> = BTreeMap::new();
         for query in queries {
             if let Ok(idx) = self.find(query.tenant()) {
                 if let Entry::Vacant(slot) = snaps.entry(idx) {
                     if let Some(snap) = self.capture(idx) {
-                        slot.insert(snap.map_err(|e| format!("snapshot: {e}")));
+                        slot.insert(snap.map(Arc::new).map_err(|e| format!("snapshot: {e}")));
                     }
                 }
             }
         }
-        let items: Vec<(FleetQuery, Result<Target<'_>, String>)> = queries
+        let items: Vec<(FleetQuery, Result<Target, String>)> = queries
             .iter()
             .map(|q| (q.clone(), self.target(q.tenant(), &snaps)))
             .collect();
@@ -696,56 +698,56 @@ impl FleetSession {
 
     /// What a query about tenant `name` needs, given the captured
     /// snapshots.
-    fn target<'s>(
-        &'s self,
+    fn target(
+        &self,
         name: &str,
-        snaps: &'s BTreeMap<usize, Result<Snapshot, String>>,
-    ) -> Result<Target<'s>, String> {
+        snaps: &BTreeMap<usize, Result<Arc<Snapshot>, String>>,
+    ) -> Result<Target, String> {
         let idx = self.find(name)?;
         let slot = &self.slots[idx];
         let standing = match &slot.state {
             TenantState::Shed { reason } => return Err(format!("tenant shed: {reason}")),
             TenantState::Failed { error } => return Err(format!("tenant failed: {error}")),
-            TenantState::Done { metrics } => Standing::Done(metrics),
+            TenantState::Done { metrics } => Standing::Done(metrics.clone()),
             TenantState::Running(_) => match snaps.get(&idx) {
-                Some(Ok(s)) => Standing::Running(Some(s)),
+                Some(Ok(s)) => Standing::Running(Some(Arc::clone(s))),
                 Some(Err(e)) => return Err(e.clone()),
                 None => Standing::Running(None),
             },
             TenantState::Pending => Standing::Pending,
         };
         Ok(Target {
-            spec: &slot.spec,
+            spec: Arc::clone(&slot.spec),
             standing,
         })
     }
 }
 
 /// A query's tenant, as the pool shard answering it sees it.
-struct Target<'s> {
-    spec: &'s TenantSpec,
-    standing: Standing<'s>,
+struct Target {
+    spec: Arc<TenantSpec>,
+    standing: Standing,
 }
 
 /// Where a queried tenant stands.
-enum Standing<'s> {
+enum Standing {
     /// Waiting in the overflow queue.
     Pending,
     /// In flight; the snapshot is `None` until its first slice has run.
-    Running(Option<&'s Snapshot>),
+    Running(Option<Arc<Snapshot>>),
     /// Finished with these metrics.
-    Done(&'s RunMetrics),
+    Done(Box<RunMetrics>),
 }
 
 fn answer(
     bufs: &mut EngineBuffers,
     query: &FleetQuery,
-    target: Target<'_>,
+    target: Target,
 ) -> Result<QueryAnswer, String> {
-    let spec = target.spec;
-    let (snap, done) = match target.standing {
-        Standing::Running(snap) => (snap, None),
-        Standing::Done(metrics) => (None, Some(metrics)),
+    let spec = &*target.spec;
+    let (snap, done) = match &target.standing {
+        Standing::Running(snap) => (snap.as_deref(), None),
+        Standing::Done(metrics) => (None, Some(&**metrics)),
         Standing::Pending => (None, None),
     };
     let not_started = QueryAnswer::Progress {

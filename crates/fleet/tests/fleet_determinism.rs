@@ -4,6 +4,8 @@
 //!   whatever the shard count (`Pool::new(1)` vs `Pool::new(4)`) and
 //!   whether or not every suspension is forced through a cross-shard
 //!   migration (the `parsched-snap/v3` text codec);
+//! * one pool reused across two sessions and a query batch gives the
+//!   same bytes as running them on `Pool::new(1)`;
 //! * tenants kept as parked engines between slices finish bit-identically
 //!   to dedicated solo runs, for every registry policy;
 //! * mid-run projection queries answered from parked tenants equal the
@@ -118,6 +120,88 @@ fn fleet_results_are_byte_identical_across_shard_counts_and_migration() {
     let migrated_parallel = run_fleet(4, true);
     assert_eq!(serial, migrated_serial, "migration changed results");
     assert_eq!(serial, migrated_parallel, "migrated parallel run diverged");
+}
+
+/// Canonical byte rendering of query answers, floats as bit patterns.
+fn render_answers(answers: &[Result<QueryAnswer, String>]) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    for answer in answers {
+        let _ = match answer {
+            Ok(QueryAnswer::Completion(t)) => writeln!(s, "completion|{}", t.to_bits()),
+            Ok(QueryAnswer::Flow(f)) => writeln!(s, "flow|{}", f.to_bits()),
+            Ok(QueryAnswer::Progress {
+                now,
+                events,
+                completed,
+                admitted,
+            }) => writeln!(
+                s,
+                "progress|{}|{events}|{completed}|{admitted}",
+                now.to_bits()
+            ),
+            Err(e) => writeln!(s, "error|{e}"),
+        };
+    }
+    s
+}
+
+/// Two fleet sessions and a mid-run query batch, one after another on
+/// the same `pool`: the first session, its answers, and the second
+/// (migrating) session, each rendered byte for byte.
+fn sessions_on(pool: &Pool) -> Vec<String> {
+    let cfg = FleetConfig {
+        max_in_flight: 8,
+        max_pending: 64,
+        slice_events: 5,
+        migrate: false,
+    };
+    let mut first = FleetSession::new(cfg, fleet(24)).expect("session");
+    for _ in 0..3 {
+        first.round(pool);
+    }
+    let queries: Vec<FleetQuery> = (0..24)
+        .step_by(5)
+        .flat_map(|i| {
+            let tenant = format!("tenant-{i:04}");
+            [
+                FleetQuery::ProjectedCompletion {
+                    tenant: tenant.clone(),
+                    job: JobId(3),
+                },
+                FleetQuery::ProjectedFlow {
+                    tenant: tenant.clone(),
+                },
+                FleetQuery::FlowSoFar {
+                    tenant: tenant.clone(),
+                },
+                FleetQuery::Progress { tenant },
+            ]
+        })
+        .collect();
+    let answers = first.query_batch(pool, &queries);
+    let first = first.run(pool);
+    let cfg = FleetConfig {
+        slice_events: 7,
+        migrate: true,
+        ..cfg
+    };
+    let second = FleetSession::new(cfg, fleet(17))
+        .expect("session")
+        .run(pool);
+    assert_eq!(first.done + second.done, 24 + 17);
+    vec![render(&first), render_answers(&answers), render(&second)]
+}
+
+/// One pool, reused across sessions and a query batch — its helper
+/// threads persist from call to call — changes no byte of any report.
+#[test]
+fn one_pool_serves_sessions_and_queries_byte_identically() {
+    let serial = sessions_on(&Pool::new(1));
+    let shared = Pool::new(4);
+    assert_eq!(sessions_on(&shared), serial, "shared pool diverged");
+    // The same pool again, its helpers now warm.
+    assert_eq!(sessions_on(&shared), serial, "warm pool diverged");
 }
 
 /// Batch-release pure-power tenants under Intermediate-SRPT: the

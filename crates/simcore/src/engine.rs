@@ -77,8 +77,8 @@ pub struct EngineConfig {
     /// Runtime switch for the per-phase hot-path profiler (only
     /// meaningful when the crate is built with the `hotpath` feature;
     /// inert otherwise). When on, the event loops accumulate wall-clock
-    /// nanoseconds per phase (queue/refresh/metrics/dispatch) — see
-    /// [`Engine::hotpath_report`]. Leave off for headline measurements:
+    /// nanoseconds per phase (queue/refresh/metrics/dispatch), which
+    /// `Engine::hotpath_totals` reads back. Leave off for headline measurements:
     /// the timestamping itself costs tens of ns per event.
     pub hotpath_profile: bool,
 }
@@ -2293,7 +2293,7 @@ impl<'a> Engine<'a> {
     /// (benchmarks, the allocation audit) can execute the exact finalizer
     /// loop and then inspect the engine before materializing an outcome.
     ///
-    /// There is one event loop, [`Engine::run_events`], monomorphized
+    /// There is one event loop, the private `Engine::run_events`, monomorphized
     /// over what the run is known to need. A run on the incremental path
     /// with auditing off and a no-op observer ([`Observer::is_noop`])
     /// takes the specialized instantiation: no mode dispatch, no audit

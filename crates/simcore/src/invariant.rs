@@ -19,8 +19,8 @@
 //!   enables auditing (both the exhaustive and the incremental path build
 //!   frames from their own internal state, so the audit observes what the
 //!   engine *actually did*, not what it intended);
-//! * the [`crate::trace::Replayer`], which reconstructs frames from a
-//!   recorded event log and re-checks a run offline.
+//! * [`crate::trace::replay`], which reconstructs frames from a recorded
+//!   event log and re-checks a run offline.
 //!
 //! A violation aborts the run with [`SimError::AuditFailed`] carrying a
 //! structured [`Violation`] — event index, time, job, expected vs. actual,

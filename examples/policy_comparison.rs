@@ -23,7 +23,7 @@ fn main() {
     let alphas = [0.2, 0.5, 0.8];
 
     let cells = grid2(&loads, &alphas);
-    let rows = parallel_map(cells, |(load, alpha)| {
+    let rows = parallel_map(cells, move |(load, alpha)| {
         let sizes = SizeDist::Pareto { p, shape: 1.3 };
         let inst = PoissonWorkload {
             n,
