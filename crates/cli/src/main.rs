@@ -520,13 +520,13 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .with_audit(audit)
         .with_streaming(true)
         .with_max_events(u64::MAX);
-    let outcome = Engine::new(cfg, policy.as_mut(), source.as_mut(), &mut obs)
-        .run_streaming()
-        .map_err(|e| e.to_string())?;
+    let engine = Engine::new(cfg, policy.as_mut(), source.as_mut(), &mut obs);
+    let path = engine.path();
+    let outcome = engine.run_streaming().map_err(|e| e.to_string())?;
     let mm = &outcome.metrics;
     outln!(
-        "{} on m={m}{} [streaming {kind_name}]: n={}, total flow={}, mean={}, max={}, \
-         makespan={}, stretch Σ={} max={}, events={}",
+        "{} on m={m}{} [streaming {kind_name}] [{path} path]: n={}, total flow={}, mean={}, \
+         max={}, makespan={}, stretch Σ={} max={}, events={}",
         policy_kind.name(),
         // Display-only: was --speed left at its (exact, parsed) default?
         if !parsched_speedup::exact_eq(speed, 1.0) {
@@ -572,7 +572,9 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     use parsched_opt::OptEstimate;
     use parsched_sim::csv::instance_from_csv;
     use parsched_sim::trace::{record_run_with_config, trace_to_json};
-    use parsched_sim::{AllocationTrace, AuditLevel, Engine, EngineConfig, StaticSource};
+    use parsched_sim::{
+        AllocationTrace, AuditLevel, Engine, EngineConfig, NullObserver, Observer, StaticSource,
+    };
 
     if flags.named.iter().any(|(k, _)| k == "stream") {
         return cmd_run_stream(flags);
@@ -610,20 +612,30 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.parse())
         .transpose()?
         .unwrap_or(AuditLevel::Off);
+    let gantt = flags.named.iter().find(|(k, _)| k == "gantt");
     let mut policy = kind.build();
     let mut source = StaticSource::new(&instance);
+    // Only the Gantt chart reads the allocation stream; recording it puts
+    // the run on the exhaustive path, so every other run (and every
+    // `--audit` run) takes the path `simulate` would.
     let mut trace = AllocationTrace::new();
-    let outcome = Engine::new(
+    let mut null = NullObserver;
+    let observer: &mut dyn Observer = if gantt.is_some() {
+        &mut trace
+    } else {
+        &mut null
+    };
+    let engine = Engine::new(
         EngineConfig::new(m).with_speed(speed).with_audit(audit),
         &mut policy,
         &mut source,
-        &mut trace,
-    )
-    .run()
-    .map_err(|e| e.to_string())?;
+        observer,
+    );
+    let path = engine.path();
+    let outcome = engine.run().map_err(|e| e.to_string())?;
     let mm = &outcome.metrics;
     outln!(
-        "{} on m={m}{}: n={}, total flow={}, mean={}, max={}, makespan={}, stretch Σ={} max={}, events={}",
+        "{} on m={m}{} [{path} path]: n={}, total flow={}, mean={}, max={}, makespan={}, stretch Σ={} max={}, events={}",
         kind.name(),
         if !parsched_speedup::exact_eq(speed, 1.0) { format!(" (speed {speed})") } else { String::new() },
         mm.num_jobs,
@@ -654,7 +666,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
             rec.events.len()
         );
     }
-    if let Some((_, cols)) = flags.named.iter().find(|(k, _)| k == "gantt") {
+    if let Some((_, cols)) = gantt {
         let width: usize = cols.parse().unwrap_or(72).clamp(8, 400);
         outln!(
             "\n{}",
@@ -796,6 +808,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
             let mut policy = kind.build();
             let mode = match policy.stability() {
                 AllocationStability::SrptPrefix => "incremental",
+                AllocationStability::LeastElapsed => "levels",
                 AllocationStability::General => "exhaustive",
             };
             let s = timed_run(&inst, policy.as_mut(), m, false);

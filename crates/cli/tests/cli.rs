@@ -122,6 +122,50 @@ fn gen_then_run_pipeline() {
     assert!(text.contains("ratio ∈"));
 }
 
+/// `run` takes the path `simulate` would: the incremental path for an
+/// SRPT-family policy and the level path for SETF, reported on the run
+/// line; only `--gantt`, which records the allocation stream, moves a run
+/// to the exhaustive path.
+#[test]
+fn run_reports_the_engine_path_it_took() {
+    let gen = bin()
+        .args(["gen", "--kind", "poisson", "--n", "30", "--m", "4"])
+        .output()
+        .expect("gen");
+    assert!(gen.status.success());
+    let tmp = std::env::temp_dir().join(format!("parsched_cli_path_{}.csv", std::process::id()));
+    std::fs::write(&tmp, &gen.stdout).expect("write tmp");
+    let run = |policy: &str, gantt: bool| {
+        let mut args = vec![
+            "run",
+            "--instance",
+            tmp.to_str().expect("utf8 path"),
+            "--policy",
+            policy,
+            "--m",
+            "4",
+        ];
+        if gantt {
+            args.extend(["--gantt", "40"]);
+        }
+        let out = bin().args(&args).output().expect("run");
+        assert!(
+            out.status.success(),
+            "{policy}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf8")
+    };
+    for (policy, fast) in [("isrpt", "[incremental path]"), ("setf", "[levels path]")] {
+        let plain = run(policy, false);
+        assert!(plain.contains(fast), "{policy}: {plain}");
+        let charted = run(policy, true);
+        assert!(charted.contains("[exhaustive path]"), "{policy}: {charted}");
+        assert!(charted.contains('█'), "{policy}: gantt missing: {charted}");
+    }
+    let _ = std::fs::remove_file(&tmp);
+}
+
 #[test]
 fn gen_covers_every_family() {
     for kind in ["poisson", "batch", "sawtooth", "trap", "mix"] {

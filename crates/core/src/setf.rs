@@ -1,10 +1,11 @@
 //! SETF: Shortest Elapsed Time First.
 
-use parsched_sim::{AliveJob, AllocationStability, Policy, Time};
+use parsched_sim::{AliveJob, AllocationStability, CurveCount, Policy, Time, ELAPSED_TIE_TOL};
 use parsched_speedup::{Curve, PowKernel};
 
-/// Relative tolerance for "tied" elapsed work (floats from prior merges).
-const TIE_TOL: f64 = 1e-7;
+/// Relative tolerance for "tied" elapsed work (floats from prior merges):
+/// the tie rule of the engine's level path, so both paths group alike.
+const TIE_TOL: f64 = ELAPSED_TIE_TOL;
 
 /// Bisection steps of the common-rate search on `[0, ρ_max]`. The search
 /// also stops at the first fixed point of `(lo, hi)`, after which further
@@ -63,6 +64,19 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// is too, and the predicate — hence `ρ` — is unchanged. Both stop at the
 /// first fixed point of the bisection. The 64-step reference
 /// implementation is kept as a test oracle (`tests/setf_equalizer.rs`).
+///
+/// # The level path
+///
+/// SETF declares [`AllocationStability::LeastElapsed`], so by default the
+/// engine runs it on its level path: the engine keeps the least-elapsed
+/// levels itself and asks [`Policy::equalize_curves`] for the served
+/// group's rate, given only its distinct curves and their member counts.
+/// A one-curve group is answered from the same memo as above, bit for bit
+/// what `assign` computes for it. A mixed group runs the same bisection
+/// with the demand `Σ count_c · Γ_c⁻¹(ρ)` over the distinct curves, `O(distinct
+/// curves)` per step; it differs from the member-order sum by rounding
+/// only. `assign` and the exhaustive path it drives stay as they are,
+/// and `EngineConfig::with_full_reassign` selects them as the oracle.
 #[derive(Debug, Default, Clone)]
 pub struct Setf {
     /// Positions in `jobs` of the tied least-elapsed group.
@@ -89,11 +103,11 @@ struct CurveTable {
 
 impl CurveTable {
     /// Sets `inverse[c] = Γ_c⁻¹(rho)` for each distinct curve `c`, with
-    /// `missing` standing in for a curve that saturates below `rho`.
-    fn invert(&mut self, jobs: &[AliveJob<'_>], rho: f64, missing: f64) {
+    /// `missing` standing in for a curve that saturates below `rho`;
+    /// `curve_of` maps a representative index to its curve.
+    fn invert<'c>(&mut self, curve_of: impl Fn(usize) -> &'c Curve, rho: f64, missing: f64) {
         for (&(j, kernel), x) in self.reps.iter().zip(self.inverse.iter_mut()) {
-            *x = jobs[j]
-                .curve()
+            *x = curve_of(j)
                 .inverse_rate_with(kernel, rho)
                 .unwrap_or(missing);
         }
@@ -131,7 +145,7 @@ fn index_curves(
         let curve = jobs[i].curve();
         let c = match reps
             .iter()
-            .position(|&(j, _)| same_curve(jobs[j].curve(), curve))
+            .position(|&(j, _)| jobs[j].curve().same_bits(curve))
         {
             Some(c) => c,
             None => {
@@ -143,6 +157,26 @@ fn index_curves(
     }
     inverse.clear();
     inverse.resize(reps.len(), 0.0);
+}
+
+/// Fills `reps` with one entry per element of `curves` (its index there
+/// and its compiled kernel) and `inverse` with one slot each: the
+/// count-weighted twin of [`index_curves`], for a group whose curves the
+/// caller has already tallied.
+fn index_counted(
+    curves: &[CurveCount<'_>],
+    reps: &mut Vec<(usize, Option<PowKernel>)>,
+    inverse: &mut Vec<f64>,
+) {
+    reps.clear();
+    reps.extend(
+        curves
+            .iter()
+            .enumerate()
+            .map(|(c, cc)| (c, cc.curve.kernel())),
+    );
+    inverse.clear();
+    inverse.resize(curves.len(), 0.0);
 }
 
 impl Setf {
@@ -173,7 +207,7 @@ impl Setf {
             // The sum over no members is 0 ≤ m at any rate.
             return f64::INFINITY;
         };
-        if group.iter().all(|&i| same_curve(jobs[i].curve(), curve)) {
+        if group.iter().all(|&i| jobs[i].curve().same_bits(curve)) {
             let g = group.len();
             let (rho, share) = match CurveKey::of(curve) {
                 Some(key) => memo.recall(key, g, m, || equalize_shared(curve, g, m)),
@@ -200,7 +234,7 @@ impl Setf {
             .map(|&(j, _)| jobs[j].curve().rate(m))
             .fold(f64::INFINITY, f64::min);
         let mut fits = |rho: f64| {
-            curves.invert(jobs, rho, f64::INFINITY);
+            curves.invert(|j| jobs[j].curve(), rho, f64::INFINITY);
             curves.fits(m)
         };
         // If even the saturation rate under-uses the machine, run saturated
@@ -211,7 +245,7 @@ impl Setf {
         } else {
             bisect(rho_max, fits)
         };
-        curves.invert(jobs, rho, m);
+        curves.invert(|j| jobs[j].curve(), rho, m);
         for (&i, &c) in group.iter().zip(&curves.member) {
             if let Some(&x) = curves.inverse.get(c) {
                 shares[i] = x.min(m);
@@ -313,10 +347,11 @@ fn equalize_shared(curve: &Curve, g: usize, m: f64) -> (f64, f64) {
 /// `S_g(x) ≤ m ⟺ x ≤ x*` for every non-NaN `x`. The search runs over the
 /// bit patterns of non-negative floats, which order like their values:
 /// exponential steps away from `m/g` (within about `g` ulps of `x*`),
-/// then binary search, `O(log g)` sums in all. Returns `−∞` when not
-/// even `x = 0` fits (`m < 0`).
+/// then binary search, `O(log g)` sums in all, each evaluated by
+/// [`repeated_sum`] in `O(log g)` additions. Returns `−∞` when not even
+/// `x = 0` fits (`m < 0`).
 fn sum_threshold(g: usize, m: f64) -> f64 {
-    let fits = |bits: u64| (0..g).map(|_| f64::from_bits(bits)).sum::<f64>() <= m;
+    let fits = |bits: u64| repeated_sum(f64::from_bits(bits), g) <= m;
     let start = (m / g as f64).to_bits().min(INF_BITS);
     // Invariant once set: `fits(lo)` and `!fits(hi)`, where
     // `hi = INF_BITS + 1` stands for "past +∞".
@@ -364,6 +399,58 @@ fn sum_threshold(g: usize, m: f64) -> f64 {
     f64::from_bits(lo)
 }
 
+/// `S_g(x)`, the left-fold `.sum()` of `g` copies of `x ≥ 0` (or NaN),
+/// bit for bit, in `O(log g)` additions instead of `g`.
+///
+/// Between two powers of two every partial sum is a multiple of the same
+/// ulp `u`, and adding `x` rounds to that grid. Write `x = (q + f)·u`:
+/// unless `f = ½`, every step adds the same `round(q + f)·u`. When `f = ½`
+/// the step rounds to even, which leaves an even multiple of `u`, and from
+/// an even multiple every later step adds the same (`q` or `q + 1`,
+/// whichever is even). So once three consecutive partial sums share a
+/// binade, the last step's increment repeats for as long as the exact sum
+/// stays below the binade's top, and those steps are taken at once (their
+/// count is underestimated by a margin, never over). Steps that cross
+/// into the next binade are taken one addition at a time.
+fn repeated_sum(x: f64, g: usize) -> f64 {
+    let Some(mut left) = g.checked_sub(1) else {
+        return std::iter::empty::<f64>().sum();
+    };
+    let mut s: f64 = std::iter::once(x).sum();
+    let binade = |v: f64| v.to_bits() >> 52;
+    // Consecutive partial sums in the binade of `s`, `s` included.
+    let mut run = 1;
+    while left > 0 {
+        let prev = s;
+        s += x;
+        left -= 1;
+        if s.to_bits() == prev.to_bits() || !s.is_finite() {
+            // A sum that stopped growing, or ∞, or NaN, stays.
+            break;
+        }
+        run = if binade(s) == binade(prev) {
+            run + 1
+        } else {
+            1
+        };
+        let top = f64::from_bits((binade(s) + 1) << 52);
+        if run < 3 || left == 0 || !top.is_finite() {
+            continue;
+        }
+        // In units of the binade's ulp: `s + j·d + x` stays below the top
+        // for every step `j < k`.
+        let u = f64::from_bits(s.to_bits() + 1) - s;
+        let d = s - prev;
+        let k = (((top - s) / u - x / u) / (d / u) - 2.0).floor();
+        if k >= 1.0 {
+            let k = (k as usize).min(left);
+            s += k as f64 * d;
+            left -= k;
+        }
+    }
+    s
+}
+
 /// The largest rate in `[0, rho_max]` that `fits`, by bisection: at most
 /// [`BISECTION_STEPS`] halvings, stopping at the first fixed point.
 fn bisect(rho_max: f64, mut fits: impl FnMut(f64) -> bool) -> f64 {
@@ -378,28 +465,6 @@ fn bisect(rho_max: f64, mut fits: impl FnMut(f64) -> bool) -> f64 {
         hi = next_hi;
     }
     lo
-}
-
-/// Whether two curves are the same bit for bit (so every evaluation of
-/// one is an evaluation of the other).
-fn same_curve(a: &Curve, b: &Curve) -> bool {
-    match (a, b) {
-        (Curve::FullyParallel, Curve::FullyParallel) | (Curve::Sequential, Curve::Sequential) => {
-            true
-        }
-        (Curve::Power { alpha: x }, Curve::Power { alpha: y })
-        | (Curve::Amdahl { serial_fraction: x }, Curve::Amdahl { serial_fraction: y }) => {
-            x.to_bits() == y.to_bits()
-        }
-        (Curve::Piecewise(p), Curve::Piecewise(q)) => {
-            p.points().len() == q.points().len()
-                && p.points()
-                    .iter()
-                    .zip(q.points())
-                    .all(|(u, v)| u.0.to_bits() == v.0.to_bits() && u.1.to_bits() == v.1.to_bits())
-        }
-        _ => false,
-    }
 }
 
 /// Elapsed work `p_j − p_j(t)` (never negative, never NaN).
@@ -478,9 +543,57 @@ impl Policy for Setf {
     }
 
     fn stability(&self) -> AllocationStability {
-        // The least-elapsed group shifts continuously as jobs accrue
-        // service; rate equalization has no SRPT-prefix structure.
-        AllocationStability::General
+        // The served group is the least-elapsed tie group, drained at one
+        // common rate: the level path's contract.
+        AllocationStability::LeastElapsed
+    }
+
+    fn equalize_curves(
+        &mut self,
+        m: f64,
+        curves: &[CurveCount<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        let first = curves.first()?.curve;
+        if curves.iter().all(|c| c.curve.same_bits(first)) {
+            // One curve (piecewise curves arrive one entry per job, so
+            // equal ones are pooled here): the memoized answer, the same
+            // bits `assign` gives this group.
+            let g = curves.iter().map(|c| c.count).sum();
+            let (rho, share) = match CurveKey::of(first) {
+                Some(key) => self.memo.recall(key, g, m, || equalize_shared(first, g, m)),
+                None => equalize_shared(first, g, m),
+            };
+            shares.fill(share);
+            return Some(rho);
+        }
+        // Mixed curves: bisect on the count-weighted demand, one inverse
+        // per distinct curve per step, the sum stopped once it exceeds m.
+        let table = &mut self.curves;
+        index_counted(curves, &mut table.reps, &mut table.inverse);
+        let curve_of = |c: usize| curves.get(c).map_or(first, |cc| cc.curve);
+        let rho_max = curves
+            .iter()
+            .map(|c| c.curve.rate(m))
+            .fold(f64::INFINITY, f64::min);
+        let mut fits = |rho: f64| {
+            table.invert(curve_of, rho, f64::INFINITY);
+            let mut demand = 0.0;
+            curves.iter().zip(&table.inverse).all(|(c, &x)| {
+                demand += c.count as f64 * x;
+                demand <= m
+            })
+        };
+        let rho = if fits(rho_max) {
+            rho_max
+        } else {
+            bisect(rho_max, fits)
+        };
+        table.invert(curve_of, rho, m);
+        for (share, &x) in shares.iter_mut().zip(&table.inverse) {
+            *share = x.min(m);
+        }
+        Some(rho)
     }
 
     fn srpt_ordered(&self) -> bool {
@@ -494,6 +607,57 @@ mod tests {
     use super::*;
     use parsched_sim::{simulate, Instance, JobId, JobSpec};
     use parsched_speedup::Curve;
+
+    /// `repeated_sum` is the plain left fold, bit for bit: on magnitudes
+    /// from subnormal to huge, on values with few significant bits (whose
+    /// additions tie), on ones that stop growing the sum, and at every
+    /// group size up to a few thousand as well as at large ones.
+    #[test]
+    fn repeated_sum_is_the_left_fold() {
+        let naive = |x: f64, g: usize| (0..g).map(|_| x).sum::<f64>();
+        let mut state = 0x0005_eed5_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let mut xs = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            0.1,
+            1.5,
+            3.0,
+            1e-300,
+            1e300,
+            f64::MAX / 4.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for _ in 0..200 {
+            let bits = next();
+            let mantissa = match bits % 3 {
+                // Few significant bits: ties on the sum's grid.
+                0 => (bits >> 2) & 0x7,
+                1 => (bits >> 2) & 0xff_ffff,
+                _ => (bits >> 2) & ((1 << 52) - 1),
+            };
+            let exponent = 1023 - 40 + (next() % 80);
+            xs.push(f64::from_bits((exponent << 52) | mantissa));
+        }
+        for &x in &xs {
+            for g in (0..64).chain([100, 1_000, 4_097, 65_536, 300_001]) {
+                let (got, want) = (repeated_sum(x, g), naive(x, g));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "x {x:e} g {g}: {got} vs {want}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn fresh_identical_jobs_share_equally() {

@@ -1,12 +1,14 @@
 //! Differential tests: the incremental `O(log n)`-per-event engine path
-//! must compute the *same schedule* as the legacy full-reassign path.
+//! and the level path must compute the *same schedule* as the legacy
+//! full-reassign path.
 //!
 //! The legacy path (`EngineConfig::with_full_reassign(true)`) calls the
-//! policy's `prefix_allocation` at every event and rebuilds every share
-//! from scratch — slow but obviously correct, which makes it the oracle.
-//! The incremental path maintains the SRPT order and the allocation
-//! profile across events and must agree on every per-job completion time
-//! and every aggregate metric. Event *counts* may legitimately differ
+//! policy's `assign` at every event and rebuilds every share from scratch
+//! — slow but obviously correct, which makes it the oracle. The
+//! incremental path maintains the SRPT order and the allocation profile
+//! across events, the level path (SETF) the least-elapsed levels and the
+//! served level's common rate; both must agree on every per-job
+//! completion time and every aggregate metric. Event *counts* may legitimately differ
 //! (the incremental path coalesces some zero-length intervals), so they
 //! are deliberately not compared; completion times may differ by float
 //! ulps because the two paths evaluate algebraically-equal expressions in
@@ -14,10 +16,10 @@
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    simulate, Engine, EngineConfig, Instance, JobId, JobSpec, NullObserver, RunOutcome,
-    StaticSource,
+    simulate, simulate_audited, simulate_streaming, AuditLevel, Engine, EngineConfig, EnginePath,
+    Instance, JobId, JobSpec, NullObserver, RunOutcome, StaticSource,
 };
-use parsched_speedup::Curve;
+use parsched_speedup::{Curve, PiecewiseLinear};
 use proptest::prelude::*;
 
 /// Relative tolerance for comparing the two paths' float results.
@@ -47,8 +49,9 @@ fn run(inst: &Instance, kind: PolicyKind, m: f64, full_reassign: bool) -> RunOut
 /// Every registry policy the differential harness sweeps. Policies with
 /// `General` stability run the exhaustive path in both configurations, so
 /// for them this is a self-consistency check; the SRPT-prefix family
-/// (Intermediate/Sequential/Parallel/Threshold-SRPT, EQUI) is where the
-/// two paths genuinely diverge in implementation.
+/// (Intermediate/Sequential/Parallel/Threshold-SRPT, EQUI) on the
+/// incremental path and SETF on the level path are where the two
+/// configurations genuinely diverge in implementation.
 fn registry() -> Vec<PolicyKind> {
     let mut kinds = PolicyKind::all_standard();
     kinds.push(PolicyKind::Threshold(2.0));
@@ -208,4 +211,88 @@ fn simulate_entry_point_agrees_with_legacy() {
     let inc = simulate(&inst, policy.as_mut(), 4.0).unwrap();
     let leg = run(&inst, PolicyKind::IntermediateSrpt, 4.0, true);
     assert_equivalent(PolicyKind::IntermediateSrpt, &inc, &leg);
+}
+
+/// A Poisson-like stream of `n` jobs on `m` processors at about `load`,
+/// curves drawn from the power family, Amdahl, the two extremes and a
+/// piecewise curve, sizes log-uniform over `[1/4, 16]`.
+fn mixed_stream(n: usize, m: f64, load: f64, seed: u64) -> Instance {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let pwl = Curve::Piecewise(
+        PiecewiseLinear::new(vec![(0.0, 0.0), (1.0, 1.0), (4.0, 2.5), (16.0, 4.0)]).unwrap(),
+    );
+    let mut t = 0.0;
+    let jobs = (0..n)
+        .map(|i| {
+            let size = 0.25 * 64f64.powf(unit());
+            let curve = match (unit() * 7.0) as u32 {
+                0 => Curve::power(0.25),
+                1 => Curve::power(0.5),
+                2 => Curve::power(0.75),
+                3 => Curve::try_amdahl(0.1).unwrap(),
+                4 => Curve::Sequential,
+                5 => Curve::FullyParallel,
+                _ => pwl.clone(),
+            };
+            // Mean size ≈ 3.8 and a unit-speed rate of about √m per
+            // busy machine: gaps sized for `load`.
+            t += -(1.0 - unit()).ln() * 3.8 / (load * m.sqrt());
+            JobSpec::new(JobId(i as u64), t, size, curve)
+        })
+        .collect();
+    Instance::new(jobs).unwrap()
+}
+
+/// SETF's level path against its exhaustive oracle on longer mixed-curve
+/// streams than the proptests draw, at several loads and machine sizes
+/// (fractional included): the same schedule within the tolerance, strict
+/// audits clean on the level path, and streaming bit-identical to in
+/// memory there.
+#[test]
+fn setf_level_path_matches_the_exhaustive_oracle_on_mixed_streams() {
+    let kind = PolicyKind::Setf;
+    for (seed, m, load) in [(1, 2.0, 0.8), (2, 8.0, 0.9), (3, 8.5, 1.3), (4, 4.0, 2.0)] {
+        let inst = mixed_stream(300, m, load, seed);
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let engine = Engine::new(EngineConfig::new(m), policy.as_mut(), &mut source, &mut obs);
+        assert_eq!(engine.path(), EnginePath::Levels);
+        let levels = engine.run().unwrap();
+        let oracle = run(&inst, kind, m, true);
+        assert_equivalent(kind, &levels, &oracle);
+        let audited = simulate_audited(&inst, kind.build().as_mut(), m, AuditLevel::Strict)
+            .unwrap_or_else(|e| panic!("seed {seed}: strict audit on the level path: {e}"));
+        assert_eq!(
+            audited.metrics.total_flow.to_bits(),
+            levels.metrics.total_flow.to_bits()
+        );
+        let streamed =
+            simulate_streaming(&mut StaticSource::new(&inst), kind.build().as_mut(), m).unwrap();
+        for (what, a, b) in [
+            (
+                "total_flow",
+                streamed.metrics.total_flow,
+                levels.metrics.total_flow,
+            ),
+            (
+                "fractional_flow",
+                streamed.metrics.fractional_flow,
+                levels.metrics.fractional_flow,
+            ),
+            (
+                "makespan",
+                streamed.metrics.makespan,
+                levels.metrics.makespan,
+            ),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: streaming {what}");
+        }
+    }
 }

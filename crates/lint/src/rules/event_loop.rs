@@ -6,7 +6,7 @@
 //! warm-up, stepping events neither allocates nor panics. The dynamic
 //! test only sees the configurations it runs; this rule complements it
 //! statically: from the event-loop roots (`Engine::run*`, `Engine::step`,
-//! `SrptSet` mutation) every reachable
+//! `SrptSet` and `LevelStack` mutation) every reachable
 //! function is checked for panic sinks (`unwrap`/`expect`, panic macros,
 //! unchecked indexing) and allocation sinks (`Vec::push`, `Box::new`,
 //! `format!`, …).
@@ -140,7 +140,9 @@ pub fn event_loop_roots(graph: &CallGraph) -> Vec<usize> {
         };
         let name = f.def.name.as_str();
         let is_root = (owner == "Engine" && ENGINE_ROOTS.contains(&name))
-            || (owner == "SrptSet" && f.def.mut_self && !NON_LOOP_METHODS.contains(&name));
+            || (matches!(owner, "SrptSet" | "LevelStack")
+                && f.def.mut_self
+                && !NON_LOOP_METHODS.contains(&name));
         if is_root {
             roots.push(id);
         }
@@ -209,8 +211,8 @@ impl Rule for EventLoopReachability {
     }
 
     fn summary(&self) -> &'static str {
-        "panic or allocation reachable from an event-loop root (Engine::run*/step, SrptSet \
-         mutation); the steady-state loop must be panic- and alloc-free"
+        "panic or allocation reachable from an event-loop root (Engine::run*/step, SrptSet or \
+         LevelStack mutation); the steady-state loop must be panic- and alloc-free"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {

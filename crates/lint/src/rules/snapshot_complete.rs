@@ -2,7 +2,7 @@
 //!
 //! The snapshot codec round-trips the engine mid-run (suspend/resume,
 //! fleet migration). Its failure mode is silent: add a field to `Engine`'s
-//! `RunState`, `JobArena`, or `SrptSet`, forget the codec, and every test that doesn't
+//! `RunState`, `JobArena`, `SrptSet`, or `LevelStack`, forget the codec, and every test that doesn't
 //! cross a suspend point still passes — restore just resurrects a subtly
 //! different engine. This rule makes the omission a lint error: every
 //! field of the participating structs must be *referenced* both somewhere
@@ -36,6 +36,12 @@ const CHECKED: &[&str] = &[
     "RunState",
     "JobArena",
     "SrptSet",
+    "LevelStack",
+    "Level",
+    "LevelsSnap",
+    "LevelSnap",
+    "LevelEntrySnap",
+    "Tally",
     "Snapshot",
     "SnapCfg",
     "SnapJob",

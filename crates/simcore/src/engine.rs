@@ -6,16 +6,24 @@
 //! processes `O(arrivals + completions + quanta)` events — no time
 //! discretization, no drift.
 //!
-//! Per-event cost depends on the policy. The *exhaustive* path rebuilds the
-//! full `(jobs, shares)` view and calls [`Policy::assign`] at every event:
-//! `O(n)` per event, correct for arbitrary policies. Policies that declare
+//! Per-event cost depends on the policy, through one of three paths. The
+//! *exhaustive* path rebuilds the full `(jobs, shares)` view and calls
+//! [`Policy::assign`] at every event: `O(n)` per event, correct for
+//! arbitrary policies. Policies that declare
 //! [`AllocationStability::SrptPrefix`] — the SRPT family and EQUI — instead
 //! run on the *incremental* path: the engine maintains the alive set in
 //! SRPT order itself ([`crate::srpt_set`]), applies the policy's
 //! `(count, share)` prefix profile directly, and advances uniform-drain
 //! intervals with an `O(1)` offset bump, for `O(log n)` per event overall.
+//! Policies that declare [`AllocationStability::LeastElapsed`] — SETF —
+//! run on the *level* path: the engine keeps the alive set as a stack of
+//! equal-elapsed levels ([`crate::level_stack`]), drains the top one at
+//! the common rate [`Policy::equalize_curves`] gives for its distinct
+//! curves, and merges it into the level below when it catches up, also
+//! `O(log n)` per event (amortized over the merges).
 //! [`EngineConfig::with_full_reassign`] forces the exhaustive path, which
-//! keeps it available as a differential oracle (see `docs/PERF.md`).
+//! keeps it available as a differential oracle for both (see
+//! `docs/PERF.md`).
 //!
 //! Orthogonally to the per-event strategy, [`EngineConfig::with_streaming`]
 //! bounds *memory* by the alive set instead of the total job count:
@@ -33,9 +41,10 @@ use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
 use crate::job::{Instance, JobId, JobSpec, Time, Work};
 use crate::kahan::NeumaierSum;
+use crate::level_stack::{CurveTag, LevelStack};
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
 use crate::observer::{NullObserver, Observer};
-use crate::policy::{AliveJob, AllocationStability, Policy, PrefixAllocation};
+use crate::policy::{AliveJob, AllocationStability, CurveCount, Policy, PrefixAllocation};
 use crate::snapshot::{SnapCfg, SnapInterval, SnapJob, Snapshot};
 use crate::source::{ArrivalSource, StaticSource, SystemView};
 use crate::srpt_set::{Placement, SrptSet};
@@ -426,6 +435,9 @@ enum ExecMode {
     Exhaustive,
     /// SRPT-ordered alive set + prefix profile; no `assign` calls.
     Incremental,
+    /// Least-elapsed level stack + the policy's common-rate equalizer; no
+    /// `assign` calls.
+    Levels,
 }
 
 /// How the current constant-allocation interval drains (incremental path).
@@ -575,6 +587,18 @@ struct RunState {
     admitted: usize,
     /// High-water mark of the alive set.
     peak_alive: usize,
+    /// Level path: the alive set as a stack of equal-elapsed levels.
+    levels: LevelStack,
+    /// Level path: the buffer behind every view of the served level's
+    /// distinct curves handed to [`Policy::equalize_curves`], empty
+    /// between uses (the curve-view twin of `views`).
+    // lint:allow(L009) empty between events; it only lends its capacity to each curve view, so there is nothing to capture
+    level_curves: Vec<CurveCount<'static>>,
+    /// Level path: the share of each distinct curve of the served level
+    /// (valid when `alloc_fresh`). The drain itself runs on the interval
+    /// rate; only audit frames read the shares.
+    // lint:allow(L009) read only by audit frames, and snapshots require auditing off; the next refresh recomputes them
+    level_shares: Vec<f64>,
     /// Per-phase wall-clock totals (see [`crate::hotpath`]); pure
     /// diagnostics, armed by [`EngineConfig::hotpath_profile`].
     #[cfg(feature = "hotpath")]
@@ -602,6 +626,9 @@ pub struct EngineBuffers {
     rates: Vec<f64>,
     views: Vec<AliveJob<'static>>,
     srpt: SrptSet,
+    levels: LevelStack,
+    level_curves: Vec<CurveCount<'static>>,
+    level_shares: Vec<f64>,
     scratch_moves: Vec<(usize, Placement)>,
     scratch_batch: Vec<JobSpec>,
     completed: Vec<CompletedJob>,
@@ -625,6 +652,9 @@ impl EngineBuffers {
         self.rates.clear();
         self.views.clear();
         self.srpt.reset();
+        self.levels.reset();
+        self.level_curves.clear();
+        self.level_shares.clear();
         self.scratch_moves.clear();
         self.scratch_batch.clear();
         self.completed.clear();
@@ -694,17 +724,19 @@ impl ParkedEngine {
 }
 
 /// The execution path for a run of `policy` under `cfg` watched by
-/// `observer`: the incremental `O(log n)` path when the policy declares
-/// [`AllocationStability::SrptPrefix`], the observer does not consume the
-/// allocation stream, and [`EngineConfig::full_reassign`] is off.
+/// `observer`: when the observer does not consume the allocation stream
+/// and [`EngineConfig::full_reassign`] is off, the incremental path for a
+/// policy declaring [`AllocationStability::SrptPrefix`] and the level path
+/// for one declaring [`AllocationStability::LeastElapsed`]; the exhaustive
+/// path otherwise.
 fn exec_mode(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -> ExecMode {
-    if !cfg.full_reassign
-        && policy.stability() == AllocationStability::SrptPrefix
-        && !observer.needs_allocation_stream()
-    {
-        ExecMode::Incremental
-    } else {
-        ExecMode::Exhaustive
+    if cfg.full_reassign || observer.needs_allocation_stream() {
+        return ExecMode::Exhaustive;
+    }
+    match policy.stability() {
+        AllocationStability::General => ExecMode::Exhaustive,
+        AllocationStability::SrptPrefix => ExecMode::Incremental,
+        AllocationStability::LeastElapsed => ExecMode::Levels,
     }
 }
 
@@ -753,7 +785,15 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
             what: format!("snapshot {name} = {v} is out of range"),
         })
     };
-    for (name, v) in [("clock.now", snap.now), ("srpt.drain", snap.srpt.drain)] {
+    let level_drains = snap
+        .levels
+        .iter()
+        .flat_map(|l| &l.levels)
+        .map(|l| ("levels.drain", l.drain));
+    for (name, v) in [("clock.now", snap.now), ("srpt.drain", snap.srpt.drain)]
+        .into_iter()
+        .chain(level_drains)
+    {
         if !(v.is_finite() && v >= 0.0) {
             return bad(name, v);
         }
@@ -790,7 +830,21 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
         ("sink.makespan", sink.makespan),
     ])
     .chain(snap.shares.iter().map(|&v| ("exhaustive.shares", v)))
-    .chain(snap.rates.iter().map(|&v| ("exhaustive.rates", v)));
+    .chain(snap.rates.iter().map(|&v| ("exhaustive.rates", v)))
+    .chain(snap.levels.iter().flat_map(|l| {
+        std::iter::once(("levels.frozen", l.frozen)).chain(
+            l.levels
+                .iter()
+                .flat_map(|level| [("levels.s1", level.s1), ("levels.sk", level.sk)]),
+        )
+    }))
+    .chain(
+        snap.levels
+            .iter()
+            .flat_map(|l| &l.levels)
+            .flat_map(|l| &l.entries)
+            .map(|e| ("levels.key", e.key)),
+    );
     for (name, v) in finite {
         if !v.is_finite() {
             return bad(name, v);
@@ -799,11 +853,12 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Hands a view buffer's capacity back to its `'static` slot in the run
-/// state. The buffer is emptied, so the in-place collect into the same
-/// element type at another lifetime (same size and alignment) keeps its
+/// Hands a borrowed-view buffer's capacity back to its `'static` slot in
+/// the run state (the alive-job views and the level path's curve views).
+/// The buffer is emptied, so the in-place collect into the same element
+/// type at another lifetime (same size and alignment) keeps its
 /// allocation; `tests/engine_zero_alloc.rs` audits that it does.
-fn recycle_views(mut views: Vec<AliveJob<'_>>) -> Vec<AliveJob<'static>> {
+fn recycle_views<T, U>(mut views: Vec<T>) -> Vec<U> {
     views.clear();
     // lint:allow(L007) in-place collect of an emptied Vec into the same element layout keeps its allocation (audited by tests/engine_zero_alloc.rs)
     views.into_iter().map_while(|_| None).collect()
@@ -895,6 +950,9 @@ impl<'a> Engine<'a> {
                 views: bufs.views,
                 completion_candidate: None,
                 srpt: bufs.srpt,
+                levels: bufs.levels,
+                level_curves: bufs.level_curves,
+                level_shares: bufs.level_shares,
                 profile: PrefixAllocation {
                     count: 0,
                     share: 0.0,
@@ -937,6 +995,9 @@ impl<'a> Engine<'a> {
         self.state.views.clear();
         self.state.completion_candidate = None;
         self.state.srpt.reset();
+        self.state.levels.reset();
+        self.state.level_curves.clear();
+        self.state.level_shares.clear();
         self.state.profile = PrefixAllocation {
             count: 0,
             share: 0.0,
@@ -980,6 +1041,9 @@ impl<'a> Engine<'a> {
             rates: std::mem::take(&mut self.state.rates),
             views: std::mem::take(&mut self.state.views),
             srpt: std::mem::take(&mut self.state.srpt),
+            levels: std::mem::take(&mut self.state.levels),
+            level_curves: std::mem::take(&mut self.state.level_curves),
+            level_shares: std::mem::take(&mut self.state.level_shares),
             scratch_moves: std::mem::take(&mut self.state.scratch_moves),
             scratch_batch: std::mem::take(&mut self.state.scratch_batch),
             completed: std::mem::take(&mut self.state.completed),
@@ -1000,10 +1064,19 @@ impl<'a> Engine<'a> {
         self.state.now
     }
 
-    /// Whether this engine runs the incremental `O(log n)`-per-event path
-    /// (as opposed to the exhaustive per-event reassignment path).
+    /// Whether this engine runs the incremental `O(log n)`-per-event SRPT
+    /// path (as opposed to the exhaustive or the level path).
     pub fn uses_incremental_path(&self) -> bool {
         self.state.mode == ExecMode::Incremental
+    }
+
+    /// Which execution path this run takes (fixed at construction).
+    pub fn path(&self) -> EnginePath {
+        match self.state.mode {
+            ExecMode::Exhaustive => EnginePath::Exhaustive,
+            ExecMode::Incremental => EnginePath::Incremental,
+            ExecMode::Levels => EnginePath::Levels,
+        }
     }
 
     /// Number of unfinished released jobs `|A(t)|`.
@@ -1011,6 +1084,7 @@ impl<'a> Engine<'a> {
         match self.state.mode {
             ExecMode::Exhaustive => self.state.alive.len(),
             ExecMode::Incremental => self.state.srpt.len(),
+            ExecMode::Levels => self.state.levels.len(),
         }
     }
 
@@ -1046,6 +1120,8 @@ impl<'a> Engine<'a> {
         self.state.ids.get(id).map(|i| {
             if self.state.jobs.done[i] {
                 0.0
+            } else if self.state.mode == ExecMode::Levels {
+                self.state.levels.remaining_of(i).unwrap_or(0.0)
             } else if self.state.jobs.in_running[i] {
                 (self.state.jobs.run_key[i] - self.state.srpt.drain_offset()).max(0.0)
             } else {
@@ -1079,6 +1155,13 @@ impl<'a> Engine<'a> {
                 .iter_alive(&self.state.jobs.specs)
                 .map(|(i, remaining)| snap(i, remaining))
                 .collect(),
+            ExecMode::Levels => {
+                let mut out = Vec::with_capacity(self.state.levels.len());
+                self.state
+                    .levels
+                    .for_each(|slot, remaining, _| out.push(snap(slot.idx, remaining)));
+                out
+            }
         }
     }
 
@@ -1144,6 +1227,8 @@ impl<'a> Engine<'a> {
             shares: self.state.shares.clone(),
             rates: self.state.rates.clone(),
             srpt: self.state.srpt.snapshot_state(&self.state.jobs.specs),
+            levels: (self.state.mode == ExecMode::Levels)
+                .then(|| self.state.levels.snapshot_state(&self.state.jobs.specs)),
             completed: self.state.completed.clone(),
         })
     }
@@ -1186,16 +1271,18 @@ impl<'a> Engine<'a> {
                 snap.cfg
             )));
         }
-        if (self.state.mode == ExecMode::Incremental) != snap.incremental {
+        let snap_mode = if snap.levels.is_some() {
+            ExecMode::Levels
+        } else if snap.incremental {
+            ExecMode::Incremental
+        } else {
+            ExecMode::Exhaustive
+        };
+        if self.state.mode != snap_mode || (snap.levels.is_some() && snap.incremental) {
             return Err(bad(format!(
-                "restore path mismatch: engine is {:?} but the snapshot was taken on the {} path \
-                 (policy stability and observer must match the original run)",
+                "restore path mismatch: engine is {:?} but the snapshot was taken on the \
+                 {snap_mode:?} path (policy stability and observer must match the original run)",
                 self.state.mode,
-                if snap.incremental {
-                    "incremental"
-                } else {
-                    "exhaustive"
-                },
             )));
         }
         if self.state.policy_name != snap.policy_name {
@@ -1270,29 +1357,59 @@ impl<'a> Engine<'a> {
                 "snapshot references arena slot {idx} (arena holds {n})"
             )));
         }
-        // The SRPT set breaks key ties by reading each entry's arena spec,
-        // so an entry must describe the job its slot holds, bit for bit.
-        for (part, entries) in [
-            ("running", &snap.srpt.running),
-            ("queued", &snap.srpt.queued),
-        ] {
-            for e in entries {
-                let spec = &snap.jobs[e.idx].spec;
-                let field = if e.release.to_bits() != spec.release.to_bits() {
-                    "release"
-                } else if e.id != spec.id {
-                    "id"
-                } else if e.size.to_bits() != spec.size.to_bits() {
-                    "size"
-                } else {
-                    continue;
-                };
+        // The SRPT set and the level heaps break key ties by reading each
+        // entry's arena spec, so an entry must describe the job its slot
+        // holds, bit for bit.
+        let level_entries = snap
+            .levels
+            .iter()
+            .flat_map(|l| &l.levels)
+            .flat_map(|l| &l.entries)
+            .map(|e| ("levels", e.idx, e.release, e.id, e.size));
+        let set_entries = [
+            ("srpt.running", &snap.srpt.running),
+            ("srpt.queued", &snap.srpt.queued),
+        ]
+        .into_iter()
+        .flat_map(|(part, entries)| {
+            entries
+                .iter()
+                .map(move |e| (part, e.idx, e.release, e.id, e.size))
+        });
+        for (part, idx, release, id, size) in set_entries.chain(level_entries) {
+            let Some(slot) = snap.jobs.get(idx) else {
                 return Err(bad(format!(
-                    "snapshot srpt.{part} entry for arena slot {} disagrees with the slot's \
-                     spec on {field}",
-                    e.idx
+                    "snapshot references arena slot {idx} (arena holds {n})"
                 )));
-            }
+            };
+            let spec = &slot.spec;
+            let field = if release.to_bits() != spec.release.to_bits() {
+                "release"
+            } else if id != spec.id {
+                "id"
+            } else if size.to_bits() != spec.size.to_bits() {
+                "size"
+            } else {
+                continue;
+            };
+            return Err(bad(format!(
+                "snapshot {part} entry for arena slot {idx} disagrees with the slot's spec on \
+                 {field}"
+            )));
+        }
+        if let Some(slot) = snap
+            .levels
+            .iter()
+            .flat_map(|l| &l.levels)
+            .flat_map(|l| &l.tally)
+            .find_map(|t| match t.tag {
+                CurveTag::Own(slot) if slot as usize >= n => Some(slot),
+                _ => None,
+            })
+        {
+            return Err(bad(format!(
+                "snapshot level tally references arena slot {slot} (arena holds {n})"
+            )));
         }
         if !self.source.fast_forward(snap.admitted) {
             return Err(bad(format!(
@@ -1371,6 +1488,11 @@ impl<'a> Engine<'a> {
         self.state
             .srpt
             .restore_state(&snap.srpt, &self.state.jobs.specs);
+        if let Some(levels) = &snap.levels {
+            self.state
+                .levels
+                .restore_state(levels, &self.state.jobs.specs);
+        }
         self.state.profile = PrefixAllocation {
             count: snap.profile_count,
             share: snap.profile_share,
@@ -1478,6 +1600,12 @@ impl<'a> Engine<'a> {
                             remaining,
                         }));
                     }
+                    ExecMode::Levels => state.levels.for_each(|slot, remaining, _| {
+                        views.push(AliveJob {
+                            spec: &specs[slot.idx],
+                            remaining,
+                        });
+                    }),
                 }
                 let view = SystemView {
                     now: state.now,
@@ -1576,13 +1704,16 @@ impl<'a> Engine<'a> {
                     jobs.in_running[idx] = false;
                     jobs.done[idx] = false;
                 }
-                match self.state.mode {
-                    ExecMode::Exhaustive => self.state.alive.push(idx),
-                    ExecMode::Incremental => {
-                        let (specs, mut lanes) = jobs.split_placement();
-                        let placement = self.state.srpt.insert(idx, remaining, specs);
-                        lanes.apply(idx, placement);
-                    }
+                // The specialized loop (`NOTIFY` off) only ever runs the
+                // incremental path, so it skips the mode dispatch.
+                if !NOTIFY || self.state.mode == ExecMode::Incremental {
+                    let (specs, mut lanes) = jobs.split_placement();
+                    let placement = self.state.srpt.insert(idx, remaining, specs);
+                    lanes.apply(idx, placement);
+                } else if self.state.mode == ExecMode::Levels {
+                    self.state.levels.admit(idx, remaining, &jobs.specs);
+                } else {
+                    self.state.alive.push(idx);
                 }
             }
             self.state.scratch_batch = batch;
@@ -1597,6 +1728,7 @@ impl<'a> Engine<'a> {
 
     /// Revalidates the allocation for the interval starting now:
     /// [`Engine::refresh_allocation`] on the exhaustive path,
+    /// [`Engine::refresh_levels`] on the level path,
     /// [`Engine::refresh_profile`] on the incremental one. `GENERIC` is
     /// the event loop's instantiation flag; the specialized loop only
     /// ever runs the incremental path, so it skips the mode dispatch.
@@ -1604,9 +1736,94 @@ impl<'a> Engine<'a> {
     fn refresh<const GENERIC: bool>(&mut self) -> Result<(), SimError> {
         if GENERIC && self.state.mode == ExecMode::Exhaustive {
             self.refresh_allocation()
+        } else if GENERIC && self.state.mode == ExecMode::Levels {
+            self.refresh_levels()
         } else {
             self.refresh_profile()
         }
+    }
+
+    /// Level-path refresh: merges the levels tied with the served one,
+    /// asks the policy for the served level's common rate and per-curve
+    /// shares ([`Policy::equalize_curves`], given its distinct curves and
+    /// their counts), validates them as the exhaustive path would, and
+    /// schedules the interval: a uniform drain at the served level's
+    /// rate, its front completion, and the catch-up with the level below
+    /// as the re-decision deadline. `O(distinct curves)` plus the
+    /// policy's equalizer, and the amortized merge cost.
+    ///
+    /// The drain rate is `speed·Γ(share)` of the level's first curve.
+    /// The other curves' rates differ from it by rounding only, since
+    /// each share is its curve's inverse at the common rate.
+    fn refresh_levels(&mut self) -> Result<(), SimError> {
+        self.state.quantum_deadline = None;
+        self.state.next_completion = None;
+        let state = &mut self.state;
+        state.levels.settle(&state.jobs.specs);
+        let mut curves: Vec<CurveCount<'_>> = std::mem::take(&mut state.level_curves);
+        state.levels.top_curves(&state.jobs.specs, &mut curves);
+        if curves.is_empty() {
+            state.level_curves = recycle_views(curves);
+            state.interval = IntervalKind::Idle;
+            state.alloc_fresh = true;
+            return Ok(());
+        }
+        let m = state.cfg.m;
+        state.level_shares.clear();
+        state.level_shares.resize(curves.len(), 0.0);
+        let rho = self
+            .policy
+            .equalize_curves(m, &curves, &mut state.level_shares);
+        let mut total = 0.0;
+        let mut invalid = None;
+        for (c, share) in curves.iter().zip(&mut state.level_shares) {
+            if !share.is_finite() || *share < -EPS {
+                invalid = Some(*share);
+                break;
+            }
+            *share = share.max(0.0);
+            total += c.count as f64 * *share;
+        }
+        let rate = match (curves.first(), state.level_shares.first()) {
+            (Some(c), Some(&share)) => state.cfg.speed * c.curve.rate(share),
+            _ => 0.0,
+        };
+        state.level_curves = recycle_views(curves);
+        // A policy that declares the level contract but returns no rate
+        // has answered with no valid share.
+        let invalid = if rho.is_none() {
+            Some(f64::NAN)
+        } else {
+            invalid
+        };
+        let checked = if let Some(share) = invalid {
+            Err(SimError::InvalidShare {
+                at: state.now,
+                share,
+                policy: self.policy.name(),
+            })
+        } else if total > m * (1.0 + 1e-9) + EPS {
+            Err(SimError::InfeasibleAllocation {
+                at: state.now,
+                requested: total,
+                available: m,
+                policy: self.policy.name(),
+            })
+        } else {
+            Ok(())
+        };
+        checked?;
+        if rate > 0.0 {
+            if let Some((_, rem)) = state.levels.front() {
+                state.next_completion = Some(state.now + rem / rate);
+            }
+            if let Some(gap) = state.levels.catch_up_gap() {
+                state.quantum_deadline = Some(state.now + gap.max(0.0) / rate);
+            }
+        }
+        state.interval = IntervalKind::Uniform { rate };
+        state.alloc_fresh = true;
+        Ok(())
     }
 
     /// Incremental-path allocation refresh: applies the policy's prefix
@@ -1955,6 +2172,7 @@ impl<'a> Engine<'a> {
             "time went backwards"
         );
         let exhaustive = GENERIC && self.state.mode == ExecMode::Exhaustive;
+        let levels = GENERIC && self.state.mode == ExecMode::Levels;
         if exhaustive {
             self.state.completion_candidate = None;
         }
@@ -1966,6 +2184,8 @@ impl<'a> Engine<'a> {
         if dt > 0.0 {
             if exhaustive {
                 any_due = hp_phase!(self, metrics_ns, self.integrate_exhaustive(dt, t));
+            } else if levels {
+                hp_phase!(self, metrics_ns, self.integrate_levels(dt));
             } else {
                 hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
             }
@@ -1983,6 +2203,8 @@ impl<'a> Engine<'a> {
         let completed_any = hp_phase!(self, dispatch_ns, {
             let completed_any = if exhaustive {
                 any_due && self.collect_completions_exhaustive()
+            } else if levels {
+                self.collect_completions_levels()
             } else {
                 self.collect_completions_incremental::<GENERIC>()
             };
@@ -1991,10 +2213,17 @@ impl<'a> Engine<'a> {
             }
             completed_any
         });
-        // Quantum expiry forces a re-decision.
+        // Quantum expiry forces a re-decision. On the level path the
+        // deadline is the served level's catch-up with the level below,
+        // which merges the two here, before this instant's arrivals stack
+        // new levels on top.
         if let Some(q) = self.state.quantum_deadline.filter(|_| GENERIC) {
             if self.state.now + EPS * self.state.now.max(1.0) >= q {
                 self.state.alloc_fresh = false;
+                if levels {
+                    self.state.quantum_deadline = None;
+                    self.state.levels.catch_up(&self.state.jobs.specs);
+                }
             }
         }
         // Arrivals due exactly now. A completion and an arrival landing
@@ -2104,6 +2333,53 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Level-path interval integration, `O(1)`: the served level drains
+    /// uniformly, so its fractional flow has the same closed form as the
+    /// SRPT set's uniform prefix (with the level's offset and sums), and
+    /// the frozen levels contribute their static sum times `dt`.
+    fn integrate_levels(&mut self, dt: f64) {
+        self.state
+            .alive_integral
+            .add(self.state.levels.len() as f64 * dt);
+        if let IntervalKind::Uniform { rate } = self.state.interval {
+            let (s1, sk, drain) = self.state.levels.served_sums();
+            let run = (sk - drain * s1) * dt - rate * dt * dt / 2.0 * s1;
+            self.state
+                .frac_flow
+                .add(run.max(0.0) + self.state.levels.frozen_frac_sum() * dt);
+            self.state.levels.advance(rate * dt);
+        }
+    }
+
+    /// Level-path completions: only the served level drains, and its
+    /// members drain at one rate, so only the front of its heap can be
+    /// due — pop while it is. A frozen job cannot be due: it was not due
+    /// when its level froze, under a tolerance at least as wide. When the
+    /// served level empties, the level below it was frozen all interval:
+    /// stop there, and drop the catch-up deadline, which the emptied
+    /// level owned.
+    fn collect_completions_levels(&mut self) -> bool {
+        let rate = match self.state.interval {
+            IntervalKind::Uniform { rate } => rate,
+            IntervalKind::Scan | IntervalKind::Idle => 0.0,
+        };
+        let depth = self.state.levels.depth();
+        let mut completed_any = false;
+        while let Some((slot, rem)) = self.state.levels.front() {
+            if rem > Self::completion_tolerance(slot.size, rate, self.state.now) {
+                break;
+            }
+            self.state.levels.pop_front(&self.state.jobs.specs);
+            self.finish_job::<true>(slot.idx);
+            completed_any = true;
+            if self.state.levels.depth() < depth {
+                self.state.quantum_deadline = None;
+                break;
+            }
+        }
+        completed_any
+    }
+
     /// Records a completion at the current time into the aggregate sink
     /// (both modes) and the completion list (in-memory mode), then retires
     /// the arena slot (streaming mode). Callers have already detached the
@@ -2199,14 +2475,6 @@ impl<'a> Engine<'a> {
         completed_any
     }
 
-    /// Which [`EnginePath`] this run executes (for audit context).
-    fn path(&self) -> EnginePath {
-        match self.state.mode {
-            ExecMode::Exhaustive => EnginePath::Exhaustive,
-            ExecMode::Incremental => EnginePath::Incremental,
-        }
-    }
-
     /// Builds an audit snapshot of the alive set with the allocation
     /// decided for the interval starting now, refilling the policy string
     /// and job vector the auditor lent back ([`Auditor::take_spare`]).
@@ -2262,6 +2530,37 @@ impl<'a> Engine<'a> {
                             rate: 0.0,
                         });
                     });
+            }
+            ExecMode::Levels => {
+                let state = &*state;
+                let rate = match state.interval {
+                    IntervalKind::Uniform { rate } => rate,
+                    IntervalKind::Scan | IntervalKind::Idle => 0.0,
+                };
+                let specs = &state.jobs.specs;
+                state.levels.for_each(|slot, remaining, served| {
+                    let spec = &specs[slot.idx];
+                    let (share, rate) = if served {
+                        let share = state
+                            .levels
+                            .top_curve_of(slot.idx, &spec.curve)
+                            .and_then(|c| state.level_shares.get(c))
+                            .copied()
+                            .unwrap_or(0.0);
+                        (share, rate)
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    jobs.push(FrameJob {
+                        id: spec.id,
+                        slot: slot.idx,
+                        release: spec.release,
+                        size: spec.size,
+                        remaining,
+                        share,
+                        rate,
+                    });
+                });
             }
         }
         AuditFrame {
@@ -2940,6 +3239,113 @@ mod tests {
         let mut hog = GreedyHog;
         let e = Engine::new(EngineConfig::new(1.0), &mut hog, &mut source, &mut obs);
         assert!(!e.uses_incremental_path());
+        assert_eq!(e.path(), EnginePath::Exhaustive);
+        // A LeastElapsed policy takes the level path, unless the run is
+        // forced onto the exhaustive one.
+        let mut least = LeastElapsedParallel;
+        let mut source = StaticSource::new(&instance);
+        let e = Engine::new(EngineConfig::new(1.0), &mut least, &mut source, &mut obs);
+        assert_eq!(e.path(), EnginePath::Levels);
+        assert!(!e.uses_incremental_path());
+        let mut source = StaticSource::new(&instance);
+        let e = Engine::new(
+            EngineConfig::new(1.0).with_full_reassign(true),
+            &mut least,
+            &mut source,
+            &mut obs,
+        );
+        assert_eq!(e.path(), EnginePath::Exhaustive);
+        let mut source = StaticSource::new(&instance);
+        let mut trace = crate::observer::AllocationTrace::new();
+        let e = Engine::new(EngineConfig::new(1.0), &mut least, &mut source, &mut trace);
+        assert_eq!(e.path(), EnginePath::Exhaustive);
+    }
+
+    /// SETF for fully parallel jobs: the least-elapsed tie group splits
+    /// the machine evenly (`Γ(x) = x`, so equal shares are the equal
+    /// rates), on both the exhaustive and the level path.
+    struct LeastElapsedParallel;
+
+    impl Policy for LeastElapsedParallel {
+        fn name(&self) -> String {
+            "least-elapsed".to_string()
+        }
+
+        fn assign(
+            &mut self,
+            _now: Time,
+            m: f64,
+            jobs: &[AliveJob<'_>],
+            shares: &mut [f64],
+        ) -> Option<f64> {
+            let elapsed = |j: &AliveJob<'_>| (j.size() - j.remaining).max(0.0);
+            let least = jobs.iter().map(elapsed).fold(f64::INFINITY, f64::min);
+            let cut = least + crate::ELAPSED_TIE_TOL * least.max(1.0);
+            let g = jobs.iter().filter(|j| elapsed(j) <= cut).count();
+            let mut gap = f64::INFINITY;
+            for (j, share) in jobs.iter().zip(shares.iter_mut()) {
+                let e = elapsed(j);
+                *share = if e <= cut { m / g as f64 } else { 0.0 };
+                if e > cut {
+                    gap = gap.min(e - least);
+                }
+            }
+            gap.is_finite().then(|| gap / (m / g as f64))
+        }
+
+        fn stability(&self) -> AllocationStability {
+            AllocationStability::LeastElapsed
+        }
+
+        fn equalize_curves(
+            &mut self,
+            m: f64,
+            curves: &[CurveCount<'_>],
+            shares: &mut [f64],
+        ) -> Option<f64> {
+            let g: usize = curves.iter().map(|c| c.count).sum();
+            shares.fill(m / g as f64);
+            Some(m / g as f64)
+        }
+    }
+
+    #[test]
+    fn level_path_serves_the_least_elapsed_group() {
+        // Fully parallel, m = 2: job 0 (size 4) runs alone on [0, 1) and
+        // has elapsed 2 there; job 1 (size 3) arrives at 1 and runs alone
+        // until its elapsed work catches up at t = 2; the two then share
+        // the machine, 1 each, with 2 and 1 left: job 1 finishes at 3,
+        // job 0 runs alone again and finishes at 3.5.
+        let instance = Instance::new(vec![
+            JobSpec::new(JobId(0), 0.0, 4.0, Curve::FullyParallel),
+            JobSpec::new(JobId(1), 1.0, 3.0, Curve::FullyParallel),
+        ])
+        .unwrap();
+        let mut policy = LeastElapsedParallel;
+        let mut source = StaticSource::new(&instance);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(EngineConfig::new(2.0), &mut policy, &mut source, &mut obs);
+        assert_eq!(engine.path(), EnginePath::Levels);
+        // The arrival at 1, then the catch-up at 2.
+        assert!(engine.step().unwrap() && engine.step().unwrap());
+        assert_eq!(engine.now(), 2.0);
+        assert_eq!(engine.num_alive(), 2);
+        assert_eq!(engine.remaining_of(JobId(0)), Some(2.0));
+        assert_eq!(engine.remaining_of(JobId(1)), Some(1.0));
+        let out = engine.run().unwrap();
+        let levels = [out.flow_of(JobId(0)), out.flow_of(JobId(1))];
+        assert_eq!(levels, [Some(3.5), Some(2.0)]);
+        let (_, oracle) = {
+            let mut policy = LeastElapsedParallel;
+            let mut source = StaticSource::new(&instance);
+            let mut obs = NullObserver;
+            let cfg = EngineConfig::new(2.0).with_full_reassign(true);
+            let out = Engine::new(cfg, &mut policy, &mut source, &mut obs)
+                .run()
+                .unwrap();
+            ((), [out.flow_of(JobId(0)), out.flow_of(JobId(1))])
+        };
+        assert_eq!(levels, oracle);
     }
 
     fn run_both_paths(instance: &Instance, m: f64) -> (RunOutcome, RunOutcome) {

@@ -120,6 +120,8 @@ pub enum EnginePath {
     Exhaustive,
     /// SRPT-ordered alive set + prefix profile.
     Incremental,
+    /// Least-elapsed level stack + common-rate equalizer.
+    Levels,
     /// Offline replay of a recorded trace.
     Replay,
 }
@@ -129,6 +131,7 @@ impl std::fmt::Display for EnginePath {
         f.write_str(match self {
             EnginePath::Exhaustive => "exhaustive",
             EnginePath::Incremental => "incremental",
+            EnginePath::Levels => "levels",
             EnginePath::Replay => "replay",
         })
     }

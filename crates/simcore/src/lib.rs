@@ -55,6 +55,7 @@ pub mod invariant;
 mod job;
 pub mod jsonlite;
 mod kahan;
+mod level_stack;
 mod metrics;
 mod observer;
 mod plan;
@@ -79,7 +80,9 @@ pub use observer::{
     AliveTrace, AllocationSegment, AllocationTrace, NullObserver, Observer, TracePoint,
 };
 pub use plan::{AllocationPlan, PlanSegment, PlannedPolicy};
-pub use policy::{AliveJob, AllocationStability, EquiSplit, Policy, PrefixAllocation};
+pub use policy::{
+    AliveJob, AllocationStability, CurveCount, EquiSplit, Policy, PrefixAllocation, ELAPSED_TIE_TOL,
+};
 pub use snapshot::{Snapshot, SNAP_FORMAT};
 pub use source::{arrival_tolerance, ArrivalSource, StaticSource, SystemView};
 pub use streaming::{QuantileSketch, StreamingMetrics, StreamingOutcome};

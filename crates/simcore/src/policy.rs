@@ -36,7 +36,10 @@ impl AliveJob<'_> {
 }
 
 /// How a policy's preferred allocation evolves between discrete events —
-/// the contract that decides which engine execution path is sound.
+/// the contract that decides which of the engine's three execution paths
+/// is sound: the exhaustive path for [`AllocationStability::General`], the
+/// incremental SRPT-set path for [`AllocationStability::SrptPrefix`], and
+/// the level path for [`AllocationStability::LeastElapsed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationStability {
     /// No structural guarantee: the engine must call
@@ -59,6 +62,42 @@ pub enum AllocationStability {
     /// (the incremental path never calls `assign`, so a returned quantum
     /// would be ignored).
     SrptPrefix,
+    /// The allocation serves the *least-elapsed tie group* at a common
+    /// rate: the jobs whose elapsed work `p_j − p_j(t)` is within
+    /// [`ELAPSED_TIE_TOL`] (relative) of the least receive the shares that
+    /// drain them all at one rate `ρ`, and every other job receives zero.
+    /// SETF has this shape. The group and `ρ` only change at events
+    /// (arrival, completion, or the group catching up to the next
+    /// least-elapsed job), which makes the engine's *level* path sound:
+    /// it keeps the alive set as a stack of equal-elapsed levels, serves
+    /// the top one, and asks the policy for `ρ` and the shares through
+    /// [`Policy::equalize_curves`], given only the group's distinct curves
+    /// and their member counts.
+    ///
+    /// Policies declaring this MUST return `Some` from
+    /// [`Policy::equalize_curves`] for every non-empty group, MUST have
+    /// `assign` agree with it, and MUST NOT rely on `assign`'s quantum
+    /// (the level path never calls `assign`; it schedules the catch-up
+    /// itself).
+    LeastElapsed,
+}
+
+/// Relative tolerance under which two elapsed-work values are *tied* for
+/// [`AllocationStability::LeastElapsed`]: a job belongs to the served
+/// group when its elapsed work is at most `e + ELAPSED_TIE_TOL·max(e, 1)`,
+/// with `e` the least elapsed work of any alive job. It absorbs the
+/// float residue that catch-ups and merges leave between jobs that are
+/// tied in exact arithmetic.
+pub const ELAPSED_TIE_TOL: f64 = 1e-7;
+
+/// One distinct speed-up curve of a tie group and the number of group
+/// members that carry it (see [`Policy::equalize_curves`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CurveCount<'a> {
+    /// The curve.
+    pub curve: &'a Curve,
+    /// Group members with this curve (at least 1).
+    pub count: usize,
 }
 
 /// A prefix-of-SRPT-order allocation: the first `count` jobs in
@@ -100,6 +139,11 @@ pub struct PrefixAllocation {
 /// profile directly. A policy learns of arrivals and completions only
 /// through the alive set (and its size) passed to the next decision; the
 /// engine sends no separate event notifications.
+///
+/// Policies whose allocation serves the least-elapsed tie group at a
+/// common rate opt into the engine's level path the same way, by returning
+/// [`AllocationStability::LeastElapsed`] and implementing
+/// [`Policy::equalize_curves`].
 pub trait Policy {
     /// Stable display name (used in tables, errors, and traces).
     fn name(&self) -> String;
@@ -130,6 +174,25 @@ pub trait Policy {
     /// and `n ≥ 1`; the default returns `None`.
     fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
         let _ = (n_alive, m);
+        None
+    }
+
+    /// The common rate `ρ` at which a tie group drains on `m` processors,
+    /// given the group's distinct curves with their member counts: writes
+    /// the share of each member carrying `curves[c]` into `shares[c]`
+    /// (`shares.len() == curves.len()`) and returns `ρ`.
+    ///
+    /// Must be `Some` (with finite `shares[c] ≥ 0`, `Σ count·share ≤ m`,
+    /// and `ρ > 0` for `m > 0`) whenever [`Policy::stability`] returns
+    /// [`AllocationStability::LeastElapsed`] and `curves` is non-empty;
+    /// the default returns `None`.
+    fn equalize_curves(
+        &mut self,
+        m: f64,
+        curves: &[CurveCount<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        let _ = (m, curves, shares);
         None
     }
 
@@ -194,6 +257,15 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 
     fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
         (**self).prefix_allocation(n_alive, m)
+    }
+
+    fn equalize_curves(
+        &mut self,
+        m: f64,
+        curves: &[CurveCount<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        (**self).equalize_curves(m, curves, shares)
     }
 
     fn srpt_ordered(&self) -> bool {

@@ -37,6 +37,14 @@
 //! the policy and `m`; the restored engine re-derives every entry
 //! bit-identically on first use).
 //!
+//! A snapshot taken on the level path (SETF's least-elapsed level stack,
+//! see `crate::level_stack`) carries one more member, `levels`, after
+//! `srpt`: every level bottom first, each with its heap array verbatim
+//! (the array order is run state there: merges accumulate sums in it),
+//! its curve tally, offset (its elapsed work) and sums, plus the frozen
+//! levels' fractional sum. Documents of the other two paths have no such
+//! member, so they render exactly as before.
+//!
 //! No reader for older formats is kept: a `parsched-snap/v1` document
 //! describes engine mechanisms that no longer exist (an event queue and
 //! two configuration knobs), a `parsched-snap/v2` one two SRPT-set volume
@@ -55,6 +63,7 @@ use crate::csv::{curve_from_field, curve_to_field};
 use crate::error::SimError;
 use crate::job::{JobId, JobSpec, Time};
 use crate::jsonlite::Json;
+use crate::level_stack::{CurveTag, LevelEntrySnap, LevelSnap, LevelsSnap, Tally};
 use crate::metrics::CompletedJob;
 use crate::srpt_set::{SetEntrySnap, SetSnap};
 use crate::streaming::SinkState;
@@ -135,6 +144,8 @@ pub struct Snapshot {
     pub(crate) shares: Vec<f64>,
     pub(crate) rates: Vec<f64>,
     pub(crate) srpt: SetSnap,
+    /// The level stack, present exactly when the run is on the level path.
+    pub(crate) levels: Option<LevelsSnap>,
     pub(crate) completed: Vec<CompletedJob>,
 }
 
@@ -166,7 +177,9 @@ impl Snapshot {
 
     /// Unfinished released jobs at the suspend point.
     pub fn alive_count(&self) -> usize {
-        if self.incremental {
+        if let Some(levels) = &self.levels {
+            levels.levels.iter().map(|l| l.entries.len()).sum::<usize>()
+        } else if self.incremental {
             self.srpt.running.len() + self.srpt.queued.len()
         } else {
             self.alive.len()
@@ -368,7 +381,7 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        obj(vec![
+        let mut fields = vec![
             ("format", Json::Str(SNAP_FORMAT.into())),
             ("cfg", cfg),
             ("policy", policy),
@@ -387,8 +400,12 @@ impl Snapshot {
             ("arena", arena),
             ("exhaustive", exhaustive),
             ("srpt", srpt),
-            ("completed", completed),
-        ])
+        ];
+        if let Some(levels) = &self.levels {
+            fields.push(("levels", levels_to_value(levels)));
+        }
+        fields.push(("completed", completed));
+        obj(fields)
     }
 
     fn from_value(doc: &Json) -> Result<Snapshot, SimError> {
@@ -526,6 +543,7 @@ impl Snapshot {
                 )?),
             },
         };
+        let levels = doc.get("levels").map(levels_from_value).transpose()?;
         let completed = arr_at(doc, "completed")?
             .iter()
             .map(|row| {
@@ -577,9 +595,145 @@ impl Snapshot {
             shares,
             rates,
             srpt,
+            levels,
             completed,
         })
     }
+}
+
+/// Renders the level stack: `{"levels": [level…], "frozen": bits}`, each
+/// level `{"entries": [[key, release, id, idx, size]…], "tally": [[curve
+/// or slot, count]…], "drain", "s1", "sk"}`. A tally entry's
+/// first element is the curve's field string for a shared curve and the
+/// member's arena slot for a piecewise one.
+fn levels_to_value(snap: &LevelsSnap) -> Json {
+    let obj = |fields: Vec<(&str, Json)>| {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let level = |l: &LevelSnap| {
+        obj(vec![
+            (
+                "entries",
+                Json::Arr(
+                    l.entries
+                        .iter()
+                        .map(|e| {
+                            Json::Arr(vec![
+                                fbits(e.key),
+                                fbits(e.release),
+                                unum(e.id.0),
+                                unum(e.idx as u64),
+                                fbits(e.size),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "tally",
+                Json::Arr(
+                    l.tally
+                        .iter()
+                        .map(|t| {
+                            let tag = match &t.tag {
+                                CurveTag::Shared(c) => Json::Str(curve_to_field(c)),
+                                CurveTag::Own(slot) => unum(u64::from(*slot)),
+                            };
+                            Json::Arr(vec![tag, unum(u64::from(t.count))])
+                        })
+                        .collect(),
+                ),
+            ),
+            ("drain", fbits(l.drain)),
+            ("s1", fbits(l.s1)),
+            ("sk", fbits(l.sk)),
+        ])
+    };
+    obj(vec![
+        ("levels", Json::Arr(snap.levels.iter().map(level).collect())),
+        ("frozen", fbits(snap.frozen)),
+    ])
+}
+
+/// Parses what [`levels_to_value`] renders.
+fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
+    let u32_item = |v: &Json, what: &str| -> Result<u32, SimError> {
+        let x = v.as_u64().map_err(|e| bad(format!("{what}: {e}")))?;
+        u32::try_from(x).map_err(|_| bad(format!("{what} {x} out of u32 range")))
+    };
+    let level = |l: &Json| -> Result<LevelSnap, SimError> {
+        let entries = arr_at(l, "entries")?
+            .iter()
+            .map(|row| {
+                let row = row.as_arr().map_err(|e| bad(format!("level entry: {e}")))?;
+                if row.len() != 5 {
+                    return Err(bad(format!(
+                        "level entry has {} fields (expected 5)",
+                        row.len()
+                    )));
+                }
+                Ok(LevelEntrySnap {
+                    key: f_item(&row[0], "level key")?,
+                    release: f_item(&row[1], "level release")?,
+                    id: JobId(row[2].as_u64().map_err(|e| bad(format!("level id: {e}")))?),
+                    idx: row[3]
+                        .as_usize()
+                        .map_err(|e| bad(format!("level idx: {e}")))?,
+                    size: f_item(&row[4], "level size")?,
+                })
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let tally = arr_at(l, "tally")?
+            .iter()
+            .map(|row| {
+                let row = row.as_arr().map_err(|e| bad(format!("level tally: {e}")))?;
+                if row.len() != 2 {
+                    return Err(bad(format!(
+                        "level tally entry has {} fields (expected 2)",
+                        row.len()
+                    )));
+                }
+                let tag = match &row[0] {
+                    Json::Str(field) => CurveTag::Shared(curve_from_field(field)?),
+                    other => CurveTag::Own(u32_item(other, "level tally slot")?),
+                };
+                let count = u32_item(&row[1], "level tally count")?;
+                if count == 0 {
+                    return Err(bad("level tally entry counts no member".into()));
+                }
+                Ok(Tally { tag, count })
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let members = tally.iter().map(|t| u64::from(t.count)).sum::<u64>();
+        if members != entries.len() as u64 {
+            return Err(bad(format!(
+                "level tally counts {members} members, level holds {}",
+                entries.len()
+            )));
+        }
+        if entries.is_empty() {
+            return Err(bad("level holds no member".into()));
+        }
+        Ok(LevelSnap {
+            entries,
+            tally,
+            drain: f_at(l, "drain")?,
+            s1: f_at(l, "s1")?,
+            sk: f_at(l, "sk")?,
+        })
+    };
+    Ok(LevelsSnap {
+        levels: arr_at(v, "levels")?
+            .iter()
+            .map(level)
+            .collect::<Result<Vec<_>, SimError>>()?,
+        frozen: f_at(v, "frozen")?,
+    })
 }
 
 fn bad(what: String) -> SimError {

@@ -94,12 +94,12 @@ pub(crate) struct Slot {
 /// entries it is the literal remaining work. The tie-break lives in the
 /// arena slot `idx` (see [`cmp`]).
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    key: f64,
+pub(crate) struct Entry {
+    pub(crate) key: f64,
     /// Original size `p_j`.
-    size: Work,
+    pub(crate) size: Work,
     /// Arena slot (the engine's slots fit `u32`, as its id map requires).
-    idx: u32,
+    pub(crate) idx: u32,
     /// Curve differs from the set's reference curve.
     hetero: bool,
     /// `Γ(1) ≠ 1` for this job's curve.
@@ -107,7 +107,7 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(key: f64, idx: usize, size: Work, hetero: bool, nonunit: bool) -> Self {
+    pub(crate) fn new(key: f64, idx: usize, size: Work, hetero: bool, nonunit: bool) -> Self {
         debug_assert!(u32::try_from(idx).is_ok(), "arena slot {idx} exceeds u32");
         Self {
             key,
@@ -119,7 +119,7 @@ impl Entry {
     }
 
     #[inline]
-    fn slot(&self) -> Slot {
+    pub(crate) fn slot(&self) -> Slot {
         Slot {
             idx: self.idx as usize,
             size: self.size,
@@ -342,34 +342,41 @@ impl MinMaxHeap {
 }
 
 /// A `Vec`-backed 2-ary min-heap over SRPT order — the queue, which only
-/// ever pushes and pops its minimum.
+/// ever pushes and pops its minimum, and each level of the level path's
+/// stack ([`crate::level_stack`]).
 #[derive(Debug, Default)]
-struct MinHeap {
+pub(crate) struct MinHeap {
     a: Vec<Entry>,
 }
 
 impl MinHeap {
     #[inline]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.a.len()
     }
 
     #[inline]
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.a.is_empty()
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.a.clear();
+    }
+
+    /// The minimum entry.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<&Entry> {
+        self.a.first()
     }
 
     /// Unordered view of the entries (callers sort for SRPT order).
     #[inline]
-    fn entries(&self) -> &[Entry] {
+    pub(crate) fn entries(&self) -> &[Entry] {
         &self.a
     }
 
-    fn push(&mut self, e: Entry, specs: &[JobSpec]) {
+    pub(crate) fn push(&mut self, e: Entry, specs: &[JobSpec]) {
         let hole = self.a.len();
         self.a.push(e);
         self.sift_up(hole, e, specs);
@@ -394,7 +401,7 @@ impl MinHeap {
     /// along smaller children to a leaf (one comparison per level), and
     /// the former last element — a leaf, so rarely far from the bottom —
     /// sifts up from there.
-    fn pop(&mut self, specs: &[JobSpec]) -> Option<Entry> {
+    pub(crate) fn pop(&mut self, specs: &[JobSpec]) -> Option<Entry> {
         let last = self.a.pop()?;
         let Some(&min) = self.a.first() else {
             return Some(last);

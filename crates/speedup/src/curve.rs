@@ -199,6 +199,27 @@ impl Curve {
         }
     }
 
+    /// Whether `self` and `other` are the same curve bit for bit: the same
+    /// variant with the same parameter bits (or breakpoint bits), so that
+    /// every evaluation of one is an evaluation of the other.
+    pub fn same_bits(&self, other: &Curve) -> bool {
+        match (self, other) {
+            (Curve::FullyParallel, Curve::FullyParallel)
+            | (Curve::Sequential, Curve::Sequential) => true,
+            (Curve::Power { alpha: x }, Curve::Power { alpha: y })
+            | (Curve::Amdahl { serial_fraction: x }, Curve::Amdahl { serial_fraction: y }) => {
+                x.to_bits() == y.to_bits()
+            }
+            (Curve::Piecewise(p), Curve::Piecewise(q)) => {
+                p.points().len() == q.points().len()
+                    && p.points().iter().zip(q.points()).all(|(u, v)| {
+                        u.0.to_bits() == v.0.to_bits() && u.1.to_bits() == v.1.to_bits()
+                    })
+            }
+            _ => false,
+        }
+    }
+
     /// The compiled power kernel for this curve, when it belongs to the
     /// power family (see [`crate::PowKernel::for_curve`]); hot loops cache
     /// this once per job instead of re-dispatching `rate` per event.

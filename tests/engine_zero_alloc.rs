@@ -28,8 +28,8 @@ use std::cell::Cell;
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    AuditLevel, Engine, EngineBuffers, EngineConfig, Instance, JobId, JobSpec, NullObserver,
-    Policy, StaticSource,
+    AuditLevel, Engine, EngineBuffers, EngineConfig, EnginePath, Instance, JobId, JobSpec,
+    NullObserver, Policy, StaticSource,
 };
 use parsched_speedup::Curve;
 
@@ -304,6 +304,66 @@ fn exhaustive_steady_state_allocates_nothing() {
             assert_eq!(
                 third, 0,
                 "{name}: third exhaustive run (streaming={streaming}) allocated {third} times"
+            );
+        }
+    }
+}
+
+/// Runs `inst` with SETF through [`Engine::run_loop`] on the level path,
+/// reusing `policy` and the donated buffers; returns the allocations made
+/// strictly inside the loop, plus the buffers.
+fn audited_levels_run(
+    inst: &Instance,
+    policy: &mut dyn Policy,
+    streaming: bool,
+    bufs: EngineBuffers,
+) -> (u64, EngineBuffers) {
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let cfg = EngineConfig::new(8.0).with_streaming(streaming);
+    let mut engine = Engine::with_buffers(cfg, policy, &mut source, &mut obs, bufs);
+    assert_eq!(engine.path(), EnginePath::Levels);
+    let ((), during) = counting_allocs(|| engine.run_loop().expect("level-path run failed"));
+    let (num_jobs, bufs) = if streaming {
+        let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
+        (outcome.metrics.num_jobs, bufs)
+    } else {
+        let (outcome, bufs) = engine.run_reusing().expect("finalize failed");
+        (outcome.metrics.num_jobs, bufs)
+    };
+    assert_eq!(num_jobs, inst.jobs().len());
+    (during, bufs)
+}
+
+#[test]
+fn level_path_steady_state_allocates_nothing() {
+    // SETF's level path keeps the alive set in levels whose heaps and
+    // curve tallies come from a retained free list, lends one retained
+    // buffer to every curve view it hands the policy, and keeps the
+    // per-curve shares in a donated vector; the policy keeps its memo and
+    // curve table. So after a warm-up, a rerun must not touch the heap,
+    // in both memory modes, on one curve (the memoized equalizer) and on
+    // three (mixed tie groups, the count-weighted bisection).
+    for alphas in [&[0.5][..], &[0.25, 0.5, 0.75]] {
+        let inst = workload_with_alphas(600, alphas);
+        let mut policy = PolicyKind::Setf.build();
+        for streaming in [false, true] {
+            let ctx = format!("α {alphas:?}, streaming={streaming}");
+            let (warmup_allocs, bufs) =
+                audited_levels_run(&inst, policy.as_mut(), streaming, EngineBuffers::new());
+            assert!(
+                warmup_allocs > 0,
+                "{ctx}: warm-up should have grown the buffers"
+            );
+            let (second, bufs) = audited_levels_run(&inst, policy.as_mut(), streaming, bufs);
+            assert_eq!(
+                second, 0,
+                "{ctx}: second level-path run allocated {second} times"
+            );
+            let (third, _bufs) = audited_levels_run(&inst, policy.as_mut(), streaming, bufs);
+            assert_eq!(
+                third, 0,
+                "{ctx}: third level-path run allocated {third} times"
             );
         }
     }

@@ -18,8 +18,9 @@ use parsched::PolicyKind;
 use parsched_bench::mixed_alpha_fixture;
 use parsched_sim::jsonlite::Json;
 use parsched_sim::{
-    AliveJob, AllocationStability, Engine, EngineConfig, Instance, NullObserver, Observer,
-    ParkedEngine, Policy, PrefixAllocation, RunMetrics, SimError, Snapshot, StaticSource, Time,
+    AliveJob, AllocationStability, CurveCount, Engine, EngineConfig, Instance, NullObserver,
+    Observer, ParkedEngine, Policy, PrefixAllocation, RunMetrics, SimError, Snapshot, StaticSource,
+    Time,
 };
 
 const M: f64 = 8.0;
@@ -226,6 +227,15 @@ impl Policy for NoRoundTrip {
 
     fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
         self.inner.prefix_allocation(n_alive, m)
+    }
+
+    fn equalize_curves(
+        &mut self,
+        m: f64,
+        curves: &[CurveCount<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        self.inner.equalize_curves(m, curves, shares)
     }
 
     fn srpt_ordered(&self) -> bool {
@@ -754,6 +764,96 @@ fn corrupted_run_scalars_are_refused_with_a_typed_error() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// SETF's snapshots carry the level stack, and restore checks it like the
+/// SRPT set: a level's offset or sums, the frozen levels' sum, or a
+/// member's key that is NaN or ±∞ (the offset, which is the level's
+/// elapsed work, also −1); a
+/// member whose `release`, `id` or `size` disagrees with its arena slot's
+/// spec; or a tally naming an arena slot past the arena's end: each is a
+/// typed restore error, in both memory modes.
+#[test]
+fn corrupted_level_stack_is_refused_with_a_typed_error() {
+    let inst = mixed_alpha_fixture(60, 0.9, M);
+    let kind = PolicyKind::Setf;
+    let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for streaming in [false, true] {
+        let mode = if streaming { "streaming" } else { "in-memory" };
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(
+            engine_cfg(streaming),
+            policy.as_mut(),
+            &mut source,
+            &mut obs,
+        );
+        for _ in 0..40 {
+            assert!(engine.step().expect("pre-suspend step"));
+        }
+        let doc = engine.snapshot().expect("snapshot").to_json();
+        drop(engine);
+        let snap = Snapshot::from_json(&doc).expect("parse");
+        restore_run_finalize(&inst, &kind, streaming, &snap)
+            .unwrap_or_else(|e| panic!("{mode}: untouched document: {e}"));
+        let mut cases: Vec<(String, String)> = Vec::new();
+        for field in ["drain", "s1", "sk"] {
+            for v in values {
+                let bad = corrupt_at(&doc, &["levels", "levels", "0", field], f64_bits(v));
+                cases.push((format!("levels.0.{field} = {v}"), bad));
+            }
+        }
+        let bad = corrupt_at(&doc, &["levels", "levels", "0", "drain"], f64_bits(-1.0));
+        cases.push(("levels.0.drain = -1".into(), bad));
+        for v in values {
+            let bad = corrupt_at(&doc, &["levels", "frozen"], f64_bits(v));
+            cases.push((format!("levels.frozen = {v}"), bad));
+            let key = &["levels", "levels", "0", "entries", "0", "0"];
+            cases.push((
+                format!("entry key = {v}"),
+                corrupt_at(&doc, key, f64_bits(v)),
+            ));
+        }
+        let release = &["levels", "levels", "0", "entries", "0", "1"];
+        cases.push((
+            "entry release".into(),
+            corrupt_at(&doc, release, f64_bits(1e9)),
+        ));
+        let id = &["levels", "levels", "0", "entries", "0", "2"];
+        cases.push((
+            "entry id".into(),
+            corrupt_at(&doc, id, Json::Num("999999".into())),
+        ));
+        let size = &["levels", "levels", "0", "entries", "0", "4"];
+        cases.push(("entry size".into(), corrupt_at(&doc, size, f64_bits(1e9))));
+        let tally = Json::Arr(vec![Json::Num("999999".into()), Json::Num("1".into())]);
+        let parsed = Json::parse(&doc).expect("parse");
+        let one_member_tally = parsed
+            .get("levels")
+            .and_then(|l| l.get("levels"))
+            .and_then(|l| l.as_arr().ok())
+            .and_then(|l| l.first())
+            .and_then(|l| l.get("tally"))
+            .and_then(|t| t.as_arr().ok())
+            .and_then(|t| t.first())
+            .and_then(|t| t.as_arr().ok())
+            .is_some_and(|t| t.get(1) == Some(&Json::Num("1".into())));
+        if one_member_tally {
+            let path = &["levels", "levels", "0", "tally", "0"];
+            cases.push(("tally slot".into(), corrupt_at(&doc, path, tally)));
+        }
+        for (what, bad) in cases {
+            let ctx = format!("{mode} / {what}");
+            let bad = Snapshot::from_json(&bad)
+                .unwrap_or_else(|e| panic!("{ctx}: the codec refused the value: {e}"));
+            let result = restore_run_finalize(&inst, &kind, streaming, &bad);
+            assert!(
+                matches!(result, Err(SimError::BadInstance { .. })),
+                "{ctx}: expected a typed restore error, got {result:?}"
+            );
         }
     }
 }

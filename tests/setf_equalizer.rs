@@ -6,11 +6,16 @@
 //! reference — bit for bit: the same common rate `ρ`, the same shares,
 //! and the same re-decision quantum. The property tests share one `Setf` across all their cases,
 //! so its memo is hit and invalidated along the way.
+//!
+//! The level path's equalizer (`Policy::equalize_curves`, given the tie
+//! group's distinct curves with member counts) is held to the same
+//! reference: bit for bit on one-curve groups, within a stated ulp budget
+//! on mixed ones, whose count-weighted demand sum rounds differently.
 
 use std::sync::Mutex;
 
 use parsched::Setf;
-use parsched_sim::{AliveJob, JobId, JobSpec, Policy};
+use parsched_sim::{AliveJob, CurveCount, JobId, JobSpec, Policy};
 use parsched_speedup::{Curve, PiecewiseLinear};
 use proptest::prelude::*;
 
@@ -167,6 +172,7 @@ fn fresh_views(specs: &[JobSpec]) -> Vec<AliveJob<'_>> {
 /// (one per test, so each sequence is deterministic).
 static EQUALIZE_POLICY: Mutex<Option<Setf>> = Mutex::new(None);
 static ASSIGN_POLICY: Mutex<Option<Setf>> = Mutex::new(None);
+static COUNTED_POLICY: Mutex<Option<Setf>> = Mutex::new(None);
 
 /// Runs `f` on a shared policy.
 fn with_shared<R>(shared: &Mutex<Option<Setf>>, f: impl FnOnce(&mut Setf) -> R) -> R {
@@ -281,6 +287,167 @@ proptest! {
             let ctx = format!("seed {seed} n {n} mix {mix} m {m} round {round}");
             // Reused scratch and memo across decisions must not leak state.
             with_shared(&ASSIGN_POLICY, |policy| assert_assign_matches(policy, m, &jobs, &ctx));
+        }
+    }
+}
+
+/// Budget, in units in the last place, of the count-based equalizer's `ρ`
+/// and shares on a mixed group against the member-order reference. The
+/// two demand sums round differently (`count·x` per distinct curve versus
+/// one addition per member), so the bisections can settle a few ulps
+/// apart, and the inverse of a flat curve near its saturation can amplify
+/// that. A run of the property test below at 3,000 cases measured at most
+/// 49 ulps for `ρ` and 60 for the shares; the budget (a relative 2·10⁻¹³)
+/// leaves headroom and is still seven orders of magnitude inside the
+/// 10⁻⁶ to which the level path must agree with the exhaustive one.
+const MIXED_ULP_BUDGET: u64 = 1024;
+
+/// Distance in units in the last place between two finite non-negative
+/// floats.
+fn ulps(a: f64, b: f64) -> u64 {
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+/// The level stack's tally of a group: each parametric curve once with
+/// its member count (in order of first appearance), each piecewise curve
+/// once per member; and each member's index into it.
+fn tally_of<'a>(jobs: &[AliveJob<'a>]) -> (Vec<CurveCount<'a>>, Vec<usize>) {
+    let mut tally: Vec<CurveCount<'a>> = Vec::new();
+    let mut member = Vec::new();
+    for j in jobs {
+        let curve: &'a Curve = &j.spec.curve;
+        let shared = !matches!(curve, Curve::Piecewise(_));
+        let found = tally
+            .iter()
+            .position(|c| c.curve == curve)
+            .filter(|_| shared);
+        match found {
+            Some(c) => {
+                tally[c].count += 1;
+                member.push(c);
+            }
+            None => {
+                member.push(tally.len());
+                tally.push(CurveCount { curve, count: 1 });
+            }
+        }
+    }
+    (tally, member)
+}
+
+/// Checks the count-based equalizer against the reference on the whole of
+/// `jobs`: bit for bit when the group shares one curve, within
+/// [`MIXED_ULP_BUDGET`] otherwise. Returns the `ρ` and share ulp
+/// distances.
+fn assert_counted_matches(
+    policy: &mut Setf,
+    m: f64,
+    jobs: &[AliveJob<'_>],
+    ctx: &str,
+) -> (u64, u64) {
+    let all: Vec<usize> = (0..jobs.len()).collect();
+    let (want_rho, want) = reference_equalize(m, jobs, &all);
+    let (tally, member) = tally_of(jobs);
+    let mut shares = vec![f64::NAN; tally.len()];
+    let rho = policy
+        .equalize_curves(m, &tally, &mut shares)
+        .expect("non-empty group");
+    let one_curve = jobs.iter().all(|j| j.curve() == jobs[0].curve());
+    let rho_ulps = ulps(rho, want_rho);
+    let mut share_ulps = 0;
+    for (i, (&c, w)) in member.iter().zip(&want).enumerate() {
+        let (g, w) = (shares[c], w.min(m));
+        share_ulps = share_ulps.max(ulps(g, w));
+        if one_curve {
+            assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: share {i}: {g} vs {w}");
+        }
+    }
+    if one_curve {
+        assert_eq!(
+            rho.to_bits(),
+            want_rho.to_bits(),
+            "{ctx}: ρ {rho} vs {want_rho}"
+        );
+    } else {
+        assert!(
+            rho_ulps <= MIXED_ULP_BUDGET && share_ulps <= MIXED_ULP_BUDGET,
+            "{ctx}: ρ {rho} vs {want_rho} ({rho_ulps} ulps), shares {share_ulps} ulps apart"
+        );
+    }
+    (rho_ulps, share_ulps)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The level path's equalizer, given distinct curves with member
+    /// counts, against the 64-step reference on the members.
+    #[test]
+    fn counted_equalizer_matches_the_bisection(
+        seed in 0u64..u64::MAX,
+        g in 1usize..=512,
+        mix in 0u64..3,
+        m_draw in 0.0f64..1.0,
+        integral in 0u32..2,
+    ) {
+        let mut state = seed;
+        let m = machine(m_draw, integral == 1);
+        let curves = group_curves(g, mix, &mut state);
+        let specs = specs_for(curves, &mut state);
+        let jobs = fresh_views(&specs);
+        let ctx = format!("seed {seed} g {g} mix {mix} m {m}");
+        with_shared(&COUNTED_POLICY, |policy| {
+            assert_counted_matches(policy, m, &jobs, &ctx);
+            assert_counted_matches(policy, m, &jobs, &format!("{ctx} again"));
+        });
+    }
+}
+
+#[test]
+fn counted_equalizer_on_interleaved_mixed_groups() {
+    let a = Curve::power(0.25);
+    let b = Curve::power(0.75);
+    let c = Curve::try_amdahl(0.2).expect("amdahl");
+    let pwl = Curve::Piecewise(PiecewiseLinear::saturating(3.0).expect("saturating"));
+    let mut policy = Setf::new();
+    let mut state = 0x1e7e_15c0_u64;
+    let mut worst = (0, 0);
+    for (round, g) in [2usize, 3, 11, 7, 64, 5, 129, 10].into_iter().enumerate() {
+        let palette = match round % 3 {
+            0 => vec![a.clone(), b.clone()],
+            1 => vec![b.clone(), c.clone(), a.clone()],
+            _ => vec![pwl.clone(), a.clone()],
+        };
+        let curves: Vec<Curve> = (0..g)
+            .map(|_| palette[(splitmix(&mut state) % palette.len() as u64) as usize].clone())
+            .collect();
+        let specs = specs_for(curves, &mut state);
+        let jobs = fresh_views(&specs);
+        for m in [2.0, 8.0, 37.5, 1024.0] {
+            let ctx = format!("round {round} g {g} m {m}");
+            let (r, s) = assert_counted_matches(&mut policy, m, &jobs, &ctx);
+            worst = (worst.0.max(r), worst.1.max(s));
+        }
+    }
+    assert!(
+        worst.0 <= MIXED_ULP_BUDGET && worst.1 <= MIXED_ULP_BUDGET,
+        "{worst:?}"
+    );
+}
+
+#[test]
+fn counted_equalizer_pools_equal_piecewise_curves() {
+    // The level stack tallies piecewise curves one entry per job; equal
+    // ones must still get the one-curve answer, bit for bit.
+    let pwl = Curve::Piecewise(
+        PiecewiseLinear::new(vec![(0.0, 0.0), (1.0, 1.0), (4.0, 2.5), (16.0, 4.0)])
+            .expect("piecewise"),
+    );
+    for g in [1usize, 2, 9, 64] {
+        let specs = views_of(vec![pwl.clone(); g]);
+        let jobs = fresh_views(&specs);
+        for m in [1.0, 6.0, 100.0] {
+            assert_counted_matches(&mut Setf::new(), m, &jobs, &format!("g {g} m {m}"));
         }
     }
 }
