@@ -809,6 +809,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
             let mode = match policy.stability() {
                 AllocationStability::SrptPrefix => "incremental",
                 AllocationStability::LeastElapsed => "levels",
+                AllocationStability::LatestArrivals => "arrival-suffix",
                 AllocationStability::General => "exhaustive",
             };
             let s = timed_run(&inst, policy.as_mut(), m, false);

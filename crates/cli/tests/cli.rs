@@ -123,9 +123,9 @@ fn gen_then_run_pipeline() {
 }
 
 /// `run` takes the path `simulate` would: the incremental path for an
-/// SRPT-family policy and the level path for SETF, reported on the run
-/// line; only `--gantt`, which records the allocation stream, moves a run
-/// to the exhaustive path.
+/// SRPT-family policy, the level path for SETF and the arrival-suffix
+/// path for LAPS, reported on the run line; only `--gantt`, which records
+/// the allocation stream, moves a run to the exhaustive path.
 #[test]
 fn run_reports_the_engine_path_it_took() {
     let gen = bin()
@@ -156,7 +156,12 @@ fn run_reports_the_engine_path_it_took() {
         );
         String::from_utf8(out.stdout).expect("utf8")
     };
-    for (policy, fast) in [("isrpt", "[incremental path]"), ("setf", "[levels path]")] {
+    for (policy, fast) in [
+        ("isrpt", "[incremental path]"),
+        ("setf", "[levels path]"),
+        ("laps", "[arrival-suffix path]"),
+        ("laps:0.55", "[arrival-suffix path]"),
+    ] {
         let plain = run(policy, false);
         assert!(plain.contains(fast), "{policy}: {plain}");
         let charted = run(policy, true);

@@ -7,7 +7,8 @@
 //! — slow but obviously correct, which makes it the oracle. The
 //! incremental path maintains the SRPT order and the allocation profile
 //! across events, the level path (SETF) the least-elapsed levels and the
-//! served level's common rate; both must agree on every per-job
+//! served level's common rate, the arrival-suffix path (LAPS) the arrival
+//! order and its running suffix; all must agree on every per-job
 //! completion time and every aggregate metric. Event *counts* may legitimately differ
 //! (the incremental path coalesces some zero-length intervals), so they
 //! are deliberately not compared; completion times may differ by float
@@ -16,8 +17,9 @@
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    simulate, simulate_audited, simulate_streaming, AuditLevel, Engine, EngineConfig, EnginePath,
-    Instance, JobId, JobSpec, NullObserver, RunOutcome, StaticSource,
+    simulate, simulate_audited, simulate_streaming, ArrivalSource, AuditLevel, Engine,
+    EngineConfig, EnginePath, Instance, JobId, JobSpec, NullObserver, RunOutcome, StaticSource,
+    SystemView, Time,
 };
 use parsched_speedup::{Curve, PiecewiseLinear};
 use proptest::prelude::*;
@@ -294,5 +296,195 @@ fn setf_level_path_matches_the_exhaustive_oracle_on_mixed_streams() {
         ] {
             assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: streaming {what}");
         }
+    }
+}
+
+/// Runs `kind` from `source` under `cfg`, asserting the engine path.
+fn run_on(
+    source: &mut dyn ArrivalSource,
+    kind: PolicyKind,
+    cfg: EngineConfig,
+    path: EnginePath,
+) -> RunOutcome {
+    let mut policy = kind.build();
+    let mut obs = NullObserver;
+    let engine = Engine::new(cfg, policy.as_mut(), source, &mut obs);
+    assert_eq!(engine.path(), path, "{}", kind.name());
+    engine
+        .run()
+        .unwrap_or_else(|e| panic!("{} on the {path} path: {e}", kind.name()))
+}
+
+/// LAPS's arrival-suffix path against its exhaustive oracle on mixed-curve
+/// streams (seven curves, so several curve groups run at once), for a
+/// small, a non-dyadic and the whole-set β, at unit and augmented speed:
+/// the same schedule within the tolerance, strict audits clean on the
+/// suffix path, and streaming bit-identical to in memory there.
+#[test]
+fn laps_arrival_suffix_path_matches_the_exhaustive_oracle() {
+    for beta in [0.1, 0.55, 1.0] {
+        let kind = PolicyKind::Laps(beta);
+        for (seed, m, load, speed) in [
+            (1, 2.0, 0.8, 1.0),
+            (2, 8.0, 0.9, 1.5),
+            (3, 8.5, 1.3, 1.0),
+            (4, 4.0, 2.0, 1.5),
+        ] {
+            let inst = mixed_stream(300, m, load, seed);
+            let cfg = EngineConfig::new(m).with_speed(speed);
+            let suffix = run_on(
+                &mut StaticSource::new(&inst),
+                kind,
+                cfg,
+                EnginePath::ArrivalSuffix,
+            );
+            let oracle = run_on(
+                &mut StaticSource::new(&inst),
+                kind,
+                cfg.with_full_reassign(true),
+                EnginePath::Exhaustive,
+            );
+            assert_equivalent(kind, &suffix, &oracle);
+            let audited = run_on(
+                &mut StaticSource::new(&inst),
+                kind,
+                cfg.with_audit(AuditLevel::Strict),
+                EnginePath::ArrivalSuffix,
+            );
+            assert_eq!(audited.metrics, suffix.metrics, "β {beta} seed {seed}");
+            let mut policy = kind.build();
+            let mut obs = NullObserver;
+            let mut source = StaticSource::new(&inst);
+            let streamed = Engine::new(
+                cfg.with_streaming(true),
+                policy.as_mut(),
+                &mut source,
+                &mut obs,
+            )
+            .run_streaming()
+            .unwrap();
+            assert_eq!(
+                streamed.metrics, suffix.metrics,
+                "β {beta} seed {seed}: streaming differs from in memory"
+            );
+        }
+    }
+}
+
+/// Replays `jobs` grouped by release, each group emitted in the given
+/// order over two `emit_into` calls: a streaming source whose admission
+/// order need not be `(release, id)` order.
+struct Batches {
+    jobs: Vec<JobSpec>,
+    next: usize,
+}
+
+impl ArrivalSource for Batches {
+    fn next_time(&self) -> Option<Time> {
+        self.jobs.get(self.next).map(|j| j.release)
+    }
+
+    fn emit_into(&mut self, _view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
+        let Some(release) = self.next_time() else {
+            return;
+        };
+        let end = self.jobs[self.next..]
+            .iter()
+            .position(|j| j.release != release)
+            .map_or(self.jobs.len(), |k| self.next + k);
+        // The first half of the batch now, the rest at the next call.
+        let half = self.next + (end - self.next).div_ceil(2);
+        out.extend_from_slice(&self.jobs[self.next..half]);
+        self.next = half;
+    }
+
+    fn needs_system_view(&self) -> bool {
+        false
+    }
+}
+
+/// Equal-release batches whose ids arrive in descending order: the suffix
+/// path links each arrival in behind the jobs of its batch that follow it
+/// in `(release, id)` order, and must agree with the exhaustive oracle,
+/// which selects the latest arrivals by that order from scratch, and with
+/// the same jobs replayed in order from an instance.
+#[test]
+fn laps_suffix_path_orders_descending_id_batches_by_release_and_id() {
+    let mut jobs = Vec::new();
+    let mut state = 0x0dd_ba7c_u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let curves = [Curve::power(0.5), Curve::power(0.25), Curve::Sequential];
+    for batch in 0..40u64 {
+        let release = batch as f64 * 1.5;
+        let size = 1 + (unit() * 6.0) as u64;
+        for k in (0..size).rev() {
+            jobs.push(JobSpec::new(
+                JobId(batch * 100 + k),
+                release,
+                0.25 + 4.0 * unit(),
+                curves[(unit() * 3.0) as usize].clone(),
+            ));
+        }
+    }
+    let inst = Instance::new(jobs.clone()).unwrap();
+    for beta in [0.1, 0.55, 1.0] {
+        let kind = PolicyKind::Laps(beta);
+        for m in [2.0, 5.0] {
+            let cfg = EngineConfig::new(m);
+            let suffix = run_on(
+                &mut Batches {
+                    jobs: jobs.clone(),
+                    next: 0,
+                },
+                kind,
+                cfg.with_audit(AuditLevel::Strict),
+                EnginePath::ArrivalSuffix,
+            );
+            let oracle = run_on(
+                &mut Batches {
+                    jobs: jobs.clone(),
+                    next: 0,
+                },
+                kind,
+                cfg.with_full_reassign(true),
+                EnginePath::Exhaustive,
+            );
+            assert_equivalent(kind, &suffix, &oracle);
+            let in_order = run_on(
+                &mut StaticSource::new(&inst),
+                kind,
+                cfg,
+                EnginePath::ArrivalSuffix,
+            );
+            assert_equivalent(kind, &suffix, &in_order);
+        }
+    }
+}
+
+/// SETF on the exhaustive path under speed augmentation: its catch-up
+/// quantum is elapsed work at unit speed, which the engine scales by the
+/// speed, so the run ends (instead of leapfrogging the tied groups past
+/// each other at every quantum) and agrees with the level path.
+#[test]
+fn setf_exhaustive_path_lands_catch_ups_under_speed_augmentation() {
+    let kind = PolicyKind::Setf;
+    for (seed, m, load) in [(5, 4.0, 0.8), (6, 8.0, 1.2)] {
+        let inst = mixed_stream(300, m, load, seed);
+        let cfg = EngineConfig::new(m)
+            .with_speed(1.5)
+            .with_max_events(200_000);
+        let levels = run_on(&mut StaticSource::new(&inst), kind, cfg, EnginePath::Levels);
+        let oracle = run_on(
+            &mut StaticSource::new(&inst),
+            kind,
+            cfg.with_full_reassign(true),
+            EnginePath::Exhaustive,
+        );
+        assert_equivalent(kind, &levels, &oracle);
     }
 }

@@ -6,7 +6,7 @@
 //! warm-up, stepping events neither allocates nor panics. The dynamic
 //! test only sees the configurations it runs; this rule complements it
 //! statically: from the event-loop roots (`Engine::run*`, `Engine::step`,
-//! `SrptSet` and `LevelStack` mutation) every reachable
+//! `SrptSet`, `LevelStack` and `ArrivalSuffix` mutation) every reachable
 //! function is checked for panic sinks (`unwrap`/`expect`, panic macros,
 //! unchecked indexing) and allocation sinks (`Vec::push`, `Box::new`,
 //! `format!`, …).
@@ -140,7 +140,7 @@ pub fn event_loop_roots(graph: &CallGraph) -> Vec<usize> {
         };
         let name = f.def.name.as_str();
         let is_root = (owner == "Engine" && ENGINE_ROOTS.contains(&name))
-            || (matches!(owner, "SrptSet" | "LevelStack")
+            || (matches!(owner, "SrptSet" | "LevelStack" | "ArrivalSuffix")
                 && f.def.mut_self
                 && !NON_LOOP_METHODS.contains(&name));
         if is_root {
@@ -211,8 +211,9 @@ impl Rule for EventLoopReachability {
     }
 
     fn summary(&self) -> &'static str {
-        "panic or allocation reachable from an event-loop root (Engine::run*/step, SrptSet or \
-         LevelStack mutation); the steady-state loop must be panic- and alloc-free"
+        "panic or allocation reachable from an event-loop root (Engine::run*/step, SrptSet, \
+         LevelStack or ArrivalSuffix mutation); the steady-state loop must be panic- and \
+         alloc-free"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {

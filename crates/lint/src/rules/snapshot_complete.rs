@@ -2,7 +2,7 @@
 //!
 //! The snapshot codec round-trips the engine mid-run (suspend/resume,
 //! fleet migration). Its failure mode is silent: add a field to `Engine`'s
-//! `RunState`, `JobArena`, `SrptSet`, or `LevelStack`, forget the codec, and every test that doesn't
+//! `RunState`, `JobArena`, `SrptSet`, `LevelStack`, or `ArrivalSuffix`, forget the codec, and every test that doesn't
 //! cross a suspend point still passes — restore just resurrects a subtly
 //! different engine. This rule makes the omission a lint error: every
 //! field of the participating structs must be *referenced* both somewhere
@@ -40,8 +40,12 @@ const CHECKED: &[&str] = &[
     "Level",
     "LevelsSnap",
     "LevelSnap",
-    "LevelEntrySnap",
+    "HeapEntrySnap",
     "Tally",
+    "ArrivalSuffix",
+    "Group",
+    "SuffixSnap",
+    "GroupSnap",
     "Snapshot",
     "SnapCfg",
     "SnapJob",

@@ -6,7 +6,7 @@
 //! processes `O(arrivals + completions + quanta)` events — no time
 //! discretization, no drift.
 //!
-//! Per-event cost depends on the policy, through one of three paths. The
+//! Per-event cost depends on the policy, through one of four paths. The
 //! *exhaustive* path rebuilds the full `(jobs, shares)` view and calls
 //! [`Policy::assign`] at every event: `O(n)` per event, correct for
 //! arbitrary policies. Policies that declare
@@ -20,10 +20,15 @@
 //! equal-elapsed levels ([`crate::level_stack`]), drains the top one at
 //! the common rate [`Policy::equalize_curves`] gives for its distinct
 //! curves, and merges it into the level below when it catches up, also
-//! `O(log n)` per event (amortized over the merges).
-//! [`EngineConfig::with_full_reassign`] forces the exhaustive path, which
-//! keeps it available as a differential oracle for both (see
-//! `docs/PERF.md`).
+//! `O(log n)` per event (amortized over the merges). Policies that declare
+//! [`AllocationStability::LatestArrivals`] — LAPS — run on the
+//! *arrival-suffix* path: the engine keeps the alive set in `(release,
+//! id)` order ([`crate::arrival_suffix`]), drains the running suffix of
+//! the latest `count` arrivals under one offset per curve, and moves the
+//! suffix boundary by one job when the policy's `count` moves, `O(log n)`
+//! per event. [`EngineConfig::with_full_reassign`] forces the exhaustive
+//! path, which keeps it available as a differential oracle for all three
+//! (see `docs/PERF.md`).
 //!
 //! Orthogonally to the per-event strategy, [`EngineConfig::with_streaming`]
 //! bounds *memory* by the alive set instead of the total job count:
@@ -37,6 +42,7 @@
 
 use parsched_speedup::{Curve, PowKernel, EPS};
 
+use crate::arrival_suffix::ArrivalSuffix;
 use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
 use crate::job::{Instance, JobId, JobSpec, Time, Work};
@@ -438,6 +444,9 @@ enum ExecMode {
     /// Least-elapsed level stack + the policy's common-rate equalizer; no
     /// `assign` calls.
     Levels,
+    /// Arrival-ordered alive set whose latest `count` jobs run + the
+    /// policy's prefix profile; no `assign` calls.
+    Suffix,
 }
 
 /// How the current constant-allocation interval drains (incremental path).
@@ -599,6 +608,9 @@ struct RunState {
     /// rate; only audit frames read the shares.
     // lint:allow(L009) read only by audit frames, and snapshots require auditing off; the next refresh recomputes them
     level_shares: Vec<f64>,
+    /// Arrival-suffix path: the alive set in `(release, id)` order, its
+    /// latest `count` jobs running.
+    suffix: ArrivalSuffix,
     /// Per-phase wall-clock totals (see [`crate::hotpath`]); pure
     /// diagnostics, armed by [`EngineConfig::hotpath_profile`].
     #[cfg(feature = "hotpath")]
@@ -629,6 +641,7 @@ pub struct EngineBuffers {
     levels: LevelStack,
     level_curves: Vec<CurveCount<'static>>,
     level_shares: Vec<f64>,
+    suffix: ArrivalSuffix,
     scratch_moves: Vec<(usize, Placement)>,
     scratch_batch: Vec<JobSpec>,
     completed: Vec<CompletedJob>,
@@ -655,6 +668,7 @@ impl EngineBuffers {
         self.levels.reset();
         self.level_curves.clear();
         self.level_shares.clear();
+        self.suffix.reset();
         self.scratch_moves.clear();
         self.scratch_batch.clear();
         self.completed.clear();
@@ -708,6 +722,7 @@ impl ParkedEngine {
         if policy.srpt_ordered() != state.policy_srpt_ordered {
             return mismatch("the policy differs in its SRPT-ordering claim");
         }
+
         if exec_mode(&state.cfg, policy, observer) != state.mode {
             return mismatch("the policy or observer selects the other execution path");
         }
@@ -726,9 +741,10 @@ impl ParkedEngine {
 /// The execution path for a run of `policy` under `cfg` watched by
 /// `observer`: when the observer does not consume the allocation stream
 /// and [`EngineConfig::full_reassign`] is off, the incremental path for a
-/// policy declaring [`AllocationStability::SrptPrefix`] and the level path
-/// for one declaring [`AllocationStability::LeastElapsed`]; the exhaustive
-/// path otherwise.
+/// policy declaring [`AllocationStability::SrptPrefix`], the level path
+/// for one declaring [`AllocationStability::LeastElapsed`], and the
+/// arrival-suffix path for one declaring
+/// [`AllocationStability::LatestArrivals`]; the exhaustive path otherwise.
 fn exec_mode(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -> ExecMode {
     if cfg.full_reassign || observer.needs_allocation_stream() {
         return ExecMode::Exhaustive;
@@ -737,6 +753,7 @@ fn exec_mode(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -
         AllocationStability::General => ExecMode::Exhaustive,
         AllocationStability::SrptPrefix => ExecMode::Incremental,
         AllocationStability::LeastElapsed => ExecMode::Levels,
+        AllocationStability::LatestArrivals => ExecMode::Suffix,
     }
 }
 
@@ -790,9 +807,21 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
         .iter()
         .flat_map(|l| &l.levels)
         .map(|l| ("levels.drain", l.drain));
+    let suffix_drains = snap
+        .suffix
+        .iter()
+        .flat_map(|s| &s.groups)
+        .map(|g| ("suffix.drain", g.drain));
+    let waiting_work = snap
+        .suffix
+        .iter()
+        .flat_map(|s| &s.waiting)
+        .map(|e| ("suffix.waiting", e.key));
     for (name, v) in [("clock.now", snap.now), ("srpt.drain", snap.srpt.drain)]
         .into_iter()
         .chain(level_drains)
+        .chain(suffix_drains)
+        .chain(waiting_work)
     {
         if !(v.is_finite() && v >= 0.0) {
             return bad(name, v);
@@ -844,7 +873,20 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
             .flat_map(|l| &l.levels)
             .flat_map(|l| &l.entries)
             .map(|e| ("levels.key", e.key)),
-    );
+    )
+    .chain(snap.suffix.iter().flat_map(|s| {
+        std::iter::once(("suffix.waiting_frac", s.waiting_frac)).chain(s.groups.iter().flat_map(
+            |g| {
+                [
+                    ("suffix.s1", g.s1),
+                    ("suffix.sk", g.sk),
+                    ("suffix.rate", g.rate),
+                ]
+                .into_iter()
+                .chain(g.entries.iter().map(|e| ("suffix.key", e.key)))
+            },
+        ))
+    }));
     for (name, v) in finite {
         if !v.is_finite() {
             return bad(name, v);
@@ -902,9 +944,12 @@ impl<'a> Engine<'a> {
     /// Creates an engine over the given policy, arrival source, and
     /// observer. The policy is `reset()` so engines can reuse policy values.
     ///
-    /// The execution path is chosen here: the incremental `O(log n)` path
-    /// requires the policy to declare [`AllocationStability::SrptPrefix`],
-    /// the observer to not consume the allocation stream, and
+    /// The execution path is chosen here: the incremental, level and
+    /// arrival-suffix `O(log n)` paths require the policy to declare
+    /// [`AllocationStability::SrptPrefix`],
+    /// [`AllocationStability::LeastElapsed`] or
+    /// [`AllocationStability::LatestArrivals`] respectively, the observer
+    /// to not consume the allocation stream, and
     /// [`EngineConfig::full_reassign`] to be off; otherwise the exhaustive
     /// `O(n)` path runs.
     pub fn new(
@@ -953,6 +998,7 @@ impl<'a> Engine<'a> {
                 levels: bufs.levels,
                 level_curves: bufs.level_curves,
                 level_shares: bufs.level_shares,
+                suffix: bufs.suffix,
                 profile: PrefixAllocation {
                     count: 0,
                     share: 0.0,
@@ -998,6 +1044,7 @@ impl<'a> Engine<'a> {
         self.state.levels.reset();
         self.state.level_curves.clear();
         self.state.level_shares.clear();
+        self.state.suffix.reset();
         self.state.profile = PrefixAllocation {
             count: 0,
             share: 0.0,
@@ -1044,6 +1091,7 @@ impl<'a> Engine<'a> {
             levels: std::mem::take(&mut self.state.levels),
             level_curves: std::mem::take(&mut self.state.level_curves),
             level_shares: std::mem::take(&mut self.state.level_shares),
+            suffix: std::mem::take(&mut self.state.suffix),
             scratch_moves: std::mem::take(&mut self.state.scratch_moves),
             scratch_batch: std::mem::take(&mut self.state.scratch_batch),
             completed: std::mem::take(&mut self.state.completed),
@@ -1065,7 +1113,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether this engine runs the incremental `O(log n)`-per-event SRPT
-    /// path (as opposed to the exhaustive or the level path).
+    /// path (as opposed to the exhaustive, the level or the arrival-suffix
+    /// path).
     pub fn uses_incremental_path(&self) -> bool {
         self.state.mode == ExecMode::Incremental
     }
@@ -1076,6 +1125,7 @@ impl<'a> Engine<'a> {
             ExecMode::Exhaustive => EnginePath::Exhaustive,
             ExecMode::Incremental => EnginePath::Incremental,
             ExecMode::Levels => EnginePath::Levels,
+            ExecMode::Suffix => EnginePath::ArrivalSuffix,
         }
     }
 
@@ -1085,6 +1135,7 @@ impl<'a> Engine<'a> {
             ExecMode::Exhaustive => self.state.alive.len(),
             ExecMode::Incremental => self.state.srpt.len(),
             ExecMode::Levels => self.state.levels.len(),
+            ExecMode::Suffix => self.state.suffix.len(),
         }
     }
 
@@ -1122,6 +1173,8 @@ impl<'a> Engine<'a> {
                 0.0
             } else if self.state.mode == ExecMode::Levels {
                 self.state.levels.remaining_of(i).unwrap_or(0.0)
+            } else if self.state.mode == ExecMode::Suffix {
+                self.state.suffix.remaining_of(i).unwrap_or(0.0)
             } else if self.state.jobs.in_running[i] {
                 (self.state.jobs.run_key[i] - self.state.srpt.drain_offset()).max(0.0)
             } else {
@@ -1160,6 +1213,15 @@ impl<'a> Engine<'a> {
                 self.state
                     .levels
                     .for_each(|slot, remaining, _| out.push(snap(slot.idx, remaining)));
+                out
+            }
+            ExecMode::Suffix => {
+                let mut out = Vec::with_capacity(self.state.suffix.len());
+                self.state
+                    .suffix
+                    .for_each(&self.state.jobs.specs, |slot, remaining, _| {
+                        out.push(snap(slot.idx, remaining));
+                    });
                 out
             }
         }
@@ -1229,6 +1291,8 @@ impl<'a> Engine<'a> {
             srpt: self.state.srpt.snapshot_state(&self.state.jobs.specs),
             levels: (self.state.mode == ExecMode::Levels)
                 .then(|| self.state.levels.snapshot_state(&self.state.jobs.specs)),
+            suffix: (self.state.mode == ExecMode::Suffix)
+                .then(|| self.state.suffix.snapshot_state(&self.state.jobs.specs)),
             completed: self.state.completed.clone(),
         })
     }
@@ -1273,12 +1337,19 @@ impl<'a> Engine<'a> {
         }
         let snap_mode = if snap.levels.is_some() {
             ExecMode::Levels
+        } else if snap.suffix.is_some() {
+            ExecMode::Suffix
         } else if snap.incremental {
             ExecMode::Incremental
         } else {
             ExecMode::Exhaustive
         };
-        if self.state.mode != snap_mode || (snap.levels.is_some() && snap.incremental) {
+        let paths = [
+            snap.levels.is_some(),
+            snap.suffix.is_some(),
+            snap.incremental,
+        ];
+        if self.state.mode != snap_mode || paths.into_iter().filter(|&p| p).count() > 1 {
             return Err(bad(format!(
                 "restore path mismatch: engine is {:?} but the snapshot was taken on the \
                  {snap_mode:?} path (policy stability and observer must match the original run)",
@@ -1351,15 +1422,25 @@ impl<'a> Engine<'a> {
             .chain(snap.free.iter())
             .chain(snap.srpt.running.iter().map(|e| &e.idx))
             .chain(snap.srpt.queued.iter().map(|e| &e.idx))
+            .chain(snap.suffix.iter().flat_map(|s| s.entries()).map(|e| &e.idx))
             .find(|&&idx| idx >= n)
         {
             return Err(bad(format!(
                 "snapshot references arena slot {idx} (arena holds {n})"
             )));
         }
-        // The SRPT set and the level heaps break key ties by reading each
-        // entry's arena spec, so an entry must describe the job its slot
-        // holds, bit for bit.
+        if let Some(suffix) = &snap.suffix {
+            let done: Vec<bool> = snap.jobs.iter().map(|j| j.done).collect();
+            suffix.check(&done).map_err(bad)?;
+        }
+        // The SRPT set, the level heaps and the arrival suffix break ties
+        // by reading each entry's arena spec, so an entry must describe
+        // the job its slot holds, bit for bit.
+        let suffix_entries = snap
+            .suffix
+            .iter()
+            .flat_map(|s| s.entries())
+            .map(|e| ("suffix", e.idx, e.release, e.id, e.size));
         let level_entries = snap
             .levels
             .iter()
@@ -1376,7 +1457,8 @@ impl<'a> Engine<'a> {
                 .iter()
                 .map(move |e| (part, e.idx, e.release, e.id, e.size))
         });
-        for (part, idx, release, id, size) in set_entries.chain(level_entries) {
+        for (part, idx, release, id, size) in set_entries.chain(level_entries).chain(suffix_entries)
+        {
             let Some(slot) = snap.jobs.get(idx) else {
                 return Err(bad(format!(
                     "snapshot references arena slot {idx} (arena holds {n})"
@@ -1409,6 +1491,19 @@ impl<'a> Engine<'a> {
         {
             return Err(bad(format!(
                 "snapshot level tally references arena slot {slot} (arena holds {n})"
+            )));
+        }
+        // A suffix group drains its members at one rate, so they must share
+        // one curve.
+        if let Some(group) = snap.suffix.iter().flat_map(|s| &s.groups).find(|g| {
+            let curve = |e: &crate::srpt_set::HeapEntrySnap| &snap.jobs[e.idx].spec.curve;
+            g.entries
+                .iter()
+                .any(|e| !curve(e).same_bits(curve(&g.entries[0])))
+        }) {
+            return Err(bad(format!(
+                "snapshot suffix group of job {} mixes speed-up curves",
+                group.entries[0].id
             )));
         }
         if !self.source.fast_forward(snap.admitted) {
@@ -1492,6 +1587,11 @@ impl<'a> Engine<'a> {
             self.state
                 .levels
                 .restore_state(levels, &self.state.jobs.specs);
+        }
+        if let Some(suffix) = &snap.suffix {
+            self.state
+                .suffix
+                .restore_state(suffix, &self.state.jobs.specs);
         }
         self.state.profile = PrefixAllocation {
             count: snap.profile_count,
@@ -1606,6 +1706,12 @@ impl<'a> Engine<'a> {
                             remaining,
                         });
                     }),
+                    ExecMode::Suffix => state.suffix.for_each(specs, |slot, remaining, _| {
+                        views.push(AliveJob {
+                            spec: &specs[slot.idx],
+                            remaining,
+                        });
+                    }),
                 }
                 let view = SystemView {
                     now: state.now,
@@ -1712,6 +1818,8 @@ impl<'a> Engine<'a> {
                     lanes.apply(idx, placement);
                 } else if self.state.mode == ExecMode::Levels {
                     self.state.levels.admit(idx, remaining, &jobs.specs);
+                } else if self.state.mode == ExecMode::Suffix {
+                    self.state.suffix.insert(idx, remaining, &jobs.specs);
                 } else {
                     self.state.alive.push(idx);
                 }
@@ -1729,6 +1837,7 @@ impl<'a> Engine<'a> {
     /// Revalidates the allocation for the interval starting now:
     /// [`Engine::refresh_allocation`] on the exhaustive path,
     /// [`Engine::refresh_levels`] on the level path,
+    /// [`Engine::refresh_suffix`] on the arrival-suffix path,
     /// [`Engine::refresh_profile`] on the incremental one. `GENERIC` is
     /// the event loop's instantiation flag; the specialized loop only
     /// ever runs the incremental path, so it skips the mode dispatch.
@@ -1738,9 +1847,51 @@ impl<'a> Engine<'a> {
             self.refresh_allocation()
         } else if GENERIC && self.state.mode == ExecMode::Levels {
             self.refresh_levels()
+        } else if GENERIC && self.state.mode == ExecMode::Suffix {
+            self.refresh_suffix()
         } else {
             self.refresh_profile()
         }
+    }
+
+    /// Arrival-suffix refresh: replays the policy's `(count, share)`
+    /// profile from the per-`n` memo ([`Engine::memo_profile`]), restores
+    /// the running suffix to the latest `count` arrivals (one demotion or
+    /// promotion per arrival or completion), and schedules each curve
+    /// group's drain rate `speed·Γ_g(share)` and the earliest group-front
+    /// completion. `O(log n)` for the boundary moves plus `O(groups)`.
+    /// A group's rate is memoized per `n` like the incremental path's
+    /// uniform rate, so a one-curve run evaluates Γ once per distinct
+    /// alive count.
+    fn refresh_suffix(&mut self) -> Result<(), SimError> {
+        self.state.quantum_deadline = None;
+        self.state.next_completion = None;
+        let n = self.state.suffix.len();
+        if n == 0 {
+            self.state.alloc_fresh = true;
+            return Ok(());
+        }
+        let (count, share) = self.memo_profile(n)?;
+        self.state.profile = PrefixAllocation { count, share };
+        let state = &mut self.state;
+        state.suffix.rebalance(count, &state.jobs.specs);
+        let (now, speed) = (state.now, state.cfg.speed);
+        let jobs = &state.jobs;
+        let memo = &mut state.profile_cache[n];
+        state.next_completion = state.suffix.schedule(now, &jobs.specs, |idx| {
+            let class = jobs.class[idx];
+            if class < CLASS_UNGROUPED && memo.rate_class == class {
+                return memo.rate;
+            }
+            let rate = speed * jobs.gamma(idx, share);
+            if class < CLASS_UNGROUPED {
+                memo.rate_class = class;
+                memo.rate = rate;
+            }
+            rate
+        });
+        state.alloc_fresh = true;
+        Ok(())
     }
 
     /// Level-path refresh: merges the levels tied with the served one,
@@ -1853,52 +2004,7 @@ impl<'a> Engine<'a> {
             self.state.alloc_fresh = true;
             return Ok(());
         }
-        if self.state.profile_cache.len() <= n {
-            self.state.profile_cache.resize(n + 1, CachedProfile::EMPTY);
-        }
-        let memo = self.state.profile_cache[n];
-        let (count, share) = if memo.count != u32::MAX {
-            (memo.count as usize, memo.share)
-        } else {
-            let Some(profile) = self.policy.prefix_allocation(n, self.state.cfg.m) else {
-                return Err(SimError::BadInstance {
-                    // lint:allow(L007) error construction: an infeasible profile terminates the run
-                    what: format!(
-                        "policy {} declares SrptPrefix stability but returned no prefix profile for n = {n}",
-                        self.policy.name()
-                    ),
-                });
-            };
-            // Mirror the exhaustive path's feasibility checks (same error
-            // taxonomy, O(1) instead of O(n)).
-            if !profile.share.is_finite() || profile.share < -EPS {
-                return Err(SimError::InvalidShare {
-                    at: self.state.now,
-                    share: profile.share,
-                    policy: self.policy.name(),
-                });
-            }
-            let count = profile.count.clamp(1, n);
-            let share = profile.share.max(0.0);
-            let total = count as f64 * share;
-            if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
-                return Err(SimError::InfeasibleAllocation {
-                    at: self.state.now,
-                    requested: total,
-                    available: self.state.cfg.m,
-                    policy: self.policy.name(),
-                });
-            }
-            // lint:allow(L005, L007) count ≤ n ≤ the u32 arena-slot envelope the IdMap already enforces
-            let count_u32 = u32::try_from(count).expect("alive count exceeds u32");
-            self.state.profile_cache[n] = CachedProfile {
-                count: count_u32,
-                rate_class: CLASS_CURVE,
-                share,
-                rate: 0.0,
-            };
-            (count, share)
-        };
+        let (count, share) = self.memo_profile(n)?;
         self.state.profile = PrefixAllocation { count, share };
         let (specs, mut lanes) = self.state.jobs.split_placement();
         self.state
@@ -1973,6 +2079,70 @@ impl<'a> Engine<'a> {
         }
         self.state.alloc_fresh = true;
         Ok(())
+    }
+
+    /// The validated `(count, share)` profile for `n` alive jobs, replayed
+    /// from the per-`n` memo; the first time an alive count is seen,
+    /// [`Engine::memo_miss`] fills its slot.
+    #[inline(always)]
+    fn memo_profile(&mut self, n: usize) -> Result<(usize, f64), SimError> {
+        match self.state.profile_cache.get(n) {
+            Some(memo) if memo.count != u32::MAX => Ok((memo.count as usize, memo.share)),
+            _ => self.memo_miss(n),
+        }
+    }
+
+    /// A memo miss of [`Engine::memo_profile`]: queries
+    /// [`Policy::prefix_allocation`], applies the exhaustive path's
+    /// feasibility checks (same error taxonomy, `O(1)` instead of `O(n)`),
+    /// and fills the slot, so the policy is asked at most once per
+    /// distinct alive count per run. Out of line, so the event loop's
+    /// refreshes carry only the replay.
+    #[cold]
+    #[inline(never)]
+    fn memo_miss(&mut self, n: usize) -> Result<(usize, f64), SimError> {
+        if self.state.profile_cache.len() <= n {
+            self.state.profile_cache.resize(n + 1, CachedProfile::EMPTY);
+        }
+        let Some(profile) = self.policy.prefix_allocation(n, self.state.cfg.m) else {
+            return Err(SimError::BadInstance {
+                // lint:allow(L007) error construction: an infeasible profile terminates the run
+                what: format!(
+                    "policy {} declares {:?} stability but returned no prefix profile for n = {n}",
+                    self.policy.name(),
+                    self.policy.stability()
+                ),
+            });
+        };
+        // Mirror the exhaustive path's feasibility checks (same error
+        // taxonomy, O(1) instead of O(n)).
+        if !profile.share.is_finite() || profile.share < -EPS {
+            return Err(SimError::InvalidShare {
+                at: self.state.now,
+                share: profile.share,
+                policy: self.policy.name(),
+            });
+        }
+        let count = profile.count.clamp(1, n);
+        let share = profile.share.max(0.0);
+        let total = count as f64 * share;
+        if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
+            return Err(SimError::InfeasibleAllocation {
+                at: self.state.now,
+                requested: total,
+                available: self.state.cfg.m,
+                policy: self.policy.name(),
+            });
+        }
+        // lint:allow(L005, L007) count ≤ n ≤ the u32 arena-slot envelope the IdMap already enforces
+        let count_u32 = u32::try_from(count).expect("alive count exceeds u32");
+        self.state.profile_cache[n] = CachedProfile {
+            count: count_u32,
+            rate_class: CLASS_CURVE,
+            share,
+            rate: 0.0,
+        };
+        Ok((count, share))
     }
 
     /// Exhaustive-path refresh: runs the policy on a view of the alive set,
@@ -2050,6 +2220,13 @@ impl<'a> Engine<'a> {
         state.views = recycle_views(views);
         checked?;
         if let Some(q) = quantum {
+            // A least-elapsed policy's quantum is elapsed work at unit
+            // speed (see `AllocationStability::LeastElapsed`).
+            let q = if self.policy.stability() == AllocationStability::LeastElapsed {
+                q / speed
+            } else {
+                q
+            };
             if q.is_finite() && q > 0.0 {
                 state.quantum_deadline = Some(now + q);
             }
@@ -2173,6 +2350,7 @@ impl<'a> Engine<'a> {
         );
         let exhaustive = GENERIC && self.state.mode == ExecMode::Exhaustive;
         let levels = GENERIC && self.state.mode == ExecMode::Levels;
+        let suffix = GENERIC && self.state.mode == ExecMode::Suffix;
         if exhaustive {
             self.state.completion_candidate = None;
         }
@@ -2186,6 +2364,8 @@ impl<'a> Engine<'a> {
                 any_due = hp_phase!(self, metrics_ns, self.integrate_exhaustive(dt, t));
             } else if levels {
                 hp_phase!(self, metrics_ns, self.integrate_levels(dt));
+            } else if suffix {
+                hp_phase!(self, metrics_ns, self.integrate_suffix(dt));
             } else {
                 hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
             }
@@ -2205,6 +2385,8 @@ impl<'a> Engine<'a> {
                 any_due && self.collect_completions_exhaustive()
             } else if levels {
                 self.collect_completions_levels()
+            } else if suffix {
+                self.collect_completions_suffix()
             } else {
                 self.collect_completions_incremental::<GENERIC>()
             };
@@ -2349,6 +2531,37 @@ impl<'a> Engine<'a> {
                 .add(run.max(0.0) + self.state.levels.frozen_frac_sum() * dt);
             self.state.levels.advance(rate * dt);
         }
+    }
+
+    /// Arrival-suffix interval integration, `O(groups)`: each curve group
+    /// of the running suffix drains uniformly at its own rate, so its
+    /// fractional flow has the SRPT set's closed form, and the waiting
+    /// jobs contribute their static sum times `dt`.
+    fn integrate_suffix(&mut self, dt: f64) {
+        self.state
+            .alive_integral
+            .add(self.state.suffix.len() as f64 * dt);
+        let frac = self.state.suffix.integrate(dt);
+        self.state.frac_flow.add(frac);
+    }
+
+    /// Arrival-suffix completions: only running jobs drain, and a group's
+    /// members drain at one rate, so only a group's front can be due — pop
+    /// fronts while one is.
+    fn collect_completions_suffix(&mut self) -> bool {
+        let now = self.state.now;
+        let mut completed_any = false;
+        while let Some(slot) = self
+            .state
+            .suffix
+            .pop_due(&self.state.jobs.specs, |slot, rem, rate| {
+                rem <= Self::completion_tolerance(slot.size, rate, now)
+            })
+        {
+            self.finish_job::<true>(slot.idx);
+            completed_any = true;
+        }
+        completed_any
     }
 
     /// Level-path completions: only the served level drains, and its
@@ -2562,6 +2775,27 @@ impl<'a> Engine<'a> {
                     });
                 });
             }
+            ExecMode::Suffix => {
+                let state = &*state;
+                let specs = &state.jobs.specs;
+                state.suffix.for_each(specs, |slot, remaining, running| {
+                    let spec = &specs[slot.idx];
+                    let (share, rate) = if running {
+                        (state.profile.share, state.suffix.rate_of(slot.idx))
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    jobs.push(FrameJob {
+                        id: spec.id,
+                        slot: slot.idx,
+                        release: spec.release,
+                        size: spec.size,
+                        remaining,
+                        share,
+                        rate,
+                    });
+                });
+            }
         }
         AuditFrame {
             event: state.events,
@@ -2575,6 +2809,7 @@ impl<'a> Engine<'a> {
             // reordered by swap_remove and promises nothing.
             srpt_ordered_iteration: self.state.mode == ExecMode::Incremental,
             srpt_ordered_policy: self.state.policy_srpt_ordered,
+            latest_arrivals_policy: self.policy.stability() == AllocationStability::LatestArrivals,
         }
     }
 
@@ -2582,7 +2817,7 @@ impl<'a> Engine<'a> {
     ///
     /// One iteration of the all-checks instantiation of the event loop
     /// (see [`Engine::run_loop`]): it validates admissions, notifies the
-    /// observer, serves both execution paths, and feeds the auditor.
+    /// observer, serves every execution path, and feeds the auditor.
     pub fn step(&mut self) -> Result<bool, SimError> {
         self.run_events::<true, true>(true)
     }
@@ -2623,7 +2858,8 @@ impl<'a> Engine<'a> {
     /// ends; returns `false` once the run is over.
     ///
     /// `VALIDATE` re-checks admitted specs and `GENERIC` serves the
-    /// exhaustive path, the observer, and the auditor; with `GENERIC` off
+    /// exhaustive, level and arrival-suffix paths, the observer, and the
+    /// auditor; with `GENERIC` off
     /// the run must be on the incremental path, unaudited, and unobserved
     /// (see [`Engine::run_loop`]).
     #[inline]
@@ -3258,6 +3494,84 @@ mod tests {
         let mut source = StaticSource::new(&instance);
         let mut trace = crate::observer::AllocationTrace::new();
         let e = Engine::new(EngineConfig::new(1.0), &mut least, &mut source, &mut trace);
+        assert_eq!(e.path(), EnginePath::Exhaustive);
+    }
+
+    /// LAPS(½) in miniature: the latest `⌈n/2⌉` arrivals in `(release,
+    /// id)` order split the machine evenly.
+    struct LatestHalf;
+
+    impl Policy for LatestHalf {
+        fn name(&self) -> String {
+            "latest-half".into()
+        }
+
+        fn assign(
+            &mut self,
+            _now: Time,
+            m: f64,
+            jobs: &[AliveJob<'_>],
+            shares: &mut [f64],
+        ) -> Option<f64> {
+            let mut order: Vec<usize> = (0..jobs.len()).collect();
+            order.sort_by(|&a, &b| {
+                jobs[a]
+                    .release()
+                    .total_cmp(&jobs[b].release())
+                    .then(jobs[a].id().cmp(&jobs[b].id()))
+            });
+            let k = jobs.len().div_ceil(2);
+            shares.fill(0.0);
+            for &i in &order[jobs.len() - k..] {
+                shares[i] = m / k as f64;
+            }
+            None
+        }
+
+        fn stability(&self) -> AllocationStability {
+            AllocationStability::LatestArrivals
+        }
+
+        fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
+            let count = n_alive.div_ceil(2);
+            (n_alive > 0).then(|| PrefixAllocation {
+                count,
+                share: m / count as f64,
+            })
+        }
+    }
+
+    #[test]
+    fn arrival_suffix_path_serves_the_latest_arrivals() {
+        // Job 0 runs alone on [0, 1) at rate 2 and has 2 left. Job 1
+        // arrives, and of two jobs the latest one runs: it takes the
+        // machine and finishes at 1.5, then job 0 resumes and finishes at
+        // 2.5.
+        let instance = Instance::new(vec![
+            JobSpec::new(JobId(0), 0.0, 4.0, Curve::FullyParallel),
+            JobSpec::new(JobId(1), 1.0, 1.0, Curve::FullyParallel),
+        ])
+        .unwrap();
+        let run = |cfg: EngineConfig, path: EnginePath| {
+            let mut policy = LatestHalf;
+            let mut source = StaticSource::new(&instance);
+            let mut obs = NullObserver;
+            let e = Engine::new(cfg, &mut policy, &mut source, &mut obs);
+            assert_eq!(e.path(), path);
+            let out = e.run().unwrap();
+            [out.flow_of(JobId(0)), out.flow_of(JobId(1))]
+        };
+        let suffix = run(EngineConfig::new(2.0), EnginePath::ArrivalSuffix);
+        assert_eq!(suffix, [Some(2.5), Some(0.5)]);
+        let oracle = run(
+            EngineConfig::new(2.0).with_full_reassign(true),
+            EnginePath::Exhaustive,
+        );
+        assert_eq!(suffix, oracle);
+        let mut policy = LatestHalf;
+        let mut source = StaticSource::new(&instance);
+        let mut trace = crate::observer::AllocationTrace::new();
+        let e = Engine::new(EngineConfig::new(2.0), &mut policy, &mut source, &mut trace);
         assert_eq!(e.path(), EnginePath::Exhaustive);
     }
 

@@ -122,6 +122,8 @@ pub enum EnginePath {
     Incremental,
     /// Least-elapsed level stack + common-rate equalizer.
     Levels,
+    /// Arrival-ordered alive set whose latest arrivals share the machine.
+    ArrivalSuffix,
     /// Offline replay of a recorded trace.
     Replay,
 }
@@ -132,6 +134,7 @@ impl std::fmt::Display for EnginePath {
             EnginePath::Exhaustive => "exhaustive",
             EnginePath::Incremental => "incremental",
             EnginePath::Levels => "levels",
+            EnginePath::ArrivalSuffix => "arrival-suffix",
             EnginePath::Replay => "replay",
         })
     }
@@ -229,6 +232,10 @@ pub struct AuditFrame {
     /// (gates the [`SrptPrefixShares`] check; e.g. EQUI does not claim
     /// it — its allocation is order-agnostic).
     pub srpt_ordered_policy: bool,
+    /// Whether the active policy declares
+    /// [`crate::AllocationStability::LatestArrivals`] (gates the
+    /// [`LatestArrivalShares`] check).
+    pub latest_arrivals_policy: bool,
 }
 
 /// End-of-run accounting handed to [`Invariant::check_final`].
@@ -616,6 +623,80 @@ impl Invariant for SrptPrefixShares {
     }
 }
 
+/// For policies that declare
+/// [`crate::AllocationStability::LatestArrivals`], the scheduled set must
+/// be a *suffix of the arrival order* with one common share: no zero-share
+/// job may arrive after a scheduled job in `(release, id)` order, and all
+/// scheduled jobs receive the same share. It reads only the frame's
+/// releases, ids and shares, so it checks the arrival-suffix path and the
+/// exhaustive path alike.
+#[derive(Debug, Default)]
+pub struct LatestArrivalShares;
+
+impl Invariant for LatestArrivalShares {
+    fn name(&self) -> &'static str {
+        "arrival-suffix"
+    }
+
+    fn check_frame(
+        &mut self,
+        _prev: Option<&AuditFrame>,
+        cur: &AuditFrame,
+        out: &mut Vec<Violation>,
+    ) {
+        if !cur.latest_arrivals_policy {
+            return;
+        }
+        let later = |a: &FrameJob, b: &FrameJob| {
+            a.release.total_cmp(&b.release).then(a.id.cmp(&b.id)) == std::cmp::Ordering::Greater
+        };
+        let mut oldest_scheduled: Option<&FrameJob> = None;
+        let mut share: Option<f64> = None;
+        for j in cur.jobs.iter().filter(|j| j.share > EPS) {
+            if oldest_scheduled.is_none_or(|s| later(s, j)) {
+                oldest_scheduled = Some(j);
+            }
+            match share {
+                None => share = Some(j.share),
+                Some(s) if (j.share - s).abs() > EPS * s.max(1.0) => {
+                    out.push(Violation {
+                        job: Some(j.id),
+                        expected: s,
+                        actual: j.share,
+                        detail: format!(
+                            "scheduled jobs do not share equally: job {} holds {}, others hold {}",
+                            j.id, j.share, s
+                        ),
+                        ..violation(cur, self.name())
+                    });
+                }
+                Some(_) => {}
+            }
+        }
+        let Some(oldest) = oldest_scheduled else {
+            return;
+        };
+        if let Some(j) = cur
+            .jobs
+            .iter()
+            .filter(|j| j.share <= EPS)
+            .find(|j| later(j, oldest))
+        {
+            out.push(Violation {
+                job: Some(j.id),
+                expected: oldest.release,
+                actual: j.release,
+                detail: format!(
+                    "scheduled set is not the latest arrivals: job {} (release {}) waits while \
+                     older job {} (release {}) runs",
+                    j.id, j.release, oldest.id, oldest.release
+                ),
+                ..violation(cur, self.name())
+            });
+        }
+    }
+}
+
 /// End-of-run accounting: every admitted job completed, and the flow-time
 /// identity `Σ_j F_j = ∫ |A(t)| dt` holds (with `fractional ≤ integral`).
 #[derive(Debug, Default)]
@@ -688,6 +769,7 @@ pub fn builtin_invariants() -> Vec<Box<dyn Invariant>> {
         Box::new(WorkDrainConsistency::default()),
         Box::new(SrptOrderPreserved),
         Box::new(SrptPrefixShares),
+        Box::new(LatestArrivalShares),
         Box::new(FlowTimeIdentity),
     ]
 }
@@ -851,6 +933,7 @@ mod tests {
             jobs,
             srpt_ordered_iteration: false,
             srpt_ordered_policy: false,
+            latest_arrivals_policy: false,
         }
     }
 

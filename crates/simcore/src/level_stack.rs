@@ -51,9 +51,9 @@
 
 use parsched_speedup::Curve;
 
-use crate::job::{JobId, JobSpec, Time, Work};
+use crate::job::{JobSpec, Work};
 use crate::policy::{CurveCount, ELAPSED_TIE_TOL};
-use crate::srpt_set::{Entry, MinHeap, Slot};
+use crate::srpt_set::{Entry, HeapEntrySnap, MinHeap, Slot};
 
 /// Which curve a [`Tally`] entry counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,23 +175,11 @@ struct Home {
 /// module docs), the tally, the offset, and the sums bit-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LevelSnap {
-    pub(crate) entries: Vec<LevelEntrySnap>,
+    pub(crate) entries: Vec<HeapEntrySnap>,
     pub(crate) tally: Vec<Tally>,
     pub(crate) drain: f64,
     pub(crate) s1: f64,
     pub(crate) sk: f64,
-}
-
-/// One level member as captured: key, the `(release, id)` tie-break
-/// (filled from the arena on capture and checked against it on restore),
-/// arena slot, and size.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LevelEntrySnap {
-    pub(crate) key: f64,
-    pub(crate) release: Time,
-    pub(crate) id: JobId,
-    pub(crate) idx: usize,
-    pub(crate) size: Work,
 }
 
 /// Full [`LevelStack`] state: levels bottom first, and the frozen levels'
@@ -491,7 +479,7 @@ impl LevelStack {
                     .iter()
                     .map(|e| {
                         let spec = &specs[e.idx as usize];
-                        LevelEntrySnap {
+                        HeapEntrySnap {
                             key: e.key,
                             release: spec.release,
                             id: spec.id,
@@ -553,6 +541,7 @@ impl LevelStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobId;
 
     fn spec(id: u64, size: Work, curve: Curve) -> JobSpec {
         JobSpec::new(JobId(id), 0.0, size, curve)

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod arrival_suffix;
 pub mod csv;
 mod engine;
 mod error;

@@ -36,10 +36,11 @@ impl AliveJob<'_> {
 }
 
 /// How a policy's preferred allocation evolves between discrete events —
-/// the contract that decides which of the engine's three execution paths
+/// the contract that decides which of the engine's four execution paths
 /// is sound: the exhaustive path for [`AllocationStability::General`], the
-/// incremental SRPT-set path for [`AllocationStability::SrptPrefix`], and
-/// the level path for [`AllocationStability::LeastElapsed`].
+/// incremental SRPT-set path for [`AllocationStability::SrptPrefix`], the
+/// level path for [`AllocationStability::LeastElapsed`], and the
+/// arrival-suffix path for [`AllocationStability::LatestArrivals`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationStability {
     /// No structural guarantee: the engine must call
@@ -79,7 +80,29 @@ pub enum AllocationStability {
     /// `assign` agree with it, and MUST NOT rely on `assign`'s quantum
     /// (the level path never calls `assign`; it schedules the catch-up
     /// itself).
+    ///
+    /// A quantum `assign` returns on the exhaustive path is a catch-up
+    /// measured in *elapsed work at unit speed*: the engine divides it by
+    /// [`crate::EngineConfig::speed`] before scheduling the re-decision,
+    /// so both paths land the catch-up at `gap/(speed·ρ)`.
     LeastElapsed,
+    /// The allocation is a *suffix profile of the arrival order*: at every
+    /// decision point, the `k` latest jobs in `(release, id)` order each
+    /// receive the same share `s` and every other job receives zero, where
+    /// `(k, s)` depends only on `(|A(t)|, m)` (via
+    /// [`Policy::prefix_allocation`], whose `count` then counts the latest
+    /// arrivals). LAPS has this shape. Waiting jobs receive nothing, so
+    /// they never complete, and the running set changes only at arrivals
+    /// and completions, which makes the engine's *arrival-suffix* path
+    /// sound: it keeps the alive set in arrival order, drains the running
+    /// suffix under one offset per curve, and demotes or promotes one job
+    /// at the suffix boundary when `k` moves.
+    ///
+    /// Policies declaring this MUST return `Some` from
+    /// [`Policy::prefix_allocation`] for every `n ≥ 1`, MUST have `assign`
+    /// agree with that profile, and MUST NOT rely on quantum re-decisions
+    /// (the arrival-suffix path never calls `assign`).
+    LatestArrivals,
 }
 
 /// Relative tolerance under which two elapsed-work values are *tied* for
@@ -102,7 +125,9 @@ pub struct CurveCount<'a> {
 
 /// A prefix-of-SRPT-order allocation: the first `count` jobs in
 /// `(remaining, release, id)` order each receive `share` processors; all
-/// other alive jobs receive zero.
+/// other alive jobs receive zero. For a policy declaring
+/// [`AllocationStability::LatestArrivals`] the `count` scheduled jobs are
+/// the latest arrivals in `(release, id)` order instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefixAllocation {
     /// Number of scheduled jobs `k ≥ 1` (callers clamp to `n`).
@@ -143,7 +168,10 @@ pub struct PrefixAllocation {
 /// Policies whose allocation serves the least-elapsed tie group at a
 /// common rate opt into the engine's level path the same way, by returning
 /// [`AllocationStability::LeastElapsed`] and implementing
-/// [`Policy::equalize_curves`].
+/// [`Policy::equalize_curves`]. Policies that share the machine equally
+/// among the latest arrivals opt into the arrival-suffix path by returning
+/// [`AllocationStability::LatestArrivals`] and implementing
+/// [`Policy::prefix_allocation`].
 pub trait Policy {
     /// Stable display name (used in tables, errors, and traces).
     fn name(&self) -> String;
@@ -171,7 +199,8 @@ pub trait Policy {
     ///
     /// Must be `Some` (with `1 ≤ k ≤ n`, `s > 0`, `k·s ≤ m`) whenever
     /// [`Policy::stability`] returns [`AllocationStability::SrptPrefix`]
-    /// and `n ≥ 1`; the default returns `None`.
+    /// or [`AllocationStability::LatestArrivals`] and `n ≥ 1`; the default
+    /// returns `None`.
     fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
         let _ = (n_alive, m);
         None

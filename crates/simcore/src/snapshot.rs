@@ -42,8 +42,12 @@
 //! `srpt`: every level bottom first, each with its heap array verbatim
 //! (the array order is run state there: merges accumulate sums in it),
 //! its curve tally, offset (its elapsed work) and sums, plus the frozen
-//! levels' fractional sum. Documents of the other two paths have no such
-//! member, so they render exactly as before.
+//! levels' fractional sum. A snapshot taken on the arrival-suffix path
+//! (LAPS, see `crate::arrival_suffix`) carries one more member, `suffix`,
+//! in the same place: the waiting stack oldest first, each curve group
+//! with its heap array verbatim, offset, sums and interval rate, plus the
+//! waiting jobs' fractional sum. Documents of the other two paths have
+//! neither member, so they render exactly as before.
 //!
 //! No reader for older formats is kept: a `parsched-snap/v1` document
 //! describes engine mechanisms that no longer exist (an event queue and
@@ -59,13 +63,14 @@
 //! document is refused with an error rather than decoded into a run that
 //! panics later or silently reports a wrong result.
 
+use crate::arrival_suffix::{GroupSnap, SuffixSnap};
 use crate::csv::{curve_from_field, curve_to_field};
 use crate::error::SimError;
 use crate::job::{JobId, JobSpec, Time};
 use crate::jsonlite::Json;
-use crate::level_stack::{CurveTag, LevelEntrySnap, LevelSnap, LevelsSnap, Tally};
+use crate::level_stack::{CurveTag, LevelSnap, LevelsSnap, Tally};
 use crate::metrics::CompletedJob;
-use crate::srpt_set::{SetEntrySnap, SetSnap};
+use crate::srpt_set::{HeapEntrySnap, SetEntrySnap, SetSnap};
 use crate::streaming::SinkState;
 
 /// The format tag every document leads with.
@@ -146,6 +151,9 @@ pub struct Snapshot {
     pub(crate) srpt: SetSnap,
     /// The level stack, present exactly when the run is on the level path.
     pub(crate) levels: Option<LevelsSnap>,
+    /// The arrival suffix, present exactly when the run is on the
+    /// arrival-suffix path.
+    pub(crate) suffix: Option<SuffixSnap>,
     pub(crate) completed: Vec<CompletedJob>,
 }
 
@@ -179,6 +187,8 @@ impl Snapshot {
     pub fn alive_count(&self) -> usize {
         if let Some(levels) = &self.levels {
             levels.levels.iter().map(|l| l.entries.len()).sum::<usize>()
+        } else if let Some(suffix) = &self.suffix {
+            suffix.entries().count()
         } else if self.incremental {
             self.srpt.running.len() + self.srpt.queued.len()
         } else {
@@ -404,6 +414,9 @@ impl Snapshot {
         if let Some(levels) = &self.levels {
             fields.push(("levels", levels_to_value(levels)));
         }
+        if let Some(suffix) = &self.suffix {
+            fields.push(("suffix", suffix_to_value(suffix)));
+        }
         fields.push(("completed", completed));
         obj(fields)
     }
@@ -544,6 +557,7 @@ impl Snapshot {
             },
         };
         let levels = doc.get("levels").map(levels_from_value).transpose()?;
+        let suffix = doc.get("suffix").map(suffix_from_value).transpose()?;
         let completed = arr_at(doc, "completed")?
             .iter()
             .map(|row| {
@@ -596,6 +610,7 @@ impl Snapshot {
             rates,
             srpt,
             levels,
+            suffix,
             completed,
         })
     }
@@ -619,20 +634,7 @@ fn levels_to_value(snap: &LevelsSnap) -> Json {
         obj(vec![
             (
                 "entries",
-                Json::Arr(
-                    l.entries
-                        .iter()
-                        .map(|e| {
-                            Json::Arr(vec![
-                                fbits(e.key),
-                                fbits(e.release),
-                                unum(e.id.0),
-                                unum(e.idx as u64),
-                                fbits(e.size),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(l.entries.iter().map(entry_to_value).collect()),
             ),
             (
                 "tally",
@@ -667,27 +669,7 @@ fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
         u32::try_from(x).map_err(|_| bad(format!("{what} {x} out of u32 range")))
     };
     let level = |l: &Json| -> Result<LevelSnap, SimError> {
-        let entries = arr_at(l, "entries")?
-            .iter()
-            .map(|row| {
-                let row = row.as_arr().map_err(|e| bad(format!("level entry: {e}")))?;
-                if row.len() != 5 {
-                    return Err(bad(format!(
-                        "level entry has {} fields (expected 5)",
-                        row.len()
-                    )));
-                }
-                Ok(LevelEntrySnap {
-                    key: f_item(&row[0], "level key")?,
-                    release: f_item(&row[1], "level release")?,
-                    id: JobId(row[2].as_u64().map_err(|e| bad(format!("level id: {e}")))?),
-                    idx: row[3]
-                        .as_usize()
-                        .map_err(|e| bad(format!("level idx: {e}")))?,
-                    size: f_item(&row[4], "level size")?,
-                })
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
+        let entries = entries_at(l, "entries", "level")?;
         let tally = arr_at(l, "tally")?
             .iter()
             .map(|row| {
@@ -733,6 +715,105 @@ fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
             .map(level)
             .collect::<Result<Vec<_>, SimError>>()?,
         frozen: f_at(v, "frozen")?,
+    })
+}
+
+/// Renders one verbatim heap entry as `[key, release, id, idx, size]`.
+fn entry_to_value(e: &HeapEntrySnap) -> Json {
+    Json::Arr(vec![
+        fbits(e.key),
+        fbits(e.release),
+        unum(e.id.0),
+        unum(e.idx as u64),
+        fbits(e.size),
+    ])
+}
+
+/// Parses the array of [`entry_to_value`] rows at `key`; `what` names the
+/// structure in errors.
+fn entries_at(v: &Json, key: &str, what: &str) -> Result<Vec<HeapEntrySnap>, SimError> {
+    arr_at(v, key)?
+        .iter()
+        .map(|row| {
+            let row = row
+                .as_arr()
+                .map_err(|e| bad(format!("{what} entry: {e}")))?;
+            if row.len() != 5 {
+                return Err(bad(format!(
+                    "{what} entry has {} fields (expected 5)",
+                    row.len()
+                )));
+            }
+            Ok(HeapEntrySnap {
+                key: f_item(&row[0], &format!("{what} key"))?,
+                release: f_item(&row[1], &format!("{what} release"))?,
+                id: JobId(
+                    row[2]
+                        .as_u64()
+                        .map_err(|e| bad(format!("{what} id: {e}")))?,
+                ),
+                idx: row[3]
+                    .as_usize()
+                    .map_err(|e| bad(format!("{what} idx: {e}")))?,
+                size: f_item(&row[4], &format!("{what} size"))?,
+            })
+        })
+        .collect()
+}
+
+/// Renders the arrival suffix: `{"waiting": [entry…], "groups": [group…],
+/// "waiting_frac": bits}`, each group `{"entries": [entry…], "drain",
+/// "s1", "sk", "rate"}` and each entry as [`entry_to_value`] renders it
+/// (a waiting job's key is its remaining work).
+fn suffix_to_value(snap: &SuffixSnap) -> Json {
+    let obj = |fields: Vec<(&str, Json)>| {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let group = |g: &GroupSnap| {
+        obj(vec![
+            (
+                "entries",
+                Json::Arr(g.entries.iter().map(entry_to_value).collect()),
+            ),
+            ("drain", fbits(g.drain)),
+            ("s1", fbits(g.s1)),
+            ("sk", fbits(g.sk)),
+            ("rate", fbits(g.rate)),
+        ])
+    };
+    obj(vec![
+        (
+            "waiting",
+            Json::Arr(snap.waiting.iter().map(entry_to_value).collect()),
+        ),
+        ("groups", Json::Arr(snap.groups.iter().map(group).collect())),
+        ("waiting_frac", fbits(snap.waiting_frac)),
+    ])
+}
+
+/// Parses what [`suffix_to_value`] renders.
+fn suffix_from_value(v: &Json) -> Result<SuffixSnap, SimError> {
+    let group = |g: &Json| -> Result<GroupSnap, SimError> {
+        Ok(GroupSnap {
+            entries: entries_at(g, "entries", "suffix group")?,
+            drain: f_at(g, "drain")?,
+            s1: f_at(g, "s1")?,
+            sk: f_at(g, "sk")?,
+            rate: f_at(g, "rate")?,
+        })
+    };
+    Ok(SuffixSnap {
+        waiting: entries_at(v, "waiting", "suffix waiting")?,
+        groups: arr_at(v, "groups")?
+            .iter()
+            .map(group)
+            .collect::<Result<Vec<_>, SimError>>()?,
+        waiting_frac: f_at(v, "waiting_frac")?,
     })
 }
 

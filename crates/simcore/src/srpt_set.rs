@@ -66,7 +66,7 @@ use crate::job::{JobId, JobSpec, Time, Work};
 /// Rebase threshold for the drain offset: past this, `ulp(D)` approaches
 /// the engine's `EPS`-scaled completion tolerances, so keys are rebuilt
 /// with the offset folded in (an `O(k log k)` cleanup, amortized free).
-const REBASE_LIMIT: f64 = 1e6;
+pub(crate) const REBASE_LIMIT: f64 = 1e6;
 
 /// The integer image under which `f64::total_cmp` orders floats: flip the
 /// magnitude bits of negatives so that signed-integer order is the total
@@ -341,9 +341,24 @@ impl MinMaxHeap {
     }
 }
 
+/// Receives the array moves of a position-tracked [`MinHeap`]:
+/// `moved(idx, pos)` says the entry of arena slot `idx` now sits at array
+/// position `pos`. The unit type tracks nothing, so the untracked
+/// operations compile to the plain heap.
+pub(crate) trait HeapTrack {
+    fn moved(&mut self, idx: u32, pos: usize);
+}
+
+impl HeapTrack for () {
+    #[inline(always)]
+    fn moved(&mut self, _idx: u32, _pos: usize) {}
+}
+
 /// A `Vec`-backed 2-ary min-heap over SRPT order — the queue, which only
-/// ever pushes and pops its minimum, and each level of the level path's
-/// stack ([`crate::level_stack`]).
+/// ever pushes and pops its minimum, each level of the level path's stack
+/// ([`crate::level_stack`]), and each curve group of the arrival-suffix
+/// path ([`crate::arrival_suffix`]), which also removes members at known
+/// positions through the `_tracked` operations.
 #[derive(Debug, Default)]
 pub(crate) struct MinHeap {
     a: Vec<Entry>,
@@ -377,50 +392,127 @@ impl MinHeap {
     }
 
     pub(crate) fn push(&mut self, e: Entry, specs: &[JobSpec]) {
+        self.push_tracked(e, specs, &mut ());
+    }
+
+    /// [`MinHeap::push`], reporting every array move to `track`.
+    #[inline]
+    pub(crate) fn push_tracked(&mut self, e: Entry, specs: &[JobSpec], track: &mut impl HeapTrack) {
         let hole = self.a.len();
         self.a.push(e);
-        self.sift_up(hole, e, specs);
+        self.sift_up(hole, e, specs, track);
     }
 
     /// Moves the hole at `hole` toward the root past every parent `e`
-    /// precedes, then fills it with `e`.
-    #[inline]
-    fn sift_up(&mut self, mut hole: usize, e: Entry, specs: &[JobSpec]) {
+    /// precedes, then fills it with `e`. Always inlined, so the untracked
+    /// `push` and `pop` compile to the plain heap's code.
+    #[inline(always)]
+    fn sift_up(
+        &mut self,
+        mut hole: usize,
+        e: Entry,
+        specs: &[JobSpec],
+        track: &mut impl HeapTrack,
+    ) {
         while hole > 0 {
             let parent = (hole - 1) / 2;
-            if !less(&e, &self.a[parent], specs) {
+            let moved = self.a[parent];
+            if !less(&e, &moved, specs) {
                 break;
             }
-            self.a[hole] = self.a[parent];
+            self.a[hole] = moved;
+            track.moved(moved.idx, hole);
             hole = parent;
         }
         self.a[hole] = e;
+        track.moved(e.idx, hole);
     }
 
-    /// Pops the minimum by bottom-up deletion: the root's hole walks down
-    /// along smaller children to a leaf (one comparison per level), and
-    /// the former last element — a leaf, so rarely far from the bottom —
-    /// sifts up from there.
+    /// Rewrites every key through `f`, then restores the heap order
+    /// bottom-up (Floyd's heapify), reporting every array move to `track`.
+    /// For a monotone `f` only keys that `f` makes equal can swap order.
+    pub(crate) fn rekey_tracked(
+        &mut self,
+        f: impl Fn(f64) -> f64,
+        specs: &[JobSpec],
+        track: &mut impl HeapTrack,
+    ) {
+        for e in &mut self.a {
+            e.key = f(e.key);
+        }
+        for i in (0..self.a.len() / 2).rev() {
+            self.sift_down(i, specs, track);
+        }
+    }
+
+    /// Moves the entry at `hole` down past every child that precedes it.
+    fn sift_down(&mut self, mut hole: usize, specs: &[JobSpec], track: &mut impl HeapTrack) {
+        let e = self.a[hole];
+        let len = self.a.len();
+        loop {
+            let mut child = 2 * hole + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && less(&self.a[child + 1], &self.a[child], specs) {
+                child += 1;
+            }
+            let moved = self.a[child];
+            if !less(&moved, &e, specs) {
+                break;
+            }
+            self.a[hole] = moved;
+            track.moved(moved.idx, hole);
+            hole = child;
+        }
+        self.a[hole] = e;
+        track.moved(e.idx, hole);
+    }
+
+    /// Pops the minimum (see [`MinHeap::remove_tracked`]).
     pub(crate) fn pop(&mut self, specs: &[JobSpec]) -> Option<Entry> {
+        self.remove_tracked(0, specs, &mut ())
+    }
+
+    /// Removes the entry at array position `at` by bottom-up deletion: the
+    /// hole walks down along smaller children to a leaf (one comparison
+    /// per level), and the former last element — a leaf, so rarely far
+    /// from the bottom — sifts up from there, past `at` when it precedes
+    /// `at`'s ancestors. Reports every array move to `track`. `None` when
+    /// `at` is out of range.
+    #[inline]
+    pub(crate) fn remove_tracked(
+        &mut self,
+        at: usize,
+        specs: &[JobSpec],
+        track: &mut impl HeapTrack,
+    ) -> Option<Entry> {
+        if at >= self.a.len() {
+            return None;
+        }
         let last = self.a.pop()?;
-        let Some(&min) = self.a.first() else {
+        let Some(&removed) = self.a.get(at) else {
             return Some(last);
         };
         let len = self.a.len();
-        let mut hole = 0;
-        let mut child = 1;
+        let mut hole = at;
+        let mut child = 2 * at + 1;
         while child + 1 < len {
             child += usize::from(less(&self.a[child + 1], &self.a[child], specs));
-            self.a[hole] = self.a[child];
+            let moved = self.a[child];
+            self.a[hole] = moved;
+            track.moved(moved.idx, hole);
             hole = child;
             child = 2 * hole + 1;
         }
         if child + 1 == len {
-            self.a[hole] = self.a[child];
+            let moved = self.a[child];
+            self.a[hole] = moved;
+            track.moved(moved.idx, hole);
             hole = child;
         }
-        self.sift_up(hole, last, specs);
-        Some(min)
+        self.sift_up(hole, last, specs, track);
+        Some(removed)
     }
 }
 
@@ -457,6 +549,19 @@ pub(crate) struct SetEntrySnap {
     pub(crate) size: Work,
     pub(crate) hetero: bool,
     pub(crate) nonunit: bool,
+}
+
+/// One entry of a heap captured verbatim (a level of the level path, a
+/// curve group of the arrival-suffix path): key, the `(release, id)`
+/// tie-break (filled from the arena on capture and checked against it on
+/// restore), arena slot, and size.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HeapEntrySnap {
+    pub(crate) key: f64,
+    pub(crate) release: Time,
+    pub(crate) id: JobId,
+    pub(crate) idx: usize,
+    pub(crate) size: Work,
 }
 
 /// Full [`SrptSet`] state for suspend/resume. The three running/queued sums

@@ -547,6 +547,7 @@ pub fn replay(trace: &Trace, level: AuditLevel) -> Result<ReplayOutcome, SimErro
                         // applies when the policy claims it.
                         srpt_ordered_iteration: false,
                         srpt_ordered_policy: trace.srpt_ordered,
+                        latest_arrivals_policy: false,
                     })?;
                 }
             }

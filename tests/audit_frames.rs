@@ -222,6 +222,7 @@ impl Producer {
             jobs,
             srpt_ordered_iteration: false,
             srpt_ordered_policy: false,
+            latest_arrivals_policy: false,
         }
     }
 
@@ -353,6 +354,7 @@ fn frame(event: u64, t: f64, jobs: Vec<FrameJob>) -> AuditFrame {
         jobs,
         srpt_ordered_iteration: false,
         srpt_ordered_policy: false,
+        latest_arrivals_policy: false,
     }
 }
 

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use parsched_repro::policies::PolicyKind;
 use parsched_repro::sim::{
-    AuditLevel, Engine, EngineConfig, EnginePath, Instance, JobId, JobSpec, NullObserver, Policy,
-    RunOutcome, SimError, StaticSource,
+    AllocationStability, AuditLevel, Engine, EngineConfig, EnginePath, Instance, JobId, JobSpec,
+    NullObserver, Policy, PrefixAllocation, RunOutcome, SimError, StaticSource,
 };
 use parsched_repro::speedup::Curve;
 
@@ -35,6 +35,7 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::Greedy),
         Just(PolicyKind::Equi),
         Just(PolicyKind::Laps(0.5)),
+        Just(PolicyKind::Laps(0.55)),
         Just(PolicyKind::Setf),
         Just(PolicyKind::Threshold(2.0)),
     ]
@@ -201,6 +202,107 @@ fn mutated_policy_is_caught_with_structured_context() {
     )
     .run()
     .expect("without the srpt_ordered claim the run is conservation-clean");
+}
+
+/// A deliberately broken LAPS(½): it declares the arrival-suffix contract
+/// and reports LAPS's profile, but when its `⌈n/2⌉` running jobs leave
+/// some waiting it demotes the *latest* arrival instead of the oldest
+/// running one — the mutation the arrival-suffix invariant exists to
+/// catch.
+struct WrongDemotion;
+
+impl Policy for WrongDemotion {
+    fn name(&self) -> String {
+        "wrong-demotion".into()
+    }
+
+    fn assign(
+        &mut self,
+        _now: f64,
+        m: f64,
+        jobs: &[parsched_repro::sim::AliveJob<'_>],
+        shares: &mut [f64],
+    ) -> Option<f64> {
+        let n = jobs.len();
+        let k = n.div_ceil(2);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            jobs[a]
+                .release()
+                .total_cmp(&jobs[b].release())
+                .then(jobs[a].id().cmp(&jobs[b].id()))
+        });
+        // The latest k, shifted one older when anyone waits.
+        let end = if k < n { n - 1 } else { n };
+        shares.fill(0.0);
+        for &i in &order[end - k..end] {
+            shares[i] = m / k as f64;
+        }
+        None
+    }
+
+    fn stability(&self) -> AllocationStability {
+        AllocationStability::LatestArrivals
+    }
+
+    fn prefix_allocation(&self, n_alive: usize, m: f64) -> Option<PrefixAllocation> {
+        let count = n_alive.div_ceil(2);
+        (n_alive > 0).then(|| PrefixAllocation {
+            count,
+            share: m / count as f64,
+        })
+    }
+}
+
+#[test]
+fn wrong_demotion_is_caught_at_its_event() {
+    // Job 0 runs alone from t = 0; job 1 arrives at t = 1, when LAPS(½)
+    // runs one job: the latest, job 1. The mutant demotes job 1 and keeps
+    // job 0, so the check fails at that event (event 1), naming job 1.
+    let inst = Instance::new(vec![
+        JobSpec::new(JobId(0), 0.0, 4.0, Curve::FullyParallel),
+        JobSpec::new(JobId(1), 1.0, 4.0, Curve::FullyParallel),
+    ])
+    .unwrap();
+    let run = |full_reassign: bool| {
+        let mut policy = WrongDemotion;
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        Engine::new(
+            EngineConfig::new(2.0)
+                .with_full_reassign(full_reassign)
+                .with_audit(AuditLevel::Strict),
+            &mut policy,
+            &mut source,
+            &mut obs,
+        )
+        .run()
+    };
+    let err = run(true).expect_err("the auditor must reject the wrong demotion");
+    let SimError::AuditFailed { violation } = err else {
+        panic!("expected AuditFailed, got {err:?}")
+    };
+    assert_eq!(violation.invariant, "arrival-suffix");
+    assert_eq!(violation.event, 1, "caught at the arrival that demotes");
+    assert_eq!(violation.at, 1.0);
+    assert_eq!(violation.job, Some(JobId(1)));
+    assert_eq!(violation.policy, "wrong-demotion");
+    assert_eq!(violation.path, EnginePath::Exhaustive);
+    // The arrival-suffix path never calls `assign`: it demotes by itself,
+    // and the same check passes on it.
+    let out = run(false).expect("the arrival-suffix path demotes the oldest running job");
+    assert_eq!(out.completed.len(), 2);
+    // And LAPS itself passes on both paths.
+    for full_reassign in [false, true] {
+        run_audited(
+            &inst,
+            PolicyKind::Laps(0.5),
+            2.0,
+            full_reassign,
+            AuditLevel::Strict,
+        )
+        .expect("LAPS is arrival-suffix clean");
+    }
 }
 
 #[test]

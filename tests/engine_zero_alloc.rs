@@ -309,12 +309,14 @@ fn exhaustive_steady_state_allocates_nothing() {
     }
 }
 
-/// Runs `inst` with SETF through [`Engine::run_loop`] on the level path,
-/// reusing `policy` and the donated buffers; returns the allocations made
-/// strictly inside the loop, plus the buffers.
-fn audited_levels_run(
+/// Runs `inst` through [`Engine::run_loop`] on `path` (the level path for
+/// SETF, the arrival-suffix path for LAPS), reusing `policy` and the
+/// donated buffers; returns the allocations made strictly inside the
+/// loop, plus the buffers.
+fn audited_path_run(
     inst: &Instance,
     policy: &mut dyn Policy,
+    path: EnginePath,
     streaming: bool,
     bufs: EngineBuffers,
 ) -> (u64, EngineBuffers) {
@@ -322,8 +324,8 @@ fn audited_levels_run(
     let mut obs = NullObserver;
     let cfg = EngineConfig::new(8.0).with_streaming(streaming);
     let mut engine = Engine::with_buffers(cfg, policy, &mut source, &mut obs, bufs);
-    assert_eq!(engine.path(), EnginePath::Levels);
-    let ((), during) = counting_allocs(|| engine.run_loop().expect("level-path run failed"));
+    assert_eq!(engine.path(), path);
+    let ((), during) = counting_allocs(|| engine.run_loop().expect("fast-path run failed"));
     let (num_jobs, bufs) = if streaming {
         let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
         (outcome.metrics.num_jobs, bufs)
@@ -349,22 +351,72 @@ fn level_path_steady_state_allocates_nothing() {
         let mut policy = PolicyKind::Setf.build();
         for streaming in [false, true] {
             let ctx = format!("α {alphas:?}, streaming={streaming}");
-            let (warmup_allocs, bufs) =
-                audited_levels_run(&inst, policy.as_mut(), streaming, EngineBuffers::new());
+            let (warmup_allocs, bufs) = audited_path_run(
+                &inst,
+                policy.as_mut(),
+                EnginePath::Levels,
+                streaming,
+                EngineBuffers::new(),
+            );
             assert!(
                 warmup_allocs > 0,
                 "{ctx}: warm-up should have grown the buffers"
             );
-            let (second, bufs) = audited_levels_run(&inst, policy.as_mut(), streaming, bufs);
+            let (second, bufs) =
+                audited_path_run(&inst, policy.as_mut(), EnginePath::Levels, streaming, bufs);
             assert_eq!(
                 second, 0,
                 "{ctx}: second level-path run allocated {second} times"
             );
-            let (third, _bufs) = audited_levels_run(&inst, policy.as_mut(), streaming, bufs);
+            let (third, _bufs) =
+                audited_path_run(&inst, policy.as_mut(), EnginePath::Levels, streaming, bufs);
             assert_eq!(
                 third, 0,
                 "{ctx}: third level-path run allocated {third} times"
             );
+        }
+    }
+}
+
+#[test]
+fn arrival_suffix_path_steady_state_allocates_nothing() {
+    // LAPS's arrival-suffix path keeps per-slot links and heap positions
+    // in a lane that grows to the arena, and its curve groups' heaps in a
+    // slab whose emptied groups are reused. So after a warm-up, a rerun
+    // must not touch the heap, in both memory modes, on one curve (one
+    // group) and on three (a group per curve, formed and emptied as the
+    // running suffix turns over).
+    for alphas in [&[0.5][..], &[0.25, 0.5, 0.75]] {
+        let inst = workload_with_alphas(600, alphas);
+        for kind in [PolicyKind::Laps(0.5), PolicyKind::Laps(0.55)] {
+            let mut policy = kind.build();
+            for streaming in [false, true] {
+                let ctx = format!("{} α {alphas:?}, streaming={streaming}", kind.name());
+                let path = EnginePath::ArrivalSuffix;
+                let (warmup_allocs, bufs) = audited_path_run(
+                    &inst,
+                    policy.as_mut(),
+                    path,
+                    streaming,
+                    EngineBuffers::new(),
+                );
+                assert!(
+                    warmup_allocs > 0,
+                    "{ctx}: warm-up should have grown the buffers"
+                );
+                let (second, bufs) =
+                    audited_path_run(&inst, policy.as_mut(), path, streaming, bufs);
+                assert_eq!(
+                    second, 0,
+                    "{ctx}: second arrival-suffix run allocated {second} times"
+                );
+                let (third, _bufs) =
+                    audited_path_run(&inst, policy.as_mut(), path, streaming, bufs);
+                assert_eq!(
+                    third, 0,
+                    "{ctx}: third arrival-suffix run allocated {third} times"
+                );
+            }
         }
     }
 }

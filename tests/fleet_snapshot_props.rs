@@ -858,6 +858,163 @@ fn corrupted_level_stack_is_refused_with_a_typed_error() {
     }
 }
 
+/// LAPS at a non-dyadic and a small β, on four α classes (several curve
+/// groups in its running suffix): suspend/resume at spread-out points and
+/// parking every `k` events continue the arrival-suffix path bit-exactly,
+/// in both memory modes.
+#[test]
+fn arrival_suffix_path_resumes_and_parks_bit_identically() {
+    let inst = mixed_alpha_fixture(300, 0.9, M);
+    for kind in [PolicyKind::Laps(0.55), PolicyKind::Laps(0.1)] {
+        for streaming in [false, true] {
+            let mode = if streaming { "streaming" } else { "in-memory" };
+            let (want_metrics, want_completions) = baseline(&inst, &kind, streaming);
+            let events = want_metrics.events;
+            for suspend_at in [1, events / 3, events / 2, events - 2] {
+                let ctx = format!("{} / {mode} / suspend@{suspend_at}", kind.name());
+                let (metrics, completions) =
+                    suspend_resume(&inst, &kind, streaming, suspend_at, &ctx);
+                assert_metrics_bit_identical(&metrics, &want_metrics, &ctx);
+                assert_eq!(completions, want_completions, "{ctx}: completions");
+            }
+            for k in [1, 64] {
+                let ctx = format!("{} / {mode} / park every {k}", kind.name());
+                let (metrics, completions) =
+                    park_every(&inst, &kind, engine_cfg(streaming), k, &ctx);
+                assert_metrics_bit_identical(&metrics, &want_metrics, &ctx);
+                assert_eq!(completions, want_completions, "{ctx}: completions");
+            }
+        }
+    }
+}
+
+/// LAPS's snapshots carry the arrival suffix, and restore checks it like
+/// the level stack: a group's offset, sums or rate, the waiting jobs' sum,
+/// or a key that is NaN or ±∞ (the offset and a waiting job's remaining
+/// work also −1); an entry whose `release`, `id` or `size` disagrees with
+/// its arena slot's spec; an arena slot held twice, or an alive one not
+/// at all; and a waiting stack out of arrival order: each is a typed
+/// restore error, in both memory modes.
+#[test]
+fn corrupted_arrival_suffix_is_refused_with_a_typed_error() {
+    let inst = mixed_alpha_fixture(60, 0.9, M);
+    let kind = PolicyKind::Laps(0.5);
+    let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for streaming in [false, true] {
+        let mode = if streaming { "streaming" } else { "in-memory" };
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(
+            engine_cfg(streaming),
+            policy.as_mut(),
+            &mut source,
+            &mut obs,
+        );
+        for _ in 0..40 {
+            assert!(engine.step().expect("pre-suspend step"));
+        }
+        let doc = engine.snapshot().expect("snapshot").to_json();
+        drop(engine);
+        let snap = Snapshot::from_json(&doc).expect("parse");
+        restore_run_finalize(&inst, &kind, streaming, &snap)
+            .unwrap_or_else(|e| panic!("{mode}: untouched document: {e}"));
+        let parsed = Json::parse(&doc).expect("parse");
+        let suffix = parsed.get("suffix").expect("a suffix member");
+        let waiting = suffix
+            .get("waiting")
+            .and_then(|w| w.as_arr().ok())
+            .expect("waiting stack");
+        assert!(
+            waiting.len() >= 2,
+            "{mode}: the fixture leaves jobs waiting"
+        );
+        fn at<'a>(tail: &[&'a str]) -> Vec<&'a str> {
+            ["suffix", "groups", "0"]
+                .into_iter()
+                .chain(tail.iter().copied())
+                .collect()
+        }
+        let mut cases: Vec<(String, String)> = Vec::new();
+        for field in ["drain", "s1", "sk", "rate"] {
+            for v in values {
+                let bad = corrupt_at(&doc, &at(&[field]), f64_bits(v));
+                cases.push((format!("groups.0.{field} = {v}"), bad));
+            }
+        }
+        cases.push((
+            "groups.0.drain = -1".into(),
+            corrupt_at(&doc, &at(&["drain"]), f64_bits(-1.0)),
+        ));
+        for v in values {
+            cases.push((
+                format!("waiting_frac = {v}"),
+                corrupt_at(&doc, &["suffix", "waiting_frac"], f64_bits(v)),
+            ));
+            cases.push((
+                format!("group entry key = {v}"),
+                corrupt_at(&doc, &at(&["entries", "0", "0"]), f64_bits(v)),
+            ));
+            cases.push((
+                format!("waiting key = {v}"),
+                corrupt_at(&doc, &["suffix", "waiting", "0", "0"], f64_bits(v)),
+            ));
+        }
+        cases.push((
+            "waiting key = -1".into(),
+            corrupt_at(&doc, &["suffix", "waiting", "0", "0"], f64_bits(-1.0)),
+        ));
+        cases.push((
+            "entry release".into(),
+            corrupt_at(&doc, &at(&["entries", "0", "1"]), f64_bits(1e9)),
+        ));
+        cases.push((
+            "entry id".into(),
+            corrupt_at(
+                &doc,
+                &at(&["entries", "0", "2"]),
+                Json::Num("999999".into()),
+            ),
+        ));
+        cases.push((
+            "entry size".into(),
+            corrupt_at(&doc, &at(&["entries", "0", "4"]), f64_bits(1e9)),
+        ));
+        // The first waiting job again at the top of the stack: one slot
+        // twice, and the stack out of order.
+        cases.push((
+            "slot twice".into(),
+            corrupt_at(
+                &doc,
+                &["suffix", "waiting", &(waiting.len() - 1).to_string()],
+                waiting[0].clone(),
+            ),
+        ));
+        // The oldest waiting job dropped: its job would never complete.
+        let parsed_waiting: Vec<Json> = waiting[1..].to_vec();
+        cases.push((
+            "job dropped".into(),
+            corrupt_at(&doc, &["suffix", "waiting"], Json::Arr(parsed_waiting)),
+        ));
+        // The two oldest waiting jobs swapped.
+        let swapped = corrupt_at(&doc, &["suffix", "waiting", "0"], waiting[1].clone());
+        cases.push((
+            "waiting order".into(),
+            corrupt_at(&swapped, &["suffix", "waiting", "1"], waiting[0].clone()),
+        ));
+        for (what, bad) in cases {
+            let ctx = format!("{mode} / {what}");
+            let bad = Snapshot::from_json(&bad)
+                .unwrap_or_else(|e| panic!("{ctx}: the codec refused the value: {e}"));
+            let result = restore_run_finalize(&inst, &kind, streaming, &bad);
+            assert!(
+                matches!(result, Err(SimError::BadInstance { .. })),
+                "{ctx}: expected a typed restore error, got {result:?}"
+            );
+        }
+    }
+}
+
 /// Applies `edit` to field `field` of the first entry of `srpt.<part>` in
 /// a snapshot document. Entry layout: `[key, release, id, idx, size,
 /// hetero, nonunit]`, f64 fields as bit patterns.
