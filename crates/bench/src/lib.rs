@@ -1,24 +1,18 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Workload recipes shared by perfbench, the CLI and the tests.
 //!
-//! The benches measure the *artifact's* performance (engine event
-//! throughput, per-policy scheduling overhead, experiment kernels); the
-//! paper's tables/figures themselves are regenerated by the
-//! `parsched-cli` experiment harness.
+//! Each recipe is a fixed-seed [`PoissonWorkload`], so every consumer
+//! measures or checks the same jobs: perfbench times them, the CLI's
+//! streaming runs report [`peak_rss_bytes`], and the differential and
+//! golden suites replay the materialized fixtures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
-use parsched_sim::{
-    simulate_streaming_audited, AuditLevel, Engine, EngineConfig, Instance, NullObserver, Policy,
-    RunMetrics, StaticSource,
-};
+use parsched_sim::Instance;
 use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
-use parsched_workloads::PoissonSource;
 
-/// The workload description behind [`poisson_fixture`] — shared with the
-/// streaming fixtures so the lazy and eager paths measure the same jobs.
+/// The workload description behind [`poisson_fixture`]: perfbench's
+/// `sim-stable` and `fleet-resident` recipes.
 pub fn poisson_workload(n: usize, load: f64, m: f64) -> PoissonWorkload {
     let sizes = SizeDist::LogUniform { p: 32.0 };
     PoissonWorkload {
@@ -36,13 +30,6 @@ pub fn poisson_fixture(n: usize, load: f64, m: f64) -> Instance {
     poisson_workload(n, load, m)
         .generate()
         .expect("fixture workload")
-}
-
-/// The lazy [`PoissonSource`] over the same job sequence as
-/// [`poisson_fixture`] — the streaming path's fixture. Materializes
-/// nothing, so it scales to the `n = 10⁷` snapshot measurement.
-pub fn poisson_stream_fixture(n: usize, load: f64, m: f64) -> PoissonSource {
-    PoissonSource::new(poisson_workload(n, load, m))
 }
 
 /// An overload-heavy fixture: offered load 1.5, so the alive set grows
@@ -79,117 +66,6 @@ pub fn mixed_alpha_fixture(n: usize, load: f64, m: f64) -> Instance {
         .expect("mixed-alpha fixture workload")
 }
 
-/// One timed simulation for the `bench-snapshot` CLI command and the
-/// bench-vs-snapshot sanity tests.
-#[derive(Debug, Clone)]
-pub struct SnapshotSample {
-    /// Engine events processed (arrival/completion/quantum steps).
-    pub events: u64,
-    /// Wall-clock seconds for the whole run.
-    pub seconds: f64,
-    /// `events / seconds`.
-    pub events_per_sec: f64,
-    /// Total flow time — recorded so two paths can be cross-checked.
-    pub total_flow: f64,
-}
-
-/// Runs `policy` on `inst` once, timed, and reports event throughput.
-///
-/// `full_reassign = true` forces the legacy exhaustive engine path (the
-/// differential oracle); `false` lets the engine pick the incremental
-/// path when the policy supports it.
-pub fn timed_run(
-    inst: &Instance,
-    policy: &mut dyn Policy,
-    m: f64,
-    full_reassign: bool,
-) -> SnapshotSample {
-    let cfg = EngineConfig::new(m).with_full_reassign(full_reassign);
-    timed_run_cfg(inst, policy, cfg)
-}
-
-/// Like [`timed_run`] but with full control over the engine configuration.
-pub fn timed_run_cfg(
-    inst: &Instance,
-    policy: &mut dyn Policy,
-    cfg: EngineConfig,
-) -> SnapshotSample {
-    let mut source = StaticSource::new(inst);
-    let mut obs = NullObserver;
-    let start = Instant::now();
-    let outcome = Engine::new(cfg, policy, &mut source, &mut obs)
-        .run()
-        .expect("benchmark simulation");
-    sample(&outcome.metrics, start.elapsed().as_secs_f64())
-}
-
-/// Like [`timed_run_cfg`], but driving the engine one [`Engine::step`] at
-/// a time instead of through [`Engine::run_loop`]: the all-checks
-/// instantiation of the event loop, iterated. Timed against
-/// [`timed_run_cfg`] on the same fixture, it prices what the specialized
-/// instantiation removes; both compute bit-identical runs.
-pub fn timed_step_run(
-    inst: &Instance,
-    policy: &mut dyn Policy,
-    cfg: EngineConfig,
-) -> SnapshotSample {
-    let mut source = StaticSource::new(inst);
-    let mut obs = NullObserver;
-    let start = Instant::now();
-    let mut engine = Engine::new(cfg, policy, &mut source, &mut obs);
-    while engine.step().expect("benchmark simulation") {}
-    let outcome = engine.into_outcome().expect("benchmark outcome");
-    sample(&outcome.metrics, start.elapsed().as_secs_f64())
-}
-
-fn sample(metrics: &RunMetrics, seconds: f64) -> SnapshotSample {
-    SnapshotSample {
-        events: metrics.events,
-        seconds,
-        events_per_sec: metrics.events as f64 / seconds.max(1e-12),
-        total_flow: metrics.total_flow,
-    }
-}
-
-/// Like [`timed_run`] on the default (incremental when available) path,
-/// but with the runtime invariant auditor enabled at the given level —
-/// used to measure the audit layer's overhead.
-pub fn timed_audited_run(
-    inst: &Instance,
-    policy: &mut dyn Policy,
-    m: f64,
-    audit: AuditLevel,
-) -> SnapshotSample {
-    let mut source = StaticSource::new(inst);
-    let mut obs = NullObserver;
-    let cfg = EngineConfig::new(m).with_audit(audit);
-    let start = Instant::now();
-    let outcome = Engine::new(cfg, policy, &mut source, &mut obs)
-        .run()
-        .expect("audited benchmark simulation");
-    sample(&outcome.metrics, start.elapsed().as_secs_f64())
-}
-
-/// One timed streaming simulation: throughput plus the memory-side
-/// numbers the streaming path exists for.
-#[derive(Debug, Clone)]
-pub struct StreamingSample {
-    /// Engine events processed.
-    pub events: u64,
-    /// Wall-clock seconds for the whole run.
-    pub seconds: f64,
-    /// `events / seconds`.
-    pub events_per_sec: f64,
-    /// Total flow time — cross-checkable against the in-memory paths.
-    pub total_flow: f64,
-    /// High-water mark of the alive set (what bounds resident state).
-    pub peak_alive: usize,
-    /// Process peak RSS in bytes after the run (`VmHWM`), when the
-    /// platform exposes it. A whole-process high-water mark: meaningful
-    /// only if nothing memory-hungry ran earlier in the process.
-    pub peak_rss_bytes: Option<u64>,
-}
-
 /// Peak resident set size of the current process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable.
 pub fn peak_rss_bytes() -> Option<u64> {
@@ -199,34 +75,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Runs `policy` over a lazy `source` on the streaming path, timed.
-///
-/// The source is consumed; build a fresh one per measurement (they are
-/// cheap — that is the point of the streaming fixtures).
-pub fn timed_streaming_run(
-    source: &mut dyn parsched_sim::ArrivalSource,
-    policy: &mut dyn Policy,
-    m: f64,
-    audit: AuditLevel,
-) -> StreamingSample {
-    let start = Instant::now();
-    let outcome = simulate_streaming_audited(source, policy, m, audit)
-        .expect("streaming benchmark simulation");
-    let seconds = start.elapsed().as_secs_f64();
-    StreamingSample {
-        events: outcome.metrics.events,
-        seconds,
-        events_per_sec: outcome.metrics.events as f64 / seconds.max(1e-12),
-        total_flow: outcome.metrics.total_flow,
-        peak_alive: outcome.peak_alive,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsched_sim::EquiSplit;
 
     #[test]
     fn fixture_is_deterministic() {
@@ -246,22 +97,6 @@ mod tests {
                 "no job drew alpha = {want}"
             );
         }
-    }
-
-    #[test]
-    fn streaming_fixture_measures_the_same_jobs_as_the_eager_one() {
-        let mut stream = poisson_stream_fixture(200, 0.9, 4.0);
-        let sample =
-            timed_streaming_run(&mut stream, &mut EquiSplit::new(), 4.0, AuditLevel::Final);
-        let mem = timed_run(
-            &poisson_fixture(200, 0.9, 4.0),
-            &mut EquiSplit::new(),
-            4.0,
-            false,
-        );
-        assert_eq!(sample.total_flow, mem.total_flow);
-        assert_eq!(sample.events, mem.events);
-        assert!(sample.peak_alive >= 1 && sample.peak_alive <= 200);
     }
 
     #[test]

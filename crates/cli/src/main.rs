@@ -54,7 +54,7 @@ fn usage() -> &'static str {
 
 USAGE:
   parsched list                         list experiment ids and titles
-  parsched exp <id> [FLAGS]             run one experiment (f1..f6, t1..t5, x2..x3)
+  parsched exp <id> [FLAGS]             run one experiment (f1..f6, t1..t5, x1..x3)
   parsched all [FLAGS]                  run the whole suite
   parsched sweep [--jobs N] [ids...]    run experiments through the
                                         work-stealing sweep pool
@@ -65,7 +65,6 @@ USAGE:
   parsched run [OPTIONS]                simulate a CSV instance with one policy
   parsched audit <trace.json> [OPTIONS] replay a recorded trace through the
                                         invariant-audit suite
-  parsched bench-snapshot [OPTIONS]     engine throughput snapshot → JSON
   parsched adversary [OPTIONS]          seeded evolutionary search for hard
                                         instances (maximizes flow / OPT-LB)
                                         doubling as a strict dual-path
@@ -106,11 +105,6 @@ RUN OPTIONS:
 
 AUDIT OPTIONS:
   --level <level>     final|sampled[:stride]|strict (default strict)
-
-BENCH-SNAPSHOT OPTIONS:
-  --out <file>    where to write the JSON (default BENCH_engine.json)
-  --quick         drop the n = 100_000 rows and the n = 10⁷ streaming
-                  measurement (CI smoke; the streaming fields become null)
 
 ADVERSARY OPTIONS:
   --policy <p|all>     target policy token, or 'all' for the standard set
@@ -736,590 +730,6 @@ fn cmd_audit(path: &str, flags: &Flags) -> Result<bool, String> {
     }
 }
 
-fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
-    use parsched::PolicyKind;
-    use parsched_bench::{
-        mixed_alpha_fixture, overload_fixture, poisson_fixture, poisson_stream_fixture,
-        timed_audited_run, timed_run, timed_run_cfg, timed_step_run, timed_streaming_run,
-    };
-    use parsched_sim::{AllocationStability, AuditLevel, EngineConfig};
-
-    struct Row {
-        policy: String,
-        fixture: &'static str,
-        mode: &'static str,
-        n: usize,
-        m: f64,
-        events: u64,
-        seconds: f64,
-        events_per_sec: f64,
-    }
-
-    let out_path = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "out")
-        .map(|(_, v)| v.clone())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let sizes: &[usize] = if flags.quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let m = 8.0;
-
-    // The streaming large-n measurement runs FIRST: `VmHWM` is a
-    // whole-process high-water mark, so the in-memory fixtures below would
-    // otherwise inflate it and the recorded RSS would say nothing about
-    // the streaming path.
-    let (streaming_wall_n1e7, streaming_rss_n1e7) = if flags.quick {
-        (None, None)
-    } else {
-        let n = 10_000_000usize;
-        eprintln!("  streaming n=10^7 (runs first so peak RSS reflects the streaming path)…");
-        let mut src = poisson_stream_fixture(n, 0.9, m);
-        let mut policy = PolicyKind::IntermediateSrpt.build();
-        let s = timed_streaming_run(&mut src, policy.as_mut(), m, AuditLevel::Off);
-        eprintln!(
-            "  {:<22} n={n:<8} {:<11} {:>12.0} events/s, {:.1}s, peak alive {}, RSS {}",
-            "Intermediate-SRPT",
-            "streaming",
-            s.events_per_sec,
-            s.seconds,
-            s.peak_alive,
-            s.peak_rss_bytes
-                .map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
-                .unwrap_or_else(|| "n/a".to_string())
-        );
-        (Some(s.seconds), s.peak_rss_bytes)
-    };
-    let kinds = [
-        PolicyKind::IntermediateSrpt,
-        PolicyKind::SequentialSrpt,
-        PolicyKind::ParallelSrpt,
-        PolicyKind::Equi,
-        PolicyKind::Threshold(2.0),
-    ];
-
-    let mut rows: Vec<Row> = Vec::new();
-    for &n in sizes {
-        let inst = poisson_fixture(n, 0.9, m);
-        for kind in &kinds {
-            let mut policy = kind.build();
-            let mode = match policy.stability() {
-                AllocationStability::SrptPrefix => "incremental",
-                AllocationStability::LeastElapsed => "levels",
-                AllocationStability::LatestArrivals => "arrival-suffix",
-                AllocationStability::General => "exhaustive",
-            };
-            let s = timed_run(&inst, policy.as_mut(), m, false);
-            eprintln!(
-                "  {:<22} n={n:<7} {mode:<11} {:>12.0} events/s",
-                kind.name(),
-                s.events_per_sec
-            );
-            rows.push(Row {
-                policy: kind.name(),
-                fixture: "poisson-0.9",
-                mode,
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Streaming path on the same fixture: same event loop, free-list
-        // arena and constant-size sink instead of growing vectors — its
-        // throughput should sit within noise of the incremental row above.
-        {
-            let mut src = poisson_stream_fixture(n, 0.9, m);
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_streaming_run(&mut src, policy.as_mut(), m, AuditLevel::Off);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "streaming", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "streaming",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Audit-layer overhead: the same fixture and policy with the
-        // invariant auditor at its sampled (production) and strict
-        // (every-event) levels. The acceptance bar is sampled ≤ 2× the
-        // unaudited throughput.
-        if n == 10_000 {
-            for (mode, level) in [
-                ("audited-sampled", AuditLevel::Sampled(64)),
-                ("audited-strict", AuditLevel::Strict),
-            ] {
-                let mut policy = PolicyKind::IntermediateSrpt.build();
-                let s = timed_audited_run(&inst, policy.as_mut(), m, level);
-                eprintln!(
-                    "  {:<22} n={n:<7} {mode:<11} {:>12.0} events/s",
-                    "Intermediate-SRPT", s.events_per_sec
-                );
-                rows.push(Row {
-                    policy: "Intermediate-SRPT".to_string(),
-                    fixture: "poisson-0.9",
-                    mode,
-                    n,
-                    m,
-                    events: s.events,
-                    seconds: s.seconds,
-                    events_per_sec: s.events_per_sec,
-                });
-            }
-        }
-        // Legacy oracle (full reassignment every event) for the headline
-        // speed-up ratio. Quadratic per run, so cap it at n = 10_000.
-        if n <= 10_000 {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run(&inst, policy.as_mut(), m, true);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "legacy", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "legacy",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Mixed-α fixture: per-job α from {0.25, 0.5, 0.75, 0.37}, the
-        // workload that actually drives the multi-class Scan path (class
-        // registry + per-class Γ rate cache + grouped gamma_by_class).
-        // Single-α fixtures collapse to one kernel class.
-        {
-            let mixed = mixed_alpha_fixture(n, 0.9, m);
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run(&mixed, policy.as_mut(), m, false);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (mixed-alpha)",
-                "Intermediate-SRPT", "incremental", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "mixed-alpha-0.9",
-                mode: "incremental",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-            if n <= 10_000 {
-                let mut policy = PolicyKind::IntermediateSrpt.build();
-                let s = timed_run(&mixed, policy.as_mut(), m, true);
-                eprintln!(
-                    "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (mixed-alpha)",
-                    "Intermediate-SRPT", "legacy", s.events_per_sec
-                );
-                rows.push(Row {
-                    policy: "Intermediate-SRPT".to_string(),
-                    fixture: "mixed-alpha-0.9",
-                    mode: "legacy",
-                    n,
-                    m,
-                    events: s.events,
-                    seconds: s.seconds,
-                    events_per_sec: s.events_per_sec,
-                });
-            }
-        }
-        // Overload-heavy fixture: the alive set grows ~linearly with n, so
-        // this is where the O(n) vs O(log n) per-event separation shows.
-        let over = overload_fixture(n, m);
-        let mut policy = PolicyKind::IntermediateSrpt.build();
-        let s = timed_run(&over, policy.as_mut(), m, false);
-        eprintln!(
-            "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (overload)",
-            "Intermediate-SRPT", "incremental", s.events_per_sec
-        );
-        rows.push(Row {
-            policy: "Intermediate-SRPT".to_string(),
-            fixture: "poisson-1.5",
-            mode: "incremental",
-            n,
-            m,
-            events: s.events,
-            seconds: s.seconds,
-            events_per_sec: s.events_per_sec,
-        });
-        if n <= 10_000 {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run(&over, policy.as_mut(), m, true);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (overload)",
-                "Intermediate-SRPT", "legacy", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-1.5",
-                mode: "legacy",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-    }
-
-    let pick_rate = |fixture: &str, mode: &str, n: usize| {
-        rows.iter()
-            .find(|r| {
-                r.policy == "Intermediate-SRPT"
-                    && r.fixture == fixture
-                    && r.mode == mode
-                    && r.n == n
-            })
-            .map(|r| r.events_per_sec)
-    };
-    let ratio = |fixture: &str| match (
-        pick_rate(fixture, "incremental", 10_000),
-        pick_rate(fixture, "legacy", 10_000),
-    ) {
-        (Some(inc), Some(leg)) if leg > 0.0 => inc / leg,
-        _ => f64::NAN,
-    };
-    let speedup = ratio("poisson-0.9");
-    let overload_speedup = ratio("poisson-1.5");
-    let mixed_alpha_speedup = ratio("mixed-alpha-0.9");
-    // Audit overhead: unaudited / audited throughput at n = 10_000
-    // (≥ 1; the acceptance bar for the sampled level is ≤ 2).
-    let audit_overhead = |mode: &str| {
-        let pick = |m: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.policy == "Intermediate-SRPT"
-                        && r.fixture == "poisson-0.9"
-                        && r.mode == m
-                        && r.n == 10_000
-                })
-                .map(|r| r.events_per_sec)
-        };
-        match (pick("incremental"), pick(mode)) {
-            (Some(base), Some(audited)) if audited > 0.0 => base / audited,
-            _ => f64::NAN,
-        }
-    };
-    let sampled_overhead = audit_overhead("audited-sampled");
-    let strict_overhead = audit_overhead("audited-strict");
-    // Kernel speed-up, measured per evaluation: 10^5 Γ evaluations on
-    // shares spanning (1, m] — the supra-knee domain where the power law
-    // actually evaluates — through the classified kernel vs per-call
-    // `powf`, best of 7 passes each. This is what the kernel delivers per
-    // call; Γ evaluations are a few percent of event cost on these
-    // fixtures, so the engine-level effect is small by design. See
-    // docs/PERF.md §6 for the cost model.
-    let (kernel_speedup_n1e5, kernel_eval_ns, powf_eval_ns) = {
-        use parsched_speedup::PowKernel;
-        let pts = 100_000usize;
-        let xs: Vec<f64> = (0..pts)
-            .map(|i| 1.0 + (i as f64 + 0.5) * (m - 1.0) / pts as f64)
-            .collect();
-        let alpha = 0.5; // the snapshot fixture's α
-                         // The engine loads kernels from job records, so α and the
-                         // classification are runtime data there; black_box the kernel to
-                         // keep LLVM from constant-folding `powf(x, 0.5)` into the very
-                         // sqrt the kernel arm is being compared against.
-        let time_evals = |k: PowKernel| {
-            let k = std::hint::black_box(k);
-            let mut best = f64::INFINITY;
-            for _ in 0..7 {
-                let start = std::time::Instant::now();
-                let mut acc = 0.0;
-                for &x in &xs {
-                    acc += k.eval(std::hint::black_box(x));
-                }
-                std::hint::black_box(acc);
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let t_powf = time_evals(PowKernel::powf_reference(alpha));
-        let t_kernel = time_evals(PowKernel::new(alpha));
-        (
-            t_powf / t_kernel,
-            t_kernel / pts as f64 * 1e9,
-            t_powf / pts as f64 * 1e9,
-        )
-    };
-    eprintln!(
-        "  kernel eval: {kernel_eval_ns:.1} ns vs powf {powf_eval_ns:.1} ns \
-         ({kernel_speedup_n1e5:.1}x over 10^5 evaluations, α = 0.5)"
-    );
-    // Loop A/B: `run_loop` (the specialized instantiation of the event
-    // loop) over a `step()`-driven run (the all-checks instantiation,
-    // iterated), same binary and fixture, measured as an interleaved
-    // best-of-5 pair — single-shot wall clocks on a busy host swing ±20%.
-    // Reported, not gated: `step()` shares the loop's memoized refresh
-    // and arrival spine, so the ratio prices dispatch and bookkeeping
-    // only. The n = 100_000 key is null in --quick.
-    let fastpath_ab = |n: usize| {
-        let inst = poisson_fixture(n, 0.9, m);
-        let mut best_fast = f64::INFINITY;
-        let mut best_generic = f64::INFINITY;
-        for _ in 0..5 {
-            let mut p = PolicyKind::IntermediateSrpt.build();
-            let f = timed_run_cfg(&inst, p.as_mut(), EngineConfig::new(m));
-            let mut p = PolicyKind::IntermediateSrpt.build();
-            let g = timed_step_run(&inst, p.as_mut(), EngineConfig::new(m));
-            best_fast = best_fast.min(f.seconds);
-            best_generic = best_generic.min(g.seconds);
-        }
-        best_generic / best_fast
-    };
-    let stable_load_fastpath_speedup = Some(fastpath_ab(10_000));
-    let isrpt_fastpath_speedup_n1e5 = if flags.quick {
-        None
-    } else {
-        Some(fastpath_ab(100_000))
-    };
-    if let Some(s) = stable_load_fastpath_speedup {
-        eprintln!(
-            "  run_loop vs step(): {s:.2}x at n=10^4{}",
-            isrpt_fastpath_speedup_n1e5
-                .map(|s5| format!(", {s5:.2}x at n=10^5"))
-                .unwrap_or_default()
-        );
-    }
-    // Per-phase hot-path profile (`hotpath` builds only): one profiled
-    // pass per arm on the stable n = 10^4 fixture. Stamping costs ~2
-    // clock reads per phase, so these numbers compare phases *between
-    // arms*; the unprofiled rows above are the throughput of record.
-    #[cfg(feature = "hotpath")]
-    let hotpath_ns: Option<String> = {
-        use parsched_sim::{Engine, NullObserver, StaticSource};
-        let inst = poisson_fixture(10_000, 0.9, m);
-        let profile = |fast: bool| {
-            let cfg = EngineConfig::new(m).with_hotpath_profile(true);
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let mut src = StaticSource::new(&inst);
-            let mut obs = NullObserver;
-            let mut eng = Engine::new(cfg, policy.as_mut(), &mut src, &mut obs);
-            if fast {
-                eng.run_loop().expect("profiled run");
-            } else {
-                while eng.step().expect("profiled step") {}
-            }
-            let hp = eng.hotpath_totals();
-            let (queue, refresh, metrics, dispatch) = hp.per_event();
-            format!(
-                "{{\"queue\": {queue:.1}, \"refresh\": {refresh:.1}, \
-                 \"metrics\": {metrics:.1}, \"dispatch\": {dispatch:.1}, \
-                 \"events\": {}}}",
-                hp.events
-            )
-        };
-        let fast = profile(true);
-        let generic = profile(false);
-        Some(format!(
-            "{{\"fixture\": \"poisson-0.9 n=10000\", \"unit\": \"ns/event\", \
-             \"fast\": {fast}, \"generic\": {generic}}}"
-        ))
-    };
-    #[cfg(not(feature = "hotpath"))]
-    let hotpath_ns: Option<String> = None;
-    // Sweep-pool scaling: a 32-run Intermediate-SRPT grid (n = 2_000
-    // Poisson runs, distinct seeds) through the work-stealing pool at 1
-    // vs 8 workers, each worker recycling one set of engine buffers.
-    // Reported as serial-time / 8-worker-time; on a single-core host
-    // this sits near 1.0 — read it against `host_cores`.
-    let (sweep_scaling_8c, host_cores) = {
-        use parsched_analysis::{simulate_audited_reusing, Pool};
-        use parsched_sim::EngineBuffers;
-        use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
-        let run_sweep = |jobs: usize| {
-            let seeds: Vec<u64> = (0..32).collect();
-            let start = std::time::Instant::now();
-            let flows = Pool::new(jobs).map_with(EngineBuffers::new, seeds, move |bufs, seed| {
-                let sizes = SizeDist::LogUniform { p: 32.0 };
-                let w = PoissonWorkload {
-                    n: 2_000,
-                    rate: PoissonWorkload::rate_for_load(0.9, m, &sizes),
-                    sizes,
-                    alphas: AlphaDist::Fixed(0.5),
-                    seed,
-                };
-                let inst = w.generate().expect("sweep fixture");
-                let mut policy = PolicyKind::IntermediateSrpt.build();
-                let (out, next) = simulate_audited_reusing(
-                    std::mem::take(bufs),
-                    &inst,
-                    policy.as_mut(),
-                    m,
-                    AuditLevel::Off,
-                );
-                *bufs = next;
-                out.expect("sweep run").metrics.total_flow
-            });
-            (start.elapsed().as_secs_f64(), flows)
-        };
-        let (t_serial, serial_flows) = run_sweep(1);
-        let (t_pool8, pool_flows) = run_sweep(8);
-        // The scaling number is only meaningful if the pool is invisible
-        // in the results — the ordering guarantee, checked bit-for-bit.
-        for (a, b) in serial_flows.iter().zip(&pool_flows) {
-            assert_eq!(a.to_bits(), b.to_bits(), "pool diverged from serial sweep");
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        eprintln!(
-            "  sweep pool: serial {t_serial:.3}s vs 8 workers {t_pool8:.3}s \
-             ({:.2}x on {cores} core(s))",
-            t_serial / t_pool8
-        );
-        (t_serial / t_pool8, cores)
-    };
-
-    // Hand-rolled JSON: the offline serde shim only type-checks derives,
-    // it does not serialize.
-    // Measurement provenance: which compiler and opt-level produced the
-    // binary (baked in at build time), and which commit it measured
-    // (read at run time; null outside a git checkout). A snapshot from a
-    // debug build or a dirty toolchain must be recognizable as such.
-    let git_commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"parsched-bench-snapshot/v1\",\n");
-    json.push_str(&format!(
-        "  \"rustc_version\": \"{}\",\n",
-        env!("PARSCHED_RUSTC_VERSION").replace('"', "'")
-    ));
-    json.push_str(&format!(
-        "  \"opt_level\": \"{}\",\n",
-        env!("PARSCHED_OPT_LEVEL")
-    ));
-    json.push_str(&format!(
-        "  \"git_commit\": {},\n",
-        git_commit
-            .map(|c| format!("\"{}\"", c.replace('"', "'")))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(
-        "  \"fixture\": \"PoissonWorkload, alpha=0.5, sizes log-uniform [1,32], seed 0xbe9c; \
-         poisson-0.9 = load 0.9, poisson-1.5 = overload load 1.5, mixed-alpha-0.9 = load 0.9 \
-         with per-job alpha from {0.25, 0.5, 0.75, 0.37}\",\n",
-    );
-    json.push_str(&format!(
-        "  \"isrpt_speedup_vs_legacy_n10000\": {:.2},\n",
-        speedup
-    ));
-    json.push_str(&format!(
-        "  \"isrpt_overload_speedup_vs_legacy_n10000\": {:.2},\n",
-        overload_speedup
-    ));
-    json.push_str(&format!(
-        "  \"isrpt_mixed_alpha_speedup_vs_legacy_n10000\": {:.2},\n",
-        mixed_alpha_speedup
-    ));
-    json.push_str(&format!(
-        "  \"audit_sampled_overhead_n10000\": {:.2},\n",
-        sampled_overhead
-    ));
-    json.push_str(&format!(
-        "  \"audit_strict_overhead_n10000\": {:.2},\n",
-        strict_overhead
-    ));
-    json.push_str(&format!(
-        "  \"kernel_speedup_n1e5\": {kernel_speedup_n1e5:.2},\n"
-    ));
-    json.push_str(&format!("  \"kernel_eval_ns\": {kernel_eval_ns:.2},\n"));
-    json.push_str(&format!("  \"powf_eval_ns\": {powf_eval_ns:.2},\n"));
-    json.push_str(&format!(
-        "  \"stable_load_fastpath_speedup\": {},\n",
-        stable_load_fastpath_speedup
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(&format!(
-        "  \"isrpt_fastpath_speedup_n1e5\": {},\n",
-        isrpt_fastpath_speedup_n1e5
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(&format!(
-        "  \"hotpath_ns\": {},\n",
-        hotpath_ns.as_deref().unwrap_or("null")
-    ));
-    json.push_str(&format!("  \"sweep_scaling_8c\": {sweep_scaling_8c:.2},\n"));
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    // Large-n streaming acceptance numbers: wall-clock and peak RSS for
-    // the n = 10⁷ Poisson run on the streaming path (null in --quick).
-    json.push_str(&format!(
-        "  \"streaming_wall_n1e7\": {},\n",
-        streaming_wall_n1e7
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(&format!(
-        "  \"streaming_rss_n1e7\": {},\n",
-        streaming_rss_n1e7
-            .map(|b| b.to_string())
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"fixture\": \"{}\", \"mode\": \"{}\", \"n\": {}, \
-             \"m\": {}, \"events\": {}, \"seconds\": {:.6}, \"events_per_sec\": {:.0}}}{}\n",
-            r.policy,
-            r.fixture,
-            r.mode,
-            r.n,
-            r.m,
-            r.events,
-            r.seconds,
-            r.events_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
-    outln!(
-        "wrote {out_path} ({} rows); Intermediate-SRPT incremental/legacy speed-up at \
-         n=10_000: {:.1}x (load 0.9), {:.1}x (overload), {:.1}x (mixed-alpha); \
-         run_loop vs step(): {}; audit overhead: {:.2}x sampled, {:.2}x strict",
-        rows.len(),
-        speedup,
-        overload_speedup,
-        mixed_alpha_speedup,
-        stable_load_fastpath_speedup
-            .map(|s| format!("{s:.2}x"))
-            .unwrap_or_else(|| "n/a".to_string()),
-        sampled_overhead,
-        strict_overhead
-    );
-    Ok(())
-}
-
-/// `parsched lint [--root dir] [--format human|json|sarif]
-/// [--explain L00X <symbol>] [paths...]`.
-///
-/// Returns `Ok(true)` when the tree is clean, `Ok(false)` on violations or
 /// `parsched adversary` — the seeded evolutionary hard-instance search
 /// (see `crates/adversary`). One search per target policy; everything on
 /// stdout (trajectories, failures, the t5-style summary table, corpus
@@ -1645,6 +1055,10 @@ fn fleet_report_json(
     .render()
 }
 
+/// `parsched lint [--root dir] [--format human|json|sarif]
+/// [--explain L00X <symbol>] [paths...]`.
+///
+/// Returns `Ok(true)` when the tree is clean, `Ok(false)` on violations or
 /// waiver problems (exit 1), `Err` on usage/IO errors (exit 2). Paths are
 /// workspace-relative prefixes that restrict which files are analyzed.
 fn cmd_lint(args: &[String]) -> Result<bool, String> {
@@ -1763,6 +1177,9 @@ fn main() -> ExitCode {
                     "t3" => "Potential-function analysis verified numerically (§2)",
                     "t4" => "EQUI is 2-competitive for batch release (Edmonds sanity)",
                     "t5" => "Fairness: the stretch trade-off (flow vs starvation)",
+                    "x1" => "Ablation: Greedy's re-decision quantum (accuracy vs events)",
+                    "x2" => "Speed augmentation rescues EQUI/LAPS (related-work context)",
+                    "x3" => "Ablation: the regime boundary belongs exactly at |A| = m",
                     _ => "",
                 };
                 outln!("{id}  {res_title}");
@@ -1832,13 +1249,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "bench-snapshot" => match parse_flags(rest).and_then(|flags| cmd_bench_snapshot(&flags)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
         "compare" => match parse_flags(rest).and_then(|flags| cmd_compare(&flags)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {

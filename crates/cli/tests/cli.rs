@@ -12,7 +12,7 @@ fn list_shows_every_experiment() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8");
     for id in [
-        "f1", "f2", "f3", "f4", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "x2", "x3",
+        "f1", "f2", "f3", "f4", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "x1", "x2", "x3",
     ] {
         assert!(text.contains(id), "missing {id} in:\n{text}");
     }

@@ -33,7 +33,7 @@ pub(crate) const BANNED: &[(&str, &str)] = &[
     (
         "Instant",
         "wall-clock time in a simulation path; simulations are driven by the virtual clock \
-         (timing belongs in parsched-bench)",
+         (timing belongs in perfbench)",
     ),
     (
         "SystemTime",

@@ -1430,12 +1430,15 @@ impl<'a> Engine<'a> {
             )));
         }
         if let Some(suffix) = &snap.suffix {
-            let done: Vec<bool> = snap.jobs.iter().map(|j| j.done).collect();
-            suffix.check(&done).map_err(bad)?;
+            suffix.check().map_err(bad)?;
         }
         // The SRPT set, the level heaps and the arrival suffix break ties
         // by reading each entry's arena spec, so an entry must describe
-        // the job its slot holds, bit for bit.
+        // the job its slot holds, bit for bit. Off the exhaustive path the
+        // structure is the alive set, so it must also hold every alive
+        // slot exactly once: a slot left out would never complete, and
+        // one held twice or after its completion would complete again.
+        let mut held: Vec<bool> = snap.jobs.iter().map(|j| j.done).collect();
         let suffix_entries = snap
             .suffix
             .iter()
@@ -1464,6 +1467,11 @@ impl<'a> Engine<'a> {
                     "snapshot references arena slot {idx} (arena holds {n})"
                 )));
             };
+            if std::mem::replace(&mut held[idx], true) {
+                return Err(bad(format!(
+                    "snapshot {part} holds arena slot {idx} twice or after its job completed"
+                )));
+            }
             let spec = &slot.spec;
             let field = if release.to_bits() != spec.release.to_bits() {
                 "release"
@@ -1478,6 +1486,13 @@ impl<'a> Engine<'a> {
                 "snapshot {part} entry for arena slot {idx} disagrees with the slot's spec on \
                  {field}"
             )));
+        }
+        if snap_mode != ExecMode::Exhaustive {
+            if let Some(idx) = held.iter().position(|&h| !h) {
+                return Err(bad(format!(
+                    "snapshot {snap_mode:?} state misses alive arena slot {idx}"
+                )));
+            }
         }
         if let Some(slot) = snap
             .levels

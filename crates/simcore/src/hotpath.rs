@@ -15,9 +15,8 @@
 //! The totals are diagnostics, not run state: they never feed back into
 //! the simulation, are not snapshotted, and are only meaningful relative
 //! to each other (the timestamping itself costs tens of ns per event, so
-//! headline throughput is always measured with the flag off —
-//! `bench-snapshot` runs a separate profiled pass to fill the
-//! `hotpath_ns` fields). Wall-clock reads are confined to this module and
+//! headline throughput is always measured with the flag off and a
+//! profiled pass is a separate run). Wall-clock reads are confined to this module and
 //! are exempt from the determinism lint because the measured durations
 //! never influence engine arithmetic.
 

@@ -42,12 +42,6 @@ enum Kind {
     ThreeQuarters,
     /// General `α`: double-double `ln` table + `exp`.
     General,
-    /// Benchmark control: route every call through `f64::powf`, skipping
-    /// the classified fast paths. Only built by
-    /// [`PowKernel::powf_reference`]; exists so `bench-snapshot` can A/B
-    /// the kernel against the per-call `powf` it replaced, per evaluation
-    /// on the same binary (`kernel_speedup_n1e5` in BENCH_engine.json).
-    Reference,
 }
 
 /// A compiled evaluator for `x^α`, constructed once per distinct exponent.
@@ -208,20 +202,6 @@ impl PowKernel {
         }
     }
 
-    /// A deliberately slow kernel that evaluates every call through
-    /// `f64::powf` — the pre-kernel hot-loop cost. Used as the baseline
-    /// arm of the `kernel_speedup_n1e5` measurement and by differential
-    /// tests; never constructed by [`Curve::kernel`].
-    #[inline]
-    pub fn powf_reference(alpha: f64) -> Self {
-        debug_assert!((0.0..=1.0).contains(&alpha), "alpha out of range: {alpha}");
-        PowKernel {
-            alpha,
-            inv_alpha: 1.0 / alpha,
-            kind: Kind::Reference,
-        }
-    }
-
     /// The kernel for a power-family [`Curve`] (`FullyParallel` ≡ α = 1,
     /// `Sequential` ≡ α = 0), or `None` for shapes outside the power family
     /// (Amdahl, piecewise), which keep their own evaluators.
@@ -263,7 +243,6 @@ impl PowKernel {
             Kind::Quarter => x.sqrt().sqrt(),
             Kind::ThreeQuarters => (x * x.sqrt()).sqrt(),
             Kind::General => self.eval_general(x),
-            Kind::Reference => x.powf(self.alpha),
         }
     }
 
@@ -299,7 +278,7 @@ impl PowKernel {
             }
             // r^{4/3} = r · ∛r (cbrt is a hardware/libm primitive).
             Kind::ThreeQuarters => r * r.cbrt(),
-            Kind::General | Kind::Reference => r.powf(self.inv_alpha),
+            Kind::General => r.powf(self.inv_alpha),
         }
     }
 
@@ -341,11 +320,6 @@ impl PowKernel {
             Kind::General => {
                 for (o, &x) in out.iter_mut().zip(xs) {
                     *o = self.eval_general(x);
-                }
-            }
-            Kind::Reference => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = x.powf(self.alpha);
                 }
             }
         }
@@ -398,12 +372,6 @@ impl PowKernel {
                 for (o, &x) in out.iter_mut().zip(xs) {
                     debug_assert!(x >= 0.0, "negative processor allocation: {x}");
                     *o = if x <= 1.0 { x } else { self.eval_general(x) };
-                }
-            }
-            Kind::Reference => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 { x } else { x.powf(self.alpha) };
                 }
             }
         }
@@ -617,16 +585,13 @@ mod tests {
         assert!(PowKernel::for_curve(&Curve::try_amdahl(0.25).unwrap()).is_none());
     }
 
-    /// Every kernel class the classifier can produce, including the two
-    /// exact endpoints, all three sqrt chains, the general table path, and
-    /// the powf reference arm.
+    /// Every kernel class the classifier can produce: the two exact
+    /// endpoints, all three sqrt chains, and the general table path.
     fn all_class_kernels() -> Vec<PowKernel> {
-        let mut ks: Vec<PowKernel> = [0.0, 0.25, 0.5, 0.75, 1.0, 0.37, 1.0 / 3.0, 0.999]
+        [0.0, 0.25, 0.5, 0.75, 1.0, 0.37, 1.0 / 3.0, 0.999]
             .iter()
             .map(|&a| PowKernel::new(a))
-            .collect();
-        ks.push(PowKernel::powf_reference(0.6));
-        ks
+            .collect()
     }
 
     #[test]
@@ -706,18 +671,17 @@ mod tests {
 
         #[test]
         fn gamma_batch_bit_identical_on_classified_kernels(
-            class in 0usize..6,
+            class in 0usize..5,
             mant in 1.0f64..2.0,
             exp in 0u32..40,
         ) {
-            // The endpoint and sqrt-chain classes, plus the reference arm.
+            // The endpoint and sqrt-chain classes.
             let k = match class {
                 0 => PowKernel::new(0.0),
                 1 => PowKernel::new(1.0),
                 2 => PowKernel::new(0.5),
                 3 => PowKernel::new(0.25),
-                4 => PowKernel::new(0.75),
-                _ => PowKernel::powf_reference(0.5),
+                _ => PowKernel::new(0.75),
             };
             let x = mant * f64::from(2u32).powi(
                 i32::try_from(exp).expect("exp < 40 fits i32"));

@@ -14,9 +14,9 @@
 //! `pre_validated() == false`.
 //!
 //! Coverage:
-//! * every [`PolicyKind::all_registered`] policy × the three bench
-//!   fixtures (stable load, overload, mixed-α) — the exact distributions
-//!   the committed `BENCH_engine.json` rows measure;
+//! * every [`PolicyKind::all_registered`] policy × the three
+//!   `parsched_bench` fixtures (stable load, overload, mixed-α), whose
+//!   recipes perfbench's sim workloads also run;
 //! * random mixed-curve instances under proptest, including burst
 //!   arrivals and single-machine cases;
 //! * a strict audit forces the all-checks instantiation (the specialized
@@ -26,14 +26,18 @@
 //! * suspend under `step()`, round-trip the `parsched-snap/v3` document,
 //!   resume into `run_loop`: the memoized allocation profile and cached
 //!   next-completion are rebuilt from restored state, so the resumed run
-//!   must finish bit-identically to both uninterrupted arms.
+//!   must finish bit-identically to both uninterrupted arms;
+//! * a counting policy wrapper: the allocation memo queries each alive
+//!   count once, and the incremental path never calls `assign` (also on
+//!   the two 10,000-job fixtures of `tests/engine_complexity_floor.rs`,
+//!   with their event counts pinned).
 
 use parsched::PolicyKind;
 use parsched_bench::{mixed_alpha_fixture, overload_fixture, poisson_fixture};
 use parsched_sim::{
-    AliveJob, AllocationStability, ArrivalSource, AuditLevel, Engine, EngineConfig, Instance,
-    JobId, JobSpec, NullObserver, Policy, PrefixAllocation, RunOutcome, SimError, Snapshot,
-    StaticSource, SystemView, Time,
+    AliveJob, AllocationStability, ArrivalSource, AuditLevel, Engine, EngineConfig, EnginePath,
+    Instance, JobId, JobSpec, NullObserver, Policy, PrefixAllocation, RunOutcome, SimError,
+    Snapshot, StaticSource, SystemView, Time,
 };
 use parsched_speedup::Curve;
 use proptest::prelude::*;
@@ -248,10 +252,11 @@ fn snapshot_resume_into_fast_loop_is_bit_identical() {
 }
 
 /// Forwards to a registry policy and counts its `prefix_allocation`
-/// queries per alive count.
+/// queries per alive count and its `assign` calls.
 struct CountingPolicy {
     inner: Box<dyn Policy + Send>,
     queries: RefCell<BTreeMap<usize, u32>>,
+    assigns: u64,
 }
 
 impl Policy for CountingPolicy {
@@ -266,6 +271,7 @@ impl Policy for CountingPolicy {
         jobs: &[AliveJob<'_>],
         shares: &mut [f64],
     ) -> Option<f64> {
+        self.assigns += 1;
         self.inner.assign(now, m, jobs, shares)
     }
 
@@ -298,40 +304,60 @@ impl Policy for CountingPolicy {
 /// The allocation memo is exact and always on: the `PrefixAllocation`
 /// contract makes the profile a pure function of `(n_alive, m)`, so a run
 /// asks the policy at most once per distinct alive count — through
-/// `step()` as through `run_loop`. A timing-free guard for the memo: a
-/// broken memo shows up here as a repeated query, whatever the host.
+/// `step()` as through `run_loop` — and never calls `assign`, which only
+/// the exhaustive sweep does. A timing-free guard for the memo: a broken
+/// memo shows up here as a repeated query, whatever the host.
+///
+/// Intermediate-SRPT also runs the two 10,000-job fixtures whose
+/// wall-clock ratios against the exhaustive path are the floors in
+/// `tests/engine_complexity_floor.rs` (overload, where the alive set grows
+/// into the thousands, and mixed α): any fallback to the O(alive)
+/// exhaustive sweep there fails this exactly, as an `assign` call or a
+/// changed event count, rather than as a slower run.
 #[test]
 fn prefix_profile_is_queried_at_most_once_per_alive_count() {
     let m = 8.0;
-    let inst = mixed_alpha_fixture(1_000, 0.9, m);
-    for kind in registry() {
-        if kind.build().stability() != AllocationStability::SrptPrefix {
-            continue;
-        }
+    let small = mixed_alpha_fixture(1_000, 0.9, m);
+    let overload = overload_fixture(10_000, m);
+    let mixed = mixed_alpha_fixture(10_000, 0.9, m);
+    // (policy, fixture, instance, pinned event count)
+    let mut runs: Vec<(PolicyKind, &str, &Instance, Option<u64>)> = registry()
+        .into_iter()
+        .filter(|kind| kind.build().stability() == AllocationStability::SrptPrefix)
+        .map(|kind| (kind, "mixed-α n=1000", &small, None))
+        .collect();
+    let isrpt = PolicyKind::IntermediateSrpt;
+    runs.push((isrpt, "overload n=10000", &overload, Some(20_000)));
+    runs.push((isrpt, "mixed-α n=10000", &mixed, Some(20_000)));
+    for (kind, fixture, inst, want_events) in runs {
         for fast in [true, false] {
+            let ctx = format!("{} / {fixture} (fast={fast})", kind.name());
             let mut policy = CountingPolicy {
                 inner: kind.build(),
                 queries: RefCell::new(BTreeMap::new()),
+                assigns: 0,
             };
-            let mut source = StaticSource::new(&inst);
+            let mut source = StaticSource::new(inst);
             let mut obs = NullObserver;
             let mut engine = Engine::new(EngineConfig::new(m), &mut policy, &mut source, &mut obs);
-            assert!(engine.uses_incremental_path());
+            assert_eq!(engine.path(), EnginePath::Incremental, "{ctx}");
             if fast {
                 engine.run_loop()
             } else {
                 step_to_end(&mut engine)
             }
-            .unwrap_or_else(|e| panic!("{} (fast={fast}): {e}", kind.name()));
-            drop(engine);
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let events = engine.into_outcome().expect("outcome").metrics.events;
+            assert_eq!(policy.assigns, 0, "{ctx}: assign called");
+            if let Some(want) = want_events {
+                assert_eq!(events, want, "{ctx}: events");
+            }
             let queries = policy.queries.into_inner();
-            assert!(!queries.is_empty(), "{}: never queried", kind.name());
+            assert!(!queries.is_empty(), "{ctx}: never queried");
             for (n, count) in queries {
                 assert_eq!(
-                    count,
-                    1,
-                    "{} (fast={fast}): prefix profile for n = {n} queried {count} times",
-                    kind.name()
+                    count, 1,
+                    "{ctx}: prefix profile for n = {n} queried {count} times"
                 );
             }
         }

@@ -15,7 +15,7 @@
 //! required of parking every `k` events.
 
 use parsched::PolicyKind;
-use parsched_bench::mixed_alpha_fixture;
+use parsched_bench::{mixed_alpha_fixture, poisson_fixture};
 use parsched_sim::jsonlite::Json;
 use parsched_sim::{
     AliveJob, AllocationStability, CurveCount, Engine, EngineConfig, Instance, NullObserver,
@@ -1011,6 +1011,127 @@ fn corrupted_arrival_suffix_is_refused_with_a_typed_error() {
                 matches!(result, Err(SimError::BadInstance { .. })),
                 "{ctx}: expected a typed restore error, got {result:?}"
             );
+        }
+    }
+}
+
+/// The value at `path` in a snapshot document (see [`corrupt_at`]).
+fn value_at(doc: &str, path: &[&str]) -> Json {
+    let mut node = Json::parse(doc).expect("parse snapshot document");
+    for &key in path {
+        node = match node {
+            Json::Obj(fields) => fields
+                .into_iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("snapshot document has no field {key}")),
+            Json::Arr(mut items) => items.swap_remove(key.parse::<usize>().expect("array index")),
+            _ => panic!("snapshot document: {key} is not inside a container"),
+        };
+    }
+    node
+}
+
+/// The SRPT set (Intermediate-SRPT) and the level stack (SETF) hold the
+/// alive set, so restore requires each to hold every alive arena slot
+/// exactly once: a document with one entry dropped, whose job would never
+/// complete, or one entry held twice is refused with a typed error, in
+/// both memory modes, while the untouched document resumes bit-identically.
+/// A level's tally is adjusted with its entries, so the codec accepts the
+/// edited document and only restore can refuse it.
+#[test]
+fn alive_structures_that_drop_or_repeat_a_job_are_refused() {
+    let inst = poisson_fixture(200, 1.5, M);
+    let suspend_at = 60;
+    for kind in [PolicyKind::IntermediateSrpt, PolicyKind::Setf] {
+        for streaming in [false, true] {
+            let ctx = format!(
+                "{} / {}",
+                kind.name(),
+                if streaming { "streaming" } else { "in-memory" }
+            );
+            let (want, _) = baseline(&inst, &kind, streaming);
+            let (got, _) = suspend_resume(&inst, &kind, streaming, suspend_at, &ctx);
+            assert_metrics_bit_identical(&got, &want, &format!("{ctx} / untouched"));
+
+            let mut policy = kind.build();
+            let mut source = StaticSource::new(&inst);
+            let mut obs = NullObserver;
+            let mut engine = Engine::new(
+                engine_cfg(streaming),
+                policy.as_mut(),
+                &mut source,
+                &mut obs,
+            );
+            for _ in 0..suspend_at {
+                assert!(engine.step().expect("pre-suspend step"));
+            }
+            let doc = engine.snapshot().expect("snapshot").to_json();
+            drop(engine);
+
+            let mut cases: Vec<(&str, String)> = Vec::new();
+            if kind == PolicyKind::Setf {
+                // The first level with two members of one curve: the
+                // single-α fixture gives each level one tally row.
+                let Json::Arr(levels) = value_at(&doc, &["levels", "levels"]) else {
+                    panic!("{ctx}: levels is not an array")
+                };
+                let at = levels
+                    .iter()
+                    .position(|l| {
+                        l.get("tally")
+                            .and_then(|t| t.as_arr().ok())
+                            .and_then(|t| t.first())
+                            .and_then(|row| row.as_arr().ok())
+                            .and_then(|row| row.get(1))
+                            .is_some_and(|c| c.as_u64().expect("tally count") >= 2)
+                    })
+                    .expect("a level with two members")
+                    .to_string();
+                let entries_path = ["levels", "levels", &at, "entries"];
+                let count_path = ["levels", "levels", &at, "tally", "0", "1"];
+                let Json::Arr(entries) = value_at(&doc, &entries_path) else {
+                    panic!("{ctx}: level entries is not an array")
+                };
+                let count = value_at(&doc, &count_path).as_u64().expect("tally count");
+                for (what, edited, count) in [
+                    ("level entry dropped", entries[1..].to_vec(), count - 1),
+                    (
+                        "level entry repeated",
+                        [entries.clone(), vec![entries[0].clone()]].concat(),
+                        count + 1,
+                    ),
+                ] {
+                    let bad = corrupt_at(&doc, &entries_path, Json::Arr(edited));
+                    let bad = corrupt_at(&bad, &count_path, Json::Num(count.to_string()));
+                    cases.push((what, bad));
+                }
+            } else {
+                let Json::Arr(queued) = value_at(&doc, &["srpt", "queued"]) else {
+                    panic!("{ctx}: srpt.queued is not an array")
+                };
+                assert!(!queued.is_empty(), "{ctx}: the fixture leaves jobs queued");
+                let dropped = queued[1..].to_vec();
+                let repeated = [queued.clone(), vec![queued[0].clone()]].concat();
+                for (what, edited) in [
+                    ("srpt.queued entry dropped", dropped),
+                    ("srpt.queued entry repeated", repeated),
+                ] {
+                    cases.push((
+                        what,
+                        corrupt_at(&doc, &["srpt", "queued"], Json::Arr(edited)),
+                    ));
+                }
+            }
+            for (what, bad) in cases {
+                let bad = Snapshot::from_json(&bad)
+                    .unwrap_or_else(|e| panic!("{ctx} / {what}: the codec refused it: {e}"));
+                let result = restore_run_finalize(&inst, &kind, streaming, &bad);
+                assert!(
+                    matches!(result, Err(SimError::BadInstance { .. })),
+                    "{ctx} / {what}: expected a typed restore error, got {result:?}"
+                );
+            }
         }
     }
 }
