@@ -15,14 +15,13 @@
 //!   prefix is a stack with the latest on top. Demoting the oldest running
 //!   job and promoting the latest waiting one each move the boundary one
 //!   node, `O(1)` on the list.
-//! * **the running jobs in one 2-ary min-heap per curve group** (the SRPT
-//!   set's [`MinHeap`] and 24-byte [`Entry`]): members of a group carry
-//!   bit-identical curves, so at the common share they drain at one rate,
-//!   and one drain offset `D_g` stands for all of them. Each member is
-//!   keyed by `remaining + D_g`, the group's next completion is its
-//!   heap's minimum, and advancing an interval bumps each `D_g` in `O(1)`.
-//!   A single-α workload has one group; mixed curves have one per
-//!   distinct curve. The heaps track their members' positions, so a
+//! * **the running jobs in one [`DrainedGroup`] per curve**: members of a
+//!   group carry bit-identical curves, so at the common share they drain
+//!   at one rate, and one drain offset `D_g` stands for all of them. Each
+//!   member is keyed by `remaining + D_g`, the group's next completion is
+//!   its heap's minimum, and an interval drains and integrates each group
+//!   in `O(1)`. A single-α workload has one group; mixed curves have one
+//!   per distinct curve. The heaps track their members' positions, so a
 //!   demotion removes the oldest running job from its group in
 //!   `O(log n)`.
 //!
@@ -35,20 +34,17 @@
 //! arrival or completion, that is one demotion or promotion per event.
 //!
 //! Waiting jobs keep their literal remaining work; their fractional sum
-//! is maintained beside the groups' offset-space sums, so an interval's
-//! fractional flow has the SRPT set's closed form, one term per group.
+//! is maintained beside the groups' sums, so an interval's fractional
+//! flow has the groups' closed form, one term per group.
 //!
-//! A heap's array layout depends only on the sequence of operations and
-//! on keys and `(release, id)` tie-breaks, never on arena slots, so the
-//! in-memory and streaming modes (which number slots differently) keep
-//! identical layouts. Snapshots capture each heap array verbatim and the
-//! waiting stack in order; restore pushes the arrays back in the same
-//! order, which rebuilds the same arrays.
+//! Snapshots capture each group as it captures itself, heap array verbatim
+//! ([`DrainedSnap`]), and the waiting stack in order.
 
 use std::cmp::Ordering;
 
+use crate::drained::{DrainedGroup, DrainedSnap};
 use crate::job::{JobId, JobSpec, Time, Work};
-use crate::srpt_set::{Entry, HeapEntrySnap, HeapTrack, MinHeap, Slot, REBASE_LIMIT};
+use crate::srpt_set::{Entry, HeapEntrySnap, HeapTrack, Slot, REBASE_LIMIT};
 
 /// The null link.
 const NIL: u32 = u32::MAX;
@@ -88,36 +84,23 @@ impl HeapTrack for Positions<'_> {
 /// The running jobs of one curve: they drain at one rate.
 #[derive(Debug, Default)]
 struct Group {
-    /// Members keyed by `remaining + drain`.
-    heap: MinHeap,
-    /// Cumulative drain applied to the members.
-    drain: f64,
-    /// `Σ 1/p_j` over members.
-    s1: f64,
-    /// `Σ key_j/p_j` over members (offset space).
-    sk: f64,
+    members: DrainedGroup,
     /// Speed-adjusted drain rate of the current interval.
     rate: f64,
 }
 
 impl Group {
     fn clear(&mut self) {
-        self.heap.clear();
-        self.drain = 0.0;
-        self.s1 = 0.0;
-        self.sk = 0.0;
+        self.members.clear();
         self.rate = 0.0;
     }
 }
 
-/// One curve group as captured: the heap array verbatim, the offset, the
-/// sums and the interval rate bit-exact.
+/// One curve group as captured: its members and the interval rate
+/// bit-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct GroupSnap {
-    pub(crate) entries: Vec<HeapEntrySnap>,
-    pub(crate) drain: f64,
-    pub(crate) s1: f64,
-    pub(crate) sk: f64,
+    pub(crate) members: DrainedSnap,
     pub(crate) rate: f64,
 }
 
@@ -136,7 +119,7 @@ impl SuffixSnap {
     pub(crate) fn entries(&self) -> impl Iterator<Item = &HeapEntrySnap> {
         self.waiting
             .iter()
-            .chain(self.groups.iter().flat_map(|g| &g.entries))
+            .chain(self.groups.iter().flat_map(|g| &g.members.entries))
     }
 
     /// Checks the structure restore relies on beyond the one-entry-per-
@@ -144,7 +127,7 @@ impl SuffixSnap {
     /// empty, and the waiting stack is in strict `(release, id)` order
     /// with every waiting job older than every running one.
     pub(crate) fn check(&self) -> Result<(), String> {
-        if self.groups.iter().any(|g| g.entries.is_empty()) {
+        if self.groups.iter().any(|g| g.members.entries.is_empty()) {
             return Err("suffix group holds no member".into());
         }
         let order = |a: &HeapEntrySnap, b: &HeapEntrySnap| {
@@ -160,7 +143,7 @@ impl SuffixSnap {
         let oldest_running = self
             .groups
             .iter()
-            .flat_map(|g| &g.entries)
+            .flat_map(|g| &g.members.entries)
             .min_by(|a, b| order(a, b));
         if let (Some(w), Some(r)) = (self.waiting.last(), oldest_running) {
             if order(w, r) != Ordering::Less {
@@ -326,14 +309,15 @@ impl ArrivalSuffix {
         let spec = &specs[idx];
         let found = self.live.iter().copied().find(|&g| {
             self.slab[g as usize]
-                .heap
-                .peek()
+                .members
+                .entries()
+                .first()
                 .is_some_and(|e| specs[e.idx as usize].curve.same_bits(&spec.curve))
         });
         let g = match found {
             Some(g) => g as usize,
             None => {
-                let g = match self.slab.iter().position(|g| g.heap.is_empty()) {
+                let g = match self.slab.iter().position(|g| g.members.is_empty()) {
                     Some(g) => g,
                     None => {
                         self.slab.push(Group::default());
@@ -345,12 +329,10 @@ impl ArrivalSuffix {
             }
         };
         let group = &mut self.slab[g];
-        let key = remaining + group.drain;
-        group.s1 += 1.0 / spec.size;
-        group.sk += key / spec.size;
+        let key = group.members.drain().key(remaining);
         self.node[id].group = g as u32;
         self.node[id].key = key;
-        group.heap.push_tracked(
+        group.members.add(
             Entry::new(key, idx, spec.size, false, false),
             specs,
             &mut Positions {
@@ -363,24 +345,20 @@ impl ArrivalSuffix {
     /// Removes the running job of node `id` from its group and returns its
     /// remaining work. An emptied group is released.
     fn leave(&mut self, id: usize, specs: &[JobSpec]) -> Work {
-        let Node {
-            group: g, pos, key, ..
-        } = self.node[id];
+        let Node { group: g, pos, .. } = self.node[id];
         let group = &mut self.slab[g as usize];
-        let removed = group.heap.remove_tracked(
-            pos as usize,
-            specs,
-            &mut Positions {
-                node_of: &self.node_of,
-                node: &mut self.node,
-            },
-        );
-        let remaining = (key - group.drain).max(0.0);
-        if let Some(e) = removed {
-            group.s1 -= 1.0 / e.size;
-            group.sk -= e.key / e.size;
-        }
-        if group.heap.is_empty() {
+        let remaining = group
+            .members
+            .remove(
+                pos as usize,
+                specs,
+                &mut Positions {
+                    node_of: &self.node_of,
+                    node: &mut self.node,
+                },
+            )
+            .map_or(0.0, |(_, remaining)| remaining);
+        if group.members.is_empty() {
             group.clear();
             if let Some(at) = self.live.iter().position(|&l| l == g) {
                 self.live.remove(at);
@@ -432,22 +410,28 @@ impl ArrivalSuffix {
         let mut next: Option<Time> = None;
         for &g in &self.live {
             let group = &mut self.slab[g as usize];
-            if group.drain > REBASE_LIMIT {
-                rebase(
-                    group,
-                    &mut Positions {
-                        node_of: &self.node_of,
-                        node: &mut self.node,
-                    },
-                    specs,
-                );
+            if group.members.drain().offset > REBASE_LIMIT {
+                // Fold the offset into the keys, keeping `ulp(key)` well
+                // under completion tolerances, and the nodes' keys with
+                // them.
+                let mut track = Positions {
+                    node_of: &self.node_of,
+                    node: &mut self.node,
+                };
+                group.members.rebase(specs, &mut track);
+                for e in group.members.entries() {
+                    let id = track.node_of.get(e.idx as usize).copied().unwrap_or(NIL);
+                    if let Some(n) = track.node.get_mut(id as usize) {
+                        n.key = e.key;
+                    }
+                }
             }
-            let Some(front) = group.heap.peek() else {
+            let Some((front, remaining)) = group.members.front() else {
                 continue;
             };
-            group.rate = rate_of(front.idx as usize);
+            group.rate = rate_of(front.idx);
             if group.rate > 0.0 {
-                let t = now + (front.key - group.drain).max(0.0) / group.rate;
+                let t = now + remaining / group.rate;
                 if next.is_none_or(|n| t < n) {
                     next = Some(t);
                 }
@@ -463,10 +447,7 @@ impl ArrivalSuffix {
         let mut run = 0.0;
         for &g in &self.live {
             let group = &mut self.slab[g as usize];
-            run += ((group.sk - group.drain * group.s1) * dt
-                - group.rate * dt * dt / 2.0 * group.s1)
-                .max(0.0);
-            group.drain += group.rate * dt;
+            run += group.members.integrate(group.rate, dt);
         }
         run + self.waiting_frac * dt
     }
@@ -481,8 +462,8 @@ impl ArrivalSuffix {
     ) -> Option<Slot> {
         let slot = self.live.iter().find_map(|&g| {
             let group = &self.slab[g as usize];
-            let front = group.heap.peek()?;
-            due(front.slot(), (front.key - group.drain).max(0.0), group.rate).then(|| front.slot())
+            let (front, remaining) = group.members.front()?;
+            due(front, remaining, group.rate).then_some(front)
         })?;
         let id = self.id_of(slot.idx)?;
         self.leave(id, specs);
@@ -540,7 +521,7 @@ impl ArrivalSuffix {
             return Some(node.key);
         }
         let group = self.slab.get(node.group as usize)?;
-        Some((node.key - group.drain).max(0.0))
+        Some(group.members.drain().remaining(node.key))
     }
 
     /// The interval rate of the alive job in arena slot `idx` (0 while it
@@ -551,18 +532,14 @@ impl ArrivalSuffix {
             .map_or(0.0, |g| g.rate)
     }
 
-    /// Visits every alive job as `(slot, remaining, running)`, oldest
-    /// first.
-    pub fn for_each(&self, specs: &[JobSpec], mut f: impl FnMut(Slot, f64, bool)) {
+    /// Visits every alive job as `(arena slot, remaining, running)`,
+    /// oldest first.
+    pub fn for_each(&self, mut f: impl FnMut(usize, f64, bool)) {
         let mut at = self.head;
         while let Some(node) = self.node.get(at as usize) {
             let idx = node.slot as usize;
-            let slot = Slot {
-                idx,
-                size: specs[idx].size,
-            };
             f(
-                slot,
+                idx,
                 self.remaining_of(idx).unwrap_or(0.0),
                 node.group != NIL,
             );
@@ -608,15 +585,7 @@ impl ArrivalSuffix {
             .map(|&g| {
                 let group = &self.slab[g as usize];
                 GroupSnap {
-                    entries: group
-                        .heap
-                        .entries()
-                        .iter()
-                        .map(|e| entry(e.idx as usize))
-                        .collect(),
-                    drain: group.drain,
-                    s1: group.s1,
-                    sk: group.sk,
+                    members: group.members.snapshot(specs),
                     rate: group.rate,
                 }
             })
@@ -640,8 +609,11 @@ impl ArrivalSuffix {
         self.reset();
         let slots = snap.entries().map(|e| e.idx + 1).max().unwrap_or(0);
         self.node_of.resize(slots, NIL);
-        let mut running: Vec<&HeapEntrySnap> =
-            snap.groups.iter().flat_map(|g| &g.entries).collect();
+        let mut running: Vec<&HeapEntrySnap> = snap
+            .groups
+            .iter()
+            .flat_map(|g| &g.members.entries)
+            .collect();
         running.sort_unstable_by(|a, b| arrival_order((a.release, a.id), (b.release, b.id)));
         for (id, e) in snap
             .waiting
@@ -675,48 +647,23 @@ impl ArrivalSuffix {
             if g == self.slab.len() {
                 self.slab.push(Group::default());
             }
-            let group = &mut self.slab[g];
-            for e in &gs.entries {
+            for e in &gs.members.entries {
                 self.node[self.node_of[e.idx] as usize].group = g as u32;
-                group.heap.push_tracked(
-                    Entry::new(e.key, e.idx, e.size, false, false),
-                    specs,
-                    &mut Positions {
-                        node_of: &self.node_of,
-                        node: &mut self.node,
-                    },
-                );
             }
-            group.drain = gs.drain;
-            group.s1 = gs.s1;
-            group.sk = gs.sk;
+            let group = &mut self.slab[g];
+            group.members.restore(
+                &gs.members,
+                specs,
+                &mut Positions {
+                    node_of: &self.node_of,
+                    node: &mut self.node,
+                },
+            );
             group.rate = gs.rate;
             self.live.push(g as u32);
         }
         self.waiting_frac = snap.waiting_frac;
     }
-}
-
-/// Folds a group's drain offset into its members' keys (remaining work
-/// unchanged up to rounding), restores the heap order, and re-sums the
-/// group in array order, keeping `ulp(key)` well under completion
-/// tolerances.
-fn rebase(group: &mut Group, track: &mut Positions<'_>, specs: &[JobSpec]) {
-    let drain = group.drain;
-    group
-        .heap
-        .rekey_tracked(|key| (key - drain).max(0.0), specs, track);
-    group.s1 = 0.0;
-    group.sk = 0.0;
-    for e in group.heap.entries() {
-        group.s1 += 1.0 / e.size;
-        group.sk += e.key / e.size;
-        let id = track.node_of.get(e.idx as usize).copied().unwrap_or(NIL);
-        if let Some(n) = track.node.get_mut(id as usize) {
-            n.key = e.key;
-        }
-    }
-    group.drain = 0.0;
 }
 
 #[cfg(test)]
@@ -881,20 +828,16 @@ mod tests {
         assert_eq!(set.len(), model.len(), "{ctx}: alive count");
         let mut order = Vec::new();
         let mut running = Vec::new();
-        set.for_each(specs, |slot, rem, runs| {
-            let j = model
-                .iter()
-                .find(|j| j.idx == slot.idx)
-                .expect("alive in model");
+        set.for_each(|idx, rem, runs| {
+            let j = model.iter().find(|j| j.idx == idx).expect("alive in model");
             assert!(
                 (rem - j.remaining).abs() < 1e-7,
-                "{ctx}: slot {} remaining {rem} vs model {}",
-                slot.idx,
+                "{ctx}: slot {idx} remaining {rem} vs model {}",
                 j.remaining
             );
-            order.push(slot.idx);
+            order.push(idx);
             if runs {
-                running.push(slot.idx);
+                running.push(idx);
             }
         });
         assert_eq!(order.len(), model.len(), "{ctx}: visited");
@@ -918,10 +861,7 @@ mod tests {
         let frac: f64 = set
             .live
             .iter()
-            .map(|&g| {
-                let l = &set.slab[g as usize];
-                l.sk - l.drain * l.s1
-            })
+            .map(|&g| set.slab[g as usize].members.drain().frac())
             .sum::<f64>()
             + set.waiting_frac;
         let want: f64 = model.iter().map(|j| j.remaining / specs[j.idx].size).sum();
@@ -932,7 +872,7 @@ mod tests {
         // Every heap position is where the node says, and the nodes are
         // dense and mapped from their slots.
         for &g in &set.live {
-            for (p, e) in set.slab[g as usize].heap.entries().iter().enumerate() {
+            for (p, e) in set.slab[g as usize].members.entries().iter().enumerate() {
                 let node = &set.node[set.node_of[e.idx as usize] as usize];
                 assert_eq!(node.pos as usize, p, "{ctx}: position");
                 assert_eq!(node.group, g, "{ctx}: group");
@@ -961,7 +901,7 @@ mod tests {
         let before: Vec<f64> = (0..6).map(|i| set.remaining_of(i).unwrap()).collect();
         set.schedule(1.5e6, &specs, |_| 1.0);
         let group = &set.slab[set.live[0] as usize];
-        assert_eq!(group.drain, 0.0, "rebased");
+        assert_eq!(group.members.drain().offset, 0.0, "rebased");
         for (i, want) in before.into_iter().enumerate() {
             assert!((set.remaining_of(i).unwrap() - want).abs() < 1e-6);
         }
@@ -1006,12 +946,12 @@ mod tests {
             );
         }
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        set.for_each(&specs, |s, _, r| a.push((s.idx, r)));
-        back.for_each(&specs, |s, _, r| b.push((s.idx, r)));
+        set.for_each(|idx, _, r| a.push((idx, r)));
+        back.for_each(|idx, _, r| b.push((idx, r)));
         assert_eq!(a, b);
         // A running job below the boundary is refused.
         let mut bad = snap.clone();
-        let dup = bad.groups[0].entries[0].clone();
+        let dup = bad.groups[0].members.entries[0].clone();
         bad.waiting.push(dup);
         assert!(bad.check().is_err());
     }
@@ -1029,7 +969,7 @@ mod tests {
         assert_eq!(set.live.len(), 2);
         set.reset();
         assert_eq!(set.len(), 0);
-        assert!(set.slab.iter().all(|g| g.heap.is_empty()));
+        assert!(set.slab.iter().all(|g| g.members.is_empty()));
         set.insert(0, 1.0, &specs);
         set.rebalance(1, &specs);
         assert_eq!(set.slab.len(), 2);

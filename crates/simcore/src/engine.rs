@@ -47,7 +47,7 @@ use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
 use crate::job::{Instance, JobId, JobSpec, Time, Work};
 use crate::kahan::NeumaierSum;
-use crate::level_stack::{CurveTag, LevelStack};
+use crate::level_stack::{tag_counts, LevelStack};
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
 use crate::observer::{NullObserver, Observer};
 use crate::policy::{AliveJob, AllocationStability, CurveCount, Policy, PrefixAllocation};
@@ -802,26 +802,30 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
             what: format!("snapshot {name} = {v} is out of range"),
         })
     };
-    let level_drains = snap
-        .levels
-        .iter()
-        .flat_map(|l| &l.levels)
-        .map(|l| ("levels.drain", l.drain));
-    let suffix_drains = snap
-        .suffix
-        .iter()
-        .flat_map(|s| &s.groups)
-        .map(|g| ("suffix.drain", g.drain));
+    // Every drained group with the names of its drain, sums and keys.
+    let groups = || {
+        let levels = snap.levels.iter().flat_map(|l| &l.levels).map(|l| {
+            let names = ["levels.drain", "levels.s1", "levels.sk", "levels.key"];
+            (names, &l.members)
+        });
+        let suffix = snap.suffix.iter().flat_map(|s| &s.groups).map(|g| {
+            let names = ["suffix.drain", "suffix.s1", "suffix.sk", "suffix.key"];
+            (names, &g.members)
+        });
+        levels.chain(suffix)
+    };
     let waiting_work = snap
         .suffix
         .iter()
         .flat_map(|s| &s.waiting)
         .map(|e| ("suffix.waiting", e.key));
-    for (name, v) in [("clock.now", snap.now), ("srpt.drain", snap.srpt.drain)]
-        .into_iter()
-        .chain(level_drains)
-        .chain(suffix_drains)
-        .chain(waiting_work)
+    for (name, v) in [
+        ("clock.now", snap.now),
+        ("srpt.drain", snap.srpt.prefix.offset),
+    ]
+    .into_iter()
+    .chain(groups().map(|(names, g)| (names[0], g.drain.offset)))
+    .chain(waiting_work)
     {
         if !(v.is_finite() && v >= 0.0) {
             return bad(name, v);
@@ -841,8 +845,8 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
     .filter_map(|(name, v)| v.map(|v| (name, v)))
     .chain([
         ("profile.share", snap.profile_share),
-        ("srpt.s1", snap.srpt.s1),
-        ("srpt.sk", snap.srpt.sk),
+        ("srpt.s1", snap.srpt.prefix.s1),
+        ("srpt.sk", snap.srpt.prefix.sk),
         ("srpt.q_frac", snap.srpt.q_frac),
         ("accum.frac_flow", snap.frac_flow.0),
         ("accum.frac_flow", snap.frac_flow.1),
@@ -860,32 +864,15 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
     ])
     .chain(snap.shares.iter().map(|&v| ("exhaustive.shares", v)))
     .chain(snap.rates.iter().map(|&v| ("exhaustive.rates", v)))
-    .chain(snap.levels.iter().flat_map(|l| {
-        std::iter::once(("levels.frozen", l.frozen)).chain(
-            l.levels
-                .iter()
-                .flat_map(|level| [("levels.s1", level.s1), ("levels.sk", level.sk)]),
-        )
-    }))
-    .chain(
-        snap.levels
-            .iter()
-            .flat_map(|l| &l.levels)
-            .flat_map(|l| &l.entries)
-            .map(|e| ("levels.key", e.key)),
-    )
+    .chain(snap.levels.iter().map(|l| ("levels.frozen", l.frozen)))
     .chain(snap.suffix.iter().flat_map(|s| {
-        std::iter::once(("suffix.waiting_frac", s.waiting_frac)).chain(s.groups.iter().flat_map(
-            |g| {
-                [
-                    ("suffix.s1", g.s1),
-                    ("suffix.sk", g.sk),
-                    ("suffix.rate", g.rate),
-                ]
-                .into_iter()
-                .chain(g.entries.iter().map(|e| ("suffix.key", e.key)))
-            },
-        ))
+        std::iter::once(("suffix.waiting_frac", s.waiting_frac))
+            .chain(s.groups.iter().map(|g| ("suffix.rate", g.rate)))
+    }))
+    .chain(groups().flat_map(|(names, g)| {
+        [(names[1], g.drain.s1), (names[2], g.drain.sk)]
+            .into_iter()
+            .chain(g.entries.iter().map(move |e| (names[3], e.key)))
     }));
     for (name, v) in finite {
         if !v.is_finite() {
@@ -904,6 +891,38 @@ fn recycle_views<T, U>(mut views: Vec<T>) -> Vec<U> {
     views.clear();
     // lint:allow(L007) in-place collect of an emptied Vec into the same element layout keeps its allocation (audited by tests/engine_zero_alloc.rs)
     views.into_iter().map_while(|_| None).collect()
+}
+
+/// Visits the alive set as `(arena slot, remaining, running)` in the
+/// current order of its path's structure: the exhaustive path's alive
+/// vector (all running: the policy allocates to each), the SRPT set's
+/// running prefix then its queue in SRPT order (sorted in the set's
+/// retained scratch, so nothing is allocated), the level stack's served
+/// level first, or the arrival suffix oldest first. The sources' views,
+/// the audit frames and [`Engine::alive_snapshot`] all list the alive set
+/// through here.
+fn for_each_alive(
+    mode: ExecMode,
+    alive: &[usize],
+    jobs: &JobArena,
+    srpt: &mut SrptSet,
+    levels: &LevelStack,
+    suffix: &ArrivalSuffix,
+    mut f: impl FnMut(usize, Work, bool),
+) {
+    match mode {
+        ExecMode::Exhaustive => {
+            for &idx in alive {
+                f(idx, jobs.remaining[idx], true);
+            }
+        }
+        ExecMode::Incremental => {
+            srpt.for_each_running_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem, true));
+            srpt.for_each_queued_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem, false));
+        }
+        ExecMode::Levels => levels.for_each(f),
+        ExecMode::Suffix => suffix.for_each(f),
+    }
 }
 
 /// Folds `t` into the running minimum `next`, keeping the first of equals
@@ -1112,13 +1131,6 @@ impl<'a> Engine<'a> {
         self.state.now
     }
 
-    /// Whether this engine runs the incremental `O(log n)`-per-event SRPT
-    /// path (as opposed to the exhaustive, the level or the arrival-suffix
-    /// path).
-    pub fn uses_incremental_path(&self) -> bool {
-        self.state.mode == ExecMode::Incremental
-    }
-
     /// Which execution path this run takes (fixed at construction).
     pub fn path(&self) -> EnginePath {
         match self.state.mode {
@@ -1176,55 +1188,41 @@ impl<'a> Engine<'a> {
             } else if self.state.mode == ExecMode::Suffix {
                 self.state.suffix.remaining_of(i).unwrap_or(0.0)
             } else if self.state.jobs.in_running[i] {
-                (self.state.jobs.run_key[i] - self.state.srpt.drain_offset()).max(0.0)
+                self.state
+                    .srpt
+                    .running_remaining(self.state.jobs.run_key[i])
             } else {
                 self.state.jobs.remaining[i]
             }
         })
     }
 
-    /// Owned snapshots of all alive jobs (in no contractual order).
-    pub fn alive_snapshot(&self) -> Vec<AliveSnapshot> {
-        let snap = |i: usize, remaining: Work| {
-            let spec = &self.state.jobs.specs[i];
-            AliveSnapshot {
-                id: spec.id,
-                release: spec.release,
-                size: spec.size,
-                remaining,
-                curve: spec.curve.clone(),
-            }
-        };
-        match self.state.mode {
-            ExecMode::Exhaustive => self
-                .state
-                .alive
-                .iter()
-                .map(|&i| snap(i, self.state.jobs.remaining[i]))
-                .collect(),
-            ExecMode::Incremental => self
-                .state
-                .srpt
-                .iter_alive(&self.state.jobs.specs)
-                .map(|(i, remaining)| snap(i, remaining))
-                .collect(),
-            ExecMode::Levels => {
-                let mut out = Vec::with_capacity(self.state.levels.len());
-                self.state
-                    .levels
-                    .for_each(|slot, remaining, _| out.push(snap(slot.idx, remaining)));
-                out
-            }
-            ExecMode::Suffix => {
-                let mut out = Vec::with_capacity(self.state.suffix.len());
-                self.state
-                    .suffix
-                    .for_each(&self.state.jobs.specs, |slot, remaining, _| {
-                        out.push(snap(slot.idx, remaining));
-                    });
-                out
-            }
-        }
+    /// Owned snapshots of all alive jobs (in no contractual order). Takes
+    /// `&mut self` because the incremental path orders its alive set in a
+    /// retained scratch buffer.
+    pub fn alive_snapshot(&mut self) -> Vec<AliveSnapshot> {
+        let mut out = Vec::with_capacity(self.num_alive());
+        let s = &mut self.state;
+        let specs = &s.jobs.specs;
+        for_each_alive(
+            s.mode,
+            &s.alive,
+            &s.jobs,
+            &mut s.srpt,
+            &s.levels,
+            &s.suffix,
+            |idx, remaining, _| {
+                let spec = &specs[idx];
+                out.push(AliveSnapshot {
+                    id: spec.id,
+                    release: spec.release,
+                    size: spec.size,
+                    remaining,
+                    curve: spec.curve.clone(),
+                });
+            },
+        );
+        out
     }
 
     /// Captures the engine's complete run state at the current event
@@ -1448,7 +1446,7 @@ impl<'a> Engine<'a> {
             .levels
             .iter()
             .flat_map(|l| &l.levels)
-            .flat_map(|l| &l.entries)
+            .flat_map(|l| &l.members.entries)
             .map(|e| ("levels", e.idx, e.release, e.id, e.size));
         let set_entries = [
             ("srpt.running", &snap.srpt.running),
@@ -1494,31 +1492,54 @@ impl<'a> Engine<'a> {
                 )));
             }
         }
-        if let Some(slot) = snap
-            .levels
-            .iter()
-            .flat_map(|l| &l.levels)
-            .flat_map(|l| &l.tally)
-            .find_map(|t| match t.tag {
-                CurveTag::Own(slot) if slot as usize >= n => Some(slot),
-                _ => None,
-            })
-        {
-            return Err(bad(format!(
-                "snapshot level tally references arena slot {slot} (arena holds {n})"
-            )));
+        // A level's tally is what the policy equalizes over, so it must
+        // count exactly its members' curves: each member under one row (a
+        // shared row matches its curve's bits, a slot row only the member
+        // in that slot), and each row as many members as it claims.
+        for level in snap.levels.iter().flat_map(|l| &l.levels) {
+            let mut counts = vec![0u32; level.tally.len()];
+            for e in &level.members.entries {
+                let spec = &snap.jobs[e.idx].spec;
+                let mut rows = level
+                    .tally
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| tag_counts(&t.tag, e.idx as u32, &spec.curve))
+                    .map(|(r, _)| r);
+                match (rows.next(), rows.next()) {
+                    (Some(r), None) => counts[r] += 1,
+                    _ => {
+                        return Err(bad(format!(
+                            "snapshot level tally does not count job {} exactly once",
+                            spec.id
+                        )))
+                    }
+                }
+            }
+            if let Some((t, counted)) = level
+                .tally
+                .iter()
+                .zip(counts)
+                .find(|(t, counted)| t.count != *counted)
+            {
+                return Err(bad(format!(
+                    "snapshot level tally row claims {} members, {counted} carry its curve",
+                    t.count
+                )));
+            }
         }
         // A suffix group drains its members at one rate, so they must share
         // one curve.
         if let Some(group) = snap.suffix.iter().flat_map(|s| &s.groups).find(|g| {
             let curve = |e: &crate::srpt_set::HeapEntrySnap| &snap.jobs[e.idx].spec.curve;
-            g.entries
+            let entries = &g.members.entries;
+            entries
                 .iter()
-                .any(|e| !curve(e).same_bits(curve(&g.entries[0])))
+                .any(|e| !curve(e).same_bits(curve(&entries[0])))
         }) {
             return Err(bad(format!(
                 "snapshot suffix group of job {} mixes speed-up curves",
-                group.entries[0].id
+                group.members.entries[0].id
             )));
         }
         if !self.source.fast_forward(snap.admitted) {
@@ -1702,32 +1723,20 @@ impl<'a> Engine<'a> {
             if self.source.needs_system_view() {
                 let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
                 let specs = &state.jobs.specs;
-                match state.mode {
-                    ExecMode::Exhaustive => {
-                        views.extend(state.alive.iter().map(|&i| AliveJob {
-                            spec: &specs[i],
-                            remaining: state.jobs.remaining[i],
-                        }));
-                    }
-                    ExecMode::Incremental => {
-                        views.extend(state.srpt.iter_alive(specs).map(|(i, remaining)| AliveJob {
-                            spec: &specs[i],
-                            remaining,
-                        }));
-                    }
-                    ExecMode::Levels => state.levels.for_each(|slot, remaining, _| {
+                for_each_alive(
+                    state.mode,
+                    &state.alive,
+                    &state.jobs,
+                    &mut state.srpt,
+                    &state.levels,
+                    &state.suffix,
+                    |idx, remaining, _| {
                         views.push(AliveJob {
-                            spec: &specs[slot.idx],
+                            spec: &specs[idx],
                             remaining,
                         });
-                    }),
-                    ExecMode::Suffix => state.suffix.for_each(specs, |slot, remaining, _| {
-                        views.push(AliveJob {
-                            spec: &specs[slot.idx],
-                            remaining,
-                        });
-                    }),
-                }
+                    },
+                );
                 let view = SystemView {
                     now: state.now,
                     m: state.cfg.m,
@@ -2462,13 +2471,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Incremental-path interval integration. Uniform intervals are O(1):
-    /// the drain offset bumps once and fractional flow comes from the
-    /// set's maintained sums in closed form — with `D₀` the offset at the
-    /// interval start and rate `r`,
-    /// `∫ Σ p_j(τ)/p_j dτ = (Σkey_j/p_j − D₀·Σ1/p_j)·dt − (r·dt²/2)·Σ1/p_j`
-    /// over the running prefix, plus `dt·Σ rem_j/p_j` over the (static)
-    /// queue. Scan intervals fall back to per-job integration over the
-    /// prefix only.
+    /// the running prefix drains as one group (its fractional flow in
+    /// closed form, `crate::drained`), plus `dt·Σ rem_j/p_j` over the
+    /// (static) queue. Scan intervals fall back to per-job integration
+    /// over the prefix only.
     #[inline]
     fn integrate_incremental(&mut self, dt: f64) {
         self.state
@@ -2477,15 +2483,10 @@ impl<'a> Engine<'a> {
         match self.state.interval {
             IntervalKind::Idle => {}
             IntervalKind::Uniform { rate } => {
-                let s1 = self.state.srpt.running_inv_size_sum();
-                let run = (self.state.srpt.running_key_frac_sum()
-                    - self.state.srpt.drain_offset() * s1)
-                    * dt
-                    - rate * dt * dt / 2.0 * s1;
+                let run = self.state.srpt.integrate_uniform(rate, dt);
                 self.state
                     .frac_flow
-                    .add(run.max(0.0) + self.state.srpt.queued_frac_sum() * dt);
-                self.state.srpt.advance_uniform(rate * dt);
+                    .add(run + self.state.srpt.queued_frac_sum() * dt);
             }
             IntervalKind::Scan => {
                 let share = self.state.profile.share;
@@ -2531,27 +2532,24 @@ impl<'a> Engine<'a> {
     }
 
     /// Level-path interval integration, `O(1)`: the served level drains
-    /// uniformly, so its fractional flow has the same closed form as the
-    /// SRPT set's uniform prefix (with the level's offset and sums), and
+    /// uniformly, as one group (its fractional flow in closed form), and
     /// the frozen levels contribute their static sum times `dt`.
     fn integrate_levels(&mut self, dt: f64) {
         self.state
             .alive_integral
             .add(self.state.levels.len() as f64 * dt);
         if let IntervalKind::Uniform { rate } = self.state.interval {
-            let (s1, sk, drain) = self.state.levels.served_sums();
-            let run = (sk - drain * s1) * dt - rate * dt * dt / 2.0 * s1;
+            let run = self.state.levels.integrate(rate, dt);
             self.state
                 .frac_flow
-                .add(run.max(0.0) + self.state.levels.frozen_frac_sum() * dt);
-            self.state.levels.advance(rate * dt);
+                .add(run + self.state.levels.frozen_frac_sum() * dt);
         }
     }
 
     /// Arrival-suffix interval integration, `O(groups)`: each curve group
-    /// of the running suffix drains uniformly at its own rate, so its
-    /// fractional flow has the SRPT set's closed form, and the waiting
-    /// jobs contribute their static sum times `dt`.
+    /// of the running suffix drains uniformly at its own rate, as one group
+    /// (its fractional flow in closed form), and the waiting jobs
+    /// contribute their static sum times `dt`.
     fn integrate_suffix(&mut self, dt: f64) {
         self.state
             .alive_integral
@@ -2711,107 +2709,50 @@ impl<'a> Engine<'a> {
     fn build_audit_frame(&mut self, (mut policy, mut jobs): (String, Vec<FrameJob>)) -> AuditFrame {
         policy.push_str(&self.state.policy_name);
         let state = &mut self.state;
-        match state.mode {
-            ExecMode::Exhaustive => {
-                for (i, &idx) in state.alive.iter().enumerate() {
-                    let spec = &state.jobs.specs[idx];
-                    jobs.push(FrameJob {
-                        id: spec.id,
-                        slot: idx,
-                        release: spec.release,
-                        size: spec.size,
-                        remaining: state.jobs.remaining[idx],
-                        share: state.shares[i],
-                        rate: state.rates[i],
-                    });
-                }
-            }
-            ExecMode::Incremental => {
-                let share = state.profile.share;
-                let speed = state.cfg.speed;
-                let arena = &state.jobs;
-                state
-                    .srpt
-                    .for_each_running_ordered(&arena.specs, |slot, remaining| {
-                        let spec = &arena.specs[slot.idx];
-                        jobs.push(FrameJob {
-                            id: spec.id,
-                            slot: slot.idx,
-                            release: spec.release,
-                            size: spec.size,
-                            remaining,
-                            share,
-                            rate: speed * arena.gamma(slot.idx, share),
-                        });
-                    });
-                state
-                    .srpt
-                    .for_each_queued_ordered(&arena.specs, |slot, remaining| {
-                        let spec = &arena.specs[slot.idx];
-                        jobs.push(FrameJob {
-                            id: spec.id,
-                            slot: slot.idx,
-                            release: spec.release,
-                            size: spec.size,
-                            remaining,
-                            share: 0.0,
-                            rate: 0.0,
-                        });
-                    });
-            }
-            ExecMode::Levels => {
-                let state = &*state;
-                let rate = match state.interval {
-                    IntervalKind::Uniform { rate } => rate,
-                    IntervalKind::Scan | IntervalKind::Idle => 0.0,
-                };
-                let specs = &state.jobs.specs;
-                state.levels.for_each(|slot, remaining, served| {
-                    let spec = &specs[slot.idx];
-                    let (share, rate) = if served {
-                        let share = state
-                            .levels
-                            .top_curve_of(slot.idx, &spec.curve)
-                            .and_then(|c| state.level_shares.get(c))
+        let mode = state.mode;
+        let (share, speed) = (state.profile.share, state.cfg.speed);
+        let level_rate = match state.interval {
+            IntervalKind::Uniform { rate } => rate,
+            IntervalKind::Scan | IntervalKind::Idle => 0.0,
+        };
+        let (arena, levels, suffix) = (&state.jobs, &state.levels, &state.suffix);
+        let (shares, rates, level_shares) = (&state.shares, &state.rates, &state.level_shares);
+        let mut i = 0;
+        for_each_alive(
+            mode,
+            &state.alive,
+            arena,
+            &mut state.srpt,
+            levels,
+            suffix,
+            |idx, remaining, running| {
+                let spec = &arena.specs[idx];
+                let (share, rate) = match mode {
+                    ExecMode::Exhaustive => (shares[i], rates[i]),
+                    _ if !running => (0.0, 0.0),
+                    ExecMode::Incremental => (share, speed * arena.gamma(idx, share)),
+                    ExecMode::Levels => {
+                        let share = levels
+                            .top_curve_of(idx, &spec.curve)
+                            .and_then(|c| level_shares.get(c))
                             .copied()
                             .unwrap_or(0.0);
-                        (share, rate)
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    jobs.push(FrameJob {
-                        id: spec.id,
-                        slot: slot.idx,
-                        release: spec.release,
-                        size: spec.size,
-                        remaining,
-                        share,
-                        rate,
-                    });
+                        (share, level_rate)
+                    }
+                    ExecMode::Suffix => (share, suffix.rate_of(idx)),
+                };
+                i += 1;
+                jobs.push(FrameJob {
+                    id: spec.id,
+                    slot: idx,
+                    release: spec.release,
+                    size: spec.size,
+                    remaining,
+                    share,
+                    rate,
                 });
-            }
-            ExecMode::Suffix => {
-                let state = &*state;
-                let specs = &state.jobs.specs;
-                state.suffix.for_each(specs, |slot, remaining, running| {
-                    let spec = &specs[slot.idx];
-                    let (share, rate) = if running {
-                        (state.profile.share, state.suffix.rate_of(slot.idx))
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    jobs.push(FrameJob {
-                        id: spec.id,
-                        slot: slot.idx,
-                        release: spec.release,
-                        size: spec.size,
-                        remaining,
-                        share,
-                        rate,
-                    });
-                });
-            }
-        }
+            },
+        );
         AuditFrame {
             event: state.events,
             t: state.now,
@@ -3468,7 +3409,7 @@ mod tests {
         let mut source = StaticSource::new(&instance);
         let mut obs = NullObserver;
         let e = Engine::new(EngineConfig::new(1.0), &mut p, &mut source, &mut obs);
-        assert!(e.uses_incremental_path());
+        assert_eq!(e.path(), EnginePath::Incremental);
         // full_reassign forces the exhaustive oracle.
         let mut source = StaticSource::new(&instance);
         let mut obs = NullObserver;
@@ -3478,18 +3419,17 @@ mod tests {
             &mut source,
             &mut obs,
         );
-        assert!(!e.uses_incremental_path());
+        assert_eq!(e.path(), EnginePath::Exhaustive);
         // An observer consuming the allocation stream forces it too.
         let mut source = StaticSource::new(&instance);
         let mut trace = crate::observer::AllocationTrace::new();
         let e = Engine::new(EngineConfig::new(1.0), &mut p, &mut source, &mut trace);
-        assert!(!e.uses_incremental_path());
+        assert_eq!(e.path(), EnginePath::Exhaustive);
         // A General-stability policy never takes the incremental path.
         let mut source = StaticSource::new(&instance);
         let mut obs = NullObserver;
         let mut hog = GreedyHog;
         let e = Engine::new(EngineConfig::new(1.0), &mut hog, &mut source, &mut obs);
-        assert!(!e.uses_incremental_path());
         assert_eq!(e.path(), EnginePath::Exhaustive);
         // A LeastElapsed policy takes the level path, unless the run is
         // forced onto the exhaustive one.
@@ -3497,7 +3437,6 @@ mod tests {
         let mut source = StaticSource::new(&instance);
         let e = Engine::new(EngineConfig::new(1.0), &mut least, &mut source, &mut obs);
         assert_eq!(e.path(), EnginePath::Levels);
-        assert!(!e.uses_incremental_path());
         let mut source = StaticSource::new(&instance);
         let e = Engine::new(
             EngineConfig::new(1.0).with_full_reassign(true),
@@ -3688,7 +3627,7 @@ mod tests {
                 &mut source,
                 &mut obs,
             );
-            assert_eq!(engine.uses_incremental_path(), !full_reassign);
+            assert_eq!(engine.path() == EnginePath::Incremental, !full_reassign);
             engine.run().unwrap()
         };
         (run(false), run(true))
@@ -3765,7 +3704,7 @@ mod tests {
         let mut source = StaticSource::new(&instance);
         let mut obs = NullObserver;
         let mut engine = Engine::new(EngineConfig::new(1.0), &mut p, &mut source, &mut obs);
-        assert!(engine.uses_incremental_path());
+        assert_eq!(engine.path(), EnginePath::Incremental);
         engine.next_event_time().unwrap();
         engine.advance_to(1.0).unwrap();
         assert_eq!(engine.remaining_of(JobId(0)), Some(1.0));

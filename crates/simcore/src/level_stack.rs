@@ -7,13 +7,12 @@
 //! as a stack ordered by elapsed work, the least on top:
 //!
 //! * **the top level is the served group.** Its members drain at the
-//!   group's common rate, so, as in the SRPT set's running prefix, one
-//!   drain offset `D` stands for all of them: each member is keyed by
-//!   `remaining + D` in a 2-ary min-heap (the SRPT set's [`MinHeap`] and
-//!   24-byte [`Entry`]), and the next completion is the heap's minimum.
-//!   Advancing the interval bumps `D` in `O(1)`. A level starts at
-//!   elapsed work 0 with `D = 0` and gains elapsed work exactly as `D`
-//!   grows, so `D` is also the level's elapsed work.
+//!   group's common rate, so each level is a [`DrainedGroup`]: its members
+//!   keyed by `remaining + D` under one drain offset `D`, the next
+//!   completion at its heap's minimum, and an interval drained and
+//!   integrated in `O(1)`. A level starts at elapsed work 0 with `D = 0`
+//!   and gains elapsed work exactly as `D` grows, so `D` is also the
+//!   level's elapsed work.
 //! * **every other level is frozen**: it receives nothing, so its keys
 //!   and offset stay put.
 //! * **an arrival** has elapsed work 0, so it pushes a new one-job level
@@ -41,19 +40,17 @@
 //!
 //! Every ordering operation takes the engine's arena spec lane, as the
 //! SRPT set's do: equal keys tie-break by `(release, id)`. A heap's array
-//! layout depends only on the sequence of operations and on keys and
-//! tie-breaks, never on arena slots, so the in-memory and streaming modes
-//! (which number slots differently) keep identical layouts. The layout is
-//! part of the run state here: a merge pushes the smaller level's entries
-//! in array order, and its sums accumulate in that order. Snapshots
-//! therefore capture each heap array verbatim, and restore pushes it back
-//! in the same order, which rebuilds the same array.
+//! layout is part of the run state here: a merge pushes the smaller
+//! level's entries in array order, and its sums accumulate in that order.
+//! Snapshots therefore capture each level as its group captures itself,
+//! array verbatim ([`DrainedSnap`]).
 
 use parsched_speedup::Curve;
 
+use crate::drained::{DrainedGroup, DrainedSnap};
 use crate::job::{JobSpec, Work};
 use crate::policy::{CurveCount, ELAPSED_TIE_TOL};
-use crate::srpt_set::{Entry, HeapEntrySnap, MinHeap, Slot};
+use crate::srpt_set::{Entry, Slot};
 
 /// Which curve a [`Tally`] entry counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,40 +71,32 @@ pub(crate) struct Tally {
 }
 
 /// Whether `tag` counts the job in arena slot `idx` with curve `curve`.
-fn tag_counts(tag: &CurveTag, idx: u32, curve: &Curve) -> bool {
+pub(crate) fn tag_counts(tag: &CurveTag, idx: u32, curve: &Curve) -> bool {
     match tag {
         CurveTag::Shared(c) => c.same_bits(curve),
         CurveTag::Own(slot) => *slot == idx,
     }
 }
 
-/// One level: jobs of (within tolerance) equal elapsed work.
+/// One level: jobs of (within tolerance) equal elapsed work. Its drain
+/// offset is the level's elapsed work: the cumulative drain applied while
+/// it was served.
 #[derive(Debug, Default)]
 struct Level {
-    /// Members keyed by `remaining + drain`.
-    heap: MinHeap,
+    members: DrainedGroup,
     /// Distinct curves with member counts, in order of first appearance.
     tally: Vec<Tally>,
-    /// Cumulative drain applied to the level while it was served: the
-    /// elapsed work of its members (up to the tie tolerance).
-    drain: f64,
-    /// `Σ 1/p_j` over members.
-    s1: f64,
-    /// `Σ key_j/p_j` over members (offset space).
-    sk: f64,
 }
 
 impl Level {
-    /// `Σ remaining_j/p_j` over members.
-    fn frac(&self) -> f64 {
-        self.sk - self.drain * self.s1
+    /// The level's elapsed work (up to the tie tolerance).
+    fn elapsed(&self) -> f64 {
+        self.members.drain().offset
     }
 
     /// Adds a member with offset-space `key`, counting its curve.
     fn add(&mut self, e: Entry, curve: &Curve, specs: &[JobSpec]) {
-        self.s1 += 1.0 / e.size;
-        self.sk += e.key / e.size;
-        self.heap.push(e, specs);
+        self.members.add(e, specs, &mut ());
         let shared = !matches!(curve, Curve::Piecewise(_));
         if shared {
             if let Some(t) = self
@@ -129,10 +118,8 @@ impl Level {
         });
     }
 
-    /// Forgets a popped member: its sums and its curve's count.
+    /// Forgets a removed member's curve.
     fn forget(&mut self, e: &Entry, curve: &Curve) {
-        self.s1 -= 1.0 / e.size;
-        self.sk -= e.key / e.size;
         if let Some(c) = self
             .tally
             .iter()
@@ -148,19 +135,12 @@ impl Level {
                 }
             }
         }
-        if self.heap.is_empty() {
-            self.s1 = 0.0;
-            self.sk = 0.0;
-        }
     }
 
     /// Empties the level, keeping its buffers.
     fn clear(&mut self) {
-        self.heap.clear();
+        self.members.clear();
         self.tally.clear();
-        self.drain = 0.0;
-        self.s1 = 0.0;
-        self.sk = 0.0;
     }
 }
 
@@ -171,15 +151,11 @@ struct Home {
     key: f64,
 }
 
-/// One level as captured in a snapshot: the heap array verbatim (see the
-/// module docs), the tally, the offset, and the sums bit-exact.
+/// One level as captured in a snapshot: its group and its tally.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LevelSnap {
-    pub(crate) entries: Vec<HeapEntrySnap>,
+    pub(crate) members: DrainedSnap,
     pub(crate) tally: Vec<Tally>,
-    pub(crate) drain: f64,
-    pub(crate) s1: f64,
-    pub(crate) sk: f64,
 }
 
 /// Full [`LevelStack`] state: levels bottom first, and the frozen levels'
@@ -243,12 +219,14 @@ impl LevelStack {
         self.top_id().and_then(|id| self.slab.get(id))
     }
 
-    /// The served level's offset-space fractional sums `(Σ1/p, Σkey/p)`
-    /// and drain offset (all zero when nothing is alive). Its fractional
-    /// remaining work is `sk − D·s1`.
-    pub fn served_sums(&self) -> (f64, f64, f64) {
-        self.top()
-            .map_or((0.0, 0.0, 0.0), |l| (l.s1, l.sk, l.drain))
+    /// The served level's fractional flow over an interval of length `dt`
+    /// at the common `rate` (0 when nothing is alive), after which its
+    /// members have drained by `rate·dt`.
+    pub fn integrate(&mut self, rate: f64, dt: f64) -> f64 {
+        match self.top_id().and_then(|id| self.slab.get_mut(id)) {
+            Some(top) => top.members.integrate(rate, dt),
+            None => 0.0,
+        }
     }
 
     /// `Σ remaining_j/p_j` over the frozen levels.
@@ -294,7 +272,7 @@ impl LevelStack {
         }
         let top = self.slab.get(self.stack[n - 1] as usize)?;
         let next = self.slab.get(self.stack[n - 2] as usize)?;
-        Some(next.drain - top.drain)
+        Some(next.elapsed() - top.elapsed())
     }
 
     /// Admits the job in arena slot `idx` with `remaining` work and
@@ -306,12 +284,12 @@ impl LevelStack {
         }
         // A fresh job ties with the top level while that one's elapsed
         // work is within the tolerance of 0 (see `settle`).
-        let joins_top = self.top().is_some_and(|l| l.drain <= ELAPSED_TIE_TOL);
+        let joins_top = self.top().is_some_and(|l| l.elapsed() <= ELAPSED_TIE_TOL);
         let id = match self.top_id() {
             Some(id) if joins_top => id,
             top => {
                 if let Some(level) = top.and_then(|id| self.slab.get(id)) {
-                    self.frozen += level.frac();
+                    self.frozen += level.members.drain().frac();
                 }
                 let id = self.take_level();
                 self.stack.push(id as u32);
@@ -321,7 +299,7 @@ impl LevelStack {
         let Some(level) = self.slab.get_mut(id) else {
             return;
         };
-        let key = remaining + level.drain;
+        let key = level.members.drain().key(remaining);
         level.add(
             Entry::new(key, idx, spec.size, false, false),
             &spec.curve,
@@ -357,12 +335,12 @@ impl LevelStack {
         };
         let (top, next) = (top as usize, next as usize);
         if let Some(level) = self.slab.get(next) {
-            self.frozen -= level.frac();
+            self.frozen -= level.members.drain().frac();
         }
         if self.stack.len() == 1 {
             self.frozen = 0.0;
         }
-        let size = |id: usize| self.slab.get(id).map_or(0, |l| l.heap.len());
+        let size = |id: usize| self.slab.get(id).map_or(0, |l| l.members.len());
         let (small, large) = if size(top) > size(next) {
             (next, top)
         } else {
@@ -372,8 +350,8 @@ impl LevelStack {
         // it goes back cleared, buffers and all.
         let mut from = std::mem::take(&mut self.slab[small]);
         let into = &mut self.slab[large];
-        let shift = into.drain - from.drain;
-        for &e in from.heap.entries() {
+        let shift = into.elapsed() - from.elapsed();
+        for &e in from.members.entries() {
             let key = e.key + shift;
             into.add(
                 Entry::new(key, e.idx as usize, e.size, false, false),
@@ -399,29 +377,17 @@ impl LevelStack {
     /// to the tie tolerance).
     pub fn settle(&mut self, specs: &[JobSpec]) {
         while let (Some(gap), Some(top)) = (self.catch_up_gap(), self.top()) {
-            if gap > ELAPSED_TIE_TOL * top.drain.max(1.0) {
+            if gap > ELAPSED_TIE_TOL * top.elapsed().max(1.0) {
                 break;
             }
             self.catch_up(specs);
         }
     }
 
-    /// Drains the served level by `amount` of work per member.
-    pub fn advance(&mut self, amount: f64) {
-        if let Some(id) = self.top_id() {
-            if let Some(top) = self.slab.get_mut(id) {
-                top.drain += amount;
-            }
-        }
-    }
-
     /// The served level's member with the least remaining work: `(slot,
     /// remaining)`.
     pub fn front(&self) -> Option<(Slot, f64)> {
-        let top = self.top()?;
-        top.heap
-            .peek()
-            .map(|e| (e.slot(), (e.key - top.drain).max(0.0)))
+        self.top()?.members.front()
     }
 
     /// Pops [`LevelStack::front`] (a completion). When the served level
@@ -429,16 +395,15 @@ impl LevelStack {
     pub fn pop_front(&mut self, specs: &[JobSpec]) -> Option<(Slot, f64)> {
         let id = self.top_id()?;
         let top = self.slab.get_mut(id)?;
-        let e = top.heap.pop(specs)?;
-        let remaining = (e.key - top.drain).max(0.0);
+        let (e, remaining) = top.members.remove(0, specs, &mut ())?;
         top.forget(&e, &specs[e.idx as usize].curve);
         self.len -= 1;
-        if top.heap.is_empty() {
+        if top.members.is_empty() {
             top.clear();
             self.stack.pop();
             self.spare.push(id as u32);
             if let Some(level) = self.top() {
-                self.frozen -= level.frac();
+                self.frozen -= level.members.drain().frac();
             }
             if self.stack.len() <= 1 {
                 self.frozen = 0.0;
@@ -451,16 +416,17 @@ impl LevelStack {
     pub fn remaining_of(&self, idx: usize) -> Option<Work> {
         let home = self.home.get(idx)?;
         let level = self.slab.get(home.level as usize)?;
-        Some((home.key - level.drain).max(0.0))
+        Some(level.members.drain().remaining(home.key))
     }
 
-    /// Visits every alive job as `(slot, remaining, served)`, the served
-    /// level first, each level in heap-array order.
-    pub fn for_each(&self, mut f: impl FnMut(Slot, f64, bool)) {
+    /// Visits every alive job as `(arena slot, remaining, served)`, the
+    /// served level first, each level in heap-array order.
+    pub fn for_each(&self, mut f: impl FnMut(usize, f64, bool)) {
         for (depth, &id) in self.stack.iter().rev().enumerate() {
             if let Some(level) = self.slab.get(id as usize) {
-                for e in level.heap.entries() {
-                    f(e.slot(), (e.key - level.drain).max(0.0), depth == 0);
+                let drain = level.members.drain();
+                for e in level.members.entries() {
+                    f(e.idx as usize, drain.remaining(e.key), depth == 0);
                 }
             }
         }
@@ -473,25 +439,8 @@ impl LevelStack {
             .iter()
             .filter_map(|&id| self.slab.get(id as usize))
             .map(|level| LevelSnap {
-                entries: level
-                    .heap
-                    .entries()
-                    .iter()
-                    .map(|e| {
-                        let spec = &specs[e.idx as usize];
-                        HeapEntrySnap {
-                            key: e.key,
-                            release: spec.release,
-                            id: spec.id,
-                            idx: e.idx as usize,
-                            size: e.size,
-                        }
-                    })
-                    .collect(),
+                members: level.members.snapshot(specs),
                 tally: level.tally.clone(),
-                drain: level.drain,
-                s1: level.s1,
-                sk: level.sk,
             })
             .collect();
         LevelsSnap {
@@ -501,10 +450,10 @@ impl LevelStack {
     }
 
     /// Restores the state captured by [`LevelStack::snapshot_state`],
-    /// retaining buffer capacity. Each heap array is pushed back in its
-    /// captured order, which rebuilds it as it was; tallies and sums are
-    /// installed verbatim. The caller has checked every entry's `(release,
-    /// id, size)` and every tally slot against `specs`.
+    /// retaining buffer capacity. Each level's group is restored as
+    /// [`DrainedGroup::restore`] does; tallies are installed verbatim. The
+    /// caller has checked every entry's `(release, id, size)` and every
+    /// tally against `specs`.
     pub(crate) fn restore_state(&mut self, snap: &LevelsSnap, specs: &[JobSpec]) {
         self.reset();
         self.spare.clear();
@@ -513,10 +462,9 @@ impl LevelStack {
                 self.slab.push(Level::default());
             }
             let level = &mut self.slab[i];
-            for e in &ls.entries {
-                level
-                    .heap
-                    .push(Entry::new(e.key, e.idx, e.size, false, false), specs);
+            level.members.restore(&ls.members, specs, &mut ());
+            level.tally.extend(ls.tally.iter().cloned());
+            for e in &ls.members.entries {
                 if e.idx >= self.home.len() {
                     self.home.resize(e.idx + 1, Home::default());
                 }
@@ -526,10 +474,6 @@ impl LevelStack {
                 };
                 self.len += 1;
             }
-            level.tally.extend(ls.tally.iter().cloned());
-            level.drain = ls.drain;
-            level.s1 = ls.s1;
-            level.sk = ls.sk;
             self.stack.push(i as u32);
         }
         self.spare
@@ -545,6 +489,11 @@ mod tests {
 
     fn spec(id: u64, size: Work, curve: Curve) -> JobSpec {
         JobSpec::new(JobId(id), 0.0, size, curve)
+    }
+
+    /// Drains the served level by `amount` (a unit-length interval).
+    fn advance(set: &mut LevelStack, amount: f64) {
+        set.integrate(amount, 1.0);
     }
 
     /// 64-bit LCG stream for the model fuzzer.
@@ -566,14 +515,14 @@ mod tests {
         ];
         let mut set = LevelStack::default();
         set.admit(0, 4.0, &specs);
-        set.advance(1.0);
+        advance(&mut set, 1.0);
         set.admit(1, 3.0, &specs);
         assert_eq!(set.depth(), 2);
         assert_eq!(set.catch_up_gap(), Some(1.0));
         // Job 0 is frozen at 3.0, job 1 served.
         assert_eq!(set.remaining_of(0), Some(3.0));
         assert!((set.frozen_frac_sum() - 0.75).abs() < 1e-12);
-        set.advance(1.0);
+        advance(&mut set, 1.0);
         set.catch_up(&specs);
         assert_eq!(set.depth(), 1);
         assert_eq!(set.frozen_frac_sum(), 0.0);
@@ -596,9 +545,9 @@ mod tests {
         ];
         let mut set = LevelStack::default();
         set.admit(0, 4.0, &specs);
-        set.advance(1.0);
+        advance(&mut set, 1.0);
         set.admit(1, 3.0, &specs);
-        set.advance(1.0 - 5e-8);
+        advance(&mut set, 1.0 - 5e-8);
         let before = [set.remaining_of(0), set.remaining_of(1)];
         set.settle(&specs);
         assert_eq!(set.depth(), 1);
@@ -610,10 +559,10 @@ mod tests {
         // first, so that one is the larger when job 0's catches up.
         let mut set = LevelStack::default();
         set.admit(0, 4.0, &specs);
-        set.advance(1.0);
+        advance(&mut set, 1.0);
         set.admit(1, 3.0, &specs);
         set.admit(2, 5.0, &specs);
-        set.advance(1.0 - 5e-8);
+        advance(&mut set, 1.0 - 5e-8);
         let before: Vec<f64> = (0..3).map(|i| set.remaining_of(i).unwrap()).collect();
         set.settle(&specs);
         assert_eq!(set.depth(), 1);
@@ -670,7 +619,7 @@ mod tests {
         let mut set = LevelStack::default();
         for i in 0..8 {
             set.admit(i, 1.0, &specs);
-            set.advance(0.01);
+            advance(&mut set, 0.01);
         }
         assert_eq!(set.depth(), 8);
         set.reset();
@@ -740,7 +689,7 @@ mod tests {
                         let gap = set.catch_up_gap().unwrap_or(f64::INFINITY);
                         let amount = front.min(gap) * (1 + next(3)) as f64 / 4.0;
                         let served = served_in(&model);
-                        set.advance(amount);
+                        advance(&mut set, amount);
                         for j in model.iter_mut().filter(|j| served.contains(&j.idx)) {
                             j.remaining -= amount;
                             j.elapsed += amount;
@@ -758,13 +707,13 @@ mod tests {
                             continue;
                         }
                         let served = served_in(&model);
-                        set.advance(gap);
+                        advance(&mut set, gap);
                         for j in model.iter_mut().filter(|j| served.contains(&j.idx)) {
                             j.remaining -= gap;
                             j.elapsed += gap;
                         }
                         let n = set.stack.len();
-                        let size = |k: usize| set.slab[set.stack[k] as usize].heap.len();
+                        let size = |k: usize| set.slab[set.stack[k] as usize].members.len();
                         merges[usize::from(size(n - 1) > size(n - 2))] += 1;
                         set.catch_up(&specs);
                     }
@@ -777,7 +726,7 @@ mod tests {
                             continue;
                         }
                         let served = served_in(&model);
-                        set.advance(front);
+                        advance(&mut set, front);
                         for j in model.iter_mut().filter(|j| served.contains(&j.idx)) {
                             j.remaining -= front;
                             j.elapsed += front;
@@ -830,24 +779,17 @@ mod tests {
         assert_eq!(set.len(), model.len(), "{ctx}: alive count");
         let mut served = Vec::new();
         let mut seen = 0;
-        set.for_each(|slot, rem, top| {
+        set.for_each(|idx, rem, top| {
             seen += 1;
-            let j = model
-                .iter()
-                .find(|j| j.idx == slot.idx)
-                .expect("alive in model");
+            let j = model.iter().find(|j| j.idx == idx).expect("alive in model");
             assert!(
                 (rem - j.remaining).abs() < 1e-9,
-                "{ctx}: slot {} remaining {rem} vs model {}",
-                slot.idx,
+                "{ctx}: slot {idx} remaining {rem} vs model {}",
                 j.remaining
             );
-            assert_eq!(
-                set.remaining_of(slot.idx).map(f64::to_bits),
-                Some(rem.to_bits())
-            );
+            assert_eq!(set.remaining_of(idx).map(f64::to_bits), Some(rem.to_bits()));
             if top {
-                served.push(slot.idx);
+                served.push(idx);
             }
         });
         assert_eq!(seen, model.len(), "{ctx}: visited");
@@ -860,25 +802,25 @@ mod tests {
         let mut last = f64::NEG_INFINITY;
         for &id in set.stack.iter().rev() {
             let level = &set.slab[id as usize];
-            assert!(level.drain >= last - 1e-9, "{ctx}: stack order");
-            last = level.drain;
-            for e in level.heap.entries() {
+            assert!(level.elapsed() >= last - 1e-9, "{ctx}: stack order");
+            last = level.elapsed();
+            for e in level.members.entries() {
                 let j = model
                     .iter()
                     .find(|j| j.idx == e.idx as usize)
                     .expect("model");
                 assert!(
-                    (j.elapsed - level.drain).abs() < 1e-6,
+                    (j.elapsed - level.elapsed()).abs() < 1e-6,
                     "{ctx}: level elapsed"
                 );
             }
             // Tally counts sum to the level's size, and each entry counts
             // its own members.
             let total: u32 = level.tally.iter().map(|t| t.count).sum();
-            assert_eq!(total as usize, level.heap.len(), "{ctx}: tally total");
+            assert_eq!(total as usize, level.members.len(), "{ctx}: tally total");
             for t in &level.tally {
                 let members = level
-                    .heap
+                    .members
                     .entries()
                     .iter()
                     .filter(|e| tag_counts(&t.tag, e.idx, &specs[e.idx as usize].curve))
@@ -886,12 +828,13 @@ mod tests {
                 assert_eq!(members, t.count as usize, "{ctx}: tally {:?}", t.tag);
             }
             // The level's sums match a fresh summation.
-            let s1: f64 = level.heap.entries().iter().map(|e| 1.0 / e.size).sum();
-            assert!((level.s1 - s1).abs() < 1e-9 * s1.max(1.0), "{ctx}: s1");
+            let s1: f64 = level.members.entries().iter().map(|e| 1.0 / e.size).sum();
+            let have = level.members.drain().s1;
+            assert!((have - s1).abs() < 1e-9 * s1.max(1.0), "{ctx}: s1");
         }
         // Fractional sums: served level in closed form plus the frozen sum.
-        let (s1, sk, drain) = set.served_sums();
-        let frac = sk - drain * s1 + set.frozen_frac_sum();
+        let served = set.top().map_or(0.0, |l| l.members.drain().frac());
+        let frac = served + set.frozen_frac_sum();
         let want: f64 = model.iter().map(|j| j.remaining / specs[j.idx].size).sum();
         assert!(
             (frac - want).abs() < 1e-7 * want.max(1.0),
@@ -907,7 +850,7 @@ mod tests {
         let mut set = LevelStack::default();
         for i in 0..40 {
             set.admit(i, specs[i].size, &specs);
-            set.advance(0.05 * (i % 3) as f64);
+            advance(&mut set, 0.05 * (i % 3) as f64);
             if i % 5 == 4 {
                 set.catch_up(&specs);
             }

@@ -48,6 +48,7 @@
 
 mod arrival_suffix;
 pub mod csv;
+mod drained;
 mod engine;
 mod error;
 #[cfg(feature = "hotpath")]

@@ -65,6 +65,7 @@
 
 use crate::arrival_suffix::{GroupSnap, SuffixSnap};
 use crate::csv::{curve_from_field, curve_to_field};
+use crate::drained::{Drain, DrainedSnap};
 use crate::error::SimError;
 use crate::job::{JobId, JobSpec, Time};
 use crate::jsonlite::Json;
@@ -186,7 +187,11 @@ impl Snapshot {
     /// Unfinished released jobs at the suspend point.
     pub fn alive_count(&self) -> usize {
         if let Some(levels) = &self.levels {
-            levels.levels.iter().map(|l| l.entries.len()).sum::<usize>()
+            levels
+                .levels
+                .iter()
+                .map(|l| l.members.entries.len())
+                .sum::<usize>()
         } else if let Some(suffix) = &self.suffix {
             suffix.entries().count()
         } else if self.incremental {
@@ -240,14 +245,6 @@ impl Snapshot {
     }
 
     fn to_value(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
         let cfg = obj(vec![
             ("m", fbits(self.cfg.m)),
             ("speed", fbits(self.cfg.speed)),
@@ -356,7 +353,7 @@ impl Snapshot {
                 Json::Bool(e.nonunit),
             ])
         };
-        let srpt = obj(vec![
+        let mut srpt = vec![
             (
                 "running",
                 Json::Arr(self.srpt.running.iter().map(set_entry).collect()),
@@ -365,9 +362,9 @@ impl Snapshot {
                 "queued",
                 Json::Arr(self.srpt.queued.iter().map(set_entry).collect()),
             ),
-            ("drain", fbits(self.srpt.drain)),
-            ("s1", fbits(self.srpt.s1)),
-            ("sk", fbits(self.srpt.sk)),
+        ];
+        srpt.extend(drain_fields(&self.srpt.prefix));
+        srpt.extend([
             ("q_frac", fbits(self.srpt.q_frac)),
             (
                 "reference",
@@ -377,6 +374,7 @@ impl Snapshot {
                 },
             ),
         ]);
+        let srpt = obj(srpt);
         let completed = Json::Arr(
             self.completed
                 .iter()
@@ -544,9 +542,7 @@ impl Snapshot {
         let srpt = SetSnap {
             running: set_entries("running")?,
             queued: set_entries("queued")?,
-            drain: f_at(srpt_v, "drain")?,
-            s1: f_at(srpt_v, "s1")?,
-            sk: f_at(srpt_v, "sk")?,
+            prefix: drain_at(srpt_v)?,
             q_frac: f_at(srpt_v, "q_frac")?,
             reference: match srpt_v.req("reference").map_err(bad)? {
                 Json::Null => None,
@@ -616,45 +612,75 @@ impl Snapshot {
     }
 }
 
+/// An object from its fields, in order.
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A drain offset and its sums as the fields `"drain", "s1", "sk"`.
+fn drain_fields(d: &Drain) -> [(&'static str, Json); 3] {
+    [
+        ("drain", fbits(d.offset)),
+        ("s1", fbits(d.s1)),
+        ("sk", fbits(d.sk)),
+    ]
+}
+
+/// Parses what [`drain_fields`] renders.
+fn drain_at(v: &Json) -> Result<Drain, SimError> {
+    Ok(Drain {
+        offset: f_at(v, "drain")?,
+        s1: f_at(v, "s1")?,
+        sk: f_at(v, "sk")?,
+    })
+}
+
+/// A drained group's fields: `"entries": [entry…]`, each entry as
+/// [`entry_to_value`] renders it, then [`drain_fields`].
+fn group_fields(g: &DrainedSnap) -> Vec<(&'static str, Json)> {
+    let mut fields = vec![(
+        "entries",
+        Json::Arr(g.entries.iter().map(entry_to_value).collect()),
+    )];
+    fields.extend(drain_fields(&g.drain));
+    fields
+}
+
+/// Parses what [`group_fields`] renders; `what` names the structure in
+/// errors.
+fn group_at(v: &Json, what: &str) -> Result<DrainedSnap, SimError> {
+    Ok(DrainedSnap {
+        entries: entries_at(v, "entries", what)?,
+        drain: drain_at(v)?,
+    })
+}
+
 /// Renders the level stack: `{"levels": [level…], "frozen": bits}`, each
-/// level `{"entries": [[key, release, id, idx, size]…], "tally": [[curve
-/// or slot, count]…], "drain", "s1", "sk"}`. A tally entry's
-/// first element is the curve's field string for a shared curve and the
-/// member's arena slot for a piecewise one.
+/// level its [`group_fields`] with `"tally": [[curve or slot, count]…]`
+/// after its entries. A tally entry's first element is the curve's field
+/// string for a shared curve and the member's arena slot for a piecewise
+/// one.
 fn levels_to_value(snap: &LevelsSnap) -> Json {
-    let obj = |fields: Vec<(&str, Json)>| {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
     let level = |l: &LevelSnap| {
-        obj(vec![
-            (
-                "entries",
-                Json::Arr(l.entries.iter().map(entry_to_value).collect()),
-            ),
-            (
-                "tally",
-                Json::Arr(
-                    l.tally
-                        .iter()
-                        .map(|t| {
-                            let tag = match &t.tag {
-                                CurveTag::Shared(c) => Json::Str(curve_to_field(c)),
-                                CurveTag::Own(slot) => unum(u64::from(*slot)),
-                            };
-                            Json::Arr(vec![tag, unum(u64::from(t.count))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("drain", fbits(l.drain)),
-            ("s1", fbits(l.s1)),
-            ("sk", fbits(l.sk)),
-        ])
+        let mut fields = group_fields(&l.members);
+        let tally = l
+            .tally
+            .iter()
+            .map(|t| {
+                let tag = match &t.tag {
+                    CurveTag::Shared(c) => Json::Str(curve_to_field(c)),
+                    CurveTag::Own(slot) => unum(u64::from(*slot)),
+                };
+                Json::Arr(vec![tag, unum(u64::from(t.count))])
+            })
+            .collect();
+        fields.insert(1, ("tally", Json::Arr(tally)));
+        obj(fields)
     };
     obj(vec![
         ("levels", Json::Arr(snap.levels.iter().map(level).collect())),
@@ -669,7 +695,7 @@ fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
         u32::try_from(x).map_err(|_| bad(format!("{what} {x} out of u32 range")))
     };
     let level = |l: &Json| -> Result<LevelSnap, SimError> {
-        let entries = entries_at(l, "entries", "level")?;
+        let members = group_at(l, "level")?;
         let tally = arr_at(l, "tally")?
             .iter()
             .map(|row| {
@@ -691,23 +717,17 @@ fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
                 Ok(Tally { tag, count })
             })
             .collect::<Result<Vec<_>, SimError>>()?;
-        let members = tally.iter().map(|t| u64::from(t.count)).sum::<u64>();
-        if members != entries.len() as u64 {
+        let count = members.entries.len();
+        let counted = tally.iter().map(|t| u64::from(t.count)).sum::<u64>();
+        if counted != count as u64 {
             return Err(bad(format!(
-                "level tally counts {members} members, level holds {}",
-                entries.len()
+                "level tally counts {counted} members, level holds {count}"
             )));
         }
-        if entries.is_empty() {
+        if count == 0 {
             return Err(bad("level holds no member".into()));
         }
-        Ok(LevelSnap {
-            entries,
-            tally,
-            drain: f_at(l, "drain")?,
-            s1: f_at(l, "s1")?,
-            sk: f_at(l, "sk")?,
-        })
+        Ok(LevelSnap { members, tally })
     };
     Ok(LevelsSnap {
         levels: arr_at(v, "levels")?
@@ -762,29 +782,14 @@ fn entries_at(v: &Json, key: &str, what: &str) -> Result<Vec<HeapEntrySnap>, Sim
 }
 
 /// Renders the arrival suffix: `{"waiting": [entry…], "groups": [group…],
-/// "waiting_frac": bits}`, each group `{"entries": [entry…], "drain",
-/// "s1", "sk", "rate"}` and each entry as [`entry_to_value`] renders it
-/// (a waiting job's key is its remaining work).
+/// "waiting_frac": bits}`, each group its [`group_fields`] and `"rate"`,
+/// and each waiting entry as [`entry_to_value`] renders it (its key is
+/// the job's remaining work).
 fn suffix_to_value(snap: &SuffixSnap) -> Json {
-    let obj = |fields: Vec<(&str, Json)>| {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
     let group = |g: &GroupSnap| {
-        obj(vec![
-            (
-                "entries",
-                Json::Arr(g.entries.iter().map(entry_to_value).collect()),
-            ),
-            ("drain", fbits(g.drain)),
-            ("s1", fbits(g.s1)),
-            ("sk", fbits(g.sk)),
-            ("rate", fbits(g.rate)),
-        ])
+        let mut fields = group_fields(&g.members);
+        fields.push(("rate", fbits(g.rate)));
+        obj(fields)
     };
     obj(vec![
         (
@@ -800,10 +805,7 @@ fn suffix_to_value(snap: &SuffixSnap) -> Json {
 fn suffix_from_value(v: &Json) -> Result<SuffixSnap, SimError> {
     let group = |g: &Json| -> Result<GroupSnap, SimError> {
         Ok(GroupSnap {
-            entries: entries_at(g, "entries", "suffix group")?,
-            drain: f_at(g, "drain")?,
-            s1: f_at(g, "s1")?,
-            sk: f_at(g, "sk")?,
+            members: group_at(g, "suffix group")?,
             rate: f_at(g, "rate")?,
         })
     };

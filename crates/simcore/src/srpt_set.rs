@@ -5,7 +5,8 @@
 //!
 //! * **running**: the scheduled prefix (the `k` smallest jobs), keyed in
 //!   *offset* space `key = remaining + D`, where `D` is the cumulative
-//!   drain applied uniformly to the whole prefix;
+//!   drain applied uniformly to the whole prefix (a [`Drain`], with the
+//!   sums that give its fractional flow in closed form);
 //! * **queued**: everything else, keyed by its literal remaining work
 //!   (queued jobs receive zero processors and do not drain).
 //!
@@ -43,13 +44,13 @@
 //! admission writes the spec before [`SrptSet::insert`], and a slot is
 //! only recycled after its job left the set.
 //!
-//! Ordered iteration (audit frames, snapshots, heterogeneous-prefix
-//! scans) sorts a copy of the entries — into the retained `ordered`
-//! scratch for the engine's Scan intervals and audit frames, into a fresh
-//! vector for observers and snapshots; the sort uses the same total
-//! order, so every externally observable sequence — completion order,
-//! tie-breaks, floating-point accumulation order of the running sums — is
-//! independent of the heaps' internal layout.
+//! Ordered iteration (the engine's Scan intervals and walks of the alive
+//! set, snapshots) sorts a copy of the entries — into the retained
+//! `ordered` scratch for the engine, into a fresh vector for snapshots;
+//! the sort uses the same total order, so every externally observable
+//! sequence — completion order, tie-breaks, floating-point accumulation
+//! order of the running sums — is independent of the heaps' internal
+//! layout.
 //!
 //! Heterogeneous prefixes (different curves at share ≠ 1) drain at
 //! per-job rates; [`SrptSet::drain_scan`] handles those intervals in
@@ -61,6 +62,7 @@ use std::cmp::Ordering;
 
 use parsched_speedup::Curve;
 
+use crate::drained::Drain;
 use crate::job::{JobId, JobSpec, Time, Work};
 
 /// Rebase threshold for the drain offset: past this, `ulp(D)` approaches
@@ -355,10 +357,10 @@ impl HeapTrack for () {
 }
 
 /// A `Vec`-backed 2-ary min-heap over SRPT order — the queue, which only
-/// ever pushes and pops its minimum, each level of the level path's stack
-/// ([`crate::level_stack`]), and each curve group of the arrival-suffix
-/// path ([`crate::arrival_suffix`]), which also removes members at known
-/// positions through the `_tracked` operations.
+/// ever pushes and pops its minimum, and the heap of every
+/// [`crate::drained::DrainedGroup`] (the level path's levels, the
+/// arrival-suffix path's curve groups, which also remove members at known
+/// positions through the `_tracked` operations).
 #[derive(Debug, Default)]
 pub(crate) struct MinHeap {
     a: Vec<Entry>,
@@ -564,17 +566,16 @@ pub(crate) struct HeapEntrySnap {
     pub(crate) size: Work,
 }
 
-/// Full [`SrptSet`] state for suspend/resume. The three running/queued sums
-/// are captured bit-exact rather than recomputed on restore: they were
-/// accumulated incrementally over the run's insert/forget sequence, and any
-/// re-summation order would produce different low-order bits.
+/// Full [`SrptSet`] state for suspend/resume. The prefix's offset and sums
+/// and the queue's sum are captured bit-exact rather than recomputed on
+/// restore: they were accumulated incrementally over the run's
+/// insert/forget sequence, and any re-summation order would produce
+/// different low-order bits.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SetSnap {
     pub(crate) running: Vec<SetEntrySnap>,
     pub(crate) queued: Vec<SetEntrySnap>,
-    pub(crate) drain: f64,
-    pub(crate) s1: f64,
-    pub(crate) sk: f64,
+    pub(crate) prefix: Drain,
     pub(crate) q_frac: f64,
     pub(crate) reference: Option<Curve>,
 }
@@ -598,12 +599,8 @@ pub(crate) struct SrptSet {
     /// `scratch` because a view can be taken while a rebuild is pending.
     // lint:allow(L009) transient scratch for ordered views, empty between events; nothing to restore
     ordered: Vec<Entry>,
-    /// Cumulative uniform drain applied to the running partition.
-    drain: f64,
-    /// `Σ 1/p_j` over running.
-    s1: f64,
-    /// `Σ key_j/p_j` over running (offset space).
-    sk: f64,
+    /// The running partition's drain offset and sums.
+    prefix: Drain,
     /// `Σ rem_j/p_j` over queued.
     q_frac: f64,
     /// Running jobs whose curve differs from `reference`.
@@ -626,9 +623,7 @@ impl SrptSet {
         self.queued.clear();
         self.scratch.clear();
         self.ordered.clear();
-        self.drain = 0.0;
-        self.s1 = 0.0;
-        self.sk = 0.0;
+        self.prefix = Drain::default();
         self.q_frac = 0.0;
         self.hetero_running = 0;
         self.nonunit_running = 0;
@@ -644,20 +639,9 @@ impl SrptSet {
         self.running.len()
     }
 
-    /// Current cumulative drain offset `D`.
-    pub fn drain_offset(&self) -> f64 {
-        self.drain
-    }
-
-    /// `Σ 1/p_j` over the running prefix.
-    pub fn running_inv_size_sum(&self) -> f64 {
-        self.s1
-    }
-
-    /// `Σ key_j/p_j` over the running prefix (offset space); the running
-    /// partition's fractional remaining work is `sk − D·s1`.
-    pub fn running_key_frac_sum(&self) -> f64 {
-        self.sk
+    /// Remaining work of the running job keyed `key` (offset space).
+    pub fn running_remaining(&self, key: f64) -> Work {
+        self.prefix.remaining(key)
     }
 
     /// `Σ rem_j/p_j` over queued jobs.
@@ -680,48 +664,28 @@ impl SrptSet {
     pub fn front_running(&self) -> Option<(Slot, f64)> {
         self.running
             .peek_min()
-            .map(|e| (e.slot(), (e.key - self.drain).max(0.0)))
+            .map(|e| (e.slot(), self.prefix.remaining(e.key)))
     }
 
-    /// The running prefix in SRPT order as `(slot, remaining)`.
-    ///
-    /// Materializes a sorted copy: ordered views are off the steady-state
-    /// path (observers, snapshots, tests).
-    pub fn iter_running(&self, specs: &[JobSpec]) -> impl Iterator<Item = (Slot, f64)> + '_ {
-        // lint:allow(L007) ordered views are off the steady-state path (module docs): they materialize a sorted copy for observers and tests
-        let mut v: Vec<Entry> = self.running.entries().to_vec();
-        sort_entries(&mut v, specs);
-        let drain = self.drain;
-        v.into_iter()
-            .map(move |e| (e.slot(), (e.key - drain).max(0.0)))
-    }
-
-    /// Visits the running prefix in SRPT order without allocating: the
-    /// sort happens in the retained `ordered` scratch, so once that buffer
-    /// has grown to the high-water mark this is heap-free — the variant
-    /// the engine's Scan interval uses on its steady-state path.
-    ///
-    /// The visit order is identical to [`SrptSet::iter_running`]: both
-    /// sort the same entries by the same total order, and keys are unique
-    /// (ties broken by release then id), so unstable sorting cannot
-    /// permute observably. Order matters: the engine accumulates per-job
-    /// fractional flow in this sequence and float addition is not
-    /// associative.
+    /// Visits the running prefix in SRPT order as `(slot, remaining)`
+    /// without allocating: the sort happens in the retained `ordered`
+    /// scratch, so once that buffer has grown to the high-water mark this
+    /// is heap-free. Keys are unique (ties broken by release then id), so
+    /// the unstable sort yields the one SRPT order whatever the heap's
+    /// layout. Order matters: the engine accumulates per-job fractional
+    /// flow in this sequence and float addition is not associative.
     pub fn for_each_running_ordered(&mut self, specs: &[JobSpec], mut f: impl FnMut(Slot, f64)) {
         self.ordered.clear();
         self.ordered.extend_from_slice(self.running.entries());
         sort_entries(&mut self.ordered, specs);
-        let drain = self.drain;
         for e in &self.ordered {
-            f(e.slot(), (e.key - drain).max(0.0));
+            f(e.slot(), self.prefix.remaining(e.key));
         }
     }
 
-    /// Visits the queue in SRPT order without allocating once the
-    /// retained `ordered` scratch has reached its high-water mark: the
-    /// queue twin of [`SrptSet::for_each_running_ordered`], visiting in
-    /// the order of [`SrptSet::iter_queued`] (same entries, same total
-    /// order, unique keys).
+    /// The queue twin of [`SrptSet::for_each_running_ordered`]: visits the
+    /// queued jobs in SRPT order as `(slot, remaining)` in the same
+    /// retained scratch.
     pub fn for_each_queued_ordered(&mut self, specs: &[JobSpec], mut f: impl FnMut(Slot, f64)) {
         self.ordered.clear();
         self.ordered.extend_from_slice(self.queued.entries());
@@ -729,22 +693,6 @@ impl SrptSet {
         for e in &self.ordered {
             f(e.slot(), e.key);
         }
-    }
-
-    /// Queued jobs in SRPT order as `(slot, remaining)` (sorted copy, see
-    /// [`SrptSet::iter_running`]).
-    pub fn iter_queued(&self, specs: &[JobSpec]) -> impl Iterator<Item = (Slot, f64)> + '_ {
-        // lint:allow(L007) ordered views are off the steady-state path (module docs): they materialize a sorted copy for observers and tests
-        let mut v: Vec<Entry> = self.queued.entries().to_vec();
-        sort_entries(&mut v, specs);
-        v.into_iter().map(|e| (e.slot(), e.key))
-    }
-
-    /// The whole alive set in SRPT order as `(idx, remaining)`.
-    pub fn iter_alive(&self, specs: &[JobSpec]) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.iter_running(specs)
-            .chain(self.iter_queued(specs))
-            .map(|(s, rem)| (s.idx, rem))
     }
 
     fn flags_for(&mut self, curve: &Curve) -> (bool, bool) {
@@ -755,30 +703,24 @@ impl SrptSet {
     }
 
     fn add_running(&mut self, e: Entry, specs: &[JobSpec]) {
-        self.s1 += 1.0 / e.size;
-        self.sk += e.key / e.size;
+        self.prefix.add(&e);
         self.hetero_running += usize::from(e.hetero);
         self.nonunit_running += usize::from(e.nonunit);
         self.running.push(e, specs);
     }
 
-    fn settle_running(&mut self) {
-        if self.running.is_empty() {
-            // Kill accumulator drift and reset the offset for free whenever
-            // the prefix empties.
-            self.s1 = 0.0;
-            self.sk = 0.0;
-            self.drain = 0.0;
-            debug_assert_eq!(self.hetero_running, 0);
-            debug_assert_eq!(self.nonunit_running, 0);
-        }
-    }
-
-    fn forget_running(&mut self, e: &Entry) {
-        self.s1 -= 1.0 / e.size;
-        self.sk -= e.key / e.size;
+    /// Takes the popped running entry `e` out of the prefix's sums and
+    /// counters; returns its remaining work.
+    fn forget_running(&mut self, e: &Entry) -> Work {
+        let remaining = self.prefix.remaining(e.key);
+        self.prefix.forget(e, self.running.is_empty());
         self.hetero_running -= usize::from(e.hetero);
         self.nonunit_running -= usize::from(e.nonunit);
+        debug_assert!(
+            !self.running.is_empty() || self.hetero_running + self.nonunit_running == 0,
+            "an empty prefix counts no job"
+        );
+        remaining
     }
 
     fn add_queued(&mut self, e: Entry, specs: &[JobSpec]) {
@@ -801,7 +743,7 @@ impl SrptSet {
     pub fn insert(&mut self, idx: usize, remaining: Work, specs: &[JobSpec]) -> Placement {
         let spec = &specs[idx];
         let (hetero, nonunit) = self.flags_for(&spec.curve);
-        let run = Entry::new(remaining + self.drain, idx, spec.size, hetero, nonunit);
+        let run = Entry::new(self.prefix.key(remaining), idx, spec.size, hetero, nonunit);
         let belongs_in_prefix = self
             .running
             .peek_max(specs)
@@ -834,9 +776,7 @@ impl SrptSet {
         while self.running.len() > want {
             // lint:allow(L007) pop is guarded by the partition-size accounting just above; the heap is counted non-empty
             let e = self.running.pop_max(specs).expect("nonempty");
-            let remaining = (e.key - self.drain).max(0.0);
-            self.forget_running(&e);
-            self.settle_running();
+            let remaining = self.forget_running(&e);
             self.add_queued(
                 Entry {
                     key: remaining,
@@ -850,27 +790,25 @@ impl SrptSet {
             // lint:allow(L007) pop is guarded by the partition-size accounting just above; the heap is counted non-empty
             let e = self.queued.pop(specs).expect("nonempty");
             self.forget_queued(&e);
-            let key = e.key + self.drain;
+            let key = self.prefix.key(e.key);
             self.add_running(Entry { key, ..e }, specs);
             moved(e.idx as usize, Placement::Running { key });
         }
     }
 
-    /// Applies a uniform drain of `amount = r·dt` to the running prefix in
-    /// `O(1)`. Only valid when every running job drains at the same rate.
-    pub fn advance_uniform(&mut self, amount: f64) {
-        if !self.running.is_empty() {
-            self.drain += amount;
-        }
+    /// The running prefix's fractional flow over an interval of length
+    /// `dt` at the common `rate`, in closed form, after which the prefix
+    /// has drained by `rate·dt` in `O(1)`. Only valid when every running
+    /// job drains at the same rate.
+    pub fn integrate_uniform(&mut self, rate: f64, dt: f64) -> f64 {
+        self.prefix.integrate(rate, dt, !self.running.is_empty())
     }
 
     /// Pops the front running job (the imminent completion). Returns the
     /// slot and its materialized remaining work.
     pub fn pop_front_running(&mut self, specs: &[JobSpec]) -> Option<(Slot, f64)> {
         let e = self.running.pop_min(specs)?;
-        let remaining = (e.key - self.drain).max(0.0);
-        self.forget_running(&e);
-        self.settle_running();
+        let remaining = self.forget_running(&e);
         Some((e.slot(), remaining))
     }
 
@@ -889,14 +827,12 @@ impl SrptSet {
         self.running.drain_into(&mut self.scratch);
         let mut old = std::mem::take(&mut self.scratch);
         sort_entries(&mut old, specs);
-        self.s1 = 0.0;
-        self.sk = 0.0;
         self.hetero_running = 0;
         self.nonunit_running = 0;
-        let drain = std::mem::replace(&mut self.drain, 0.0);
+        let prefix = std::mem::take(&mut self.prefix);
         for e in old.drain(..) {
             let idx = e.idx as usize;
-            let key = update(idx, (e.key - drain).max(0.0));
+            let key = update(idx, prefix.remaining(e.key));
             self.add_running(Entry { key, ..e }, specs);
             moved(idx, Placement::Running { key });
         }
@@ -921,7 +857,7 @@ impl SrptSet {
     /// [`REBASE_LIMIT`], keeping `ulp(key)` well under completion
     /// tolerances. Reports refreshed keys. No-op most of the time.
     pub fn maybe_rebase(&mut self, specs: &[JobSpec], moved: impl FnMut(usize, Placement)) {
-        if self.drain <= REBASE_LIMIT {
+        if self.prefix.offset <= REBASE_LIMIT {
             return;
         }
         self.rebuild_running(specs, |_, rem| rem, moved);
@@ -953,9 +889,7 @@ impl SrptSet {
         SetSnap {
             running: running.iter().map(conv).collect(),
             queued: queued.iter().map(conv).collect(),
-            drain: self.drain,
-            s1: self.s1,
-            sk: self.sk,
+            prefix: self.prefix,
             q_frac: self.q_frac,
             reference: self.reference.clone(),
         }
@@ -978,9 +912,7 @@ impl SrptSet {
         for e in &snap.queued {
             self.queued.push(entry(e), specs);
         }
-        self.drain = snap.drain;
-        self.s1 = snap.s1;
-        self.sk = snap.sk;
+        self.prefix = snap.prefix;
         self.q_frac = snap.q_frac;
     }
 }
@@ -1009,8 +941,36 @@ mod tests {
         }
     }
 
-    fn remaining_in_order(set: &SrptSet, specs: &[JobSpec]) -> Vec<(usize, f64)> {
-        set.iter_alive(specs).collect()
+    /// The running prefix in SRPT order as `(slot, remaining)`, from a
+    /// sorted copy of its entries: the reference for the retained-scratch
+    /// visit.
+    fn iter_running(set: &SrptSet, specs: &[JobSpec]) -> Vec<(Slot, f64)> {
+        let mut v: Vec<Entry> = set.running.entries().to_vec();
+        sort_entries(&mut v, specs);
+        v.iter()
+            .map(|e| (e.slot(), set.prefix.remaining(e.key)))
+            .collect()
+    }
+
+    /// The queue in SRPT order as `(slot, remaining)` (see [`iter_running`]).
+    fn iter_queued(set: &SrptSet, specs: &[JobSpec]) -> Vec<(Slot, f64)> {
+        let mut v: Vec<Entry> = set.queued.entries().to_vec();
+        sort_entries(&mut v, specs);
+        v.iter().map(|e| (e.slot(), e.key)).collect()
+    }
+
+    /// The whole alive set in SRPT order as `(idx, remaining)`.
+    fn iter_alive(set: &SrptSet, specs: &[JobSpec]) -> Vec<(usize, f64)> {
+        iter_running(set, specs)
+            .into_iter()
+            .chain(iter_queued(set, specs))
+            .map(|(s, rem)| (s.idx, rem))
+            .collect()
+    }
+
+    /// Drains the running prefix by `amount` (a unit-length interval).
+    fn advance(set: &mut SrptSet, amount: f64) {
+        set.integrate_uniform(amount, 1.0);
     }
 
     #[test]
@@ -1061,9 +1021,15 @@ mod tests {
         insert_all(&mut set, &specs);
         set.rebalance(2, &specs, |_, _| {});
         assert_eq!(set.running_len(), 2);
-        let order: Vec<usize> = set.iter_alive(&specs).map(|(idx, _)| idx).collect();
+        let order: Vec<usize> = iter_alive(&set, &specs)
+            .into_iter()
+            .map(|(idx, _)| idx)
+            .collect();
         assert_eq!(order, vec![1, 2, 0]); // remaining 1, 3, 5
-        let running: Vec<usize> = set.iter_running(&specs).map(|(s, _)| s.idx).collect();
+        let running: Vec<usize> = iter_running(&set, &specs)
+            .into_iter()
+            .map(|(s, _)| s.idx)
+            .collect();
         assert_eq!(running, vec![1, 2]);
     }
 
@@ -1078,9 +1044,9 @@ mod tests {
             .collect();
         insert_all(&mut set, &specs);
         set.rebalance(5, &specs, |_, _| {});
-        set.advance_uniform(0.4375); // non-trivial drain offset
-        let via_iter: Vec<(usize, u64)> = set
-            .iter_running(&specs)
+        advance(&mut set, 0.4375); // non-trivial drain offset
+        let via_iter: Vec<(usize, u64)> = iter_running(&set, &specs)
+            .into_iter()
             .map(|(s, rem)| (s.idx, rem.to_bits()))
             .collect();
         let mut via_visit = Vec::new();
@@ -1100,8 +1066,8 @@ mod tests {
             .collect();
         insert_all(&mut set, &specs);
         set.rebalance(3, &specs, |_, _| {});
-        let via_iter: Vec<(usize, u64)> = set
-            .iter_queued(&specs)
+        let via_iter: Vec<(usize, u64)> = iter_queued(&set, &specs)
+            .into_iter()
             .map(|(s, rem)| (s.idx, rem.to_bits()))
             .collect();
         let mut via_visit = Vec::new();
@@ -1116,8 +1082,8 @@ mod tests {
         let specs = sizes_to_specs(&[2.0, 4.0]);
         insert_all(&mut set, &specs);
         set.rebalance(1, &specs, |_, _| {});
-        set.advance_uniform(1.5);
-        let rems = remaining_in_order(&set, &specs);
+        advance(&mut set, 1.5);
+        let rems = iter_alive(&set, &specs);
         assert!((rems[0].1 - 0.5).abs() < 1e-12); // running drained
         assert!((rems[1].1 - 4.0).abs() < 1e-12); // queued untouched
     }
@@ -1128,13 +1094,13 @@ mod tests {
         let specs = sizes_to_specs(&[2.0]);
         insert_all(&mut set, &specs);
         set.rebalance(1, &specs, |_, _| {});
-        set.advance_uniform(2.0);
+        advance(&mut set, 2.0);
         let (slot, rem) = set.pop_front_running(&specs).unwrap();
         assert_eq!(slot.idx, 0);
         assert!(rem.abs() < 1e-12);
         assert_eq!(set.len(), 0);
-        assert_eq!(set.drain_offset(), 0.0);
-        assert_eq!(set.running_inv_size_sum(), 0.0);
+        assert_eq!(set.prefix.offset, 0.0);
+        assert_eq!(set.prefix.s1, 0.0);
     }
 
     #[test]
@@ -1143,14 +1109,14 @@ mod tests {
         let specs = sizes_to_specs(&[1.0, 2.0, 3.0]);
         insert_all(&mut set, &specs);
         set.rebalance(2, &specs, |_, _| {});
-        set.advance_uniform(1.0);
+        advance(&mut set, 1.0);
         set.pop_front_running(&specs).unwrap(); // job 0 done
         let mut promoted = vec![];
         set.rebalance(2, &specs, |idx, p| promoted.push((idx, p)));
         assert_eq!(promoted.len(), 1);
         assert_eq!(promoted[0].0, 2); // remaining 3.0 job joins the prefix
                                       // Job 1 drained 1.0 → remaining 1.0; job 2 still 3.0.
-        let rems = remaining_in_order(&set, &specs);
+        let rems = iter_alive(&set, &specs);
         assert!((rems[0].1 - 1.0).abs() < 1e-12);
         assert!((rems[1].1 - 3.0).abs() < 1e-12);
     }
@@ -1161,7 +1127,10 @@ mod tests {
         let specs = vec![spec(9, 1.0, 2.0), spec(3, 0.0, 2.0), spec(5, 0.0, 2.0)];
         insert_all(&mut set, &specs);
         set.rebalance(3, &specs, |_, _| {});
-        let order: Vec<usize> = set.iter_alive(&specs).map(|(idx, _)| idx).collect();
+        let order: Vec<usize> = iter_alive(&set, &specs)
+            .into_iter()
+            .map(|(idx, _)| idx)
+            .collect();
         assert_eq!(order, vec![1, 2, 0]); // (0.0, id 3), (0.0, id 5), (1.0, id 9)
     }
 
@@ -1191,11 +1160,11 @@ mod tests {
         let rate = |idx: usize| if idx == 0 { 1.0 } else { 2.0 };
         set.drain_scan(1.5, &specs, rate, |_, _| {});
         // Remaining: job 0 → 1.5, job 1 → 0.5; order flips.
-        let order = remaining_in_order(&set, &specs);
+        let order = iter_alive(&set, &specs);
         assert_eq!(order[0].0, 1);
         assert!((order[0].1 - 0.5).abs() < 1e-12);
         assert!((order[1].1 - 1.5).abs() < 1e-12);
-        assert_eq!(set.drain_offset(), 0.0);
+        assert_eq!(set.prefix.offset, 0.0);
     }
 
     #[test]
@@ -1204,13 +1173,13 @@ mod tests {
         let specs = sizes_to_specs(&[3e6, 4e6]);
         insert_all(&mut set, &specs);
         set.rebalance(2, &specs, |_, _| {});
-        set.advance_uniform(2e6);
-        let before: Vec<(usize, f64)> = remaining_in_order(&set, &specs);
+        advance(&mut set, 2e6);
+        let before: Vec<(usize, f64)> = iter_alive(&set, &specs);
         let mut updates = 0;
         set.maybe_rebase(&specs, |_, _| updates += 1);
         assert_eq!(updates, 2);
-        assert_eq!(set.drain_offset(), 0.0);
-        let after: Vec<(usize, f64)> = remaining_in_order(&set, &specs);
+        assert_eq!(set.prefix.offset, 0.0);
+        let after: Vec<(usize, f64)> = iter_alive(&set, &specs);
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(b.0, a.0);
             assert!((b.1 - a.1).abs() < 1e-6 * b.1.max(1.0));
@@ -1223,9 +1192,9 @@ mod tests {
         let specs = sizes_to_specs(&[2.0, 5.0, 7.0, 11.0]);
         insert_all(&mut set, &specs);
         set.rebalance(2, &specs, |_, _| {});
-        set.advance_uniform(1.0);
+        advance(&mut set, 1.0);
         // Running: 2.0→1.0, 5.0→4.0. Queued: 7.0, 11.0.
-        let run_frac = set.running_key_frac_sum() - set.drain_offset() * set.running_inv_size_sum();
+        let run_frac = set.prefix.frac();
         let expect_run = 1.0 / 2.0 + 4.0 / 5.0;
         assert!((run_frac - expect_run).abs() < 1e-12);
         let expect_q = 1.0 + 1.0; // 7/7 + 11/11
@@ -1239,11 +1208,11 @@ mod tests {
         let specs = sizes_to_specs(&sizes);
         insert_all(&mut set, &specs);
         set.rebalance(8, &specs, |_, _| {});
-        set.advance_uniform(0.25);
+        advance(&mut set, 0.25);
         set.reset();
         assert_eq!(set.len(), 0);
         assert_eq!(set.running_len(), 0);
-        assert_eq!(set.drain_offset(), 0.0);
+        assert_eq!(set.prefix.offset, 0.0);
         assert!(set.uniform_curves() && set.unit_rate_at_one());
         // The set is fully reusable after reset.
         let specs = vec![spec(100, 0.0, 2.0)];
@@ -1387,7 +1356,7 @@ mod tests {
             set.insert(i, tie_key(&mut next).abs() + 1.0, &specs);
         }
         set.rebalance(120, &specs, |_, _| {});
-        let mut want: Vec<(usize, f64)> = set.iter_alive(&specs).collect();
+        let mut want: Vec<(usize, f64)> = iter_alive(&set, &specs);
         let got = want.clone();
         want.sort_by(|a, b| {
             let (sa, sb) = (&specs[a.0], &specs[b.0]);
@@ -1433,7 +1402,7 @@ mod tests {
                     if let Some((_, rem)) = set.front_running() {
                         let amount = rem * 0.5;
                         let k = set.running_len();
-                        set.advance_uniform(amount);
+                        advance(&mut set, amount);
                         sort_model(&mut model);
                         for e in model.iter_mut().take(k) {
                             e.1 -= amount;
@@ -1444,7 +1413,7 @@ mod tests {
                     // Drain exactly to the front completion and pop it.
                     if let Some((_, rem)) = set.front_running() {
                         let k = set.running_len();
-                        set.advance_uniform(rem);
+                        advance(&mut set, rem);
                         let (slot, left) = set.pop_front_running(&specs).unwrap();
                         assert!(left.abs() < 1e-9, "step {step}: leftover {left}");
                         sort_model(&mut model);
@@ -1458,7 +1427,7 @@ mod tests {
             }
             set.rebalance(PREFIX, &specs, |_, _| {});
             sort_model(&mut model);
-            let got: Vec<(usize, f64)> = set.iter_alive(&specs).collect();
+            let got: Vec<(usize, f64)> = iter_alive(&set, &specs);
             assert_eq!(got.len(), model.len(), "step {step}");
             for (g, e) in got.iter().zip(&model) {
                 assert_eq!(g.0, e.0, "step {step}: order diverged");
@@ -1481,19 +1450,19 @@ mod tests {
         let specs = vec![spec(0, 0.0, 5.0), spec(1, 7.0, 2.0)];
         set.insert(0, 5.0, &specs);
         set.rebalance(1, &specs, |_, _| {});
-        set.advance_uniform(3.0);
+        advance(&mut set, 3.0);
         set.insert(1, 2.0, &specs);
         set.rebalance(2, &specs, |_, _| {});
-        let order: Vec<(usize, f64)> = set.iter_alive(&specs).collect();
+        let order: Vec<(usize, f64)> = iter_alive(&set, &specs);
         assert_eq!(order[0].0, 0);
         assert_eq!(order[1].0, 1);
         assert!((order[0].1 - 2.0).abs() < 1e-12);
         assert!((order[1].1 - 2.0).abs() < 1e-12);
         // And the completion order honors the same tie-break.
-        set.advance_uniform(2.0);
+        advance(&mut set, 2.0);
         assert_eq!(set.pop_front_running(&specs).unwrap().0.idx, 0);
         set.rebalance(2, &specs, |_, _| {});
-        set.advance_uniform(2.0);
+        advance(&mut set, 2.0);
         assert_eq!(set.pop_front_running(&specs).unwrap().0.idx, 1);
     }
 
@@ -1518,7 +1487,10 @@ mod tests {
         assert!(matches!(p, Placement::Running { .. }));
         set.rebalance(2, &specs, |_, _| {});
         assert_eq!(set.running_len(), 2);
-        let order: Vec<usize> = set.iter_alive(&specs).map(|(i, _)| i).collect();
+        let order: Vec<usize> = iter_alive(&set, &specs)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
         assert_eq!(order, vec![3, 0, 1, 2]);
     }
 
@@ -1528,13 +1500,13 @@ mod tests {
         let specs = sizes_to_specs(&[3.0, 3.0]);
         insert_all(&mut set, &specs);
         set.rebalance(2, &specs, |_, _| {});
-        set.advance_uniform(3.0); // both hit zero simultaneously
+        advance(&mut set, 3.0); // both hit zero simultaneously
         let (first, r1) = set.pop_front_running(&specs).unwrap();
         let (second, r2) = set.pop_front_running(&specs).unwrap();
         assert_eq!((first.idx, second.idx), (0, 1)); // id tie-break
         assert!(r1.abs() < 1e-12 && r2.abs() < 1e-12);
         assert_eq!(set.len(), 0);
-        assert_eq!(set.drain_offset(), 0.0);
+        assert_eq!(set.prefix.offset, 0.0);
         assert!(set.pop_front_running(&specs).is_none());
     }
 
@@ -1545,12 +1517,15 @@ mod tests {
         set.insert(0, 4.0, &specs);
         set.insert(1, 10.0, &specs);
         set.rebalance(2, &specs, |_, _| {});
-        set.advance_uniform(3.0); // remaining: 1.0, 7.0
-                                  // New arrival with remaining 2.0 belongs between them.
+        advance(&mut set, 3.0); // remaining: 1.0, 7.0
+                                // New arrival with remaining 2.0 belongs between them.
         let p = set.insert(2, 2.0, &specs);
         assert!(matches!(p, Placement::Running { .. }));
         set.rebalance(2, &specs, |_, _| {});
-        let order: Vec<usize> = set.iter_alive(&specs).map(|(i, _)| i).collect();
+        let order: Vec<usize> = iter_alive(&set, &specs)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
         assert_eq!(order, vec![0, 2, 1]);
         assert_eq!(set.running_len(), 2);
     }

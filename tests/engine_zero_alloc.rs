@@ -28,8 +28,8 @@ use std::cell::Cell;
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    AuditLevel, Engine, EngineBuffers, EngineConfig, EnginePath, Instance, JobId, JobSpec,
-    NullObserver, Policy, StaticSource,
+    ArrivalSource, AuditLevel, Engine, EngineBuffers, EngineConfig, EnginePath, Instance, JobId,
+    JobSpec, NullObserver, Policy, StaticSource, SystemView, Time,
 };
 use parsched_speedup::Curve;
 
@@ -249,7 +249,7 @@ fn audited_exhaustive_run(
         .with_streaming(streaming)
         .with_full_reassign(true);
     let mut engine = Engine::with_buffers(cfg, policy, &mut source, &mut obs, bufs);
-    assert!(!engine.uses_incremental_path());
+    assert_eq!(engine.path(), EnginePath::Exhaustive);
     let ((), during) = counting_allocs(|| engine.run_loop().expect("exhaustive run failed"));
     let (num_jobs, bufs) = if streaming {
         let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
@@ -421,6 +421,82 @@ fn arrival_suffix_path_steady_state_allocates_nothing() {
     }
 }
 
+/// A replay source that reads the alive view at every emission, as an
+/// adaptive adversary does, but allocates nothing itself: it emits from
+/// the instance's shared job vector and only folds the view into a sum.
+struct ViewReadingSource {
+    inner: StaticSource,
+    seen: f64,
+}
+
+impl ArrivalSource for ViewReadingSource {
+    fn next_time(&self) -> Option<Time> {
+        self.inner.next_time()
+    }
+
+    fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
+        self.seen += view.alive.iter().map(|j| j.remaining).sum::<f64>();
+        self.inner.emit_into(view, out);
+    }
+}
+
+/// Runs `inst` through [`Engine::run_loop`] from a [`ViewReadingSource`],
+/// reusing `policy` and the donated buffers; returns the allocations made
+/// strictly inside the loop, plus the buffers.
+fn audited_view_run(
+    inst: &Instance,
+    policy: &mut dyn Policy,
+    streaming: bool,
+    bufs: EngineBuffers,
+) -> (u64, EngineBuffers) {
+    let mut source = ViewReadingSource {
+        inner: StaticSource::new(inst),
+        seen: 0.0,
+    };
+    let mut obs = NullObserver;
+    let cfg = EngineConfig::new(8.0).with_streaming(streaming);
+    let mut engine = Engine::with_buffers(cfg, policy, &mut source, &mut obs, bufs);
+    let ((), during) = counting_allocs(|| engine.run_loop().expect("view-reading run failed"));
+    let bufs = if streaming {
+        engine.run_streaming_reusing().expect("finalize failed").1
+    } else {
+        engine.run_reusing().expect("finalize failed").1
+    };
+    assert!(source.seen > 0.0, "the source saw no alive job");
+    (during, bufs)
+}
+
+#[test]
+fn view_reading_source_admits_without_allocating() {
+    // A source that reads the alive view is handed it at every admission,
+    // built in the engine's retained view buffer from each path's ordered
+    // walk of its alive set. On the incremental path that walk sorts the
+    // SRPT set's partitions in its retained scratch, so after a warm-up a
+    // rerun must not touch the heap, on every alive structure and in both
+    // memory modes.
+    let inst = workload(600);
+    for kind in [
+        PolicyKind::IntermediateSrpt,
+        PolicyKind::Setf,
+        PolicyKind::Laps(0.5),
+    ] {
+        let mut policy = kind.build();
+        for streaming in [false, true] {
+            let ctx = format!("{}, streaming={streaming}", kind.name());
+            let (warmup_allocs, bufs) =
+                audited_view_run(&inst, policy.as_mut(), streaming, EngineBuffers::new());
+            assert!(
+                warmup_allocs > 0,
+                "{ctx}: warm-up should have grown the buffers"
+            );
+            let (second, bufs) = audited_view_run(&inst, policy.as_mut(), streaming, bufs);
+            assert_eq!(second, 0, "{ctx}: second run allocated {second} times");
+            let (third, _bufs) = audited_view_run(&inst, policy.as_mut(), streaming, bufs);
+            assert_eq!(third, 0, "{ctx}: third run allocated {third} times");
+        }
+    }
+}
+
 /// Runs `inst` on the incremental path under [`AuditLevel::Strict`] on
 /// donated buffers; returns the allocations made strictly inside the
 /// event loop (every event audited), plus the buffers.
@@ -432,7 +508,7 @@ fn strict_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u64, En
         .with_streaming(streaming)
         .with_audit(AuditLevel::Strict);
     let mut engine = Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, bufs);
-    assert!(engine.uses_incremental_path());
+    assert_eq!(engine.path(), EnginePath::Incremental);
     let ((), during) = counting_allocs(|| engine.run_loop().expect("strict run failed"));
     let (frames, num_jobs, bufs) = if streaming {
         let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");

@@ -18,7 +18,7 @@
 use parsched::PolicyKind;
 use parsched_bench::mixed_alpha_fixture;
 use parsched_sim::{
-    Engine, EngineConfig, Instance, NullObserver, RunMetrics, SimError, StaticSource,
+    Engine, EngineConfig, EnginePath, Instance, NullObserver, RunMetrics, SimError, StaticSource,
 };
 
 const M: f64 = 4.0;
@@ -42,7 +42,7 @@ fn run(
         .with_full_reassign(true)
         .with_streaming(streaming);
     let mut engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
-    assert!(!engine.uses_incremental_path());
+    assert_eq!(engine.path(), EnginePath::Exhaustive);
     let mut partials = 0u64;
     while let Some(t) = engine.next_event_time()? {
         let now = engine.now();

@@ -17,7 +17,7 @@
 use parsched::PolicyKind;
 use parsched_bench::{mixed_alpha_fixture, poisson_fixture};
 use parsched_sim::{
-    Engine, EngineConfig, Instance, JobSpec, NullObserver, RunMetrics, StaticSource,
+    Engine, EngineConfig, EnginePath, Instance, JobSpec, NullObserver, RunMetrics, StaticSource,
 };
 use parsched_workloads::batch::BatchWorkload;
 use parsched_workloads::random::{AlphaDist, SizeDist};
@@ -106,7 +106,7 @@ fn digest(inst: &Instance, kind: PolicyKind, streaming: bool) -> u64 {
         .with_full_reassign(true)
         .with_streaming(streaming);
     let engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
-    assert!(!engine.uses_incremental_path());
+    assert_eq!(engine.path(), EnginePath::Exhaustive);
     let mut d = Digest::new();
     if streaming {
         let out = engine

@@ -454,60 +454,69 @@ fn golden_path() -> std::path::PathBuf {
         .join("golden_snapshot.json")
 }
 
-/// The committed `parsched-snap/v3` document must match what the current
-/// engine captures for the same scenario — any change to the snapshot
-/// schema, field order, or float rendering shows up as a diff here.
-/// Regenerate deliberately with:
+/// The committed `parsched-snap/v3` documents must match what the current
+/// engine captures for the same scenario, one per alive structure: the
+/// SRPT set (Intermediate-SRPT, `golden_snapshot.json`), the level stack
+/// (SETF, `golden_snapshot_setf.json`) and the arrival suffix (LAPS,
+/// `golden_snapshot_laps.json`). Any change to the snapshot schema, field
+/// order, float rendering, or a structure's captured state shows up as a
+/// diff here. Regenerate deliberately with:
 /// `PARSCHED_REGEN_GOLDEN=1 cargo test --test fleet_snapshot_props`.
 #[test]
 fn golden_snapshot_fixture_is_stable_and_restorable() {
     let inst = mixed_alpha_fixture(40, 0.9, 4.0);
-    let kind = PolicyKind::IntermediateSrpt;
     let cfg = EngineConfig::new(4.0);
-    let mut policy = kind.build();
-    let mut source = StaticSource::new(&inst);
-    let mut obs = NullObserver;
-    let mut engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
-    for _ in 0..25 {
-        assert!(engine.step().expect("step"));
-    }
-    let fresh = engine.snapshot().expect("snapshot").to_json();
-    drop(engine);
+    for (kind, file) in [
+        (PolicyKind::IntermediateSrpt, "golden_snapshot.json"),
+        (PolicyKind::Setf, "golden_snapshot_setf.json"),
+        (PolicyKind::Laps(0.5), "golden_snapshot_laps.json"),
+    ] {
+        let ctx = kind.name();
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
+        for _ in 0..25 {
+            assert!(engine.step().expect("step"), "{ctx}: run ended early");
+        }
+        let fresh = engine.snapshot().expect("snapshot").to_json();
+        drop(engine);
 
-    let path = golden_path();
-    if std::env::var_os("PARSCHED_REGEN_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
-        std::fs::write(&path, &fresh).expect("write golden snapshot");
-    }
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e} (regenerate with PARSCHED_REGEN_GOLDEN=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        committed, fresh,
-        "golden snapshot drifted from the current schema/engine"
-    );
+        let path = golden_path().with_file_name(file);
+        if std::env::var_os("PARSCHED_REGEN_GOLDEN").is_some() {
+            std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
+            std::fs::write(&path, &fresh).expect("write golden snapshot");
+        }
+        let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "{}: {e} (regenerate with PARSCHED_REGEN_GOLDEN=1)",
+                path.display()
+            )
+        });
+        assert_eq!(
+            committed, fresh,
+            "{ctx}: golden snapshot drifted from the current schema/engine"
+        );
 
-    // The committed document must still restore and resume to the same
-    // final metrics as an uninterrupted run.
-    let mut policy_b = kind.build();
-    let mut source_b = StaticSource::new(&inst);
-    let mut obs_b = NullObserver;
-    let want = Engine::new(cfg, policy_b.as_mut(), &mut source_b, &mut obs_b)
-        .run()
-        .expect("baseline")
-        .metrics;
-    let snap = Snapshot::from_json(&committed).expect("parse committed golden");
-    let mut policy_c = kind.build();
-    let mut source_c = StaticSource::new(&inst);
-    let mut obs_c = NullObserver;
-    let mut resumed = Engine::new(cfg, policy_c.as_mut(), &mut source_c, &mut obs_c);
-    resumed.restore(&snap).expect("restore committed golden");
-    while resumed.step().expect("resume step") {}
-    let got = resumed.into_outcome().expect("resumed outcome").metrics;
-    assert_metrics_bit_identical(&got, &want, "golden resume");
+        // The committed document must still restore and resume to the same
+        // final metrics as an uninterrupted run.
+        let mut policy_b = kind.build();
+        let mut source_b = StaticSource::new(&inst);
+        let mut obs_b = NullObserver;
+        let want = Engine::new(cfg, policy_b.as_mut(), &mut source_b, &mut obs_b)
+            .run()
+            .expect("baseline")
+            .metrics;
+        let snap = Snapshot::from_json(&committed).expect("parse committed golden");
+        let mut policy_c = kind.build();
+        let mut source_c = StaticSource::new(&inst);
+        let mut obs_c = NullObserver;
+        let mut resumed = Engine::new(cfg, policy_c.as_mut(), &mut source_c, &mut obs_c);
+        resumed.restore(&snap).expect("restore committed golden");
+        while resumed.step().expect("resume step") {}
+        let got = resumed.into_outcome().expect("resumed outcome").metrics;
+        assert_metrics_bit_identical(&got, &want, &format!("{ctx}: golden resume"));
+    }
 }
 
 /// Documents in an older format are refused with a typed error, not
@@ -1132,6 +1141,84 @@ fn alive_structures_that_drop_or_repeat_a_job_are_refused() {
                     "{ctx} / {what}: expected a typed restore error, got {result:?}"
                 );
             }
+        }
+    }
+}
+
+/// A level's tally must count exactly its members' curves: a parametric
+/// row the members whose curve has its bits, a piecewise row the one
+/// member in its slot. SETF on the single-α Poisson fixture, suspended at
+/// event 60: the served level's row renamed to another curve, or a row
+/// that counts two or more members turned into the first member's slot
+/// row, decodes fine but would hand the equalizer the wrong curves, so
+/// restore refuses it with a typed error, in both memory modes.
+#[test]
+fn level_tally_that_miscounts_its_members_is_refused() {
+    let inst = poisson_fixture(200, 1.5, M);
+    let kind = PolicyKind::Setf;
+    for streaming in [false, true] {
+        let ctx = if streaming { "streaming" } else { "in-memory" };
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(
+            engine_cfg(streaming),
+            policy.as_mut(),
+            &mut source,
+            &mut obs,
+        );
+        for _ in 0..60 {
+            assert!(engine.step().expect("pre-suspend step"));
+        }
+        let doc = engine.snapshot().expect("snapshot").to_json();
+        drop(engine);
+        let snap = Snapshot::from_json(&doc).expect("parse");
+        restore_run_finalize(&inst, &kind, streaming, &snap)
+            .unwrap_or_else(|e| panic!("{ctx}: untouched document: {e}"));
+
+        let Json::Arr(levels) = value_at(&doc, &["levels", "levels"]) else {
+            panic!("{ctx}: levels is not an array")
+        };
+        let served = (levels.len() - 1).to_string();
+        let row = ["levels", "levels", &served, "tally", "0", "0"];
+        assert_eq!(
+            value_at(&doc, &row),
+            Json::Str("pow:0.5".into()),
+            "{ctx}: the fixture's curve"
+        );
+        let mut cases = vec![(
+            "served row renamed",
+            corrupt_at(&doc, &row, Json::Str("pow:0.9".into())),
+        )];
+        let shared = levels
+            .iter()
+            .position(|l| {
+                l.get("tally")
+                    .and_then(|t| t.as_arr().ok())
+                    .and_then(|t| t.first())
+                    .and_then(|row| row.as_arr().ok())
+                    .and_then(|row| row.get(1))
+                    .is_some_and(|c| c.as_u64().expect("tally count") >= 2)
+            })
+            .expect("a level with two members")
+            .to_string();
+        let slot = value_at(&doc, &["levels", "levels", &shared, "entries", "0", "3"]);
+        cases.push((
+            "shared row made a slot row",
+            corrupt_at(
+                &doc,
+                &["levels", "levels", &shared, "tally", "0", "0"],
+                slot,
+            ),
+        ));
+        for (what, bad) in cases {
+            let bad = Snapshot::from_json(&bad)
+                .unwrap_or_else(|e| panic!("{ctx} / {what}: the codec refused it: {e}"));
+            let result = restore_run_finalize(&inst, &kind, streaming, &bad);
+            assert!(
+                matches!(result, Err(SimError::BadInstance { .. })),
+                "{ctx} / {what}: expected a typed restore error, got {result:?}"
+            );
         }
     }
 }
