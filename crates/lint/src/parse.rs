@@ -538,8 +538,45 @@ impl<'a> Parser<'a> {
         }
         let mut fields = Vec::new();
         if j < self.len() && self.txt(j) == "(" {
-            // Tuple struct: no named fields.
-            j = self.skip_group(j);
+            // Tuple struct: positional fields named `0`, `1`, … after the
+            // `.0` that reaches them.
+            let end = self.skip_group(j);
+            let mut k = j + 1;
+            let mut depth = 0isize;
+            let mut field: Option<FieldDef> = None;
+            while k + 1 < end {
+                let t = self.txt(k);
+                match t {
+                    "," if depth == 0 => fields.extend(field.take()),
+                    // An attribute, or a visibility with its scope.
+                    "#" | "pub"
+                        if depth == 0 && k + 1 < end && matches!(self.txt(k + 1), "[" | "(") =>
+                    {
+                        k = self.skip_group(k + 1);
+                        continue;
+                    }
+                    "pub" => {}
+                    "<" | "(" | "[" => depth += 1,
+                    ">" | ")" | "]" => depth -= 1,
+                    ">>" => depth -= 2,
+                    _ if self.kind(k) == TokenKind::Ident => {
+                        let pos = fields.len();
+                        let ftok = self.orig(k);
+                        field
+                            .get_or_insert_with(|| FieldDef {
+                                name: pos.to_string(),
+                                name_tok: ftok,
+                                ty_idents: Vec::new(),
+                            })
+                            .ty_idents
+                            .push(t.to_string());
+                    }
+                    _ => {}
+                }
+                k += 1;
+            }
+            fields.extend(field);
+            j = end;
         } else if j < self.len() && self.txt(j) == "{" {
             let end = self.skip_group(j);
             let mut k = j + 1;
@@ -1011,7 +1048,7 @@ mod tests {
         let it = items(
             "pub struct Buffers { jobs: JobArena, alive: Vec<usize>, pair: (f64, f64) }\n\
              enum Queue { Calendar(CalendarQueue), Heap { h: BinaryHeap<u64> } }\n\
-             struct Unit;\nstruct Tup(f64, u32);\n",
+             struct Unit;\nstruct Tup(pub(crate) Vec<f64>, #[doc = \"x\"] u32);\n",
         );
         let b = it.structs.iter().find(|s| s.name == "Buffers").unwrap();
         let names: Vec<&str> = b.fields.iter().map(|f| f.name.as_str()).collect();
@@ -1024,10 +1061,19 @@ mod tests {
         assert_eq!(vn, ["Calendar", "Heap"]);
         assert!(q.fields[0].ty_idents.contains(&"CalendarQueue".to_string()));
         assert!(it.structs.iter().any(|s| s.name == "Unit"));
-        assert!(it
-            .structs
+        let t = it.structs.iter().find(|s| s.name == "Tup").unwrap();
+        let tn: Vec<(&str, &[String])> = t
+            .fields
             .iter()
-            .any(|s| s.name == "Tup" && s.fields.is_empty()));
+            .map(|f| (f.name.as_str(), f.ty_idents.as_slice()))
+            .collect();
+        assert_eq!(
+            tn,
+            [
+                ("0", &["Vec".to_string(), "f64".to_string()][..]),
+                ("1", &["u32".to_string()][..])
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   mechanism itself — capacity is retained across runs, and the dynamic
 //!   audit verifies no realloc occurs at steady state. The exempt
 //!   receiver names are *derived* from the `EngineBuffers` field closure
-//!   in the symbol index (fields of its field types, transitively), so
+//!   in the symbol index (fields of its field types, transitively; its
+//!   one positional field is the engine's whole cleared run state), so
 //!   the set can never go stale. Indexing into a donated SoA lane
 //!   (`self.remaining[idx]`) is exempt on the same basis: lanes are sized
 //!   by the arena and indexed by the dense slots it hands out.

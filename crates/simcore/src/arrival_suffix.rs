@@ -44,6 +44,7 @@ use std::cmp::Ordering;
 
 use crate::drained::{DrainedGroup, DrainedSnap};
 use crate::job::{JobId, JobSpec, Time, Work};
+use crate::snapshot::{in_range, SlotCheck};
 use crate::srpt_set::{Entry, HeapEntrySnap, HeapTrack, Slot, REBASE_LIMIT};
 
 /// The null link.
@@ -122,13 +123,37 @@ impl SuffixSnap {
             .chain(self.groups.iter().flat_map(|g| &g.members.entries))
     }
 
-    /// Checks the structure restore relies on beyond the one-entry-per-
-    /// alive-slot rule that restore checks for every path: no group is
-    /// empty, and the waiting stack is in strict `(release, id)` order
-    /// with every waiting job older than every running one.
-    pub(crate) fn check(&self) -> Result<(), String> {
-        if self.groups.iter().any(|g| g.members.entries.is_empty()) {
-            return Err("suffix group holds no member".into());
+    /// Checks the captured suffix before restore rebuilds it: the waiting
+    /// jobs' sum finite, each waiting entry with a finite, non-negative
+    /// key (its remaining work) accepted by [`SlotCheck::entry`], and each
+    /// group non-empty, with a finite rate, checked as
+    /// [`DrainedSnap::check`] checks it, and its members sharing one
+    /// curve, since they drain at one rate. The waiting stack must be in
+    /// strict `(release, id)` order with every waiting job older than
+    /// every running one.
+    pub(crate) fn check(&self, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        in_range("suffix", "waiting_frac", self.waiting_frac, false)?;
+        for e in &self.waiting {
+            in_range("suffix", "waiting", e.key, true)?;
+            slots.entry("suffix", e)?;
+        }
+        for g in &self.groups {
+            let entries = &g.members.entries;
+            let Some(first) = entries.first() else {
+                return Err("suffix group holds no member".into());
+            };
+            in_range("suffix", "rate", g.rate, false)?;
+            g.members.check("suffix", slots)?;
+            let curve = &slots.spec(first.idx).curve;
+            if entries
+                .iter()
+                .any(|e| !slots.spec(e.idx).curve.same_bits(curve))
+            {
+                return Err(format!(
+                    "suffix group of job {} mixes speed-up curves",
+                    first.id
+                ));
+            }
         }
         let order = |a: &HeapEntrySnap, b: &HeapEntrySnap| {
             arrival_order((a.release, a.id), (b.release, b.id))
@@ -603,8 +628,7 @@ impl ArrivalSuffix {
     /// Each group's heap array is pushed back in its captured order, which
     /// rebuilds it as it was; offsets, sums and rates are installed
     /// verbatim. The caller has checked the snapshot
-    /// ([`SuffixSnap::check`]) and every entry's `(release, id, size)`
-    /// against `specs`.
+    /// ([`SuffixSnap::check`]).
     pub(crate) fn restore_state(&mut self, snap: &SuffixSnap, specs: &[JobSpec]) {
         self.reset();
         let slots = snap.entries().map(|e| e.idx + 1).max().unwrap_or(0);
@@ -669,6 +693,7 @@ impl ArrivalSuffix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapJob;
     use parsched_speedup::Curve;
 
     /// 64-bit LCG stream for the model fuzzer.
@@ -933,7 +958,19 @@ mod tests {
             clock += 0.05;
         }
         let snap = set.snapshot_state(&specs);
-        snap.check().expect("consistent snapshot");
+        let arena: Vec<SnapJob> = specs
+            .iter()
+            .map(|s| SnapJob {
+                spec: s.clone(),
+                remaining: 0.0,
+                run_key: 0.0,
+                class: 0,
+                in_running: false,
+                done: false,
+            })
+            .collect();
+        snap.check(&mut SlotCheck::new(&arena))
+            .expect("consistent snapshot");
         let mut back = ArrivalSuffix::default();
         back.restore_state(&snap, &specs);
         assert_eq!(back.snapshot_state(&specs), snap);
@@ -953,7 +990,7 @@ mod tests {
         let mut bad = snap.clone();
         let dup = bad.groups[0].members.entries[0].clone();
         bad.waiting.push(dup);
-        assert!(bad.check().is_err());
+        assert!(bad.check(&mut SlotCheck::new(&arena)).is_err());
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! same array.
 
 use crate::job::{JobSpec, Work};
+use crate::snapshot::{in_range, SlotCheck};
 use crate::srpt_set::{Entry, HeapEntrySnap, HeapTrack, MinHeap, Slot};
 
 /// The drain offset `D` of jobs served at one common rate, with `Σ1/p`
@@ -94,6 +95,14 @@ impl Drain {
         }
         flow
     }
+
+    /// Checks a captured drain of `part` against the domain the run keeps
+    /// it in: the offset finite and non-negative, the sums finite.
+    pub(crate) fn check(&self, part: &str) -> Result<(), String> {
+        in_range(part, "drain", self.offset, true)?;
+        in_range(part, "s1", self.s1, false)?;
+        in_range(part, "sk", self.sk, false)
+    }
 }
 
 /// A [`MinHeap`] of members keyed `remaining + D` under one [`Drain`]
@@ -110,6 +119,18 @@ pub(crate) struct DrainedGroup {
 pub(crate) struct DrainedSnap {
     pub(crate) entries: Vec<HeapEntrySnap>,
     pub(crate) drain: Drain,
+}
+
+impl DrainedSnap {
+    /// Checks a captured group of `part` before restore rebuilds it: its
+    /// drain ([`Drain::check`]) and each entry ([`SlotCheck::entry`]).
+    pub(crate) fn check(&self, part: &str, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        self.drain.check(part)?;
+        for e in &self.entries {
+            slots.entry(part, e)?;
+        }
+        Ok(())
+    }
 }
 
 impl DrainedGroup {
@@ -210,8 +231,8 @@ impl DrainedGroup {
 
     /// Replaces the group with the captured one: the entries pushed back
     /// in their captured order, reporting moves to `track`, and the offset
-    /// and sums installed verbatim. The caller has checked every entry's
-    /// `(release, id, size)` against `specs`.
+    /// and sums installed verbatim. The caller has checked the group
+    /// ([`DrainedSnap::check`]).
     pub(crate) fn restore(
         &mut self,
         snap: &DrainedSnap,

@@ -47,11 +47,11 @@ use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
 use crate::job::{Instance, JobId, JobSpec, Time, Work};
 use crate::kahan::NeumaierSum;
-use crate::level_stack::{tag_counts, LevelStack};
+use crate::level_stack::LevelStack;
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
 use crate::observer::{NullObserver, Observer};
 use crate::policy::{AliveJob, AllocationStability, CurveCount, Policy, PrefixAllocation};
-use crate::snapshot::{SnapCfg, SnapInterval, SnapJob, Snapshot};
+use crate::snapshot::{in_range, SlotCheck, SnapCfg, SnapInterval, SnapJob, Snapshot};
 use crate::source::{ArrivalSource, StaticSource, SystemView};
 use crate::srpt_set::{Placement, SrptSet};
 use crate::streaming::{StreamingMetrics, StreamingOutcome};
@@ -89,13 +89,6 @@ pub struct EngineConfig {
     /// job retires, and a duplicate of an already-*retired* id is no
     /// longer detected.
     pub streaming: bool,
-    /// Runtime switch for the per-phase hot-path profiler (only
-    /// meaningful when the crate is built with the `hotpath` feature;
-    /// inert otherwise). When on, the event loops accumulate wall-clock
-    /// nanoseconds per phase (queue/refresh/metrics/dispatch), which
-    /// `Engine::hotpath_totals` reads back. Leave off for headline measurements:
-    /// the timestamping itself costs tens of ns per event.
-    pub hotpath_profile: bool,
 }
 
 impl EngineConfig {
@@ -108,7 +101,6 @@ impl EngineConfig {
             full_reassign: false,
             audit: AuditLevel::Off,
             streaming: false,
-            hotpath_profile: false,
         }
     }
 
@@ -142,30 +134,18 @@ impl EngineConfig {
         self.max_events = max_events;
         self
     }
-
-    /// Enables the per-phase hot-path profiler — see
-    /// [`EngineConfig::hotpath_profile`].
-    pub fn with_hotpath_profile(mut self, hotpath_profile: bool) -> Self {
-        self.hotpath_profile = hotpath_profile;
-        self
-    }
 }
 
 // Phase accounting for the hot-path profiler: wraps one phase's work and
 // charges its wall-clock duration to the named `PhaseTotals` slot when the
-// feature is compiled in *and* the runtime flag is armed. Compiles to the
-// bare body otherwise.
+// `hotpath` feature is compiled in. Compiles to the bare body otherwise.
 #[cfg(feature = "hotpath")]
 macro_rules! hp_phase {
     ($self:ident, $slot:ident, $body:expr) => {{
-        if $self.state.cfg.hotpath_profile {
-            let __hp_t0 = crate::hotpath::stamp();
-            let __hp_r = $body;
-            $self.state.hotpath.$slot += crate::hotpath::ns_since(__hp_t0);
-            __hp_r
-        } else {
-            $body
-        }
+        let __hp_t0 = crate::hotpath::stamp();
+        let __hp_r = $body;
+        $self.state.hotpath.$slot += crate::hotpath::ns_since(__hp_t0);
+        __hp_r
     }};
 }
 #[cfg(not(feature = "hotpath"))]
@@ -434,21 +414,6 @@ impl IdMap {
     }
 }
 
-/// Which per-event execution strategy this run uses (fixed at creation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecMode {
-    /// Full view + `Policy::assign` at every event.
-    Exhaustive,
-    /// SRPT-ordered alive set + prefix profile; no `assign` calls.
-    Incremental,
-    /// Least-elapsed level stack + the policy's common-rate equalizer; no
-    /// `assign` calls.
-    Levels,
-    /// Arrival-ordered alive set whose latest `count` jobs run + the
-    /// policy's prefix profile; no `assign` calls.
-    Suffix,
-}
-
 /// How the current constant-allocation interval drains (incremental path).
 #[derive(Debug, Clone, Copy)]
 enum IntervalKind {
@@ -490,6 +455,24 @@ impl CachedProfile {
         share: 0.0,
         rate: 0.0,
     };
+
+    /// `speed·Γ(share)` at this slot's share for the job in arena slot
+    /// `idx`: replayed when the job's kernel class is the memoized one,
+    /// else evaluated and, for a registry class, memoized in its place
+    /// (ungrouped and non-power-law jobs are evaluated every time).
+    #[inline]
+    fn uniform_rate(&mut self, jobs: &JobArena, idx: usize, speed: f64) -> f64 {
+        let class = jobs.class[idx];
+        if class < CLASS_UNGROUPED && self.rate_class == class {
+            return self.rate;
+        }
+        let rate = speed * jobs.gamma(idx, self.share);
+        if class < CLASS_UNGROUPED {
+            self.rate_class = class;
+            self.rate = rate;
+        }
+        rate
+    }
 }
 
 /// The simulation engine. See the crate docs for the architecture and
@@ -504,13 +487,17 @@ pub struct Engine<'a> {
 }
 
 /// Everything an [`Engine`] holds besides its policy, source, and
-/// observer: the run state that [`Engine::park`] detaches by value.
+/// observer: the run state that [`Engine::park`] detaches by value and
+/// that [`EngineBuffers`] holds cleared between runs.
+#[derive(Debug)]
 struct RunState {
     cfg: EngineConfig,
     jobs: JobArena,
     // lint:allow(L009) id map is rebuilt from the admitted specs during restore; rendering it would duplicate the spec lane
     ids: IdMap,
-    mode: ExecMode,
+    /// The execution path (never [`EnginePath::Replay`], which names the
+    /// offline trace replayer).
+    path: EnginePath,
     /// Exhaustive path: indices into `jobs` of unfinished, released jobs.
     alive: Vec<usize>,
     /// Allocation for `alive[i]` (valid when `alloc_fresh`).
@@ -612,13 +599,114 @@ struct RunState {
     /// latest `count` jobs running.
     suffix: ArrivalSuffix,
     /// Per-phase wall-clock totals (see [`crate::hotpath`]); pure
-    /// diagnostics, armed by [`EngineConfig::hotpath_profile`].
+    /// diagnostics, kept whenever the `hotpath` feature is compiled in.
     #[cfg(feature = "hotpath")]
     // lint:allow(L009) profiler diagnostics, not run state; deliberately not captured (like the audit layer)
     hotpath: crate::hotpath::PhaseTotals,
 }
 
-/// The engine's heap-backed working state, detached from any run.
+impl Default for RunState {
+    /// An empty run state: no buffer allocated yet, and placeholders for
+    /// the run's identity (config, path, policy), which
+    /// [`Engine::with_buffers`] sets.
+    fn default() -> Self {
+        Self {
+            cfg: EngineConfig::new(1.0),
+            jobs: JobArena::default(),
+            ids: IdMap::default(),
+            path: EnginePath::Exhaustive,
+            alive: Vec::new(),
+            shares: Vec::new(),
+            rates: Vec::new(),
+            views: Vec::new(),
+            completion_candidate: None,
+            srpt: SrptSet::default(),
+            profile: PrefixAllocation {
+                count: 0,
+                share: 0.0,
+            },
+            interval: IntervalKind::Idle,
+            profile_cache: Vec::new(),
+            next_completion: None,
+            next_arrival: None,
+            coalesced: 0,
+            scratch_moves: Vec::new(),
+            scratch_batch: Vec::new(),
+            now: 0.0,
+            alloc_fresh: false,
+            quantum_deadline: None,
+            events: 0,
+            finished: false,
+            auditor: None,
+            policy_name: String::new(),
+            policy_srpt_ordered: false,
+            frac_flow: NeumaierSum::new(),
+            alive_integral: NeumaierSum::new(),
+            sink: StreamingMetrics::default(),
+            completed: Vec::new(),
+            free: Vec::new(),
+            admitted: 0,
+            peak_alive: 0,
+            levels: LevelStack::default(),
+            level_curves: Vec::new(),
+            level_shares: Vec::new(),
+            suffix: ArrivalSuffix::default(),
+            #[cfg(feature = "hotpath")]
+            hotpath: crate::hotpath::PhaseTotals::ZERO,
+        }
+    }
+}
+
+impl RunState {
+    /// Clears all per-run state and drops the auditor, retaining every
+    /// buffer's capacity. The run's identity (config, path, policy) stays
+    /// for the caller to keep or replace, and the cached next arrival is
+    /// left for it to refresh from its source.
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.ids.reset();
+        self.alive.clear();
+        self.shares.clear();
+        self.rates.clear();
+        self.views.clear();
+        self.completion_candidate = None;
+        self.srpt.reset();
+        self.levels.reset();
+        self.level_curves.clear();
+        self.level_shares.clear();
+        self.suffix.reset();
+        self.profile = PrefixAllocation {
+            count: 0,
+            share: 0.0,
+        };
+        self.interval = IntervalKind::Idle;
+        self.profile_cache.clear();
+        self.next_completion = None;
+        self.coalesced = 0;
+        self.scratch_moves.clear();
+        self.scratch_batch.clear();
+        self.now = 0.0;
+        self.alloc_fresh = false;
+        self.quantum_deadline = None;
+        self.events = 0;
+        self.finished = false;
+        self.auditor = None;
+        self.frac_flow = NeumaierSum::new();
+        self.alive_integral = NeumaierSum::new();
+        self.sink.reset();
+        self.completed.clear();
+        self.free.clear();
+        self.admitted = 0;
+        self.peak_alive = 0;
+        #[cfg(feature = "hotpath")]
+        {
+            self.hotpath = crate::hotpath::PhaseTotals::ZERO;
+        }
+    }
+}
+
+/// The engine's heap-backed working state, detached from any run: a
+/// cleared run state, as a [`ParkedEngine`] is a parked one.
 ///
 /// An [`Engine`] borrows its policy, source, and observer, so one engine
 /// value cannot outlive a workload's source — but its *buffers* (job
@@ -630,51 +718,12 @@ struct RunState {
 /// mechanism behind the sweep pool's per-worker engine reuse (see
 /// `docs/PERF.md` §6 for the lifecycle and the allocation audit).
 #[derive(Debug, Default)]
-pub struct EngineBuffers {
-    jobs: JobArena,
-    ids: IdMap,
-    alive: Vec<usize>,
-    shares: Vec<f64>,
-    rates: Vec<f64>,
-    views: Vec<AliveJob<'static>>,
-    srpt: SrptSet,
-    levels: LevelStack,
-    level_curves: Vec<CurveCount<'static>>,
-    level_shares: Vec<f64>,
-    suffix: ArrivalSuffix,
-    scratch_moves: Vec<(usize, Placement)>,
-    scratch_batch: Vec<JobSpec>,
-    completed: Vec<CompletedJob>,
-    free: Vec<usize>,
-    sink: StreamingMetrics,
-    profile_cache: Vec<CachedProfile>,
-}
+pub struct EngineBuffers(RunState);
 
 impl EngineBuffers {
     /// Fresh, empty buffers (what [`Engine::new`] starts from).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Clears all content in place, retaining every allocation.
-    fn clear(&mut self) {
-        self.jobs.clear();
-        self.ids.reset();
-        self.alive.clear();
-        self.shares.clear();
-        self.rates.clear();
-        self.views.clear();
-        self.srpt.reset();
-        self.levels.reset();
-        self.level_curves.clear();
-        self.level_shares.clear();
-        self.suffix.reset();
-        self.scratch_moves.clear();
-        self.scratch_batch.clear();
-        self.completed.clear();
-        self.free.clear();
-        self.sink.reset();
-        self.profile_cache.clear();
     }
 }
 
@@ -723,7 +772,7 @@ impl ParkedEngine {
             return mismatch("the policy differs in its SRPT-ordering claim");
         }
 
-        if exec_mode(&state.cfg, policy, observer) != state.mode {
+        if engine_path(&state.cfg, policy, observer) != state.path {
             return mismatch("the policy or observer selects the other execution path");
         }
         if source.next_time().map(f64::to_bits) != state.next_arrival.map(f64::to_bits) {
@@ -745,15 +794,15 @@ impl ParkedEngine {
 /// for one declaring [`AllocationStability::LeastElapsed`], and the
 /// arrival-suffix path for one declaring
 /// [`AllocationStability::LatestArrivals`]; the exhaustive path otherwise.
-fn exec_mode(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -> ExecMode {
+fn engine_path(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -> EnginePath {
     if cfg.full_reassign || observer.needs_allocation_stream() {
-        return ExecMode::Exhaustive;
+        return EnginePath::Exhaustive;
     }
     match policy.stability() {
-        AllocationStability::General => ExecMode::Exhaustive,
-        AllocationStability::SrptPrefix => ExecMode::Incremental,
-        AllocationStability::LeastElapsed => ExecMode::Levels,
-        AllocationStability::LatestArrivals => ExecMode::Suffix,
+        AllocationStability::General => EnginePath::Exhaustive,
+        AllocationStability::SrptPrefix => EnginePath::Incremental,
+        AllocationStability::LeastElapsed => EnginePath::Levels,
+        AllocationStability::LatestArrivals => EnginePath::ArrivalSuffix,
     }
 }
 
@@ -790,96 +839,84 @@ fn check_spec(spec: &JobSpec) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Checks a snapshot's run-state scalars against the domains
-/// [`Engine::snapshot`] emits them in: the clock and the SRPT drain offset
-/// finite and non-negative, every other scalar the event loop computes
-/// with finite (the sketch's bounds are exempt: `±∞` is its empty state).
-/// A NaN, ∞, or negative clock decodes fine but sends the resumed run to
-/// a wrong total flow or around its event budget.
-fn check_run_scalars(snap: &Snapshot) -> Result<(), SimError> {
-    let bad = |name: &str, v: f64| {
-        Err(SimError::BadInstance {
-            what: format!("snapshot {name} = {v} is out of range"),
-        })
-    };
-    // Every drained group with the names of its drain, sums and keys.
-    let groups = || {
-        let levels = snap.levels.iter().flat_map(|l| &l.levels).map(|l| {
-            let names = ["levels.drain", "levels.s1", "levels.sk", "levels.key"];
-            (names, &l.members)
-        });
-        let suffix = snap.suffix.iter().flat_map(|s| &s.groups).map(|g| {
-            let names = ["suffix.drain", "suffix.s1", "suffix.sk", "suffix.key"];
-            (names, &g.members)
-        });
-        levels.chain(suffix)
-    };
-    let waiting_work = snap
-        .suffix
-        .iter()
-        .flat_map(|s| &s.waiting)
-        .map(|e| ("suffix.waiting", e.key));
-    for (name, v) in [
-        ("clock.now", snap.now),
-        ("srpt.drain", snap.srpt.prefix.offset),
-    ]
-    .into_iter()
-    .chain(groups().map(|(names, g)| (names[0], g.drain.offset)))
-    .chain(waiting_work)
-    {
-        if !(v.is_finite() && v >= 0.0) {
-            return bad(name, v);
-        }
-    }
+/// Checks the run-state scalars the engine owns against the domains
+/// [`Engine::snapshot`] emits them in: the clock finite and non-negative,
+/// every other scalar the event loop computes with finite (the sketch's
+/// bounds are exempt: `±∞` is its empty state). A NaN, ∞, or negative
+/// clock decodes fine but sends the resumed run to a wrong total flow or
+/// around its event budget. Each alive structure checks its own scalars.
+fn check_run_scalars(snap: &Snapshot) -> Result<(), String> {
+    in_range("clock", "now", snap.now, true)?;
     let rate = match snap.interval {
         SnapInterval::Uniform { rate } => Some(rate),
         SnapInterval::Idle | SnapInterval::Scan => None,
     };
     let sink = &snap.sink;
     let finite = [
-        ("clock.quantum_deadline", snap.quantum_deadline),
-        ("clock.next_completion", snap.next_completion),
-        ("interval.rate", rate),
+        ("clock", "quantum_deadline", snap.quantum_deadline),
+        ("clock", "next_completion", snap.next_completion),
+        ("interval", "rate", rate),
     ]
     .into_iter()
-    .filter_map(|(name, v)| v.map(|v| (name, v)))
+    .filter_map(|(part, name, v)| v.map(|v| (part, name, v)))
     .chain([
-        ("profile.share", snap.profile_share),
-        ("srpt.s1", snap.srpt.prefix.s1),
-        ("srpt.sk", snap.srpt.prefix.sk),
-        ("srpt.q_frac", snap.srpt.q_frac),
-        ("accum.frac_flow", snap.frac_flow.0),
-        ("accum.frac_flow", snap.frac_flow.1),
-        ("accum.alive_integral", snap.alive_integral.0),
-        ("accum.alive_integral", snap.alive_integral.1),
-        ("sink.total_flow", sink.total_flow.0),
-        ("sink.total_flow", sink.total_flow.1),
-        ("sink.max_flow", sink.max_flow),
-        ("sink.total_stretch", sink.total_stretch.0),
-        ("sink.total_stretch", sink.total_stretch.1),
-        ("sink.max_stretch", sink.max_stretch),
-        ("sink.total_weighted_flow", sink.total_weighted_flow.0),
-        ("sink.total_weighted_flow", sink.total_weighted_flow.1),
-        ("sink.makespan", sink.makespan),
+        ("profile", "share", snap.profile_share),
+        ("accum", "frac_flow", snap.frac_flow.0),
+        ("accum", "frac_flow", snap.frac_flow.1),
+        ("accum", "alive_integral", snap.alive_integral.0),
+        ("accum", "alive_integral", snap.alive_integral.1),
+        ("sink", "total_flow", sink.total_flow.0),
+        ("sink", "total_flow", sink.total_flow.1),
+        ("sink", "max_flow", sink.max_flow),
+        ("sink", "total_stretch", sink.total_stretch.0),
+        ("sink", "total_stretch", sink.total_stretch.1),
+        ("sink", "max_stretch", sink.max_stretch),
+        ("sink", "total_weighted_flow", sink.total_weighted_flow.0),
+        ("sink", "total_weighted_flow", sink.total_weighted_flow.1),
+        ("sink", "makespan", sink.makespan),
     ])
-    .chain(snap.shares.iter().map(|&v| ("exhaustive.shares", v)))
-    .chain(snap.rates.iter().map(|&v| ("exhaustive.rates", v)))
-    .chain(snap.levels.iter().map(|l| ("levels.frozen", l.frozen)))
-    .chain(snap.suffix.iter().flat_map(|s| {
-        std::iter::once(("suffix.waiting_frac", s.waiting_frac))
-            .chain(s.groups.iter().map(|g| ("suffix.rate", g.rate)))
-    }))
-    .chain(groups().flat_map(|(names, g)| {
-        [(names[1], g.drain.s1), (names[2], g.drain.sk)]
-            .into_iter()
-            .chain(g.entries.iter().map(move |e| (names[3], e.key)))
-    }));
-    for (name, v) in finite {
-        if !v.is_finite() {
-            return bad(name, v);
-        }
+    .chain(snap.shares.iter().map(|&v| ("exhaustive", "shares", v)))
+    .chain(snap.rates.iter().map(|&v| ("exhaustive", "rates", v)));
+    for (part, name, v) in finite {
+        in_range(part, name, v, false)?;
     }
     Ok(())
+}
+
+/// Checks the alive set a snapshot captures: the exhaustive path's
+/// `alive` list, then each alive structure's own part (the SRPT set's on
+/// every path, empty off the incremental one). Every slot may be held at
+/// most once and never after its job completed, and on `path` every
+/// alive slot must be held: a slot left out would never complete, and
+/// one held twice would complete again. The free list hands its slots to
+/// the next arrivals, so it may list only retired slots, each once: a
+/// streaming run's completed ones.
+fn check_alive_set(snap: &Snapshot, path: EnginePath) -> Result<(), String> {
+    let mut free = vec![false; snap.jobs.len()];
+    for &idx in &snap.free {
+        let retired = snap.cfg.streaming && snap.jobs.get(idx).is_some_and(|j| j.done);
+        if !retired || std::mem::replace(&mut free[idx], true) {
+            return Err(format!(
+                "arena.free lists slot {idx}, which is not a retired slot listed once"
+            ));
+        }
+    }
+    let mut slots = SlotCheck::new(&snap.jobs);
+    for &idx in &snap.alive {
+        slots.hold("exhaustive.alive", idx)?;
+    }
+    snap.srpt
+        .check(path == EnginePath::Incremental, &mut slots)?;
+    if let Some(levels) = &snap.levels {
+        levels.check(&mut slots)?;
+    }
+    if let Some(suffix) = &snap.suffix {
+        suffix.check(&mut slots)?;
+    }
+    match slots.first_unheld() {
+        Some(idx) => Err(format!("{path} state misses alive arena slot {idx}")),
+        None => Ok(()),
+    }
 }
 
 /// Hands a borrowed-view buffer's capacity back to its `'static` slot in
@@ -902,7 +939,7 @@ fn recycle_views<T, U>(mut views: Vec<T>) -> Vec<U> {
 /// the audit frames and [`Engine::alive_snapshot`] all list the alive set
 /// through here.
 fn for_each_alive(
-    mode: ExecMode,
+    path: EnginePath,
     alive: &[usize],
     jobs: &JobArena,
     srpt: &mut SrptSet,
@@ -910,19 +947,48 @@ fn for_each_alive(
     suffix: &ArrivalSuffix,
     mut f: impl FnMut(usize, Work, bool),
 ) {
-    match mode {
-        ExecMode::Exhaustive => {
+    match path {
+        EnginePath::Exhaustive | EnginePath::Replay => {
             for &idx in alive {
                 f(idx, jobs.remaining[idx], true);
             }
         }
-        ExecMode::Incremental => {
+        EnginePath::Incremental => {
             srpt.for_each_running_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem, true));
             srpt.for_each_queued_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem, false));
         }
-        ExecMode::Levels => levels.for_each(f),
-        ExecMode::Suffix => suffix.for_each(f),
+        EnginePath::Levels => levels.for_each(f),
+        EnginePath::ArrivalSuffix => suffix.for_each(f),
     }
+}
+
+/// The check every path applies to a policy's allocation, with one error
+/// taxonomy: the first invalid share found (`invalid`), else a `total`
+/// over the `m` processors beyond rounding slack.
+#[inline]
+fn check_allocation(
+    at: Time,
+    invalid: Option<f64>,
+    total: f64,
+    m: f64,
+    policy: &dyn Policy,
+) -> Result<(), SimError> {
+    if let Some(share) = invalid {
+        return Err(SimError::InvalidShare {
+            at,
+            share,
+            policy: policy.name(),
+        });
+    }
+    if total > m * (1.0 + 1e-9) + EPS {
+        return Err(SimError::InfeasibleAllocation {
+            at,
+            requested: total,
+            available: m,
+            policy: policy.name(),
+        });
+    }
+    Ok(())
 }
 
 /// Folds `t` into the running minimum `next`, keeping the first of equals
@@ -990,134 +1056,30 @@ impl<'a> Engine<'a> {
         policy: &'a mut dyn Policy,
         source: &'a mut dyn ArrivalSource,
         observer: &'a mut dyn Observer,
-        mut bufs: EngineBuffers,
+        bufs: EngineBuffers,
     ) -> Self {
-        bufs.clear();
+        let mut state = bufs.0;
+        state.clear();
         policy.reset();
-        let mode = exec_mode(&cfg, policy, observer);
-        let auditor = (!cfg.audit.is_off()).then(|| Auditor::new(cfg.audit));
-        let policy_name = policy.name();
-        let policy_srpt_ordered = policy.srpt_ordered();
-        let next_arrival = source.next_time();
+        state.path = engine_path(&cfg, policy, observer);
+        state.auditor = (!cfg.audit.is_off()).then(|| Auditor::new(cfg.audit));
+        state.policy_name = policy.name();
+        state.policy_srpt_ordered = policy.srpt_ordered();
+        state.next_arrival = source.next_time();
+        state.cfg = cfg;
         Self {
             policy,
             source,
             observer,
-            state: RunState {
-                cfg,
-                jobs: bufs.jobs,
-                ids: bufs.ids,
-                mode,
-                alive: bufs.alive,
-                shares: bufs.shares,
-                rates: bufs.rates,
-                views: bufs.views,
-                completion_candidate: None,
-                srpt: bufs.srpt,
-                levels: bufs.levels,
-                level_curves: bufs.level_curves,
-                level_shares: bufs.level_shares,
-                suffix: bufs.suffix,
-                profile: PrefixAllocation {
-                    count: 0,
-                    share: 0.0,
-                },
-                interval: IntervalKind::Idle,
-                profile_cache: bufs.profile_cache,
-                next_completion: None,
-                next_arrival,
-                coalesced: 0,
-                scratch_moves: bufs.scratch_moves,
-                scratch_batch: bufs.scratch_batch,
-                now: 0.0,
-                alloc_fresh: false,
-                quantum_deadline: None,
-                events: 0,
-                finished: false,
-                auditor,
-                policy_name,
-                policy_srpt_ordered,
-                frac_flow: NeumaierSum::new(),
-                alive_integral: NeumaierSum::new(),
-                sink: bufs.sink,
-                completed: bufs.completed,
-                free: bufs.free,
-                admitted: 0,
-                peak_alive: 0,
-                #[cfg(feature = "hotpath")]
-                hotpath: crate::hotpath::PhaseTotals::ZERO,
-            },
-        }
-    }
-
-    /// Clears all per-run state, retaining buffer capacity.
-    fn clear_run_state(&mut self) {
-        self.state.jobs.clear();
-        self.state.ids.reset();
-        self.state.alive.clear();
-        self.state.shares.clear();
-        self.state.rates.clear();
-        self.state.views.clear();
-        self.state.completion_candidate = None;
-        self.state.srpt.reset();
-        self.state.levels.reset();
-        self.state.level_curves.clear();
-        self.state.level_shares.clear();
-        self.state.suffix.reset();
-        self.state.profile = PrefixAllocation {
-            count: 0,
-            share: 0.0,
-        };
-        self.state.interval = IntervalKind::Idle;
-        self.state.profile_cache.clear();
-        self.state.next_completion = None;
-        self.state.coalesced = 0;
-        self.state.next_arrival = self.source.next_time();
-        self.state.scratch_moves.clear();
-        self.state.scratch_batch.clear();
-        self.state.now = 0.0;
-        self.state.alloc_fresh = false;
-        self.state.quantum_deadline = None;
-        self.state.events = 0;
-        self.state.finished = false;
-        self.state.auditor =
-            (!self.state.cfg.audit.is_off()).then(|| Auditor::new(self.state.cfg.audit));
-        self.state.frac_flow = NeumaierSum::new();
-        self.state.alive_integral = NeumaierSum::new();
-        self.state.sink.reset();
-        self.state.completed.clear();
-        self.state.free.clear();
-        self.state.admitted = 0;
-        self.state.peak_alive = 0;
-        #[cfg(feature = "hotpath")]
-        {
-            self.state.hotpath = crate::hotpath::PhaseTotals::ZERO;
+            state,
         }
     }
 
     /// Tears the engine down to its reusable buffers (cleared, capacity
     /// retained), releasing the policy/source/observer borrows.
     pub fn into_buffers(mut self) -> EngineBuffers {
-        self.clear_run_state();
-        EngineBuffers {
-            jobs: std::mem::take(&mut self.state.jobs),
-            ids: std::mem::take(&mut self.state.ids),
-            alive: std::mem::take(&mut self.state.alive),
-            shares: std::mem::take(&mut self.state.shares),
-            rates: std::mem::take(&mut self.state.rates),
-            views: std::mem::take(&mut self.state.views),
-            srpt: std::mem::take(&mut self.state.srpt),
-            levels: std::mem::take(&mut self.state.levels),
-            level_curves: std::mem::take(&mut self.state.level_curves),
-            level_shares: std::mem::take(&mut self.state.level_shares),
-            suffix: std::mem::take(&mut self.state.suffix),
-            scratch_moves: std::mem::take(&mut self.state.scratch_moves),
-            scratch_batch: std::mem::take(&mut self.state.scratch_batch),
-            completed: std::mem::take(&mut self.state.completed),
-            free: std::mem::take(&mut self.state.free),
-            sink: std::mem::take(&mut self.state.sink),
-            profile_cache: std::mem::take(&mut self.state.profile_cache),
-        }
+        self.state.clear();
+        EngineBuffers(self.state)
     }
 
     /// Detaches the engine from its policy, source, and observer, keeping
@@ -1133,21 +1095,16 @@ impl<'a> Engine<'a> {
 
     /// Which execution path this run takes (fixed at construction).
     pub fn path(&self) -> EnginePath {
-        match self.state.mode {
-            ExecMode::Exhaustive => EnginePath::Exhaustive,
-            ExecMode::Incremental => EnginePath::Incremental,
-            ExecMode::Levels => EnginePath::Levels,
-            ExecMode::Suffix => EnginePath::ArrivalSuffix,
-        }
+        self.state.path
     }
 
     /// Number of unfinished released jobs `|A(t)|`.
     pub fn num_alive(&self) -> usize {
-        match self.state.mode {
-            ExecMode::Exhaustive => self.state.alive.len(),
-            ExecMode::Incremental => self.state.srpt.len(),
-            ExecMode::Levels => self.state.levels.len(),
-            ExecMode::Suffix => self.state.suffix.len(),
+        match self.state.path {
+            EnginePath::Exhaustive | EnginePath::Replay => self.state.alive.len(),
+            EnginePath::Incremental => self.state.srpt.len(),
+            EnginePath::Levels => self.state.levels.len(),
+            EnginePath::ArrivalSuffix => self.state.suffix.len(),
         }
     }
 
@@ -1167,9 +1124,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The hot-path profiler's accumulated per-phase totals (only under
-    /// the `hotpath` feature; all-zero unless
-    /// [`EngineConfig::hotpath_profile`] was armed). Read before
-    /// finalizing — the finalizers consume the engine.
+    /// the `hotpath` feature). Read before finalizing — the finalizers
+    /// consume the engine.
     #[cfg(feature = "hotpath")]
     pub fn hotpath_totals(&self) -> crate::hotpath::PhaseTotals {
         self.state.hotpath
@@ -1183,9 +1139,9 @@ impl<'a> Engine<'a> {
         self.state.ids.get(id).map(|i| {
             if self.state.jobs.done[i] {
                 0.0
-            } else if self.state.mode == ExecMode::Levels {
+            } else if self.state.path == EnginePath::Levels {
                 self.state.levels.remaining_of(i).unwrap_or(0.0)
-            } else if self.state.mode == ExecMode::Suffix {
+            } else if self.state.path == EnginePath::ArrivalSuffix {
                 self.state.suffix.remaining_of(i).unwrap_or(0.0)
             } else if self.state.jobs.in_running[i] {
                 self.state
@@ -1205,7 +1161,7 @@ impl<'a> Engine<'a> {
         let s = &mut self.state;
         let specs = &s.jobs.specs;
         for_each_alive(
-            s.mode,
+            s.path,
             &s.alive,
             &s.jobs,
             &mut s.srpt,
@@ -1253,7 +1209,7 @@ impl<'a> Engine<'a> {
             cfg: self.snap_cfg(),
             policy_name: self.state.policy_name.clone(),
             policy_state: self.policy.snapshot_state(),
-            incremental: self.state.mode == ExecMode::Incremental,
+            incremental: self.state.path == EnginePath::Incremental,
             now: self.state.now,
             events: self.state.events,
             coalesced: self.state.coalesced,
@@ -1287,9 +1243,9 @@ impl<'a> Engine<'a> {
             shares: self.state.shares.clone(),
             rates: self.state.rates.clone(),
             srpt: self.state.srpt.snapshot_state(&self.state.jobs.specs),
-            levels: (self.state.mode == ExecMode::Levels)
+            levels: (self.state.path == EnginePath::Levels)
                 .then(|| self.state.levels.snapshot_state(&self.state.jobs.specs)),
-            suffix: (self.state.mode == ExecMode::Suffix)
+            suffix: (self.state.path == EnginePath::ArrivalSuffix)
                 .then(|| self.state.suffix.snapshot_state(&self.state.jobs.specs)),
             completed: self.state.completed.clone(),
         })
@@ -1315,6 +1271,12 @@ impl<'a> Engine<'a> {
     /// the snapshot's admission count and then agrees on the next arrival
     /// time — anything else is a different trajectory, not a resume, and
     /// is refused.
+    ///
+    /// The whole document is checked before any run state changes, so a
+    /// refused restore leaves the engine's run state as it was. Its source
+    /// and policy may have been moved and reset by then: continue a
+    /// refused engine only with collaborators known to be where it left
+    /// them.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SimError> {
         let bad = |what: String| SimError::BadInstance { what };
         if self.state.auditor.is_some() {
@@ -1333,25 +1295,25 @@ impl<'a> Engine<'a> {
                 snap.cfg
             )));
         }
-        let snap_mode = if snap.levels.is_some() {
-            ExecMode::Levels
+        let snap_path = if snap.levels.is_some() {
+            EnginePath::Levels
         } else if snap.suffix.is_some() {
-            ExecMode::Suffix
+            EnginePath::ArrivalSuffix
         } else if snap.incremental {
-            ExecMode::Incremental
+            EnginePath::Incremental
         } else {
-            ExecMode::Exhaustive
+            EnginePath::Exhaustive
         };
         let paths = [
             snap.levels.is_some(),
             snap.suffix.is_some(),
             snap.incremental,
         ];
-        if self.state.mode != snap_mode || paths.into_iter().filter(|&p| p).count() > 1 {
+        if self.state.path != snap_path || paths.into_iter().filter(|&p| p).count() > 1 {
             return Err(bad(format!(
-                "restore path mismatch: engine is {:?} but the snapshot was taken on the \
-                 {snap_mode:?} path (policy stability and observer must match the original run)",
-                self.state.mode,
+                "restore path mismatch: engine is on the {} path but the snapshot was taken on \
+                 the {snap_path} path (policy stability and observer must match the original run)",
+                self.state.path,
             )));
         }
         if self.state.policy_name != snap.policy_name {
@@ -1362,7 +1324,6 @@ impl<'a> Engine<'a> {
         }
         // Structural validation up front, so a corrupt document errors
         // instead of corrupting lanes mid-rebuild.
-        let n = snap.jobs.len();
         let valid_class = |c: u32| {
             c == CLASS_CURVE || c == CLASS_UNGROUPED || (c as usize) < snap.class_alpha_bits.len()
         };
@@ -1385,7 +1346,6 @@ impl<'a> Engine<'a> {
                 )));
             }
         }
-        check_run_scalars(snap)?;
         if snap.class_alpha_bits.len() > MAX_CLASSES {
             return Err(bad(format!(
                 "snapshot carries {} kernel classes (registry capacity {MAX_CLASSES})",
@@ -1414,133 +1374,31 @@ impl<'a> Engine<'a> {
                 "fresh-allocation snapshot share lane disagrees with alive set".into(),
             ));
         }
-        if let Some(&idx) = snap
-            .alive
-            .iter()
-            .chain(snap.free.iter())
-            .chain(snap.srpt.running.iter().map(|e| &e.idx))
-            .chain(snap.srpt.queued.iter().map(|e| &e.idx))
-            .chain(snap.suffix.iter().flat_map(|s| s.entries()).map(|e| &e.idx))
-            .find(|&&idx| idx >= n)
-        {
-            return Err(bad(format!(
-                "snapshot references arena slot {idx} (arena holds {n})"
-            )));
-        }
-        if let Some(suffix) = &snap.suffix {
-            suffix.check().map_err(bad)?;
-        }
-        // The SRPT set, the level heaps and the arrival suffix break ties
-        // by reading each entry's arena spec, so an entry must describe
-        // the job its slot holds, bit for bit. Off the exhaustive path the
-        // structure is the alive set, so it must also hold every alive
-        // slot exactly once: a slot left out would never complete, and
-        // one held twice or after its completion would complete again.
-        let mut held: Vec<bool> = snap.jobs.iter().map(|j| j.done).collect();
-        let suffix_entries = snap
-            .suffix
-            .iter()
-            .flat_map(|s| s.entries())
-            .map(|e| ("suffix", e.idx, e.release, e.id, e.size));
-        let level_entries = snap
-            .levels
-            .iter()
-            .flat_map(|l| &l.levels)
-            .flat_map(|l| &l.members.entries)
-            .map(|e| ("levels", e.idx, e.release, e.id, e.size));
-        let set_entries = [
-            ("srpt.running", &snap.srpt.running),
-            ("srpt.queued", &snap.srpt.queued),
-        ]
-        .into_iter()
-        .flat_map(|(part, entries)| {
-            entries
-                .iter()
-                .map(move |e| (part, e.idx, e.release, e.id, e.size))
-        });
-        for (part, idx, release, id, size) in set_entries.chain(level_entries).chain(suffix_entries)
-        {
-            let Some(slot) = snap.jobs.get(idx) else {
-                return Err(bad(format!(
-                    "snapshot references arena slot {idx} (arena holds {n})"
-                )));
-            };
-            if std::mem::replace(&mut held[idx], true) {
-                return Err(bad(format!(
-                    "snapshot {part} holds arena slot {idx} twice or after its job completed"
-                )));
-            }
-            let spec = &slot.spec;
-            let field = if release.to_bits() != spec.release.to_bits() {
-                "release"
-            } else if id != spec.id {
-                "id"
-            } else if size.to_bits() != spec.size.to_bits() {
-                "size"
-            } else {
+        check_run_scalars(snap)
+            .and_then(|()| check_alive_set(snap, snap_path))
+            .map_err(|e| bad(format!("snapshot {e}")))?;
+        // The id map and the sink can refuse the document only while they
+        // are filled, so they are filled here, before the run state is
+        // touched. Id map: every resident slot except (in streaming mode)
+        // retired ones, whose ids were forgotten by the original run too.
+        // Dense vs. sparse placement may differ from the original
+        // insertion history — that is a lookup-performance detail, not
+        // observable state.
+        let mut ids = IdMap::default();
+        for (idx, j) in snap.jobs.iter().enumerate() {
+            if self.state.cfg.streaming && j.done {
                 continue;
-            };
-            return Err(bad(format!(
-                "snapshot {part} entry for arena slot {idx} disagrees with the slot's spec on \
-                 {field}"
-            )));
-        }
-        if snap_mode != ExecMode::Exhaustive {
-            if let Some(idx) = held.iter().position(|&h| !h) {
-                return Err(bad(format!(
-                    "snapshot {snap_mode:?} state misses alive arena slot {idx}"
-                )));
             }
-        }
-        // A level's tally is what the policy equalizes over, so it must
-        // count exactly its members' curves: each member under one row (a
-        // shared row matches its curve's bits, a slot row only the member
-        // in that slot), and each row as many members as it claims.
-        for level in snap.levels.iter().flat_map(|l| &l.levels) {
-            let mut counts = vec![0u32; level.tally.len()];
-            for e in &level.members.entries {
-                let spec = &snap.jobs[e.idx].spec;
-                let mut rows = level
-                    .tally
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| tag_counts(&t.tag, e.idx as u32, &spec.curve))
-                    .map(|(r, _)| r);
-                match (rows.next(), rows.next()) {
-                    (Some(r), None) => counts[r] += 1,
-                    _ => {
-                        return Err(bad(format!(
-                            "snapshot level tally does not count job {} exactly once",
-                            spec.id
-                        )))
-                    }
-                }
+            if ids.get(j.spec.id).is_some() {
+                return Err(bad(format!("snapshot duplicates job id {}", j.spec.id)));
             }
-            if let Some((t, counted)) = level
-                .tally
-                .iter()
-                .zip(counts)
-                .find(|(t, counted)| t.count != *counted)
-            {
-                return Err(bad(format!(
-                    "snapshot level tally row claims {} members, {counted} carry its curve",
-                    t.count
-                )));
-            }
+            ids.insert(j.spec.id, idx);
         }
-        // A suffix group drains its members at one rate, so they must share
-        // one curve.
-        if let Some(group) = snap.suffix.iter().flat_map(|s| &s.groups).find(|g| {
-            let curve = |e: &crate::srpt_set::HeapEntrySnap| &snap.jobs[e.idx].spec.curve;
-            let entries = &g.members.entries;
-            entries
-                .iter()
-                .any(|e| !curve(e).same_bits(curve(&entries[0])))
-        }) {
-            return Err(bad(format!(
-                "snapshot suffix group of job {} mixes speed-up curves",
-                group.members.entries[0].id
-            )));
+        let mut sink = StreamingMetrics::default();
+        if !sink.restore_state(&snap.sink) {
+            return Err(bad(
+                "snapshot sketch bucket array has the wrong length".into()
+            ));
         }
         if !self.source.fast_forward(snap.admitted) {
             return Err(bad(format!(
@@ -1557,21 +1415,22 @@ impl<'a> Engine<'a> {
                 snap.policy_state.len()
             )));
         }
-        self.clear_run_state();
-        // `clear_run_state` refreshed `next_arrival` from the
-        // fast-forwarded source; it must agree with the capture bit-for-bit
-        // or the source replays a different stream than the original run.
-        let arrivals_agree = match (self.state.next_arrival, snap.next_arrival) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.to_bits() == b.to_bits(),
-            _ => false,
-        };
-        if !arrivals_agree {
+        // The fast-forwarded source's next arrival must agree with the
+        // capture bit-for-bit, or the source replays a different stream
+        // than the original run.
+        let next_arrival = self.source.next_time();
+        if next_arrival.map(f64::to_bits) != snap.next_arrival.map(f64::to_bits) {
             return Err(bad(format!(
-                "arrival stream diverged at restore: source offers {:?}, snapshot expects {:?}",
-                self.state.next_arrival, snap.next_arrival
+                "arrival stream diverged at restore: source offers {next_arrival:?}, snapshot \
+                 expects {:?}",
+                snap.next_arrival
             )));
         }
+        // Everything is checked: the rebuild below cannot fail.
+        self.state.clear();
+        self.state.next_arrival = next_arrival;
+        self.state.ids = ids;
+        self.state.sink = sink;
         // Arena lanes. The kernel lane is reconstructed from each curve;
         // this is bit-identical to the admission-time kernels because
         // construction is deterministic in α (see the `JobArena::classes`
@@ -1597,20 +1456,6 @@ impl<'a> Engine<'a> {
                 .classes
                 .push(PowKernel::new(f64::from_bits(bits)));
             self.state.jobs.class_rates.push(0.0);
-        }
-        // Id map: every resident slot except (in streaming mode) retired
-        // ones, whose ids were forgotten by the original run too. Dense
-        // vs. sparse placement may differ from the original insertion
-        // history — that is a lookup-performance detail, not observable
-        // state.
-        for (idx, j) in snap.jobs.iter().enumerate() {
-            if self.state.cfg.streaming && j.done {
-                continue;
-            }
-            if self.state.ids.get(j.spec.id).is_some() {
-                return Err(bad(format!("snapshot duplicates job id {}", j.spec.id)));
-            }
-            self.state.ids.insert(j.spec.id, idx);
         }
         self.state.free.extend_from_slice(&snap.free);
         self.state.alive.extend_from_slice(&snap.alive);
@@ -1648,11 +1493,6 @@ impl<'a> Engine<'a> {
         self.state.frac_flow = NeumaierSum::from_parts(snap.frac_flow.0, snap.frac_flow.1);
         self.state.alive_integral =
             NeumaierSum::from_parts(snap.alive_integral.0, snap.alive_integral.1);
-        if !self.state.sink.restore_state(&snap.sink) {
-            return Err(bad(
-                "snapshot sketch bucket array has the wrong length".into()
-            ));
-        }
         self.state.completed.extend(snap.completed.iter().cloned());
         self.state.admitted = snap.admitted;
         self.state.peak_alive = snap.peak_alive;
@@ -1724,7 +1564,7 @@ impl<'a> Engine<'a> {
                 let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
                 let specs = &state.jobs.specs;
                 for_each_alive(
-                    state.mode,
+                    state.path,
                     &state.alive,
                     &state.jobs,
                     &mut state.srpt,
@@ -1836,13 +1676,13 @@ impl<'a> Engine<'a> {
                 }
                 // The specialized loop (`NOTIFY` off) only ever runs the
                 // incremental path, so it skips the mode dispatch.
-                if !NOTIFY || self.state.mode == ExecMode::Incremental {
+                if !NOTIFY || self.state.path == EnginePath::Incremental {
                     let (specs, mut lanes) = jobs.split_placement();
                     let placement = self.state.srpt.insert(idx, remaining, specs);
                     lanes.apply(idx, placement);
-                } else if self.state.mode == ExecMode::Levels {
+                } else if self.state.path == EnginePath::Levels {
                     self.state.levels.admit(idx, remaining, &jobs.specs);
-                } else if self.state.mode == ExecMode::Suffix {
+                } else if self.state.path == EnginePath::ArrivalSuffix {
                     self.state.suffix.insert(idx, remaining, &jobs.specs);
                 } else {
                     self.state.alive.push(idx);
@@ -1867,11 +1707,11 @@ impl<'a> Engine<'a> {
     /// ever runs the incremental path, so it skips the mode dispatch.
     #[inline]
     fn refresh<const GENERIC: bool>(&mut self) -> Result<(), SimError> {
-        if GENERIC && self.state.mode == ExecMode::Exhaustive {
+        if GENERIC && self.state.path == EnginePath::Exhaustive {
             self.refresh_allocation()
-        } else if GENERIC && self.state.mode == ExecMode::Levels {
+        } else if GENERIC && self.state.path == EnginePath::Levels {
             self.refresh_levels()
-        } else if GENERIC && self.state.mode == ExecMode::Suffix {
+        } else if GENERIC && self.state.path == EnginePath::ArrivalSuffix {
             self.refresh_suffix()
         } else {
             self.refresh_profile()
@@ -1902,18 +1742,9 @@ impl<'a> Engine<'a> {
         let (now, speed) = (state.now, state.cfg.speed);
         let jobs = &state.jobs;
         let memo = &mut state.profile_cache[n];
-        state.next_completion = state.suffix.schedule(now, &jobs.specs, |idx| {
-            let class = jobs.class[idx];
-            if class < CLASS_UNGROUPED && memo.rate_class == class {
-                return memo.rate;
-            }
-            let rate = speed * jobs.gamma(idx, share);
-            if class < CLASS_UNGROUPED {
-                memo.rate_class = class;
-                memo.rate = rate;
-            }
-            rate
-        });
+        state.next_completion = state
+            .suffix
+            .schedule(now, &jobs.specs, |idx| memo.uniform_rate(jobs, idx, speed));
         state.alloc_fresh = true;
         Ok(())
     }
@@ -1971,23 +1802,7 @@ impl<'a> Engine<'a> {
         } else {
             invalid
         };
-        let checked = if let Some(share) = invalid {
-            Err(SimError::InvalidShare {
-                at: state.now,
-                share,
-                policy: self.policy.name(),
-            })
-        } else if total > m * (1.0 + 1e-9) + EPS {
-            Err(SimError::InfeasibleAllocation {
-                at: state.now,
-                requested: total,
-                available: m,
-                policy: self.policy.name(),
-            })
-        } else {
-            Ok(())
-        };
-        checked?;
+        check_allocation(state.now, invalid, total, m, &*self.policy)?;
         if rate > 0.0 {
             if let Some((_, rem)) = state.levels.front() {
                 state.next_completion = Some(state.now + rem / rate);
@@ -2050,26 +1865,16 @@ impl<'a> Engine<'a> {
                     // Γ(1) = 1 across the prefix ⇒ rate is the bare speed;
                     // skip the curve evaluation in the overload steady
                     // state.
+                    let state = &mut self.state;
                     let rate = if unit_rate {
-                        self.state.cfg.speed
+                        state.cfg.speed
                     } else {
-                        let class = self.state.jobs.class[slot.idx];
-                        let memo = self.state.profile_cache[n];
-                        if class < CLASS_UNGROUPED && memo.rate_class == class {
-                            memo.rate
-                        } else {
-                            let r = self.state.cfg.speed * self.state.jobs.gamma(slot.idx, share);
-                            if class < CLASS_UNGROUPED {
-                                self.state.profile_cache[n].rate_class = class;
-                                self.state.profile_cache[n].rate = r;
-                            }
-                            r
-                        }
+                        state.profile_cache[n].uniform_rate(&state.jobs, slot.idx, state.cfg.speed)
                     };
                     if rate > 0.0 {
                         // Invariant under uniform drain, so it doubles as
                         // the completion candidate for this interval.
-                        self.state.next_completion = Some(self.state.now + rem / rate);
+                        state.next_completion = Some(state.now + rem / rate);
                     }
                     rate
                 }
@@ -2138,26 +1943,17 @@ impl<'a> Engine<'a> {
                 ),
             });
         };
-        // Mirror the exhaustive path's feasibility checks (same error
-        // taxonomy, O(1) instead of O(n)).
-        if !profile.share.is_finite() || profile.share < -EPS {
-            return Err(SimError::InvalidShare {
-                at: self.state.now,
-                share: profile.share,
-                policy: self.policy.name(),
-            });
-        }
+        let invalid = (!profile.share.is_finite() || profile.share < -EPS).then_some(profile.share);
         let count = profile.count.clamp(1, n);
         let share = profile.share.max(0.0);
         let total = count as f64 * share;
-        if total > self.state.cfg.m * (1.0 + 1e-9) + EPS {
-            return Err(SimError::InfeasibleAllocation {
-                at: self.state.now,
-                requested: total,
-                available: self.state.cfg.m,
-                policy: self.policy.name(),
-            });
-        }
+        check_allocation(
+            self.state.now,
+            invalid,
+            total,
+            self.state.cfg.m,
+            &*self.policy,
+        )?;
         // lint:allow(L005, L007) count ≤ n ≤ the u32 arena-slot envelope the IdMap already enforces
         let count_u32 = u32::try_from(count).expect("alive count exceeds u32");
         self.state.profile_cache[n] = CachedProfile {
@@ -2224,23 +2020,10 @@ impl<'a> Engine<'a> {
                 fold_earliest(&mut next, now + state.jobs.remaining[idx] / rate);
             }
         }
-        let checked = if let Some(share) = invalid {
-            Err(SimError::InvalidShare {
-                at: now,
-                share,
-                policy: self.policy.name(),
-            })
-        } else if total > state.cfg.m * (1.0 + 1e-9) + EPS {
-            Err(SimError::InfeasibleAllocation {
-                at: now,
-                requested: total,
-                available: state.cfg.m,
-                policy: self.policy.name(),
-            })
-        } else {
+        let checked = check_allocation(now, invalid, total, state.cfg.m, &*self.policy);
+        if checked.is_ok() {
             self.observer.on_allocation(now, &views, &state.shares);
-            Ok(())
-        };
+        }
         state.views = recycle_views(views);
         checked?;
         if let Some(q) = quantum {
@@ -2317,7 +2100,7 @@ impl<'a> Engine<'a> {
         }
         let next = hp_phase!(self, queue_ns, {
             let now = self.state.now;
-            let mut next = if GENERIC && self.state.mode == ExecMode::Exhaustive {
+            let mut next = if GENERIC && self.state.path == EnginePath::Exhaustive {
                 self.exhaustive_candidate()
             } else {
                 self.state.next_completion.map(|t| t.max(now))
@@ -2354,7 +2137,7 @@ impl<'a> Engine<'a> {
             });
         }
         #[cfg(feature = "hotpath")]
-        if self.state.cfg.hotpath_profile {
+        {
             self.state.hotpath.events += 1;
         }
         Ok(())
@@ -2372,9 +2155,9 @@ impl<'a> Engine<'a> {
             t >= self.state.now - EPS * self.state.now.max(1.0),
             "time went backwards"
         );
-        let exhaustive = GENERIC && self.state.mode == ExecMode::Exhaustive;
-        let levels = GENERIC && self.state.mode == ExecMode::Levels;
-        let suffix = GENERIC && self.state.mode == ExecMode::Suffix;
+        let exhaustive = GENERIC && self.state.path == EnginePath::Exhaustive;
+        let levels = GENERIC && self.state.path == EnginePath::Levels;
+        let suffix = GENERIC && self.state.path == EnginePath::ArrivalSuffix;
         if exhaustive {
             self.state.completion_candidate = None;
         }
@@ -2709,7 +2492,7 @@ impl<'a> Engine<'a> {
     fn build_audit_frame(&mut self, (mut policy, mut jobs): (String, Vec<FrameJob>)) -> AuditFrame {
         policy.push_str(&self.state.policy_name);
         let state = &mut self.state;
-        let mode = state.mode;
+        let path = state.path;
         let (share, speed) = (state.profile.share, state.cfg.speed);
         let level_rate = match state.interval {
             IntervalKind::Uniform { rate } => rate,
@@ -2719,7 +2502,7 @@ impl<'a> Engine<'a> {
         let (shares, rates, level_shares) = (&state.shares, &state.rates, &state.level_shares);
         let mut i = 0;
         for_each_alive(
-            mode,
+            path,
             &state.alive,
             arena,
             &mut state.srpt,
@@ -2727,11 +2510,11 @@ impl<'a> Engine<'a> {
             suffix,
             |idx, remaining, running| {
                 let spec = &arena.specs[idx];
-                let (share, rate) = match mode {
-                    ExecMode::Exhaustive => (shares[i], rates[i]),
+                let (share, rate) = match path {
+                    EnginePath::Exhaustive | EnginePath::Replay => (shares[i], rates[i]),
                     _ if !running => (0.0, 0.0),
-                    ExecMode::Incremental => (share, speed * arena.gamma(idx, share)),
-                    ExecMode::Levels => {
+                    EnginePath::Incremental => (share, speed * arena.gamma(idx, share)),
+                    EnginePath::Levels => {
                         let share = levels
                             .top_curve_of(idx, &spec.curve)
                             .and_then(|c| level_shares.get(c))
@@ -2739,7 +2522,7 @@ impl<'a> Engine<'a> {
                             .unwrap_or(0.0);
                         (share, level_rate)
                     }
-                    ExecMode::Suffix => (share, suffix.rate_of(idx)),
+                    EnginePath::ArrivalSuffix => (share, suffix.rate_of(idx)),
                 };
                 i += 1;
                 jobs.push(FrameJob {
@@ -2763,7 +2546,7 @@ impl<'a> Engine<'a> {
             // The incremental path iterates its maintained SRPT order
             // (running prefix, then queue); the exhaustive alive vector is
             // reordered by swap_remove and promises nothing.
-            srpt_ordered_iteration: self.state.mode == ExecMode::Incremental,
+            srpt_ordered_iteration: self.state.path == EnginePath::Incremental,
             srpt_ordered_policy: self.state.policy_srpt_ordered,
             latest_arrivals_policy: self.policy.stability() == AllocationStability::LatestArrivals,
         }
@@ -2795,7 +2578,7 @@ impl<'a> Engine<'a> {
     /// bit-identical either way, which
     /// `tests/engine_fastpath_differential.rs` pins policy by policy.
     pub fn run_loop(&mut self) -> Result<(), SimError> {
-        let specialized = self.state.mode == ExecMode::Incremental
+        let specialized = self.state.path == EnginePath::Incremental
             && self.state.auditor.is_none()
             && self.observer.is_noop();
         if !specialized {
@@ -3991,5 +3774,23 @@ mod tests {
             out.metrics.total_flow,
             out.metrics.alive_integral
         );
+    }
+
+    /// Under the `hotpath` feature the profiler runs on every run: it
+    /// charges each event the loop processes to its totals.
+    #[cfg(feature = "hotpath")]
+    #[test]
+    fn hotpath_profiler_counts_every_event() {
+        let jobs: Vec<(f64, f64)> = (0..50).map(|i| (f64::from(i) * 0.3, 1.0)).collect();
+        let instance = inst(&jobs, Curve::power(0.5));
+        let mut p = EquiSplit;
+        let mut source = StaticSource::new(&instance);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(EngineConfig::new(2.0), &mut p, &mut source, &mut obs);
+        engine.run_loop().expect("run");
+        let totals = engine.hotpath_totals();
+        let metrics = engine.into_outcome().expect("outcome").metrics;
+        assert!(metrics.events > 0);
+        assert_eq!(totals.events, metrics.events);
     }
 }

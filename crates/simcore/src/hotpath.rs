@@ -1,8 +1,8 @@
 //! Per-phase hot-path profiler for the event loops (`hotpath` feature).
 //!
-//! Compiled only under the `hotpath` cargo feature and armed at runtime by
-//! [`crate::EngineConfig::with_hotpath_profile`]; with the flag off the
-//! instrumentation is one predictable branch per phase. The engine buckets
+//! Compiled only under the `hotpath` cargo feature, which alone arms it:
+//! every engine built with the feature times every phase, and a build
+//! without it compiles each phase to its bare body. The engine buckets
 //! every event's wall-clock time into four phases:
 //!
 //! * **queue** — arrival admission and next-event selection,
@@ -15,8 +15,8 @@
 //! The totals are diagnostics, not run state: they never feed back into
 //! the simulation, are not snapshotted, and are only meaningful relative
 //! to each other (the timestamping itself costs tens of ns per event, so
-//! headline throughput is always measured with the flag off and a
-//! profiled pass is a separate run). Wall-clock reads are confined to this module and
+//! headline throughput is always measured without the feature and a
+//! profiled pass is a separate build). Wall-clock reads are confined to this module and
 //! are exempt from the determinism lint because the measured durations
 //! never influence engine arithmetic.
 

@@ -50,6 +50,7 @@ use parsched_speedup::Curve;
 use crate::drained::{DrainedGroup, DrainedSnap};
 use crate::job::{JobSpec, Work};
 use crate::policy::{CurveCount, ELAPSED_TIE_TOL};
+use crate::snapshot::{in_range, SlotCheck};
 use crate::srpt_set::{Entry, Slot};
 
 /// Which curve a [`Tally`] entry counts.
@@ -71,7 +72,7 @@ pub(crate) struct Tally {
 }
 
 /// Whether `tag` counts the job in arena slot `idx` with curve `curve`.
-pub(crate) fn tag_counts(tag: &CurveTag, idx: u32, curve: &Curve) -> bool {
+fn tag_counts(tag: &CurveTag, idx: u32, curve: &Curve) -> bool {
     match tag {
         CurveTag::Shared(c) => c.same_bits(curve),
         CurveTag::Own(slot) => *slot == idx,
@@ -164,6 +165,53 @@ pub(crate) struct LevelSnap {
 pub(crate) struct LevelsSnap {
     pub(crate) levels: Vec<LevelSnap>,
     pub(crate) frozen: f64,
+}
+
+impl LevelsSnap {
+    /// Checks the captured stack before restore rebuilds it: the frozen
+    /// levels' sum finite, and each level's group as
+    /// [`DrainedSnap::check`] checks it. A level's tally is what the
+    /// policy equalizes over, so it must also count exactly its members'
+    /// curves: each member under one row (a shared row matches its curve's
+    /// bits, a slot row only the member in that slot), and each row as
+    /// many members as it claims.
+    pub(crate) fn check(&self, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        in_range("levels", "frozen", self.frozen, false)?;
+        for level in &self.levels {
+            level.members.check("levels", slots)?;
+            let mut counts = vec![0u32; level.tally.len()];
+            for e in &level.members.entries {
+                let spec = slots.spec(e.idx);
+                let mut rows = level
+                    .tally
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| tag_counts(&t.tag, e.idx as u32, &spec.curve))
+                    .map(|(r, _)| r);
+                match (rows.next(), rows.next()) {
+                    (Some(r), None) => counts[r] += 1,
+                    _ => {
+                        return Err(format!(
+                            "level tally does not count job {} exactly once",
+                            spec.id
+                        ))
+                    }
+                }
+            }
+            if let Some((t, counted)) = level
+                .tally
+                .iter()
+                .zip(counts)
+                .find(|(t, counted)| t.count != *counted)
+            {
+                return Err(format!(
+                    "level tally row claims {} members, {counted} carry its curve",
+                    t.count
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The alive set as a stack of equal-elapsed levels; see the module docs.
@@ -452,8 +500,7 @@ impl LevelStack {
     /// Restores the state captured by [`LevelStack::snapshot_state`],
     /// retaining buffer capacity. Each level's group is restored as
     /// [`DrainedGroup::restore`] does; tallies are installed verbatim. The
-    /// caller has checked every entry's `(release, id, size)` and every
-    /// tally against `specs`.
+    /// caller has checked the snapshot ([`LevelsSnap::check`]).
     pub(crate) fn restore_state(&mut self, snap: &LevelsSnap, specs: &[JobSpec]) {
         self.reset();
         self.spare.clear();

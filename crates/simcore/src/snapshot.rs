@@ -55,13 +55,16 @@
 //! sums (running and queued remaining work) that are no longer kept, and
 //! both are refused with [`crate::SimError::BadInstance`].
 //!
-//! Restore checks every arena slot against the invariants admission
-//! enforces (finite release, size, weight, and remaining work) and every
-//! run-state scalar against the domain [`crate::Engine::snapshot`] emits
-//! it in (a finite, non-negative clock and SRPT drain offset; finite
-//! clock times, rates, shares, sums, and accumulators), so a hostile
-//! document is refused with an error rather than decoded into a run that
-//! panics later or silently reports a wrong result.
+//! Restore checks the whole document before it rebuilds anything, so a
+//! hostile one is refused with an error rather than decoded into a run
+//! that panics later or silently reports a wrong result. The engine
+//! checks what it owns: each arena slot against the invariants admission
+//! enforces, its scalars against the domain [`crate::Engine::snapshot`]
+//! emits them in, and its exhaustive lanes. Each alive structure checks
+//! its own member on every path (the `srpt` member, which every document
+//! carries, must be empty off the incremental path), each entry against
+//! its arena slot through one [`SlotCheck`], and every alive slot must
+//! then be held exactly once. The free list may list only retired slots.
 
 use crate::arrival_suffix::{GroupSnap, SuffixSnap};
 use crate::csv::{curve_from_field, curve_to_field};
@@ -109,6 +112,83 @@ pub(crate) struct SnapJob {
     pub(crate) class: u32,
     pub(crate) in_running: bool,
     pub(crate) done: bool,
+}
+
+/// What restore checks each alive structure's captured entries against:
+/// the snapshot's arena, and which of its slots are held so far. It starts
+/// with the completed slots held, so a slot held twice, or after its job
+/// completed, is refused, and once every structure is checked,
+/// [`SlotCheck::first_unheld`] names an alive slot that none holds.
+pub(crate) struct SlotCheck<'a> {
+    jobs: &'a [SnapJob],
+    held: Vec<bool>,
+}
+
+impl<'a> SlotCheck<'a> {
+    pub(crate) fn new(jobs: &'a [SnapJob]) -> Self {
+        Self {
+            jobs,
+            held: jobs.iter().map(|j| j.done).collect(),
+        }
+    }
+
+    /// Marks arena slot `idx` held by `part`; returns the slot's spec.
+    pub(crate) fn hold(&mut self, part: &str, idx: usize) -> Result<&'a JobSpec, String> {
+        let Some(held) = self.held.get_mut(idx) else {
+            return Err(format!(
+                "{part} references arena slot {idx} (arena holds {})",
+                self.jobs.len()
+            ));
+        };
+        if std::mem::replace(held, true) {
+            return Err(format!(
+                "{part} holds arena slot {idx} twice or after its job completed"
+            ));
+        }
+        Ok(&self.jobs[idx].spec)
+    }
+
+    /// Checks one captured entry of `part`: a finite key, and a slot held
+    /// once whose spec it matches bit for bit on `(release, id, size)`,
+    /// since the structures break key ties by reading that spec. Returns
+    /// the slot's spec.
+    pub(crate) fn entry(&mut self, part: &str, e: &HeapEntrySnap) -> Result<&'a JobSpec, String> {
+        in_range(part, "key", e.key, false)?;
+        let spec = self.hold(part, e.idx)?;
+        let field = if e.release.to_bits() != spec.release.to_bits() {
+            "release"
+        } else if e.id != spec.id {
+            "id"
+        } else if e.size.to_bits() != spec.size.to_bits() {
+            "size"
+        } else {
+            return Ok(spec);
+        };
+        Err(format!(
+            "{part} entry for arena slot {} disagrees with the slot's spec on {field}",
+            e.idx
+        ))
+    }
+
+    /// The spec in arena slot `idx`, which an entry check has accepted.
+    pub(crate) fn spec(&self, idx: usize) -> &'a JobSpec {
+        &self.jobs[idx].spec
+    }
+
+    /// The first alive arena slot that nothing holds.
+    pub(crate) fn first_unheld(&self) -> Option<usize> {
+        self.held.iter().position(|&h| !h)
+    }
+}
+
+/// Refuses a captured scalar `part.name = v` outside the domain the run
+/// keeps it in: finite, and also non-negative when `non_negative`.
+pub(crate) fn in_range(part: &str, name: &str, v: f64, non_negative: bool) -> Result<(), String> {
+    if v.is_finite() && (v >= 0.0 || !non_negative) {
+        Ok(())
+    } else {
+        Err(format!("{part}.{name} = {v} is out of range"))
+    }
 }
 
 /// A complete engine state at an event boundary. Produce with
@@ -195,7 +275,7 @@ impl Snapshot {
         } else if let Some(suffix) = &self.suffix {
             suffix.entries().count()
         } else if self.incremental {
-            self.srpt.running.len() + self.srpt.queued.len()
+            self.srpt.len()
         } else {
             self.alive.len()
         }
@@ -343,15 +423,9 @@ impl Snapshot {
             ),
         ]);
         let set_entry = |e: &SetEntrySnap| {
-            Json::Arr(vec![
-                fbits(e.key),
-                fbits(e.release),
-                unum(e.id.0),
-                unum(e.idx as u64),
-                fbits(e.size),
-                Json::Bool(e.hetero),
-                Json::Bool(e.nonunit),
-            ])
+            let mut row = entry_fields(&e.entry);
+            row.extend([Json::Bool(e.hetero), Json::Bool(e.nonunit)]);
+            Json::Arr(row)
         };
         let mut srpt = vec![
             (
@@ -469,39 +543,29 @@ impl Snapshot {
             sketch_max: f_at(sink_v, "sketch_max")?,
         };
         let arena = field(doc, "arena")?;
-        let jobs = arr_at(arena, "jobs")?
-            .iter()
-            .map(|row| {
-                let row = row.as_arr().map_err(|e| bad(format!("arena job: {e}")))?;
-                if row.len() != 10 {
-                    return Err(bad(format!(
-                        "arena job row has {} fields (expected 10)",
-                        row.len()
-                    )));
-                }
-                let class64 = row[7]
-                    .as_u64()
-                    .map_err(|e| bad(format!("arena class: {e}")))?;
-                let class = u32::try_from(class64)
-                    .map_err(|_| bad(format!("arena class {class64} out of u32 range")))?;
-                Ok(SnapJob {
-                    spec: JobSpec {
-                        id: JobId(row[0].as_u64().map_err(|e| bad(format!("job id: {e}")))?),
-                        release: f_item(&row[1], "release")?,
-                        size: f_item(&row[2], "size")?,
-                        weight: f_item(&row[3], "weight")?,
-                        curve: curve_from_field(
-                            row[4].as_str().map_err(|e| bad(format!("curve: {e}")))?,
-                        )?,
-                    },
-                    remaining: f_item(&row[5], "remaining")?,
-                    run_key: f_item(&row[6], "run_key")?,
-                    class,
-                    in_running: bool_item(&row[8], "in_running")?,
-                    done: bool_item(&row[9], "done")?,
-                })
+        let jobs = rows_at(arena, "jobs", "arena job", 10, |row| {
+            let class64 = row[7]
+                .as_u64()
+                .map_err(|e| bad(format!("arena class: {e}")))?;
+            let class = u32::try_from(class64)
+                .map_err(|_| bad(format!("arena class {class64} out of u32 range")))?;
+            Ok(SnapJob {
+                spec: JobSpec {
+                    id: JobId(row[0].as_u64().map_err(|e| bad(format!("job id: {e}")))?),
+                    release: f_item(&row[1], "release")?,
+                    size: f_item(&row[2], "size")?,
+                    weight: f_item(&row[3], "weight")?,
+                    curve: curve_from_field(
+                        row[4].as_str().map_err(|e| bad(format!("curve: {e}")))?,
+                    )?,
+                },
+                remaining: f_item(&row[5], "remaining")?,
+                run_key: f_item(&row[6], "run_key")?,
+                class,
+                in_running: bool_item(&row[8], "in_running")?,
+                done: bool_item(&row[9], "done")?,
             })
-            .collect::<Result<Vec<SnapJob>, SimError>>()?;
+        })?;
         let class_alpha_bits = arr_at(arena, "classes")?
             .iter()
             .map(|v| v.as_u64().map_err(|e| bad(format!("class bits: {e}"))))
@@ -512,32 +576,14 @@ impl Snapshot {
         let shares = f_arr_at(exhaustive, "shares")?;
         let rates = f_arr_at(exhaustive, "rates")?;
         let srpt_v = field(doc, "srpt")?;
-        let set_entries = |key: &str| -> Result<Vec<SetEntrySnap>, SimError> {
-            arr_at(srpt_v, key)?
-                .iter()
-                .map(|row| {
-                    let row = row
-                        .as_arr()
-                        .map_err(|e| bad(format!("srpt {key} entry: {e}")))?;
-                    if row.len() != 7 {
-                        return Err(bad(format!(
-                            "srpt {key} entry has {} fields (expected 7)",
-                            row.len()
-                        )));
-                    }
-                    Ok(SetEntrySnap {
-                        key: f_item(&row[0], "srpt key")?,
-                        release: f_item(&row[1], "srpt release")?,
-                        id: JobId(row[2].as_u64().map_err(|e| bad(format!("srpt id: {e}")))?),
-                        idx: row[3]
-                            .as_usize()
-                            .map_err(|e| bad(format!("srpt idx: {e}")))?,
-                        size: f_item(&row[4], "srpt size")?,
-                        hetero: bool_item(&row[5], "srpt hetero")?,
-                        nonunit: bool_item(&row[6], "srpt nonunit")?,
-                    })
+        let set_entries = |key: &str| {
+            rows_at(srpt_v, key, "srpt", 7, |row| {
+                Ok(SetEntrySnap {
+                    entry: entry_from_row(row, "srpt")?,
+                    hetero: bool_item(&row[5], "srpt hetero")?,
+                    nonunit: bool_item(&row[6], "srpt nonunit")?,
                 })
-                .collect()
+            })
         };
         let srpt = SetSnap {
             running: set_entries("running")?,
@@ -554,29 +600,19 @@ impl Snapshot {
         };
         let levels = doc.get("levels").map(levels_from_value).transpose()?;
         let suffix = doc.get("suffix").map(suffix_from_value).transpose()?;
-        let completed = arr_at(doc, "completed")?
-            .iter()
-            .map(|row| {
-                let row = row.as_arr().map_err(|e| bad(format!("completed: {e}")))?;
-                if row.len() != 5 {
-                    return Err(bad(format!(
-                        "completed row has {} fields (expected 5)",
-                        row.len()
-                    )));
-                }
-                Ok(CompletedJob {
-                    id: JobId(
-                        row[0]
-                            .as_u64()
-                            .map_err(|e| bad(format!("completed id: {e}")))?,
-                    ),
-                    release: f_item(&row[1], "completed release")?,
-                    size: f_item(&row[2], "completed size")?,
-                    completion: f_item(&row[3], "completion")?,
-                    weight: f_item(&row[4], "completed weight")?,
-                })
+        let completed = rows_at(doc, "completed", "completed", 5, |row| {
+            Ok(CompletedJob {
+                id: JobId(
+                    row[0]
+                        .as_u64()
+                        .map_err(|e| bad(format!("completed id: {e}")))?,
+                ),
+                release: f_item(&row[1], "completed release")?,
+                size: f_item(&row[2], "completed size")?,
+                completion: f_item(&row[3], "completion")?,
+                weight: f_item(&row[4], "completed weight")?,
             })
-            .collect::<Result<Vec<CompletedJob>, SimError>>()?;
+        })?;
         Ok(Snapshot {
             cfg,
             policy_name,
@@ -696,27 +732,17 @@ fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
     };
     let level = |l: &Json| -> Result<LevelSnap, SimError> {
         let members = group_at(l, "level")?;
-        let tally = arr_at(l, "tally")?
-            .iter()
-            .map(|row| {
-                let row = row.as_arr().map_err(|e| bad(format!("level tally: {e}")))?;
-                if row.len() != 2 {
-                    return Err(bad(format!(
-                        "level tally entry has {} fields (expected 2)",
-                        row.len()
-                    )));
-                }
-                let tag = match &row[0] {
-                    Json::Str(field) => CurveTag::Shared(curve_from_field(field)?),
-                    other => CurveTag::Own(u32_item(other, "level tally slot")?),
-                };
-                let count = u32_item(&row[1], "level tally count")?;
-                if count == 0 {
-                    return Err(bad("level tally entry counts no member".into()));
-                }
-                Ok(Tally { tag, count })
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
+        let tally = rows_at(l, "tally", "level tally", 2, |row| {
+            let tag = match &row[0] {
+                Json::Str(field) => CurveTag::Shared(curve_from_field(field)?),
+                other => CurveTag::Own(u32_item(other, "level tally slot")?),
+            };
+            let count = u32_item(&row[1], "level tally count")?;
+            if count == 0 {
+                return Err(bad("level tally entry counts no member".into()));
+            }
+            Ok(Tally { tag, count })
+        })?;
         let count = members.entries.len();
         let counted = tally.iter().map(|t| u64::from(t.count)).sum::<u64>();
         if counted != count as u64 {
@@ -738,47 +764,70 @@ fn levels_from_value(v: &Json) -> Result<LevelsSnap, SimError> {
     })
 }
 
-/// Renders one verbatim heap entry as `[key, release, id, idx, size]`.
-fn entry_to_value(e: &HeapEntrySnap) -> Json {
-    Json::Arr(vec![
+/// One captured entry's fields: `[key, release, id, idx, size]`.
+fn entry_fields(e: &HeapEntrySnap) -> Vec<Json> {
+    vec![
         fbits(e.key),
         fbits(e.release),
         unum(e.id.0),
         unum(e.idx as u64),
         fbits(e.size),
-    ])
+    ]
 }
 
-/// Parses the array of [`entry_to_value`] rows at `key`; `what` names the
-/// structure in errors.
-fn entries_at(v: &Json, key: &str, what: &str) -> Result<Vec<HeapEntrySnap>, SimError> {
+/// Renders one verbatim heap entry as its [`entry_fields`].
+fn entry_to_value(e: &HeapEntrySnap) -> Json {
+    Json::Arr(entry_fields(e))
+}
+
+/// Parses an entry from the first five fields of `row`, laid out as
+/// [`entry_fields`] renders them; `what` names the structure in errors.
+fn entry_from_row(row: &[Json], what: &str) -> Result<HeapEntrySnap, SimError> {
+    Ok(HeapEntrySnap {
+        key: f_item(&row[0], &format!("{what} key"))?,
+        release: f_item(&row[1], &format!("{what} release"))?,
+        id: JobId(
+            row[2]
+                .as_u64()
+                .map_err(|e| bad(format!("{what} id: {e}")))?,
+        ),
+        idx: row[3]
+            .as_usize()
+            .map_err(|e| bad(format!("{what} idx: {e}")))?,
+        size: f_item(&row[4], &format!("{what} size"))?,
+    })
+}
+
+/// Parses the array at `key` whose every row is `width` fields long,
+/// each with `parse`; `what` names the rows in errors.
+fn rows_at<T>(
+    v: &Json,
+    key: &str,
+    what: &str,
+    width: usize,
+    parse: impl Fn(&[Json]) -> Result<T, SimError>,
+) -> Result<Vec<T>, SimError> {
     arr_at(v, key)?
         .iter()
         .map(|row| {
             let row = row
                 .as_arr()
                 .map_err(|e| bad(format!("{what} entry: {e}")))?;
-            if row.len() != 5 {
+            if row.len() != width {
                 return Err(bad(format!(
-                    "{what} entry has {} fields (expected 5)",
+                    "{what} entry has {} fields (expected {width})",
                     row.len()
                 )));
             }
-            Ok(HeapEntrySnap {
-                key: f_item(&row[0], &format!("{what} key"))?,
-                release: f_item(&row[1], &format!("{what} release"))?,
-                id: JobId(
-                    row[2]
-                        .as_u64()
-                        .map_err(|e| bad(format!("{what} id: {e}")))?,
-                ),
-                idx: row[3]
-                    .as_usize()
-                    .map_err(|e| bad(format!("{what} idx: {e}")))?,
-                size: f_item(&row[4], &format!("{what} size"))?,
-            })
+            parse(row)
         })
         .collect()
+}
+
+/// Parses the array of [`entry_to_value`] rows at `key`; `what` names the
+/// structure in errors.
+fn entries_at(v: &Json, key: &str, what: &str) -> Result<Vec<HeapEntrySnap>, SimError> {
+    rows_at(v, key, what, 5, |row| entry_from_row(row, what))
 }
 
 /// Renders the arrival suffix: `{"waiting": [entry…], "groups": [group…],

@@ -64,6 +64,7 @@ use parsched_speedup::Curve;
 
 use crate::drained::Drain;
 use crate::job::{JobId, JobSpec, Time, Work};
+use crate::snapshot::{in_range, SlotCheck};
 
 /// Rebase threshold for the drain offset: past this, `ulp(D)` approaches
 /// the engine's `EPS`-scaled completion tolerances, so keys are rebuilt
@@ -534,21 +535,14 @@ pub(crate) enum Placement {
     },
 }
 
-/// One alive-set entry as captured in a `parsched-snap/v3` document:
-/// ordering key (offset space for running, literal remaining for queued)
-/// plus the entry's payload. `release` and `id` are the tie-break, filled
-/// from the arena on capture and checked against it on restore. The
-/// `hetero`/`nonunit` flags are stored verbatim — they were computed
-/// against the reference curve at *insert* time, and recomputing them on
-/// restore could diverge when the reference itself was a later-admitted
-/// job's curve in the original run.
+/// One alive-set entry as captured in a `parsched-snap/v3` document: the
+/// entry (its key in offset space while running, its literal remaining
+/// work while queued) and its uniformity flags. Restore checks the flags
+/// against what [`flags`] gives for the slot's curve and the captured
+/// reference, which is the first admitted job's curve for the whole run.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SetEntrySnap {
-    pub(crate) key: f64,
-    pub(crate) release: Time,
-    pub(crate) id: JobId,
-    pub(crate) idx: usize,
-    pub(crate) size: Work,
+    pub(crate) entry: HeapEntrySnap,
     pub(crate) hetero: bool,
     pub(crate) nonunit: bool,
 }
@@ -580,6 +574,61 @@ pub(crate) struct SetSnap {
     pub(crate) reference: Option<Curve>,
 }
 
+impl SetSnap {
+    /// The captured jobs in both partitions.
+    pub(crate) fn len(&self) -> usize {
+        self.running.len() + self.queued.len()
+    }
+
+    /// Checks the captured set before restore rebuilds it: the prefix's
+    /// drain ([`Drain::check`]) and the queue's sum in range, and each
+    /// entry accepted by [`SlotCheck::entry`] and carrying the flags that
+    /// [`flags`] gives for its slot's curve against the captured
+    /// reference, since the interval classification trusts them. Off the
+    /// incremental path (`incremental` false) nothing fills the set, so
+    /// both partitions must be empty.
+    pub(crate) fn check(&self, incremental: bool, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        self.prefix.check("srpt")?;
+        in_range("srpt", "q_frac", self.q_frac, false)?;
+        if !incremental && self.len() > 0 {
+            return Err("srpt holds jobs off the incremental path".into());
+        }
+        for (part, entries) in [
+            ("srpt.running", &self.running),
+            ("srpt.queued", &self.queued),
+        ] {
+            for e in entries {
+                let spec = slots.entry(part, &e.entry)?;
+                let Some(reference) = &self.reference else {
+                    return Err(format!("{part} holds jobs but srpt.reference is empty"));
+                };
+                let (hetero, nonunit) = flags(reference, &spec.curve);
+                let field = if e.hetero != hetero {
+                    "hetero"
+                } else if e.nonunit != nonunit {
+                    "nonunit"
+                } else {
+                    continue;
+                };
+                return Err(format!(
+                    "{part} entry for arena slot {} disagrees with the slot's curve on {field}",
+                    e.entry.idx
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A job's uniformity flags against the set's reference curve: whether
+/// its curve differs from it (`hetero`) and whether `Γ(1) ≠ 1`
+/// (`nonunit`).
+fn flags(reference: &Curve, curve: &Curve) -> (bool, bool) {
+    let hetero = reference != curve;
+    let nonunit = (curve.rate(1.0) - 1.0).abs() > 1e-12;
+    (hetero, nonunit)
+}
+
 /// The alive set in SRPT order with an `O(1)` uniform-drain fast path.
 ///
 /// Every method that orders entries takes `specs`, the engine's arena
@@ -604,10 +653,10 @@ pub(crate) struct SrptSet {
     /// `Σ rem_j/p_j` over queued.
     q_frac: f64,
     /// Running jobs whose curve differs from `reference`.
-    // lint:allow(L009) derived partition statistic; rebuilt by rebuild_running during restore
+    // lint:allow(L009) derived partition statistic; restore_state recounts it from the captured running entries' flags
     hetero_running: usize,
     /// Running jobs with `Γ(1) ≠ 1`.
-    // lint:allow(L009) derived partition statistic; rebuilt by rebuild_running during restore
+    // lint:allow(L009) derived partition statistic; restore_state recounts it from the captured running entries' flags
     nonunit_running: usize,
     /// Curve of the first job ever admitted (uniformity baseline).
     reference: Option<Curve>,
@@ -696,10 +745,7 @@ impl SrptSet {
     }
 
     fn flags_for(&mut self, curve: &Curve) -> (bool, bool) {
-        let reference = self.reference.get_or_insert_with(|| curve.clone());
-        let hetero = reference != curve;
-        let nonunit = (curve.rate(1.0) - 1.0).abs() > 1e-12;
-        (hetero, nonunit)
+        flags(self.reference.get_or_insert_with(|| curve.clone()), curve)
     }
 
     fn add_running(&mut self, e: Entry, specs: &[JobSpec]) {
@@ -873,11 +919,13 @@ impl SrptSet {
         let conv = |e: &Entry| {
             let spec = &specs[e.idx as usize];
             SetEntrySnap {
-                key: e.key,
-                release: spec.release,
-                id: spec.id,
-                idx: e.idx as usize,
-                size: e.size,
+                entry: HeapEntrySnap {
+                    key: e.key,
+                    release: spec.release,
+                    id: spec.id,
+                    idx: e.idx as usize,
+                    size: e.size,
+                },
                 hetero: e.hetero,
                 nonunit: e.nonunit,
             }
@@ -899,11 +947,14 @@ impl SrptSet {
     /// buffer capacity. Entries are re-pushed with their stored keys and
     /// flags; the uniformity counters are recounted from the per-entry flags
     /// and the running/queued sums are installed bit-exact. The caller has
-    /// checked every entry's `(release, id, size)` against `specs`.
+    /// checked the snapshot ([`SetSnap::check`]).
     pub(crate) fn restore_state(&mut self, snap: &SetSnap, specs: &[JobSpec]) {
         self.reset();
         self.reference = snap.reference.clone();
-        let entry = |e: &SetEntrySnap| Entry::new(e.key, e.idx, e.size, e.hetero, e.nonunit);
+        let entry = |e: &SetEntrySnap| {
+            let HeapEntrySnap { key, idx, size, .. } = e.entry;
+            Entry::new(key, idx, size, e.hetero, e.nonunit)
+        };
         for e in &snap.running {
             self.hetero_running += usize::from(e.hetero);
             self.nonunit_running += usize::from(e.nonunit);

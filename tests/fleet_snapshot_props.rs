@@ -599,11 +599,11 @@ fn restore_run_finalize(
 /// Restore runs admission's spec checks on every arena slot and requires
 /// finite, non-negative remaining work: a document whose job lanes hold
 /// NaN, ∞, or a negative value is refused with a typed error, on the
-/// incremental path and on two exhaustive policies whose per-job state
-/// (LAPS's release order, Weighted's densities) would otherwise be
-/// poisoned, in both memory modes. Run out and finalize whatever restore
-/// accepts, so a lane that slips through panics or errors here rather
-/// than in a later session.
+/// incremental path, LAPS's arrival-suffix path (which orders its jobs by
+/// release) and the exhaustive path of Weighted (whose densities would
+/// otherwise be poisoned), in both memory modes. Run out and finalize
+/// whatever restore accepts, so a lane that slips through panics or
+/// errors here rather than in a later session.
 #[test]
 fn corrupted_job_lanes_are_refused_with_a_typed_error() {
     let inst = mixed_alpha_fixture(60, 0.9, M);
@@ -1041,18 +1041,27 @@ fn value_at(doc: &str, path: &[&str]) -> Json {
     node
 }
 
-/// The SRPT set (Intermediate-SRPT) and the level stack (SETF) hold the
+/// The SRPT set (Intermediate-SRPT), the level stack (SETF) and the
+/// exhaustive path's alive list (W-Intermediate-SRPT, Greedy) hold the
 /// alive set, so restore requires each to hold every alive arena slot
 /// exactly once: a document with one entry dropped, whose job would never
 /// complete, or one entry held twice is refused with a typed error, in
 /// both memory modes, while the untouched document resumes bit-identically.
-/// A level's tally is adjusted with its entries, so the codec accepts the
-/// edited document and only restore can refuse it.
+/// So is an alive slot on the arena's free list, which would hand the
+/// slot to the next arrival while its job still runs.
+/// A level's tally is adjusted with its entries, and the alive list's
+/// share and rate lanes with it while they track it, so the codec accepts
+/// the edited document and only restore can refuse it.
 #[test]
 fn alive_structures_that_drop_or_repeat_a_job_are_refused() {
     let inst = poisson_fixture(200, 1.5, M);
     let suspend_at = 60;
-    for kind in [PolicyKind::IntermediateSrpt, PolicyKind::Setf] {
+    for kind in [
+        PolicyKind::IntermediateSrpt,
+        PolicyKind::Setf,
+        PolicyKind::Weighted,
+        PolicyKind::Greedy,
+    ] {
         for streaming in [false, true] {
             let ctx = format!(
                 "{} / {}",
@@ -1078,7 +1087,24 @@ fn alive_structures_that_drop_or_repeat_a_job_are_refused() {
             let doc = engine.snapshot().expect("snapshot").to_json();
             drop(engine);
 
-            let mut cases: Vec<(&str, String)> = Vec::new();
+            // An alive slot on the free list, which hands it to the next
+            // arrival while its job is still running.
+            let Json::Arr(rows) = value_at(&doc, &["arena", "jobs"]) else {
+                panic!("{ctx}: arena.jobs is not an array")
+            };
+            let alive = (0..rows.len())
+                .find(|r| {
+                    value_at(&doc, &["arena", "jobs", &r.to_string(), "9"]) == Json::Bool(false)
+                })
+                .expect("an alive arena slot");
+            let Json::Arr(mut free) = value_at(&doc, &["arena", "free"]) else {
+                panic!("{ctx}: arena.free is not an array")
+            };
+            free.push(Json::Num(alive.to_string()));
+            let mut cases = vec![(
+                "alive slot on the free list",
+                corrupt_at(&doc, &["arena", "free"], Json::Arr(free)),
+            )];
             if kind == PolicyKind::Setf {
                 // The first level with two members of one curve: the
                 // single-α fixture gives each level one tally row.
@@ -1115,6 +1141,32 @@ fn alive_structures_that_drop_or_repeat_a_job_are_refused() {
                     let bad = corrupt_at(&bad, &count_path, Json::Num(count.to_string()));
                     cases.push((what, bad));
                 }
+            } else if kind != PolicyKind::IntermediateSrpt {
+                let lanes = ["alive", "shares", "rates"].map(|lane| {
+                    let Json::Arr(items) = value_at(&doc, &["exhaustive", lane]) else {
+                        panic!("{ctx}: exhaustive.{lane} is not an array")
+                    };
+                    (lane, items)
+                });
+                let alive = lanes[0].1.len();
+                assert!(alive > 0, "{ctx}: the fixture leaves jobs alive");
+                for (what, repeat) in [
+                    ("exhaustive.alive entry dropped", false),
+                    ("exhaustive.alive entry repeated", true),
+                ] {
+                    let mut bad = doc.clone();
+                    for (lane, items) in &lanes {
+                        if *lane == "alive" || items.len() == alive {
+                            let edited = if repeat {
+                                [items.as_slice(), &items[..1]].concat()
+                            } else {
+                                items[1..].to_vec()
+                            };
+                            bad = corrupt_at(&bad, &["exhaustive", lane], Json::Arr(edited));
+                        }
+                    }
+                    cases.push((what, bad));
+                }
             } else {
                 let Json::Arr(queued) = value_at(&doc, &["srpt", "queued"]) else {
                     panic!("{ctx}: srpt.queued is not an array")
@@ -1141,6 +1193,104 @@ fn alive_structures_that_drop_or_repeat_a_job_are_refused() {
                     "{ctx} / {what}: expected a typed restore error, got {result:?}"
                 );
             }
+        }
+    }
+}
+
+/// Restore checks the whole document before it touches the run state, so
+/// a document refused by a check that needs all of it leaves the engine
+/// as it was: a quantile sketch of the wrong length, a next arrival the
+/// source does not offer, or two completed slots of an in-memory arena
+/// that share one job id (the id map holds one slot per id). Each is
+/// restored into the engine that captured it, whose stateless policy and
+/// source stand at the suspend point already, so running that engine out
+/// after the refusal must still give the uninterrupted run's metrics bit
+/// for bit, in both memory modes.
+#[test]
+fn refused_restores_leave_the_run_state_untouched() {
+    let inst = poisson_fixture(200, 1.5, M);
+    let kind = PolicyKind::IntermediateSrpt;
+    let suspend_at = 60;
+    for streaming in [false, true] {
+        let mode = if streaming { "streaming" } else { "in-memory" };
+        let (want, _) = baseline(&inst, &kind, streaming);
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut engine = Engine::new(
+            engine_cfg(streaming),
+            policy.as_mut(),
+            &mut source,
+            &mut obs,
+        );
+        for _ in 0..suspend_at {
+            assert!(engine.step().expect("pre-suspend step"));
+        }
+        let doc = engine.snapshot().expect("snapshot").to_json();
+        drop(engine);
+        let next = value_at(&doc, &["clock", "next_arrival"])
+            .as_u64()
+            .map(f64::from_bits)
+            .expect("the fixture has arrivals left");
+        let mut cases = vec![
+            (
+                "short sketch",
+                corrupt_at(&doc, &["sink", "sketch_counts"], Json::Arr(Vec::new())),
+            ),
+            (
+                "next arrival",
+                corrupt_at(&doc, &["clock", "next_arrival"], f64_bits(next + 1.0)),
+            ),
+        ];
+        if !streaming {
+            let Json::Arr(rows) = value_at(&doc, &["arena", "jobs"]) else {
+                panic!("{mode}: arena.jobs is not an array")
+            };
+            let done: Vec<String> = (0..rows.len())
+                .map(|r| r.to_string())
+                .filter(|r| value_at(&doc, &["arena", "jobs", r, "9"]) == Json::Bool(true))
+                .collect();
+            assert!(done.len() >= 2, "{mode}: the fixture completes two jobs");
+            let id = value_at(&doc, &["arena", "jobs", &done[0], "0"]);
+            cases.push((
+                "shared job id",
+                corrupt_at(&doc, &["arena", "jobs", &done[1], "0"], id),
+            ));
+        }
+        for (what, bad) in cases {
+            let ctx = format!("{mode} / {what}");
+            let bad = Snapshot::from_json(&bad)
+                .unwrap_or_else(|e| panic!("{ctx}: the codec refused it: {e}"));
+            let mut policy = kind.build();
+            let mut source = StaticSource::new(&inst);
+            let mut obs = NullObserver;
+            let mut engine = Engine::new(
+                engine_cfg(streaming),
+                policy.as_mut(),
+                &mut source,
+                &mut obs,
+            );
+            for _ in 0..suspend_at {
+                assert!(engine.step().expect("pre-suspend step"));
+            }
+            let (now, alive) = (engine.now(), engine.num_alive());
+            let result = engine.restore(&bad);
+            assert!(
+                matches!(result, Err(SimError::BadInstance { .. })),
+                "{ctx}: expected a typed restore error, got {result:?}"
+            );
+            assert_eq!(
+                (engine.now().to_bits(), engine.num_alive()),
+                (now.to_bits(), alive),
+                "{ctx}: the refused restore moved the clock or the alive set"
+            );
+            while engine.step().expect("step") {}
+            let got = if streaming {
+                engine.into_streaming_outcome().expect("outcome").metrics
+            } else {
+                engine.into_outcome().expect("outcome").metrics
+            };
+            assert_metrics_bit_identical(&got, &want, &ctx);
         }
     }
 }
@@ -1254,7 +1404,10 @@ fn corrupt_srpt_entry(
 /// its slot's spec on `release`, `id`, or `size` — each still a
 /// well-formed value the codec accepts — is refused by restore with a
 /// typed error, in both memory modes, rather than resumed into an order
-/// the original run never had.
+/// the original run never had. So is an entry whose `hetero` or
+/// `nonunit` flag disagrees with its slot's curve against the captured
+/// reference curve: a false `hetero` flag would drain a prefix of mixed
+/// curves as one uniform interval.
 #[test]
 fn srpt_entries_that_disagree_with_their_arena_slot_are_refused() {
     let inst = mixed_alpha_fixture(200, 1.5, M);
@@ -1263,6 +1416,10 @@ fn srpt_entries_that_disagree_with_their_arena_slot_are_refused() {
         Json::Num((x + 0.5).to_bits().to_string())
     };
     let id_edit = |v: &Json| Json::Num((v.as_u64().expect("id") + 1_000_000).to_string());
+    let flag_edit = |v: &Json| match v {
+        Json::Bool(b) => Json::Bool(!b),
+        other => panic!("flag field is not a bool: {other:?}"),
+    };
     for streaming in [false, true] {
         let mut policy = PolicyKind::IntermediateSrpt.build();
         let mut source = StaticSource::new(&inst);
@@ -1297,9 +1454,16 @@ fn srpt_entries_that_disagree_with_their_arena_slot_are_refused() {
         };
         restore(&doc).expect("the untouched document restores");
         for part in ["running", "queued"] {
-            for (field, name) in [(1, "release"), (2, "id"), (4, "size")] {
+            for (field, name) in [
+                (1, "release"),
+                (2, "id"),
+                (4, "size"),
+                (5, "hetero"),
+                (6, "nonunit"),
+            ] {
                 let bad = match name {
                     "id" => corrupt_srpt_entry(&doc, part, field, id_edit),
+                    "hetero" | "nonunit" => corrupt_srpt_entry(&doc, part, field, flag_edit),
                     _ => corrupt_srpt_entry(&doc, part, field, f64_edit),
                 };
                 match restore(&bad) {
