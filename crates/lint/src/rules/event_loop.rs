@@ -31,8 +31,8 @@
 //!   which the traversal reaches separately; flagging both ends would
 //!   double-report every donation chain. Indexing a parameter is *not*
 //!   exempt: bounds are a panic question, not an ownership one.
-//! * **Instrumentation boundary.** `Observer` impls, the `Auditor` /
-//!   `Invariant` machinery, and `Engine::build_audit_frame` /
+//! * **Instrumentation boundary.** `Observer` impls, the `Auditor`,
+//!   and `Engine::build_audit_frame` /
 //!   `check_final_audit` run only in observed/audited configurations,
 //!   where the steady-state zero-alloc contract explicitly does not
 //!   apply. They are reachable but not traversed.
@@ -156,12 +156,7 @@ pub fn event_loop_roots(graph: &CallGraph) -> Vec<usize> {
 pub(crate) fn is_boundary(graph: &CallGraph, id: usize) -> bool {
     let f = &graph.fns[id];
     if let Some(owner) = f.def.owner.as_deref() {
-        if owner == "Observer"
-            || owner == "Auditor"
-            || owner == "Invariant"
-            || graph.implements(owner, "Observer")
-            || graph.implements(owner, "Invariant")
-        {
+        if owner == "Observer" || owner == "Auditor" || graph.implements(owner, "Observer") {
             return true;
         }
         if owner == "Engine"

@@ -556,8 +556,9 @@ struct RunState {
     quantum_deadline: Option<Time>,
     events: u64,
     finished: bool,
-    /// Runtime invariant auditor (present iff `cfg.audit` is not `Off`).
-    auditor: Option<Auditor>,
+    /// Runtime invariant auditor (present iff `cfg.audit` is not `Off`),
+    /// boxed so that lending it out for an audited event moves a pointer.
+    auditor: Option<Box<Auditor>>,
     /// Policy name cached at construction (frames are built per event).
     policy_name: String,
     /// Whether the policy claims SRPT-ordered allocations (see
@@ -1062,7 +1063,7 @@ impl<'a> Engine<'a> {
         state.clear();
         policy.reset();
         state.path = engine_path(&cfg, policy, observer);
-        state.auditor = (!cfg.audit.is_off()).then(|| Auditor::new(cfg.audit));
+        state.auditor = (!cfg.audit.is_off()).then(|| Box::new(Auditor::new(cfg.audit)));
         state.policy_name = policy.name();
         state.policy_srpt_ordered = policy.srpt_ordered();
         state.next_arrival = source.next_time();
@@ -2501,41 +2502,52 @@ impl<'a> Engine<'a> {
         let (arena, levels, suffix) = (&state.jobs, &state.levels, &state.suffix);
         let (shares, rates, level_shares) = (&state.shares, &state.rates, &state.level_shares);
         let mut i = 0;
-        for_each_alive(
-            path,
-            &state.alive,
-            arena,
-            &mut state.srpt,
-            levels,
-            suffix,
-            |idx, remaining, running| {
-                let spec = &arena.specs[idx];
-                let (share, rate) = match path {
-                    EnginePath::Exhaustive | EnginePath::Replay => (shares[i], rates[i]),
-                    _ if !running => (0.0, 0.0),
-                    EnginePath::Incremental => (share, speed * arena.gamma(idx, share)),
-                    EnginePath::Levels => {
-                        let share = levels
-                            .top_curve_of(idx, &spec.curve)
-                            .and_then(|c| level_shares.get(c))
-                            .copied()
-                            .unwrap_or(0.0);
-                        (share, level_rate)
-                    }
-                    EnginePath::ArrivalSuffix => (share, suffix.rate_of(idx)),
-                };
-                i += 1;
-                jobs.push(FrameJob {
-                    id: spec.id,
-                    slot: idx,
-                    release: spec.release,
-                    size: spec.size,
-                    remaining,
-                    share,
-                    rate,
-                });
-            },
-        );
+        let mut push = |idx: usize, remaining: Work, running: bool| {
+            let spec = &arena.specs[idx];
+            let (share, rate) = match path {
+                EnginePath::Exhaustive | EnginePath::Replay => (shares[i], rates[i]),
+                _ if !running => (0.0, 0.0),
+                EnginePath::Incremental => (share, speed * arena.gamma(idx, share)),
+                EnginePath::Levels => {
+                    let share = levels
+                        .top_curve_of(idx, &spec.curve)
+                        .and_then(|c| level_shares.get(c))
+                        .copied()
+                        .unwrap_or(0.0);
+                    (share, level_rate)
+                }
+                EnginePath::ArrivalSuffix => (share, suffix.rate_of(idx)),
+            };
+            i += 1;
+            jobs.push(FrameJob {
+                id: spec.id,
+                slot: idx,
+                release: spec.release,
+                size: spec.size,
+                remaining,
+                share,
+                rate,
+            });
+        };
+        // The audit needs no order within a partition, so the SRPT set is
+        // listed as stored rather than sorted.
+        let srpt_running = if path == EnginePath::Incremental {
+            state
+                .srpt
+                .for_each_stored(|slot, remaining, running| push(slot.idx, remaining, running));
+            Some(state.srpt.running_len())
+        } else {
+            for_each_alive(
+                path,
+                &state.alive,
+                arena,
+                &mut state.srpt,
+                levels,
+                suffix,
+                push,
+            );
+            None
+        };
         AuditFrame {
             event: state.events,
             t: state.now,
@@ -2543,10 +2555,7 @@ impl<'a> Engine<'a> {
             path: self.path(),
             policy,
             jobs,
-            // The incremental path iterates its maintained SRPT order
-            // (running prefix, then queue); the exhaustive alive vector is
-            // reordered by swap_remove and promises nothing.
-            srpt_ordered_iteration: self.state.path == EnginePath::Incremental,
+            srpt_running,
             srpt_ordered_policy: self.state.policy_srpt_ordered,
             latest_arrivals_policy: self.policy.stability() == AllocationStability::LatestArrivals,
         }

@@ -12,8 +12,18 @@
 //! machinery into executable correctness tooling.
 //!
 //! The [`Auditor`] consumes [`AuditFrame`]s — per-event snapshots of the
-//! alive set with its current allocation — and drives a suite of
-//! [`Invariant`]s over them. Frames come from two producers:
+//! alive set with its current allocation — and checks the per-event laws
+//! of [`INVARIANTS`] on each in one pass over its jobs, taken in whatever
+//! order the producer lists them. Each law is a few comparisons per job;
+//! the ones that compare jobs with each other need only extremes gathered
+//! on the way (the longest running and the shortest queued job, the
+//! longest and the oldest scheduled one, the shortest and the latest
+//! starved one), and a second pass runs only to name the first starved
+//! job in frame order that breaks `srpt-prefix` or `arrival-suffix`. The
+//! work-drain law pairs each job with its entry in the previous frame
+//! through a retained slot table ([`WorkDrainConsistency`]). At the end of
+//! a run the auditor checks the flow-time identity. Frames come from two
+//! producers:
 //!
 //! * the [`crate::Engine`] itself, when [`crate::EngineConfig::with_audit`]
 //!   enables auditing (both the exhaustive and the incremental path build
@@ -51,8 +61,10 @@ pub enum AuditLevel {
     /// events (a *pair*, so the drain check applies) every `stride`
     /// events, plus the end-of-run identities.
     Sampled(u32),
-    /// Every event is checked, plus the end-of-run identities. This makes
-    /// audited events `O(alive)` again, on the incremental path too —
+    /// Every event is checked, plus the end-of-run identities. An audited
+    /// event costs `O(alive)` with no sort: one walk of the alive set
+    /// builds its frame and one pass checks it (after the work-drain
+    /// check indexes the previous frame), on the incremental path too —
     /// auditing is a diagnostic mode, not a production fast path.
     Strict,
 }
@@ -221,24 +233,29 @@ pub struct AuditFrame {
     pub path: EnginePath,
     /// Active policy name.
     pub policy: String,
-    /// The alive jobs. On the incremental path (and only there) the order
-    /// is the engine's maintained SRPT order, which
-    /// [`SrptOrderPreserved`] checks; other producers make no order
-    /// promise.
+    /// The alive jobs, in no promised order within a partition: the
+    /// incremental path lists its SRPT set as the heaps store it, the
+    /// running partition's entries first and then the queue's (see
+    /// [`AuditFrame::srpt_running`]); the other producers list their own
+    /// alive structures as they hold them.
     pub jobs: Vec<FrameJob>,
-    /// Whether `jobs` is claimed to be in SRPT order.
-    pub srpt_ordered_iteration: bool,
+    /// On the incremental path, the length `k` of the SRPT set's running
+    /// partition: `jobs[..k]` are its running jobs and `jobs[k..]` its
+    /// queue, and the `srpt-order` check requires no queued job to have
+    /// less remaining work than a running one. `None` elsewhere (no
+    /// partition to check).
+    pub srpt_running: Option<usize>,
     /// Whether the active policy declares [`crate::Policy::srpt_ordered`]
-    /// (gates the [`SrptPrefixShares`] check; e.g. EQUI does not claim
-    /// it — its allocation is order-agnostic).
+    /// (gates the `srpt-prefix` check; e.g. EQUI does not claim it — its
+    /// allocation is order-agnostic).
     pub srpt_ordered_policy: bool,
     /// Whether the active policy declares
     /// [`crate::AllocationStability::LatestArrivals`] (gates the
-    /// [`LatestArrivalShares`] check).
+    /// `arrival-suffix` check).
     pub latest_arrivals_policy: bool,
 }
 
-/// End-of-run accounting handed to [`Invariant::check_final`].
+/// End-of-run accounting handed to [`Auditor::check_final`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FinalAccounting {
     /// `Σ_j F_j` over completed jobs.
@@ -263,163 +280,206 @@ pub struct FinalAccounting {
     pub path: EnginePath,
 }
 
-/// A runtime-checkable law of the simulation.
+/// The audited laws by their stable names, in check order. A frame that
+/// breaks several laws reports the first one listed here, and a law that
+/// several jobs break names the first of them in frame order (the
+/// incremental path's `srpt-order` excepted, which names the job the SRPT
+/// order would name).
 ///
-/// Implementations are stateful (the auditor keeps them across the whole
-/// run) but the built-in suite only ever compares *consecutive* frames,
-/// which the auditor hands over explicitly. `Send`, so an audited engine
-/// can be parked (see [`crate::ParkedEngine`]) and resumed on another
-/// thread.
-pub trait Invariant: Send {
-    /// Stable identifier used in violations and reports.
-    fn name(&self) -> &'static str;
+/// * `monotone-clock` — the clock never runs backwards and event indices
+///   strictly increase;
+/// * `capacity` — every share is finite and ≥ 0 and `Σ_j x_j ≤ m + ε`;
+/// * `non-negative-remaining` — remaining work stays within `[0, p_j]`;
+/// * `work-drain` — between consecutive events,
+///   `p_j(t₁) = max(0, p_j(t₀) − speed·Γ_j(x_j)·(t₁ − t₀))`;
+/// * `srpt-order` — on the incremental path, no queued job has less
+///   remaining work than a running one ([`AuditFrame::srpt_running`]);
+/// * `srpt-prefix` — for [`crate::Policy::srpt_ordered`] policies, the
+///   scheduled jobs share equally and no starved job is shorter than a
+///   scheduled one;
+/// * `arrival-suffix` — for [`crate::AllocationStability::LatestArrivals`]
+///   policies, the scheduled jobs share equally and no waiting job
+///   arrived after a scheduled one in `(release, id)` order;
+/// * `flow-identity` — at the end of a run, every admitted job completed,
+///   `Σ_j F_j = ∫ |A(t)| dt` and the fractional flow is at most the flow.
+pub const INVARIANTS: [&str; 8] = [
+    "monotone-clock",
+    "capacity",
+    "non-negative-remaining",
+    "work-drain",
+    "srpt-order",
+    "srpt-prefix",
+    "arrival-suffix",
+    "flow-identity",
+];
 
-    /// Checks one frame (with the previous captured frame, if any). Push
-    /// any violations into `out`.
-    fn check_frame(
-        &mut self,
-        prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        let _ = (prev, cur, out);
-    }
+/// Ranks of the per-frame checks, in the order their violations are
+/// reported: each law's per-job check before its aggregate one.
+const CLOCK_TIME: u8 = 0;
+const CLOCK_EVENT: u8 = 1;
+const SHARE: u8 = 2;
+const CAPACITY: u8 = 3;
+const REMAINING: u8 = 4;
+const DRAIN: u8 = 5;
+const ORDER: u8 = 6;
+const PREFIX_SHARE: u8 = 7;
+const PREFIX_STARVED: u8 = 8;
+const SUFFIX_SHARE: u8 = 9;
+const SUFFIX_WAITING: u8 = 10;
 
-    /// Checks the end-of-run accounting.
-    fn check_final(&mut self, end: &FinalAccounting, out: &mut Vec<Violation>) {
-        let _ = (end, out);
+/// A failed check as the pass records it, until the pass is over and the
+/// first one is described ([`describe`]).
+#[derive(Clone, Copy)]
+struct Hit<'a> {
+    rank: u8,
+    /// The job that broke the law, when the law is job-local.
+    job: Option<&'a FrameJob>,
+    /// The job it was held against: its previous entry (`work-drain`),
+    /// the longest running job (`srpt-order`), the longest or the oldest
+    /// scheduled job (`srpt-prefix`, `arrival-suffix`).
+    other: Option<&'a FrameJob>,
+    expected: f64,
+    actual: f64,
+}
+
+/// Keeps the first failure in rank order: a lower rank replaces a higher
+/// one, and within one rank the first offered stays.
+fn offer<'a>(first: &mut Option<Hit<'a>>, hit: Hit<'a>) {
+    if first.is_none_or(|f| hit.rank < f.rank) {
+        *first = Some(hit);
     }
 }
 
-fn violation(cur: &AuditFrame, invariant: &'static str) -> Violation {
+/// Whether a failure of `rank` would still change the first one.
+fn wants(first: &Option<Hit<'_>>, rank: u8) -> bool {
+    first.is_none_or(|f| rank < f.rank)
+}
+
+fn hit<'a>(
+    rank: u8,
+    job: &'a FrameJob,
+    other: Option<&'a FrameJob>,
+    expected: f64,
+    actual: f64,
+) -> Hit<'a> {
+    Hit {
+        rank,
+        job: Some(job),
+        other,
+        expected,
+        actual,
+    }
+}
+
+/// The violation a failed check reports on `cur` (checked after `prev`,
+/// `dt` after it when the two are adjacent).
+#[cold]
+fn describe(hit: Hit<'_>, prev: Option<&AuditFrame>, cur: &AuditFrame, dt: f64) -> Violation {
+    let Hit {
+        rank,
+        job,
+        other,
+        expected,
+        actual,
+    } = hit;
+    let name = |f: Option<&FrameJob>| f.map(|f| f.id.to_string()).unwrap_or_default();
+    let (j, o) = (name(job), name(other));
+    let (invariant, detail) = match rank {
+        CLOCK_TIME => (
+            "monotone-clock",
+            format!("time went backwards: {actual} after {expected}"),
+        ),
+        CLOCK_EVENT => (
+            "monotone-clock",
+            format!(
+                "event index did not advance: {} after {}",
+                cur.event,
+                prev.map_or(0, |p| p.event)
+            ),
+        ),
+        SHARE => (
+            "capacity",
+            format!("share of job {j} is {actual}, not a finite value ≥ 0"),
+        ),
+        CAPACITY => (
+            "capacity",
+            format!("allocated {actual} of {expected} processors"),
+        ),
+        REMAINING => (
+            "non-negative-remaining",
+            format!("remaining work {actual} of job {j} outside [0, {expected}]"),
+        ),
+        DRAIN => (
+            "work-drain",
+            format!(
+                "job {j} drained to {actual} over dt={dt} at rate {}, speed-up curve predicts {expected}",
+                other.map_or(0.0, |p| p.rate)
+            ),
+        ),
+        ORDER => (
+            "srpt-order",
+            format!(
+                "alive set left SRPT order: job {j} (remaining {actual}) follows job {o} (remaining {expected})"
+            ),
+        ),
+        PREFIX_SHARE | SUFFIX_SHARE => (
+            if rank == PREFIX_SHARE {
+                "srpt-prefix"
+            } else {
+                "arrival-suffix"
+            },
+            format!("scheduled jobs do not share equally: job {j} holds {actual}, others hold {expected}"),
+        ),
+        PREFIX_STARVED => (
+            "srpt-prefix",
+            format!(
+                "scheduled set is not an SRPT prefix: job {j} (remaining {actual}) is starved while job {o} (remaining {expected}) runs"
+            ),
+        ),
+        _ => (
+            "arrival-suffix",
+            format!(
+                "scheduled set is not the latest arrivals: job {j} (release {actual}) waits while \
+                 older job {o} (release {expected}) runs"
+            ),
+        ),
+    };
     Violation {
         invariant,
         event: cur.event,
         at: cur.t,
-        job: None,
-        expected: 0.0,
-        actual: 0.0,
+        job: job.map(|j| j.id),
+        expected,
+        actual,
         policy: cur.policy.clone(),
         path: cur.path,
-        detail: String::new(),
+        detail,
     }
 }
 
-/// Capacity conservation: every share is finite and non-negative and the
-/// shares sum to at most `m` (`Σ_j x_j ≤ m + ε`).
-#[derive(Debug, Default)]
-pub struct CapacityConservation;
-
-impl Invariant for CapacityConservation {
-    fn name(&self) -> &'static str {
-        "capacity"
-    }
-
-    fn check_frame(
-        &mut self,
-        _prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        let mut total = 0.0;
-        for j in &cur.jobs {
-            if !j.share.is_finite() || j.share < -EPS {
-                out.push(Violation {
-                    job: Some(j.id),
-                    expected: 0.0,
-                    actual: j.share,
-                    detail: format!(
-                        "share of job {} is {}, not a finite value ≥ 0",
-                        j.id, j.share
-                    ),
-                    ..violation(cur, self.name())
-                });
-            }
-            total += j.share.max(0.0);
-        }
-        let cap = cur.m * (1.0 + 1e-9) + EPS;
-        if total > cap {
-            out.push(Violation {
-                expected: cur.m,
-                actual: total,
-                detail: format!("allocated {} of {} processors", total, cur.m),
-                ..violation(cur, self.name())
-            });
-        }
-    }
+/// `a` comes after `b` in SRPT order: `(remaining, release, id)`, the
+/// order the incremental path's SRPT set keeps.
+fn srpt_after(a: &FrameJob, b: &FrameJob) -> bool {
+    a.remaining
+        .total_cmp(&b.remaining)
+        .then(a.release.total_cmp(&b.release))
+        .then(a.id.cmp(&b.id))
+        .is_gt()
 }
 
-/// Remaining work stays within `[0, p_j]` (up to tolerance) while a job is
-/// alive.
-#[derive(Debug, Default)]
-pub struct NonNegativeRemaining;
-
-impl Invariant for NonNegativeRemaining {
-    fn name(&self) -> &'static str {
-        "non-negative-remaining"
-    }
-
-    fn check_frame(
-        &mut self,
-        _prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        for j in &cur.jobs {
-            let tol = EPS * j.size.max(1.0);
-            if !j.remaining.is_finite() || j.remaining < -tol || j.remaining > j.size + tol {
-                out.push(Violation {
-                    job: Some(j.id),
-                    expected: j.size,
-                    actual: j.remaining,
-                    detail: format!(
-                        "remaining work {} of job {} outside [0, {}]",
-                        j.remaining, j.id, j.size
-                    ),
-                    ..violation(cur, self.name())
-                });
-            }
-        }
-    }
+/// `a` arrived after `b` in `(release, id)` order.
+fn arrived_after(a: &FrameJob, b: &FrameJob) -> bool {
+    a.release
+        .total_cmp(&b.release)
+        .then(a.id.cmp(&b.id))
+        .is_gt()
 }
 
-/// The event clock never runs backwards and event indices strictly
-/// increase.
-#[derive(Debug, Default)]
-pub struct MonotoneClock;
-
-impl Invariant for MonotoneClock {
-    fn name(&self) -> &'static str {
-        "monotone-clock"
-    }
-
-    fn check_frame(
-        &mut self,
-        prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        let Some(prev) = prev else { return };
-        if cur.t < prev.t - EPS * prev.t.abs().max(1.0) {
-            out.push(Violation {
-                expected: prev.t,
-                actual: cur.t,
-                detail: format!("time went backwards: {} after {}", cur.t, prev.t),
-                ..violation(cur, self.name())
-            });
-        }
-        if cur.event <= prev.event {
-            out.push(Violation {
-                expected: prev.event as f64 + 1.0,
-                actual: cur.event as f64,
-                detail: format!(
-                    "event index did not advance: {} after {}",
-                    cur.event, prev.event
-                ),
-                ..violation(cur, self.name())
-            });
-        }
-    }
+/// A starved job with `remaining` work is shorter than the longest
+/// scheduled job `s`, beyond tolerance.
+fn starved_short(remaining: f64, s: &FrameJob) -> bool {
+    let tol = EPS * remaining.abs().max(s.remaining.abs()).max(1.0);
+    remaining < s.remaining - tol
 }
 
 /// Widest slot range the [`WorkDrainConsistency`] position table covers;
@@ -431,9 +491,8 @@ const SLOT_WINDOW: usize = 1 << 20;
 /// (never a valid position).
 const NO_POS: u32 = u32::MAX;
 
-/// Work drains exactly at the speed-up curve: between two *consecutive*
-/// events, `p_j(t₁) = max(0, p_j(t₀) − speed·Γ_j(x_j)·(t₁ − t₀))` for every
-/// job alive in both frames.
+/// The `work-drain` law's pairing of each job with its entry in the
+/// previous frame, and the law on its own.
 ///
 /// A job is paired with the previous frame's entry of the same id. The
 /// lookup goes through a retained table from slot (relative to the
@@ -461,24 +520,67 @@ fn window_cell(base: usize, slot: usize) -> Option<usize> {
     slot.checked_sub(base).filter(|&k| k < SLOT_WINDOW)
 }
 
-impl Invariant for WorkDrainConsistency {
-    fn name(&self) -> &'static str {
-        "work-drain"
+/// A previous frame indexed for pairing ([`WorkDrainConsistency::index`]).
+struct Pairing<'a> {
+    prev: &'a AuditFrame,
+    base: usize,
+    pos: &'a [u32],
+}
+
+impl<'a> Pairing<'a> {
+    /// The previous frame's entry of `j`'s id.
+    fn previous(&self, j: &FrameJob) -> Option<&'a FrameJob> {
+        let hit = window_cell(self.base, j.slot)
+            .and_then(|k| self.pos.get(k))
+            .and_then(|&i| self.prev.jobs.get(i as usize))
+            .filter(|p| p.id == j.id);
+        hit.or_else(|| self.prev.jobs.iter().rev().find(|p| p.id == j.id))
     }
 
-    fn check_frame(
+    /// The remaining work the speed-up curve predicts for `j` from its
+    /// previous entry `p` over `dt`, when `j` holds something else (beyond
+    /// the accumulated-sum tolerance).
+    fn miss(p: &FrameJob, j: &FrameJob, dt: f64) -> Option<f64> {
+        let expected = (p.remaining - p.rate * dt).max(0.0);
+        let tol = REL_TOL * j.size.max(1.0);
+        ((j.remaining - expected).abs() > tol).then_some(expected)
+    }
+}
+
+impl WorkDrainConsistency {
+    /// Every `work-drain` violation of `cur` after `prev`, in frame order:
+    /// the law alone, with the pairing the audit's pass uses.
+    pub fn check_frame(
         &mut self,
         prev: Option<&AuditFrame>,
         cur: &AuditFrame,
         out: &mut Vec<Violation>,
     ) {
-        let Some(prev) = prev else { return };
-        // Only adjacent events share one constant-allocation interval; a
-        // sampled gap spans many reallocation decisions.
-        if cur.event != prev.event + 1 {
+        let dt = interval(prev, cur);
+        let Some(pairing) = self.index(prev, cur) else {
             return;
+        };
+        for j in &cur.jobs {
+            if let Some(p) = pairing.previous(j) {
+                if let Some(expected) = Pairing::miss(p, j, dt) {
+                    let h = hit(DRAIN, j, Some(p), expected, j.remaining);
+                    out.push(describe(h, prev, cur, dt));
+                }
+            }
         }
-        let dt = (cur.t - prev.t).max(0.0);
+    }
+
+    /// Indexes `prev` for pairing `cur`'s jobs with their entries in it,
+    /// when `prev` is the frame of the event just before `cur`. Only
+    /// adjacent events share one constant-allocation interval; a sampled
+    /// gap spans many reallocation decisions, so across one no job is
+    /// paired.
+    fn index<'a>(
+        &'a mut self,
+        prev: Option<&'a AuditFrame>,
+        cur: &AuditFrame,
+    ) -> Option<Pairing<'a>> {
+        let prev = prev.filter(|p| cur.event == p.event + 1)?;
         let base = prev.jobs.iter().map(|p| p.slot).min().unwrap_or(0);
         for (i, p) in prev.jobs.iter().enumerate() {
             let Some(k) = window_cell(base, p.slot) else {
@@ -491,287 +593,209 @@ impl Invariant for WorkDrainConsistency {
             // check like any stale cell.
             self.pos[k] = i as u32;
         }
-        for j in &cur.jobs {
-            let hit = window_cell(base, j.slot)
-                .and_then(|k| self.pos.get(k))
-                .and_then(|&i| prev.jobs.get(i as usize))
-                .filter(|p| p.id == j.id);
-            let Some(p) = hit.or_else(|| prev.jobs.iter().rev().find(|p| p.id == j.id)) else {
-                continue;
-            };
-            let expected = (p.remaining - p.rate * dt).max(0.0);
-            let tol = REL_TOL * j.size.max(1.0);
-            if (j.remaining - expected).abs() > tol {
-                out.push(Violation {
-                    job: Some(j.id),
-                    expected,
-                    actual: j.remaining,
-                    detail: format!(
-                        "job {} drained to {} over dt={} at rate {}, speed-up curve predicts {}",
-                        j.id, j.remaining, dt, p.rate, expected
-                    ),
-                    ..violation(cur, self.name())
-                });
-            }
-        }
+        Some(Pairing {
+            prev,
+            base,
+            pos: &self.pos,
+        })
     }
 }
 
-/// On the incremental path the engine's maintained alive order must be the
-/// SRPT order: remaining work is non-decreasing along the iteration.
-#[derive(Debug, Default)]
-pub struct SrptOrderPreserved;
-
-impl Invariant for SrptOrderPreserved {
-    fn name(&self) -> &'static str {
-        "srpt-order"
-    }
-
-    fn check_frame(
-        &mut self,
-        _prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        if !cur.srpt_ordered_iteration {
-            return;
-        }
-        for w in cur.jobs.windows(2) {
-            let tol = EPS * w[0].remaining.abs().max(w[1].remaining.abs()).max(1.0);
-            if w[1].remaining < w[0].remaining - tol {
-                out.push(Violation {
-                    job: Some(w[1].id),
-                    expected: w[0].remaining,
-                    actual: w[1].remaining,
-                    detail: format!(
-                        "alive set left SRPT order: job {} (remaining {}) follows job {} (remaining {})",
-                        w[1].id, w[1].remaining, w[0].id, w[0].remaining
-                    ),
-                    ..violation(cur, self.name())
-                });
-            }
-        }
-    }
+/// The interval from `prev` to `cur` (zero when the clock went back).
+fn interval(prev: Option<&AuditFrame>, cur: &AuditFrame) -> f64 {
+    prev.map_or(0.0, |p| (cur.t - p.t).max(0.0))
 }
 
-/// For policies that declare [`crate::Policy::srpt_ordered`], the
-/// scheduled set must be a *prefix of the SRPT order* with one common
-/// share: no zero-share job may have less remaining work than a scheduled
-/// job, and all scheduled jobs receive the same share.
-#[derive(Debug, Default)]
-pub struct SrptPrefixShares;
-
-impl Invariant for SrptPrefixShares {
-    fn name(&self) -> &'static str {
-        "srpt-prefix"
-    }
-
-    fn check_frame(
-        &mut self,
-        _prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        if !cur.srpt_ordered_policy {
-            return;
+/// The first violation of the per-frame laws ([`INVARIANTS`] but
+/// `flow-identity`) on `cur`, checked after `prev`, the frame checked
+/// before it.
+///
+/// One pass over the frame checks each job's share, remaining work and
+/// drain, and gathers what the checks that compare jobs need: the total
+/// share, the longest running and the shortest queued job in SRPT order,
+/// the scheduled jobs' common share, longest and oldest member, and the
+/// starved jobs' shortest and latest. A second pass, over the starved
+/// jobs, runs only when one of them breaks `srpt-prefix` or
+/// `arrival-suffix`, to name the first in frame order.
+fn first_violation(
+    drain: &mut WorkDrainConsistency,
+    prev: Option<&AuditFrame>,
+    cur: &AuditFrame,
+) -> Option<Violation> {
+    let mut first: Option<Hit<'_>> = None;
+    let whole = |rank, expected, actual| Hit {
+        rank,
+        job: None,
+        other: None,
+        expected,
+        actual,
+    };
+    if let Some(prev) = prev {
+        if cur.t < prev.t - EPS * prev.t.abs().max(1.0) {
+            offer(&mut first, whole(CLOCK_TIME, prev.t, cur.t));
         }
-        let mut max_scheduled: Option<&FrameJob> = None;
-        let mut share: Option<f64> = None;
-        for j in cur.jobs.iter().filter(|j| j.share > EPS) {
-            if max_scheduled.is_none_or(|s| j.remaining > s.remaining) {
-                max_scheduled = Some(j);
+        if cur.event <= prev.event {
+            let expected = prev.event as f64 + 1.0;
+            offer(&mut first, whole(CLOCK_EVENT, expected, cur.event as f64));
+        }
+    }
+    let dt = interval(prev, cur);
+    let pairing = drain.index(prev, cur);
+    let (srpt_prefix, latest_arrivals) = (cur.srpt_ordered_policy, cur.latest_arrivals_policy);
+    let running = cur.srpt_running.unwrap_or(usize::MAX);
+    let mut total = 0.0;
+    let mut longest_running: Option<&FrameJob> = None;
+    let mut shortest_queued: Option<&FrameJob> = None;
+    let mut common_share: Option<f64> = None;
+    let mut longest_scheduled: Option<&FrameJob> = None;
+    let mut oldest_scheduled: Option<&FrameJob> = None;
+    let mut shortest_starved = f64::INFINITY;
+    let mut latest_starved: Option<&FrameJob> = None;
+    for (at, j) in cur.jobs.iter().enumerate() {
+        if !j.share.is_finite() || j.share < -EPS {
+            offer(&mut first, hit(SHARE, j, None, 0.0, j.share));
+        }
+        total += j.share.max(0.0);
+        let tol = EPS * j.size.max(1.0);
+        if !j.remaining.is_finite() || j.remaining < -tol || j.remaining > j.size + tol {
+            offer(&mut first, hit(REMAINING, j, None, j.size, j.remaining));
+        }
+        if let Some(p) = pairing.as_ref().and_then(|pairing| pairing.previous(j)) {
+            if let Some(expected) = Pairing::miss(p, j, dt) {
+                offer(&mut first, hit(DRAIN, j, Some(p), expected, j.remaining));
             }
-            match share {
-                None => share = Some(j.share),
+        }
+        if cur.srpt_running.is_some() {
+            if at < running {
+                if longest_running.is_none_or(|l| srpt_after(j, l)) {
+                    longest_running = Some(j);
+                }
+            } else if shortest_queued.is_none_or(|s| srpt_after(s, j)) {
+                shortest_queued = Some(j);
+            }
+        }
+        if !(srpt_prefix || latest_arrivals) {
+            continue;
+        }
+        if j.share > EPS {
+            match common_share {
+                None => common_share = Some(j.share),
                 Some(s) if (j.share - s).abs() > EPS * s.max(1.0) => {
-                    out.push(Violation {
-                        job: Some(j.id),
-                        expected: s,
-                        actual: j.share,
-                        detail: format!(
-                            "scheduled jobs do not share equally: job {} holds {}, others hold {}",
-                            j.id, j.share, s
-                        ),
-                        ..violation(cur, self.name())
-                    });
+                    if srpt_prefix {
+                        offer(&mut first, hit(PREFIX_SHARE, j, None, s, j.share));
+                    }
+                    if latest_arrivals {
+                        offer(&mut first, hit(SUFFIX_SHARE, j, None, s, j.share));
+                    }
                 }
                 Some(_) => {}
             }
-        }
-        let Some(max_scheduled) = max_scheduled else {
-            return;
-        };
-        for j in cur.jobs.iter().filter(|j| j.share <= EPS) {
-            let tol = EPS
-                * j.remaining
-                    .abs()
-                    .max(max_scheduled.remaining.abs())
-                    .max(1.0);
-            if j.remaining < max_scheduled.remaining - tol {
-                out.push(Violation {
-                    job: Some(j.id),
-                    expected: max_scheduled.remaining,
-                    actual: j.remaining,
-                    detail: format!(
-                        "scheduled set is not an SRPT prefix: job {} (remaining {}) is starved while job {} (remaining {}) runs",
-                        j.id, j.remaining, max_scheduled.id, max_scheduled.remaining
-                    ),
-                    ..violation(cur, self.name())
-                });
+            if srpt_prefix && longest_scheduled.is_none_or(|s| j.remaining > s.remaining) {
+                longest_scheduled = Some(j);
             }
-        }
-    }
-}
-
-/// For policies that declare
-/// [`crate::AllocationStability::LatestArrivals`], the scheduled set must
-/// be a *suffix of the arrival order* with one common share: no zero-share
-/// job may arrive after a scheduled job in `(release, id)` order, and all
-/// scheduled jobs receive the same share. It reads only the frame's
-/// releases, ids and shares, so it checks the arrival-suffix path and the
-/// exhaustive path alike.
-#[derive(Debug, Default)]
-pub struct LatestArrivalShares;
-
-impl Invariant for LatestArrivalShares {
-    fn name(&self) -> &'static str {
-        "arrival-suffix"
-    }
-
-    fn check_frame(
-        &mut self,
-        _prev: Option<&AuditFrame>,
-        cur: &AuditFrame,
-        out: &mut Vec<Violation>,
-    ) {
-        if !cur.latest_arrivals_policy {
-            return;
-        }
-        let later = |a: &FrameJob, b: &FrameJob| {
-            a.release.total_cmp(&b.release).then(a.id.cmp(&b.id)) == std::cmp::Ordering::Greater
-        };
-        let mut oldest_scheduled: Option<&FrameJob> = None;
-        let mut share: Option<f64> = None;
-        for j in cur.jobs.iter().filter(|j| j.share > EPS) {
-            if oldest_scheduled.is_none_or(|s| later(s, j)) {
+            if latest_arrivals && oldest_scheduled.is_none_or(|s| arrived_after(s, j)) {
                 oldest_scheduled = Some(j);
             }
-            match share {
-                None => share = Some(j.share),
-                Some(s) if (j.share - s).abs() > EPS * s.max(1.0) => {
-                    out.push(Violation {
-                        job: Some(j.id),
-                        expected: s,
-                        actual: j.share,
-                        detail: format!(
-                            "scheduled jobs do not share equally: job {} holds {}, others hold {}",
-                            j.id, j.share, s
-                        ),
-                        ..violation(cur, self.name())
-                    });
-                }
-                Some(_) => {}
+        } else if j.share <= EPS {
+            if srpt_prefix {
+                shortest_starved = shortest_starved.min(j.remaining);
+            }
+            if latest_arrivals && latest_starved.is_none_or(|w| arrived_after(j, w)) {
+                latest_starved = Some(j);
             }
         }
-        let Some(oldest) = oldest_scheduled else {
-            return;
-        };
-        if let Some(j) = cur
-            .jobs
-            .iter()
-            .filter(|j| j.share <= EPS)
-            .find(|j| later(j, oldest))
-        {
-            out.push(Violation {
-                job: Some(j.id),
-                expected: oldest.release,
-                actual: j.release,
-                detail: format!(
-                    "scheduled set is not the latest arrivals: job {} (release {}) waits while \
-                     older job {} (release {}) runs",
-                    j.id, j.release, oldest.id, oldest.release
-                ),
-                ..violation(cur, self.name())
-            });
+    }
+    if total > cur.m * (1.0 + 1e-9) + EPS {
+        offer(&mut first, whole(CAPACITY, cur.m, total));
+    }
+    // Within each partition the SRPT order is non-decreasing by
+    // construction, so the order can only break at the boundary.
+    if let (Some(l), Some(s)) = (longest_running, shortest_queued) {
+        let tol = EPS * l.remaining.abs().max(s.remaining.abs()).max(1.0);
+        if s.remaining < l.remaining - tol {
+            offer(&mut first, hit(ORDER, s, Some(l), l.remaining, s.remaining));
         }
     }
+    // Some starved job is shorter than the longest scheduled one only if
+    // the shortest is, or a remaining work is negative: for remaining work
+    // ≥ 0 the tolerance only grows with it. Some job waits out of turn
+    // only if the latest waiting one does. So the pass that names the
+    // first such job in frame order runs only when there is one.
+    let longest = longest_scheduled.filter(|s| {
+        wants(&first, PREFIX_STARVED)
+            && (shortest_starved < 0.0 || starved_short(shortest_starved, s))
+    });
+    let oldest = oldest_scheduled.filter(|o| {
+        wants(&first, SUFFIX_WAITING) && latest_starved.is_some_and(|w| arrived_after(w, o))
+    });
+    if longest.is_some() || oldest.is_some() {
+        for j in cur.jobs.iter().filter(|j| j.share <= EPS) {
+            if let Some(s) = longest.filter(|s| starved_short(j.remaining, s)) {
+                offer(
+                    &mut first,
+                    hit(PREFIX_STARVED, j, Some(s), s.remaining, j.remaining),
+                );
+            }
+            if let Some(o) = oldest.filter(|o| arrived_after(j, o)) {
+                offer(
+                    &mut first,
+                    hit(SUFFIX_WAITING, j, Some(o), o.release, j.release),
+                );
+            }
+        }
+    }
+    first.map(|h| describe(h, prev, cur, dt))
 }
 
-/// End-of-run accounting: every admitted job completed, and the flow-time
-/// identity `Σ_j F_j = ∫ |A(t)| dt` holds (with `fractional ≤ integral`).
-#[derive(Debug, Default)]
-pub struct FlowTimeIdentity;
-
-impl Invariant for FlowTimeIdentity {
-    fn name(&self) -> &'static str {
-        "flow-identity"
-    }
-
-    fn check_final(&mut self, end: &FinalAccounting, out: &mut Vec<Violation>) {
-        let base = Violation {
-            invariant: self.name(),
-            event: end.events,
-            at: end.at,
-            job: None,
-            expected: 0.0,
-            actual: 0.0,
-            policy: end.policy.clone(),
-            path: end.path,
-            detail: String::new(),
-        };
-        if end.alive_left == 0 && end.completed != end.admitted {
-            out.push(Violation {
-                expected: end.admitted as f64,
-                actual: end.completed as f64,
-                detail: format!(
+/// The first violation of the end-of-run identities (`flow-identity`):
+/// every admitted job completed, and the flow-time identity
+/// `Σ_j F_j = ∫ |A(t)| dt` holds (with `fractional ≤ integral`).
+fn final_violation(end: &FinalAccounting) -> Option<Violation> {
+    let broken = |expected: f64, actual: f64, detail: String| Violation {
+        invariant: "flow-identity",
+        event: end.events,
+        at: end.at,
+        job: None,
+        expected,
+        actual,
+        policy: end.policy.clone(),
+        path: end.path,
+        detail,
+    };
+    let tol = REL_TOL * end.total_flow.abs().max(1.0);
+    // The identity only closes once every alive job has completed.
+    if end.alive_left == 0 {
+        if end.completed != end.admitted {
+            return Some(broken(
+                end.admitted as f64,
+                end.completed as f64,
+                format!(
                     "{} jobs admitted but {} completed",
                     end.admitted, end.completed
                 ),
-                ..base.clone()
-            });
+            ));
         }
-        // The identity only closes once every alive job has completed.
-        if end.alive_left == 0 {
-            let tol = REL_TOL * end.total_flow.abs().max(1.0);
-            if (end.total_flow - end.alive_integral).abs() > tol {
-                out.push(Violation {
-                    expected: end.alive_integral,
-                    actual: end.total_flow,
-                    detail: format!(
-                        "flow-time identity broken: Σ F_j = {} but ∫|A(t)|dt = {}",
-                        end.total_flow, end.alive_integral
-                    ),
-                    ..base.clone()
-                });
-            }
-        }
-        let tol = REL_TOL * end.total_flow.abs().max(1.0);
-        if end.fractional_flow > end.total_flow + tol {
-            out.push(Violation {
-                expected: end.total_flow,
-                actual: end.fractional_flow,
-                detail: format!(
-                    "fractional flow {} exceeds integral flow {}",
-                    end.fractional_flow, end.total_flow
+        if (end.total_flow - end.alive_integral).abs() > tol {
+            return Some(broken(
+                end.alive_integral,
+                end.total_flow,
+                format!(
+                    "flow-time identity broken: Σ F_j = {} but ∫|A(t)|dt = {}",
+                    end.total_flow, end.alive_integral
                 ),
-                ..base
-            });
+            ));
         }
     }
-}
-
-/// The built-in invariant suite, in check order.
-pub fn builtin_invariants() -> Vec<Box<dyn Invariant>> {
-    vec![
-        Box::new(MonotoneClock),
-        Box::new(CapacityConservation),
-        Box::new(NonNegativeRemaining),
-        Box::new(WorkDrainConsistency::default()),
-        Box::new(SrptOrderPreserved),
-        Box::new(SrptPrefixShares),
-        Box::new(LatestArrivalShares),
-        Box::new(FlowTimeIdentity),
-    ]
+    (end.fractional_flow > end.total_flow + tol).then(|| {
+        broken(
+            end.total_flow,
+            end.fractional_flow,
+            format!(
+                "fractional flow {} exceeds integral flow {}",
+                end.fractional_flow, end.total_flow
+            ),
+        )
+    })
 }
 
 /// Summary of a completed audit, attached to
@@ -784,7 +808,7 @@ pub struct AuditReport {
     pub frames: u64,
     /// Whether the end-of-run identities were checked.
     pub final_checked: bool,
-    /// Names of the active invariants.
+    /// Names of the checked invariants ([`INVARIANTS`]).
     pub invariants: Vec<&'static str>,
 }
 
@@ -805,11 +829,12 @@ impl std::fmt::Display for AuditReport {
     }
 }
 
-/// Drives a suite of [`Invariant`]s over a stream of frames and a final
-/// accounting, failing fast on the first violation.
+/// Checks a stream of frames and a final accounting against the
+/// [`INVARIANTS`], failing fast on the first violation.
 pub struct Auditor {
     level: AuditLevel,
-    invariants: Vec<Box<dyn Invariant>>,
+    /// The work-drain pairing's table, retained across frames.
+    drain: WorkDrainConsistency,
     prev: Option<AuditFrame>,
     /// The frame retired by the last check, lent back to the producer by
     /// [`Auditor::take_spare`] so frames reuse their buffers.
@@ -823,22 +848,16 @@ impl std::fmt::Debug for Auditor {
         f.debug_struct("Auditor")
             .field("level", &self.level)
             .field("frames", &self.frames)
-            .field("invariants", &self.invariants.len())
             .finish()
     }
 }
 
 impl Auditor {
-    /// Creates an auditor running the [`builtin_invariants`] suite.
+    /// Creates an auditor at `level`.
     pub fn new(level: AuditLevel) -> Self {
-        Self::with_invariants(level, builtin_invariants())
-    }
-
-    /// Creates an auditor over a custom invariant suite.
-    pub fn with_invariants(level: AuditLevel, invariants: Vec<Box<dyn Invariant>>) -> Self {
         Self {
             level,
-            invariants,
+            drain: WorkDrainConsistency::default(),
             prev: None,
             spare: None,
             frames: 0,
@@ -876,16 +895,14 @@ impl Auditor {
         }
     }
 
-    /// Checks one frame against the suite. Fails with the first (most
-    /// severe by suite order) violation.
+    /// Checks one frame against every per-frame law in one `O(alive)`
+    /// pass ([`INVARIANTS`]). Fails with the first violation in that
+    /// order.
     pub fn check_frame(&mut self, frame: AuditFrame) -> Result<(), SimError> {
-        let mut out = Vec::new();
-        for inv in &mut self.invariants {
-            inv.check_frame(self.prev.as_ref(), &frame, &mut out);
-        }
+        let found = first_violation(&mut self.drain, self.prev.as_ref(), &frame);
         self.frames += 1;
         self.spare = self.prev.replace(frame);
-        match out.into_iter().next() {
+        match found {
             Some(v) => Err(SimError::AuditFailed {
                 violation: Box::new(v),
             }),
@@ -895,12 +912,8 @@ impl Auditor {
 
     /// Checks the end-of-run accounting identities.
     pub fn check_final(&mut self, end: &FinalAccounting) -> Result<(), SimError> {
-        let mut out = Vec::new();
-        for inv in &mut self.invariants {
-            inv.check_final(end, &mut out);
-        }
         self.final_checked = true;
-        match out.into_iter().next() {
+        match final_violation(end) {
             Some(v) => Err(SimError::AuditFailed {
                 violation: Box::new(v),
             }),
@@ -914,7 +927,7 @@ impl Auditor {
             level: self.level,
             frames: self.frames,
             final_checked: self.final_checked,
-            invariants: self.invariants.iter().map(|i| i.name()).collect(),
+            invariants: INVARIANTS.to_vec(),
         }
     }
 }
@@ -931,7 +944,7 @@ mod tests {
             path: EnginePath::Exhaustive,
             policy: "test".to_string(),
             jobs,
-            srpt_ordered_iteration: false,
+            srpt_running: None,
             srpt_ordered_policy: false,
             latest_arrivals_policy: false,
         }
@@ -1023,21 +1036,51 @@ mod tests {
             .unwrap();
     }
 
+    /// An incremental-path frame listing its running partition (`k`
+    /// jobs) and then its queue, each in the heap order given.
+    fn partitioned(running: &[f64], queued: &[f64]) -> AuditFrame {
+        let jobs = running
+            .iter()
+            .map(|&r| (r, 1.0))
+            .chain(queued.iter().map(|&r| (r, 0.0)))
+            .enumerate()
+            .map(|(id, (r, share))| job(id as u64, r, share, share))
+            .collect();
+        AuditFrame {
+            srpt_running: Some(running.len()),
+            ..frame(0, 0.0, jobs)
+        }
+    }
+
     #[test]
-    fn srpt_order_checked_only_when_claimed() {
-        let jobs = vec![job(0, 9.0, 1.0, 1.0), job(1, 2.0, 1.0, 1.0)];
-        let mut unordered = frame(0, 0.0, jobs.clone());
-        Auditor::new(AuditLevel::Strict)
-            .check_frame(unordered.clone())
-            .unwrap();
-        unordered.srpt_ordered_iteration = true;
-        let err = Auditor::new(AuditLevel::Strict)
-            .check_frame(unordered)
-            .unwrap_err();
+    fn srpt_order_passes_a_heap_ordered_frame_with_a_valid_partition() {
+        // Neither partition is sorted, but no queued job is shorter than
+        // a running one.
+        let f = partitioned(&[1.0, 3.0, 2.0], &[3.5, 9.0, 4.0]);
+        Auditor::new(AuditLevel::Strict).check_frame(f).unwrap();
+    }
+
+    #[test]
+    fn srpt_order_flags_and_names_a_queued_job_shorter_than_a_running_one() {
+        // Job 4 (remaining 4) waits while job 1 (remaining 6) runs; job 3
+        // (remaining 5) is shorter too, but SRPT order names job 4 first.
+        let f = partitioned(&[1.0, 6.0], &[7.0, 5.0, 4.0]);
+        let err = Auditor::new(AuditLevel::Strict).check_frame(f).unwrap_err();
         let SimError::AuditFailed { violation } = err else {
             panic!("wrong error kind")
         };
         assert_eq!(violation.invariant, "srpt-order");
+        assert_eq!(violation.job, Some(JobId(4)));
+        assert_eq!(violation.expected, 6.0);
+        assert_eq!(violation.actual, 4.0);
+        let follows = format!("follows job {}", JobId(1));
+        assert!(violation.detail.contains(&follows), "{}", violation.detail);
+    }
+
+    #[test]
+    fn srpt_order_passes_an_exact_tie_across_the_boundary() {
+        let f = partitioned(&[5.0, 2.0], &[8.0, 5.0]);
+        Auditor::new(AuditLevel::Strict).check_frame(f).unwrap();
     }
 
     #[test]

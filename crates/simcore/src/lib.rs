@@ -74,7 +74,7 @@ pub use engine::{
     simulate_with_observer, AliveSnapshot, Engine, EngineBuffers, EngineConfig, ParkedEngine,
 };
 pub use error::SimError;
-pub use invariant::{AuditLevel, AuditReport, Auditor, EnginePath, Invariant, Violation};
+pub use invariant::{AuditLevel, AuditReport, Auditor, EnginePath, Violation};
 pub use job::{class_index, num_classes, Instance, JobId, JobSpec, Time, Work};
 pub use kahan::NeumaierSum;
 pub use metrics::{CompletedJob, RunMetrics, RunOutcome};

@@ -44,13 +44,14 @@
 //! admission writes the spec before [`SrptSet::insert`], and a slot is
 //! only recycled after its job left the set.
 //!
-//! Ordered iteration (the engine's Scan intervals and walks of the alive
+//! Ordered iteration (the engine's Scan intervals and views of the alive
 //! set, snapshots) sorts a copy of the entries — into the retained
 //! `ordered` scratch for the engine, into a fresh vector for snapshots;
 //! the sort uses the same total order, so every externally observable
 //! sequence — completion order, tie-breaks, floating-point accumulation
 //! order of the running sums — is independent of the heaps' internal
-//! layout.
+//! layout. The strict audit's frame, which needs no order within a
+//! partition, lists the heaps as stored ([`SrptSet::for_each_stored`]).
 //!
 //! Heterogeneous prefixes (different curves at share ≠ 1) drain at
 //! per-job rates; [`SrptSet::drain_scan`] handles those intervals in
@@ -744,6 +745,19 @@ impl SrptSet {
         }
     }
 
+    /// Visits every entry as `(slot, remaining, running)` in heap storage
+    /// order, the running partition's entries first: no copy, no sort. The
+    /// order within each partition depends on the heaps' push history, so
+    /// this serves only readers that need none (the audit frame).
+    pub fn for_each_stored(&self, mut f: impl FnMut(Slot, f64, bool)) {
+        for e in self.running.entries() {
+            f(e.slot(), self.prefix.remaining(e.key), true);
+        }
+        for e in self.queued.entries() {
+            f(e.slot(), e.key, false);
+        }
+    }
+
     fn flags_for(&mut self, curve: &Curve) -> (bool, bool) {
         flags(self.reference.get_or_insert_with(|| curve.clone()), curve)
     }
@@ -1125,6 +1139,35 @@ mod tests {
         set.for_each_queued_ordered(&specs, |s, rem| via_visit.push((s.idx, rem.to_bits())));
         assert_eq!(via_iter, via_visit);
         assert_eq!(via_visit.len(), 6);
+    }
+
+    /// The unsorted visit lists the running partition, then the queue,
+    /// each with the same entries and remaining-work bits as the sorted
+    /// views.
+    #[test]
+    fn for_each_stored_lists_each_partition_as_the_sorted_views_do() {
+        let mut set = SrptSet::default();
+        let sizes = [5.0, 1.0, 3.0, 2.75, 4.5, 0.25, 7.0, 6.125, 3.0];
+        let specs: Vec<JobSpec> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| spec(i as u64, 0.1 * i as f64, size))
+            .collect();
+        insert_all(&mut set, &specs);
+        set.rebalance(4, &specs, |_, _| {});
+        advance(&mut set, 0.4375);
+        let mut stored = Vec::new();
+        set.for_each_stored(|s, rem, running| stored.push((running, s.idx, rem.to_bits())));
+        let k = set.running_len();
+        assert!(stored[..k].iter().all(|e| e.0) && !stored[k..].iter().any(|e| e.0));
+        let mut sorted = Vec::new();
+        set.for_each_running_ordered(&specs, |s, rem| sorted.push((true, s.idx, rem.to_bits())));
+        set.for_each_queued_ordered(&specs, |s, rem| sorted.push((false, s.idx, rem.to_bits())));
+        stored[..k].sort_unstable();
+        stored[k..].sort_unstable();
+        sorted[..k].sort_unstable();
+        sorted[k..].sort_unstable();
+        assert_eq!(stored, sorted);
     }
 
     #[test]

@@ -542,10 +542,10 @@ pub fn replay(trace: &Trace, level: AuditLevel) -> Result<ReplayOutcome, SimErro
                         path: EnginePath::Replay,
                         policy,
                         jobs: frame_jobs,
-                        // Replay iterates admission order, not SRPT order;
-                        // the (order-independent) srpt-prefix check still
+                        // Replay keeps no SRPT partition; the
+                        // (order-independent) srpt-prefix check still
                         // applies when the policy claims it.
-                        srpt_ordered_iteration: false,
+                        srpt_running: None,
                         srpt_ordered_policy: trace.srpt_ordered,
                         latest_arrivals_policy: false,
                     })?;
