@@ -488,3 +488,102 @@ fn setf_exhaustive_path_lands_catch_ups_under_speed_augmentation() {
         assert_equivalent(kind, &levels, &oracle);
     }
 }
+
+/// Advances `engine` to the event time `t` the lockstep driver chose.
+fn lockstep_advance(engine: &mut Engine<'_>, t: Time, ctx: &str) {
+    engine
+        .advance_to(t)
+        .unwrap_or_else(|e| panic!("{ctx}: advance_to({t}): {e}"));
+}
+
+/// The alive set as `id → remaining` through both query paths of one
+/// engine: `alive_snapshot` must list `num_alive` distinct jobs, and
+/// `remaining_of` must report what the snapshot lists for each.
+fn alive_by_id(engine: &mut Engine<'_>, ctx: &str) -> Vec<(JobId, f64, f64)> {
+    let mut alive: Vec<_> = engine
+        .alive_snapshot()
+        .into_iter()
+        .map(|a| (a.id, a.remaining, a.size))
+        .collect();
+    alive.sort_by_key(|a| a.0);
+    assert_eq!(alive.len(), engine.num_alive(), "{ctx}: num_alive");
+    assert!(
+        alive.windows(2).all(|w| w[0].0 != w[1].0),
+        "{ctx}: alive_snapshot lists a job twice"
+    );
+    for &(id, remaining, _) in &alive {
+        assert_eq!(
+            engine.remaining_of(id).map(f64::to_bits),
+            Some(remaining.to_bits()),
+            "{ctx}: remaining_of({id}) disagrees with alive_snapshot"
+        );
+    }
+    alive
+}
+
+/// Every incremental path's queries against the exhaustive oracle, event
+/// by event: the two engines run in lockstep (`next_event_time` on both,
+/// then `advance_to` the earlier of the two), and after every step they
+/// must agree on the alive set and on each alive job's remaining work
+/// within the suite's tolerance. A job one path has just completed and
+/// the other has not yet may differ only by a sliver of remaining work.
+/// Intermediate-SRPT runs mixed curves, so Scan intervals occur; SETF
+/// exercises the level stack, LAPS(0.55) the arrival suffix; each in
+/// both memory modes.
+#[test]
+fn per_path_queries_match_the_exhaustive_oracle_in_lockstep() {
+    for (kind, path) in [
+        (PolicyKind::IntermediateSrpt, EnginePath::Incremental),
+        (PolicyKind::Setf, EnginePath::Levels),
+        (PolicyKind::Laps(0.55), EnginePath::ArrivalSuffix),
+    ] {
+        for streaming in [false, true] {
+            let (m, n) = (4.0, 150);
+            let inst = mixed_stream(n, m, 1.1, 11);
+            let cfg = EngineConfig::new(m).with_streaming(streaming);
+            let ctx = format!("{} ({path} path, streaming {streaming})", kind.name());
+            let (mut pa, mut pb) = (kind.build(), kind.build());
+            let (mut sa, mut sb) = (StaticSource::new(&inst), StaticSource::new(&inst));
+            let (mut oa, mut ob) = (NullObserver, NullObserver);
+            let mut fast = Engine::new(cfg, pa.as_mut(), &mut sa, &mut oa);
+            let mut oracle =
+                Engine::new(cfg.with_full_reassign(true), pb.as_mut(), &mut sb, &mut ob);
+            assert_eq!(fast.path(), path, "{ctx}");
+            assert_eq!(oracle.path(), EnginePath::Exhaustive, "{ctx}");
+            let mut steps = 0u64;
+            loop {
+                let ta = fast.next_event_time().expect("next event (fast)");
+                let tb = oracle.next_event_time().expect("next event (oracle)");
+                let t = match (ta, tb) {
+                    (None, None) => break,
+                    (Some(a), Some(b)) => a.min(b),
+                    (a, b) => a.or(b).expect("one side has an event"),
+                };
+                lockstep_advance(&mut fast, t, &ctx);
+                lockstep_advance(&mut oracle, t, &ctx);
+                steps += 1;
+                let at = format!("{ctx} at t = {t}");
+                let a = alive_by_id(&mut fast, &at);
+                let b = alive_by_id(&mut oracle, &at);
+                // The union of both alive sets, each id once.
+                let mut ids: Vec<JobId> = a.iter().chain(&b).map(|j| j.0).collect();
+                ids.sort();
+                ids.dedup();
+                for id in ids {
+                    let size = a.iter().chain(&b).find(|j| j.0 == id).map_or(1.0, |j| j.2);
+                    let ra = fast.remaining_of(id).unwrap_or(0.0);
+                    let rb = oracle.remaining_of(id).unwrap_or(0.0);
+                    assert!(
+                        close(ra, rb, size),
+                        "{at}: job {id} has {ra} left on the {path} path, {rb} on the oracle"
+                    );
+                }
+            }
+            assert!(fast.is_finished() && oracle.is_finished(), "{ctx}");
+            assert!(
+                steps as usize >= 2 * n,
+                "{ctx}: only {steps} lockstep events"
+            );
+        }
+    }
+}
