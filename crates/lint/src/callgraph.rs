@@ -239,6 +239,13 @@ impl CallGraph {
                 }
                 (t, true)
             }
+            // A call through a parameter (`finish(jobs, idx)` with `finish:
+            // impl FnMut(…)`) runs whatever the caller passed in; a closure
+            // is scanned in its defining function, so the call links
+            // nothing here.
+            CallKind::Plain(name) if caller.def.params.iter().any(|(p, _)| p == name) => {
+                (Vec::new(), true)
+            }
             CallKind::Plain(name) => {
                 let t = self.by_name.get(name).cloned().unwrap_or_default();
                 // Unresolved uppercase-initial plain calls are tuple-struct

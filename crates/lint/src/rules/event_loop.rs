@@ -6,7 +6,8 @@
 //! warm-up, stepping events neither allocates nor panics. The dynamic
 //! test only sees the configurations it runs; this rule complements it
 //! statically: from the event-loop roots (`Engine::run*`, `Engine::step`,
-//! `SrptSet`, `LevelStack` and `ArrivalSuffix` mutation) every reachable
+//! and the alive structures: every `AliveSet` method and every `&mut
+//! self` method of a type implementing it) every reachable
 //! function is checked for panic sinks (`unwrap`/`expect`, panic macros,
 //! unchecked indexing) and allocation sinks (`Vec::push`, `Box::new`,
 //! `format!`, …).
@@ -22,7 +23,9 @@
 //!   one positional field is the engine's whole cleared run state), so
 //!   the set can never go stale. Indexing into a donated SoA lane
 //!   (`self.remaining[idx]`) is exempt on the same basis: lanes are sized
-//!   by the arena and indexed by the dense slots it hands out.
+//!   by the arena and indexed by the dense slots it hands out. A method of
+//!   a donated type calling another on `self` (`self.insert(…)` in
+//!   `SrptSet`) mutates donated state too; the callee is checked itself.
 //! * **Caller-donated parameters.** An alloc-method receiver that is a
 //!   parameter of the containing function (`out.push(job)` inside
 //!   `emit_into(&mut self, out: &mut Vec<Job>)`) mutates a buffer the
@@ -65,10 +68,22 @@ const ENGINE_ROOTS: &[&str] = &[
     "step",
 ];
 
+/// The trait the engine drives its alive structures through (see
+/// `crates/simcore/src/alive_set.rs`). The event loop calls it on a type
+/// parameter, which the call graph does not resolve, so its
+/// implementations are roots themselves.
+pub(crate) const ALIVE_SET: &str = "AliveSet";
+
 /// Methods excluded from the root set even when `&mut self`: they run
 /// outside the steady-state loop (suspend/resume is governed by L009,
 /// reset between runs is warm-up).
-const NON_LOOP_METHODS: &[&str] = &["snapshot_state", "restore_state", "snapshot", "restore"];
+const NON_LOOP_METHODS: &[&str] = &[
+    "snapshot_state",
+    "restore_state",
+    "snapshot",
+    "restore",
+    "check",
+];
 
 /// Methods that panic on `None`/`Err`.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -141,8 +156,8 @@ pub fn event_loop_roots(graph: &CallGraph) -> Vec<usize> {
         };
         let name = f.def.name.as_str();
         let is_root = (owner == "Engine" && ENGINE_ROOTS.contains(&name))
-            || (matches!(owner, "SrptSet" | "LevelStack" | "ArrivalSuffix")
-                && f.def.mut_self
+            || (graph.implements(owner, ALIVE_SET)
+                && (f.def.mut_self || f.def.trait_impl.as_deref() == Some(ALIVE_SET))
                 && !NON_LOOP_METHODS.contains(&name));
         if is_root {
             roots.push(id);
@@ -173,8 +188,8 @@ pub(crate) fn is_boundary(graph: &CallGraph, id: usize) -> bool {
 
 /// Names of buffers donated through `EngineBuffers`: its fields plus,
 /// transitively, the fields of every workspace type appearing in those
-/// fields' types.
-pub(crate) fn donated_names(graph: &CallGraph) -> BTreeSet<String> {
+/// fields' types; and the names of those types.
+pub(crate) fn donated_names(graph: &CallGraph) -> (BTreeSet<String>, BTreeSet<String>) {
     let mut names = BTreeSet::new();
     let mut seen_types: BTreeSet<String> = BTreeSet::new();
     let mut worklist: Vec<String> = vec!["EngineBuffers".to_string()];
@@ -195,7 +210,7 @@ pub(crate) fn donated_names(graph: &CallGraph) -> BTreeSet<String> {
             }
         }
     }
-    names
+    (names, seen_types)
 }
 
 /// The L007 rule value.
@@ -207,9 +222,9 @@ impl Rule for EventLoopReachability {
     }
 
     fn summary(&self) -> &'static str {
-        "panic or allocation reachable from an event-loop root (Engine::run*/step, SrptSet, \
-         LevelStack or ArrivalSuffix mutation); the steady-state loop must be panic- and \
-         alloc-free"
+        "panic or allocation reachable from an event-loop root (Engine::run*/step, or an \
+         alive structure's AliveSet method or mutation); the steady-state loop must be panic- \
+         and alloc-free"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
@@ -219,7 +234,7 @@ impl Rule for EventLoopReachability {
             return Vec::new();
         }
         let reach = Reach::compute(graph, &roots, |id| is_boundary(graph, id));
-        let donated = donated_names(graph);
+        let (donated, donated_types) = donated_names(graph);
         let mut out = Vec::new();
         for (id, f) in graph.fns.iter().enumerate() {
             // Boundary fns are reachable but are instrumentation — their
@@ -236,10 +251,15 @@ impl Rule for EventLoopReachability {
             for call in &graph.resolved[id] {
                 let site = &call.site;
                 let qual = site.qualified_name();
+                let self_donated = f
+                    .def
+                    .owner
+                    .as_ref()
+                    .is_some_and(|o| donated_types.contains(o));
                 let donated_recv = site
                     .receiver
                     .as_deref()
-                    .is_some_and(|r| donated.contains(r));
+                    .is_some_and(|r| donated.contains(r) || (r == "self" && self_donated));
                 // Caller-donated buffer (see module docs): exempts alloc
                 // methods only, never indexing.
                 let param_recv = site

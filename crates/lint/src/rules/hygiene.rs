@@ -17,6 +17,14 @@ use crate::Diagnostic;
 /// banned.
 const EVENT_LOOP: &[&str] = &[
     "crates/simcore/src/engine.rs",
+    // The alive structures the engine drives through `AliveSet`, and the
+    // arena they share.
+    "crates/simcore/src/alive_set.rs",
+    "crates/simcore/src/alive_list.rs",
+    "crates/simcore/src/arena.rs",
+    "crates/simcore/src/srpt_set.rs",
+    "crates/simcore/src/level_stack.rs",
+    "crates/simcore/src/arrival_suffix.rs",
     "crates/simcore/src/streaming.rs",
     // The snapshot codec and the fleet's serving loop sit on the same
     // hot path: a corrupt migration document must surface as a

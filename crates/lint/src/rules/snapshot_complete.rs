@@ -2,13 +2,15 @@
 //!
 //! The snapshot codec round-trips the engine mid-run (suspend/resume,
 //! fleet migration). Its failure mode is silent: add a field to `Engine`'s
-//! `RunState`, `JobArena`, `SrptSet`, `LevelStack`, or `ArrivalSuffix`, forget the codec, and every test that doesn't
-//! cross a suspend point still passes — restore just resurrects a subtly
-//! different engine. This rule makes the omission a lint error: every
-//! field of the participating structs must be *referenced* both somewhere
-//! on the render path (reachable from `Engine::snapshot` /
-//! `Snapshot::to_value`) and somewhere on the parse path (reachable from
-//! `Engine::restore` / `Snapshot::from_value`).
+//! `RunState`, `JobArena`, or an alive structure, forget the codec, and
+//! every test that doesn't cross a suspend point still passes — restore
+//! just resurrects a subtly different engine. This rule makes the
+//! omission a lint error: every field of the participating structs must
+//! be *referenced* both somewhere on the render path (reachable from
+//! `Engine::snapshot` / `Snapshot::to_value` and the alive structures'
+//! `AliveSet::snapshot`) and somewhere on the parse path (reachable from
+//! `Engine::restore` / `Snapshot::from_value` and their
+//! `AliveSet::check` / `AliveSet::restore`).
 //!
 //! The check is name-based (an identifier token equal to the field name
 //! inside a reachable function body counts), so a field whose name is
@@ -27,6 +29,7 @@ use std::collections::BTreeSet;
 use crate::engine::Workspace;
 use crate::lex::TokenKind;
 use crate::reach::Reach;
+use crate::rules::event_loop::ALIVE_SET;
 use crate::rules::{diag_at, Rule};
 use crate::Diagnostic;
 
@@ -44,6 +47,7 @@ const CHECKED: &[&str] = &[
     "Tally",
     "ArrivalSuffix",
     "Group",
+    "AliveList",
     "SuffixSnap",
     "GroupSnap",
     "Snapshot",
@@ -53,11 +57,19 @@ const CHECKED: &[&str] = &[
     "SinkState",
 ];
 
-/// Entry points of the render (suspend) path.
-const RENDER_ROOTS: &[&str] = &["Engine::snapshot", "Snapshot::to_value"];
+/// Entry points of the render (suspend) path, with every alive
+/// structure's `AliveSet::snapshot`, which `Engine::snapshot` reaches
+/// through a type parameter the call graph does not resolve.
+const RENDER_ROOTS: &[&str] = &["Engine::snapshot", "Snapshot::to_value", "snapshot"];
 
-/// Entry points of the parse (resume) path.
-const PARSE_ROOTS: &[&str] = &["Engine::restore", "Snapshot::from_value"];
+/// Entry points of the parse (resume) path, with every alive structure's
+/// `AliveSet::check` and `AliveSet::restore`.
+const PARSE_ROOTS: &[&str] = &[
+    "Engine::restore",
+    "Snapshot::from_value",
+    "check",
+    "restore",
+];
 
 /// The L009 rule value.
 pub struct SnapshotComplete;
@@ -66,8 +78,21 @@ pub struct SnapshotComplete;
 /// workspace has no codec (shared with `--explain`).
 pub(crate) fn coverage(ws: &Workspace) -> Option<(BTreeSet<String>, BTreeSet<String>)> {
     let graph = ws.graph();
-    let lookup_all =
-        |names: &[&str]| -> Vec<usize> { names.iter().flat_map(|n| graph.lookup(n)).collect() };
+    // A bare name stands for that method of every `AliveSet` impl.
+    let lookup_all = |names: &[&str]| -> Vec<usize> {
+        names
+            .iter()
+            .flat_map(|n| {
+                let ids = graph.lookup(n);
+                if n.contains("::") {
+                    return ids;
+                }
+                ids.into_iter()
+                    .filter(|&id| graph.fns[id].def.trait_impl.as_deref() == Some(ALIVE_SET))
+                    .collect()
+            })
+            .collect()
+    };
     let render_roots = lookup_all(RENDER_ROOTS);
     let parse_roots = lookup_all(PARSE_ROOTS);
     if render_roots.is_empty() && parse_roots.is_empty() {

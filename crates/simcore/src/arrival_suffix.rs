@@ -42,9 +42,14 @@
 
 use std::cmp::Ordering;
 
+use crate::alive_set::{completion_tolerance, AliveSet, AliveSets, Drained, Refresh, Schedule};
+use crate::arena::JobArena;
 use crate::drained::{DrainedGroup, DrainedSnap};
+use crate::error::SimError;
 use crate::job::{JobId, JobSpec, Time, Work};
-use crate::snapshot::{in_range, SlotCheck};
+use crate::kahan::NeumaierSum;
+use crate::policy::PrefixAllocation;
+use crate::snapshot::{in_range, SlotCheck, Snapshot};
 use crate::srpt_set::{Entry, HeapEntrySnap, HeapTrack, Slot, REBASE_LIMIT};
 
 /// The null link.
@@ -224,6 +229,8 @@ pub(crate) struct ArrivalSuffix {
     live: Vec<u32>,
     /// `Σ remaining_j/p_j` over waiting jobs.
     waiting_frac: f64,
+    /// The policy's `(count, share)` profile for the current interval.
+    profile: PrefixAllocation,
 }
 
 impl Default for ArrivalSuffix {
@@ -238,31 +245,12 @@ impl Default for ArrivalSuffix {
             slab: Vec::new(),
             live: Vec::new(),
             waiting_frac: 0.0,
+            profile: PrefixAllocation::default(),
         }
     }
 }
 
 impl ArrivalSuffix {
-    /// Clears all state for a fresh run, retaining every buffer.
-    pub fn reset(&mut self) {
-        for group in &mut self.slab {
-            group.clear();
-        }
-        self.node.clear();
-        self.node_of.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.boundary = NIL;
-        self.running = 0;
-        self.live.clear();
-        self.waiting_frac = 0.0;
-    }
-
-    /// Alive jobs.
-    pub fn len(&self) -> usize {
-        self.node.len()
-    }
-
     /// The node of the alive job in arena slot `idx`.
     fn id_of(&self, idx: usize) -> Option<usize> {
         self.node_of
@@ -468,7 +456,7 @@ impl ArrivalSuffix {
     /// The fractional flow `∫ Σ p_j(τ)/p_j dτ` of an interval of length
     /// `dt` at the scheduled rates, in closed form per group, plus the
     /// waiting jobs' static sum; then drains every group by `rate·dt`.
-    pub fn integrate(&mut self, dt: f64) -> f64 {
+    pub fn integrate_groups(&mut self, dt: f64) -> f64 {
         let mut run = 0.0;
         for &g in &self.live {
             let group = &mut self.slab[g as usize];
@@ -690,6 +678,150 @@ impl ArrivalSuffix {
     }
 }
 
+impl AliveSet for ArrivalSuffix {
+    fn of(sets: &AliveSets) -> &Self {
+        &sets.suffix
+    }
+
+    fn of_mut(sets: &mut AliveSets) -> &mut Self {
+        &mut sets.suffix
+    }
+
+    fn len(&self) -> usize {
+        self.node.len()
+    }
+
+    fn reset(&mut self) {
+        for group in &mut self.slab {
+            group.clear();
+        }
+        self.node.clear();
+        self.node_of.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.boundary = NIL;
+        self.running = 0;
+        self.live.clear();
+        self.waiting_frac = 0.0;
+        self.profile = PrefixAllocation::default();
+    }
+
+    fn admit(&mut self, idx: usize, remaining: Work, jobs: &mut JobArena) {
+        self.insert(idx, remaining, &jobs.specs);
+    }
+
+    /// Replays the policy's `(count, share)` profile from the per-`n`
+    /// memo, restores the running suffix to the latest `count` arrivals
+    /// (one demotion or promotion per arrival or completion), and
+    /// schedules each curve group's drain rate `speed·Γ_g(share)` and the
+    /// earliest group-front completion. `O(log n)` for the boundary moves
+    /// plus `O(groups)`. A group's rate is memoized per `n` like the
+    /// incremental path's uniform rate, so a one-curve run evaluates Γ
+    /// once per distinct alive count.
+    fn refresh(&mut self, cx: Refresh<'_>) -> Result<Schedule, SimError> {
+        let n = self.len();
+        if n == 0 {
+            return Ok(Schedule::default());
+        }
+        let (count, share) = cx.memo.profile(n, &*cx.policy, cx.now, cx.m)?;
+        self.profile = PrefixAllocation { count, share };
+        let (jobs, speed) = (&*cx.jobs, cx.speed);
+        self.rebalance(count, &jobs.specs);
+        let memo = cx.memo.slot(n);
+        let completion = self.schedule(cx.now, &jobs.specs, |idx| {
+            memo.uniform_rate(jobs, idx, speed)
+        });
+        Ok(Schedule {
+            completion,
+            deadline: None,
+        })
+    }
+
+    /// `O(groups)`: each curve group of the running suffix drains
+    /// uniformly at its own rate, as one group (its fractional flow in
+    /// closed form), and the waiting jobs contribute their static sum
+    /// times `dt`.
+    fn integrate(
+        &mut self,
+        dt: f64,
+        _t: Time,
+        _jobs: &mut JobArena,
+        _speed: f64,
+        frac_flow: &mut NeumaierSum,
+    ) -> Drained {
+        frac_flow.add(self.integrate_groups(dt));
+        Drained::MaybeDue
+    }
+
+    /// Only running jobs drain, and a group's members drain at one rate,
+    /// so only a group's front can be due — pop fronts while one is.
+    fn complete_due(
+        &mut self,
+        now: Time,
+        jobs: &mut JobArena,
+        _speed: f64,
+        _deadline: &mut Option<Time>,
+        mut finish: impl FnMut(&mut JobArena, usize),
+    ) -> bool {
+        let mut completed_any = false;
+        while let Some(slot) = self.pop_due(&jobs.specs, |slot, rem, rate| {
+            rem <= completion_tolerance(slot.size, rate, now)
+        }) {
+            finish(jobs, slot.idx);
+            completed_any = true;
+        }
+        completed_any
+    }
+
+    fn remaining(&self, idx: usize, _jobs: &JobArena) -> Work {
+        self.remaining_of(idx).unwrap_or(0.0)
+    }
+
+    fn walk(&mut self, _jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
+        self.for_each(|idx, rem, _| f(idx, rem));
+    }
+
+    fn audit(
+        &mut self,
+        _jobs: &JobArena,
+        _speed: f64,
+        mut f: impl FnMut(usize, Work, f64, f64),
+    ) -> Option<usize> {
+        let share = self.profile.share;
+        self.for_each(|idx, rem, running| {
+            if running {
+                f(idx, rem, share, self.rate_of(idx));
+            } else {
+                f(idx, rem, 0.0, 0.0);
+            }
+        });
+        None
+    }
+
+    fn snapshot(&self, specs: &[JobSpec], snap: &mut Snapshot) {
+        snap.suffix = Some(self.snapshot_state(specs));
+        snap.profile_count = self.profile.count;
+        snap.profile_share = self.profile.share;
+    }
+
+    fn check(snap: &Snapshot, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        match &snap.suffix {
+            Some(suffix) => suffix.check(slots),
+            None => Ok(()),
+        }
+    }
+
+    fn restore(&mut self, snap: &Snapshot, jobs: &mut JobArena, _speed: f64) {
+        if let Some(suffix) = &snap.suffix {
+            self.restore_state(suffix, &jobs.specs);
+        }
+        self.profile = PrefixAllocation {
+            count: snap.profile_count,
+            share: snap.profile_share,
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,7 +932,7 @@ mod tests {
                         };
                         let dt = (t - clock) * (1 + next(3)) as f64 / 4.0;
                         let running = latest(&model, &specs, k);
-                        set.integrate(dt);
+                        set.integrate_groups(dt);
                         clock += dt;
                         for j in model.iter_mut().filter(|j| running.contains(&j.idx)) {
                             j.remaining -= rate(&specs[j.idx].curve, share) * dt;
@@ -819,7 +951,7 @@ mod tests {
                         };
                         let dt = t - clock;
                         let running = latest(&model, &specs, k);
-                        set.integrate(dt);
+                        set.integrate_groups(dt);
                         clock = t;
                         for j in model.iter_mut().filter(|j| running.contains(&j.idx)) {
                             j.remaining -= rate(&specs[j.idx].curve, share) * dt;
@@ -922,7 +1054,7 @@ mod tests {
         }
         set.rebalance(6, &specs);
         set.schedule(0.0, &specs, |_| 1.0);
-        set.integrate(1.5e6);
+        set.integrate_groups(1.5e6);
         let before: Vec<f64> = (0..6).map(|i| set.remaining_of(i).unwrap()).collect();
         set.schedule(1.5e6, &specs, |_| 1.0);
         let group = &set.slab[set.live[0] as usize];
@@ -954,7 +1086,7 @@ mod tests {
             set.rebalance(set.len().div_ceil(2), &specs);
             let share = 4.0 / set.running as f64;
             set.schedule(clock, &specs, |j| specs[j].curve.rate(share));
-            set.integrate(0.05);
+            set.integrate_groups(0.05);
             clock += 0.05;
         }
         let snap = set.snapshot_state(&specs);

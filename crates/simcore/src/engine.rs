@@ -28,7 +28,9 @@
 //! suffix boundary by one job when the policy's `count` moves, `O(log n)`
 //! per event. [`EngineConfig::with_full_reassign`] forces the exhaustive
 //! path, which keeps it available as a differential oracle for all three
-//! (see `docs/PERF.md`).
+//! (see `docs/PERF.md`). Each path's alive structure sits behind one
+//! crate-private seam (`crate::alive_set`), and the event loop is
+//! monomorphized per structure.
 //!
 //! Orthogonally to the per-event strategy, [`EngineConfig::with_streaming`]
 //! bounds *memory* by the alive set instead of the total job count:
@@ -42,6 +44,11 @@
 
 use parsched_speedup::{Curve, PowKernel, EPS};
 
+use crate::alive_list::AliveList;
+use crate::alive_set::{
+    fold_earliest, recycle_views, AliveSet, AliveSets, Drained, IntervalKind, Refresh,
+};
+use crate::arena::{JobArena, ProfileMemo, CLASS_CURVE, CLASS_UNGROUPED, MAX_CLASSES};
 use crate::arrival_suffix::ArrivalSuffix;
 use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
@@ -50,10 +57,10 @@ use crate::kahan::NeumaierSum;
 use crate::level_stack::LevelStack;
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
 use crate::observer::{NullObserver, Observer};
-use crate::policy::{AliveJob, AllocationStability, CurveCount, Policy, PrefixAllocation};
-use crate::snapshot::{in_range, SlotCheck, SnapCfg, SnapInterval, SnapJob, Snapshot};
+use crate::policy::{AliveJob, AllocationStability, Policy};
+use crate::snapshot::{in_range, SlotCheck, SnapCfg, SnapJob, Snapshot};
 use crate::source::{ArrivalSource, StaticSource, SystemView};
-use crate::srpt_set::{Placement, SrptSet};
+use crate::srpt_set::{SetSnap, SrptSet};
 use crate::streaming::{StreamingMetrics, StreamingOutcome};
 
 /// Engine tuning knobs.
@@ -156,6 +163,32 @@ macro_rules! hp_phase {
     }};
 }
 
+/// Evaluates `$body` with `$S` naming the alive structure of the
+/// execution path `$path`: the one match on the path a dispatching entry
+/// point makes, after which the call runs monomorphized for `$S`.
+macro_rules! on_path {
+    ($path:expr, $S:ident => $body:expr) => {
+        match $path {
+            EnginePath::Exhaustive => {
+                type $S = AliveList;
+                $body
+            }
+            EnginePath::Incremental => {
+                type $S = SrptSet;
+                $body
+            }
+            EnginePath::Levels => {
+                type $S = LevelStack;
+                $body
+            }
+            EnginePath::ArrivalSuffix => {
+                type $S = ArrivalSuffix;
+                $body
+            }
+        }
+    };
+}
+
 /// An owned snapshot of one alive job (used by lockstep analyses that hold
 /// snapshots of two engines simultaneously).
 #[derive(Debug, Clone)]
@@ -170,162 +203,6 @@ pub struct AliveSnapshot {
     pub remaining: Work,
     /// Speed-up curve.
     pub curve: Curve,
-}
-
-/// Kernel-class sentinel: the job's curve is outside the power-law family
-/// (Amdahl, piecewise) — evaluate through `specs[idx].curve.rate`.
-const CLASS_CURVE: u32 = u32::MAX;
-/// Kernel-class sentinel: power-law job that arrived after the class
-/// registry filled — evaluate through its own `kern[idx]` kernel.
-const CLASS_UNGROUPED: u32 = u32::MAX - 1;
-/// Class-registry capacity. Real workloads draw α from a handful of
-/// values; past this many *distinct* exponents the marginal job falls
-/// back to per-job kernels (`CLASS_UNGROUPED`), trading the grouped-rate
-/// cache for an O(1) registry scan bound.
-const MAX_CLASSES: usize = 64;
-
-/// The per-job arena, struct-of-arrays. Every vector is indexed by the
-/// arena slot (`IdMap` value / `SrptSet` slot idx) and grows in lockstep:
-/// `admit_due_arrivals` is the single site that pushes, `finish_job` only
-/// retires slots. The event loop's hot walks — `refresh_profile`'s Scan
-/// recompute, the exhaustive rate sweep, the integrators — touch exactly
-/// the 8-byte lanes they need (`remaining`, `run_key`, `class`) instead of
-/// striding over whole `JobSpec`-sized records, so a 64-byte cache line
-/// serves 8 jobs rather than one (see `docs/PERF.md` §7).
-#[derive(Debug, Default)]
-struct JobArena {
-    /// Immutable admission specs (identity, release, size, weight, curve).
-    specs: Vec<JobSpec>,
-    /// Authoritative remaining work while the job is *not* in the running
-    /// prefix (always authoritative on the exhaustive path).
-    remaining: Vec<Work>,
-    /// Offset-space SRPT key while `in_running` (incremental path only);
-    /// materialized remaining work is `run_key − drain_offset`.
-    run_key: Vec<f64>,
-    /// Power-law evaluation kernel, classified once at admission so the
-    /// per-event rate computations skip both the curve-variant dispatch
-    /// and `powf` (see [`PowKernel`]). A placeholder for curves outside
-    /// the power-law family (`class == CLASS_CURVE`), which keep the
-    /// generic path.
-    // lint:allow(L009) kern lane is reconstructed bit-identically from each curve on restore (snapshot.rs module docs)
-    kern: Vec<PowKernel>,
-    /// Kernel-class registry index, or one of the sentinels above. Jobs
-    /// of one class share bit-identical kernels, so a Scan interval needs
-    /// one Γ evaluation per *class*, not per job.
-    class: Vec<u32>,
-    /// Whether the job currently sits in the incremental running prefix.
-    in_running: Vec<bool>,
-    done: Vec<bool>,
-    /// Kernel-class registry: one representative kernel per distinct α
-    /// seen this run (same α ⇒ bit-identical kernel, since construction
-    /// is deterministic in α).
-    classes: Vec<PowKernel>,
-    /// Per-class speed-adjusted rate `speed·Γ_c(share)` for the *current*
-    /// Scan interval; refilled by [`JobArena::refresh_class_rates`] on
-    /// every profile refresh that classifies a Scan interval, so it is
-    /// valid whenever the engine's interval is `Scan`.
-    // lint:allow(L009) per-class rate cache; re-derived from the class registry on the first interval after restore
-    class_rates: Vec<f64>,
-}
-
-impl JobArena {
-    fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Splits the arena into its spec lane, which the SRPT set orders by,
-    /// and the lanes its placement callbacks write.
-    fn split_placement(&mut self) -> (&[JobSpec], PlacementLanes<'_>) {
-        (
-            &self.specs,
-            PlacementLanes {
-                in_running: &mut self.in_running,
-                run_key: &mut self.run_key,
-                remaining: &mut self.remaining,
-            },
-        )
-    }
-
-    fn clear(&mut self) {
-        self.specs.clear();
-        self.remaining.clear();
-        self.run_key.clear();
-        self.kern.clear();
-        self.class.clear();
-        self.in_running.clear();
-        self.done.clear();
-        self.classes.clear();
-        self.class_rates.clear();
-    }
-
-    /// Registry lookup/insert for an admitted kernel. Returns the kernel
-    /// value to store in the `kern` lane (a placeholder for non-power
-    /// curves) and the class id. O(|classes|) linear scan on α bits —
-    /// bounded by [`MAX_CLASSES`], and in practice a handful of entries.
-    fn classify(&mut self, kernel: Option<PowKernel>) -> (PowKernel, u32) {
-        match kernel {
-            None => (PowKernel::new(1.0), CLASS_CURVE),
-            Some(k) => {
-                let bits = k.alpha().to_bits();
-                let class = match self
-                    .classes
-                    .iter()
-                    .position(|c| c.alpha().to_bits() == bits)
-                {
-                    Some(p) => p as u32,
-                    None if self.classes.len() < MAX_CLASSES => {
-                        self.classes.push(k);
-                        self.class_rates.push(0.0);
-                        (self.classes.len() - 1) as u32
-                    }
-                    None => CLASS_UNGROUPED,
-                };
-                (k, class)
-            }
-        }
-    }
-
-    /// Refills the per-class rate cache for a Scan interval at `share`:
-    /// one grouped Γ evaluation per distinct class
-    /// ([`parsched_speedup::gamma_by_class`]) instead of one per running
-    /// job. Allocation-free after warm-up (the cache vector's capacity
-    /// tracks the registry).
-    fn refresh_class_rates(&mut self, speed: f64, share: f64) {
-        parsched_speedup::gamma_by_class(&self.classes, share, &mut self.class_rates);
-        for r in &mut self.class_rates {
-            *r *= speed;
-        }
-    }
-
-    /// Speed-adjusted drain rate of one job in the current Scan interval,
-    /// via the per-class cache. Bit-identical to
-    /// `speed * self.gamma(idx, share)`: cache entries are
-    /// `speed·Γ_c(share)` computed from a kernel bit-identical to the
-    /// job's own. Callers must have refreshed the cache for (`speed`,
-    /// `share`) — the engine does so whenever it classifies a Scan
-    /// interval.
-    #[inline]
-    fn rate_cached(&self, idx: usize, speed: f64, share: f64) -> f64 {
-        match self.class[idx] {
-            CLASS_CURVE => speed * self.specs[idx].curve.rate(share),
-            CLASS_UNGROUPED => speed * self.kern[idx].gamma(share),
-            c => self.class_rates[c as usize],
-        }
-    }
-
-    /// `Γ(share)` for one job via its cached kernel when available.
-    /// Identical arithmetic to `specs[idx].curve.rate(share)` — the kernel
-    /// *is* the power-law implementation — minus the per-call
-    /// classification. (Cold-path scalar form; hot loops go through the
-    /// per-class rate cache instead.)
-    #[inline]
-    fn gamma(&self, idx: usize, share: f64) -> f64 {
-        if self.class[idx] == CLASS_CURVE {
-            self.specs[idx].curve.rate(share)
-        } else {
-            self.kern[idx].gamma(share)
-        }
-    }
 }
 
 /// Id → arena-index map tuned for the common case of small dense ids:
@@ -414,67 +291,6 @@ impl IdMap {
     }
 }
 
-/// How the current constant-allocation interval drains (incremental path).
-#[derive(Debug, Clone, Copy)]
-enum IntervalKind {
-    /// No alive jobs.
-    Idle,
-    /// Every running job drains at the same `rate`; the drain offset
-    /// advances in `O(1)`.
-    Uniform { rate: f64 },
-    /// Heterogeneous per-job rates; drained by an `O(k log k)` scan.
-    Scan,
-}
-
-/// One slot of the per-`n` allocation memo. The
-/// [`PrefixAllocation`] contract makes the policy's profile a pure
-/// function of `(n_alive, m)` (see [`crate::policy`]), and `m` is fixed
-/// per run, so the *validated* `(count, share)` pair for each alive count
-/// can be computed once and replayed — the delta-allocation refresh. The
-/// slot also memoizes the uniform-interval drain rate for one kernel
-/// class at this `n`: same class ⇒ bit-identical kernel ⇒ bit-identical
-/// `speed·Γ_c(share)`, so replaying it is exact, not approximate.
-#[derive(Debug, Clone, Copy)]
-struct CachedProfile {
-    /// Validated prefix count, or `u32::MAX` while the slot is empty.
-    count: u32,
-    /// Kernel class whose uniform rate is memoized in `rate`, or
-    /// `CLASS_CURVE` (which `rate_cached`-eligible classes can never
-    /// equal) while no rate is memoized.
-    rate_class: u32,
-    /// Validated (clamped) prefix share.
-    share: f64,
-    /// Memoized `speed·Γ_{rate_class}(share)`.
-    rate: f64,
-}
-
-impl CachedProfile {
-    const EMPTY: Self = Self {
-        count: u32::MAX,
-        rate_class: CLASS_CURVE,
-        share: 0.0,
-        rate: 0.0,
-    };
-
-    /// `speed·Γ(share)` at this slot's share for the job in arena slot
-    /// `idx`: replayed when the job's kernel class is the memoized one,
-    /// else evaluated and, for a registry class, memoized in its place
-    /// (ungrouped and non-power-law jobs are evaluated every time).
-    #[inline]
-    fn uniform_rate(&mut self, jobs: &JobArena, idx: usize, speed: f64) -> f64 {
-        let class = jobs.class[idx];
-        if class < CLASS_UNGROUPED && self.rate_class == class {
-            return self.rate;
-        }
-        let rate = speed * jobs.gamma(idx, self.share);
-        if class < CLASS_UNGROUPED {
-            self.rate_class = class;
-            self.rate = rate;
-        }
-        rate
-    }
-}
-
 /// The simulation engine. See the crate docs for the architecture and
 /// [`simulate`] for the one-call entry point.
 pub struct Engine<'a> {
@@ -495,64 +311,43 @@ struct RunState {
     jobs: JobArena,
     // lint:allow(L009) id map is rebuilt from the admitted specs during restore; rendering it would duplicate the spec lane
     ids: IdMap,
-    /// The execution path (never [`EnginePath::Replay`], which names the
-    /// offline trace replayer).
+    /// The execution path, which picks the run's structure in `sets`.
     path: EnginePath,
-    /// Exhaustive path: indices into `jobs` of unfinished, released jobs.
-    alive: Vec<usize>,
-    /// Allocation for `alive[i]` (valid when `alloc_fresh`).
-    shares: Vec<f64>,
-    /// Drain rate of `alive[i]` (speed-adjusted; valid when `alloc_fresh`).
-    rates: Vec<f64>,
+    /// One alive structure per path (see [`crate::alive_set`]).
+    sets: AliveSets,
     /// The buffer behind every policy and source view of the alive set,
     /// empty between uses: each use fills it and hands its capacity back
     /// through [`recycle_views`], so building a view never allocates once
     /// the buffer has grown to the peak alive count.
     // lint:allow(L009) empty between events; it only lends its capacity to each view, so there is nothing to capture
     views: Vec<AliveJob<'static>>,
-    /// Exhaustive path: the earliest `now + remaining/rate` over the
-    /// alive set (`Some(None)` when nothing drains), folded by the refresh
-    /// that set the rates so that `decide` need not sweep again. `None`
-    /// once an advance has moved the clock or the remaining work it was
-    /// computed from; `decide` then sweeps and caches the answer.
-    // lint:allow(L009) derived from the clock, remaining work and rates that the snapshot does capture; restore drops it and the next decide sweeps again
-    completion_candidate: Option<Option<Time>>,
-    /// Incremental path: the alive set in SRPT order.
-    srpt: SrptSet,
-    /// Incremental path: the active prefix profile (valid when
-    /// `alloc_fresh`).
-    profile: PrefixAllocation,
-    /// Incremental path: drain shape of the current interval.
-    interval: IntervalKind,
-    /// Incremental path: per-`n` memo of the validated prefix profile and
-    /// uniform rate, indexed by alive count (slot 0 unused). O(peak
-    /// alive) — same order as the SRPT set itself.
+    /// Incremental and arrival-suffix paths: per-`n` memo of the
+    /// validated prefix profile and uniform rate.
     // lint:allow(L009) pure memo of the policy's (n, m)-pure prefix profile; a cold cache re-derives every entry bit-identically
-    profile_cache: Vec<CachedProfile>,
-    /// Incremental path: the interval's precomputed next completion time.
-    /// Absolute, so it stays valid across partial `advance_to` calls (for
-    /// `Uniform` intervals the front's `now + rem/rate` is invariant under
-    /// uniform drain).
+    memo: ProfileMemo,
+    /// The interval's precomputed next completion time, when its
+    /// structure precomputes one. Absolute, so it stays valid across
+    /// partial `advance_to` calls (for uniform drains the front's `now +
+    /// rem/rate` is invariant under the drain).
     next_completion: Option<Time>,
     /// Cached `source.next_time()`, refreshed after every emission round.
     /// `next_time` takes `&self` and the engine holds the only borrow of
     /// the source, so the value can only change when the engine itself
     /// emits. It is the whole arrival timeline: the next event is the
-    /// minimum of this, the interval's completion candidate, and (on the
-    /// exhaustive path) the quantum deadline.
+    /// minimum of this, the interval's completion candidate, and the
+    /// re-decision deadline.
     next_arrival: Option<Time>,
     /// Steps that processed a completion *and* an arrival at one
     /// timestamp — the same-timestamp coalescing the event loop performs
     /// as a first-class step (see `docs/PERF.md` §4).
     coalesced: u64,
-    /// Reusable buffer for placement updates (avoids per-event allocation).
-    // lint:allow(L009) transient per-event scratch, empty between events; nothing to restore
-    scratch_moves: Vec<(usize, Placement)>,
     /// Reusable arrival-batch buffer (avoids per-arrival allocation).
     // lint:allow(L009) transient per-event scratch, empty between events; nothing to restore
     scratch_batch: Vec<JobSpec>,
     now: Time,
     alloc_fresh: bool,
+    /// The interval's re-decision deadline: the exhaustive path's
+    /// quantum, or the level path's catch-up.
     quantum_deadline: Option<Time>,
     events: u64,
     finished: bool,
@@ -584,21 +379,6 @@ struct RunState {
     admitted: usize,
     /// High-water mark of the alive set.
     peak_alive: usize,
-    /// Level path: the alive set as a stack of equal-elapsed levels.
-    levels: LevelStack,
-    /// Level path: the buffer behind every view of the served level's
-    /// distinct curves handed to [`Policy::equalize_curves`], empty
-    /// between uses (the curve-view twin of `views`).
-    // lint:allow(L009) empty between events; it only lends its capacity to each curve view, so there is nothing to capture
-    level_curves: Vec<CurveCount<'static>>,
-    /// Level path: the share of each distinct curve of the served level
-    /// (valid when `alloc_fresh`). The drain itself runs on the interval
-    /// rate; only audit frames read the shares.
-    // lint:allow(L009) read only by audit frames, and snapshots require auditing off; the next refresh recomputes them
-    level_shares: Vec<f64>,
-    /// Arrival-suffix path: the alive set in `(release, id)` order, its
-    /// latest `count` jobs running.
-    suffix: ArrivalSuffix,
     /// Per-phase wall-clock totals (see [`crate::hotpath`]); pure
     /// diagnostics, kept whenever the `hotpath` feature is compiled in.
     #[cfg(feature = "hotpath")]
@@ -616,22 +396,12 @@ impl Default for RunState {
             jobs: JobArena::default(),
             ids: IdMap::default(),
             path: EnginePath::Exhaustive,
-            alive: Vec::new(),
-            shares: Vec::new(),
-            rates: Vec::new(),
+            sets: AliveSets::default(),
             views: Vec::new(),
-            completion_candidate: None,
-            srpt: SrptSet::default(),
-            profile: PrefixAllocation {
-                count: 0,
-                share: 0.0,
-            },
-            interval: IntervalKind::Idle,
-            profile_cache: Vec::new(),
+            memo: ProfileMemo::default(),
             next_completion: None,
             next_arrival: None,
             coalesced: 0,
-            scratch_moves: Vec::new(),
             scratch_batch: Vec::new(),
             now: 0.0,
             alloc_fresh: false,
@@ -648,10 +418,6 @@ impl Default for RunState {
             free: Vec::new(),
             admitted: 0,
             peak_alive: 0,
-            levels: LevelStack::default(),
-            level_curves: Vec::new(),
-            level_shares: Vec::new(),
-            suffix: ArrivalSuffix::default(),
             #[cfg(feature = "hotpath")]
             hotpath: crate::hotpath::PhaseTotals::ZERO,
         }
@@ -666,25 +432,11 @@ impl RunState {
     fn clear(&mut self) {
         self.jobs.clear();
         self.ids.reset();
-        self.alive.clear();
-        self.shares.clear();
-        self.rates.clear();
+        self.sets.reset();
         self.views.clear();
-        self.completion_candidate = None;
-        self.srpt.reset();
-        self.levels.reset();
-        self.level_curves.clear();
-        self.level_shares.clear();
-        self.suffix.reset();
-        self.profile = PrefixAllocation {
-            count: 0,
-            share: 0.0,
-        };
-        self.interval = IntervalKind::Idle;
-        self.profile_cache.clear();
+        self.memo.clear();
         self.next_completion = None;
         self.coalesced = 0;
-        self.scratch_moves.clear();
         self.scratch_batch.clear();
         self.now = 0.0;
         self.alloc_fresh = false;
@@ -813,31 +565,25 @@ fn engine_path(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer)
 /// its own arrival-time and duplicate-id checks) and restore checks each
 /// snapshot arena slot, so every spec in the arena satisfies them.
 fn check_spec(spec: &JobSpec) -> Result<(), SimError> {
-    if !spec.release.is_finite() || spec.release < 0.0 {
-        return Err(SimError::BadInstance {
+    let invalid = if !spec.release.is_finite() || spec.release < 0.0 {
+        Some(("release", spec.release))
+    } else if !spec.size.is_finite() || spec.size <= 0.0 {
+        Some(("size", spec.size))
+    } else if !spec.weight.is_finite() || spec.weight <= 0.0 {
+        Some(("weight", spec.weight))
+    } else {
+        None
+    };
+    let what = match invalid {
+        // lint:allow(L007) error construction: a failed admission validation terminates the run
+        Some((field, value)) => format!("job {} has invalid {field} {value}", spec.id),
+        None if spec.curve.validate().is_err() => {
             // lint:allow(L007) error construction: a failed admission validation terminates the run
-            what: format!("job {} has invalid release {}", spec.id, spec.release),
-        });
-    }
-    if !spec.size.is_finite() || spec.size <= 0.0 {
-        return Err(SimError::BadInstance {
-            // lint:allow(L007) error construction: a failed admission validation terminates the run
-            what: format!("job {} has invalid size {}", spec.id, spec.size),
-        });
-    }
-    if !spec.weight.is_finite() || spec.weight <= 0.0 {
-        return Err(SimError::BadInstance {
-            // lint:allow(L007) error construction: a failed admission validation terminates the run
-            what: format!("job {} has invalid weight {}", spec.id, spec.weight),
-        });
-    }
-    if spec.curve.validate().is_err() {
-        return Err(SimError::BadInstance {
-            // lint:allow(L007) error construction: a failed admission validation terminates the run
-            what: format!("job {} has invalid curve {:?}", spec.id, spec.curve),
-        });
-    }
-    Ok(())
+            format!("job {} has invalid curve {:?}", spec.id, spec.curve)
+        }
+        None => return Ok(()),
+    };
+    Err(SimError::BadInstance { what })
 }
 
 /// Checks the run-state scalars the engine owns against the domains
@@ -849,8 +595,8 @@ fn check_spec(spec: &JobSpec) -> Result<(), SimError> {
 fn check_run_scalars(snap: &Snapshot) -> Result<(), String> {
     in_range("clock", "now", snap.now, true)?;
     let rate = match snap.interval {
-        SnapInterval::Uniform { rate } => Some(rate),
-        SnapInterval::Idle | SnapInterval::Scan => None,
+        IntervalKind::Uniform { rate } => Some(rate),
+        IntervalKind::Idle | IntervalKind::Scan => None,
     };
     let sink = &snap.sink;
     let finite = [
@@ -875,23 +621,21 @@ fn check_run_scalars(snap: &Snapshot) -> Result<(), String> {
         ("sink", "total_weighted_flow", sink.total_weighted_flow.0),
         ("sink", "total_weighted_flow", sink.total_weighted_flow.1),
         ("sink", "makespan", sink.makespan),
-    ])
-    .chain(snap.shares.iter().map(|&v| ("exhaustive", "shares", v)))
-    .chain(snap.rates.iter().map(|&v| ("exhaustive", "rates", v)));
+    ]);
     for (part, name, v) in finite {
         in_range(part, name, v, false)?;
     }
     Ok(())
 }
 
-/// Checks the alive set a snapshot captures: the exhaustive path's
-/// `alive` list, then each alive structure's own part (the SRPT set's on
-/// every path, empty off the incremental one). Every slot may be held at
-/// most once and never after its job completed, and on `path` every
-/// alive slot must be held: a slot left out would never complete, and
-/// one held twice would complete again. The free list hands its slots to
-/// the next arrivals, so it may list only retired slots, each once: a
-/// streaming run's completed ones.
+/// Checks the alive set a snapshot captures, through each alive
+/// structure's check of its own part (the exhaustive lanes and the SRPT
+/// set's part are in every document, empty off their paths). Every slot
+/// may be held at most once and never after its job completed, and on
+/// `path` every alive slot must be held: a slot left out would never
+/// complete, and one held twice would complete again. The free list hands
+/// its slots to the next arrivals, so it may list only retired slots,
+/// each once: a streaming run's completed ones.
 fn check_alive_set(snap: &Snapshot, path: EnginePath) -> Result<(), String> {
     let mut free = vec![false; snap.jobs.len()];
     for &idx in &snap.free {
@@ -903,126 +647,13 @@ fn check_alive_set(snap: &Snapshot, path: EnginePath) -> Result<(), String> {
         }
     }
     let mut slots = SlotCheck::new(&snap.jobs);
-    for &idx in &snap.alive {
-        slots.hold("exhaustive.alive", idx)?;
-    }
-    snap.srpt
-        .check(path == EnginePath::Incremental, &mut slots)?;
-    if let Some(levels) = &snap.levels {
-        levels.check(&mut slots)?;
-    }
-    if let Some(suffix) = &snap.suffix {
-        suffix.check(&mut slots)?;
-    }
+    AliveList::check(snap, &mut slots)?;
+    SrptSet::check(snap, &mut slots)?;
+    LevelStack::check(snap, &mut slots)?;
+    ArrivalSuffix::check(snap, &mut slots)?;
     match slots.first_unheld() {
         Some(idx) => Err(format!("{path} state misses alive arena slot {idx}")),
         None => Ok(()),
-    }
-}
-
-/// Hands a borrowed-view buffer's capacity back to its `'static` slot in
-/// the run state (the alive-job views and the level path's curve views).
-/// The buffer is emptied, so the in-place collect into the same element
-/// type at another lifetime (same size and alignment) keeps its
-/// allocation; `tests/engine_zero_alloc.rs` audits that it does.
-fn recycle_views<T, U>(mut views: Vec<T>) -> Vec<U> {
-    views.clear();
-    // lint:allow(L007) in-place collect of an emptied Vec into the same element layout keeps its allocation (audited by tests/engine_zero_alloc.rs)
-    views.into_iter().map_while(|_| None).collect()
-}
-
-/// Visits the alive set as `(arena slot, remaining, running)` in the
-/// current order of its path's structure: the exhaustive path's alive
-/// vector (all running: the policy allocates to each), the SRPT set's
-/// running prefix then its queue in SRPT order (sorted in the set's
-/// retained scratch, so nothing is allocated), the level stack's served
-/// level first, or the arrival suffix oldest first. The sources' views,
-/// the audit frames and [`Engine::alive_snapshot`] all list the alive set
-/// through here.
-fn for_each_alive(
-    path: EnginePath,
-    alive: &[usize],
-    jobs: &JobArena,
-    srpt: &mut SrptSet,
-    levels: &LevelStack,
-    suffix: &ArrivalSuffix,
-    mut f: impl FnMut(usize, Work, bool),
-) {
-    match path {
-        EnginePath::Exhaustive | EnginePath::Replay => {
-            for &idx in alive {
-                f(idx, jobs.remaining[idx], true);
-            }
-        }
-        EnginePath::Incremental => {
-            srpt.for_each_running_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem, true));
-            srpt.for_each_queued_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem, false));
-        }
-        EnginePath::Levels => levels.for_each(f),
-        EnginePath::ArrivalSuffix => suffix.for_each(f),
-    }
-}
-
-/// The check every path applies to a policy's allocation, with one error
-/// taxonomy: the first invalid share found (`invalid`), else a `total`
-/// over the `m` processors beyond rounding slack.
-#[inline]
-fn check_allocation(
-    at: Time,
-    invalid: Option<f64>,
-    total: f64,
-    m: f64,
-    policy: &dyn Policy,
-) -> Result<(), SimError> {
-    if let Some(share) = invalid {
-        return Err(SimError::InvalidShare {
-            at,
-            share,
-            policy: policy.name(),
-        });
-    }
-    if total > m * (1.0 + 1e-9) + EPS {
-        return Err(SimError::InfeasibleAllocation {
-            at,
-            requested: total,
-            available: m,
-            policy: policy.name(),
-        });
-    }
-    Ok(())
-}
-
-/// Folds `t` into the running minimum `next`, keeping the first of equals
-/// (the strict `<` of every next-event fold in the engine).
-#[inline]
-fn fold_earliest(next: &mut Option<Time>, t: Time) {
-    if next.is_none_or(|n| t < n) {
-        *next = Some(t);
-    }
-}
-
-/// The arena lanes a [`Placement`] writes, borrowed apart from the spec
-/// lane the SRPT set reads as its tie-break context
-/// ([`JobArena::split_placement`]).
-struct PlacementLanes<'a> {
-    in_running: &'a mut [bool],
-    run_key: &'a mut [f64],
-    remaining: &'a mut [Work],
-}
-
-impl PlacementLanes<'_> {
-    /// Applies a reported [`Placement`] to the per-job lanes.
-    fn apply(&mut self, idx: usize, p: Placement) {
-        match p {
-            Placement::Running { key } => {
-                self.in_running[idx] = true;
-                self.run_key[idx] = key;
-            }
-            Placement::Queued { remaining } => {
-                self.in_running[idx] = false;
-                self.remaining[idx] = remaining;
-            }
-        }
     }
 }
 
@@ -1101,12 +732,7 @@ impl<'a> Engine<'a> {
 
     /// Number of unfinished released jobs `|A(t)|`.
     pub fn num_alive(&self) -> usize {
-        match self.state.path {
-            EnginePath::Exhaustive | EnginePath::Replay => self.state.alive.len(),
-            EnginePath::Incremental => self.state.srpt.len(),
-            EnginePath::Levels => self.state.levels.len(),
-            EnginePath::ArrivalSuffix => self.state.suffix.len(),
-        }
+        on_path!(self.state.path, S => S::of(&self.state.sets).len())
     }
 
     /// Whether the run has finished (no alive jobs, source exhausted).
@@ -1137,19 +763,12 @@ impl<'a> Engine<'a> {
     /// completed job's slot is retired, so `None` is also returned after
     /// completion (there is no per-job record to consult).
     pub fn remaining_of(&self, id: JobId) -> Option<Work> {
-        self.state.ids.get(id).map(|i| {
-            if self.state.jobs.done[i] {
+        let state = &self.state;
+        state.ids.get(id).map(|i| {
+            if state.jobs.done[i] {
                 0.0
-            } else if self.state.path == EnginePath::Levels {
-                self.state.levels.remaining_of(i).unwrap_or(0.0)
-            } else if self.state.path == EnginePath::ArrivalSuffix {
-                self.state.suffix.remaining_of(i).unwrap_or(0.0)
-            } else if self.state.jobs.in_running[i] {
-                self.state
-                    .srpt
-                    .running_remaining(self.state.jobs.run_key[i])
             } else {
-                self.state.jobs.remaining[i]
+                on_path!(state.path, S => S::of(&state.sets).remaining(i, &state.jobs))
             }
         })
     }
@@ -1159,26 +778,19 @@ impl<'a> Engine<'a> {
     /// retained scratch buffer.
     pub fn alive_snapshot(&mut self) -> Vec<AliveSnapshot> {
         let mut out = Vec::with_capacity(self.num_alive());
-        let s = &mut self.state;
-        let specs = &s.jobs.specs;
-        for_each_alive(
-            s.path,
-            &s.alive,
-            &s.jobs,
-            &mut s.srpt,
-            &s.levels,
-            &s.suffix,
-            |idx, remaining, _| {
-                let spec = &specs[idx];
-                out.push(AliveSnapshot {
-                    id: spec.id,
-                    release: spec.release,
-                    size: spec.size,
-                    remaining,
-                    curve: spec.curve.clone(),
-                });
-            },
-        );
+        let state = &mut self.state;
+        let specs = &state.jobs.specs;
+        let mut push = |idx: usize, remaining: Work| {
+            let spec = &specs[idx];
+            out.push(AliveSnapshot {
+                id: spec.id,
+                release: spec.release,
+                size: spec.size,
+                remaining,
+                curve: spec.curve.clone(),
+            });
+        };
+        on_path!(state.path, S => S::of_mut(&mut state.sets).walk(&state.jobs, &mut push));
         out
     }
 
@@ -1191,65 +803,59 @@ impl<'a> Engine<'a> {
     /// Requires auditing off: audit state is a debugging aid, not run
     /// state, and is deliberately not captured.
     pub fn snapshot(&self) -> Result<Snapshot, SimError> {
-        if self.state.auditor.is_some() {
+        let state = &self.state;
+        if state.auditor.is_some() {
             return Err(SimError::BadInstance {
                 what: "snapshot requires AuditLevel::Off (audit state is not captured)".into(),
             });
         }
-        let jobs = (0..self.state.jobs.len())
+        let arena = &state.jobs;
+        let jobs = (0..arena.len())
             .map(|i| SnapJob {
-                spec: self.state.jobs.specs[i].clone(),
-                remaining: self.state.jobs.remaining[i],
-                run_key: self.state.jobs.run_key[i],
-                class: self.state.jobs.class[i],
-                in_running: self.state.jobs.in_running[i],
-                done: self.state.jobs.done[i],
+                spec: arena.specs[i].clone(),
+                remaining: arena.remaining[i],
+                run_key: arena.run_key[i],
+                class: arena.class[i],
+                in_running: arena.in_running[i],
+                done: arena.done[i],
             })
             .collect();
-        Ok(Snapshot {
+        // The alive structures' parts start out as an idle, empty run's;
+        // the run's own structure then writes its part.
+        let mut snap = Snapshot {
             cfg: self.snap_cfg(),
-            policy_name: self.state.policy_name.clone(),
+            policy_name: state.policy_name.clone(),
             policy_state: self.policy.snapshot_state(),
-            incremental: self.state.path == EnginePath::Incremental,
-            now: self.state.now,
-            events: self.state.events,
-            coalesced: self.state.coalesced,
-            finished: self.state.finished,
-            alloc_fresh: self.state.alloc_fresh,
-            quantum_deadline: self.state.quantum_deadline,
-            next_completion: self.state.next_completion,
-            next_arrival: self.state.next_arrival,
-            profile_count: self.state.profile.count,
-            profile_share: self.state.profile.share,
-            interval: match self.state.interval {
-                IntervalKind::Idle => SnapInterval::Idle,
-                IntervalKind::Uniform { rate } => SnapInterval::Uniform { rate },
-                IntervalKind::Scan => SnapInterval::Scan,
-            },
-            frac_flow: self.state.frac_flow.parts(),
-            alive_integral: self.state.alive_integral.parts(),
-            admitted: self.state.admitted,
-            peak_alive: self.state.peak_alive,
-            sink: self.state.sink.snapshot_state(),
+            incremental: false,
+            now: state.now,
+            events: state.events,
+            coalesced: state.coalesced,
+            finished: state.finished,
+            alloc_fresh: state.alloc_fresh,
+            quantum_deadline: state.quantum_deadline,
+            next_completion: state.next_completion,
+            next_arrival: state.next_arrival,
+            profile_count: 0,
+            profile_share: 0.0,
+            interval: IntervalKind::Idle,
+            frac_flow: state.frac_flow.parts(),
+            alive_integral: state.alive_integral.parts(),
+            admitted: state.admitted,
+            peak_alive: state.peak_alive,
+            sink: state.sink.snapshot_state(),
             jobs,
-            class_alpha_bits: self
-                .state
-                .jobs
-                .classes
-                .iter()
-                .map(|k| k.alpha().to_bits())
-                .collect(),
-            free: self.state.free.clone(),
-            alive: self.state.alive.clone(),
-            shares: self.state.shares.clone(),
-            rates: self.state.rates.clone(),
-            srpt: self.state.srpt.snapshot_state(&self.state.jobs.specs),
-            levels: (self.state.path == EnginePath::Levels)
-                .then(|| self.state.levels.snapshot_state(&self.state.jobs.specs)),
-            suffix: (self.state.path == EnginePath::ArrivalSuffix)
-                .then(|| self.state.suffix.snapshot_state(&self.state.jobs.specs)),
-            completed: self.state.completed.clone(),
-        })
+            class_alpha_bits: arena.classes.iter().map(|k| k.alpha().to_bits()).collect(),
+            free: state.free.clone(),
+            alive: Vec::new(),
+            shares: Vec::new(),
+            rates: Vec::new(),
+            srpt: SetSnap::default(),
+            levels: None,
+            suffix: None,
+            completed: state.completed.clone(),
+        };
+        on_path!(state.path, S => S::of(&state.sets).snapshot(&arena.specs, &mut snap));
+        Ok(snap)
     }
 
     /// The semantic configuration a snapshot records and restore matches.
@@ -1296,25 +902,13 @@ impl<'a> Engine<'a> {
                 snap.cfg
             )));
         }
-        let snap_path = if snap.levels.is_some() {
-            EnginePath::Levels
-        } else if snap.suffix.is_some() {
-            EnginePath::ArrivalSuffix
-        } else if snap.incremental {
-            EnginePath::Incremental
-        } else {
-            EnginePath::Exhaustive
-        };
-        let paths = [
-            snap.levels.is_some(),
-            snap.suffix.is_some(),
-            snap.incremental,
-        ];
-        if self.state.path != snap_path || paths.into_iter().filter(|&p| p).count() > 1 {
+        let snap_path = snap.path();
+        if snap_path != Some(self.state.path) {
             return Err(bad(format!(
                 "restore path mismatch: engine is on the {} path but the snapshot was taken on \
-                 the {snap_path} path (policy stability and observer must match the original run)",
+                 the {} path (policy stability and observer must match the original run)",
                 self.state.path,
+                snap_path.map_or("ambiguous".into(), |p| p.to_string()),
             )));
         }
         if self.state.policy_name != snap.policy_name {
@@ -1363,20 +957,8 @@ impl<'a> Engine<'a> {
                 f64::from_bits(bits)
             )));
         }
-        // The share/rate lanes track `alive` only while the allocation is
-        // fresh; after an admission they lag until the next lazy
-        // `refresh_allocation` (which clears and resizes them), so a
-        // stale-allocation snapshot may legitimately carry shorter lanes.
-        if snap.shares.len() != snap.rates.len() {
-            return Err(bad("snapshot share/rate lanes disagree in length".into()));
-        }
-        if snap.alloc_fresh && !snap.incremental && snap.shares.len() != snap.alive.len() {
-            return Err(bad(
-                "fresh-allocation snapshot share lane disagrees with alive set".into(),
-            ));
-        }
         check_run_scalars(snap)
-            .and_then(|()| check_alive_set(snap, snap_path))
+            .and_then(|()| check_alive_set(snap, self.state.path))
             .map_err(|e| bad(format!("snapshot {e}")))?;
         // The id map and the sink can refuse the document only while they
         // are filled, so they are filled here, before the run state is
@@ -1458,85 +1040,41 @@ impl<'a> Engine<'a> {
                 .push(PowKernel::new(f64::from_bits(bits)));
             self.state.jobs.class_rates.push(0.0);
         }
-        self.state.free.extend_from_slice(&snap.free);
-        self.state.alive.extend_from_slice(&snap.alive);
-        self.state.shares.extend_from_slice(&snap.shares);
-        self.state.rates.extend_from_slice(&snap.rates);
-        self.state
-            .srpt
-            .restore_state(&snap.srpt, &self.state.jobs.specs);
-        if let Some(levels) = &snap.levels {
-            self.state
-                .levels
-                .restore_state(levels, &self.state.jobs.specs);
-        }
-        if let Some(suffix) = &snap.suffix {
-            self.state
-                .suffix
-                .restore_state(suffix, &self.state.jobs.specs);
-        }
-        self.state.profile = PrefixAllocation {
-            count: snap.profile_count,
-            share: snap.profile_share,
-        };
-        self.state.interval = match snap.interval {
-            SnapInterval::Idle => IntervalKind::Idle,
-            SnapInterval::Uniform { rate } => IntervalKind::Uniform { rate },
-            SnapInterval::Scan => IntervalKind::Scan,
-        };
-        self.state.next_completion = snap.next_completion;
-        self.state.coalesced = snap.coalesced;
-        self.state.now = snap.now;
-        self.state.alloc_fresh = snap.alloc_fresh;
-        self.state.quantum_deadline = snap.quantum_deadline;
-        self.state.events = snap.events;
-        self.state.finished = snap.finished;
-        self.state.frac_flow = NeumaierSum::from_parts(snap.frac_flow.0, snap.frac_flow.1);
-        self.state.alive_integral =
+        let state = &mut self.state;
+        state.free.extend_from_slice(&snap.free);
+        on_path!(state.path, S => {
+            S::of_mut(&mut state.sets).restore(snap, &mut state.jobs, state.cfg.speed);
+        });
+        state.next_completion = snap.next_completion;
+        state.coalesced = snap.coalesced;
+        state.now = snap.now;
+        state.alloc_fresh = snap.alloc_fresh;
+        state.quantum_deadline = snap.quantum_deadline;
+        state.events = snap.events;
+        state.finished = snap.finished;
+        state.frac_flow = NeumaierSum::from_parts(snap.frac_flow.0, snap.frac_flow.1);
+        state.alive_integral =
             NeumaierSum::from_parts(snap.alive_integral.0, snap.alive_integral.1);
-        self.state.completed.extend(snap.completed.iter().cloned());
-        self.state.admitted = snap.admitted;
-        self.state.peak_alive = snap.peak_alive;
-        // The per-class rate cache is only contractually valid while the
-        // interval is Scan; refill it for exactly that case (same call
-        // site semantics as the profile refresh that classified it).
-        if matches!(self.state.interval, IntervalKind::Scan) {
-            self.state
-                .jobs
-                .refresh_class_rates(self.state.cfg.speed, self.state.profile.share);
-        }
+        state.completed.extend(snap.completed.iter().cloned());
+        state.admitted = snap.admitted;
+        state.peak_alive = snap.peak_alive;
         Ok(())
-    }
-
-    fn snap_tolerance(size: Work) -> f64 {
-        EPS * size.max(1.0)
-    }
-
-    /// Completion tolerance for a job that was draining at `rate` with the
-    /// clock at `now`: the size-relative snap, widened by the largest work
-    /// sliver whose drain time sits below the clock's float resolution.
-    /// Such a sliver can never advance the clock (`now + rem/rate == now`
-    /// in f64), so without this term the event loop would spin on
-    /// zero-length events once `now` grows past ~`EPS / ulp` ≈ 4·10⁶ —
-    /// multi-million-job streaming runs reach that within the first few
-    /// million completions.
-    fn completion_tolerance(size: Work, rate: f64, now: Time) -> f64 {
-        let clock_ulp = now.abs().max(1.0) * f64::EPSILON;
-        Self::snap_tolerance(size).max(rate * 4.0 * clock_ulp)
     }
 
     /// Releases all arrivals due at the current time. Returns whether any
     /// arrived. The entry test is inlined so the common non-arrival event
     /// pays one float compare, not a call.
     #[inline]
-    fn admit_due<const VALIDATE: bool, const NOTIFY: bool>(&mut self) -> Result<bool, SimError> {
+    fn admit_due<S: AliveSet, const VALIDATE: bool, const NOTIFY: bool>(
+        &mut self,
+    ) -> Result<bool, SimError> {
         let due = self.state.next_arrival.is_some_and(|t| {
             t <= self.state.now + crate::source::arrival_tolerance(self.state.now)
         });
         if !due {
             return Ok(false);
         }
-        self.admit_core::<VALIDATE, NOTIFY>()
+        self.admit_core::<S, VALIDATE, NOTIFY>()
     }
 
     /// Admission core, monomorphized with the event loop (see
@@ -1548,7 +1086,9 @@ impl<'a> Engine<'a> {
     /// Specs are validated, announced to the observer, then *moved* into
     /// the job arena — the seed engine cloned each spec twice here, which
     /// dominated arrival cost for jobs with piecewise curves.
-    fn admit_core<const VALIDATE: bool, const NOTIFY: bool>(&mut self) -> Result<bool, SimError> {
+    fn admit_core<S: AliveSet, const VALIDATE: bool, const NOTIFY: bool>(
+        &mut self,
+    ) -> Result<bool, SimError> {
         let mut any = false;
         while let Some(t) = self.state.next_arrival {
             if t > self.state.now + crate::source::arrival_tolerance(self.state.now) {
@@ -1564,20 +1104,12 @@ impl<'a> Engine<'a> {
             if self.source.needs_system_view() {
                 let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
                 let specs = &state.jobs.specs;
-                for_each_alive(
-                    state.path,
-                    &state.alive,
-                    &state.jobs,
-                    &mut state.srpt,
-                    &state.levels,
-                    &state.suffix,
-                    |idx, remaining, _| {
-                        views.push(AliveJob {
-                            spec: &specs[idx],
-                            remaining,
-                        });
-                    },
-                );
+                S::of_mut(&mut state.sets).walk(&state.jobs, |idx, remaining| {
+                    views.push(AliveJob {
+                        spec: &specs[idx],
+                        remaining,
+                    });
+                });
                 let view = SystemView {
                     now: state.now,
                     m: state.cfg.m,
@@ -1655,8 +1187,8 @@ impl<'a> Engine<'a> {
                 self.state.admitted += 1;
                 let remaining = spec.size;
                 let (kern, class) = self.state.jobs.classify(spec.curve.kernel());
-                // The slot is written before the SRPT insert: the set
-                // breaks key ties by reading the new job's spec there.
+                // The slot is written before the structure admits the job:
+                // the ordered ones break key ties by reading its spec there.
                 let jobs = &mut self.state.jobs;
                 if idx == jobs.len() {
                     jobs.specs.push(spec);
@@ -1675,22 +1207,11 @@ impl<'a> Engine<'a> {
                     jobs.in_running[idx] = false;
                     jobs.done[idx] = false;
                 }
-                // The specialized loop (`NOTIFY` off) only ever runs the
-                // incremental path, so it skips the mode dispatch.
-                if !NOTIFY || self.state.path == EnginePath::Incremental {
-                    let (specs, mut lanes) = jobs.split_placement();
-                    let placement = self.state.srpt.insert(idx, remaining, specs);
-                    lanes.apply(idx, placement);
-                } else if self.state.path == EnginePath::Levels {
-                    self.state.levels.admit(idx, remaining, &jobs.specs);
-                } else if self.state.path == EnginePath::ArrivalSuffix {
-                    self.state.suffix.insert(idx, remaining, &jobs.specs);
-                } else {
-                    self.state.alive.push(idx);
-                }
+                S::of_mut(&mut self.state.sets).admit(idx, remaining, jobs);
             }
             self.state.scratch_batch = batch;
-            self.state.peak_alive = self.state.peak_alive.max(self.num_alive());
+            let alive = S::of(&self.state.sets).len();
+            self.state.peak_alive = self.state.peak_alive.max(alive);
             any = true;
         }
         if any {
@@ -1699,368 +1220,30 @@ impl<'a> Engine<'a> {
         Ok(any)
     }
 
-    /// Revalidates the allocation for the interval starting now:
-    /// [`Engine::refresh_allocation`] on the exhaustive path,
-    /// [`Engine::refresh_levels`] on the level path,
-    /// [`Engine::refresh_suffix`] on the arrival-suffix path,
-    /// [`Engine::refresh_profile`] on the incremental one. `GENERIC` is
-    /// the event loop's instantiation flag; the specialized loop only
-    /// ever runs the incremental path, so it skips the mode dispatch.
+    /// Decides the allocation for the interval starting now through the
+    /// run's alive structure ([`AliveSet::refresh`]) and installs the
+    /// interval's schedule: its precomputed next completion and its
+    /// re-decision deadline.
     #[inline]
-    fn refresh<const GENERIC: bool>(&mut self) -> Result<(), SimError> {
-        if GENERIC && self.state.path == EnginePath::Exhaustive {
-            self.refresh_allocation()
-        } else if GENERIC && self.state.path == EnginePath::Levels {
-            self.refresh_levels()
-        } else if GENERIC && self.state.path == EnginePath::ArrivalSuffix {
-            self.refresh_suffix()
-        } else {
-            self.refresh_profile()
-        }
-    }
-
-    /// Arrival-suffix refresh: replays the policy's `(count, share)`
-    /// profile from the per-`n` memo ([`Engine::memo_profile`]), restores
-    /// the running suffix to the latest `count` arrivals (one demotion or
-    /// promotion per arrival or completion), and schedules each curve
-    /// group's drain rate `speed·Γ_g(share)` and the earliest group-front
-    /// completion. `O(log n)` for the boundary moves plus `O(groups)`.
-    /// A group's rate is memoized per `n` like the incremental path's
-    /// uniform rate, so a one-curve run evaluates Γ once per distinct
-    /// alive count.
-    fn refresh_suffix(&mut self) -> Result<(), SimError> {
-        self.state.quantum_deadline = None;
-        self.state.next_completion = None;
-        let n = self.state.suffix.len();
-        if n == 0 {
-            self.state.alloc_fresh = true;
-            return Ok(());
-        }
-        let (count, share) = self.memo_profile(n)?;
-        self.state.profile = PrefixAllocation { count, share };
+    fn refresh<S: AliveSet>(&mut self) -> Result<(), SimError> {
         let state = &mut self.state;
-        state.suffix.rebalance(count, &state.jobs.specs);
-        let (now, speed) = (state.now, state.cfg.speed);
-        let jobs = &state.jobs;
-        let memo = &mut state.profile_cache[n];
-        state.next_completion = state
-            .suffix
-            .schedule(now, &jobs.specs, |idx| memo.uniform_rate(jobs, idx, speed));
+        state.quantum_deadline = None;
+        state.next_completion = None;
+        let cx = Refresh {
+            jobs: &mut state.jobs,
+            memo: &mut state.memo,
+            policy: &mut *self.policy,
+            observer: &mut *self.observer,
+            views: &mut state.views,
+            now: state.now,
+            m: state.cfg.m,
+            speed: state.cfg.speed,
+        };
+        let schedule = S::of_mut(&mut state.sets).refresh(cx)?;
+        state.next_completion = schedule.completion;
+        state.quantum_deadline = schedule.deadline;
         state.alloc_fresh = true;
         Ok(())
-    }
-
-    /// Level-path refresh: merges the levels tied with the served one,
-    /// asks the policy for the served level's common rate and per-curve
-    /// shares ([`Policy::equalize_curves`], given its distinct curves and
-    /// their counts), validates them as the exhaustive path would, and
-    /// schedules the interval: a uniform drain at the served level's
-    /// rate, its front completion, and the catch-up with the level below
-    /// as the re-decision deadline. `O(distinct curves)` plus the
-    /// policy's equalizer, and the amortized merge cost.
-    ///
-    /// The drain rate is `speed·Γ(share)` of the level's first curve.
-    /// The other curves' rates differ from it by rounding only, since
-    /// each share is its curve's inverse at the common rate.
-    fn refresh_levels(&mut self) -> Result<(), SimError> {
-        self.state.quantum_deadline = None;
-        self.state.next_completion = None;
-        let state = &mut self.state;
-        state.levels.settle(&state.jobs.specs);
-        let mut curves: Vec<CurveCount<'_>> = std::mem::take(&mut state.level_curves);
-        state.levels.top_curves(&state.jobs.specs, &mut curves);
-        if curves.is_empty() {
-            state.level_curves = recycle_views(curves);
-            state.interval = IntervalKind::Idle;
-            state.alloc_fresh = true;
-            return Ok(());
-        }
-        let m = state.cfg.m;
-        state.level_shares.clear();
-        state.level_shares.resize(curves.len(), 0.0);
-        let rho = self
-            .policy
-            .equalize_curves(m, &curves, &mut state.level_shares);
-        let mut total = 0.0;
-        let mut invalid = None;
-        for (c, share) in curves.iter().zip(&mut state.level_shares) {
-            if !share.is_finite() || *share < -EPS {
-                invalid = Some(*share);
-                break;
-            }
-            *share = share.max(0.0);
-            total += c.count as f64 * *share;
-        }
-        let rate = match (curves.first(), state.level_shares.first()) {
-            (Some(c), Some(&share)) => state.cfg.speed * c.curve.rate(share),
-            _ => 0.0,
-        };
-        state.level_curves = recycle_views(curves);
-        // A policy that declares the level contract but returns no rate
-        // has answered with no valid share.
-        let invalid = if rho.is_none() {
-            Some(f64::NAN)
-        } else {
-            invalid
-        };
-        check_allocation(state.now, invalid, total, m, &*self.policy)?;
-        if rate > 0.0 {
-            if let Some((_, rem)) = state.levels.front() {
-                state.next_completion = Some(state.now + rem / rate);
-            }
-            if let Some(gap) = state.levels.catch_up_gap() {
-                state.quantum_deadline = Some(state.now + gap.max(0.0) / rate);
-            }
-        }
-        state.interval = IntervalKind::Uniform { rate };
-        state.alloc_fresh = true;
-        Ok(())
-    }
-
-    /// Incremental-path allocation refresh: applies the policy's prefix
-    /// profile, rebalances the running/queued partition, and classifies the
-    /// upcoming interval's drain shape. `O(log n)` plus `O(moved)` for the
-    /// partition moves (amortized `O(1)` moves per event for the θ = 1
-    /// family; threshold crossings can move a batch, which the rebalance
-    /// handles in bulk).
-    ///
-    /// The validated `(count, share)` pair is replayed from the per-`n`
-    /// memo: the [`PrefixAllocation`] contract makes the profile a pure
-    /// function of `(n_alive, m)` with `m` fixed per run, and the
-    /// clamping/feasibility pipeline applied to it is deterministic, so
-    /// caching the *validated* result is exact. A memo miss (the first
-    /// time this alive count is seen) queries the policy, validates the
-    /// answer, and fills the slot, so the policy is asked at most once per
-    /// distinct alive count per run. Uniform-interval rates are likewise
-    /// memoized per `(n, kernel class)`: same class ⇒ bit-identical
-    /// kernel ⇒ bit-identical `speed·Γ_c(share)`.
-    #[inline]
-    fn refresh_profile(&mut self) -> Result<(), SimError> {
-        self.state.quantum_deadline = None;
-        self.state.next_completion = None;
-        let n = self.state.srpt.len();
-        if n == 0 {
-            self.state.interval = IntervalKind::Idle;
-            self.state.alloc_fresh = true;
-            return Ok(());
-        }
-        let (count, share) = self.memo_profile(n)?;
-        self.state.profile = PrefixAllocation { count, share };
-        let (specs, mut lanes) = self.state.jobs.split_placement();
-        self.state
-            .srpt
-            .maybe_rebase(specs, |idx, p| lanes.apply(idx, p));
-        self.state
-            .srpt
-            .rebalance(count, specs, |idx, p| lanes.apply(idx, p));
-        // Classify the interval. Uniform (O(1) drain) whenever every
-        // running job provably drains at one common rate: a single runner,
-        // identical curves, or share 1 with Γ(1) = 1 across the prefix.
-        let share_is_unit = (share - 1.0).abs() <= 1e-12;
-        let unit_rate = share_is_unit && self.state.srpt.unit_rate_at_one();
-        let uniform =
-            self.state.srpt.running_len() <= 1 || self.state.srpt.uniform_curves() || unit_rate;
-        if uniform {
-            let rate = match self.state.srpt.front_running() {
-                Some((slot, rem)) => {
-                    // Γ(1) = 1 across the prefix ⇒ rate is the bare speed;
-                    // skip the curve evaluation in the overload steady
-                    // state.
-                    let state = &mut self.state;
-                    let rate = if unit_rate {
-                        state.cfg.speed
-                    } else {
-                        state.profile_cache[n].uniform_rate(&state.jobs, slot.idx, state.cfg.speed)
-                    };
-                    if rate > 0.0 {
-                        // Invariant under uniform drain, so it doubles as
-                        // the completion candidate for this interval.
-                        state.next_completion = Some(state.now + rem / rate);
-                    }
-                    rate
-                }
-                None => 0.0,
-            };
-            self.state.interval = IntervalKind::Uniform { rate };
-        } else {
-            // Scan interval: one Γ evaluation per kernel *class*, then a
-            // contiguous walk over the prefix through the per-class rate
-            // cache (no per-job pointer chase, no per-job powf).
-            self.state
-                .jobs
-                .refresh_class_rates(self.state.cfg.speed, share);
-            let mut next: Option<Time> = None;
-            let jobs = &self.state.jobs;
-            let now = self.state.now;
-            let speed = self.state.cfg.speed;
-            self.state
-                .srpt
-                .for_each_running_ordered(&jobs.specs, |slot, rem| {
-                    let rate = jobs.rate_cached(slot.idx, speed, share);
-                    if rate > 0.0 {
-                        let t = now + rem / rate;
-                        if next.is_none_or(|n| t < n) {
-                            next = Some(t);
-                        }
-                    }
-                });
-            self.state.interval = IntervalKind::Scan;
-            self.state.next_completion = next;
-        }
-        self.state.alloc_fresh = true;
-        Ok(())
-    }
-
-    /// The validated `(count, share)` profile for `n` alive jobs, replayed
-    /// from the per-`n` memo; the first time an alive count is seen,
-    /// [`Engine::memo_miss`] fills its slot.
-    #[inline(always)]
-    fn memo_profile(&mut self, n: usize) -> Result<(usize, f64), SimError> {
-        match self.state.profile_cache.get(n) {
-            Some(memo) if memo.count != u32::MAX => Ok((memo.count as usize, memo.share)),
-            _ => self.memo_miss(n),
-        }
-    }
-
-    /// A memo miss of [`Engine::memo_profile`]: queries
-    /// [`Policy::prefix_allocation`], applies the exhaustive path's
-    /// feasibility checks (same error taxonomy, `O(1)` instead of `O(n)`),
-    /// and fills the slot, so the policy is asked at most once per
-    /// distinct alive count per run. Out of line, so the event loop's
-    /// refreshes carry only the replay.
-    #[cold]
-    #[inline(never)]
-    fn memo_miss(&mut self, n: usize) -> Result<(usize, f64), SimError> {
-        if self.state.profile_cache.len() <= n {
-            self.state.profile_cache.resize(n + 1, CachedProfile::EMPTY);
-        }
-        let Some(profile) = self.policy.prefix_allocation(n, self.state.cfg.m) else {
-            return Err(SimError::BadInstance {
-                // lint:allow(L007) error construction: an infeasible profile terminates the run
-                what: format!(
-                    "policy {} declares {:?} stability but returned no prefix profile for n = {n}",
-                    self.policy.name(),
-                    self.policy.stability()
-                ),
-            });
-        };
-        let invalid = (!profile.share.is_finite() || profile.share < -EPS).then_some(profile.share);
-        let count = profile.count.clamp(1, n);
-        let share = profile.share.max(0.0);
-        let total = count as f64 * share;
-        check_allocation(
-            self.state.now,
-            invalid,
-            total,
-            self.state.cfg.m,
-            &*self.policy,
-        )?;
-        // lint:allow(L005, L007) count ≤ n ≤ the u32 arena-slot envelope the IdMap already enforces
-        let count_u32 = u32::try_from(count).expect("alive count exceeds u32");
-        self.state.profile_cache[n] = CachedProfile {
-            count: count_u32,
-            rate_class: CLASS_CURVE,
-            share,
-            rate: 0.0,
-        };
-        Ok((count, share))
-    }
-
-    /// Exhaustive-path refresh: runs the policy on a view of the alive set,
-    /// then makes one sweep over its answer that validates and clamps each
-    /// share, sets the job's drain rate, and folds the completion
-    /// candidate that [`Engine::decide`] reuses.
-    ///
-    /// The sweep is exact with respect to separate validation, rate, and
-    /// candidate passes: an invalid share still reports the first
-    /// offender in alive order, the total is summed in the same order and
-    /// checked after the sweep, and a failed check ends the run, so rates
-    /// written before it are never observed. The candidate folds the same
-    /// `now + remaining/rate` terms in the same order with the same strict
-    /// `<` as `decide`'s sweep.
-    fn refresh_allocation(&mut self) -> Result<(), SimError> {
-        let n = self.state.alive.len();
-        self.state.shares.clear();
-        self.state.shares.resize(n, 0.0);
-        self.state.rates.clear();
-        self.state.rates.resize(n, 0.0);
-        self.state.quantum_deadline = None;
-        self.state.completion_candidate = None;
-        if n == 0 {
-            self.state.completion_candidate = Some(None);
-            self.state.alloc_fresh = true;
-            return Ok(());
-        }
-        let state = &mut self.state;
-        let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
-        let specs = &state.jobs.specs;
-        views.extend(state.alive.iter().map(|&i| AliveJob {
-            spec: &specs[i],
-            remaining: state.jobs.remaining[i],
-        }));
-        let quantum = self
-            .policy
-            .assign(state.now, state.cfg.m, &views, &mut state.shares);
-        let now = state.now;
-        let speed = state.cfg.speed;
-        let mut total = 0.0;
-        let mut next: Option<Time> = None;
-        let mut invalid = None;
-        for (i, &idx) in state.alive.iter().enumerate() {
-            let s = state.shares[i];
-            if !s.is_finite() || s < -EPS {
-                invalid = Some(s);
-                break;
-            }
-            total += s.max(0.0);
-            let share = s.max(0.0);
-            state.shares[i] = share;
-            let rate = speed * state.jobs.gamma(idx, share);
-            state.rates[i] = rate;
-            if rate > 0.0 {
-                fold_earliest(&mut next, now + state.jobs.remaining[idx] / rate);
-            }
-        }
-        let checked = check_allocation(now, invalid, total, state.cfg.m, &*self.policy);
-        if checked.is_ok() {
-            self.observer.on_allocation(now, &views, &state.shares);
-        }
-        state.views = recycle_views(views);
-        checked?;
-        if let Some(q) = quantum {
-            // A least-elapsed policy's quantum is elapsed work at unit
-            // speed (see `AllocationStability::LeastElapsed`).
-            let q = if self.policy.stability() == AllocationStability::LeastElapsed {
-                q / speed
-            } else {
-                q
-            };
-            if q.is_finite() && q > 0.0 {
-                state.quantum_deadline = Some(now + q);
-            }
-        }
-        state.completion_candidate = Some(next);
-        state.alloc_fresh = true;
-        Ok(())
-    }
-
-    /// The exhaustive path's completion candidate for the current
-    /// allocation: the refresh's fold while the clock has not moved since,
-    /// otherwise the same fold swept again (and cached until the next
-    /// advance).
-    fn exhaustive_candidate(&mut self) -> Option<Time> {
-        if let Some(candidate) = self.state.completion_candidate {
-            return candidate;
-        }
-        let now = self.state.now;
-        let mut next: Option<Time> = None;
-        for (&idx, &rate) in self.state.alive.iter().zip(&self.state.rates) {
-            if rate > 0.0 {
-                fold_earliest(&mut next, now + self.state.jobs.remaining[idx] / rate);
-            }
-        }
-        self.state.completion_candidate = Some(next);
-        next
     }
 
     /// The next time at which anything happens (completion, arrival, or
@@ -2074,53 +1257,53 @@ impl<'a> Engine<'a> {
         if self.state.finished {
             return Ok(None);
         }
-        hp_phase!(self, queue_ns, self.admit_due::<true, true>())?;
-        self.decide::<true>()
+        on_path!(self.state.path, S => {
+            hp_phase!(self, queue_ns, self.admit_due::<S, true, true>())?;
+            self.decide::<S>()
+        })
     }
 
     /// Advances the clock to `t` (which must not exceed the next event
     /// time), integrating metrics and processing completions and arrivals
     /// that fall exactly at `t`.
     pub fn advance_to(&mut self, t: Time) -> Result<(), SimError> {
-        if !self.state.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.refresh::<true>())?;
-        }
-        self.advance::<true, true>(t)
+        on_path!(self.state.path, S => {
+            if !self.state.alloc_fresh {
+                hp_phase!(self, refresh_ns, self.refresh::<S>())?;
+            }
+            self.advance::<S, true, true>(t)
+        })
     }
 
     /// Event-loop phase 1: refreshes a stale allocation and selects the
-    /// next event time — the interval's completion candidate (or, on the
-    /// exhaustive path, every job's), the cached next arrival, and the
-    /// quantum deadline, in that order, the earliest winning and the
-    /// first of equals kept. `None` ends the run when nothing is alive
-    /// and is a stall otherwise.
+    /// next event time — the interval's completion candidate, the cached
+    /// next arrival, and the re-decision deadline, in that order, the
+    /// earliest winning and the first of equals kept. `None` ends the run
+    /// when nothing is alive and is a stall otherwise.
     #[inline]
-    fn decide<const GENERIC: bool>(&mut self) -> Result<Option<Time>, SimError> {
+    fn decide<S: AliveSet>(&mut self) -> Result<Option<Time>, SimError> {
         if !self.state.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.refresh::<GENERIC>())?;
+            hp_phase!(self, refresh_ns, self.refresh::<S>())?;
         }
         let next = hp_phase!(self, queue_ns, {
-            let now = self.state.now;
-            let mut next = if GENERIC && self.state.path == EnginePath::Exhaustive {
-                self.exhaustive_candidate()
-            } else {
-                self.state.next_completion.map(|t| t.max(now))
-            };
-            let mut consider = |t: Time| fold_earliest(&mut next, t);
-            if let Some(t) = self.state.next_arrival {
-                consider(t.max(now));
+            let state = &mut self.state;
+            let now = state.now;
+            let set = S::of_mut(&mut state.sets);
+            let mut next = set.next_completion(now, &state.jobs, state.next_completion);
+            if let Some(t) = state.next_arrival {
+                fold_earliest(&mut next, t.max(now));
             }
-            // Only the exhaustive path schedules quanta.
-            if let Some(t) = self.state.quantum_deadline.filter(|_| GENERIC) {
-                consider(t.max(now));
+            if let Some(t) = state.quantum_deadline {
+                fold_earliest(&mut next, t.max(now));
             }
             next
         });
         if next.is_none() {
-            if self.num_alive() > 0 {
+            let alive = S::of(&self.state.sets).len();
+            if alive > 0 {
                 return Err(SimError::Stalled {
                     at: self.state.now,
-                    alive: self.num_alive(),
+                    alive,
                 });
             }
             self.state.finished = true;
@@ -2148,7 +1331,7 @@ impl<'a> Engine<'a> {
     /// processes the completions and arrivals that fall exactly at `t`.
     /// The allocation must be fresh.
     #[inline]
-    fn advance<const VALIDATE: bool, const GENERIC: bool>(
+    fn advance<S: AliveSet, const VALIDATE: bool, const CHECKED: bool>(
         &mut self,
         t: Time,
     ) -> Result<(), SimError> {
@@ -2156,64 +1339,45 @@ impl<'a> Engine<'a> {
             t >= self.state.now - EPS * self.state.now.max(1.0),
             "time went backwards"
         );
-        let exhaustive = GENERIC && self.state.path == EnginePath::Exhaustive;
-        let levels = GENERIC && self.state.path == EnginePath::Levels;
-        let suffix = GENERIC && self.state.path == EnginePath::ArrivalSuffix;
-        if exhaustive {
-            self.state.completion_candidate = None;
-        }
         let dt = (t - self.state.now).max(0.0);
         // Whether a job may complete at `t`: the exhaustive integration
         // evaluates the completion predicate as it drains; a zero-length
         // advance has no such answer and sweeps.
-        let mut any_due = true;
+        let mut due = true;
         if dt > 0.0 {
-            if exhaustive {
-                any_due = hp_phase!(self, metrics_ns, self.integrate_exhaustive(dt, t));
-            } else if levels {
-                hp_phase!(self, metrics_ns, self.integrate_levels(dt));
-            } else if suffix {
-                hp_phase!(self, metrics_ns, self.integrate_suffix(dt));
-            } else {
-                hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
-            }
-            if GENERIC {
+            due = hp_phase!(self, metrics_ns, {
+                let state = &mut self.state;
+                let set = S::of_mut(&mut state.sets);
+                state.alive_integral.add(set.len() as f64 * dt);
+                let speed = state.cfg.speed;
+                let drained = set.integrate(dt, t, &mut state.jobs, speed, &mut state.frac_flow);
+                if drained == Drained::Reordered {
+                    state.alloc_fresh = false;
+                }
+                drained != Drained::NoneDue
+            });
+            if CHECKED {
                 self.observer.on_advance(self.state.now, t);
             }
             self.state.now = t;
         } else {
             self.state.now = self.state.now.max(t);
         }
-        debug_assert!(
-            !exhaustive || any_due || !(0..self.state.alive.len()).any(|i| self.completion_due(i)),
-            "the integration found no completion due, but the completion sweep would"
-        );
         let completed_any = hp_phase!(self, dispatch_ns, {
-            let completed_any = if exhaustive {
-                any_due && self.collect_completions_exhaustive()
-            } else if levels {
-                self.collect_completions_levels()
-            } else if suffix {
-                self.collect_completions_suffix()
-            } else {
-                self.collect_completions_incremental::<GENERIC>()
-            };
+            let completed_any = due && self.complete_due::<S, CHECKED>();
             if completed_any {
                 self.state.alloc_fresh = false;
             }
             completed_any
         });
-        // Quantum expiry forces a re-decision. On the level path the
-        // deadline is the served level's catch-up with the level below,
-        // which merges the two here, before this instant's arrivals stack
-        // new levels on top.
-        if let Some(q) = self.state.quantum_deadline.filter(|_| GENERIC) {
+        // Deadline expiry forces a re-decision (and, on the level path,
+        // the catch-up merge, before this instant's arrivals stack new
+        // levels on top).
+        if let Some(q) = self.state.quantum_deadline {
             if self.state.now + EPS * self.state.now.max(1.0) >= q {
-                self.state.alloc_fresh = false;
-                if levels {
-                    self.state.quantum_deadline = None;
-                    self.state.levels.catch_up(&self.state.jobs.specs);
-                }
+                let state = &mut self.state;
+                state.alloc_fresh = false;
+                S::of_mut(&mut state.sets).expire(&state.jobs.specs, &mut state.quantum_deadline);
             }
         }
         // Arrivals due exactly now. A completion and an arrival landing
@@ -2221,268 +1385,51 @@ impl<'a> Engine<'a> {
         // event, one step — which is the first-class same-timestamp
         // coalescing documented in `docs/PERF.md` §4; count it so tests
         // can pin the behavior instead of inferring it from event totals.
-        let arrived = hp_phase!(self, queue_ns, self.admit_due::<VALIDATE, GENERIC>())?;
+        let arrived = hp_phase!(self, queue_ns, self.admit_due::<S, VALIDATE, CHECKED>())?;
         if completed_any && arrived {
             self.state.coalesced += 1;
         }
         Ok(())
     }
 
-    /// Exhaustive-path interval integration up to `t = now + dt`: per-job
-    /// linear drain. Returns whether any job now meets the completion
-    /// predicate at `t` — the one [`Engine::collect_completions_exhaustive`]
-    /// applies to the same remaining work, size, and rate — so the
-    /// completion sweep can be skipped when none does.
-    fn integrate_exhaustive(&mut self, dt: f64, t: Time) -> bool {
-        self.state
-            .alive_integral
-            .add(self.state.alive.len() as f64 * dt);
-        let mut any_due = false;
-        for (&idx, &rate) in self.state.alive.iter().zip(&self.state.rates) {
-            let rem = self.state.jobs.remaining[idx];
-            let size = self.state.jobs.specs[idx].size;
-            let drained = rate * dt;
-            // Fractional flow: ∫ p_j(τ)/p_j dτ over [now, t], exact for
-            // the linear drain.
-            self.state
-                .frac_flow
-                .add((rem - drained / 2.0).max(0.0) * dt / size);
-            let left = (rem - drained).max(0.0);
-            self.state.jobs.remaining[idx] = left;
-            any_due |= left <= Self::completion_tolerance(size, rate, t);
-        }
-        any_due
-    }
-
-    /// Incremental-path interval integration. Uniform intervals are O(1):
-    /// the running prefix drains as one group (its fractional flow in
-    /// closed form, `crate::drained`), plus `dt·Σ rem_j/p_j` over the
-    /// (static) queue. Scan intervals fall back to per-job integration
-    /// over the prefix only.
+    /// Detaches the jobs due now from the run's alive structure and
+    /// records each completion into the aggregate sink (both modes) and
+    /// the completion list (in-memory mode), then retires its arena slot
+    /// (streaming mode). `NOTIFY` gates the observer callback.
     #[inline]
-    fn integrate_incremental(&mut self, dt: f64) {
-        self.state
-            .alive_integral
-            .add(self.state.srpt.len() as f64 * dt);
-        match self.state.interval {
-            IntervalKind::Idle => {}
-            IntervalKind::Uniform { rate } => {
-                let run = self.state.srpt.integrate_uniform(rate, dt);
-                self.state
-                    .frac_flow
-                    .add(run + self.state.srpt.queued_frac_sum() * dt);
+    fn complete_due<S: AliveSet, const NOTIFY: bool>(&mut self) -> bool {
+        let state = &mut self.state;
+        let (now, speed, streaming) = (state.now, state.cfg.speed, state.cfg.streaming);
+        let (sink, completed) = (&mut state.sink, &mut state.completed);
+        let (ids, free, observer) = (&mut state.ids, &mut state.free, &mut *self.observer);
+        let set = S::of_mut(&mut state.sets);
+        let deadline = &mut state.quantum_deadline;
+        set.complete_due(now, &mut state.jobs, speed, deadline, |jobs, idx| {
+            jobs.remaining[idx] = 0.0;
+            jobs.in_running[idx] = false;
+            jobs.done[idx] = true;
+            let spec = &jobs.specs[idx];
+            sink.record(spec.release, spec.size, now, spec.weight);
+            if !streaming {
+                completed.push(CompletedJob {
+                    id: spec.id,
+                    release: spec.release,
+                    size: spec.size,
+                    completion: now,
+                    weight: spec.weight,
+                });
             }
-            IntervalKind::Scan => {
-                let share = self.state.profile.share;
-                let speed = self.state.cfg.speed;
-                // The per-class rate cache is valid for this (speed, share)
-                // whenever the interval is Scan (refilled by the profile
-                // refresh that classified it).
-                let mut run = 0.0;
-                {
-                    let jobs = &self.state.jobs;
-                    self.state
-                        .srpt
-                        .for_each_running_ordered(&jobs.specs, |slot, rem| {
-                            let rate = jobs.rate_cached(slot.idx, speed, share);
-                            run += (rem - rate * dt / 2.0).max(0.0) / slot.size;
-                        });
-                }
-                self.state
-                    .frac_flow
-                    .add((run + self.state.srpt.queued_frac_sum()) * dt);
-                let mut moves = std::mem::take(&mut self.state.scratch_moves);
-                moves.clear();
-                {
-                    let jobs = &self.state.jobs;
-                    self.state.srpt.drain_scan(
-                        dt,
-                        &jobs.specs,
-                        |idx| jobs.rate_cached(idx, speed, share),
-                        // lint:allow(L007) pushes into scratch_moves taken via mem::take; donated capacity is retained across events
-                        |idx, p| moves.push((idx, p)),
-                    );
-                }
-                let (_, mut lanes) = self.state.jobs.split_placement();
-                for &(idx, p) in &moves {
-                    lanes.apply(idx, p);
-                }
-                self.state.scratch_moves = moves;
-                // The scan may have reordered the prefix; re-classify
-                // before the next interval.
-                self.state.alloc_fresh = false;
+            if NOTIFY {
+                observer.on_completion(now, spec);
             }
-        }
-    }
-
-    /// Level-path interval integration, `O(1)`: the served level drains
-    /// uniformly, as one group (its fractional flow in closed form), and
-    /// the frozen levels contribute their static sum times `dt`.
-    fn integrate_levels(&mut self, dt: f64) {
-        self.state
-            .alive_integral
-            .add(self.state.levels.len() as f64 * dt);
-        if let IntervalKind::Uniform { rate } = self.state.interval {
-            let run = self.state.levels.integrate(rate, dt);
-            self.state
-                .frac_flow
-                .add(run + self.state.levels.frozen_frac_sum() * dt);
-        }
-    }
-
-    /// Arrival-suffix interval integration, `O(groups)`: each curve group
-    /// of the running suffix drains uniformly at its own rate, as one group
-    /// (its fractional flow in closed form), and the waiting jobs
-    /// contribute their static sum times `dt`.
-    fn integrate_suffix(&mut self, dt: f64) {
-        self.state
-            .alive_integral
-            .add(self.state.suffix.len() as f64 * dt);
-        let frac = self.state.suffix.integrate(dt);
-        self.state.frac_flow.add(frac);
-    }
-
-    /// Arrival-suffix completions: only running jobs drain, and a group's
-    /// members drain at one rate, so only a group's front can be due — pop
-    /// fronts while one is.
-    fn collect_completions_suffix(&mut self) -> bool {
-        let now = self.state.now;
-        let mut completed_any = false;
-        while let Some(slot) = self
-            .state
-            .suffix
-            .pop_due(&self.state.jobs.specs, |slot, rem, rate| {
-                rem <= Self::completion_tolerance(slot.size, rate, now)
-            })
-        {
-            self.finish_job::<true>(slot.idx);
-            completed_any = true;
-        }
-        completed_any
-    }
-
-    /// Level-path completions: only the served level drains, and its
-    /// members drain at one rate, so only the front of its heap can be
-    /// due — pop while it is. A frozen job cannot be due: it was not due
-    /// when its level froze, under a tolerance at least as wide. When the
-    /// served level empties, the level below it was frozen all interval:
-    /// stop there, and drop the catch-up deadline, which the emptied
-    /// level owned.
-    fn collect_completions_levels(&mut self) -> bool {
-        let rate = match self.state.interval {
-            IntervalKind::Uniform { rate } => rate,
-            IntervalKind::Scan | IntervalKind::Idle => 0.0,
-        };
-        let depth = self.state.levels.depth();
-        let mut completed_any = false;
-        while let Some((slot, rem)) = self.state.levels.front() {
-            if rem > Self::completion_tolerance(slot.size, rate, self.state.now) {
-                break;
+            if streaming {
+                // Retire the slot: forget the id and hand the arena index
+                // to the next arrival. The spec stays in place (inert)
+                // until overwritten — nothing reads `done` slots.
+                ids.remove(spec.id);
+                free.push(idx);
             }
-            self.state.levels.pop_front(&self.state.jobs.specs);
-            self.finish_job::<true>(slot.idx);
-            completed_any = true;
-            if self.state.levels.depth() < depth {
-                self.state.quantum_deadline = None;
-                break;
-            }
-        }
-        completed_any
-    }
-
-    /// Records a completion at the current time into the aggregate sink
-    /// (both modes) and the completion list (in-memory mode), then retires
-    /// the arena slot (streaming mode). Callers have already detached the
-    /// job from their alive structure. `NOTIFY` gates the observer
-    /// callback (elided by the specialized loop, whose eligibility
-    /// requires [`Observer::is_noop`]).
-    fn finish_job<const NOTIFY: bool>(&mut self, idx: usize) {
-        self.state.jobs.remaining[idx] = 0.0;
-        self.state.jobs.in_running[idx] = false;
-        self.state.jobs.done[idx] = true;
-        let spec = &self.state.jobs.specs[idx];
-        self.state
-            .sink
-            .record(spec.release, spec.size, self.state.now, spec.weight);
-        if !self.state.cfg.streaming {
-            self.state.completed.push(CompletedJob {
-                id: spec.id,
-                release: spec.release,
-                size: spec.size,
-                completion: self.state.now,
-                weight: spec.weight,
-            });
-        }
-        if NOTIFY {
-            self.observer
-                .on_completion(self.state.now, &self.state.jobs.specs[idx]);
-        }
-        if self.state.cfg.streaming {
-            // Retire the slot: forget the id and hand the arena index to
-            // the next arrival. The spec stays in place (inert) until
-            // overwritten — nothing reads `done` slots.
-            self.state.ids.remove(self.state.jobs.specs[idx].id);
-            self.state.free.push(idx);
-        }
-    }
-
-    /// The exhaustive path's completion predicate for `alive[i]` at the
-    /// current clock.
-    fn completion_due(&self, i: usize) -> bool {
-        let idx = self.state.alive[i];
-        let size = self.state.jobs.specs[idx].size;
-        self.state.jobs.remaining[idx]
-            <= Self::completion_tolerance(size, self.state.rates[i], self.state.now)
-    }
-
-    /// Exhaustive-path completion sweep over the whole alive set.
-    fn collect_completions_exhaustive(&mut self) -> bool {
-        let mut completed_any = false;
-        let mut i = 0;
-        while i < self.state.alive.len() {
-            if self.completion_due(i) {
-                let idx = self.state.alive[i];
-                self.state.alive.swap_remove(i);
-                // Keep the parallel share/rate vectors aligned with `alive`
-                // for the rest of this sweep (they are rebuilt on the next
-                // refresh either way).
-                self.state.rates.swap_remove(i);
-                self.state.shares.swap_remove(i);
-                self.finish_job::<true>(idx);
-                completed_any = true;
-            } else {
-                i += 1;
-            }
-        }
-        completed_any
-    }
-
-    /// Incremental-path completions: only the *front* of the running prefix
-    /// can finish (SRPT order), so this pops while the front is within
-    /// tolerance — O(log n) per completion, no sweep. `NOTIFY` as in
-    /// [`Engine::finish_job`].
-    #[inline]
-    fn collect_completions_incremental<const NOTIFY: bool>(&mut self) -> bool {
-        let mut completed_any = false;
-        while let Some((slot, rem)) = self.state.srpt.front_running() {
-            let rate = match self.state.interval {
-                IntervalKind::Uniform { rate } => rate,
-                IntervalKind::Scan => self.state.jobs.rate_cached(
-                    slot.idx,
-                    self.state.cfg.speed,
-                    self.state.profile.share,
-                ),
-                IntervalKind::Idle => 0.0,
-            };
-            if rem > Self::completion_tolerance(slot.size, rate, self.state.now) {
-                break;
-            }
-            let idx = slot.idx;
-            self.state.srpt.pop_front_running(&self.state.jobs.specs);
-            self.finish_job::<NOTIFY>(idx);
-            completed_any = true;
-        }
-        completed_any
+        })
     }
 
     /// Builds an audit snapshot of the alive set with the allocation
@@ -2490,73 +1437,39 @@ impl<'a> Engine<'a> {
     /// and job vector the auditor lent back ([`Auditor::take_spare`]).
     /// Only valid while the allocation is fresh (callers capture right
     /// after [`Engine::next_event_time`]).
-    fn build_audit_frame(&mut self, (mut policy, mut jobs): (String, Vec<FrameJob>)) -> AuditFrame {
+    fn build_audit_frame<S: AliveSet>(
+        &mut self,
+        (mut policy, mut jobs): (String, Vec<FrameJob>),
+    ) -> AuditFrame {
         policy.push_str(&self.state.policy_name);
         let state = &mut self.state;
-        let path = state.path;
-        let (share, speed) = (state.profile.share, state.cfg.speed);
-        let level_rate = match state.interval {
-            IntervalKind::Uniform { rate } => rate,
-            IntervalKind::Scan | IntervalKind::Idle => 0.0,
-        };
-        let (arena, levels, suffix) = (&state.jobs, &state.levels, &state.suffix);
-        let (shares, rates, level_shares) = (&state.shares, &state.rates, &state.level_shares);
-        let mut i = 0;
-        let mut push = |idx: usize, remaining: Work, running: bool| {
-            let spec = &arena.specs[idx];
-            let (share, rate) = match path {
-                EnginePath::Exhaustive | EnginePath::Replay => (shares[i], rates[i]),
-                _ if !running => (0.0, 0.0),
-                EnginePath::Incremental => (share, speed * arena.gamma(idx, share)),
-                EnginePath::Levels => {
-                    let share = levels
-                        .top_curve_of(idx, &spec.curve)
-                        .and_then(|c| level_shares.get(c))
-                        .copied()
-                        .unwrap_or(0.0);
-                    (share, level_rate)
-                }
-                EnginePath::ArrivalSuffix => (share, suffix.rate_of(idx)),
-            };
-            i += 1;
-            jobs.push(FrameJob {
-                id: spec.id,
-                slot: idx,
-                release: spec.release,
-                size: spec.size,
-                remaining,
-                share,
-                rate,
-            });
-        };
-        // The audit needs no order within a partition, so the SRPT set is
-        // listed as stored rather than sorted.
-        let srpt_running = if path == EnginePath::Incremental {
-            state
-                .srpt
-                .for_each_stored(|slot, remaining, running| push(slot.idx, remaining, running));
-            Some(state.srpt.running_len())
-        } else {
-            for_each_alive(
-                path,
-                &state.alive,
-                arena,
-                &mut state.srpt,
-                levels,
-                suffix,
-                push,
-            );
-            None
-        };
+        let specs = &state.jobs.specs;
+        let set = S::of_mut(&mut state.sets);
+        let srpt_running = set.audit(
+            &state.jobs,
+            state.cfg.speed,
+            |idx, remaining, share, rate| {
+                let spec = &specs[idx];
+                jobs.push(FrameJob {
+                    id: spec.id,
+                    slot: idx,
+                    release: spec.release,
+                    size: spec.size,
+                    remaining,
+                    share,
+                    rate,
+                });
+            },
+        );
         AuditFrame {
             event: state.events,
             t: state.now,
             m: state.cfg.m,
-            path: self.path(),
+            path: Some(state.path),
             policy,
             jobs,
             srpt_running,
-            srpt_ordered_policy: self.state.policy_srpt_ordered,
+            srpt_ordered_policy: state.policy_srpt_ordered,
             latest_arrivals_policy: self.policy.stability() == AllocationStability::LatestArrivals,
         }
     }
@@ -2565,9 +1478,9 @@ impl<'a> Engine<'a> {
     ///
     /// One iteration of the all-checks instantiation of the event loop
     /// (see [`Engine::run_loop`]): it validates admissions, notifies the
-    /// observer, serves every execution path, and feeds the auditor.
+    /// observer, and feeds the auditor.
     pub fn step(&mut self) -> Result<bool, SimError> {
-        self.run_events::<true, true>(true)
+        on_path!(self.state.path, S => self.run_events::<S, true, true>(true))
     }
 
     /// Drives the run to completion without finalizing. All four `run*`
@@ -2575,43 +1488,38 @@ impl<'a> Engine<'a> {
     /// (benchmarks, the allocation audit) can execute the exact finalizer
     /// loop and then inspect the engine before materializing an outcome.
     ///
-    /// There is one event loop, the private `Engine::run_events`, monomorphized
-    /// over what the run is known to need. A run on the incremental path
-    /// with auditing off and a no-op observer ([`Observer::is_noop`])
-    /// takes the specialized instantiation: no mode dispatch, no audit
-    /// frames, no observer calls, no quantum bookkeeping, and — when the
-    /// source is [`ArrivalSource::pre_validated`] — no admission
-    /// re-validation. Every other run takes the all-checks
-    /// instantiation that [`Engine::step`] iterates. The instantiations
-    /// differ in dispatch and bookkeeping, not arithmetic, so a run is
-    /// bit-identical either way, which
-    /// `tests/engine_fastpath_differential.rs` pins policy by policy.
+    /// There is one event loop, the private `Engine::run_events`,
+    /// monomorphized per alive structure (one per execution path, see
+    /// `crate::alive_set`) and over the checks the run needs. A run with
+    /// auditing off and a no-op observer ([`Observer::is_noop`]) takes an
+    /// instantiation without audit frames or observer calls and — when
+    /// the source is [`ArrivalSource::pre_validated`] — without admission
+    /// re-validation. Every other run takes the all-checks instantiation
+    /// that [`Engine::step`] iterates. The instantiations differ in
+    /// bookkeeping, not arithmetic, so a run is bit-identical either way,
+    /// which `tests/engine_fastpath_differential.rs` pins policy by policy.
     pub fn run_loop(&mut self) -> Result<(), SimError> {
-        let specialized = self.state.path == EnginePath::Incremental
-            && self.state.auditor.is_none()
-            && self.observer.is_noop();
-        if !specialized {
-            return self.run_events::<true, true>(false).map(drop);
-        }
-        if self.source.pre_validated() {
-            self.run_events::<false, false>(false).map(drop)
-        } else {
-            self.run_events::<true, false>(false).map(drop)
-        }
+        let checked = self.state.auditor.is_some() || !self.observer.is_noop();
+        let validate = checked || !self.source.pre_validated();
+        on_path!(self.state.path, S => match (validate, checked) {
+            (_, true) => self.run_events::<S, true, true>(false),
+            (true, false) => self.run_events::<S, true, false>(false),
+            (false, false) => self.run_events::<S, false, false>(false),
+        })
+        .map(drop)
     }
 
-    /// The event loop: leading admission, then per event
-    /// [`Engine::decide`], the audit frame, [`Engine::charge_event`], and
-    /// [`Engine::advance`]. Runs one event when `once`, else until the run
-    /// ends; returns `false` once the run is over.
+    /// The event loop over the alive structure `S`: leading admission,
+    /// then per event [`Engine::decide`], the audit frame,
+    /// [`Engine::charge_event`], and [`Engine::advance`]. Runs one event
+    /// when `once`, else until the run ends; returns `false` once the run
+    /// is over.
     ///
-    /// `VALIDATE` re-checks admitted specs and `GENERIC` serves the
-    /// exhaustive, level and arrival-suffix paths, the observer, and the
-    /// auditor; with `GENERIC` off
-    /// the run must be on the incremental path, unaudited, and unobserved
-    /// (see [`Engine::run_loop`]).
+    /// `VALIDATE` re-checks admitted specs, and `CHECKED` serves the
+    /// observer and the auditor; with `CHECKED` off the run must be
+    /// unaudited and unobserved (see [`Engine::run_loop`]).
     #[inline]
-    fn run_events<const VALIDATE: bool, const GENERIC: bool>(
+    fn run_events<S: AliveSet, const VALIDATE: bool, const CHECKED: bool>(
         &mut self,
         once: bool,
     ) -> Result<bool, SimError> {
@@ -2622,16 +1530,16 @@ impl<'a> Engine<'a> {
         // first step. Every event ends by admitting what is due at its
         // time, and nothing moves the clock in between, so from then on
         // this is a no-op.
-        hp_phase!(self, queue_ns, self.admit_due::<VALIDATE, GENERIC>())?;
+        hp_phase!(self, queue_ns, self.admit_due::<S, VALIDATE, CHECKED>())?;
         loop {
-            let Some(t) = self.decide::<GENERIC>()? else {
+            let Some(t) = self.decide::<S>()? else {
                 return Ok(false);
             };
-            if GENERIC {
-                self.audit_event()?;
+            if CHECKED {
+                self.audit_event::<S>()?;
             }
             self.charge_event()?;
-            self.advance::<VALIDATE, GENERIC>(t)?;
+            self.advance::<S, VALIDATE, CHECKED>(t)?;
             if once {
                 return Ok(true);
             }
@@ -2641,12 +1549,12 @@ impl<'a> Engine<'a> {
     /// Audit hook: at this point the allocation is fresh and constant over
     /// the coming interval, so the frame captures exactly what the engine
     /// is about to execute.
-    fn audit_event(&mut self) -> Result<(), SimError> {
+    fn audit_event<S: AliveSet>(&mut self) -> Result<(), SimError> {
         let Some(mut aud) = self.state.auditor.take() else {
             return Ok(());
         };
         let checked = if aud.wants_frame(self.state.events) {
-            let frame = self.build_audit_frame(aud.take_spare());
+            let frame = self.build_audit_frame::<S>(aud.take_spare());
             aud.check_frame(frame)
         } else {
             Ok(())
@@ -2727,7 +1635,7 @@ impl<'a> Engine<'a> {
                     at: self.state.now,
                     events: self.state.events,
                     policy: self.state.policy_name.clone(),
-                    path: self.path(),
+                    path: Some(self.path()),
                 })?;
                 Ok(Some(aud.report()))
             }
@@ -2880,7 +1788,7 @@ pub fn simulate_streaming_audited(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::EquiSplit;
+    use crate::policy::{CurveCount, EquiSplit, PrefixAllocation};
     use parsched_speedup::Curve;
 
     fn inst(jobs: &[(f64, f64)], curve: Curve) -> Instance {

@@ -124,8 +124,10 @@ impl std::str::FromStr for AuditLevel {
     }
 }
 
-/// Which engine execution path produced a frame (carried into violations
-/// so a failure names the code path that broke the law).
+/// An engine execution path. Audit frames, violations and end-of-run
+/// accounting carry the path that produced them, so a failure names the
+/// code path that broke the law; the offline trace replayer, which runs
+/// none of them, tags its own as `None` (rendered "replay").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePath {
     /// Full view + `Policy::assign` at every event.
@@ -136,19 +138,25 @@ pub enum EnginePath {
     Levels,
     /// Arrival-ordered alive set whose latest arrivals share the machine.
     ArrivalSuffix,
-    /// Offline replay of a recorded trace.
-    Replay,
+}
+
+impl EnginePath {
+    /// The name a producer tag renders as: its path's, or "replay" for
+    /// the trace replayer (`None`).
+    fn producer(path: Option<Self>) -> &'static str {
+        match path {
+            Some(EnginePath::Exhaustive) => "exhaustive",
+            Some(EnginePath::Incremental) => "incremental",
+            Some(EnginePath::Levels) => "levels",
+            Some(EnginePath::ArrivalSuffix) => "arrival-suffix",
+            None => "replay",
+        }
+    }
 }
 
 impl std::fmt::Display for EnginePath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EnginePath::Exhaustive => "exhaustive",
-            EnginePath::Incremental => "incremental",
-            EnginePath::Levels => "levels",
-            EnginePath::ArrivalSuffix => "arrival-suffix",
-            EnginePath::Replay => "replay",
-        })
+        f.write_str(Self::producer(Some(*self)))
     }
 }
 
@@ -170,8 +178,8 @@ pub struct Violation {
     pub actual: f64,
     /// Name of the active policy.
     pub policy: String,
-    /// Which engine path was executing.
-    pub path: EnginePath,
+    /// Which engine path was executing (`None`: the trace replayer).
+    pub path: Option<EnginePath>,
     /// Human-readable description of the defect.
     pub detail: String,
 }
@@ -188,7 +196,7 @@ impl std::fmt::Display for Violation {
                 .map(|j| format!(", job {j}"))
                 .unwrap_or_default(),
             self.policy,
-            self.path,
+            EnginePath::producer(self.path),
             self.detail,
             self.expected,
             self.actual,
@@ -229,8 +237,9 @@ pub struct AuditFrame {
     pub t: Time,
     /// Machine capacity `m`.
     pub m: f64,
-    /// Which execution path produced the frame.
-    pub path: EnginePath,
+    /// Which execution path produced the frame (`None`: the trace
+    /// replayer).
+    pub path: Option<EnginePath>,
     /// Active policy name.
     pub policy: String,
     /// The alive jobs, in no promised order within a partition: the
@@ -276,8 +285,8 @@ pub struct FinalAccounting {
     pub events: u64,
     /// Active policy name.
     pub policy: String,
-    /// Which execution path ran.
-    pub path: EnginePath,
+    /// Which execution path ran (`None`: the trace replayer).
+    pub path: Option<EnginePath>,
 }
 
 /// The audited laws by their stable names, in check order. A frame that
@@ -499,8 +508,9 @@ const NO_POS: u32 = u32::MAX;
 /// previous frame's lowest slot) to previous-frame position, written for
 /// the previous frame's jobs at each check, so a frame costs `O(alive)`
 /// whatever the arena size. A table hit counts only when its id matches;
-/// any miss falls back to searching the previous frame by id, last match
-/// first. Frames list distinct ids (the engine rejects a duplicate alive
+/// a miss whose id lies in the previous frame's id range falls back to
+/// searching that frame by id, last match first, and any other miss has
+/// no entry. Frames list distinct ids (the engine rejects a duplicate alive
 /// id, the replayer a duplicate trace id), so an entry whose id matches
 /// is *the* entry of that id: every job is paired with exactly the entry
 /// an id-keyed map of the previous frame would give it, whatever slots
@@ -525,16 +535,27 @@ struct Pairing<'a> {
     prev: &'a AuditFrame,
     base: usize,
     pos: &'a [u32],
+    /// The least and greatest id in `prev` (`None` when it is empty).
+    ids: Option<(JobId, JobId)>,
 }
 
 impl<'a> Pairing<'a> {
-    /// The previous frame's entry of `j`'s id.
+    /// The previous frame's entry of `j`'s id. An id outside the previous
+    /// frame's id range has no entry there, so a table miss searches the
+    /// frame only for an id inside it: an arrival, whose id the producer
+    /// has not listed before, costs no search when ids grow with arrivals.
     fn previous(&self, j: &FrameJob) -> Option<&'a FrameJob> {
         let hit = window_cell(self.base, j.slot)
             .and_then(|k| self.pos.get(k))
             .and_then(|&i| self.prev.jobs.get(i as usize))
             .filter(|p| p.id == j.id);
-        hit.or_else(|| self.prev.jobs.iter().rev().find(|p| p.id == j.id))
+        let (lo, hi) = self.ids?;
+        hit.or_else(|| {
+            (lo..=hi)
+                .contains(&j.id)
+                .then(|| self.prev.jobs.iter().rev().find(|p| p.id == j.id))
+                .flatten()
+        })
     }
 
     /// The remaining work the speed-up curve predicts for `j` from its
@@ -582,7 +603,9 @@ impl WorkDrainConsistency {
     ) -> Option<Pairing<'a>> {
         let prev = prev.filter(|p| cur.event == p.event + 1)?;
         let base = prev.jobs.iter().map(|p| p.slot).min().unwrap_or(0);
+        let mut ids: Option<(JobId, JobId)> = None;
         for (i, p) in prev.jobs.iter().enumerate() {
+            ids = Some(ids.map_or((p.id, p.id), |(lo, hi)| (lo.min(p.id), hi.max(p.id))));
             let Some(k) = window_cell(base, p.slot) else {
                 continue;
             };
@@ -597,6 +620,7 @@ impl WorkDrainConsistency {
             prev,
             base,
             pos: &self.pos,
+            ids,
         })
     }
 }
@@ -941,7 +965,7 @@ mod tests {
             event,
             t,
             m: 4.0,
-            path: EnginePath::Exhaustive,
+            path: Some(EnginePath::Exhaustive),
             policy: "test".to_string(),
             jobs,
             srpt_running: None,
@@ -1005,6 +1029,41 @@ mod tests {
         assert!((violation.actual - 6.0).abs() < 1e-12);
         assert!((violation.expected - 4.0).abs() < 1e-12);
         assert!(violation.to_string().contains("capacity"), "{violation}");
+    }
+
+    /// The previous-frame lookup by id range: a table hit, a present id
+    /// under a wrong slot (found by the search), and ids below, above and
+    /// inside the previous frame's range that it does not hold.
+    #[test]
+    fn pairing_answers_ids_outside_the_previous_range_without_an_entry() {
+        let prev = frame(4, 1.0, vec![job(5, 3.0, 1.0, 1.0), job(9, 4.0, 1.0, 1.0)]);
+        let cur = frame(5, 2.0, Vec::new());
+        let mut drain = WorkDrainConsistency::default();
+        let pairing = drain
+            .index(Some(&prev), &cur)
+            .expect("adjacent frames pair");
+        assert_eq!(pairing.ids, Some((JobId(5), JobId(9))));
+        let found = |id: u64, slot: usize| {
+            let j = FrameJob {
+                slot,
+                ..job(id, 1.0, 1.0, 1.0)
+            };
+            pairing.previous(&j).map(|p| p.id.0)
+        };
+        assert_eq!(found(9, 9), Some(9), "table hit");
+        assert_eq!(found(9, 2), Some(9), "present id under another slot");
+        assert_eq!(found(3, 3), None, "id below the range");
+        assert_eq!(
+            found(12, 5),
+            None,
+            "id above the range, slot of another job"
+        );
+        assert_eq!(found(7, 7), None, "absent id inside the range");
+        let empty = frame(4, 1.0, Vec::new());
+        let pairing = drain
+            .index(Some(&empty), &cur)
+            .expect("adjacent frames pair");
+        assert_eq!(pairing.previous(&job(5, 1.0, 1.0, 1.0)).map(|p| p.id), None);
     }
 
     #[test]
@@ -1109,7 +1168,7 @@ mod tests {
             at: 7.0,
             events: 9,
             policy: "test".to_string(),
-            path: EnginePath::Exhaustive,
+            path: Some(EnginePath::Exhaustive),
         };
         aud.check_final(&end).unwrap();
         assert!(aud.report().final_checked);

@@ -45,12 +45,19 @@
 //! Snapshots therefore capture each level as its group captures itself,
 //! array verbatim ([`DrainedSnap`]).
 
-use parsched_speedup::Curve;
+use parsched_speedup::{Curve, EPS};
 
+use crate::alive_set::{
+    check_allocation, completion_tolerance, recycle_views, AliveSet, AliveSets, Drained,
+    IntervalKind, Refresh, Schedule,
+};
+use crate::arena::JobArena;
 use crate::drained::{DrainedGroup, DrainedSnap};
-use crate::job::{JobSpec, Work};
+use crate::error::SimError;
+use crate::job::{JobSpec, Time, Work};
+use crate::kahan::NeumaierSum;
 use crate::policy::{CurveCount, ELAPSED_TIE_TOL};
-use crate::snapshot::{in_range, SlotCheck};
+use crate::snapshot::{in_range, SlotCheck, Snapshot};
 use crate::srpt_set::{Entry, Slot};
 
 /// Which curve a [`Tally`] entry counts.
@@ -233,27 +240,21 @@ pub(crate) struct LevelStack {
     frozen: f64,
     /// Alive jobs.
     len: usize,
+    /// Drain shape of the current interval: the served level's common
+    /// rate, or idle.
+    interval: IntervalKind,
+    /// The buffer behind every view of the served level's distinct curves
+    /// handed to [`crate::Policy::equalize_curves`], empty between uses.
+    // lint:allow(L009) empty between events; it only lends its capacity to each curve view, so there is nothing to capture
+    curves: Vec<CurveCount<'static>>,
+    /// The share of each distinct curve of the served level (valid while
+    /// the allocation is fresh). The drain itself runs on the interval
+    /// rate; only audit frames read the shares.
+    // lint:allow(L009) read only by audit frames, and snapshots require auditing off; the next refresh recomputes them
+    curve_shares: Vec<f64>,
 }
 
 impl LevelStack {
-    /// Clears all state for a fresh run, retaining every buffer.
-    pub fn reset(&mut self) {
-        for level in &mut self.slab {
-            level.clear();
-        }
-        self.stack.clear();
-        self.spare.clear();
-        self.spare.extend((0..self.slab.len() as u32).rev());
-        self.home.clear();
-        self.frozen = 0.0;
-        self.len = 0;
-    }
-
-    /// Alive jobs.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Live levels.
     pub fn depth(&self) -> usize {
         self.stack.len()
@@ -270,7 +271,7 @@ impl LevelStack {
     /// The served level's fractional flow over an interval of length `dt`
     /// at the common `rate` (0 when nothing is alive), after which its
     /// members have drained by `rate·dt`.
-    pub fn integrate(&mut self, rate: f64, dt: f64) -> f64 {
+    pub fn integrate_top(&mut self, rate: f64, dt: f64) -> f64 {
         match self.top_id().and_then(|id| self.slab.get_mut(id)) {
             Some(top) => top.members.integrate(rate, dt),
             None => 0.0,
@@ -325,7 +326,7 @@ impl LevelStack {
 
     /// Admits the job in arena slot `idx` with `remaining` work and
     /// elapsed work 0. `specs[idx]` must already hold its spec.
-    pub fn admit(&mut self, idx: usize, remaining: Work, specs: &[JobSpec]) {
+    pub fn add(&mut self, idx: usize, remaining: Work, specs: &[JobSpec]) {
         let spec = &specs[idx];
         if idx >= self.home.len() {
             self.home.resize(idx + 1, Home::default());
@@ -529,6 +530,216 @@ impl LevelStack {
     }
 }
 
+impl AliveSet for LevelStack {
+    fn of(sets: &AliveSets) -> &Self {
+        &sets.levels
+    }
+
+    fn of_mut(sets: &mut AliveSets) -> &mut Self {
+        &mut sets.levels
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn reset(&mut self) {
+        for level in &mut self.slab {
+            level.clear();
+        }
+        self.stack.clear();
+        self.spare.clear();
+        self.spare.extend((0..self.slab.len() as u32).rev());
+        self.home.clear();
+        self.frozen = 0.0;
+        self.len = 0;
+        self.interval = IntervalKind::Idle;
+        self.curves.clear();
+        self.curve_shares.clear();
+    }
+
+    fn admit(&mut self, idx: usize, remaining: Work, jobs: &mut JobArena) {
+        self.add(idx, remaining, &jobs.specs);
+    }
+
+    /// Merges the levels tied with the served one, asks the policy for the
+    /// served level's common rate and per-curve shares
+    /// ([`crate::Policy::equalize_curves`], given its distinct curves and
+    /// their counts), validates them as the exhaustive path would, and
+    /// schedules the interval: a uniform drain at the served level's rate,
+    /// its front completion, and the catch-up with the level below as the
+    /// re-decision deadline. `O(distinct curves)` plus the policy's
+    /// equalizer, and the amortized merge cost.
+    ///
+    /// The drain rate is `speed·Γ(share)` of the level's first curve. The
+    /// other curves' rates differ from it by rounding only, since each
+    /// share is its curve's inverse at the common rate.
+    fn refresh(&mut self, cx: Refresh<'_>) -> Result<Schedule, SimError> {
+        let specs = &cx.jobs.specs;
+        self.settle(specs);
+        let mut shares = std::mem::take(&mut self.curve_shares);
+        let mut curves: Vec<CurveCount<'_>> = std::mem::take(&mut self.curves);
+        self.top_curves(specs, &mut curves);
+        if curves.is_empty() {
+            self.curves = recycle_views(curves);
+            self.curve_shares = shares;
+            self.interval = IntervalKind::Idle;
+            return Ok(Schedule::default());
+        }
+        shares.clear();
+        shares.resize(curves.len(), 0.0);
+        let rho = cx.policy.equalize_curves(cx.m, &curves, &mut shares);
+        let mut total = 0.0;
+        let mut invalid = None;
+        for (c, share) in curves.iter().zip(&mut shares) {
+            if !share.is_finite() || *share < -EPS {
+                invalid = Some(*share);
+                break;
+            }
+            *share = share.max(0.0);
+            total += c.count as f64 * *share;
+        }
+        let rate = match (curves.first(), shares.first()) {
+            (Some(c), Some(&share)) => cx.speed * c.curve.rate(share),
+            _ => 0.0,
+        };
+        self.curves = recycle_views(curves);
+        self.curve_shares = shares;
+        // A policy that declares the level contract but returns no rate
+        // has answered with no valid share.
+        let invalid = if rho.is_none() {
+            Some(f64::NAN)
+        } else {
+            invalid
+        };
+        check_allocation(cx.now, invalid, total, cx.m, &*cx.policy)?;
+        let mut schedule = Schedule::default();
+        if rate > 0.0 {
+            if let Some((_, rem)) = self.front() {
+                schedule.completion = Some(cx.now + rem / rate);
+            }
+            if let Some(gap) = self.catch_up_gap() {
+                schedule.deadline = Some(cx.now + gap.max(0.0) / rate);
+            }
+        }
+        self.interval = IntervalKind::Uniform { rate };
+        Ok(schedule)
+    }
+
+    /// `O(1)`: the served level drains uniformly, as one group (its
+    /// fractional flow in closed form), and the frozen levels contribute
+    /// their static sum times `dt`.
+    fn integrate(
+        &mut self,
+        dt: f64,
+        _t: Time,
+        _jobs: &mut JobArena,
+        _speed: f64,
+        frac_flow: &mut NeumaierSum,
+    ) -> Drained {
+        if let IntervalKind::Uniform { rate } = self.interval {
+            let run = self.integrate_top(rate, dt);
+            frac_flow.add(run + self.frozen_frac_sum() * dt);
+        }
+        Drained::MaybeDue
+    }
+
+    /// Only the served level drains, and its members drain at one rate,
+    /// so only the front of its heap can be due — pop while it is. A
+    /// frozen job cannot be due: it was not due when its level froze,
+    /// under a tolerance at least as wide. When the served level empties,
+    /// the level below it was frozen all interval: stop there, and drop
+    /// the catch-up deadline, which the emptied level owned.
+    fn complete_due(
+        &mut self,
+        now: Time,
+        jobs: &mut JobArena,
+        _speed: f64,
+        deadline: &mut Option<Time>,
+        mut finish: impl FnMut(&mut JobArena, usize),
+    ) -> bool {
+        let rate = match self.interval {
+            IntervalKind::Uniform { rate } => rate,
+            IntervalKind::Scan | IntervalKind::Idle => 0.0,
+        };
+        let depth = self.depth();
+        let mut completed_any = false;
+        while let Some((slot, rem)) = self.front() {
+            if rem > completion_tolerance(slot.size, rate, now) {
+                break;
+            }
+            self.pop_front(&jobs.specs);
+            finish(jobs, slot.idx);
+            completed_any = true;
+            if self.depth() < depth {
+                *deadline = None;
+                break;
+            }
+        }
+        completed_any
+    }
+
+    /// The deadline is the served level's catch-up with the level below:
+    /// merge the two, before this instant's arrivals stack new levels on
+    /// top.
+    fn expire(&mut self, specs: &[JobSpec], deadline: &mut Option<Time>) {
+        *deadline = None;
+        self.catch_up(specs);
+    }
+
+    fn remaining(&self, idx: usize, _jobs: &JobArena) -> Work {
+        self.remaining_of(idx).unwrap_or(0.0)
+    }
+
+    fn walk(&mut self, _jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
+        self.for_each(|idx, rem, _| f(idx, rem));
+    }
+
+    fn audit(
+        &mut self,
+        jobs: &JobArena,
+        _speed: f64,
+        mut f: impl FnMut(usize, Work, f64, f64),
+    ) -> Option<usize> {
+        let rate = match self.interval {
+            IntervalKind::Uniform { rate } => rate,
+            IntervalKind::Scan | IntervalKind::Idle => 0.0,
+        };
+        self.for_each(|idx, rem, served| {
+            if served {
+                let share = self
+                    .top_curve_of(idx, &jobs.specs[idx].curve)
+                    .and_then(|c| self.curve_shares.get(c))
+                    .copied()
+                    .unwrap_or(0.0);
+                f(idx, rem, share, rate);
+            } else {
+                f(idx, rem, 0.0, 0.0);
+            }
+        });
+        None
+    }
+
+    fn snapshot(&self, specs: &[JobSpec], snap: &mut Snapshot) {
+        snap.levels = Some(self.snapshot_state(specs));
+        snap.interval = self.interval;
+    }
+
+    fn check(snap: &Snapshot, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        match &snap.levels {
+            Some(levels) => levels.check(slots),
+            None => Ok(()),
+        }
+    }
+
+    fn restore(&mut self, snap: &Snapshot, jobs: &mut JobArena, _speed: f64) {
+        if let Some(levels) = &snap.levels {
+            self.restore_state(levels, &jobs.specs);
+        }
+        self.interval = snap.interval;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,7 +751,7 @@ mod tests {
 
     /// Drains the served level by `amount` (a unit-length interval).
     fn advance(set: &mut LevelStack, amount: f64) {
-        set.integrate(amount, 1.0);
+        set.integrate_top(amount, 1.0);
     }
 
     /// 64-bit LCG stream for the model fuzzer.
@@ -561,9 +772,9 @@ mod tests {
             spec(1, 3.0, Curve::Sequential),
         ];
         let mut set = LevelStack::default();
-        set.admit(0, 4.0, &specs);
+        set.add(0, 4.0, &specs);
         advance(&mut set, 1.0);
-        set.admit(1, 3.0, &specs);
+        set.add(1, 3.0, &specs);
         assert_eq!(set.depth(), 2);
         assert_eq!(set.catch_up_gap(), Some(1.0));
         // Job 0 is frozen at 3.0, job 1 served.
@@ -591,9 +802,9 @@ mod tests {
             spec(2, 5.0, Curve::Sequential),
         ];
         let mut set = LevelStack::default();
-        set.admit(0, 4.0, &specs);
+        set.add(0, 4.0, &specs);
         advance(&mut set, 1.0);
-        set.admit(1, 3.0, &specs);
+        set.add(1, 3.0, &specs);
         advance(&mut set, 1.0 - 5e-8);
         let before = [set.remaining_of(0), set.remaining_of(1)];
         set.settle(&specs);
@@ -605,10 +816,10 @@ mod tests {
         // The larger level absorbs the smaller: job 2 joins job 1's level
         // first, so that one is the larger when job 0's catches up.
         let mut set = LevelStack::default();
-        set.admit(0, 4.0, &specs);
+        set.add(0, 4.0, &specs);
         advance(&mut set, 1.0);
-        set.admit(1, 3.0, &specs);
-        set.admit(2, 5.0, &specs);
+        set.add(1, 3.0, &specs);
+        set.add(2, 5.0, &specs);
         advance(&mut set, 1.0 - 5e-8);
         let before: Vec<f64> = (0..3).map(|i| set.remaining_of(i).unwrap()).collect();
         set.settle(&specs);
@@ -626,7 +837,7 @@ mod tests {
             .collect();
         let mut set = LevelStack::default();
         for (i, s) in specs.iter().enumerate() {
-            set.admit(i, s.size, &specs);
+            set.add(i, s.size, &specs);
         }
         assert_eq!(set.depth(), 1);
         assert_eq!(set.len(), 3);
@@ -645,7 +856,7 @@ mod tests {
         ];
         let mut set = LevelStack::default();
         for (i, s) in specs.iter().enumerate() {
-            set.admit(i, s.size, &specs);
+            set.add(i, s.size, &specs);
         }
         let counts: Vec<u32> = set.top_tally().iter().map(|t| t.count).collect();
         assert_eq!(counts, vec![2, 1, 1]);
@@ -665,7 +876,7 @@ mod tests {
         let specs: Vec<JobSpec> = (0..8).map(|i| spec(i, 1.0, Curve::Sequential)).collect();
         let mut set = LevelStack::default();
         for i in 0..8 {
-            set.admit(i, 1.0, &specs);
+            set.add(i, 1.0, &specs);
             advance(&mut set, 0.01);
         }
         assert_eq!(set.depth(), 8);
@@ -673,7 +884,7 @@ mod tests {
         assert_eq!(set.len(), 0);
         assert_eq!(set.depth(), 0);
         assert_eq!(set.spare.len(), 8);
-        set.admit(0, 1.0, &specs);
+        set.add(0, 1.0, &specs);
         assert_eq!(set.depth(), 1);
         assert_eq!(set.slab.len(), 8);
     }
@@ -720,7 +931,7 @@ mod tests {
                             size,
                             curve,
                         ));
-                        set.admit(idx, size, &specs);
+                        set.add(idx, size, &specs);
                         model.push(ModelJob {
                             idx,
                             remaining: size,
@@ -896,7 +1107,7 @@ mod tests {
             .collect();
         let mut set = LevelStack::default();
         for i in 0..40 {
-            set.admit(i, specs[i].size, &specs);
+            set.add(i, specs[i].size, &specs);
             advance(&mut set, 0.05 * (i % 3) as f64);
             if i % 5 == 4 {
                 set.catch_up(&specs);

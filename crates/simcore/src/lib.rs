@@ -46,6 +46,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod alive_list;
+mod alive_set;
+mod arena;
 mod arrival_suffix;
 pub mod csv;
 mod drained;

@@ -128,7 +128,7 @@ pub struct CurveCount<'a> {
 /// other alive jobs receive zero. For a policy declaring
 /// [`AllocationStability::LatestArrivals`] the `count` scheduled jobs are
 /// the latest arrivals in `(release, id)` order instead.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PrefixAllocation {
     /// Number of scheduled jobs `k ≥ 1` (callers clamp to `n`).
     pub count: usize,

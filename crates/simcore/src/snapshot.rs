@@ -60,16 +60,18 @@
 //! that panics later or silently reports a wrong result. The engine
 //! checks what it owns: each arena slot against the invariants admission
 //! enforces, its scalars against the domain [`crate::Engine::snapshot`]
-//! emits them in, and its exhaustive lanes. Each alive structure checks
-//! its own member on every path (the `srpt` member, which every document
-//! carries, must be empty off the incremental path), each entry against
+//! emits them in. Each alive structure checks its own member on every
+//! path (the exhaustive lanes and the `srpt` member, which every document
+//! carries, must be empty off their paths), each entry against
 //! its arena slot through one [`SlotCheck`], and every alive slot must
 //! then be held exactly once. The free list may list only retired slots.
 
+use crate::alive_set::IntervalKind;
 use crate::arrival_suffix::{GroupSnap, SuffixSnap};
 use crate::csv::{curve_from_field, curve_to_field};
 use crate::drained::{Drain, DrainedSnap};
 use crate::error::SimError;
+use crate::invariant::EnginePath;
 use crate::job::{JobId, JobSpec, Time};
 use crate::jsonlite::Json;
 use crate::level_stack::{CurveTag, LevelSnap, LevelsSnap, Tally};
@@ -90,14 +92,6 @@ pub(crate) struct SnapCfg {
     pub(crate) speed: f64,
     pub(crate) full_reassign: bool,
     pub(crate) streaming: bool,
-}
-
-/// Mirror of the engine's private interval classification.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum SnapInterval {
-    Idle,
-    Uniform { rate: f64 },
-    Scan,
 }
 
 /// One arena slot: the admission spec plus every mutable lane. The `kern`
@@ -217,7 +211,7 @@ pub struct Snapshot {
     pub(crate) next_arrival: Option<Time>,
     pub(crate) profile_count: usize,
     pub(crate) profile_share: f64,
-    pub(crate) interval: SnapInterval,
+    pub(crate) interval: IntervalKind,
     pub(crate) frac_flow: (f64, f64),
     pub(crate) alive_integral: (f64, f64),
     pub(crate) admitted: usize,
@@ -278,6 +272,22 @@ impl Snapshot {
             self.srpt.len()
         } else {
             self.alive.len()
+        }
+    }
+
+    /// The execution path the document was captured on: the one whose
+    /// alive structure it carries, `None` when it claims more than one.
+    pub(crate) fn path(&self) -> Option<EnginePath> {
+        match (
+            self.levels.is_some(),
+            self.suffix.is_some(),
+            self.incremental,
+        ) {
+            (true, false, false) => Some(EnginePath::Levels),
+            (false, true, false) => Some(EnginePath::ArrivalSuffix),
+            (false, false, true) => Some(EnginePath::Incremental),
+            (false, false, false) => Some(EnginePath::Exhaustive),
+            _ => None,
         }
     }
 
@@ -349,12 +359,12 @@ impl Snapshot {
             ("next_arrival", opt_fbits(self.next_arrival)),
         ]);
         let interval = match self.interval {
-            SnapInterval::Idle => obj(vec![("kind", Json::Str("idle".into()))]),
-            SnapInterval::Uniform { rate } => obj(vec![
+            IntervalKind::Idle => obj(vec![("kind", Json::Str("idle".into()))]),
+            IntervalKind::Uniform { rate } => obj(vec![
                 ("kind", Json::Str("uniform".into())),
                 ("rate", fbits(rate)),
             ]),
-            SnapInterval::Scan => obj(vec![("kind", Json::Str("scan".into()))]),
+            IntervalKind::Scan => obj(vec![("kind", Json::Str("scan".into()))]),
         };
         let accum = obj(vec![
             ("frac_flow", pair(self.frac_flow)),
@@ -517,11 +527,11 @@ impl Snapshot {
         let profile = field(doc, "profile")?;
         let interval_v = field(doc, "interval")?;
         let interval = match str_at(interval_v, "kind")? {
-            "idle" => SnapInterval::Idle,
-            "uniform" => SnapInterval::Uniform {
+            "idle" => IntervalKind::Idle,
+            "uniform" => IntervalKind::Uniform {
                 rate: f_at(interval_v, "rate")?,
             },
-            "scan" => SnapInterval::Scan,
+            "scan" => IntervalKind::Scan,
             other => return Err(bad(format!("unknown interval kind '{other}'"))),
         };
         let accum = field(doc, "accum")?;

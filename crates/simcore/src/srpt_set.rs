@@ -63,9 +63,18 @@ use std::cmp::Ordering;
 
 use parsched_speedup::Curve;
 
+use crate::alive_set::{
+    completion_tolerance, fold_earliest, AliveSet, AliveSets, Drained, IntervalKind, Refresh,
+    Schedule,
+};
+use crate::arena::JobArena;
+
 use crate::drained::Drain;
+use crate::error::SimError;
 use crate::job::{JobId, JobSpec, Time, Work};
-use crate::snapshot::{in_range, SlotCheck};
+use crate::kahan::NeumaierSum;
+use crate::policy::PrefixAllocation;
+use crate::snapshot::{in_range, SlotCheck, Snapshot};
 
 /// Rebase threshold for the drain offset: past this, `ulp(D)` approaches
 /// the engine's `EPS`-scaled completion tolerances, so keys are rebuilt
@@ -566,7 +575,7 @@ pub(crate) struct HeapEntrySnap {
 /// restore: they were accumulated incrementally over the run's
 /// insert/forget sequence, and any re-summation order would produce
 /// different low-order bits.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct SetSnap {
     pub(crate) running: Vec<SetEntrySnap>,
     pub(crate) queued: Vec<SetEntrySnap>,
@@ -661,30 +670,16 @@ pub(crate) struct SrptSet {
     nonunit_running: usize,
     /// Curve of the first job ever admitted (uniformity baseline).
     reference: Option<Curve>,
+    /// The policy's prefix profile for the current interval.
+    profile: PrefixAllocation,
+    /// Drain shape of the current interval.
+    interval: IntervalKind,
+    /// Placement updates of a Scan drain, applied to the arena after it.
+    // lint:allow(L009) transient per-event scratch, empty between events; nothing to restore
+    moves: Vec<(usize, Placement)>,
 }
 
 impl SrptSet {
-    /// Clears all state for a fresh run while **retaining** every buffer
-    /// (both heap arrays and the rebuild scratch) — the piece of the
-    /// engine's buffer-reuse contract ([`crate::EngineBuffers`]) this
-    /// structure owns.
-    pub fn reset(&mut self) {
-        self.running.clear();
-        self.queued.clear();
-        self.scratch.clear();
-        self.ordered.clear();
-        self.prefix = Drain::default();
-        self.q_frac = 0.0;
-        self.hetero_running = 0;
-        self.nonunit_running = 0;
-        self.reference = None;
-    }
-
-    /// Total alive jobs.
-    pub fn len(&self) -> usize {
-        self.running.len() + self.queued.len()
-    }
-
     pub fn running_len(&self) -> usize {
         self.running.len()
     }
@@ -832,10 +827,12 @@ impl SrptSet {
         specs: &[JobSpec],
         mut moved: impl FnMut(usize, Placement),
     ) {
+        // `want ≤ len()`, so each loop's pop finds its heap non-empty.
         let want = target.min(self.len());
         while self.running.len() > want {
-            // lint:allow(L007) pop is guarded by the partition-size accounting just above; the heap is counted non-empty
-            let e = self.running.pop_max(specs).expect("nonempty");
+            let Some(e) = self.running.pop_max(specs) else {
+                break;
+            };
             let remaining = self.forget_running(&e);
             self.add_queued(
                 Entry {
@@ -847,8 +844,9 @@ impl SrptSet {
             moved(e.idx as usize, Placement::Queued { remaining });
         }
         while self.running.len() < want {
-            // lint:allow(L007) pop is guarded by the partition-size accounting just above; the heap is counted non-empty
-            let e = self.queued.pop(specs).expect("nonempty");
+            let Some(e) = self.queued.pop(specs) else {
+                break;
+            };
             self.forget_queued(&e);
             let key = self.prefix.key(e.key);
             self.add_running(Entry { key, ..e }, specs);
@@ -979,6 +977,256 @@ impl SrptSet {
         }
         self.prefix = snap.prefix;
         self.q_frac = snap.q_frac;
+    }
+}
+
+impl AliveSet for SrptSet {
+    fn of(sets: &AliveSets) -> &Self {
+        &sets.srpt
+    }
+
+    fn of_mut(sets: &mut AliveSets) -> &mut Self {
+        &mut sets.srpt
+    }
+
+    fn len(&self) -> usize {
+        self.running.len() + self.queued.len()
+    }
+
+    /// Clears all state for a fresh run while **retaining** every buffer
+    /// (both heap arrays and the rebuild scratch) — the piece of the
+    /// engine's buffer-reuse contract ([`crate::EngineBuffers`]) this
+    /// structure owns.
+    fn reset(&mut self) {
+        self.running.clear();
+        self.queued.clear();
+        self.scratch.clear();
+        self.ordered.clear();
+        self.prefix = Drain::default();
+        self.q_frac = 0.0;
+        self.hetero_running = 0;
+        self.nonunit_running = 0;
+        self.reference = None;
+        self.profile = PrefixAllocation::default();
+        self.interval = IntervalKind::Idle;
+        self.moves.clear();
+    }
+
+    fn admit(&mut self, idx: usize, remaining: Work, jobs: &mut JobArena) {
+        let (specs, mut lanes) = jobs.split_placement();
+        let placement = self.insert(idx, remaining, specs);
+        lanes.apply(idx, placement);
+    }
+
+    /// Applies the policy's prefix profile, rebalances the running/queued
+    /// partition, and classifies the upcoming interval's drain shape.
+    /// `O(log n)` plus `O(moved)` for the partition moves (amortized
+    /// `O(1)` moves per event for the θ = 1 family; threshold crossings
+    /// can move a batch, which the rebalance handles in bulk).
+    ///
+    /// The validated `(count, share)` pair is replayed from the per-`n`
+    /// memo: the [`PrefixAllocation`] contract makes the profile a pure
+    /// function of `(n_alive, m)` with `m` fixed per run, and the
+    /// clamping/feasibility pipeline applied to it is deterministic, so
+    /// caching the *validated* result is exact. Uniform-interval rates are
+    /// likewise memoized per `(n, kernel class)`: same class ⇒
+    /// bit-identical kernel ⇒ bit-identical `speed·Γ_c(share)`.
+    #[inline]
+    fn refresh(&mut self, cx: Refresh<'_>) -> Result<Schedule, SimError> {
+        let n = self.len();
+        if n == 0 {
+            self.interval = IntervalKind::Idle;
+            return Ok(Schedule::default());
+        }
+        let (count, share) = cx.memo.profile(n, &*cx.policy, cx.now, cx.m)?;
+        self.profile = PrefixAllocation { count, share };
+        let (specs, mut lanes) = cx.jobs.split_placement();
+        self.maybe_rebase(specs, |idx, p| lanes.apply(idx, p));
+        self.rebalance(count, specs, |idx, p| lanes.apply(idx, p));
+        // Classify the interval. Uniform (O(1) drain) whenever every
+        // running job provably drains at one common rate: a single runner,
+        // identical curves, or share 1 with Γ(1) = 1 across the prefix.
+        let share_is_unit = (share - 1.0).abs() <= 1e-12;
+        let unit_rate = share_is_unit && self.unit_rate_at_one();
+        let mut completion = None;
+        if self.running_len() <= 1 || self.uniform_curves() || unit_rate {
+            let rate = match self.front_running() {
+                Some((slot, rem)) => {
+                    // Γ(1) = 1 across the prefix ⇒ rate is the bare speed;
+                    // skip the curve evaluation in the overload steady
+                    // state.
+                    let rate = if unit_rate {
+                        cx.speed
+                    } else {
+                        cx.memo.slot(n).uniform_rate(cx.jobs, slot.idx, cx.speed)
+                    };
+                    if rate > 0.0 {
+                        // Invariant under uniform drain, so it doubles as
+                        // the completion candidate for this interval.
+                        completion = Some(cx.now + rem / rate);
+                    }
+                    rate
+                }
+                None => 0.0,
+            };
+            self.interval = IntervalKind::Uniform { rate };
+        } else {
+            // Scan interval: one Γ evaluation per kernel *class*, then a
+            // contiguous walk over the prefix through the per-class rate
+            // cache (no per-job pointer chase, no per-job powf).
+            cx.jobs.refresh_class_rates(cx.speed, share);
+            let (jobs, now, speed) = (&*cx.jobs, cx.now, cx.speed);
+            self.for_each_running_ordered(&jobs.specs, |slot, rem| {
+                let rate = jobs.rate_cached(slot.idx, speed, share);
+                if rate > 0.0 {
+                    fold_earliest(&mut completion, now + rem / rate);
+                }
+            });
+            self.interval = IntervalKind::Scan;
+        }
+        Ok(Schedule {
+            completion,
+            deadline: None,
+        })
+    }
+
+    /// Uniform intervals are O(1): the running prefix drains as one group
+    /// (its fractional flow in closed form, `crate::drained`), plus
+    /// `dt·Σ rem_j/p_j` over the (static) queue. Scan intervals fall back
+    /// to per-job integration over the prefix only, which may reorder it,
+    /// so the next interval is classified afresh.
+    #[inline]
+    fn integrate(
+        &mut self,
+        dt: f64,
+        _t: Time,
+        jobs: &mut JobArena,
+        speed: f64,
+        frac_flow: &mut NeumaierSum,
+    ) -> Drained {
+        match self.interval {
+            IntervalKind::Idle => Drained::MaybeDue,
+            IntervalKind::Uniform { rate } => {
+                let run = self.integrate_uniform(rate, dt);
+                frac_flow.add(run + self.queued_frac_sum() * dt);
+                Drained::MaybeDue
+            }
+            IntervalKind::Scan => {
+                // The per-class rate cache is valid for this (speed, share)
+                // whenever the interval is Scan (refilled by the refresh
+                // that classified it).
+                let share = self.profile.share;
+                let mut run = 0.0;
+                let arena = &*jobs;
+                self.for_each_running_ordered(&arena.specs, |slot, rem| {
+                    let rate = arena.rate_cached(slot.idx, speed, share);
+                    run += (rem - rate * dt / 2.0).max(0.0) / slot.size;
+                });
+                frac_flow.add((run + self.queued_frac_sum()) * dt);
+                let mut moves = std::mem::take(&mut self.moves);
+                moves.clear();
+                self.drain_scan(
+                    dt,
+                    &arena.specs,
+                    |idx| arena.rate_cached(idx, speed, share),
+                    |idx, p| moves.push((idx, p)),
+                );
+                let (_, mut lanes) = jobs.split_placement();
+                for &(idx, p) in &moves {
+                    lanes.apply(idx, p);
+                }
+                self.moves = moves;
+                Drained::Reordered
+            }
+        }
+    }
+
+    /// Only the *front* of the running prefix can finish (SRPT order), so
+    /// this pops while the front is within tolerance — O(log n) per
+    /// completion, no sweep.
+    #[inline]
+    fn complete_due(
+        &mut self,
+        now: Time,
+        jobs: &mut JobArena,
+        speed: f64,
+        _deadline: &mut Option<Time>,
+        mut finish: impl FnMut(&mut JobArena, usize),
+    ) -> bool {
+        let mut completed_any = false;
+        while let Some((slot, rem)) = self.front_running() {
+            let rate = match self.interval {
+                IntervalKind::Uniform { rate } => rate,
+                IntervalKind::Scan => jobs.rate_cached(slot.idx, speed, self.profile.share),
+                IntervalKind::Idle => 0.0,
+            };
+            if rem > completion_tolerance(slot.size, rate, now) {
+                break;
+            }
+            self.pop_front_running(&jobs.specs);
+            finish(jobs, slot.idx);
+            completed_any = true;
+        }
+        completed_any
+    }
+
+    fn remaining(&self, idx: usize, jobs: &JobArena) -> Work {
+        if jobs.in_running[idx] {
+            self.running_remaining(jobs.run_key[idx])
+        } else {
+            jobs.remaining[idx]
+        }
+    }
+
+    fn walk(&mut self, jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
+        self.for_each_running_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem));
+        self.for_each_queued_ordered(&jobs.specs, |slot, rem| f(slot.idx, rem));
+    }
+
+    /// The audit needs no order within a partition, so the set is listed
+    /// as stored rather than sorted.
+    fn audit(
+        &mut self,
+        jobs: &JobArena,
+        speed: f64,
+        mut f: impl FnMut(usize, Work, f64, f64),
+    ) -> Option<usize> {
+        let share = self.profile.share;
+        self.for_each_stored(|slot, rem, running| {
+            if running {
+                f(slot.idx, rem, share, speed * jobs.gamma(slot.idx, share));
+            } else {
+                f(slot.idx, rem, 0.0, 0.0);
+            }
+        });
+        Some(self.running_len())
+    }
+
+    fn snapshot(&self, specs: &[JobSpec], snap: &mut Snapshot) {
+        snap.incremental = true;
+        snap.srpt = self.snapshot_state(specs);
+        snap.profile_count = self.profile.count;
+        snap.profile_share = self.profile.share;
+        snap.interval = self.interval;
+    }
+
+    fn check(snap: &Snapshot, slots: &mut SlotCheck<'_>) -> Result<(), String> {
+        snap.srpt.check(snap.incremental, slots)
+    }
+
+    /// The per-class rate cache is only contractually valid while the
+    /// interval is Scan; it is refilled for exactly that case, as the
+    /// refresh that classified the interval did.
+    fn restore(&mut self, snap: &Snapshot, jobs: &mut JobArena, speed: f64) {
+        self.restore_state(&snap.srpt, &jobs.specs);
+        self.profile = PrefixAllocation {
+            count: snap.profile_count,
+            share: snap.profile_share,
+        };
+        self.interval = snap.interval;
+        if self.interval == IntervalKind::Scan {
+            jobs.refresh_class_rates(speed, self.profile.share);
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use crate::csv::{curve_from_field, curve_to_field};
 use crate::engine::{Engine, EngineConfig};
 use crate::error::SimError;
 use crate::invariant::{
-    AuditFrame, AuditLevel, AuditReport, Auditor, EnginePath, FinalAccounting, FrameJob, Violation,
+    AuditFrame, AuditLevel, AuditReport, Auditor, FinalAccounting, FrameJob, Violation,
 };
 use crate::job::{Instance, JobId, JobSpec, Time};
 use crate::jsonlite::{escape, Json};
@@ -459,7 +459,7 @@ pub fn replay(trace: &Trace, level: AuditLevel) -> Result<ReplayOutcome, SimErro
         expected: 0.0,
         actual: 0.0,
         policy: trace.policy.clone(),
-        path: EnginePath::Replay,
+        path: None,
         detail: String::new(),
     };
     let fail = |v: Violation| SimError::AuditFailed {
@@ -539,7 +539,7 @@ pub fn replay(trace: &Trace, level: AuditLevel) -> Result<ReplayOutcome, SimErro
                         event,
                         t: now,
                         m: trace.m,
-                        path: EnginePath::Replay,
+                        path: None,
                         policy,
                         jobs: frame_jobs,
                         // Replay keeps no SRPT partition; the
@@ -709,7 +709,7 @@ pub fn replay(trace: &Trace, level: AuditLevel) -> Result<ReplayOutcome, SimErro
         at: now,
         events: trace.events.len() as u64,
         policy: trace.policy.clone(),
-        path: EnginePath::Replay,
+        path: None,
     })?;
 
     Ok(ReplayOutcome {
@@ -774,7 +774,7 @@ mod tests {
             panic!("expected audit failure")
         };
         assert_eq!(violation.invariant, "capacity");
-        assert_eq!(violation.path, EnginePath::Replay);
+        assert_eq!(violation.path, None);
         assert_eq!(violation.policy, "EQUI");
     }
 

@@ -224,7 +224,7 @@ impl Producer {
             event: self.event,
             t: self.t,
             m: 8.0,
-            path: EnginePath::Replay,
+            path: None,
             policy: "random".to_string(),
             jobs,
             srpt_running: None,
@@ -356,7 +356,7 @@ fn frame(event: u64, t: f64, jobs: Vec<FrameJob>) -> AuditFrame {
         event,
         t,
         m: 4.0,
-        path: EnginePath::Incremental,
+        path: Some(EnginePath::Incremental),
         policy: "test".to_string(),
         jobs,
         srpt_running: None,
@@ -893,7 +893,7 @@ impl Chain {
             event: self.event,
             t: self.t,
             m: self.m,
-            path: EnginePath::Replay,
+            path: None,
             policy: "fault".to_string(),
             jobs,
             srpt_running,

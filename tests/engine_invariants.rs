@@ -169,7 +169,7 @@ fn mutated_policy_is_caught_with_structured_context() {
     assert_eq!(violation.event, 0, "caught at the first allocation");
     assert_eq!(violation.at, 0.0);
     assert_eq!(violation.policy, "anti-srpt");
-    assert_eq!(violation.path, EnginePath::Exhaustive);
+    assert_eq!(violation.path, Some(EnginePath::Exhaustive));
     assert!(
         violation.detail.contains("job"),
         "detail names the starved job: {}",
@@ -287,7 +287,7 @@ fn wrong_demotion_is_caught_at_its_event() {
     assert_eq!(violation.at, 1.0);
     assert_eq!(violation.job, Some(JobId(1)));
     assert_eq!(violation.policy, "wrong-demotion");
-    assert_eq!(violation.path, EnginePath::Exhaustive);
+    assert_eq!(violation.path, Some(EnginePath::Exhaustive));
     // The arrival-suffix path never calls `assign`: it demotes by itself,
     // and the same check passes on it.
     let out = run(false).expect("the arrival-suffix path demotes the oldest running job");
@@ -336,7 +336,7 @@ fn corrupted_trace_allocation_is_caught_as_capacity_violation() {
         panic!("expected AuditFailed, got {err:?}")
     };
     assert_eq!(violation.invariant, "capacity");
-    assert_eq!(violation.path, EnginePath::Replay);
+    assert_eq!(violation.path, None);
     assert_eq!(violation.at, t);
     assert!((violation.expected - 2.0).abs() < 1e-12);
     assert!(violation.actual > 2.0);
