@@ -397,10 +397,6 @@ impl ArrivalSource for Batches {
         out.extend_from_slice(&self.jobs[self.next..half]);
         self.next = half;
     }
-
-    fn needs_system_view(&self) -> bool {
-        false
-    }
 }
 
 /// Equal-release batches whose ids arrive in descending order: the suffix
@@ -584,6 +580,124 @@ fn per_path_queries_match_the_exhaustive_oracle_in_lockstep() {
                 steps as usize >= 2 * n,
                 "{ctx}: only {steps} lockstep events"
             );
+        }
+    }
+}
+
+/// What a [`ViewRecorder`] saw at one arrival round: the clock, the
+/// view's `num_alive`, the number of jobs its `for_each` visited, and the
+/// visited `(id, remaining)` pairs sorted by id.
+type ViewRound = (Time, usize, usize, Vec<(JobId, f64)>);
+
+/// Replays an instance and reads the whole system view at every arrival
+/// round, as an adaptive adversary may.
+struct ViewRecorder {
+    inner: StaticSource,
+    rounds: Vec<ViewRound>,
+}
+
+impl ArrivalSource for ViewRecorder {
+    fn next_time(&self) -> Option<Time> {
+        self.inner.next_time()
+    }
+
+    fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
+        let mut seen = Vec::new();
+        view.for_each(|j| seen.push((j.id(), j.remaining)));
+        // The compensated total folds the same walk in the same order.
+        let mut sum = parsched_sim::NeumaierSum::new();
+        seen.iter().for_each(|&(_, r)| sum.add(r));
+        assert_eq!(
+            view.remaining_work_where(|_| true).to_bits(),
+            sum.value().to_bits(),
+            "at t = {}: remaining_work_where disagrees with for_each",
+            view.now
+        );
+        let visited = seen.len();
+        seen.sort_by_key(|j| j.0);
+        self.rounds
+            .push((view.now, view.num_alive(), visited, seen));
+        self.inner.emit_into(view, out);
+    }
+}
+
+/// Runs `kind` from a [`ViewRecorder`] over `inst` under `cfg` in the
+/// given memory mode, asserting the path; returns the recorded rounds.
+fn view_rounds(
+    inst: &Instance,
+    kind: PolicyKind,
+    cfg: EngineConfig,
+    streaming: bool,
+    path: EnginePath,
+) -> Vec<ViewRound> {
+    let mut source = ViewRecorder {
+        inner: StaticSource::new(inst),
+        rounds: Vec::new(),
+    };
+    let mut policy = kind.build();
+    let mut obs = NullObserver;
+    let cfg = cfg.with_streaming(streaming);
+    let engine = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs);
+    assert_eq!(engine.path(), path, "{}", kind.name());
+    let run = if streaming {
+        engine.run_streaming().map(drop)
+    } else {
+        engine.run().map(drop)
+    };
+    run.unwrap_or_else(|e| panic!("{} on the {path} path: {e}", kind.name()));
+    source.rounds
+}
+
+/// Every path hands a view-reading source the same system: at each
+/// arrival round, `num_alive` equals the number of jobs `for_each`
+/// visits, and the alive jobs with their remaining work agree with the
+/// exhaustive oracle's within the suite's tolerance. Intermediate-SRPT
+/// walks the SRPT set, SETF the level stack, LAPS(0.5) the arrival suffix
+/// and Greedy the exhaustive list, each in both memory modes.
+#[test]
+fn every_path_hands_sources_the_same_system_view() {
+    let (m, n) = (4.0, 150);
+    let inst = mixed_stream(n, m, 1.1, 17);
+    for (kind, path) in [
+        (PolicyKind::IntermediateSrpt, EnginePath::Incremental),
+        (PolicyKind::Setf, EnginePath::Levels),
+        (PolicyKind::Laps(0.5), EnginePath::ArrivalSuffix),
+        (PolicyKind::Greedy, EnginePath::Exhaustive),
+    ] {
+        for streaming in [false, true] {
+            let ctx = format!("{} ({path} path, streaming {streaming})", kind.name());
+            let cfg = EngineConfig::new(m);
+            let fast = view_rounds(&inst, kind, cfg, streaming, path);
+            let oracle = view_rounds(
+                &inst,
+                kind,
+                cfg.with_full_reassign(true),
+                streaming,
+                EnginePath::Exhaustive,
+            );
+            assert_eq!(fast.len(), oracle.len(), "{ctx}: arrival rounds");
+            assert!(
+                fast.iter().any(|r| r.1 > 1),
+                "{ctx}: no round saw more than one alive job"
+            );
+            for (a, b) in fast.iter().zip(&oracle) {
+                let at = format!("{ctx} at t = {}", a.0);
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{at}: round clock");
+                assert_eq!(a.1, a.2, "{at}: num_alive vs for_each count");
+                assert_eq!(b.1, b.2, "{at}: oracle num_alive vs for_each count");
+                assert_eq!(
+                    a.3.iter().map(|j| j.0).collect::<Vec<_>>(),
+                    b.3.iter().map(|j| j.0).collect::<Vec<_>>(),
+                    "{at}: alive ids"
+                );
+                for (&(id, ra), &(_, rb)) in a.3.iter().zip(&b.3) {
+                    let size = inst.jobs()[id.0 as usize].size;
+                    assert!(
+                        close(ra, rb, size),
+                        "{at}: job {id} has {ra} left on the {path} path, {rb} on the oracle"
+                    );
+                }
+            }
         }
     }
 }

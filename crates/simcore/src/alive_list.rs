@@ -38,6 +38,10 @@ pub(crate) struct AliveList {
     /// computed from; the next-event choice then sweeps and caches it.
     // lint:allow(L009) derived from the clock, remaining work and rates that the snapshot does capture; restore drops it and the next decide sweeps again
     candidate: Option<Option<Time>>,
+    /// The buffer behind each refresh's view of the list, empty between
+    /// uses (see [`recycle_views`]).
+    // lint:allow(L009) empty between events; it only lends its capacity to each view, so there is nothing to capture
+    views: Vec<AliveJob<'static>>,
 }
 
 impl AliveList {
@@ -66,6 +70,7 @@ impl AliveSet for AliveList {
         self.shares.clear();
         self.rates.clear();
         self.candidate = None;
+        self.views.clear();
     }
 
     fn admit(&mut self, idx: usize, _remaining: Work, _jobs: &mut JobArena) {
@@ -95,7 +100,7 @@ impl AliveSet for AliveList {
             return Ok(Schedule::default());
         }
         let jobs = &*cx.jobs;
-        let mut views: Vec<AliveJob<'_>> = std::mem::take(cx.views);
+        let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut self.views);
         views.extend(self.alive.iter().map(|&i| AliveJob {
             spec: &jobs.specs[i],
             remaining: jobs.remaining[i],
@@ -124,7 +129,7 @@ impl AliveSet for AliveList {
         if checked.is_ok() {
             cx.observer.on_allocation(now, &views, &self.shares);
         }
-        *cx.views = recycle_views(views);
+        self.views = recycle_views(views);
         checked?;
         // A least-elapsed policy's quantum is elapsed work at unit speed
         // (see `AllocationStability::LeastElapsed`).

@@ -8,6 +8,8 @@
 //! ([`AliveSets`]) so that buffers donated across runs on different paths
 //! keep every structure's capacity.
 
+use std::cell::RefCell;
+
 use parsched_speedup::EPS;
 
 use crate::alive_list::AliveList;
@@ -20,6 +22,7 @@ use crate::level_stack::LevelStack;
 use crate::observer::Observer;
 use crate::policy::{AliveJob, Policy};
 use crate::snapshot::{SlotCheck, Snapshot};
+use crate::source::Walk;
 use crate::srpt_set::SrptSet;
 
 /// How the current constant-allocation interval drains.
@@ -64,9 +67,6 @@ pub(crate) struct Refresh<'a> {
     pub(crate) memo: &'a mut ProfileMemo,
     pub(crate) policy: &'a mut dyn Policy,
     pub(crate) observer: &'a mut dyn Observer,
-    /// The run state's view buffer, empty between uses (see
-    /// [`recycle_views`]).
-    pub(crate) views: &'a mut Vec<AliveJob<'static>>,
     pub(crate) now: Time,
     pub(crate) m: f64,
     pub(crate) speed: f64,
@@ -184,6 +184,25 @@ pub(crate) trait AliveSet {
     fn restore(&mut self, snap: &Snapshot, jobs: &mut JobArena, speed: f64);
 }
 
+/// A run's alive structure over its arena, behind the engine's
+/// [`crate::SystemView`]. The `RefCell` lends the structure's `&mut` walk
+/// (the SRPT set sorts into its retained scratch) to a `&self` view.
+pub(crate) struct SetWalk<'a, S>(pub(crate) RefCell<&'a mut S>, pub(crate) &'a JobArena);
+
+impl<S: AliveSet> Walk for SetWalk<'_, S> {
+    fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
+
+    fn walk(&self, f: &mut dyn FnMut(&AliveJob<'_>)) {
+        let jobs = self.1;
+        self.0.borrow_mut().walk(jobs, |idx, remaining| {
+            let spec = &jobs.specs[idx];
+            f(&AliveJob { spec, remaining });
+        });
+    }
+}
+
 /// Completion tolerance for a job that was draining at `rate` with the
 /// clock at `now`: the size-relative snap, widened by the largest work
 /// sliver whose drain time sits below the clock's float resolution.
@@ -237,7 +256,8 @@ pub(crate) fn fold_earliest(next: &mut Option<Time>, t: Time) {
 }
 
 /// Hands a borrowed-view buffer's capacity back to its `'static` slot in
-/// the run state (the alive-job views and the level path's curve views).
+/// its structure (the exhaustive list's alive-job views and the level
+/// path's curve views).
 /// The buffer is emptied, so the in-place collect into the same element
 /// type at another lifetime (same size and alignment) keeps its
 /// allocation; `tests/engine_zero_alloc.rs` audits that it does.

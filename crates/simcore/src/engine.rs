@@ -42,11 +42,13 @@
 //! sink in the same order, so the aggregate metrics of a streaming run are
 //! bit-identical to the in-memory run of the same workload.
 
+use std::cell::RefCell;
+
 use parsched_speedup::{Curve, PowKernel, EPS};
 
 use crate::alive_list::AliveList;
 use crate::alive_set::{
-    fold_earliest, recycle_views, AliveSet, AliveSets, Drained, IntervalKind, Refresh,
+    fold_earliest, AliveSet, AliveSets, Drained, IntervalKind, Refresh, SetWalk,
 };
 use crate::arena::{JobArena, ProfileMemo, CLASS_CURVE, CLASS_UNGROUPED, MAX_CLASSES};
 use crate::arrival_suffix::ArrivalSuffix;
@@ -57,7 +59,7 @@ use crate::kahan::NeumaierSum;
 use crate::level_stack::LevelStack;
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
 use crate::observer::{NullObserver, Observer};
-use crate::policy::{AliveJob, AllocationStability, Policy};
+use crate::policy::{AllocationStability, Policy};
 use crate::snapshot::{in_range, SlotCheck, SnapCfg, SnapJob, Snapshot};
 use crate::source::{ArrivalSource, StaticSource, SystemView};
 use crate::srpt_set::{SetSnap, SrptSet};
@@ -315,12 +317,6 @@ struct RunState {
     path: EnginePath,
     /// One alive structure per path (see [`crate::alive_set`]).
     sets: AliveSets,
-    /// The buffer behind every policy and source view of the alive set,
-    /// empty between uses: each use fills it and hands its capacity back
-    /// through [`recycle_views`], so building a view never allocates once
-    /// the buffer has grown to the peak alive count.
-    // lint:allow(L009) empty between events; it only lends its capacity to each view, so there is nothing to capture
-    views: Vec<AliveJob<'static>>,
     /// Incremental and arrival-suffix paths: per-`n` memo of the
     /// validated prefix profile and uniform rate.
     // lint:allow(L009) pure memo of the policy's (n, m)-pure prefix profile; a cold cache re-derives every entry bit-identically
@@ -397,7 +393,6 @@ impl Default for RunState {
             ids: IdMap::default(),
             path: EnginePath::Exhaustive,
             sets: AliveSets::default(),
-            views: Vec::new(),
             memo: ProfileMemo::default(),
             next_completion: None,
             next_arrival: None,
@@ -433,7 +428,6 @@ impl RunState {
         self.jobs.clear();
         self.ids.reset();
         self.sets.reset();
-        self.views.clear();
         self.memo.clear();
         self.next_completion = None;
         self.coalesced = 0;
@@ -1096,35 +1090,12 @@ impl<'a> Engine<'a> {
             }
             let mut batch = std::mem::take(&mut self.state.scratch_batch);
             batch.clear();
-            // Adaptive sources get the full alive view, built in the
-            // retained view buffer; replay sources declare they don't read
-            // it, which keeps arrivals O(batch) on the incremental path
-            // (and allocation-free via the reused batch buffer).
+            // The view walks the alive structure only if the source reads
+            // it, so replay sources keep arrivals O(batch) on every path.
             let state = &mut self.state;
-            if self.source.needs_system_view() {
-                let mut views: Vec<AliveJob<'_>> = std::mem::take(&mut state.views);
-                let specs = &state.jobs.specs;
-                S::of_mut(&mut state.sets).walk(&state.jobs, |idx, remaining| {
-                    views.push(AliveJob {
-                        spec: &specs[idx],
-                        remaining,
-                    });
-                });
-                let view = SystemView {
-                    now: state.now,
-                    m: state.cfg.m,
-                    alive: &views,
-                };
-                self.source.emit_into(&view, &mut batch);
-                state.views = recycle_views(views);
-            } else {
-                let view = SystemView {
-                    now: state.now,
-                    m: state.cfg.m,
-                    alive: &[],
-                };
-                self.source.emit_into(&view, &mut batch);
-            }
+            let alive = SetWalk(RefCell::new(S::of_mut(&mut state.sets)), &state.jobs);
+            let view = SystemView::over(state.now, state.cfg.m, &alive);
+            self.source.emit_into(&view, &mut batch);
             // The emission is the only thing that can move the source's
             // clock; refresh the cache once per round, not per query.
             self.state.next_arrival = self.source.next_time();
@@ -1234,7 +1205,6 @@ impl<'a> Engine<'a> {
             memo: &mut state.memo,
             policy: &mut *self.policy,
             observer: &mut *self.observer,
-            views: &mut state.views,
             now: state.now,
             m: state.cfg.m,
             speed: state.cfg.speed,
@@ -1788,7 +1758,7 @@ pub fn simulate_streaming_audited(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{CurveCount, EquiSplit, PrefixAllocation};
+    use crate::policy::{AliveJob, CurveCount, EquiSplit, PrefixAllocation};
     use parsched_speedup::Curve;
 
     fn inst(jobs: &[(f64, f64)], curve: Curve) -> Instance {

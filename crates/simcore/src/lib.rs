@@ -16,7 +16,7 @@
 //! * [`ArrivalSource`] — where jobs come from. [`StaticSource`] replays an
 //!   [`Instance`]; adaptive adversaries (the paper's Theorem 2 construction)
 //!   implement this trait and may inspect the live system state through
-//!   [`SystemView`] when deciding what to release next.
+//!   [`SystemView`], a handle that walks the alive set only when read.
 //! * [`Engine`] — the event loop. Between events every allocation is
 //!   constant, so each job's remaining work is a linear function of time and
 //!   the engine computes the next completion **analytically**; for all the

@@ -8,23 +8,62 @@ use crate::job::{Instance, JobSpec, Time};
 use crate::kahan::NeumaierSum;
 use crate::policy::AliveJob;
 
-/// A read-only snapshot of the running system handed to an adaptive
+/// A read-only handle on the running system handed to an adaptive
 /// [`ArrivalSource`] when it emits jobs.
 ///
 /// The paper's Theorem 2 adversary inspects the *online algorithm's*
 /// remaining work when deciding whether to continue releasing phases; this
-/// view is exactly the information such an adversary may use.
-#[derive(Debug)]
+/// view is exactly the information such an adversary may use. The engine's
+/// view walks the run's alive structure, in its order, only when read; a
+/// walk must not read the view again.
 pub struct SystemView<'a> {
     /// Current simulation time.
     pub now: Time,
     /// Number of processors.
     pub m: f64,
-    /// The algorithm's unfinished jobs (with remaining work).
-    pub alive: &'a [AliveJob<'a>],
+    alive: Alive<'a>,
 }
 
-impl SystemView<'_> {
+/// A caller's slice, or a run's alive set walked on demand.
+enum Alive<'a> {
+    Jobs(&'a [AliveJob<'a>]),
+    Set(&'a dyn Walk),
+}
+
+/// An alive set that a [`SystemView`] walks only when read.
+pub(crate) trait Walk {
+    fn len(&self) -> usize;
+    fn walk(&self, f: &mut dyn FnMut(&AliveJob<'_>));
+}
+
+impl<'a> SystemView<'a> {
+    /// A view of `alive`, for sources driven outside the engine.
+    pub fn new(now: Time, m: f64, alive: &'a [AliveJob<'a>]) -> Self {
+        let alive = Alive::Jobs(alive);
+        Self { now, m, alive }
+    }
+
+    pub(crate) fn over(now: Time, m: f64, set: &'a dyn Walk) -> Self {
+        let alive = Alive::Set(set);
+        Self { now, m, alive }
+    }
+
+    /// Number of alive jobs, in `O(1)`.
+    pub fn num_alive(&self) -> usize {
+        match self.alive {
+            Alive::Jobs(jobs) => jobs.len(),
+            Alive::Set(set) => set.len(),
+        }
+    }
+
+    /// Visits every alive job with its remaining work.
+    pub fn for_each(&self, mut f: impl FnMut(&AliveJob<'_>)) {
+        match self.alive {
+            Alive::Jobs(jobs) => jobs.iter().for_each(f),
+            Alive::Set(set) => set.walk(&mut f),
+        }
+    }
+
     /// Total remaining work over alive jobs satisfying `pred`.
     ///
     /// Compensated (Neumaier) summation: adaptive adversaries call this
@@ -32,12 +71,13 @@ impl SystemView<'_> {
     /// span many orders, where naive left-to-right summation silently
     /// drops the small terms (see [`NeumaierSum`]).
     pub fn remaining_work_where(&self, pred: impl Fn(&AliveJob<'_>) -> bool) -> f64 {
-        NeumaierSum::total(self.alive.iter().filter(|j| pred(j)).map(|j| j.remaining))
-    }
-
-    /// Number of alive jobs.
-    pub fn num_alive(&self) -> usize {
-        self.alive.len()
+        let mut sum = NeumaierSum::new();
+        self.for_each(|j| {
+            if pred(j) {
+                sum.add(j.remaining);
+            }
+        });
+        sum.value()
     }
 }
 
@@ -58,17 +98,6 @@ pub trait ArrivalSource {
     /// `out`. The engine passes a reused scratch vector, so steady-state
     /// arrivals allocate nothing.
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>);
-
-    /// Whether [`ArrivalSource::emit_into`] reads [`SystemView::alive`].
-    ///
-    /// Adaptive adversaries do; replay sources don't. Sources returning
-    /// `false` promise not to look at `alive` and are handed an empty slice
-    /// (with `now`/`m` still correct), which lets the engine's incremental
-    /// path skip the `O(n)` view materialization at every arrival. The
-    /// default is `true` — the conservative answer.
-    fn needs_system_view(&self) -> bool {
-        true
-    }
 
     /// Positions the source as if it had already emitted `emitted_jobs`
     /// jobs, returning `true` on success, so [`crate::Engine::restore`]
@@ -155,10 +184,6 @@ impl ArrivalSource for StaticSource {
         }
     }
 
-    fn needs_system_view(&self) -> bool {
-        false
-    }
-
     fn fast_forward(&mut self, emitted_jobs: usize) -> bool {
         if emitted_jobs > self.jobs.len() {
             return false;
@@ -192,11 +217,7 @@ mod tests {
     }
 
     fn view(now: Time) -> SystemView<'static> {
-        SystemView {
-            now,
-            m: 1.0,
-            alive: &[],
-        }
+        SystemView::new(now, 1.0, &[])
     }
 
     fn due(s: &mut StaticSource, now: Time) -> Vec<JobSpec> {
@@ -240,12 +261,11 @@ mod tests {
                 remaining: 1.0,
             },
         ];
-        let v = SystemView {
-            now: 2.0,
-            m: 4.0,
-            alive: &alive,
-        };
+        let v = SystemView::new(2.0, 4.0, &alive);
         assert_eq!(v.num_alive(), 2);
+        let mut ids = Vec::new();
+        v.for_each(|j| ids.push(j.id()));
+        assert_eq!(ids, [JobId(0), JobId(1)]);
         assert_eq!(v.remaining_work_where(|_| true), 4.0);
         assert_eq!(v.remaining_work_where(|j| j.size() <= 2.0), 1.0);
     }
@@ -267,11 +287,7 @@ mod tests {
         }));
         let naive: f64 = alive.iter().map(|j| j.remaining).sum();
         assert_eq!(naive, 1e16, "test premise: naive summation drifts");
-        let v = SystemView {
-            now: 0.0,
-            m: 1.0,
-            alive: &alive,
-        };
+        let v = SystemView::new(0.0, 1.0, &alive);
         assert_eq!(v.remaining_work_where(|_| true), 1e16 + 1e6);
     }
 

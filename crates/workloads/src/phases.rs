@@ -25,8 +25,8 @@ use std::collections::VecDeque;
 
 use parsched::theory;
 use parsched_sim::{
-    AllocationPlan, ArrivalSource, Engine, EngineConfig, JobId, JobSpec, NullObserver, Policy,
-    RunOutcome, SimError, SystemView, Time,
+    arrival_tolerance, AllocationPlan, ArrivalSource, Engine, EngineConfig, JobId, JobSpec,
+    NullObserver, Policy, RunOutcome, SimError, SystemView, Time,
 };
 use parsched_speedup::Curve;
 use serde::{Deserialize, Serialize};
@@ -366,7 +366,7 @@ impl ArrivalSource for PhaseAdversary {
         let curve = self.family.curve();
         let m = self.family.m;
         while let Some(&(t, _)) = self.queue.front() {
-            if t > view.now + 1e-9 * view.now.max(1.0) {
+            if t > view.now + arrival_tolerance(view.now) {
                 break;
             }
             // lint:allow(L007) front() was checked non-empty by the loop condition just above

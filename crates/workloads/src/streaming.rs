@@ -15,7 +15,9 @@
 //! pin this by draining each source and comparing against its eager
 //! counterpart).
 
-use parsched_sim::{ArrivalSource, Instance, JobId, JobSpec, SimError, SystemView, Time};
+use parsched_sim::{
+    arrival_tolerance, ArrivalSource, Instance, JobId, JobSpec, SimError, SystemView, Time,
+};
 use parsched_speedup::Curve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,12 +25,6 @@ use rand::{Rng, SeedableRng};
 use crate::random::PoissonWorkload;
 use crate::GreedyTrap;
 use crate::PhaseFamily;
-
-/// The engine's shared admission window ([`parsched_sim::arrival_tolerance`]):
-/// emit exactly the set of jobs the engine would admit at `now`.
-fn release_tol(now: Time) -> f64 {
-    parsched_sim::arrival_tolerance(now)
-}
 
 /// Lazy equivalent of [`PoissonWorkload::generate`]: the same seed produces
 /// the same job sequence, one pre-generated job at a time.
@@ -88,20 +84,11 @@ impl ArrivalSource for PoissonSource {
     }
 
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
-        let tol = release_tol(view.now);
-        while let Some(j) = &self.next {
-            if j.release <= view.now + tol {
-                // lint:allow(L007) next.is_some() was checked by the branch guard just above
-                out.push(self.next.take().expect("checked above"));
-                self.next = self.generate_next();
-            } else {
-                break;
-            }
+        let due = view.now + arrival_tolerance(view.now);
+        while self.next.as_ref().is_some_and(|j| j.release <= due) {
+            out.extend(self.next.take());
+            self.next = self.generate_next();
         }
-    }
-
-    fn needs_system_view(&self) -> bool {
-        false
     }
 }
 
@@ -166,19 +153,11 @@ impl ArrivalSource for TrapStreamSource {
     }
 
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
-        let tol = release_tol(view.now);
-        while let Some(j) = self.job_at(self.cursor) {
-            if j.release <= view.now + tol {
-                out.push(j);
-                self.cursor += 1;
-            } else {
-                break;
-            }
+        let due = view.now + arrival_tolerance(view.now);
+        while let Some(j) = self.job_at(self.cursor).filter(|j| j.release <= due) {
+            out.push(j);
+            self.cursor += 1;
         }
-    }
-
-    fn needs_system_view(&self) -> bool {
-        false
     }
 }
 
@@ -325,18 +304,10 @@ impl ArrivalSource for PhaseStreamSource {
     }
 
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
-        let tol = release_tol(view.now);
-        while let Some(t) = self.next_time() {
-            if t <= view.now + tol {
-                self.emit_slot(out);
-            } else {
-                break;
-            }
+        let due = view.now + arrival_tolerance(view.now);
+        while self.next_time().is_some_and(|t| t <= due) {
+            self.emit_slot(out);
         }
-    }
-
-    fn needs_system_view(&self) -> bool {
-        false
     }
 }
 
@@ -351,12 +322,7 @@ mod tests {
     fn drain(src: &mut dyn ArrivalSource) -> Vec<JobSpec> {
         let mut out = Vec::new();
         while let Some(t) = src.next_time() {
-            let view = SystemView {
-                now: t,
-                m: 1.0,
-                alive: &[],
-            };
-            src.emit_into(&view, &mut out);
+            src.emit_into(&SystemView::new(t, 1.0, &[]), &mut out);
         }
         out
     }
@@ -426,13 +392,8 @@ mod tests {
             while let Some(t) = src.next_time() {
                 assert!(t >= last, "time went backwards: {last} → {t}");
                 last = t;
-                let view = SystemView {
-                    now: t,
-                    m: 1.0,
-                    alive: &[],
-                };
                 let mut batch = Vec::new();
-                src.emit_into(&view, &mut batch);
+                src.emit_into(&SystemView::new(t, 1.0, &[]), &mut batch);
                 assert!(!batch.is_empty(), "announced {t} but emitted nothing");
                 for j in &batch {
                     assert!((j.release - t).abs() <= 1e-9 * t.abs().max(1.0));

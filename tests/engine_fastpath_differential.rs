@@ -57,10 +57,6 @@ impl ArrivalSource for Unvalidated {
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
         self.0.emit_into(view, out);
     }
-
-    fn needs_system_view(&self) -> bool {
-        self.0.needs_system_view()
-    }
 }
 
 /// How [`run_arm`] drives a run.

@@ -435,7 +435,7 @@ impl ArrivalSource for ViewReadingSource {
     }
 
     fn emit_into(&mut self, view: &SystemView<'_>, out: &mut Vec<JobSpec>) {
-        self.seen += view.alive.iter().map(|j| j.remaining).sum::<f64>();
+        view.for_each(|j| self.seen += j.remaining);
         self.inner.emit_into(view, out);
     }
 }
@@ -468,17 +468,17 @@ fn audited_view_run(
 
 #[test]
 fn view_reading_source_admits_without_allocating() {
-    // A source that reads the alive view is handed it at every admission,
-    // built in the engine's retained view buffer from each path's ordered
-    // walk of its alive set. On the incremental path that walk sorts the
-    // SRPT set's partitions in its retained scratch, so after a warm-up a
-    // rerun must not touch the heap, on every alive structure and in both
-    // memory modes.
+    // A source that reads the alive view walks each path's alive set in
+    // its order at every admission. On the incremental path that walk
+    // sorts the SRPT set's partitions in its retained scratch, so after a
+    // warm-up a rerun must not touch the heap, on every alive structure
+    // (Greedy runs the exhaustive list) and in both memory modes.
     let inst = workload(600);
     for kind in [
         PolicyKind::IntermediateSrpt,
         PolicyKind::Setf,
         PolicyKind::Laps(0.5),
+        PolicyKind::Greedy,
     ] {
         let mut policy = kind.build();
         for streaming in [false, true] {
