@@ -609,9 +609,8 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     let gantt = flags.named.iter().find(|(k, _)| k == "gantt");
     let mut policy = kind.build();
     let mut source = StaticSource::new(&instance);
-    // Only the Gantt chart reads the allocation stream; recording it puts
-    // the run on the exhaustive path, so every other run (and every
-    // `--audit` run) takes the path `simulate` would.
+    // Only the Gantt chart reads the allocation stream. Every path serves
+    // it, so a charted run takes the path `simulate` would, like any other.
     let mut trace = AllocationTrace::new();
     let mut null = NullObserver;
     let observer: &mut dyn Observer = if gantt.is_some() {
@@ -645,9 +644,9 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         outln!("  {report}");
     }
     if let Some((_, path)) = flags.named.iter().find(|(k, _)| k == "trace") {
-        // The recording observer consumes the allocation stream (exhaustive
-        // path), so the trace is produced by a second, deterministic run
-        // with the same configuration.
+        // A trace records the exhaustive oracle's allocations, so it is
+        // produced by a second, deterministic run on that path with the
+        // same configuration.
         let (rec, _) = record_run_with_config(
             &instance,
             kind.build().as_mut(),

@@ -27,7 +27,6 @@ impl Equi {
 
 impl Policy for Equi {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "EQUI".to_string()
     }
 

@@ -130,7 +130,6 @@ fn grant_greedily(
 
 impl Policy for GreedyHybrid {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "Greedy".to_string()
     }
 

@@ -41,7 +41,6 @@ impl IntermediateSrpt {
 
 impl Policy for IntermediateSrpt {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "Intermediate-SRPT".to_string()
     }
 

@@ -57,7 +57,6 @@ impl Default for Laps {
 
 impl Policy for Laps {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         format!("LAPS({})", self.beta)
     }
 

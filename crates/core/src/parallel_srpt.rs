@@ -25,7 +25,6 @@ impl ParallelSrpt {
 
 impl Policy for ParallelSrpt {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "Parallel-SRPT".to_string()
     }
 

@@ -48,7 +48,6 @@ impl RandomAllocation {
 
 impl Policy for RandomAllocation {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         format!("Random({})", self.seed)
     }
 

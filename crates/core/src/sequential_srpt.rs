@@ -29,7 +29,6 @@ impl SequentialSrpt {
 
 impl Policy for SequentialSrpt {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "Sequential-SRPT".to_string()
     }
 

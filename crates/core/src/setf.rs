@@ -501,7 +501,6 @@ fn split_tie_group(
 
 impl Policy for Setf {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "SETF".to_string()
     }
 

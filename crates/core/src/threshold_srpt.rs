@@ -48,7 +48,6 @@ impl ThresholdSrpt {
 
 impl Policy for ThresholdSrpt {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         format!("Threshold-SRPT({})", self.theta)
     }
 

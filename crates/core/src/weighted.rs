@@ -44,7 +44,6 @@ fn densities<'o>(jobs: &[AliveJob<'_>], out: &'o mut Vec<f64>) -> &'o [f64] {
 
 impl Policy for WeightedIntermediateSrpt {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "W-Intermediate-SRPT".to_string()
     }
 

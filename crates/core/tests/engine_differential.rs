@@ -17,9 +17,9 @@
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    simulate, simulate_audited, simulate_streaming, ArrivalSource, AuditLevel, Engine,
-    EngineConfig, EnginePath, Instance, JobId, JobSpec, NullObserver, RunOutcome, StaticSource,
-    SystemView, Time,
+    simulate, simulate_audited, simulate_streaming, Allocation, ArrivalSource, AuditLevel, Engine,
+    EngineConfig, EnginePath, Instance, JobId, JobSpec, NullObserver, Observer, RunOutcome,
+    StaticSource, SystemView, Time,
 };
 use parsched_speedup::{Curve, PiecewiseLinear};
 use proptest::prelude::*;
@@ -700,4 +700,99 @@ fn every_path_hands_sources_the_same_system_view() {
             }
         }
     }
+}
+
+/// One [`Observer::on_allocation`] call: its clock and the alive jobs
+/// with their shares, sorted by id.
+type AllocationCall = (Time, Vec<(JobId, f64)>);
+
+/// Records every allocation the engine hands its observer.
+#[derive(Default)]
+struct AllocationLog {
+    calls: Vec<AllocationCall>,
+}
+
+impl Observer for AllocationLog {
+    fn on_allocation(&mut self, t: Time, alloc: &Allocation<'_>) {
+        let mut shares = Vec::new();
+        alloc.for_each(|j, share| shares.push((j.id(), share)));
+        shares.sort_by_key(|s| s.0);
+        self.calls.push((t, shares));
+    }
+}
+
+/// Runs `kind` over `inst` under `cfg` in the given memory mode with an
+/// [`AllocationLog`]; returns the path it took and the recorded calls.
+fn allocation_calls(
+    inst: &Instance,
+    kind: PolicyKind,
+    cfg: EngineConfig,
+    streaming: bool,
+) -> (EnginePath, Vec<AllocationCall>) {
+    let mut policy = kind.build();
+    let mut source = StaticSource::new(inst);
+    let mut log = AllocationLog::default();
+    let engine = Engine::new(
+        cfg.with_streaming(streaming),
+        policy.as_mut(),
+        &mut source,
+        &mut log,
+    );
+    let path = engine.path();
+    let run = if streaming {
+        engine.run_streaming().map(drop)
+    } else {
+        engine.run().map(drop)
+    };
+    run.unwrap_or_else(|e| panic!("{} on the {path} path: {e}", kind.name()));
+    (path, log.calls)
+}
+
+/// Every path hands an observer the same allocation stream as the
+/// exhaustive oracle: the same number of `on_allocation` calls, each at a
+/// close clock, over the same alive jobs with close shares. Watching a run
+/// leaves it on its policy's path, so this covers the incremental, level
+/// and arrival-suffix paths, in both memory modes.
+#[test]
+fn every_path_hands_observers_the_same_allocation() {
+    let mut kinds = registry();
+    kinds.push(PolicyKind::Laps(0.55));
+    let mut paths = Vec::new();
+    for (m, load, seed) in [(4.0, 1.1, 17), (3.0, 0.8, 5), (8.0, 1.5, 9)] {
+        let inst = mixed_stream(200, m, load, seed);
+        for &kind in &kinds {
+            for streaming in [false, true] {
+                let cfg = EngineConfig::new(m);
+                let (path, fast) = allocation_calls(&inst, kind, cfg, streaming);
+                if !paths.contains(&path) {
+                    paths.push(path);
+                }
+                let ctx = format!(
+                    "{} ({path} path, m {m}, seed {seed}, streaming {streaming})",
+                    kind.name()
+                );
+                let (_, oracle) =
+                    allocation_calls(&inst, kind, cfg.with_full_reassign(true), streaming);
+                assert!(fast.len() > inst.len(), "{ctx}: {} calls", fast.len());
+                assert_eq!(fast.len(), oracle.len(), "{ctx}: allocation calls");
+                for ((ta, a), (tb, b)) in fast.iter().zip(&oracle) {
+                    let at = format!("{ctx} at t = {tb}");
+                    assert!(close(*ta, *tb, *tb), "{at}: clock {ta}");
+                    assert!(!a.is_empty(), "{at}: an allocation over no job");
+                    assert_eq!(
+                        a.iter().map(|s| s.0).collect::<Vec<_>>(),
+                        b.iter().map(|s| s.0).collect::<Vec<_>>(),
+                        "{at}: alive ids"
+                    );
+                    for (&(id, sa), &(_, sb)) in a.iter().zip(b) {
+                        assert!(
+                            close(sa, sb, m),
+                            "{at}: job {id} holds {sa} on the {path} path, {sb} on the oracle"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(paths.len(), 4, "paths covered: {paths:?}");
 }

@@ -818,12 +818,6 @@ impl Observer for CompletionWatcher {
             self.at = Some(t);
         }
     }
-
-    fn needs_allocation_stream(&self) -> bool {
-        // Watching completions only; keep the incremental path (and with
-        // it the exec-mode match required by `Engine::restore`).
-        false
-    }
 }
 
 /// Scratch engine for a query: build the tenant's scenario on the warm

@@ -402,10 +402,6 @@ impl Observer for Watch {
             self.at = Some(t);
         }
     }
-
-    fn needs_allocation_stream(&self) -> bool {
-        false
-    }
 }
 
 /// Runs `t` to the end from `snap` (or from scratch), watching `job`.

@@ -125,12 +125,8 @@ impl AliveSet for AliveList {
                 fold_earliest(&mut next, now + jobs.remaining[idx] / rate);
             }
         }
-        let checked = check_allocation(now, invalid, total, cx.m, &*cx.policy);
-        if checked.is_ok() {
-            cx.observer.on_allocation(now, &views, &self.shares);
-        }
         self.views = recycle_views(views);
-        checked?;
+        check_allocation(now, invalid, total, cx.m, cx.policy_name)?;
         // A least-elapsed policy's quantum is elapsed work at unit speed
         // (see `AllocationStability::LeastElapsed`).
         let deadline = quantum

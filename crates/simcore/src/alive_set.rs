@@ -19,7 +19,7 @@ use crate::error::SimError;
 use crate::job::{JobSpec, Time, Work};
 use crate::kahan::NeumaierSum;
 use crate::level_stack::LevelStack;
-use crate::observer::Observer;
+use crate::observer::Shares;
 use crate::policy::{AliveJob, Policy};
 use crate::snapshot::{SlotCheck, Snapshot};
 use crate::source::Walk;
@@ -66,7 +66,7 @@ pub(crate) struct Refresh<'a> {
     /// The per-`n` profile memo (incremental and arrival-suffix paths).
     pub(crate) memo: &'a mut ProfileMemo,
     pub(crate) policy: &'a mut dyn Policy,
-    pub(crate) observer: &'a mut dyn Observer,
+    pub(crate) policy_name: &'a str,
     pub(crate) now: Time,
     pub(crate) m: f64,
     pub(crate) speed: f64,
@@ -185,8 +185,9 @@ pub(crate) trait AliveSet {
 }
 
 /// A run's alive structure over its arena, behind the engine's
-/// [`crate::SystemView`]. The `RefCell` lends the structure's `&mut` walk
-/// (the SRPT set sorts into its retained scratch) to a `&self` view.
+/// [`crate::SystemView`] and an observed refresh's `Allocation`. The
+/// `RefCell` lends the structure's `&mut` walk (the SRPT set sorts into
+/// its retained scratch) to a `&self` view.
 pub(crate) struct SetWalk<'a, S>(pub(crate) RefCell<&'a mut S>, pub(crate) &'a JobArena);
 
 impl<S: AliveSet> Walk for SetWalk<'_, S> {
@@ -199,6 +200,17 @@ impl<S: AliveSet> Walk for SetWalk<'_, S> {
         self.0.borrow_mut().walk(jobs, |idx, remaining| {
             let spec = &jobs.specs[idx];
             f(&AliveJob { spec, remaining });
+        });
+    }
+}
+
+impl<S: AliveSet> Shares for SetWalk<'_, S> {
+    /// Walks [`AliveSet::audit`]; it drops the rates, so any speed serves.
+    fn for_each(&self, f: &mut dyn FnMut(&AliveJob<'_>, f64)) {
+        let (mut set, jobs) = (self.0.borrow_mut(), self.1);
+        set.audit(jobs, 1.0, |idx, remaining, share, _| {
+            let spec = &jobs.specs[idx];
+            f(&AliveJob { spec, remaining }, share);
         });
     }
 }
@@ -219,20 +231,20 @@ pub(crate) fn completion_tolerance(size: Work, rate: f64, now: Time) -> f64 {
 
 /// The check every path applies to a policy's allocation, with one error
 /// taxonomy: the first invalid share found (`invalid`), else a `total`
-/// over the `m` processors beyond rounding slack.
+/// over the `m` processors beyond rounding slack, naming the `policy`.
 #[inline]
 pub(crate) fn check_allocation(
     at: Time,
     invalid: Option<f64>,
     total: f64,
     m: f64,
-    policy: &dyn Policy,
+    policy: &str,
 ) -> Result<(), SimError> {
     if let Some(share) = invalid {
         return Err(SimError::InvalidShare {
             at,
             share,
-            policy: policy.name(),
+            policy: policy.into(),
         });
     }
     if total > m * (1.0 + 1e-9) + EPS {
@@ -240,7 +252,7 @@ pub(crate) fn check_allocation(
             at,
             requested: total,
             available: m,
-            policy: policy.name(),
+            policy: policy.into(),
         });
     }
     Ok(())

@@ -254,18 +254,19 @@ impl ProfileMemo {
 
     /// The validated `(count, share)` profile for `n` alive jobs, replayed
     /// from the memo; the first time an alive count is seen,
-    /// [`ProfileMemo::miss`] fills its slot.
+    /// [`ProfileMemo::miss`] fills its slot (errors name the policy `name`).
     #[inline(always)]
     pub(crate) fn profile(
         &mut self,
         n: usize,
         policy: &dyn Policy,
+        name: &str,
         now: Time,
         m: f64,
     ) -> Result<(usize, f64), SimError> {
         match self.slots.get(n) {
             Some(memo) if memo.count != u32::MAX => Ok((memo.count as usize, memo.share)),
-            _ => self.miss(n, policy, now, m),
+            _ => self.miss(n, policy, name, now, m),
         }
     }
 
@@ -287,6 +288,7 @@ impl ProfileMemo {
         &mut self,
         n: usize,
         policy: &dyn Policy,
+        name: &str,
         now: Time,
         m: f64,
     ) -> Result<(usize, f64), SimError> {
@@ -297,8 +299,7 @@ impl ProfileMemo {
             return Err(SimError::BadInstance {
                 // lint:allow(L007) error construction: an infeasible profile terminates the run
                 what: format!(
-                    "policy {} declares {:?} stability but returned no prefix profile for n = {n}",
-                    policy.name(),
+                    "policy {name} declares {:?} stability but returned no prefix profile for n = {n}",
                     policy.stability()
                 ),
             });
@@ -307,7 +308,7 @@ impl ProfileMemo {
         let count = profile.count.clamp(1, n);
         let share = profile.share.max(0.0);
         let total = count as f64 * share;
-        check_allocation(now, invalid, total, m, policy)?;
+        check_allocation(now, invalid, total, m, name)?;
         // lint:allow(L005, L007) count ≤ n ≤ the u32 arena-slot envelope the IdMap already enforces
         let count_u32 = u32::try_from(count).expect("alive count exceeds u32");
         self.slots[n] = CachedProfile {

@@ -723,7 +723,9 @@ impl AliveSet for ArrivalSuffix {
         if n == 0 {
             return Ok(Schedule::default());
         }
-        let (count, share) = cx.memo.profile(n, &*cx.policy, cx.now, cx.m)?;
+        let (count, share) = cx
+            .memo
+            .profile(n, &*cx.policy, cx.policy_name, cx.now, cx.m)?;
         self.profile = PrefixAllocation { count, share };
         let (jobs, speed) = (&*cx.jobs, cx.speed);
         self.rebalance(count, &jobs.specs);

@@ -58,7 +58,7 @@ use crate::job::{Instance, JobId, JobSpec, Time, Work};
 use crate::kahan::NeumaierSum;
 use crate::level_stack::LevelStack;
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
-use crate::observer::{NullObserver, Observer};
+use crate::observer::{Allocation, NullObserver, Observer};
 use crate::policy::{AllocationStability, Policy};
 use crate::snapshot::{in_range, SlotCheck, SnapCfg, SnapJob, Snapshot};
 use crate::source::{ArrivalSource, StaticSource, SystemView};
@@ -482,8 +482,8 @@ impl EngineBuffers {
 /// parking between [`Engine::step`] calls costs `O(1)` whatever the run's
 /// size. Resume with the collaborators the engine was parked from: the
 /// same policy value (its internal state, such as an RNG, simply
-/// continues), the same source (positioned where the engine left it), and
-/// an observer of the same kind. The resumed engine then continues the run
+/// continues) and the same source (positioned where the engine left it),
+/// with any observer. The resumed engine then continues the run
 /// bit-for-bit as if it had never stopped. A multi-tenant server uses this
 /// to keep each tenant's engine between slices without a snapshot;
 /// [`Engine::snapshot`] remains the way to move a run across processes.
@@ -498,9 +498,9 @@ impl ParkedEngine {
     ///
     /// [`SimError::BadInstance`], dropping the parked run, when the
     /// collaborators visibly differ from the ones the engine was parked
-    /// from: a policy with a different SRPT-ordering claim, a policy or
-    /// observer that would put the run on the other execution path, or a
-    /// source whose next arrival is not the one the engine expects. The
+    /// from: a policy with a different SRPT-ordering claim, a policy that
+    /// would put the run on another execution path, or a source whose
+    /// next arrival is not the one the engine expects. The
     /// checks are `O(1)`, so they cannot tell a different policy of the
     /// same kind, or a source that agrees on its next arrival only.
     pub fn resume<'a>(
@@ -519,8 +519,8 @@ impl ParkedEngine {
             return mismatch("the policy differs in its SRPT-ordering claim");
         }
 
-        if engine_path(&state.cfg, policy, observer) != state.path {
-            return mismatch("the policy or observer selects the other execution path");
+        if engine_path(&state.cfg, policy) != state.path {
+            return mismatch("the policy selects another execution path");
         }
         if source.next_time().map(f64::to_bits) != state.next_arrival.map(f64::to_bits) {
             return mismatch("the source is not positioned where the engine left it");
@@ -534,15 +534,14 @@ impl ParkedEngine {
     }
 }
 
-/// The execution path for a run of `policy` under `cfg` watched by
-/// `observer`: when the observer does not consume the allocation stream
-/// and [`EngineConfig::full_reassign`] is off, the incremental path for a
+/// The execution path for a run of `policy` under `cfg`: when
+/// [`EngineConfig::full_reassign`] is off, the incremental path for a
 /// policy declaring [`AllocationStability::SrptPrefix`], the level path
 /// for one declaring [`AllocationStability::LeastElapsed`], and the
 /// arrival-suffix path for one declaring
 /// [`AllocationStability::LatestArrivals`]; the exhaustive path otherwise.
-fn engine_path(cfg: &EngineConfig, policy: &dyn Policy, observer: &dyn Observer) -> EnginePath {
-    if cfg.full_reassign || observer.needs_allocation_stream() {
+fn engine_path(cfg: &EngineConfig, policy: &dyn Policy) -> EnginePath {
+    if cfg.full_reassign {
         return EnginePath::Exhaustive;
     }
     match policy.stability() {
@@ -659,10 +658,10 @@ impl<'a> Engine<'a> {
     /// arrival-suffix `O(log n)` paths require the policy to declare
     /// [`AllocationStability::SrptPrefix`],
     /// [`AllocationStability::LeastElapsed`] or
-    /// [`AllocationStability::LatestArrivals`] respectively, the observer
-    /// to not consume the allocation stream, and
+    /// [`AllocationStability::LatestArrivals`] respectively, and
     /// [`EngineConfig::full_reassign`] to be off; otherwise the exhaustive
-    /// `O(n)` path runs.
+    /// `O(n)` path runs. The observer never picks the path: every path
+    /// serves every callback, so watching a run does not change it.
     pub fn new(
         cfg: EngineConfig,
         policy: &'a mut dyn Policy,
@@ -687,7 +686,7 @@ impl<'a> Engine<'a> {
         let mut state = bufs.0;
         state.clear();
         policy.reset();
-        state.path = engine_path(&cfg, policy, observer);
+        state.path = engine_path(&cfg, policy);
         state.auditor = (!cfg.audit.is_off()).then(|| Box::new(Auditor::new(cfg.audit)));
         state.policy_name = policy.name();
         state.policy_srpt_ordered = policy.srpt_ordered();
@@ -900,7 +899,7 @@ impl<'a> Engine<'a> {
         if snap_path != Some(self.state.path) {
             return Err(bad(format!(
                 "restore path mismatch: engine is on the {} path but the snapshot was taken on \
-                 the {} path (policy stability and observer must match the original run)",
+                 the {} path (policy stability must match the original run)",
                 self.state.path,
                 snap_path.map_or("ambiguous".into(), |p| p.to_string()),
             )));
@@ -1194,9 +1193,10 @@ impl<'a> Engine<'a> {
     /// Decides the allocation for the interval starting now through the
     /// run's alive structure ([`AliveSet::refresh`]) and installs the
     /// interval's schedule: its precomputed next completion and its
-    /// re-decision deadline.
+    /// re-decision deadline. `NOTIFY` hands a non-empty allocation to
+    /// [`Observer::on_allocation`].
     #[inline]
-    fn refresh<S: AliveSet>(&mut self) -> Result<(), SimError> {
+    fn refresh<S: AliveSet, const NOTIFY: bool>(&mut self) -> Result<(), SimError> {
         let state = &mut self.state;
         state.quantum_deadline = None;
         state.next_completion = None;
@@ -1204,7 +1204,7 @@ impl<'a> Engine<'a> {
             jobs: &mut state.jobs,
             memo: &mut state.memo,
             policy: &mut *self.policy,
-            observer: &mut *self.observer,
+            policy_name: &state.policy_name,
             now: state.now,
             m: state.cfg.m,
             speed: state.cfg.speed,
@@ -1213,6 +1213,11 @@ impl<'a> Engine<'a> {
         state.next_completion = schedule.completion;
         state.quantum_deadline = schedule.deadline;
         state.alloc_fresh = true;
+        if NOTIFY && S::of(&state.sets).len() > 0 {
+            let set = SetWalk(RefCell::new(S::of_mut(&mut state.sets)), &state.jobs);
+            self.observer
+                .on_allocation(state.now, &Allocation::over(&set));
+        }
         Ok(())
     }
 
@@ -1229,7 +1234,7 @@ impl<'a> Engine<'a> {
         }
         on_path!(self.state.path, S => {
             hp_phase!(self, queue_ns, self.admit_due::<S, true, true>())?;
-            self.decide::<S>()
+            self.decide::<S, true>()
         })
     }
 
@@ -1239,7 +1244,7 @@ impl<'a> Engine<'a> {
     pub fn advance_to(&mut self, t: Time) -> Result<(), SimError> {
         on_path!(self.state.path, S => {
             if !self.state.alloc_fresh {
-                hp_phase!(self, refresh_ns, self.refresh::<S>())?;
+                hp_phase!(self, refresh_ns, self.refresh::<S, true>())?;
             }
             self.advance::<S, true, true>(t)
         })
@@ -1249,11 +1254,12 @@ impl<'a> Engine<'a> {
     /// next event time — the interval's completion candidate, the cached
     /// next arrival, and the re-decision deadline, in that order, the
     /// earliest winning and the first of equals kept. `None` ends the run
-    /// when nothing is alive and is a stall otherwise.
+    /// when nothing is alive and is a stall otherwise. `NOTIFY` serves the
+    /// refresh to the observer.
     #[inline]
-    fn decide<S: AliveSet>(&mut self) -> Result<Option<Time>, SimError> {
+    fn decide<S: AliveSet, const NOTIFY: bool>(&mut self) -> Result<Option<Time>, SimError> {
         if !self.state.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.refresh::<S>())?;
+            hp_phase!(self, refresh_ns, self.refresh::<S, NOTIFY>())?;
         }
         let next = hp_phase!(self, queue_ns, {
             let state = &mut self.state;
@@ -1502,7 +1508,7 @@ impl<'a> Engine<'a> {
         // this is a no-op.
         hp_phase!(self, queue_ns, self.admit_due::<S, VALIDATE, CHECKED>())?;
         loop {
-            let Some(t) = self.decide::<S>()? else {
+            let Some(t) = self.decide::<S, CHECKED>()? else {
                 return Ok(false);
             };
             if CHECKED {
@@ -2090,11 +2096,12 @@ mod tests {
             &mut obs,
         );
         assert_eq!(e.path(), EnginePath::Exhaustive);
-        // An observer consuming the allocation stream forces it too.
+        // An observer reading the allocation stream keeps the policy's
+        // path: watching a run does not change it.
         let mut source = StaticSource::new(&instance);
         let mut trace = crate::observer::AllocationTrace::new();
         let e = Engine::new(EngineConfig::new(1.0), &mut p, &mut source, &mut trace);
-        assert_eq!(e.path(), EnginePath::Exhaustive);
+        assert_eq!(e.path(), EnginePath::Incremental);
         // A General-stability policy never takes the incremental path.
         let mut source = StaticSource::new(&instance);
         let mut obs = NullObserver;
@@ -2118,7 +2125,7 @@ mod tests {
         let mut source = StaticSource::new(&instance);
         let mut trace = crate::observer::AllocationTrace::new();
         let e = Engine::new(EngineConfig::new(1.0), &mut least, &mut source, &mut trace);
-        assert_eq!(e.path(), EnginePath::Exhaustive);
+        assert_eq!(e.path(), EnginePath::Levels);
     }
 
     /// LAPS(½) in miniature: the latest `⌈n/2⌉` arrivals in `(release,
@@ -2196,7 +2203,17 @@ mod tests {
         let mut source = StaticSource::new(&instance);
         let mut trace = crate::observer::AllocationTrace::new();
         let e = Engine::new(EngineConfig::new(2.0), &mut policy, &mut source, &mut trace);
-        assert_eq!(e.path(), EnginePath::Exhaustive);
+        assert_eq!(e.path(), EnginePath::ArrivalSuffix);
+        e.run().unwrap();
+        // The suffix path serves the trace the latest arrival's takeover.
+        let seg = |start: f64, end: f64, id: u64| crate::observer::AllocationSegment {
+            start,
+            end,
+            id: JobId(id),
+            share: 2.0,
+        };
+        assert_eq!(trace.of_job(JobId(1)), [seg(1.0, 1.5, 1)]);
+        assert_eq!(trace.of_job(JobId(0)), [seg(0.0, 1.0, 0), seg(1.5, 2.5, 0)]);
     }
 
     /// SETF for fully parallel jobs: the least-elapsed tie group splits

@@ -612,7 +612,7 @@ impl AliveSet for LevelStack {
         } else {
             invalid
         };
-        check_allocation(cx.now, invalid, total, cx.m, &*cx.policy)?;
+        check_allocation(cx.now, invalid, total, cx.m, cx.policy_name)?;
         let mut schedule = Schedule::default();
         if rate > 0.0 {
             if let Some((_, rem)) = self.front() {

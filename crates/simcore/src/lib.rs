@@ -82,7 +82,7 @@ pub use job::{class_index, num_classes, Instance, JobId, JobSpec, Time, Work};
 pub use kahan::NeumaierSum;
 pub use metrics::{CompletedJob, RunMetrics, RunOutcome};
 pub use observer::{
-    AliveTrace, AllocationSegment, AllocationTrace, NullObserver, Observer, TracePoint,
+    AliveTrace, Allocation, AllocationSegment, AllocationTrace, NullObserver, Observer, TracePoint,
 };
 pub use plan::{AllocationPlan, PlanSegment, PlannedPolicy};
 pub use policy::{

@@ -1,14 +1,42 @@
 //! Trace hooks fired by the engine at every event boundary.
 
-use crate::job::{JobSpec, Time};
+use crate::job::{JobId, JobSpec, Time};
 use crate::policy::AliveJob;
+
+/// The allocation the engine decided for the interval starting at an
+/// event, handed to [`Observer::on_allocation`] on every execution path.
+///
+/// The handle walks the run's alive structure, in `O(n)`, only when read,
+/// so an observer that ignores it costs the `O(log n)` paths nothing. A
+/// walk must not read the handle again.
+pub struct Allocation<'a>(&'a dyn Shares);
+
+/// A decided allocation that an [`Allocation`] walks only when read.
+pub(crate) trait Shares {
+    fn for_each(&self, f: &mut dyn FnMut(&AliveJob<'_>, f64));
+}
+
+impl<'a> Allocation<'a> {
+    pub(crate) fn over(shares: &'a dyn Shares) -> Self {
+        Self(shares)
+    }
+
+    /// Visits every alive job with the processors it holds over the
+    /// interval (zero for a waiting job). The exhaustive path visits the
+    /// jobs in the order it handed them to [`crate::Policy::assign`];
+    /// the other paths promise no order.
+    pub fn for_each(&self, mut f: impl FnMut(&AliveJob<'_>, f64)) {
+        self.0.for_each(&mut f);
+    }
+}
 
 /// Callbacks invoked by the [`crate::Engine`] as the simulation advances.
 ///
 /// All methods have empty defaults; implement only what you need. The
 /// engine guarantees the call order per event boundary at time `t`:
 /// `on_completion`* → `on_arrivals`? → `on_allocation` (for the interval
-/// *starting* at `t`).
+/// *starting* at `t`). Every execution path serves every callback, so an
+/// observer never changes the run it watches.
 pub trait Observer {
     /// Jobs released at time `t` (called once per batch).
     fn on_arrivals(&mut self, t: Time, jobs: &[JobSpec]) {
@@ -20,28 +48,15 @@ pub trait Observer {
         let _ = (t, job);
     }
 
-    /// A fresh allocation decision covering the interval starting at `t`:
-    /// `shares[i]` processors for `jobs[i]`.
-    fn on_allocation(&mut self, t: Time, jobs: &[AliveJob<'_>], shares: &[f64]) {
-        let _ = (t, jobs, shares);
+    /// A fresh allocation decision covering the interval starting at `t`,
+    /// fired on every execution path whenever a job is alive.
+    fn on_allocation(&mut self, t: Time, alloc: &Allocation<'_>) {
+        let _ = (t, alloc);
     }
 
     /// The engine advanced from `t0` to `t1` with a constant allocation.
     fn on_advance(&mut self, t0: Time, t1: Time) {
         let _ = (t0, t1);
-    }
-
-    /// Whether this observer consumes [`Observer::on_allocation`].
-    ///
-    /// Building the per-interval `(jobs, shares)` view is the one `O(n)`
-    /// cost the engine's incremental `O(log n)` path cannot avoid, so
-    /// observers that ignore `on_allocation` should return `false` to keep
-    /// that path enabled. All other callbacks (`on_arrivals`,
-    /// `on_completion`, `on_advance`) fire on every path regardless of this
-    /// hint. The default is `true` — the conservative answer that forces
-    /// the exhaustive path.
-    fn needs_allocation_stream(&self) -> bool {
-        true
     }
 
     /// Whether every callback on this observer is a no-op.
@@ -61,10 +76,6 @@ pub trait Observer {
 pub struct NullObserver;
 
 impl Observer for NullObserver {
-    fn needs_allocation_stream(&self) -> bool {
-        false
-    }
-
     fn is_noop(&self) -> bool {
         true
     }
@@ -152,10 +163,6 @@ impl Observer for AliveTrace {
         self.alive_now -= 1;
         self.push(t);
     }
-
-    fn needs_allocation_stream(&self) -> bool {
-        false
-    }
 }
 
 /// One constant-allocation segment of one job's schedule.
@@ -166,7 +173,7 @@ pub struct AllocationSegment {
     /// Segment end.
     pub end: Time,
     /// The job.
-    pub id: crate::job::JobId,
+    pub id: JobId,
     /// Processors held throughout the segment.
     pub share: f64,
 }
@@ -179,7 +186,9 @@ pub struct AllocationSegment {
 #[derive(Debug, Default, Clone)]
 pub struct AllocationTrace {
     segments: Vec<AllocationSegment>,
-    current: Vec<(crate::job::JobId, f64)>,
+    current: Vec<(JobId, f64)>,
+    /// Each job's latest segment, the only one an advance can extend.
+    latest: std::collections::BTreeMap<JobId, usize>,
 }
 
 impl AllocationTrace {
@@ -189,7 +198,7 @@ impl AllocationTrace {
     }
 
     /// The recorded segments in time order (per interval; jobs within an
-    /// interval are in allocation order).
+    /// interval are in [`Allocation::for_each`] order).
     pub fn segments(&self) -> &[AllocationSegment] {
         &self.segments
     }
@@ -200,7 +209,7 @@ impl AllocationTrace {
     }
 
     /// The segments of one job, in time order.
-    pub fn of_job(&self, id: crate::job::JobId) -> Vec<AllocationSegment> {
+    pub fn of_job(&self, id: JobId) -> Vec<AllocationSegment> {
         self.segments
             .iter()
             .filter(|s| s.id == id)
@@ -210,13 +219,13 @@ impl AllocationTrace {
 }
 
 impl Observer for AllocationTrace {
-    fn on_allocation(&mut self, _t: Time, jobs: &[AliveJob<'_>], shares: &[f64]) {
-        self.current = jobs
-            .iter()
-            .zip(shares)
-            .filter(|&(_, &s)| s > 0.0)
-            .map(|(j, &s)| (j.id(), s))
-            .collect();
+    fn on_allocation(&mut self, _t: Time, alloc: &Allocation<'_>) {
+        self.current.clear();
+        alloc.for_each(|j, s| {
+            if s > 0.0 {
+                self.current.push((j.id(), s));
+            }
+        });
     }
 
     fn on_advance(&mut self, t0: Time, t1: Time) {
@@ -224,19 +233,17 @@ impl Observer for AllocationTrace {
             return;
         }
         for &(id, share) in &self.current {
-            // Merge with the previous segment of the same job when the
-            // allocation is unchanged and the intervals abut.
-            if let Some(last) = self
-                .segments
-                .iter_mut()
-                .rev()
-                .find(|s| s.id == id && (s.end - t0).abs() < 1e-12)
-            {
-                if (last.share - share).abs() < 1e-12 {
+            // Merge with the job's latest segment when the allocation is
+            // unchanged and the intervals abut; no earlier segment of the
+            // job can end at `t0`.
+            if let Some(&k) = self.latest.get(&id) {
+                let last = &mut self.segments[k];
+                if (last.end - t0).abs() < 1e-12 && (last.share - share).abs() < 1e-12 {
                     last.end = t1;
                     continue;
                 }
             }
+            self.latest.insert(id, self.segments.len());
             self.segments.push(AllocationSegment {
                 start: t0,
                 end: t1,
@@ -319,6 +326,103 @@ mod tests {
         // Processor-time = total work actually drained at Γ(x) ≤ x… for
         // sequential jobs share 2 wastes 1: 2 + (2 + 2·1) = work 5 ≤ 6.
         assert!((trace.total_processor_time() - 6.0).abs() < 1e-9);
+    }
+
+    /// The merge [`AllocationTrace`] made before it indexed each job's
+    /// latest segment: a backwards scan over every segment so far.
+    #[derive(Default)]
+    struct ScanTrace {
+        segments: Vec<AllocationSegment>,
+        current: Vec<(JobId, f64)>,
+    }
+
+    impl Observer for ScanTrace {
+        fn on_allocation(&mut self, _t: Time, alloc: &Allocation<'_>) {
+            self.current.clear();
+            alloc.for_each(|j, s| {
+                if s > 0.0 {
+                    self.current.push((j.id(), s));
+                }
+            });
+        }
+
+        fn on_advance(&mut self, t0: Time, t1: Time) {
+            if t1 <= t0 {
+                return;
+            }
+            for &(id, share) in &self.current {
+                if let Some(last) = self
+                    .segments
+                    .iter_mut()
+                    .rev()
+                    .find(|s| s.id == id && (s.end - t0).abs() < 1e-12)
+                {
+                    if (last.share - share).abs() < 1e-12 {
+                        last.end = t1;
+                        continue;
+                    }
+                }
+                self.segments.push(AllocationSegment {
+                    start: t0,
+                    end: t1,
+                    id,
+                    share,
+                });
+            }
+        }
+    }
+
+    /// A fixed allocation: `shares[i]` processors for `jobs[i]`.
+    struct Fixed<'a>(&'a [JobSpec], &'a [f64]);
+
+    impl Shares for Fixed<'_> {
+        fn for_each(&self, f: &mut dyn FnMut(&AliveJob<'_>, f64)) {
+            for (spec, &share) in self.0.iter().zip(self.1) {
+                f(
+                    &AliveJob {
+                        spec,
+                        remaining: 1.0,
+                    },
+                    share,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn allocation_trace_merges_like_the_backwards_scan() {
+        // A pseudo-random stream of allocations over eight jobs, each
+        // running or waiting at one of two shares, with zero-length
+        // advances mixed in: jobs stop, resume, keep or change shares.
+        let specs: Vec<JobSpec> = (0..8).map(spec).collect();
+        let mut state = 7u64;
+        let mut draw = |k: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % k
+        };
+        let (mut trace, mut scan) = (AllocationTrace::new(), ScanTrace::default());
+        let (mut t, mut intervals) = (0.0, 0);
+        for _ in 0..400 {
+            let shares: Vec<f64> = specs.iter().map(|_| draw(3) as f64).collect();
+            let dt = draw(3) as f64 * 0.5;
+            let alloc = Fixed(&specs, &shares);
+            for obs in [&mut trace as &mut dyn Observer, &mut scan] {
+                obs.on_allocation(t, &Allocation::over(&alloc));
+                obs.on_advance(t, t + dt);
+            }
+            if dt > 0.0 {
+                intervals += shares.iter().filter(|&&s| s > 0.0).count();
+            }
+            t += dt;
+        }
+        assert_eq!(trace.segments(), &scan.segments[..]);
+        let n = trace.segments().len();
+        assert!(
+            n > specs.len() && n < intervals,
+            "{n} segments of {intervals}"
+        );
     }
 
     #[test]

@@ -328,7 +328,6 @@ impl EquiSplit {
 
 impl Policy for EquiSplit {
     fn name(&self) -> String {
-        // lint:allow(L007) Policy::name runs at engine construction and in error reporting, never per event
         "EQUI".to_string()
     }
 

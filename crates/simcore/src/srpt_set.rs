@@ -1038,7 +1038,9 @@ impl AliveSet for SrptSet {
             self.interval = IntervalKind::Idle;
             return Ok(Schedule::default());
         }
-        let (count, share) = cx.memo.profile(n, &*cx.policy, cx.now, cx.m)?;
+        let (count, share) = cx
+            .memo
+            .profile(n, &*cx.policy, cx.policy_name, cx.now, cx.m)?;
         self.profile = PrefixAllocation { count, share };
         let (specs, mut lanes) = cx.jobs.split_placement();
         self.maybe_rebase(specs, |idx, p| lanes.apply(idx, p));

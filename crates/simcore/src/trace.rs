@@ -14,10 +14,11 @@
 //! the recorded ones — so a corrupted or hand-edited trace fails with a
 //! structured [`Violation`] naming the exact event.
 //!
-//! Recording uses [`TraceRecorder`], an observer that consumes the
-//! allocation stream (`needs_allocation_stream → true`), which forces the
-//! engine onto the exhaustive differential-oracle path: the trace records
-//! the allocations the engine *actually executed*, one record per event.
+//! Recording uses [`TraceRecorder`], an observer of the allocation
+//! stream; [`record_run_with_config`] runs it on the exhaustive
+//! differential-oracle path ([`EngineConfig::with_full_reassign`]), so a
+//! trace records the oracle's allocations, one record per event, whatever
+//! path the policy would take unwatched.
 //!
 //! The serialization is hand-rolled JSON (see [`crate::jsonlite`] for
 //! why); curves reuse the compact field syntax of [`crate::csv`].
@@ -34,8 +35,8 @@ use crate::job::{Instance, JobId, JobSpec, Time};
 use crate::jsonlite::{escape, Json};
 use crate::kahan::NeumaierSum;
 use crate::metrics::{CompletedJob, RunMetrics, RunOutcome};
-use crate::observer::Observer;
-use crate::policy::{AliveJob, Policy};
+use crate::observer::{Allocation, Observer};
+use crate::policy::Policy;
 use crate::source::StaticSource;
 
 /// Relative tolerance for the replay's cross-checks (completion snap and
@@ -99,8 +100,8 @@ pub struct Trace {
 
 /// An [`Observer`] that records the full event log of a run.
 ///
-/// Consumes the allocation stream, so the engine runs its exhaustive
-/// (differential-oracle) path while recording.
+/// [`record_run_with_config`] runs it on the exhaustive
+/// (differential-oracle) path, whose allocations a trace records.
 #[derive(Debug)]
 pub struct TraceRecorder {
     policy: String,
@@ -159,16 +160,14 @@ impl Observer for TraceRecorder {
         self.events.push(TraceEvent::Completion { t, id: job.id });
     }
 
-    fn on_allocation(&mut self, t: Time, jobs: &[AliveJob<'_>], shares: &[f64]) {
-        self.events.push(TraceEvent::Allocation {
-            t,
-            shares: jobs
-                .iter()
-                .zip(shares)
-                .filter(|&(_, &s)| s > 0.0)
-                .map(|(j, &s)| (j.id(), s))
-                .collect(),
+    fn on_allocation(&mut self, t: Time, alloc: &Allocation<'_>) {
+        let mut shares = Vec::new();
+        alloc.for_each(|j, s| {
+            if s > 0.0 {
+                shares.push((j.id(), s));
+            }
         });
+        self.events.push(TraceEvent::Allocation { t, shares });
     }
 
     fn on_advance(&mut self, t0: Time, t1: Time) {
@@ -178,7 +177,7 @@ impl Observer for TraceRecorder {
 
 /// Runs `policy` on `instance` with `m` processors while recording a
 /// trace; returns the trace (with the run's metrics embedded) and the
-/// outcome. The recording observer forces the exhaustive engine path.
+/// outcome. The run takes the exhaustive engine path.
 pub fn record_run(
     instance: &Instance,
     policy: &mut dyn Policy,
@@ -188,7 +187,7 @@ pub fn record_run(
 }
 
 /// Like [`record_run`], with full [`EngineConfig`] control (speed,
-/// audit level, limits).
+/// audit level, limits); the run is always on the exhaustive path.
 pub fn record_run_with_config(
     instance: &Instance,
     policy: &mut dyn Policy,
@@ -196,6 +195,7 @@ pub fn record_run_with_config(
 ) -> Result<(Trace, RunOutcome), SimError> {
     let mut recorder = TraceRecorder::new(policy.name(), cfg.m, cfg.speed, policy.srpt_ordered());
     let mut source = StaticSource::new(instance);
+    let cfg = cfg.with_full_reassign(true);
     let outcome = Engine::new(cfg, policy, &mut source, &mut recorder).run()?;
     let trace = recorder.into_trace(Some(outcome.metrics.clone()));
     Ok((trace, outcome))

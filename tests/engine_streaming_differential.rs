@@ -41,10 +41,6 @@ impl Observer for CompletionLog {
     fn on_completion(&mut self, t: Time, job: &JobSpec) {
         self.seq.push((job.id, t));
     }
-
-    fn needs_allocation_stream(&self) -> bool {
-        false
-    }
 }
 
 /// One run of a registry policy over `inst` in the given mode; returns the

@@ -28,8 +28,8 @@ use std::cell::Cell;
 
 use parsched::PolicyKind;
 use parsched_sim::{
-    ArrivalSource, AuditLevel, Engine, EngineBuffers, EngineConfig, EnginePath, Instance, JobId,
-    JobSpec, NullObserver, Policy, StaticSource, SystemView, Time,
+    Allocation, ArrivalSource, AuditLevel, Engine, EngineBuffers, EngineConfig, EnginePath,
+    Instance, JobId, JobSpec, NullObserver, Observer, Policy, StaticSource, SystemView, Time,
 };
 use parsched_speedup::Curve;
 
@@ -440,9 +440,23 @@ impl ArrivalSource for ViewReadingSource {
     }
 }
 
-/// Runs `inst` through [`Engine::run_loop`] from a [`ViewReadingSource`],
-/// reusing `policy` and the donated buffers; returns the allocations made
-/// strictly inside the loop, plus the buffers.
+/// An observer that reads every allocation the engine decides, as a
+/// Gantt recorder does, but only folds its shares into a sum.
+#[derive(Default)]
+struct ShareSum {
+    total: f64,
+}
+
+impl Observer for ShareSum {
+    fn on_allocation(&mut self, _t: Time, alloc: &Allocation<'_>) {
+        alloc.for_each(|_, share| self.total += share);
+    }
+}
+
+/// Runs `inst` through [`Engine::run_loop`] from a [`ViewReadingSource`]
+/// under a [`ShareSum`] observer, reusing `policy` and the donated
+/// buffers; returns the allocations made strictly inside the loop, plus
+/// the buffers.
 fn audited_view_run(
     inst: &Instance,
     policy: &mut dyn Policy,
@@ -453,7 +467,7 @@ fn audited_view_run(
         inner: StaticSource::new(inst),
         seen: 0.0,
     };
-    let mut obs = NullObserver;
+    let mut obs = ShareSum::default();
     let cfg = EngineConfig::new(8.0).with_streaming(streaming);
     let mut engine = Engine::with_buffers(cfg, policy, &mut source, &mut obs, bufs);
     let ((), during) = counting_allocs(|| engine.run_loop().expect("view-reading run failed"));
@@ -463,16 +477,19 @@ fn audited_view_run(
         engine.run_reusing().expect("finalize failed").1
     };
     assert!(source.seen > 0.0, "the source saw no alive job");
+    assert!(obs.total > 0.0, "the observer saw no allocation");
     (during, bufs)
 }
 
 #[test]
 fn view_reading_source_admits_without_allocating() {
     // A source that reads the alive view walks each path's alive set in
-    // its order at every admission. On the incremental path that walk
-    // sorts the SRPT set's partitions in its retained scratch, so after a
-    // warm-up a rerun must not touch the heap, on every alive structure
-    // (Greedy runs the exhaustive list) and in both memory modes.
+    // its order at every admission, and an observer that reads each
+    // allocation walks it again at every refresh. On the incremental path
+    // the view's walk sorts the SRPT set's partitions in its retained
+    // scratch, so after a warm-up a rerun must not touch the heap, on
+    // every alive structure (Greedy runs the exhaustive list) and in both
+    // memory modes.
     let inst = workload(600);
     for kind in [
         PolicyKind::IntermediateSrpt,

@@ -308,12 +308,6 @@ fn park_every(
     out
 }
 
-/// An observer that consumes the allocation stream (the trait default),
-/// so an engine watched by it runs on the exhaustive path.
-struct AllocationStreamObserver;
-
-impl Observer for AllocationStreamObserver {}
-
 /// Steps a fresh in-memory engine over `policy` and `source` ten times and
 /// parks it.
 fn park_after_ten(policy: &mut dyn Policy, source: &mut StaticSource) -> ParkedEngine {
@@ -350,16 +344,14 @@ fn resume_rejects_collaborators_that_visibly_differ() {
     let err = resume_error(parked, setf.as_mut(), &mut source, &mut NullObserver);
     assert!(err.contains("SRPT-ordering"), "{err}");
 
-    // An observer that would move the incremental run to the exhaustive
-    // path.
+    // A policy that agrees on the SRPT-ordering claim but selects another
+    // path: EQUI runs incrementally, LAPS on the arrival-suffix path.
+    let mut equi = PolicyKind::Equi.build();
     let mut source = StaticSource::new(&inst);
-    let parked = park_after_ten(policy.as_mut(), &mut source);
-    let err = resume_error(
-        parked,
-        policy.as_mut(),
-        &mut source,
-        &mut AllocationStreamObserver,
-    );
+    let parked = park_after_ten(equi.as_mut(), &mut source);
+    let mut laps = PolicyKind::Laps(0.5).build();
+    assert_eq!(equi.srpt_ordered(), laps.srpt_ordered());
+    let err = resume_error(parked, laps.as_mut(), &mut source, &mut NullObserver);
     assert!(err.contains("execution path"), "{err}");
 
     // A source that is not where the engine left it.
