@@ -8,6 +8,16 @@
 //! remaining work of the jobs it meets — so any change in how the alive
 //! set breaks ties moves a completion and changes a digest.
 //!
+//! One more fixture, `mixed_overload`, covers the Scan intervals at scale:
+//! a mixed-α Poisson instance at load 1.5 keeps a few hundred jobs alive
+//! on four curves, so EQUI (share `m/n < 1`) and Threshold-SRPT(2) (share
+//! `> 1` below its cutoff) drain their prefixes at per-job rates, and its
+//! digests pin those drains and the completions they lead to. Over this
+//! many events a one-ulp change in one interval's flow term is absorbed
+//! by the run's compensated flow sum, so the order of the per-job flow
+//! fold is pinned by the `classes` EQUI rows and by `srpt_set`'s unit
+//! tests.
+//!
 //! Five SRPT-family policies run each fixture in both memory modes, once
 //! straight through and once suspended, encoded, decoded, and restored
 //! into a fresh engine every 7th event; both runs must produce the digest
@@ -16,6 +26,7 @@
 //! count and three sketch quantiles when streaming.
 
 use parsched::PolicyKind;
+use parsched_bench::mixed_alpha_fixture;
 use parsched_sim::{
     Engine, EngineConfig, Instance, JobId, JobSpec, NullObserver, RunMetrics, Snapshot,
     StaticSource,
@@ -96,6 +107,7 @@ fn fixtures() -> Vec<(&'static str, Instance)> {
         ),
         ("classes", Instance::new(classes).expect("classes")),
         ("waves", Instance::new(waves).expect("waves")),
+        ("mixed_overload", mixed_alpha_fixture(900, 1.5, M)),
     ]
 }
 
@@ -203,7 +215,8 @@ fn resumed_every_7(inst: &Instance, kind: PolicyKind, streaming: bool) -> u64 {
 }
 
 /// `(fixture, policy, streaming, digest)`, recorded before the alive set
-/// read its tie-break from the arena.
+/// read its tie-break from the arena; the `mixed_overload` rows before the
+/// SRPT set stopped sorting its Scan intervals' flow fold out of line.
 const GOLDEN: &[(&str, &str, bool, u64)] = &[
     (
         "signed_zero",
@@ -245,6 +258,46 @@ const GOLDEN: &[(&str, &str, bool, u64)] = &[
     ("waves", "Threshold-SRPT(2)", true, 0x2cd67f53faf94285),
     ("waves", "EQUI", false, 0x21ee07feffc9a634),
     ("waves", "EQUI", true, 0x4f1bc5f844d2d1bf),
+    (
+        "mixed_overload",
+        "Intermediate-SRPT",
+        false,
+        0xf434e3c55a60fba8,
+    ),
+    (
+        "mixed_overload",
+        "Intermediate-SRPT",
+        true,
+        0xdc4a8ea42e7919cc,
+    ),
+    ("mixed_overload", "Parallel-SRPT", false, 0xe64f6e5fba636249),
+    ("mixed_overload", "Parallel-SRPT", true, 0x1f762dd181bc143d),
+    (
+        "mixed_overload",
+        "Sequential-SRPT",
+        false,
+        0x1e98a263cba17b17,
+    ),
+    (
+        "mixed_overload",
+        "Sequential-SRPT",
+        true,
+        0x6acc1c3dd7e32d0f,
+    ),
+    (
+        "mixed_overload",
+        "Threshold-SRPT(2)",
+        false,
+        0xe9c0fd42962a82a5,
+    ),
+    (
+        "mixed_overload",
+        "Threshold-SRPT(2)",
+        true,
+        0xbd0bea2c7a8fc6ef,
+    ),
+    ("mixed_overload", "EQUI", false, 0xf67794814d185547),
+    ("mixed_overload", "EQUI", true, 0xd56a4c3f53149ceb),
 ];
 
 #[test]
@@ -307,4 +360,23 @@ fn fixtures_carry_the_ties_they_claim() {
     let first_completed: Vec<JobId> = out.completed.iter().take(4).map(|c| c.id).collect();
     let expected: Vec<JobId> = tie_order.iter().take(4).map(|j| j.id).collect();
     assert_eq!(first_completed, expected);
+}
+
+/// The overload fixture keeps hundreds of jobs alive under EQUI, so its
+/// share `m/n` sits below one and its intervals are Scan intervals.
+#[test]
+fn mixed_overload_holds_hundreds_alive() {
+    let fx = fixtures();
+    let (name, inst) = &fx[3];
+    assert_eq!(*name, "mixed_overload");
+    let mut policy = PolicyKind::Equi.build();
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let mut engine = Engine::new(config(true), policy.as_mut(), &mut source, &mut obs);
+    engine.run_loop().expect("mixed_overload run");
+    let peak = engine
+        .into_streaming_outcome()
+        .expect("mixed_overload outcome")
+        .peak_alive;
+    assert!(peak >= 200, "peak alive {peak}");
 }
