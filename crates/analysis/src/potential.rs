@@ -130,7 +130,7 @@ pub fn lockstep_report(
     let mut a = Engine::new(EngineConfig::new(m), alg, &mut src_a, &mut obs_a);
     let mut b = Engine::new(EngineConfig::new(m), reference, &mut src_b, &mut obs_b);
 
-    let phi_of = |a: &mut Engine<'_>, b: &Engine<'_>| {
+    let phi_of = |a: &Engine<'_>, b: &Engine<'_>| {
         let snap = a.alive_snapshot();
         phi(
             &snap,
@@ -140,7 +140,7 @@ pub fn lockstep_report(
     };
 
     let mut report = PotentialReport {
-        phi_start: phi_of(&mut a, &b),
+        phi_start: phi_of(&a, &b),
         phi_end: 0.0,
         max_jump: f64::NEG_INFINITY,
         overload_c: 0.0,
@@ -177,7 +177,7 @@ pub fn lockstep_report(
             let t_pre = t - eps;
             a.advance_to(t_pre)?;
             b.advance_to(t_pre)?;
-            phi_pre = phi_of(&mut a, &b);
+            phi_pre = phi_of(&a, &b);
             let slope = (phi_pre - prev_phi) / (t_pre - prev_t);
             let alg_alive = a.num_alive();
             let ref_alive = b.num_alive();
@@ -200,7 +200,7 @@ pub fn lockstep_report(
         }
         a.advance_to(t)?;
         b.advance_to(t)?;
-        let phi_post = phi_of(&mut a, &b);
+        let phi_post = phi_of(&a, &b);
         report.max_jump = report.max_jump.max(phi_post - phi_pre);
         // Pointwise lemma checks at the post-event state.
         lemmas.absorb(&check_sample(

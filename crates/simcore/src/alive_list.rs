@@ -224,14 +224,14 @@ impl AliveSet for AliveList {
         jobs.remaining[idx]
     }
 
-    fn walk(&mut self, jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
+    fn walk(&self, jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
         for &idx in &self.alive {
             f(idx, jobs.remaining[idx]);
         }
     }
 
     fn audit(
-        &mut self,
+        &self,
         jobs: &JobArena,
         _speed: f64,
         mut f: impl FnMut(usize, Work, f64, f64),

@@ -8,8 +8,6 @@
 //! ([`AliveSets`]) so that buffers donated across runs on different paths
 //! keep every structure's capacity.
 
-use std::cell::RefCell;
-
 use parsched_speedup::EPS;
 
 use crate::alive_list::AliveList;
@@ -154,16 +152,17 @@ pub(crate) trait AliveSet {
     fn remaining(&self, idx: usize, jobs: &JobArena) -> Work;
 
     /// Visits the alive set as `(arena slot, remaining)` in the
-    /// structure's order: the list's, SRPT order (running prefix first),
-    /// the served level first, or oldest arrival first.
-    fn walk(&mut self, jobs: &JobArena, f: impl FnMut(usize, Work));
+    /// structure's order: the list's, the SRPT set's heaps as stored
+    /// (running partition first, no order promised within either), the
+    /// served level first, or oldest arrival first.
+    fn walk(&self, jobs: &JobArena, f: impl FnMut(usize, Work));
 
     /// Visits the alive set as `(arena slot, remaining, share, rate)` of
     /// the decided allocation, in no promised order within a partition;
     /// returns the length of the SRPT set's running partition, which
     /// leads (`None` off the incremental path).
     fn audit(
-        &mut self,
+        &self,
         jobs: &JobArena,
         speed: f64,
         f: impl FnMut(usize, Work, f64, f64),
@@ -185,19 +184,17 @@ pub(crate) trait AliveSet {
 }
 
 /// A run's alive structure over its arena, behind the engine's
-/// [`crate::SystemView`] and an observed refresh's `Allocation`. The
-/// `RefCell` lends the structure's `&mut` walk (the SRPT set sorts into
-/// its retained scratch) to a `&self` view.
-pub(crate) struct SetWalk<'a, S>(pub(crate) RefCell<&'a mut S>, pub(crate) &'a JobArena);
+/// [`crate::SystemView`] and an observed refresh's `Allocation`.
+pub(crate) struct SetWalk<'a, S>(pub(crate) &'a S, pub(crate) &'a JobArena);
 
 impl<S: AliveSet> Walk for SetWalk<'_, S> {
     fn len(&self) -> usize {
-        self.0.borrow().len()
+        self.0.len()
     }
 
     fn walk(&self, f: &mut dyn FnMut(&AliveJob<'_>)) {
         let jobs = self.1;
-        self.0.borrow_mut().walk(jobs, |idx, remaining| {
+        self.0.walk(jobs, |idx, remaining| {
             let spec = &jobs.specs[idx];
             f(&AliveJob { spec, remaining });
         });
@@ -207,8 +204,8 @@ impl<S: AliveSet> Walk for SetWalk<'_, S> {
 impl<S: AliveSet> Shares for SetWalk<'_, S> {
     /// Walks [`AliveSet::audit`]; it drops the rates, so any speed serves.
     fn for_each(&self, f: &mut dyn FnMut(&AliveJob<'_>, f64)) {
-        let (mut set, jobs) = (self.0.borrow_mut(), self.1);
-        set.audit(jobs, 1.0, |idx, remaining, share, _| {
+        let jobs = self.1;
+        self.0.audit(jobs, 1.0, |idx, remaining, share, _| {
             let spec = &jobs.specs[idx];
             f(&AliveJob { spec, remaining }, share);
         });

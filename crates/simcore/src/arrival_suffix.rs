@@ -779,12 +779,12 @@ impl AliveSet for ArrivalSuffix {
         self.remaining_of(idx).unwrap_or(0.0)
     }
 
-    fn walk(&mut self, _jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
+    fn walk(&self, _jobs: &JobArena, mut f: impl FnMut(usize, Work)) {
         self.for_each(|idx, rem, _| f(idx, rem));
     }
 
     fn audit(
-        &mut self,
+        &self,
         _jobs: &JobArena,
         _speed: f64,
         mut f: impl FnMut(usize, Work, f64, f64),

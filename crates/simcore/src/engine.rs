@@ -42,8 +42,6 @@
 //! sink in the same order, so the aggregate metrics of a streaming run are
 //! bit-identical to the in-memory run of the same workload.
 
-use std::cell::RefCell;
-
 use parsched_speedup::{Curve, PowKernel, EPS};
 
 use crate::alive_list::AliveList;
@@ -766,12 +764,11 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Owned snapshots of all alive jobs (in no contractual order). Takes
-    /// `&mut self` because the incremental path orders its alive set in a
-    /// retained scratch buffer.
-    pub fn alive_snapshot(&mut self) -> Vec<AliveSnapshot> {
+    /// Owned snapshots of all alive jobs, in no contractual order (the
+    /// incremental path lists its heaps as stored).
+    pub fn alive_snapshot(&self) -> Vec<AliveSnapshot> {
         let mut out = Vec::with_capacity(self.num_alive());
-        let state = &mut self.state;
+        let state = &self.state;
         let specs = &state.jobs.specs;
         let mut push = |idx: usize, remaining: Work| {
             let spec = &specs[idx];
@@ -783,7 +780,7 @@ impl<'a> Engine<'a> {
                 curve: spec.curve.clone(),
             });
         };
-        on_path!(state.path, S => S::of_mut(&mut state.sets).walk(&state.jobs, &mut push));
+        on_path!(state.path, S => S::of(&state.sets).walk(&state.jobs, &mut push));
         out
     }
 
@@ -1091,8 +1088,8 @@ impl<'a> Engine<'a> {
             batch.clear();
             // The view walks the alive structure only if the source reads
             // it, so replay sources keep arrivals O(batch) on every path.
-            let state = &mut self.state;
-            let alive = SetWalk(RefCell::new(S::of_mut(&mut state.sets)), &state.jobs);
+            let state = &self.state;
+            let alive = SetWalk(S::of(&state.sets), &state.jobs);
             let view = SystemView::over(state.now, state.cfg.m, &alive);
             self.source.emit_into(&view, &mut batch);
             // The emission is the only thing that can move the source's
@@ -1214,7 +1211,7 @@ impl<'a> Engine<'a> {
         state.quantum_deadline = schedule.deadline;
         state.alloc_fresh = true;
         if NOTIFY && S::of(&state.sets).len() > 0 {
-            let set = SetWalk(RefCell::new(S::of_mut(&mut state.sets)), &state.jobs);
+            let set = SetWalk(S::of(&state.sets), &state.jobs);
             self.observer
                 .on_allocation(state.now, &Allocation::over(&set));
         }
@@ -1414,14 +1411,13 @@ impl<'a> Engine<'a> {
     /// Only valid while the allocation is fresh (callers capture right
     /// after [`Engine::next_event_time`]).
     fn build_audit_frame<S: AliveSet>(
-        &mut self,
+        &self,
         (mut policy, mut jobs): (String, Vec<FrameJob>),
     ) -> AuditFrame {
         policy.push_str(&self.state.policy_name);
-        let state = &mut self.state;
+        let state = &self.state;
         let specs = &state.jobs.specs;
-        let set = S::of_mut(&mut state.sets);
-        let srpt_running = set.audit(
+        let srpt_running = S::of(&state.sets).audit(
             &state.jobs,
             state.cfg.speed,
             |idx, remaining, share, rate| {

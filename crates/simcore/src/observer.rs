@@ -7,8 +7,7 @@ use crate::policy::AliveJob;
 /// event, handed to [`Observer::on_allocation`] on every execution path.
 ///
 /// The handle walks the run's alive structure, in `O(n)`, only when read,
-/// so an observer that ignores it costs the `O(log n)` paths nothing. A
-/// walk must not read the handle again.
+/// so an observer that ignores it costs the `O(log n)` paths nothing.
 pub struct Allocation<'a>(&'a dyn Shares);
 
 /// A decided allocation that an [`Allocation`] walks only when read.
@@ -228,6 +227,13 @@ impl Observer for AllocationTrace {
         });
     }
 
+    /// A finished job holds nothing from now on, even when no allocation
+    /// follows (the alive set emptied): an idle gap draws no segment.
+    fn on_completion(&mut self, _t: Time, job: &JobSpec) {
+        self.current.retain(|&(id, _)| id != job.id);
+        self.latest.remove(&job.id);
+    }
+
     fn on_advance(&mut self, t0: Time, t1: Time) {
         if t1 <= t0 {
             return;
@@ -326,6 +332,24 @@ mod tests {
         // Processor-time = total work actually drained at Γ(x) ≤ x… for
         // sequential jobs share 2 wastes 1: 2 + (2 + 2·1) = work 5 ≤ 6.
         assert!((trace.total_processor_time() - 6.0).abs() < 1e-9);
+    }
+
+    /// An idle gap draws no segment: on one processor, j0 (size 1 at
+    /// t = 0) completes at 1 and j1 (size 1) arrives at 5, so the machine
+    /// idles over [1, 5) and j0's last segment ends at 1.
+    #[test]
+    fn allocation_trace_draws_nothing_across_an_idle_gap() {
+        use crate::engine::simulate_with_observer;
+        use crate::job::Instance;
+        use crate::policy::EquiSplit;
+        let inst = Instance::from_sizes(&[(0.0, 1.0), (5.0, 1.0)], Curve::Sequential).unwrap();
+        let mut trace = AllocationTrace::new();
+        simulate_with_observer(&inst, &mut EquiSplit, 1.0, &mut trace).unwrap();
+        let j0 = trace.of_job(JobId(0));
+        assert_eq!(j0.last().map(|s| s.end), Some(1.0), "{j0:?}");
+        let j1 = trace.of_job(JobId(1));
+        assert_eq!(j1.first().map(|s| s.start), Some(5.0), "{j1:?}");
+        assert_eq!(trace.total_processor_time(), 2.0);
     }
 
     /// The merge [`AllocationTrace`] made before it indexed each job's

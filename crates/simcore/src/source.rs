@@ -14,8 +14,9 @@ use crate::policy::AliveJob;
 /// The paper's Theorem 2 adversary inspects the *online algorithm's*
 /// remaining work when deciding whether to continue releasing phases; this
 /// view is exactly the information such an adversary may use. The engine's
-/// view walks the run's alive structure, in its order, only when read; a
-/// walk must not read the view again.
+/// view walks the run's alive structure, in its order, only when read.
+/// The order is not part of the contract: the incremental path lists its
+/// heaps as stored.
 pub struct SystemView<'a> {
     /// Current simulation time.
     pub now: Time,
