@@ -168,7 +168,56 @@ struct Flags {
     named: Vec<(String, String)>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags each command reads. Any other flag is refused like a value
+/// that does not parse, so a misspelt one cannot silently keep a default.
+const KNOWN_FLAGS: &[(&str, &[&str])] = &[
+    ("exp", &["quick", "csv", "md", "seed"]),
+    ("all", &["quick", "csv", "md", "seed"]),
+    ("sweep", &["jobs", "quick", "csv", "md", "seed"]),
+    ("compare", &["m", "p", "alpha", "n", "load", "csv", "seed"]),
+    (
+        "gen",
+        &["kind", "n", "m", "load", "alpha", "p", "rate", "seed"],
+    ),
+    (
+        "run",
+        &[
+            "instance", "policy", "m", "speed", "audit", "gantt", "trace", "bracket",
+        ],
+    ),
+    (
+        "run --stream",
+        &[
+            "stream", "kind", "n", "m", "load", "alpha", "p", "policy", "speed", "audit", "seed",
+        ],
+    ),
+    ("audit", &["level"]),
+    (
+        "adversary",
+        &[
+            "policy",
+            "budget",
+            "m",
+            "jobs",
+            "emit-corpus",
+            "corpus-top",
+            "seed",
+        ],
+    ),
+    (
+        "fleet",
+        &[
+            "tenants", "cap", "queue", "slice", "jobs", "migrate", "json", "seed",
+        ],
+    ),
+];
+
+/// Parses the flags of command `cmd`, refusing any it does not read.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
+    let known = KNOWN_FLAGS
+        .iter()
+        .find(|(c, _)| *c == cmd)
+        .map_or(&[][..], |(_, known)| known);
     let mut flags = Flags {
         quick: false,
         csv: false,
@@ -178,6 +227,12 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut i = 0;
     while i < args.len() {
+        if let Some(flag) = args[i].strip_prefix("--") {
+            let key = flag.split_once('=').map_or(flag, |(k, _)| k);
+            if !known.contains(&key) {
+                return Err(format!("bad --{key}: `{cmd}` takes no such flag"));
+            }
+        }
         match args[i].as_str() {
             "--quick" => flags.quick = true,
             "--csv" => flags.csv = true,
@@ -234,6 +289,17 @@ impl Flags {
         Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
+    /// [`Flags::get`] for a quantity that must be positive and finite
+    /// (`--m`, `--speed`), refused before anything runs.
+    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v = self.get(key, default)?;
+        if v > 0.0 && v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("bad --{key}: {v} is not a positive finite number"))
+        }
+    }
+
     fn opts(&self) -> ExpOptions {
         ExpOptions {
             quick: self.quick,
@@ -268,7 +334,7 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
         .iter()
         .cloned()
         .partition(|a| all_ids().contains(&a.as_str()));
-    let flags = parse_flags(&flag_args)?;
+    let flags = parse_flags("sweep", &flag_args)?;
     let jobs = flags.get("jobs", 0)?;
     parsched_analysis::set_sweep_jobs(jobs);
     let ids: Vec<&str> = if ids.is_empty() {
@@ -337,7 +403,7 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
     use parsched_sim::simulate;
     use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
 
-    let m = flags.get("m", 8.0)?;
+    let m = flags.get_positive("m", 8.0)?;
     let p = flags.get("p", 64.0)?;
     let alpha = flags.get("alpha", 0.5)?;
     let n = flags.get("n", 300.0)? as usize;
@@ -399,7 +465,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("poisson");
     let n = flags.get("n", 200.0)? as usize;
-    let m = flags.get("m", 8.0)?;
+    let m = flags.get_positive("m", 8.0)?;
     let load = flags.get("load", 0.9)?;
     let alpha = flags.get("alpha", 0.5)?;
     let p = flags.get("p", 32.0)?;
@@ -460,7 +526,7 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("poisson");
     let n = flags.get("n", 100_000.0)? as usize;
-    let m = flags.get("m", 8.0)?;
+    let m = flags.get_positive("m", 8.0)?;
     let load = flags.get("load", 0.9)?;
     let alpha = flags.get("alpha", 0.5)?;
     let p = flags.get("p", 64.0)?;
@@ -471,7 +537,7 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("isrpt")
         .parse()?;
-    let speed = flags.get("speed", 1.0)?;
+    let speed = flags.get_positive("speed", 1.0)?;
     let audit: AuditLevel = flags
         .named
         .iter()
@@ -600,8 +666,8 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("isrpt")
         .parse()?;
-    let m = flags.get("m", 8.0)?;
-    let speed = flags.get("speed", 1.0)?;
+    let m = flags.get_positive("m", 8.0)?;
+    let speed = flags.get_positive("speed", 1.0)?;
     let audit: AuditLevel = flags
         .named
         .iter()
@@ -746,7 +812,7 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
     };
 
     let budget = flags.get("budget", 200.0)? as usize;
-    let m = flags.get("m", 4.0)?;
+    let m = flags.get_positive("m", 4.0)?;
     let jobs = flags.get("jobs", 0.0)? as usize;
     let policy_arg = flags.get_str("policy").unwrap_or("all");
     let targets: Vec<(String, PolicyKind)> = if policy_arg == "all" {
@@ -1183,7 +1249,7 @@ fn main() -> ExitCode {
                 eprintln!("exp needs an experiment id\n\n{}", usage());
                 return ExitCode::from(2);
             };
-            match parse_flags(fl).and_then(|flags| cmd_exp(id, &flags)) {
+            match parse_flags("exp", fl).and_then(|flags| cmd_exp(id, &flags)) {
                 Ok(true) => ExitCode::SUCCESS,
                 Ok(false) => ExitCode::from(1),
                 Err(e) => {
@@ -1200,7 +1266,7 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "all" => match parse_flags(rest) {
+        "all" => match parse_flags("all", rest) {
             Ok(flags) => {
                 if cmd_all(&flags) {
                     ExitCode::SUCCESS
@@ -1213,26 +1279,31 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "gen" => match parse_flags(rest).and_then(|flags| cmd_gen(&flags)) {
+        "gen" => match parse_flags("gen", rest).and_then(|flags| cmd_gen(&flags)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::from(2)
             }
         },
-        "run" => match parse_flags(rest).and_then(|flags| cmd_run(&flags)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
+        "run" => {
+            // A streaming run reads a generator's flags, not an instance's.
+            let stream = rest.iter().any(|a| a == "--stream");
+            let cmd = if stream { "run --stream" } else { "run" };
+            match parse_flags(cmd, rest).and_then(|flags| cmd_run(&flags)) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::from(2)
+                }
             }
-        },
+        }
         "audit" => {
             let Some((path, fl)) = rest.split_first() else {
                 eprintln!("audit needs a trace file\n\n{}", usage());
                 return ExitCode::from(2);
             };
-            match parse_flags(fl).and_then(|flags| cmd_audit(path, &flags)) {
+            match parse_flags("audit", fl).and_then(|flags| cmd_audit(path, &flags)) {
                 Ok(true) => ExitCode::SUCCESS,
                 Ok(false) => ExitCode::from(1),
                 Err(e) => {
@@ -1241,14 +1312,14 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "compare" => match parse_flags(rest).and_then(|flags| cmd_compare(&flags)) {
+        "compare" => match parse_flags("compare", rest).and_then(|flags| cmd_compare(&flags)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::from(2)
             }
         },
-        "fleet" => match parse_flags(rest).and_then(|flags| cmd_fleet(&flags)) {
+        "fleet" => match parse_flags("fleet", rest).and_then(|flags| cmd_fleet(&flags)) {
             Ok(true) => ExitCode::SUCCESS,
             Ok(false) => ExitCode::from(1),
             Err(e) => {
@@ -1256,7 +1327,8 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "adversary" => match parse_flags(rest).and_then(|flags| cmd_adversary(&flags)) {
+        "adversary" => match parse_flags("adversary", rest).and_then(|flags| cmd_adversary(&flags))
+        {
             Ok(true) => ExitCode::SUCCESS,
             Ok(false) => ExitCode::from(1),
             Err(e) => {

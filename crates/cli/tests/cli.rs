@@ -426,6 +426,69 @@ fn unparseable_numbers_are_rejected() {
     }
 }
 
+/// A flag its command does not read is an error naming it (exit 2), not
+/// a misspelling that silently keeps the default: `--polcy equi` must not
+/// run Intermediate-SRPT.
+#[test]
+fn unknown_flags_are_rejected() {
+    let csv = "id,release,size,curve\n0,0,1,seq\n1,5,1,seq\n";
+    for (args, flag) in [
+        (
+            &["run", "--instance", "-", "--polcy", "equi", "--m", "1"][..],
+            "bad --polcy",
+        ),
+        (
+            &["run", "--instance", "-", "--polcy=equi"][..],
+            "bad --polcy",
+        ),
+        (&["gen", "--stream"][..], "bad --stream"),
+        (
+            &["run", "--instance", "-", "--kind", "trap"][..],
+            "bad --kind",
+        ),
+        (&["run", "--stream", "--gantt", "60"][..], "bad --gantt"),
+        (&["exp", "f1", "--quick", "--m", "3"][..], "bad --m"),
+        (&["fleet", "--tenant", "3"][..], "bad --tenant"),
+    ] {
+        let out = run_with_stdin(args, csv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+}
+
+/// `--m` and `--speed` must be positive and finite: 0, −1 and `inf` are
+/// refused up front (exit 2) rather than ending as a stalled run or an
+/// invalid share.
+#[test]
+fn degenerate_machine_counts_and_speeds_are_rejected() {
+    let csv = "id,release,size,curve\n0,0,1,seq\n1,5,1,seq\n";
+    for flag in ["--m", "--speed"] {
+        for value in ["0", "-1", "inf"] {
+            for args in [
+                &["run", "--instance", "-", flag, value][..],
+                &["run", "--stream", "--n", "10", flag, value][..],
+            ] {
+                let out = run_with_stdin(args, csv);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains(&format!("bad {flag}")),
+                    "{args:?}: {stderr}"
+                );
+                assert!(out.stdout.is_empty(), "{args:?} printed a result");
+            }
+        }
+    }
+    for cmd in ["gen", "compare", "adversary"] {
+        let out = bin().args([cmd, "--m", "0"]).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains("bad --m"), "{cmd}: {stderr}");
+    }
+}
+
 /// `fleet --seed` picks the tenant mix (default 42), and `--seed=N` is
 /// `--seed N`.
 #[test]

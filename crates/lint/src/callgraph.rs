@@ -14,6 +14,12 @@
 //!   stays an *open edge*, because the receiver may be a `std` type
 //!   (`Vec::push` and `SrptSet::push` are indistinguishable at a `.push(`
 //!   site) or a local whose type the lexical analyzer cannot see;
+//! * type bounds, aliases and chain heads type receivers and qualified
+//!   heads: a type parameter stands for its bounds, an alias (the
+//!   engine's `type $S = SrptSet;` arms included) for its targets, and
+//!   `Head::f(…).g(…)` is typed by `Head`. So `S::of_mut(…).refresh(cx)`
+//!   in `Engine::refresh::<S: AliveSet>` reaches every `AliveSet` impl. In
+//!   generic code a receiver with no visible type takes the bounds;
 //! * a call that resolves to nothing in the workspace is an explicit open
 //!   edge carrying its (qualified) name. Rules match sink names against
 //!   open edges, so leaving the workspace never silently drops a
@@ -94,6 +100,8 @@ pub struct CallGraph {
     /// workspace (non-test structs only). Gives `x.name(…)` receiver
     /// candidates when `x` is a struct field.
     pub field_types: BTreeMap<String, Vec<String>>,
+    /// Type alias → the types it is declared as anywhere in the workspace.
+    pub aliases: BTreeMap<String, Vec<String>>,
     /// Per-function resolved call sites (parallel to `fns`).
     pub resolved: Vec<Vec<ResolvedCall>>,
     /// Per-function deduplicated adjacency (parallel to `fns`).
@@ -109,6 +117,12 @@ impl CallGraph {
         let mut g = CallGraph::default();
         for (fi, file) in files.iter().enumerate() {
             let items = parse_items(file);
+            for (alias, target) in items.aliases {
+                let entry = g.aliases.entry(alias).or_default();
+                if !entry.contains(&target) {
+                    entry.push(target);
+                }
+            }
             for imp in &items.impls {
                 if let Some(tr) = &imp.trait_name {
                     let entry = g.trait_impls.entry(tr.clone()).or_default();
@@ -191,53 +205,43 @@ impl CallGraph {
                 // open, since the receiver may be a std type or a local
                 // whose type is not lexically visible.
                 let mut candidates: Vec<String> = Vec::new();
-                match site.receiver.as_deref() {
-                    Some("self") | Some("Self") => {
-                        if let Some(owner) = &caller.def.owner {
-                            candidates.push(owner.clone());
-                        }
+                let recv = site.receiver.as_deref();
+                match recv {
+                    Some("self") | Some("Self") => candidates.extend(caller.def.owner.clone()),
+                    // A chain head names its type (`S::of(…).len()`).
+                    Some(r) if r.starts_with(|c: char| c.is_ascii_uppercase()) => {
+                        candidates.push(r.to_string())
                     }
                     Some(recv) => {
                         // A caller parameter of that name contributes its
                         // declared type idents, and so does a field of the
                         // caller's own impl type (the common `self.x.m()`
-                        // shape). Only when neither names the receiver do
-                        // we fall back to the workspace-wide union of
-                        // same-named struct fields — precise local
-                        // knowledge beats the global over-approximation.
-                        for (pname, tys) in &caller.def.params {
-                            if pname == recv {
-                                candidates.extend(tys.iter().cloned());
-                            }
-                        }
-                        if let Some(owner) = &caller.def.owner {
-                            if let Some(sids) = self.struct_ids.get(owner) {
-                                for &sid in sids {
-                                    for f in &self.structs[sid].def.fields {
-                                        if f.name == recv {
-                                            candidates.extend(f.ty_idents.iter().cloned());
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if candidates.is_empty() {
-                            if let Some(tys) = self.field_types.get(recv) {
-                                candidates.extend(tys.iter().cloned());
-                            }
-                        }
+                        // shape).
+                        let params = (caller.def.params.iter()).filter(|(p, _)| p == recv);
+                        let fields = (caller.def.owner.iter())
+                            .flat_map(|o| self.structs_named(o))
+                            .flat_map(|s| &s.def.fields)
+                            .filter(|f| f.name == recv);
+                        let tys = params.map(|(_, t)| t).chain(fields.map(|f| &f.ty_idents));
+                        candidates.extend(tys.flatten().cloned());
                     }
                     None => {}
                 }
-                let mut t: Vec<usize> = Vec::new();
-                for ty in &candidates {
-                    for id in self.owner_lookup(ty, name) {
-                        if !t.contains(&id) {
-                            t.push(id);
-                        }
+                // Only when local knowledge does not type the receiver do
+                // we fall back to the workspace-wide union of same-named
+                // struct fields, and in generic code to the bounds of
+                // every type parameter (`let set = S::of_mut(…)`, `self.0`).
+                if candidates.is_empty() {
+                    if let Some(tys) = recv.and_then(|r| self.field_types.get(r)) {
+                        candidates.extend(tys.iter().cloned());
                     }
+                    candidates.extend(
+                        (caller.def.params.iter().map(|(p, _)| p))
+                            .filter(|p| p.starts_with(|c: char| c.is_ascii_uppercase()))
+                            .cloned(),
+                    );
                 }
-                (t, true)
+                (self.lookup_through(caller, &candidates, name), true)
             }
             // A call through a parameter (`finish(jobs, idx)` with `finish:
             // impl FnMut(…)`) runs whatever the caller passed in; a closure
@@ -261,6 +265,27 @@ impl CallGraph {
             targets,
             open,
         }
+    }
+
+    /// Methods named `name` on any of `types`, each read in `caller`: a
+    /// type parameter stands for its bounds, an alias for its targets.
+    fn lookup_through(&self, caller: &FnInfo, types: &[String], name: &str) -> Vec<usize> {
+        let mut t: Vec<usize> = Vec::new();
+        for ty in types {
+            let param = caller.def.params.iter().find(|(p, _)| p == ty);
+            let expanded = match param.map(|(_, b)| b).or(self.aliases.get(ty)) {
+                Some(tys) => tys.as_slice(),
+                None => std::slice::from_ref(ty),
+            };
+            for ty in expanded {
+                for id in self.owner_lookup(ty, name) {
+                    if !t.contains(&id) {
+                        t.push(id);
+                    }
+                }
+            }
+        }
+        t
     }
 
     /// Methods named `name` on `owner`: the owner's own `(owner, name)`
@@ -298,10 +323,11 @@ impl CallGraph {
                 (t, open)
             }
             _ if head.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => {
-                // Type- or trait-qualified. If the head is a workspace
-                // type/trait, its methods; otherwise (std / primitive
-                // shorthand like `Vec`, `Box`) an open edge.
-                let t = self.owner_lookup(head, name);
+                // Type-, trait-, type-parameter- or alias-qualified. If the
+                // head names workspace types/traits, their methods;
+                // otherwise (std / primitive shorthand like `Vec`, `Box`)
+                // an open edge.
+                let t = self.lookup_through(caller, &[head.to_string()], name);
                 let open = t.is_empty();
                 (t, open)
             }
@@ -435,6 +461,106 @@ mod tests {
             3,
             "trait decl + both impls"
         );
+    }
+
+    /// The trait `T` with impls `X` and `Y`, both defining `go` and `of`.
+    const TWO_IMPLS: &str = "trait T { fn of() -> Self; fn go(&self); }\n\
+         struct X; impl T for X { fn of() -> Self { X } fn go(&self) {} }\n\
+         struct Y; impl T for Y { fn of() -> Self { Y } fn go(&self) {} }\n";
+
+    /// Qualified names of the `go` targets of `caller`'s calls.
+    fn go_targets(g: &CallGraph, caller: &str) -> Vec<String> {
+        let f = g.lookup(caller)[0];
+        let mut t: Vec<String> = (g.resolved[f].iter())
+            .filter(|c| c.site.kind.name() == "go")
+            .flat_map(|c| c.targets.iter().map(|&i| g.fns[i].qual_name()))
+            .collect();
+        t.sort();
+        t.dedup();
+        t
+    }
+
+    #[test]
+    fn fn_bounds_type_a_parameter_and_its_qualified_calls() {
+        let g = graph(&[(
+            "crates/x/src/lib.rs",
+            &format!(
+                "{TWO_IMPLS}fn f<S: T>(s: &S) {{ s.go(); }}\n\
+                 fn q<S: T>() {{ S::of(); }}\n"
+            ),
+        )]);
+        assert_eq!(go_targets(&g, "f"), ["T::go", "X::go", "Y::go"]);
+        let q = g.lookup("q")[0];
+        assert_eq!(
+            g.resolved[q][0].targets.len(),
+            3,
+            "S::of reaches T::of's impls"
+        );
+    }
+
+    #[test]
+    fn where_bounds_type_a_parameter() {
+        let g = graph(&[(
+            "crates/x/src/lib.rs",
+            &format!("{TWO_IMPLS}fn f<S>(s: &S) where S: T {{ s.go(); }}\n"),
+        )]);
+        assert_eq!(go_targets(&g, "f"), ["T::go", "X::go", "Y::go"]);
+    }
+
+    #[test]
+    fn impl_bounds_type_an_untyped_positional_field() {
+        let g = graph(&[(
+            "crates/x/src/lib.rs",
+            &format!(
+                "{TWO_IMPLS}struct W<S>(S);\n\
+                 impl<S: T> W<S> {{ fn go(&self) {{ self.0.go(); }} }}\n"
+            ),
+        )]);
+        assert_eq!(go_targets(&g, "W::go"), ["T::go", "X::go", "Y::go"]);
+    }
+
+    #[test]
+    fn a_chain_is_typed_by_its_head() {
+        let g = graph(&[(
+            "crates/x/src/lib.rs",
+            &format!("{TWO_IMPLS}fn f() {{ X::of().go(); }}\nfn h<S: T>() {{ S::of().go(); }}\n"),
+        )]);
+        assert_eq!(go_targets(&g, "f"), ["X::go"], "not Y::go");
+        assert_eq!(go_targets(&g, "h"), ["T::go", "X::go", "Y::go"]);
+    }
+
+    #[test]
+    fn an_untyped_local_in_generic_code_takes_the_bounds() {
+        let g = graph(&[(
+            "crates/x/src/lib.rs",
+            &format!(
+                "{TWO_IMPLS}fn f<S: T>() {{ let s = S::of(); s.go(); }}\n\
+                 fn plain() {{ let s = X::of(); s.go(); }}\n"
+            ),
+        )]);
+        assert_eq!(go_targets(&g, "f"), ["T::go", "X::go", "Y::go"]);
+        assert!(
+            go_targets(&g, "plain").is_empty(),
+            "no bounds to fall back on"
+        );
+    }
+
+    #[test]
+    fn macro_arm_aliases_resolve_to_every_target() {
+        let g = graph(&[(
+            "crates/x/src/lib.rs",
+            &format!(
+                "{TWO_IMPLS}macro_rules! each {{\n\
+                     ($k:expr, $S:ident => $body:expr) => {{ match $k {{\n\
+                         0 => {{ type $S = X; $body }}\n\
+                         _ => {{ type $S = Y; $body }}\n\
+                     }} }};\n\
+                 }}\n\
+                 fn f(k: u8) {{ each!(k, S => S::of().go()) }}\n"
+            ),
+        )]);
+        assert_eq!(g.aliases["S"], ["X", "Y"]);
+        assert_eq!(go_targets(&g, "f"), ["X::go", "Y::go"]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Extracts just enough structure from the token stream for whole-workspace
 //! reasoning: `mod`/`impl`/`trait` nesting, `fn` items (with their owner
-//! type, receiver mutability, and body span), `struct`/`enum` shapes with
-//! named fields, and every call-shaped expression inside function bodies
+//! type, parameters, generic bounds and body span), `struct`/`enum` shapes
+//! with named fields, `type` aliases, and every call-shaped expression
+//! inside function bodies
 //! (plain calls, method calls, `Path::calls`, macro invocations, and
 //! bracket indexing). It does **not** build an AST or resolve types — the
 //! same offline, conservative discipline as the lexer. Resolution lives in
@@ -103,10 +104,10 @@ pub struct FnDef {
     /// Token range `[start, end)` of the body including braces; `None` for
     /// bodiless trait declarations.
     pub body: Option<(usize, usize)>,
-    /// Whether the receiver is `&mut self` / `mut self`.
-    pub mut_self: bool,
-    /// Parameters as `(name, type identifiers)` — the resolver uses the
-    /// type idents to give method calls on a parameter a receiver type.
+    /// Parameters as `(name, type identifiers)`, then the bounded type
+    /// parameters of the fn and its `impl` (`<S: Bound>` and `where S:
+    /// Bound` alike) as `(name, bound identifiers)`. The resolver gives a
+    /// method call on a parameter its type, and a type parameter its bounds.
     pub params: Vec<(String, Vec<String>)>,
     /// Whether the item sits inside a `#[cfg(test)]` module.
     pub is_test: bool,
@@ -142,13 +143,15 @@ pub struct StructDef {
     pub is_test: bool,
 }
 
-/// One `impl` block header.
+/// One `impl` block header (or `trait` header, owning default methods).
 #[derive(Debug, Clone)]
 pub struct ImplDef {
-    /// The self type's final path segment.
+    /// The self type's (or trait's) final path segment.
     pub self_ty: String,
     /// The trait's final path segment for `impl Trait for Type`.
     pub trait_name: Option<String>,
+    /// The bounded type parameters of `impl<…>` and its `where` clause.
+    pub bounds: Vec<(String, Vec<String>)>,
 }
 
 /// Everything extracted from one file.
@@ -160,16 +163,16 @@ pub struct FileItems {
     pub structs: Vec<StructDef>,
     /// Impl-block headers, in source order.
     pub impls: Vec<ImplDef>,
+    /// `type Alias = Target;` items as `(alias, target's final path
+    /// segment)`, including those a `macro_rules!` arm declares.
+    pub aliases: Vec<(String, String)>,
 }
 
 /// What kind of scope a brace opened.
 #[derive(Debug, Clone)]
 enum ScopeKind {
     Mod(String),
-    Owner {
-        ty: String,
-        trait_name: Option<String>,
-    },
+    Owner(ImplDef),
     Fn(usize),
     Block,
 }
@@ -269,14 +272,12 @@ impl<'a> Parser<'a> {
         i
     }
 
-    /// The innermost enclosing owner (impl/trait) name, if any.
-    fn current_owner(&self) -> (Option<String>, Option<String>) {
-        for s in self.scopes.iter().rev() {
-            if let ScopeKind::Owner { ty, trait_name } = &s.kind {
-                return (Some(ty.clone()), trait_name.clone());
-            }
-        }
-        (None, None)
+    /// The innermost enclosing owner (impl/trait), if any.
+    fn current_owner(&self) -> Option<&ImplDef> {
+        self.scopes.iter().rev().find_map(|s| match &s.kind {
+            ScopeKind::Owner(imp) => Some(imp),
+            _ => None,
+        })
     }
 
     /// The enclosing module path.
@@ -306,100 +307,98 @@ impl<'a> Parser<'a> {
         });
     }
 
+    /// Splits the code tokens in `[start, end)` on top-level commas
+    /// (delimiter and angle depth both tracked, so `BTreeMap<K, V>` doesn't
+    /// split) and reads each segment as `[mut|ref|&|'…] name : Type…`: a
+    /// parameter list, a generic parameter list or a `where` clause.
+    fn split_params(&self, start: usize, end: usize) -> Vec<(String, Vec<String>)> {
+        let mut params = Vec::new();
+        let mut flush = |seg: &[usize]| {
+            // The receiver (`self: &mut Self` too) is not a named parameter.
+            let Some(colon) = seg.iter().position(|&c| self.txt(c) == ":") else {
+                return;
+            };
+            if seg.iter().any(|&c| self.txt(c) == "self") {
+                return;
+            }
+            let ident = |c: &&usize| self.kind(**c) == TokenKind::Ident;
+            if let Some(&name) = seg[..colon].iter().rev().find(ident) {
+                let ty: Vec<String> = seg[colon + 1..]
+                    .iter()
+                    .filter(ident)
+                    .map(|&c| self.txt(c).to_string())
+                    .filter(|t| !matches!(t.as_str(), "mut" | "dyn" | "ref" | "impl"))
+                    .collect();
+                params.push((self.txt(name).to_string(), ty));
+            }
+        };
+        let mut seg: Vec<usize> = Vec::new();
+        let (mut pdepth, mut adepth) = (0isize, 0isize);
+        for k in start..end.min(self.len()) {
+            match self.txt(k) {
+                "(" | "[" | "{" => pdepth += 1,
+                ")" | "]" | "}" => pdepth -= 1,
+                "<" => adepth += 1,
+                "<<" => adepth += 2,
+                ">" => adepth -= 1,
+                ">>" => adepth -= 2,
+                "," if pdepth == 0 && adepth <= 0 => {
+                    flush(&seg);
+                    seg.clear();
+                    adepth = 0;
+                    continue;
+                }
+                _ => {}
+            }
+            seg.push(k);
+        }
+        flush(&seg);
+        params
+    }
+
+    /// The bounded type parameters of a `<…>` group opening at `j` (if
+    /// one does), and the index just past it.
+    fn generics(&self, j: usize) -> (Vec<(String, Vec<String>)>, usize) {
+        if j < self.len() && self.txt(j) == "<" {
+            let close = self.skip_angles(j);
+            (self.split_params(j + 1, close - 1), close)
+        } else {
+            (Vec::new(), j)
+        }
+    }
+
+    /// Reads a `where` clause at `j` (if one starts there) into `bounds`;
+    /// returns the index of the `{` or `;` that ends it.
+    fn where_clause(&self, j: usize, bounds: &mut Vec<(String, Vec<String>)>) -> usize {
+        let mut end = j;
+        while end < self.len() && !matches!(self.txt(end), "{" | ";") {
+            end += 1;
+        }
+        bounds.extend(self.split_params(j + 1, end));
+        end
+    }
+
     /// Parses a `fn` item whose `fn` keyword sits at code index `i`.
     /// Returns the index to continue from.
     fn parse_fn(&mut self, i: usize) -> usize {
-        let mut j = i + 1;
+        let j = i + 1;
         if j >= self.len() || self.kind(j) != TokenKind::Ident {
             return i + 1; // `fn(...)` pointer type or malformed — skip.
         }
         let name = self.txt(j).to_string();
         let name_tok = self.orig(j);
-        j += 1;
-        if j < self.len() && self.txt(j) == "<" {
-            j = self.skip_angles(j);
-        }
-        // Parameter list: split on top-level commas (delimiter and angle
-        // depth both tracked, so `BTreeMap<K, V>` doesn't split), then
-        // read each segment as `[mut|ref|&|'…] name : Type…`.
-        let mut mut_self = false;
-        let mut params: Vec<(String, Vec<String>)> = Vec::new();
+        let (bounds, mut j) = self.generics(j + 1);
+        let mut params = Vec::new();
         if j < self.len() && self.txt(j) == "(" {
             let end = self.skip_group(j);
-            let mut seg: Vec<usize> = Vec::new();
-            let mut pdepth = 1isize;
-            let mut adepth = 0isize;
-            let mut flush = |seg: &mut Vec<usize>, parser: &Self| {
-                if seg.is_empty() {
-                    return;
-                }
-                let texts: Vec<&str> = seg.iter().map(|&c| parser.txt(c)).collect();
-                if texts.contains(&"self") {
-                    mut_self = texts.contains(&"mut");
-                    seg.clear();
-                    return;
-                }
-                if let Some(colon) = texts.iter().position(|&t| t == ":") {
-                    let name = seg[..colon]
-                        .iter()
-                        .rev()
-                        .find(|&&c| parser.kind(c) == TokenKind::Ident)
-                        .map(|&c| parser.txt(c).to_string());
-                    if let Some(name) = name {
-                        let ty: Vec<String> = seg[colon + 1..]
-                            .iter()
-                            .filter(|&&c| parser.kind(c) == TokenKind::Ident)
-                            .map(|&c| parser.txt(c).to_string())
-                            .filter(|t| !matches!(t.as_str(), "mut" | "dyn" | "ref" | "impl"))
-                            .collect();
-                        params.push((name, ty));
-                    }
-                }
-                seg.clear();
-            };
-            let mut k = j + 1;
-            while k + 1 < end.max(1) {
-                match self.txt(k) {
-                    "(" | "[" | "{" => pdepth += 1,
-                    ")" | "]" | "}" => pdepth -= 1,
-                    "<" => adepth += 1,
-                    "<<" => adepth += 2,
-                    ">" => adepth -= 1,
-                    ">>" => adepth -= 2,
-                    "," if pdepth == 1 && adepth <= 0 => {
-                        flush(&mut seg, self);
-                        adepth = 0;
-                        k += 1;
-                        continue;
-                    }
-                    _ => {}
-                }
-                seg.push(k);
-                k += 1;
-            }
-            flush(&mut seg, self);
+            params = self.split_params(j + 1, end - 1);
             j = end;
         }
+        params.extend(bounds);
         // Find the body `{` or a terminating `;` (trait declaration).
-        while j < self.len() {
+        while j < self.len() && !matches!(self.txt(j), "{" | ";") {
             match self.txt(j) {
-                "{" => break,
-                ";" => {
-                    let (owner, trait_impl) = self.current_owner();
-                    self.items.fns.push(FnDef {
-                        name,
-                        owner,
-                        trait_impl,
-                        module: self.current_module(),
-                        name_tok,
-                        body: None,
-                        mut_self,
-                        params,
-                        is_test: self.file.in_test_code(name_tok),
-                        calls: Vec::new(),
-                    });
-                    return j + 1;
-                }
+                "where" => j = self.where_clause(j, &mut params),
                 "(" | "[" => j = self.skip_group(j),
                 _ => j += 1,
             }
@@ -407,7 +406,11 @@ impl<'a> Parser<'a> {
         if j >= self.len() {
             return j;
         }
-        let (owner, trait_impl) = self.current_owner();
+        let owner = self.current_owner();
+        params.extend(owner.iter().flat_map(|o| o.bounds.iter().cloned()));
+        let trait_impl = owner.and_then(|o| o.trait_name.clone());
+        let owner = owner.map(|o| o.self_ty.clone());
+        let has_body = self.txt(j) == "{";
         let idx = self.items.fns.len();
         self.items.fns.push(FnDef {
             name,
@@ -415,23 +418,22 @@ impl<'a> Parser<'a> {
             trait_impl,
             module: self.current_module(),
             name_tok,
-            body: Some((self.orig(j), self.orig(j))), // end patched on close
-            mut_self,
+            // The body's end is patched when its scope closes.
+            body: has_body.then(|| (self.orig(j), self.orig(j))),
             params,
             is_test: self.file.in_test_code(name_tok),
             calls: Vec::new(),
         });
-        self.open_scope(ScopeKind::Fn(idx));
+        if has_body {
+            self.open_scope(ScopeKind::Fn(idx));
+        }
         j + 1
     }
 
     /// Parses an `impl` header at code index `i`; returns the continue
     /// index (just past the opening `{`, with the scope pushed).
     fn parse_impl(&mut self, i: usize) -> usize {
-        let mut j = i + 1;
-        if j < self.len() && self.txt(j) == "<" {
-            j = self.skip_angles(j);
-        }
+        let (mut bounds, mut j) = self.generics(i + 1);
         // Collect path segments until `for`, `where`, or `{`.
         let mut first: Vec<String> = Vec::new();
         let mut second: Vec<String> = Vec::new();
@@ -445,11 +447,7 @@ impl<'a> Parser<'a> {
                     after_for = true;
                     j += 1;
                 }
-                "where" => {
-                    while j < self.len() && self.txt(j) != "{" {
-                        j += 1;
-                    }
-                }
+                "where" => j = self.where_clause(j, &mut bounds),
                 "<" => j = self.skip_angles(j),
                 "(" | "[" => j = self.skip_group(j),
                 _ => {
@@ -480,14 +478,13 @@ impl<'a> Parser<'a> {
                 None,
             )
         };
-        self.items.impls.push(ImplDef {
-            self_ty: self_ty.clone(),
-            trait_name: trait_name.clone(),
-        });
-        self.open_scope(ScopeKind::Owner {
-            ty: self_ty,
+        let imp = ImplDef {
+            self_ty,
             trait_name,
-        });
+            bounds,
+        };
+        self.items.impls.push(imp.clone());
+        self.open_scope(ScopeKind::Owner(imp));
         j + 1
     }
 
@@ -512,11 +509,39 @@ impl<'a> Parser<'a> {
         if j >= self.len() {
             return j;
         }
-        self.open_scope(ScopeKind::Owner {
-            ty: name,
+        self.open_scope(ScopeKind::Owner(ImplDef {
+            self_ty: name,
             trait_name: None,
-        });
+            bounds: Vec::new(),
+        }));
         j + 1
+    }
+
+    /// Records `type [$]Alias<…> = path::Target…;` (the `$` of a
+    /// `macro_rules!` arm's metavariable included) as `(Alias, Target)`.
+    /// Associated type declarations and non-path targets record nothing.
+    fn parse_alias(&mut self, i: usize) {
+        let mut j = i + 1;
+        if j < self.len() && self.txt(j) == "$" {
+            j += 1;
+        }
+        if j >= self.len() || self.kind(j) != TokenKind::Ident {
+            return;
+        }
+        let alias = self.txt(j).to_string();
+        let (_, mut j) = self.generics(j + 1);
+        if j >= self.len() || self.txt(j) != "=" {
+            return;
+        }
+        let mut target = None;
+        j += 1;
+        while j < self.len() && (self.kind(j) == TokenKind::Ident || self.txt(j) == "::") {
+            if self.txt(j) != "::" {
+                target = Some(self.txt(j).to_string());
+            }
+            j += 1;
+        }
+        self.items.aliases.extend(target.map(|t| (alias, t)));
     }
 
     /// Parses `struct`/`enum` items, recording named fields / variants.
@@ -683,9 +708,11 @@ impl<'a> Parser<'a> {
     /// The identifier a method/index chain hangs off, looking backwards
     /// from code index `k`: walks over balanced `(…)`/`[…]` groups so
     /// `self.ring[b].push(x)` and `buckets[i].len()` both report their
-    /// base identifier (`ring`, `buckets`), not `None`. `self`/`Self`
-    /// count (they name the enclosing impl type to the resolver).
+    /// base identifier (`ring`, `buckets`), not `None`, and
+    /// `S::of_mut(sets).refresh(cx)` its head `S`. `self`/`Self` count
+    /// (they name the enclosing impl type to the resolver).
     fn receiver_before(&self, mut k: usize) -> Option<String> {
+        let end = k;
         loop {
             let t = self.txt(k);
             match t {
@@ -705,6 +732,16 @@ impl<'a> Parser<'a> {
                         return None;
                     }
                     k -= 1; // token before the opening delimiter
+                }
+                // A chain `Head::f(…).g(…)` is typed by its type `Head`.
+                _ if k < end
+                    && k >= 2
+                    && self.txt(k - 1) == "::"
+                    && self
+                        .txt(k - 2)
+                        .starts_with(|c: char| c.is_ascii_uppercase()) =>
+                {
+                    return Some(self.txt(k - 2).to_string());
                 }
                 _ => {
                     return if self.kind(k) == TokenKind::Ident
@@ -882,17 +919,28 @@ impl<'a> Parser<'a> {
                 "fn" => i = self.parse_fn(i),
                 "struct" => i = self.parse_struct(i, false),
                 "enum" => i = self.parse_struct(i, true),
+                "type" => {
+                    self.parse_alias(i);
+                    i += 1;
+                }
                 "macro_rules" => {
-                    // `macro_rules! name { … }` — skip the whole definition.
+                    // `macro_rules! name { … }` — skip the whole definition
+                    // but the aliases its arms declare (`type $S = X;`).
                     let mut j = i + 1;
                     while j < self.len() && !matches!(self.txt(j), "{" | "(" | "[") {
                         j += 1;
                     }
-                    i = if j < self.len() {
+                    let end = if j < self.len() {
                         self.skip_group(j)
                     } else {
                         j
                     };
+                    for k in j..end {
+                        if self.txt(k) == "type" {
+                            self.parse_alias(k);
+                        }
+                    }
+                    i = end;
                 }
                 "{" => {
                     self.open_scope(ScopeKind::Block);
@@ -951,9 +999,15 @@ mod tests {
         );
         let run = it.fns.iter().find(|f| f.name == "run").unwrap();
         assert_eq!(run.owner.as_deref(), Some("Engine"));
-        assert!(run.mut_self);
-        let peek = it.fns.iter().find(|f| f.name == "peek").unwrap();
-        assert!(!peek.mut_self);
+        assert!(
+            run.params.is_empty(),
+            "`&mut self` is not a named parameter"
+        );
+        let typed = items("struct E; impl E { fn f(self: &mut Self, n: u32) {} }\n");
+        assert_eq!(
+            typed.fns[0].params,
+            [("n".to_string(), vec!["u32".to_string()])]
+        );
         let fmt = it.fns.iter().find(|f| f.name == "fmt").unwrap();
         assert_eq!(fmt.trait_impl.as_deref(), Some("Display"));
         assert_eq!(fmt.owner.as_deref(), Some("Engine"));

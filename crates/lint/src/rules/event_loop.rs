@@ -1,48 +1,32 @@
 //! L007 — panic- and allocation-freedom of the event loop, proven over
 //! the call graph.
 //!
-//! The engine's steady-state contract (docs/PERF.md §6, audited
-//! dynamically by the `#[global_allocator]` counting test) is that after
-//! warm-up, stepping events neither allocates nor panics. The dynamic
-//! test only sees the configurations it runs; this rule complements it
-//! statically: from the event-loop roots (`Engine::run*`, `Engine::step`,
-//! and the alive structures: every `AliveSet` method and every `&mut
-//! self` method of a type implementing it) every reachable
-//! function is checked for panic sinks (`unwrap`/`expect`, panic macros,
-//! unchecked indexing) and allocation sinks (`Vec::push`, `Box::new`,
-//! `format!`, …).
+//! After warm-up, stepping events must neither allocate nor panic
+//! (docs/PERF.md §6). The counting-allocator test checks that for the
+//! configurations it runs; this rule checks it statically. Every function
+//! reachable from [`ENGINE_ROOTS`] (the alive structures included, through
+//! the `AliveSet` bounds of the monomorphized loop) is checked for panic
+//! sinks (`unwrap`/`expect`, panic macros, unchecked indexing) and
+//! allocation sinks (`Vec::push`, `Box::new`, `format!`, …), with three
+//! exemptions:
 //!
-//! Three structural exemptions keep the rule honest rather than noisy:
+//! * **Donated state.** A buffer donated through [`EngineBuffers`] keeps
+//!   its capacity across runs, so pushing to it (`self.completed.push(x)`)
+//!   or indexing one of its lanes by an arena slot is the zero-alloc
+//!   mechanism itself. The exempt names are derived from the
+//!   `EngineBuffers` field closure in the symbol index, so they never go
+//!   stale; a donated type's own `self` calls are exempt likewise.
+//! * **Caller-donated parameters.** An allocating method on a parameter
+//!   (`out.push(job)` in `emit_into(&mut self, out: &mut Vec<Job>)`) grows
+//!   a buffer the caller owns, and the caller is checked. Indexing a
+//!   parameter is not exempt: bounds are a panic question.
+//! * **Instrumentation boundary.** `Observer` impls, the `Auditor`, and
+//!   `Engine::build_audit_frame` / `check_final_audit` run only in
+//!   observed or audited configurations, outside the contract. They are
+//!   reachable but not traversed.
 //!
-//! * **Donated state.** Mutating a buffer donated through
-//!   [`EngineBuffers`] (`self.completed.push(done)`) is the zero-alloc
-//!   mechanism itself — capacity is retained across runs, and the dynamic
-//!   audit verifies no realloc occurs at steady state. The exempt
-//!   receiver names are *derived* from the `EngineBuffers` field closure
-//!   in the symbol index (fields of its field types, transitively; its
-//!   one positional field is the engine's whole cleared run state), so
-//!   the set can never go stale. Indexing into a donated SoA lane
-//!   (`self.remaining[idx]`) is exempt on the same basis: lanes are sized
-//!   by the arena and indexed by the dense slots it hands out. A method of
-//!   a donated type calling another on `self` (`self.insert(…)` in
-//!   `SrptSet`) mutates donated state too; the callee is checked itself.
-//! * **Caller-donated parameters.** An alloc-method receiver that is a
-//!   parameter of the containing function (`out.push(job)` inside
-//!   `emit_into(&mut self, out: &mut Vec<Job>)`) mutates a buffer the
-//!   caller handed in — the buffer-donation idiom the engine uses
-//!   everywhere. Allocation responsibility lies with the buffer's owner,
-//!   which the traversal reaches separately; flagging both ends would
-//!   double-report every donation chain. Indexing a parameter is *not*
-//!   exempt: bounds are a panic question, not an ownership one.
-//! * **Instrumentation boundary.** `Observer` impls, the `Auditor`,
-//!   and `Engine::build_audit_frame` /
-//!   `check_final_audit` run only in observed/audited configurations,
-//!   where the steady-state zero-alloc contract explicitly does not
-//!   apply. They are reachable but not traversed.
-//!
-//! Everything else that fires is either a real contract violation or a
-//! conservative over-approximation carrying an inline waiver with its
-//! reason.
+//! Anything else that fires is a violation or an over-approximation
+//! carrying an inline waiver with its reason.
 
 use std::collections::BTreeSet;
 
@@ -53,36 +37,18 @@ use crate::reach::Reach;
 use crate::rules::{diag_at, Rule};
 use crate::Diagnostic;
 
-/// Event-loop entry points on `Engine`. `run_loop` is the shared driver
-/// behind the four `run*` finalizers and `run_events` the one
-/// monomorphized event loop that it and `step` instantiate; both are
-/// listed explicitly so the reachability analysis keeps covering them
-/// even if a future refactor changes how the finalizers delegate.
-const ENGINE_ROOTS: &[&str] = &[
-    "run",
-    "run_reusing",
-    "run_streaming",
-    "run_streaming_reusing",
-    "run_loop",
-    "run_events",
-    "step",
-];
-
-/// The trait the engine drives its alive structures through (see
-/// `crates/simcore/src/alive_set.rs`). The event loop calls it on a type
-/// parameter, which the call graph does not resolve, so its
-/// implementations are roots themselves.
-pub(crate) const ALIVE_SET: &str = "AliveSet";
-
-/// Methods excluded from the root set even when `&mut self`: they run
-/// outside the steady-state loop (suspend/resume is governed by L009,
-/// reset between runs is warm-up).
-const NON_LOOP_METHODS: &[&str] = &[
-    "snapshot_state",
-    "restore_state",
-    "snapshot",
-    "restore",
-    "check",
+/// The event-loop entry points. `run_loop` is the shared driver behind
+/// the four `run*` finalizers and `run_events` the one monomorphized
+/// event loop that it and `step` instantiate; both are listed so the
+/// proof keeps covering them if the finalizers delegate differently.
+pub const ENGINE_ROOTS: &[&str] = &[
+    "Engine::run",
+    "Engine::run_reusing",
+    "Engine::run_streaming",
+    "Engine::run_streaming_reusing",
+    "Engine::run_loop",
+    "Engine::run_events",
+    "Engine::step",
 ];
 
 /// Methods that panic on `None`/`Err`.
@@ -141,29 +107,9 @@ const ALLOC_MACROS: &[&str] = &[
     "eprint!",
 ];
 
-/// The L007 root set: every event-loop entry point the rule proves over.
-/// Public so the acceptance test can assert coverage of `Engine::run`,
-/// `Engine::run_streaming`, and their `_reusing` variants through the
-/// symbol index.
+/// The L007 root set: [`ENGINE_ROOTS`] as resolved in the symbol index.
 pub fn event_loop_roots(graph: &CallGraph) -> Vec<usize> {
-    let mut roots = Vec::new();
-    for (id, f) in graph.fns.iter().enumerate() {
-        if f.def.is_test {
-            continue;
-        }
-        let Some(owner) = f.def.owner.as_deref() else {
-            continue;
-        };
-        let name = f.def.name.as_str();
-        let is_root = (owner == "Engine" && ENGINE_ROOTS.contains(&name))
-            || (graph.implements(owner, ALIVE_SET)
-                && (f.def.mut_self || f.def.trait_impl.as_deref() == Some(ALIVE_SET))
-                && !NON_LOOP_METHODS.contains(&name));
-        if is_root {
-            roots.push(id);
-        }
-    }
-    roots
+    ENGINE_ROOTS.iter().flat_map(|r| graph.lookup(r)).collect()
 }
 
 /// The instrumentation boundary: reachable, but calls inside are not
@@ -222,9 +168,8 @@ impl Rule for EventLoopReachability {
     }
 
     fn summary(&self) -> &'static str {
-        "panic or allocation reachable from an event-loop root (Engine::run*/step, or an \
-         alive structure's AliveSet method or mutation); the steady-state loop must be panic- \
-         and alloc-free"
+        "panic or allocation reachable from an event-loop root (Engine::run*/step); the \
+         steady-state loop must be panic- and alloc-free"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
@@ -261,11 +206,11 @@ impl Rule for EventLoopReachability {
                     .as_deref()
                     .is_some_and(|r| donated.contains(r) || (r == "self" && self_donated));
                 // Caller-donated buffer (see module docs): exempts alloc
-                // methods only, never indexing.
-                let param_recv = site
-                    .receiver
-                    .as_deref()
-                    .is_some_and(|r| f.def.params.iter().any(|(p, _)| p == r));
+                // methods only, never indexing, and never a value typed by
+                // a chain head (`S::of_mut(…).push(x)`).
+                let param_recv = site.receiver.as_deref().is_some_and(|r| {
+                    r.starts_with(char::is_lowercase) && f.def.params.iter().any(|(p, _)| p == r)
+                });
                 let hit: Option<String> = match &site.kind {
                     CallKind::Method(n) | CallKind::Plain(n)
                         if PANIC_METHODS.contains(&n.as_str()) =>

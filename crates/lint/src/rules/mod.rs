@@ -19,7 +19,7 @@ mod registry;
 pub(crate) mod snapshot_complete;
 pub(crate) mod taint;
 
-pub use event_loop::{event_loop_roots, EventLoopReachability};
+pub use event_loop::{event_loop_roots, EventLoopReachability, ENGINE_ROOTS};
 pub use float_eq::FloatEq;
 pub use float_sum::FloatSum;
 pub use hygiene::CrateHygiene;

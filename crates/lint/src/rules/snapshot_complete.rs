@@ -7,10 +7,9 @@
 //! just resurrects a subtly different engine. This rule makes the
 //! omission a lint error: every field of the participating structs must
 //! be *referenced* both somewhere on the render path (reachable from
-//! `Engine::snapshot` / `Snapshot::to_value` and the alive structures'
-//! `AliveSet::snapshot`) and somewhere on the parse path (reachable from
-//! `Engine::restore` / `Snapshot::from_value` and their
-//! `AliveSet::check` / `AliveSet::restore`).
+//! `Engine::snapshot` / `Snapshot::to_value`, the alive structures'
+//! `AliveSet::snapshot` included) and somewhere on the parse path
+//! (reachable from `Engine::restore` / `Snapshot::from_value`).
 //!
 //! The check is name-based (an identifier token equal to the field name
 //! inside a reachable function body counts), so a field whose name is
@@ -29,7 +28,6 @@ use std::collections::BTreeSet;
 use crate::engine::Workspace;
 use crate::lex::TokenKind;
 use crate::reach::Reach;
-use crate::rules::event_loop::ALIVE_SET;
 use crate::rules::{diag_at, Rule};
 use crate::Diagnostic;
 
@@ -57,19 +55,11 @@ const CHECKED: &[&str] = &[
     "SinkState",
 ];
 
-/// Entry points of the render (suspend) path, with every alive
-/// structure's `AliveSet::snapshot`, which `Engine::snapshot` reaches
-/// through a type parameter the call graph does not resolve.
-const RENDER_ROOTS: &[&str] = &["Engine::snapshot", "Snapshot::to_value", "snapshot"];
+/// Entry points of the render (suspend) path.
+const RENDER_ROOTS: &[&str] = &["Engine::snapshot", "Snapshot::to_value"];
 
-/// Entry points of the parse (resume) path, with every alive structure's
-/// `AliveSet::check` and `AliveSet::restore`.
-const PARSE_ROOTS: &[&str] = &[
-    "Engine::restore",
-    "Snapshot::from_value",
-    "check",
-    "restore",
-];
+/// Entry points of the parse (resume) path.
+const PARSE_ROOTS: &[&str] = &["Engine::restore", "Snapshot::from_value"];
 
 /// The L009 rule value.
 pub struct SnapshotComplete;
@@ -78,21 +68,8 @@ pub struct SnapshotComplete;
 /// workspace has no codec (shared with `--explain`).
 pub(crate) fn coverage(ws: &Workspace) -> Option<(BTreeSet<String>, BTreeSet<String>)> {
     let graph = ws.graph();
-    // A bare name stands for that method of every `AliveSet` impl.
-    let lookup_all = |names: &[&str]| -> Vec<usize> {
-        names
-            .iter()
-            .flat_map(|n| {
-                let ids = graph.lookup(n);
-                if n.contains("::") {
-                    return ids;
-                }
-                ids.into_iter()
-                    .filter(|&id| graph.fns[id].def.trait_impl.as_deref() == Some(ALIVE_SET))
-                    .collect()
-            })
-            .collect()
-    };
+    let lookup_all =
+        |names: &[&str]| -> Vec<usize> { names.iter().flat_map(|n| graph.lookup(n)).collect() };
     let render_roots = lookup_all(RENDER_ROOTS);
     let parse_roots = lookup_all(PARSE_ROOTS);
     if render_roots.is_empty() && parse_roots.is_empty() {

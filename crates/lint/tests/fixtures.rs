@@ -81,9 +81,10 @@ fn l007_fixture_trips_only_l007() {
     let out = fixture("l007");
     assert_eq!(rules_hit(&out), vec!["L007"], "{:?}", out.violations);
     // Non-donated push, local-buffer push, panic!, unchecked indexing,
-    // and the assert reached only via `run_events`'s turbofish call —
-    // and NOT the EngineBuffers-donated `completed.push`.
-    assert_eq!(out.violations.len(), 5, "{:?}", out.violations);
+    // the assert reached only via `run_events`'s turbofish call, and the
+    // unreachable! reached only through its bound `S: Set` — and NOT the
+    // EngineBuffers-donated `completed.push`.
+    assert_eq!(out.violations.len(), 6, "{:?}", out.violations);
     let msgs: Vec<&str> = out.violations.iter().map(|d| d.message.as_str()).collect();
     assert!(msgs.iter().any(|m| m.contains("panic!")), "{msgs:?}");
     assert!(msgs.iter().any(|m| m.contains("indexing")), "{msgs:?}");
@@ -92,6 +93,11 @@ fn l007_fixture_trips_only_l007() {
             .iter()
             .any(|d| d.message.contains("assert!") && d.message.contains("run_events")),
         "turbofish-only root path not resolved: {msgs:?}"
+    );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("unreachable!") && m.contains("in `refresh`")),
+        "call through the bound `S: Set` not resolved: {msgs:?}"
     );
     assert!(
         msgs.iter().all(|m| m.contains("event-loop root")),

@@ -1,8 +1,10 @@
 //! L007 fixture: panic and allocation sinks reachable from `Engine::run`
 //! and from the monomorphized `Engine::run_events` root (reached only
-//! through a const-generic turbofish call, which the parser must record).
-//! `completed.push` is exempt (EngineBuffers-donated state); the other
-//! five sites must each produce one diagnostic.
+//! through a const-generic turbofish call, which the parser must record),
+//! and an alive structure's `refresh`, reached only through the loop's
+//! bounded type parameter `S: Set`. `completed.push` is exempt
+//! (EngineBuffers-donated state); the other six sites must each produce
+//! one diagnostic.
 
 pub struct JobArena {
     remaining: Vec<f64>,
@@ -19,17 +21,37 @@ pub struct Engine {
     trace: Vec<u64>,
 }
 
+/// An alive structure, as the event loop drives it.
+pub trait Set {
+    fn of(engine: &Engine) -> &Self;
+    fn refresh(&self);
+}
+
+pub struct Levels;
+
+impl Set for Levels {
+    fn of(_: &Engine) -> &Self {
+        &Levels
+    }
+
+    fn refresh(&self) {
+        // Reachable only via `S::of(..).refresh()` in `run_events`: flags.
+        unreachable!("a level stack never refreshes");
+    }
+}
+
 impl Engine {
     pub fn run(&mut self) {
         self.step();
     }
 
     pub fn run_loop(&mut self) {
-        self.run_events::<true>();
+        self.run_events::<Levels, true>();
     }
 
-    fn run_events<const V: bool>(&mut self) {
+    fn run_events<S: Set, const V: bool>(&mut self) {
         guard_capacity::<u64>(self.trace.len());
+        S::of(self).refresh();
     }
 
     pub fn step(&mut self) {

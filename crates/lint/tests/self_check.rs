@@ -5,8 +5,8 @@
 
 use std::path::PathBuf;
 
-use parsched_lint::rules::event_loop_roots;
-use parsched_lint::{lint_root, report::render_human, Workspace};
+use parsched_lint::rules::{event_loop_roots, ENGINE_ROOTS};
+use parsched_lint::{explain, lint_root, report::render_human, Workspace};
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -23,33 +23,31 @@ fn workspace_is_lint_clean() {
 /// L007's proof is only as good as its root set: if a rename or refactor
 /// drops an `Engine::run*` entry point out of the symbol index, the rule
 /// silently proves nothing about it. Resolve the roots over the real
-/// workspace and pin the coverage.
+/// workspace and pin the coverage; then check that the proof reaches every
+/// alive structure's per-event operations through the loop's `AliveSet`
+/// bound, which no root names.
 #[test]
 fn l007_roots_cover_every_engine_entry_point() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ws = Workspace::load(&root, &[]).expect("workspace readable");
     let graph = ws.graph();
-    let roots: Vec<String> = event_loop_roots(graph)
-        .into_iter()
-        .map(|id| graph.fns[id].qual_name())
-        .collect();
-    for required in [
-        "Engine::run",
-        "Engine::run_reusing",
-        "Engine::run_streaming",
-        "Engine::run_streaming_reusing",
-        "Engine::run_loop",
-        "Engine::run_events",
-        "Engine::step",
-    ] {
+    let roots = event_loop_roots(graph);
+    let names: Vec<String> = roots.iter().map(|&id| graph.fns[id].qual_name()).collect();
+    for required in ENGINE_ROOTS {
         assert!(
-            roots.iter().any(|r| r == required),
-            "`{required}` missing from the L007 root set; roots resolved: {roots:?}"
+            names.iter().any(|r| r == required),
+            "`{required}` missing from the L007 root set; roots resolved: {names:?}"
         );
     }
-    // The SRPT-set mutation surface is part of the proof too.
-    assert!(
-        roots.iter().any(|r| r.starts_with("SrptSet::")),
-        "no SrptSet mutation roots resolved: {roots:?}"
-    );
+    let impls = &graph.trait_impls["AliveSet"];
+    assert_eq!(impls.len(), 4, "alive structures: {impls:?}");
+    for ty in impls {
+        for method in ["refresh", "integrate", "complete_due", "walk"] {
+            let why = explain(&ws, "L007", &format!("{ty}::{method}")).expect("explainable");
+            assert!(
+                why.contains("\n  Engine::run_events -> "),
+                "`{ty}::{method}` is not reachable from `Engine::run_events`:\n{why}"
+            );
+        }
+    }
 }

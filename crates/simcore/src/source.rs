@@ -61,7 +61,7 @@ impl<'a> SystemView<'a> {
     pub fn for_each(&self, mut f: impl FnMut(&AliveJob<'_>)) {
         match self.alive {
             Alive::Jobs(jobs) => jobs.iter().for_each(f),
-            Alive::Set(set) => set.walk(&mut f),
+            Alive::Set(set) => Walk::walk(set, &mut f),
         }
     }
 

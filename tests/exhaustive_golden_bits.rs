@@ -2,7 +2,7 @@
 //!
 //! The exhaustive (`AllocationStability::General`) path is the
 //! differential oracle for the incremental one, so its arithmetic is
-//! pinned here bit for bit: SETF, LAPS(½), W-Intermediate-SRPT,
+//! pinned here bit for bit: Greedy, SETF, LAPS(½), W-Intermediate-SRPT,
 //! Random(7), and Intermediate-SRPT forced onto the exhaustive path with
 //! `with_full_reassign`, on three fixtures (single-α Poisson, mixed-α
 //! overload, a mixed-α batch), in both memory modes. Each digest folds
@@ -13,6 +13,8 @@
 //!
 //! The digests were recorded before the path's sweeps were fused
 //! (docs/PERF.md §11), so they also witness that the fusion is exact.
+//! Greedy's rows were recorded later, on the quantized rule as it stood
+//! before any change to its grant, so a faster Greedy must reproduce them.
 
 use parsched::PolicyKind;
 use parsched_bench::{mixed_alpha_fixture, poisson_fixture};
@@ -24,9 +26,10 @@ use parsched_workloads::random::{AlphaDist, SizeDist};
 
 const M: f64 = 8.0;
 
-/// The five exhaustive-path policies the digests pin.
-fn policies() -> [PolicyKind; 5] {
+/// The six exhaustive-path policies the digests pin.
+fn policies() -> [PolicyKind; 6] {
     [
+        PolicyKind::Greedy,
         PolicyKind::Setf,
         PolicyKind::Laps(0.5),
         PolicyKind::Weighted,
@@ -132,6 +135,8 @@ fn digest(inst: &Instance, kind: PolicyKind, streaming: bool) -> u64 {
 
 /// `(fixture, policy, streaming, digest)`, recorded on the unfused path.
 const GOLDEN: &[(&str, &str, bool, u64)] = &[
+    ("poisson", "Greedy", false, 0x2c72cff4b3113c31),
+    ("poisson", "Greedy", true, 0x650a86cdf293b627),
     ("poisson", "SETF", false, 0xebf6ec53ddc64ca1),
     ("poisson", "SETF", true, 0x2a31fc6b135af494),
     ("poisson", "LAPS(0.5)", false, 0xd9c811b01c0e718b),
@@ -142,6 +147,8 @@ const GOLDEN: &[(&str, &str, bool, u64)] = &[
     ("poisson", "Random(7)", true, 0xb620ba308905f593),
     ("poisson", "Intermediate-SRPT", false, 0x944585e4f87cf58f),
     ("poisson", "Intermediate-SRPT", true, 0x8a454137f9ef9b80),
+    ("mixed_overload", "Greedy", false, 0x07d493e542d952ec),
+    ("mixed_overload", "Greedy", true, 0x3735650053390054),
     ("mixed_overload", "SETF", false, 0xef932dd8cdc3eec1),
     ("mixed_overload", "SETF", true, 0x5046aa99c2826da0),
     ("mixed_overload", "LAPS(0.5)", false, 0x96c6e987880809a8),
@@ -172,6 +179,8 @@ const GOLDEN: &[(&str, &str, bool, u64)] = &[
         true,
         0x829c5ba24a340f57,
     ),
+    ("batch", "Greedy", false, 0xf2821376fc0efb68),
+    ("batch", "Greedy", true, 0x2b67e418ffceab31),
     ("batch", "SETF", false, 0x221e6c168378bc65),
     ("batch", "SETF", true, 0xe47b69b0d03fb203),
     ("batch", "LAPS(0.5)", false, 0xa790db5fcd6ad1b3),
