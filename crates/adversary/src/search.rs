@@ -2,10 +2,11 @@
 //!
 //! A (μ + λ) elite-selection loop over [`InstanceGenome`]s: each
 //! generation evaluates a population of candidates **in parallel** on the
-//! deterministic [`Pool`] (per-worker [`EngineBuffers`], results
-//! committed in input order), scores each by measured flow time divided
-//! by the best provable OPT lower bound for the target policy, and
-//! breeds the next generation from the elites by single-axis mutation.
+//! deterministic [`Pool`] (per-worker engine buffers and policy value,
+//! results committed in input order), scores each by measured flow time
+//! divided by the best provable OPT lower bound for the target policy,
+//! and breeds the next generation from the elites by single-axis
+//! mutation.
 //!
 //! # Determinism
 //!
@@ -15,6 +16,14 @@
 //! elite set, the best-ratio trajectory, any fuzz failures — is
 //! byte-identical across `--jobs N` (locked in by
 //! `crates/analysis/tests/sweep_pool_determinism.rs`).
+//!
+//! What a worker keeps between evaluations, and the fuzz pass between
+//! its strict runs, is caches that never change a result: the engine's
+//! [`EngineBuffers`] (cleared by every run, the auditor restarted) and
+//! one policy value (reset by every run; what survives a reset, such as
+//! SETF's equalizer memo, is a pure function of its key). The outcome
+//! digests in `tests/adversary_search_digest.rs` were recorded on a
+//! search that rebuilt all of it per run.
 //!
 //! # Fuzzing
 //!
@@ -27,11 +36,11 @@
 //! reported as reproducers.
 
 use parsched::PolicyKind;
-use parsched_analysis::{simulate_audited_reusing, Pool};
+use parsched_analysis::Pool;
 use parsched_opt::{best_lower_bound, LbKind};
 use parsched_sim::{
-    simulate_audited, simulate_streaming_audited, AuditLevel, EngineBuffers, Instance, JobSpec,
-    StaticSource,
+    AuditLevel, Engine, EngineBuffers, EngineConfig, Instance, JobSpec, NullObserver, Policy,
+    RunMetrics, SimError, StaticSource,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,40 +165,91 @@ fn seed_genomes(cfg: &SearchConfig) -> Vec<InstanceGenome> {
     out
 }
 
-/// Evaluates one genome: materialize, simulate (audit off — elites get
-/// the strict treatment separately), score against the best LB.
-///
-/// Pure function of `(genome, policy, m)` — must stay free of worker
-/// state so the pool's ordering guarantee makes the search
-/// jobs-invariant. Returns `None` when the genome fails to materialize
-/// or simulate; the selection loop just skips it.
-fn evaluate(
-    bufs: &mut EngineBuffers,
-    genome: InstanceGenome,
-    policy: PolicyKind,
-    m: f64,
-) -> Option<Evaluated> {
-    let instance = genome.materialize(m).ok()?;
-    let mut p = policy.build();
-    let owned = std::mem::take(bufs);
-    let (result, returned) =
-        simulate_audited_reusing(owned, &instance, p.as_mut(), m, AuditLevel::Off);
-    *bufs = returned;
-    let outcome = result.ok()?;
-    let flow = outcome.metrics.total_flow;
-    let (lb, lb_kind) = best_lower_bound(&instance, m);
-    // Reject non-finite or non-positive denominators (NaN included: a
-    // NaN lb fails `is_finite` before the sign check can miss it).
-    if !lb.is_finite() || lb <= 0.0 || !flow.is_finite() {
-        return None;
+/// A candidate under selection: its evaluation and its genome's
+/// provenance, formatted once for every sort, dedup and fuzz lookup.
+struct Scored {
+    eval: Evaluated,
+    provenance: String,
+}
+
+/// One engine's buffers and one policy value, kept across runs. Every run
+/// clears the buffers and resets the policy (see the module docs).
+struct Runner {
+    bufs: EngineBuffers,
+    policy: Box<dyn Policy>,
+}
+
+impl Runner {
+    fn new(policy: PolicyKind) -> Self {
+        Runner {
+            bufs: EngineBuffers::new(),
+            policy: policy.build(),
+        }
     }
-    Some(Evaluated {
-        genome,
-        flow,
-        lb,
-        lb_kind,
-        ratio: flow / lb,
-    })
+
+    /// Runs `instance` under `cfg` and returns its aggregate metrics. On
+    /// error the buffers died with the engine, and the next run starts
+    /// from fresh ones.
+    fn run(&mut self, instance: &Instance, cfg: EngineConfig) -> Result<RunMetrics, SimError> {
+        let mut source = StaticSource::new(instance);
+        let mut obs = NullObserver;
+        let bufs = std::mem::take(&mut self.bufs);
+        let engine = Engine::with_buffers(cfg, self.policy.as_mut(), &mut source, &mut obs, bufs);
+        let (metrics, bufs) = engine.run_metrics_reusing()?;
+        self.bufs = bufs;
+        Ok(metrics)
+    }
+
+    /// Evaluates one genome: materialize, simulate (audit off — elites
+    /// get the strict treatment separately), score against the best LB.
+    ///
+    /// A pure function of `(genome, policy, m)`, so the pool's ordering
+    /// guarantee makes the search jobs-invariant. Returns `None` when the
+    /// genome fails to materialize or simulate; the selection loop just
+    /// skips it.
+    fn evaluate(&mut self, genome: InstanceGenome, m: f64) -> Option<Scored> {
+        let instance = genome.materialize(m).ok()?;
+        let flow = self.run(&instance, EngineConfig::new(m)).ok()?.total_flow;
+        let (lb, lb_kind) = best_lower_bound(&instance, m);
+        // Reject non-finite or non-positive denominators (NaN included: a
+        // NaN lb fails `is_finite` before the sign check can miss it).
+        if !lb.is_finite() || lb <= 0.0 || !flow.is_finite() {
+            return None;
+        }
+        Some(Scored {
+            provenance: genome.provenance(),
+            eval: Evaluated {
+                genome,
+                flow,
+                lb,
+                lb_kind,
+                ratio: flow / lb,
+            },
+        })
+    }
+
+    /// [`strict_dual_path_check`] on this runner's buffers and policy.
+    fn strict_dual_path(&mut self, instance: &Instance, m: f64) -> Result<(), String> {
+        let strict = EngineConfig::new(m).with_audit(AuditLevel::Strict);
+        let a = self
+            .run(instance, strict)
+            .map_err(|e| format!("in-memory strict audit: {e}"))?;
+        let streaming = strict.with_streaming(true).with_max_events(u64::MAX);
+        let b = self
+            .run(instance, streaming)
+            .map_err(|e| format!("streaming strict audit: {e}"))?;
+        if a.total_flow.to_bits() != b.total_flow.to_bits()
+            || a.makespan.to_bits() != b.makespan.to_bits()
+            || a.num_jobs != b.num_jobs
+        {
+            return Err(format!(
+                "cross-path divergence: in-memory (flow {}, makespan {}, n {}) \
+                 vs streaming (flow {}, makespan {}, n {})",
+                a.total_flow, a.makespan, a.num_jobs, b.total_flow, b.makespan, b.num_jobs
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Strict dual-path check: in-memory incremental vs streaming, both
@@ -202,25 +262,7 @@ pub fn strict_dual_path_check(
     policy: PolicyKind,
     m: f64,
 ) -> Result<(), String> {
-    let mem = simulate_audited(instance, policy.build().as_mut(), m, AuditLevel::Strict)
-        .map_err(|e| format!("in-memory strict audit: {e}"))?;
-    let mut source = StaticSource::new(instance);
-    let st =
-        simulate_streaming_audited(&mut source, policy.build().as_mut(), m, AuditLevel::Strict)
-            .map_err(|e| format!("streaming strict audit: {e}"))?;
-    let a = &mem.metrics;
-    let b = &st.metrics;
-    if a.total_flow.to_bits() != b.total_flow.to_bits()
-        || a.makespan.to_bits() != b.makespan.to_bits()
-        || a.num_jobs != b.num_jobs
-    {
-        return Err(format!(
-            "cross-path divergence: in-memory (flow {}, makespan {}, n {}) \
-             vs streaming (flow {}, makespan {}, n {})",
-            a.total_flow, a.makespan, a.num_jobs, b.total_flow, b.makespan, b.num_jobs
-        ));
-    }
-    Ok(())
+    Runner::new(policy).strict_dual_path(instance, m)
 }
 
 /// Runs the search to completion. See the module docs for the loop
@@ -229,7 +271,8 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pool = Pool::new(cfg.jobs);
     let population = cfg.population.max(2);
-    let mut elites: Vec<Evaluated> = Vec::new();
+    let mut fuzzer = Runner::new(cfg.policy);
+    let mut elites: Vec<Scored> = Vec::new();
     let mut trajectory = Vec::new();
     let mut failures = Vec::new();
     let mut fuzzed: BTreeSet<String> = BTreeSet::new();
@@ -250,33 +293,33 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
         }
         evals += generation.len();
         let (policy, m) = (cfg.policy, cfg.m);
-        let scored: Vec<Option<Evaluated>> = pool.map_with(
-            EngineBuffers::new,
+        let scored: Vec<Option<Scored>> = pool.map_with(
+            move || Runner::new(policy),
             std::mem::take(&mut generation),
-            move |bufs, genome| evaluate(bufs, genome, policy, m),
+            move |runner, genome| runner.evaluate(genome, m),
         );
-        let mut scored: Vec<Evaluated> = scored.into_iter().flatten().collect();
+        let mut scored: Vec<Scored> = scored.into_iter().flatten().collect();
         sort_by_ratio(&mut scored);
 
         // Strict dual-path fuzz pass over this generation's best — the
         // instances most likely to stress the engine. Dedup by
         // provenance so repeated elites are checked once.
-        for e in scored.iter().take(cfg.fuzz_top) {
-            let prov = e.genome.provenance();
-            if !fuzzed.insert(prov.clone()) {
+        for c in scored.iter().take(cfg.fuzz_top) {
+            if fuzzed.contains(&c.provenance) {
                 continue;
             }
-            let Ok(instance) = e.genome.materialize(cfg.m) else {
+            fuzzed.insert(c.provenance.clone());
+            let Ok(instance) = c.eval.genome.materialize(cfg.m) else {
                 continue;
             };
-            if let Err(error) = strict_dual_path_check(&instance, cfg.policy, cfg.m) {
+            if let Err(error) = fuzzer.strict_dual_path(&instance, cfg.m) {
                 let jobs = shrink_jobs(instance.jobs().to_vec(), &|jobs| {
                     Instance::new(jobs.to_vec())
                         .ok()
                         .is_some_and(|i| strict_dual_path_check(&i, cfg.policy, cfg.m).is_err())
                 });
                 failures.push(FuzzFailure {
-                    provenance: prov,
+                    provenance: c.provenance.clone(),
                     jobs,
                     error,
                 });
@@ -285,10 +328,12 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
 
         // Merge into the elite pool (dedup by provenance, keep best).
         elites.extend(scored);
-        dedup_by_provenance(&mut elites);
         sort_by_ratio(&mut elites);
+        // Equal provenances are equal genomes, hence equal evaluations,
+        // and so adjacent once sorted.
+        elites.dedup_by(|a, b| a.provenance == b.provenance);
         elites.truncate(cfg.elites);
-        trajectory.push(elites.first().map_or(0.0, |e| e.ratio));
+        trajectory.push(elites.first().map_or(0.0, |e| e.eval.ratio));
 
         // Breed: elites survive implicitly; children are single-axis
         // mutants of the elites (round-robin) plus fresh randoms.
@@ -296,7 +341,7 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
         let n_fresh = population / 4;
         for i in 0..population.saturating_sub(n_fresh) {
             match elites.get(i % elites.len().max(1)) {
-                Some(parent) => next.push(parent.genome.mutate(&mut rng, cfg.bounds)),
+                Some(parent) => next.push(parent.eval.genome.mutate(&mut rng, cfg.bounds)),
                 None => next.push(InstanceGenome::random(&mut rng, cfg.bounds)),
             }
         }
@@ -307,7 +352,7 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
     }
 
     SearchOutcome {
-        elites,
+        elites: elites.into_iter().map(|c| c.eval).collect(),
         trajectory,
         evals,
         failures,
@@ -316,18 +361,13 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
 
 /// Descending by ratio; ties broken by provenance so the order is total
 /// and deterministic.
-fn sort_by_ratio(items: &mut [Evaluated]) {
+fn sort_by_ratio(items: &mut [Scored]) {
     items.sort_by(|a, b| {
-        b.ratio
-            .total_cmp(&a.ratio)
-            .then_with(|| a.genome.provenance().cmp(&b.genome.provenance()))
+        b.eval
+            .ratio
+            .total_cmp(&a.eval.ratio)
+            .then_with(|| a.provenance.cmp(&b.provenance))
     });
-}
-
-/// Keeps the first (i.e. best, after sorting) entry per provenance.
-fn dedup_by_provenance(items: &mut Vec<Evaluated>) {
-    let mut seen = BTreeSet::new();
-    items.retain(|e| seen.insert(e.genome.provenance()));
 }
 
 #[cfg(test)]

@@ -53,8 +53,9 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// `sum_threshold` finds `x*` once with `O(log G)` sums, and the
 /// bisection replays the same midpoints at one inverse each — the same `ρ`
 /// to the last bit. That answer is a pure function of `(curve, G, m)`, so
-/// it is memoized by group size for the current curve and `m` (piecewise
-/// curves bypass the memo). Mixed groups evaluate the demand sum at each
+/// it is memoized by group size for the few most recently used curves
+/// and `m`, across runs of one policy value (piecewise curves bypass the
+/// memo). Mixed groups evaluate the demand sum at each
 /// step, but each *distinct* curve of the group is inverted once per step
 /// (equal curves give equal bits) with its kernel compiled once per
 /// decision, and the members' inverses are summed in group order, the
@@ -81,7 +82,7 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 pub struct Setf {
     /// Positions in `jobs` of the tied least-elapsed group.
     group: Vec<usize>,
-    /// One-curve answers of the current curve and `m`.
+    /// One-curve answers of the recently used curves and `m`.
     memo: SharedMemo,
     /// The distinct curves of the current mixed group.
     curves: CurveTable,
@@ -277,15 +278,22 @@ impl CurveKey {
     }
 }
 
-/// [`equalize_shared`]'s `(ρ, share)` by group size, for one curve and
-/// one `m` (the bits of `m`, so the key is exact); a different curve or
-/// `m` starts the table over.
+/// How many `(curve, m)` tables [`SharedMemo`] keeps. A search's runs
+/// and a run's mixed instance meet a few curves in turn; past this many,
+/// the least recently used table is evicted.
+const MEMO_TABLES: usize = 4;
+
+/// [`equalize_shared`]'s `(ρ, share)` by group size, one table per curve
+/// and `m` (the bits of `m`, so the key is exact) for the
+/// [`MEMO_TABLES`] most recently used pairs. Every entry is a pure
+/// function of its key and size, so the memo outlives [`Policy::reset`]
+/// and runs on other instances.
 #[derive(Debug, Default, Clone)]
 struct SharedMemo {
-    key: Option<(CurveKey, u64)>,
-    /// `by_size[g]`: the answer for a group of `g` members, if computed
-    /// (grows to the largest one-curve group).
-    by_size: Vec<Option<(f64, f64)>>,
+    /// The tables, most recently used first, unused ones (no key) last.
+    /// `by_size[g]` of a table is the answer for a group of `g` members,
+    /// if computed (it grows to the largest one-curve group of its key).
+    tables: [(Option<(CurveKey, u64)>, Vec<Option<(f64, f64)>>); MEMO_TABLES],
 }
 
 impl SharedMemo {
@@ -299,19 +307,31 @@ impl SharedMemo {
         solve: impl FnOnce() -> (f64, f64),
     ) -> (f64, f64) {
         let key = Some((curve, m.to_bits()));
-        if self.key != key {
-            self.key = key;
-            self.by_size.clear();
+        match self.tables.iter().position(|(k, _)| *k == key) {
+            Some(i) => {
+                if let Some(recent) = self.tables.get_mut(..=i) {
+                    recent.rotate_right(1);
+                }
+            }
+            None => {
+                // The last table is unused or the least recently used:
+                // it takes the new key, keeping its buffer.
+                self.tables.rotate_right(1);
+                let [(k, by_size), ..] = &mut self.tables;
+                *k = key;
+                by_size.clear();
+            }
         }
-        if let Some(&Some(hit)) = self.by_size.get(g) {
+        let [(_, by_size), ..] = &mut self.tables;
+        if let Some(&Some(hit)) = by_size.get(g) {
             return hit;
         }
         let answer = solve();
-        if g >= self.by_size.len() {
-            // lint:allow(L007) `by_size` is the memo's retained table: it grows to the largest one-curve tie group, then reuses its capacity
-            self.by_size.resize(g + 1, None);
+        if g >= by_size.len() {
+            // lint:allow(L007) `by_size` is a retained table: it grows to the largest one-curve tie group of its key, then reuses its capacity
+            by_size.resize(g + 1, None);
         }
-        if let Some(cell) = self.by_size.get_mut(g) {
+        if let Some(cell) = by_size.get_mut(g) {
             *cell = Some(answer);
         }
         answer

@@ -38,7 +38,7 @@ use crate::rules::{diag_at, Rule};
 use crate::Diagnostic;
 
 /// The event-loop entry points. `run_loop` is the shared driver behind
-/// the four `run*` finalizers and `run_events` the one monomorphized
+/// the five `run*` finalizers and `run_events` the one monomorphized
 /// event loop that it and `step` instantiate; both are listed so the
 /// proof keeps covering them if the finalizers delegate differently.
 pub const ENGINE_ROOTS: &[&str] = &[
@@ -46,6 +46,7 @@ pub const ENGINE_ROOTS: &[&str] = &[
     "Engine::run_reusing",
     "Engine::run_streaming",
     "Engine::run_streaming_reusing",
+    "Engine::run_metrics_reusing",
     "Engine::run_loop",
     "Engine::run_events",
     "Engine::step",

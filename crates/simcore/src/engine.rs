@@ -345,8 +345,10 @@ struct RunState {
     quantum_deadline: Option<Time>,
     events: u64,
     finished: bool,
-    /// Runtime invariant auditor (present iff `cfg.audit` is not `Off`),
-    /// boxed so that lending it out for an audited event moves a pointer.
+    /// Runtime invariant auditor (present during a run iff `cfg.audit` is
+    /// not `Off`), boxed so that lending it out for an audited event moves
+    /// a pointer. Cleared buffers keep it, so the next audited run on them
+    /// restarts it with its frame buffers and drain table.
     auditor: Option<Box<Auditor>>,
     /// Policy name cached at construction (frames are built per event).
     policy_name: String,
@@ -418,10 +420,11 @@ impl Default for RunState {
 }
 
 impl RunState {
-    /// Clears all per-run state and drops the auditor, retaining every
-    /// buffer's capacity. The run's identity (config, path, policy) stays
-    /// for the caller to keep or replace, and the cached next arrival is
-    /// left for it to refresh from its source.
+    /// Clears all per-run state, retaining every buffer's capacity and
+    /// the auditor ([`Engine::with_buffers`] restarts or drops it). The
+    /// run's identity (config, path, policy) stays for the caller to keep
+    /// or replace, and the cached next arrival is left for it to refresh
+    /// from its source.
     fn clear(&mut self) {
         self.jobs.clear();
         self.ids.reset();
@@ -435,7 +438,6 @@ impl RunState {
         self.quantum_deadline = None;
         self.events = 0;
         self.finished = false;
-        self.auditor = None;
         self.frac_flow = NeumaierSum::new();
         self.alive_integral = NeumaierSum::new();
         self.sink.reset();
@@ -685,7 +687,14 @@ impl<'a> Engine<'a> {
         state.clear();
         policy.reset();
         state.path = engine_path(&cfg, policy);
-        state.auditor = (!cfg.audit.is_off()).then(|| Box::new(Auditor::new(cfg.audit)));
+        state.auditor = match state.auditor.take() {
+            _ if cfg.audit.is_off() => None,
+            Some(mut aud) => {
+                aud.restart(cfg.audit);
+                Some(aud)
+            }
+            None => Some(Box::new(Auditor::new(cfg.audit))),
+        };
         state.policy_name = policy.name();
         state.policy_srpt_ordered = policy.srpt_ordered();
         state.next_arrival = source.next_time();
@@ -1455,7 +1464,7 @@ impl<'a> Engine<'a> {
         on_path!(self.state.path, S => self.run_events::<S, true, true>(true))
     }
 
-    /// Drives the run to completion without finalizing. All four `run*`
+    /// Drives the run to completion without finalizing. All five `run*`
     /// finalizers route through here; it is public so external drivers
     /// (benchmarks, the allocation audit) can execute the exact finalizer
     /// loop and then inspect the engine before materializing an outcome.
@@ -1593,26 +1602,40 @@ impl<'a> Engine<'a> {
         Ok((outcome, self.into_buffers()))
     }
 
-    /// Runs the end-of-run audit identities, if auditing is on.
+    /// Runs to completion in either memory mode and returns only the
+    /// aggregate metrics, with the engine's buffers for the next run: the
+    /// finalizer for callers that read nothing per job, which builds
+    /// neither a [`RunOutcome`] nor a quantile sketch copy. The metrics are
+    /// the ones [`Engine::run`] and [`Engine::run_streaming`] report, bit
+    /// for bit, and an audited run is checked to its end identities first.
+    pub fn run_metrics_reusing(mut self) -> Result<(RunMetrics, EngineBuffers), SimError> {
+        self.run_loop()?;
+        self.check_final_audit()?;
+        let metrics = self.final_metrics();
+        Ok((metrics, self.into_buffers()))
+    }
+
+    /// Runs the end-of-run audit identities, if auditing is on. The
+    /// auditor stays in the run state, for the next run on its buffers.
     fn check_final_audit(&mut self) -> Result<Option<crate::invariant::AuditReport>, SimError> {
-        match self.state.auditor.take() {
-            Some(mut aud) => {
-                aud.check_final(&FinalAccounting {
-                    total_flow: self.state.sink.total_flow(),
-                    alive_integral: self.state.alive_integral.value(),
-                    fractional_flow: self.state.frac_flow.value(),
-                    completed: self.state.sink.count() as usize,
-                    admitted: self.state.admitted,
-                    alive_left: self.num_alive(),
-                    at: self.state.now,
-                    events: self.state.events,
-                    policy: self.state.policy_name.clone(),
-                    path: Some(self.path()),
-                })?;
-                Ok(Some(aud.report()))
-            }
-            None => Ok(None),
-        }
+        let Some(mut aud) = self.state.auditor.take() else {
+            return Ok(None);
+        };
+        let checked = aud.check_final(&FinalAccounting {
+            total_flow: self.state.sink.total_flow(),
+            alive_integral: self.state.alive_integral.value(),
+            fractional_flow: self.state.frac_flow.value(),
+            completed: self.state.sink.count() as usize,
+            admitted: self.state.admitted,
+            alive_left: self.num_alive(),
+            at: self.state.now,
+            events: self.state.events,
+            policy: self.state.policy_name.clone(),
+            path: Some(self.path()),
+        });
+        let report = aud.report();
+        self.state.auditor = Some(aud);
+        checked.map(|()| Some(report))
     }
 
     /// Aggregate metrics from the sink — the single construction site for

@@ -860,9 +860,10 @@ pub struct Auditor {
     /// The work-drain pairing's table, retained across frames.
     drain: WorkDrainConsistency,
     prev: Option<AuditFrame>,
-    /// The frame retired by the last check, lent back to the producer by
-    /// [`Auditor::take_spare`] so frames reuse their buffers.
-    spare: Option<AuditFrame>,
+    /// Up to two retired frames (the last check's, and after
+    /// [`Auditor::restart`] the previous run's last), lent back to the
+    /// producer by [`Auditor::take_spare`] so frames reuse their buffers.
+    spares: Vec<AuditFrame>,
     frames: u64,
     final_checked: bool,
 }
@@ -883,9 +884,37 @@ impl Auditor {
             level,
             drain: WorkDrainConsistency::default(),
             prev: None,
-            spare: None,
+            spares: Vec::new(),
             frames: 0,
             final_checked: false,
+        }
+    }
+
+    /// Starts a new run at `level`, keeping every buffer: the last frame
+    /// joins the spares, and the work-drain table stays (its stale cells
+    /// need no clearing, see [`WorkDrainConsistency`]). With no previous
+    /// frame, nothing checked before the restart can reach a check after
+    /// it. Both spares are grown to the larger one's capacity, since
+    /// which of them serves the odd events depends on the parity of the
+    /// last run's event count.
+    pub fn restart(&mut self, level: AuditLevel) {
+        self.level = level;
+        self.frames = 0;
+        self.final_checked = false;
+        if let Some(prev) = self.prev.take() {
+            self.retire(prev);
+        }
+        let cap = self.spares.iter().map(|f| f.jobs.capacity()).max();
+        for f in &mut self.spares {
+            f.jobs.clear();
+            f.jobs.reserve(cap.unwrap_or(0));
+        }
+    }
+
+    /// Keeps `frame`'s buffers as a spare, unless two are kept already.
+    fn retire(&mut self, frame: AuditFrame) {
+        if self.spares.len() < 2 {
+            self.spares.push(frame);
         }
     }
 
@@ -905,7 +934,7 @@ impl Auditor {
     /// fresh pair before two frames have been checked). After warm-up a
     /// producer that builds every frame from these allocates nothing.
     pub fn take_spare(&mut self) -> (String, Vec<FrameJob>) {
-        match self.spare.take() {
+        match self.spares.pop() {
             Some(AuditFrame {
                 mut policy,
                 mut jobs,
@@ -925,7 +954,9 @@ impl Auditor {
     pub fn check_frame(&mut self, frame: AuditFrame) -> Result<(), SimError> {
         let found = first_violation(&mut self.drain, self.prev.as_ref(), &frame);
         self.frames += 1;
-        self.spare = self.prev.replace(frame);
+        if let Some(retired) = self.prev.replace(frame) {
+            self.retire(retired);
+        }
         match found {
             Some(v) => Err(SimError::AuditFailed {
                 violation: Box::new(v),
