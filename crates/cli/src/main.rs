@@ -300,6 +300,21 @@ impl Flags {
         }
     }
 
+    /// [`Flags::get`] for a count (`--n`, `--budget`, `--jobs`,
+    /// `--corpus-top`): a whole number from 0, written as an integer or
+    /// as a float such as `1e6`. A negative, fractional, NaN or
+    /// out-of-range value is refused before anything runs.
+    fn get_count(&self, key: &str, default: usize) -> Result<usize, String> {
+        let Some(v) = self.get_opt::<f64>(key)? else {
+            return Ok(default);
+        };
+        if v >= 0.0 && v.trunc() == v && v < usize::MAX as f64 {
+            Ok(v as usize)
+        } else {
+            Err(format!("bad --{key}: {v} is not a whole count"))
+        }
+    }
+
     fn opts(&self) -> ExpOptions {
         ExpOptions {
             quick: self.quick,
@@ -406,7 +421,7 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
     let m = flags.get_positive("m", 8.0)?;
     let p = flags.get("p", 64.0)?;
     let alpha = flags.get("alpha", 0.5)?;
-    let n = flags.get("n", 300.0)? as usize;
+    let n = flags.get_count("n", 300)?;
     let load = flags.get("load", 0.9)?;
     let sizes = SizeDist::LogUniform { p };
     let w = PoissonWorkload {
@@ -464,7 +479,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
         .find(|(k, _)| k == "kind")
         .map(|(_, v)| v.as_str())
         .unwrap_or("poisson");
-    let n = flags.get("n", 200.0)? as usize;
+    let n = flags.get_count("n", 200)?;
     let m = flags.get_positive("m", 8.0)?;
     let load = flags.get("load", 0.9)?;
     let alpha = flags.get("alpha", 0.5)?;
@@ -525,7 +540,7 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .find(|(k, _)| k == "kind")
         .map(|(_, v)| v.as_str())
         .unwrap_or("poisson");
-    let n = flags.get("n", 100_000.0)? as usize;
+    let n = flags.get_count("n", 100_000)?;
     let m = flags.get_positive("m", 8.0)?;
     let load = flags.get("load", 0.9)?;
     let alpha = flags.get("alpha", 0.5)?;
@@ -811,9 +826,10 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
         run_search, summary_table, CorpusEntry, SearchConfig, KIND_HARD, KIND_REPRODUCER,
     };
 
-    let budget = flags.get("budget", 200.0)? as usize;
+    let budget = flags.get_count("budget", 200)?;
     let m = flags.get_positive("m", 4.0)?;
-    let jobs = flags.get("jobs", 0.0)? as usize;
+    let jobs = flags.get_count("jobs", 0)?;
+    let corpus_top = flags.get_count("corpus-top", 2)?;
     let policy_arg = flags.get_str("policy").unwrap_or("all");
     let targets: Vec<(String, PolicyKind)> = if policy_arg == "all" {
         [
@@ -859,7 +875,6 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
             );
         }
         if let Some(dir) = &emit_dir {
-            let corpus_top = flags.get("corpus-top", 2.0)? as usize;
             let mut written = 0usize;
             for (rank, e) in out.elites.iter().take(corpus_top).enumerate() {
                 let instance = e

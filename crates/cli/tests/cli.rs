@@ -6,7 +6,9 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_parsched"))
 }
 
-/// Runs the binary with `input` on stdin.
+/// Runs the binary with `input` on stdin. A run that refuses its flags
+/// may exit before reading stdin, so a broken pipe on the write is not an
+/// error; its exit status and output are what the caller checks.
 fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
     let mut child = bin()
         .args(args)
@@ -16,12 +18,14 @@ fn run_with_stdin(args: &[&str], input: &str) -> std::process::Output {
         .spawn()
         .expect("spawn");
     use std::io::Write as _;
-    child
+    let written = child
         .stdin
         .take()
         .expect("stdin")
-        .write_all(input.as_bytes())
-        .expect("write");
+        .write_all(input.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write: {e}");
+    }
     child.wait_with_output().expect("wait")
 }
 
@@ -424,6 +428,54 @@ fn unparseable_numbers_are_rejected() {
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
     }
+}
+
+/// A count flag takes a whole number from 0: a negative, fractional, NaN
+/// or out-of-range value is refused (exit 2) instead of being cast to a
+/// count, and a whole value written as a float (`1e1`) is accepted.
+#[test]
+fn count_flags_take_whole_numbers_only() {
+    for args in [
+        &["adversary", "--policy", "isrpt", "--budget", "-5"][..],
+        &["adversary", "--policy", "isrpt", "--budget", "2.7"][..],
+        &["adversary", "--policy", "isrpt", "--jobs", "-3"][..],
+        &["adversary", "--policy", "isrpt", "--corpus-top", "0.5"][..],
+        &["compare", "--n", "NaN"][..],
+        &["gen", "--n", "-4"][..],
+        &["gen", "--n", "1e30"][..],
+        &["run", "--stream", "--n", "inf"][..],
+    ] {
+        let out = bin().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    let out = bin()
+        .args(["gen", "--kind", "batch", "--n", "1e1"])
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    // The header and ten jobs.
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 11);
+    let out = bin()
+        .args([
+            "adversary",
+            "--policy",
+            "isrpt",
+            "--budget",
+            "8e0",
+            "--jobs",
+            "1",
+        ])
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("8 evals"));
 }
 
 /// A flag its command does not read is an error naming it (exit 2), not
