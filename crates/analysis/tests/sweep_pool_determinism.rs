@@ -89,9 +89,13 @@ fn render_search(out: &parsched_adversary::SearchOutcome, cfg_label: &str) -> St
 fn adversary_search_is_jobs_invariant_byte_for_byte() {
     use parsched::PolicyKind;
     use parsched_adversary::{run_search, SearchConfig};
+    // SETF's equalizer memo lives on in each worker's policy value across
+    // evaluations, and LAPS runs on its own alive structure.
     for (token, policy) in [
         ("isrpt", PolicyKind::IntermediateSrpt),
         ("equi", PolicyKind::Equi),
+        ("setf", PolicyKind::Setf),
+        ("laps:0.5", PolicyKind::Laps(0.5)),
     ] {
         let mut cfg = SearchConfig::new(policy, 7, 64);
         cfg.jobs = 1;

@@ -283,6 +283,13 @@ impl CurveKey {
 /// the least recently used table is evicted.
 const MEMO_TABLES: usize = 4;
 
+/// A [`SharedMemo`] table's key: a curve and the bits of `m`.
+type MemoKey = (CurveKey, u64);
+
+/// A [`SharedMemo`] table: at `g`, the answer for a group of `g` members,
+/// if computed (it grows to the largest one-curve group of its key).
+type BySize = Vec<Option<(f64, f64)>>;
+
 /// [`equalize_shared`]'s `(ρ, share)` by group size, one table per curve
 /// and `m` (the bits of `m`, so the key is exact) for the
 /// [`MEMO_TABLES`] most recently used pairs. Every entry is a pure
@@ -291,9 +298,7 @@ const MEMO_TABLES: usize = 4;
 #[derive(Debug, Default, Clone)]
 struct SharedMemo {
     /// The tables, most recently used first, unused ones (no key) last.
-    /// `by_size[g]` of a table is the answer for a group of `g` members,
-    /// if computed (it grows to the largest one-curve group of its key).
-    tables: [(Option<(CurveKey, u64)>, Vec<Option<(f64, f64)>>); MEMO_TABLES],
+    tables: [(Option<MemoKey>, BySize); MEMO_TABLES],
 }
 
 impl SharedMemo {
@@ -824,5 +829,171 @@ mod tests {
         let out = simulate(&inst, &mut Setf::new(), 4.0).unwrap();
         assert_eq!(out.metrics.num_jobs, 40);
         assert!(out.metrics.events < 4000, "{} events", out.metrics.events);
+    }
+
+    /// A run's completion times and flow, as bits.
+    fn run_bits(inst: &Instance, policy: &mut Setf, m: f64) -> Vec<u64> {
+        let out = simulate(inst, policy, m).unwrap();
+        let mut bits = vec![out.metrics.total_flow.to_bits(), out.metrics.events];
+        bits.extend(out.completed.iter().map(|c| c.completion.to_bits()));
+        bits
+    }
+
+    /// Staggered batches of one curve, so the level path meets tie groups
+    /// of many sizes.
+    fn one_curve(curve: Curve) -> Instance {
+        let jobs = (0..60)
+            .map(|i| {
+                let release = (i / 6) as f64 * 0.8;
+                let size = 1.0 + (i as f64 * 1.7) % 5.0;
+                JobSpec::new(JobId(i), release, size, curve.clone())
+            })
+            .collect();
+        Instance::new(jobs).unwrap()
+    }
+
+    /// One policy value runs curve A, then B, then A again (each run
+    /// resets it) at two machine sizes, and every run is bit for bit a
+    /// fresh policy's: the memo outlives resets and curve changes without
+    /// changing an answer, and it keeps a table per curve and `m`.
+    #[test]
+    fn retained_memo_answers_like_a_fresh_policy() {
+        let (a, b) = (
+            Curve::power(0.3),
+            Curve::Amdahl {
+                serial_fraction: 0.2,
+            },
+        );
+        let mut kept = Setf::new();
+        for m in [4.0, 7.0] {
+            for curve in [&a, &b, &a] {
+                let inst = one_curve(curve.clone());
+                assert_eq!(
+                    run_bits(&inst, &mut kept, m),
+                    run_bits(&inst, &mut Setf::new(), m),
+                    "{curve:?} on m = {m}"
+                );
+            }
+        }
+        let mut keys: Vec<_> = kept.memo.tables.iter().map(|(k, _)| *k).collect();
+        keys.sort_by_key(|k| k.map(|(_, m)| m));
+        let key = |c: &Curve, m: f64| CurveKey::of(c).map(|k| (k, f64::to_bits(m)));
+        assert!(keys.contains(&key(&a, 4.0)) && keys.contains(&key(&b, 4.0)));
+        assert!(keys.contains(&key(&a, 7.0)) && keys.contains(&key(&b, 7.0)));
+    }
+
+    /// Past [`MEMO_TABLES`] curves the least recently used table is
+    /// evicted and its buffer reused: the memo does not grow, and every
+    /// answer is still the solver's.
+    #[test]
+    fn more_curves_than_tables_evict_the_least_recently_used() {
+        let mut memo = SharedMemo::default();
+        let m = 4.0;
+        let curves: Vec<Curve> = (0..3 * MEMO_TABLES)
+            .map(|i| Curve::power(0.1 + 0.05 * i as f64))
+            .collect();
+        let recall = |memo: &mut SharedMemo, c: &Curve, g: usize| {
+            let key = CurveKey::of(c).unwrap();
+            let got = memo.recall(key, g, m, || equalize_shared(c, g, m));
+            let want = equalize_shared(c, g, m);
+            assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits())
+            );
+        };
+        for c in &curves {
+            for g in 1..=9 {
+                recall(&mut memo, c, g);
+            }
+        }
+        let capacity = |memo: &SharedMemo| -> Vec<usize> {
+            let mut caps: Vec<usize> = memo.tables.iter().map(|(_, t)| t.capacity()).collect();
+            caps.sort_unstable();
+            caps
+        };
+        let warm = capacity(&memo);
+        for round in 0..3 {
+            for c in curves.iter().rev().skip(round) {
+                for g in (1..=9).rev() {
+                    recall(&mut memo, c, g);
+                }
+            }
+        }
+        assert_eq!(
+            capacity(&memo),
+            warm,
+            "an evicted table's buffer must be reused"
+        );
+        // Touch the oldest of the four tables, then add a fifth curve: the
+        // second oldest is the one evicted.
+        let keys = |memo: &SharedMemo| -> Vec<Option<MemoKey>> {
+            memo.tables.iter().map(|(k, _)| *k).collect()
+        };
+        let before = keys(&memo);
+        let oldest = before[MEMO_TABLES - 1].unwrap().0;
+        let evicted = before[MEMO_TABLES - 2];
+        memo.recall(oldest, 1, m, || unreachable!("a cached answer"));
+        let fresh = Curve::power(0.99);
+        recall(&mut memo, &fresh, 1);
+        let after = keys(&memo);
+        assert!(!after.contains(&evicted) && after.contains(&Some((oldest, m.to_bits()))));
+        assert_eq!(after[0], Some((CurveKey::of(&fresh).unwrap(), m.to_bits())));
+    }
+
+    /// 10⁴ distinct continuous α values, each met in a few group sizes
+    /// and some met again later: the memo solves no more often than one
+    /// table of the last curve would (least-recently-used tables keep
+    /// every table that one would), so it does no more of the costly work.
+    #[test]
+    fn distinct_alphas_solve_no_more_often_than_one_table() {
+        let m = 8.0;
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let alphas: Vec<f64> = (0..10_000)
+            .map(|_| 0.05 + 0.9 * (next() as f64 / (1u64 << 53) as f64))
+            .collect();
+        // The lookups: mostly a new α, sometimes one of the last few.
+        let lookups: Vec<(f64, usize)> = (0..30_000usize)
+            .map(|i| {
+                let back = (next() % 8) as usize;
+                let alpha = alphas[(i / 3).saturating_sub(back * (i % 2))];
+                (alpha, 1 + (next() % 6) as usize)
+            })
+            .collect();
+        let mut memo = SharedMemo::default();
+        let mut solves = 0;
+        // One table of the last curve: a new key starts it over.
+        let (mut last, mut table) = (None, Vec::<Option<(f64, f64)>>::new());
+        let mut reference = 0;
+        for &(alpha, g) in &lookups {
+            let curve = Curve::power(alpha);
+            let key = CurveKey::of(&curve).unwrap();
+            memo.recall(key, g, m, || {
+                solves += 1;
+                (alpha, g as f64)
+            });
+            if last != Some(key) {
+                last = Some(key);
+                table.clear();
+            }
+            if table.get(g).copied().flatten().is_none() {
+                reference += 1;
+                table.resize(table.len().max(g + 1), None);
+                table[g] = Some((alpha, g as f64));
+            }
+        }
+        assert!(
+            solves <= reference,
+            "{solves} solves against one table's {reference}"
+        );
+        assert!(
+            solves < reference,
+            "recently met curves should hit: {solves} vs {reference}"
+        );
     }
 }

@@ -897,7 +897,7 @@ impl Auditor {
     /// it. Both spares are grown to the larger one's capacity, since
     /// which of them serves the odd events depends on the parity of the
     /// last run's event count.
-    pub fn restart(&mut self, level: AuditLevel) {
+    pub(crate) fn restart(&mut self, level: AuditLevel) {
         self.level = level;
         self.frames = 0;
         self.final_checked = false;
@@ -1232,6 +1232,45 @@ mod tests {
         assert!(jobs.is_empty() && jobs.capacity() >= 3);
         let (_, jobs) = aud.take_spare();
         assert_eq!(jobs.capacity(), 0, "a spare is lent once");
+    }
+
+    /// A restarted auditor starts a new run: the last run's frame pairs
+    /// no job of the next (whose event numbers start over), the counts
+    /// start from zero, and both retired frames are lent back, grown to
+    /// the larger one's capacity.
+    #[test]
+    fn restart_forgets_the_last_run_and_keeps_its_buffers() {
+        let mut aud = Auditor::new(AuditLevel::Strict);
+        let jobs = |n: u64| (0..n).map(|i| job(i, 10.0, 0.5, 0.5)).collect();
+        aud.check_frame(frame(0, 0.0, jobs(5))).unwrap();
+        aud.check_frame(frame(1, 0.0, jobs(2))).unwrap();
+        aud.check_final(&FinalAccounting {
+            total_flow: 1.0,
+            alive_integral: 1.0,
+            fractional_flow: 1.0,
+            completed: 1,
+            admitted: 1,
+            alive_left: 0,
+            at: 1.0,
+            events: 2,
+            policy: "test".to_string(),
+            path: Some(EnginePath::Exhaustive),
+        })
+        .unwrap();
+        aud.restart(AuditLevel::Sampled(4));
+        let report = aud.report();
+        assert_eq!(report.level, AuditLevel::Sampled(4));
+        assert_eq!(report.frames, 0);
+        assert!(!report.final_checked);
+        let (_, a) = aud.take_spare();
+        let (_, b) = aud.take_spare();
+        assert!(a.is_empty() && b.is_empty());
+        assert!(a.capacity() >= 5 && b.capacity() >= 5, "{a:?} {b:?}");
+        // Job 0 held 10 at t = 0 in the last run's frame 1; at event 2 of
+        // the new run, pairing it would expect 9 and fail.
+        aud.check_frame(frame(2, 2.0, vec![job(0, 5.0, 1.0, 1.0)]))
+            .unwrap();
+        assert_eq!(aud.report().frames, 1);
     }
 
     #[test]
