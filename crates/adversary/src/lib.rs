@@ -33,9 +33,10 @@
 //! Candidate generation and selection happen serially from one
 //! [`rand::rngs::StdRng`]; evaluation fans out on the deterministic
 //! [`parsched_analysis::Pool`] with per-worker
-//! [`parsched_sim::EngineBuffers`]. Results are committed in input
-//! order, so the entire outcome — elites, trajectory, corpus bytes —
-//! is invariant under `--jobs N`.
+//! [`parsched_sim::EngineBuffers`] and policy values, caches that never
+//! change a result. Results are committed in input order, so the entire
+//! outcome — elites, trajectory, corpus bytes — is invariant under
+//! `--jobs N`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
