@@ -305,10 +305,9 @@ pub fn run_search(cfg: &SearchConfig) -> SearchOutcome {
         // instances most likely to stress the engine. Dedup by
         // provenance so repeated elites are checked once.
         for c in scored.iter().take(cfg.fuzz_top) {
-            if fuzzed.contains(&c.provenance) {
+            if !fuzzed.insert(c.provenance.clone()) {
                 continue;
             }
-            fuzzed.insert(c.provenance.clone());
             let Ok(instance) = c.eval.genome.materialize(cfg.m) else {
                 continue;
             };

@@ -55,8 +55,8 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// to the last bit. That answer is a pure function of `(curve, G, m)`, so
 /// it is memoized by group size for the few most recently used curves
 /// and `m`, across runs of one policy value (piecewise curves bypass the
-/// memo). Mixed groups evaluate the demand sum at each
-/// step, but each *distinct* curve of the group is inverted once per step
+/// memo). Mixed groups evaluate the demand sum at each step, but each
+/// *distinct* curve of the group is inverted once per step
 /// (equal curves give equal bits) with its kernel compiled once per
 /// decision, and the members' inverses are summed in group order, the
 /// fold stopped as soon as a partial sum exceeds `m`: the inverses are
@@ -875,8 +875,7 @@ mod tests {
                 );
             }
         }
-        let mut keys: Vec<_> = kept.memo.tables.iter().map(|(k, _)| *k).collect();
-        keys.sort_by_key(|k| k.map(|(_, m)| m));
+        let keys: Vec<_> = kept.memo.tables.iter().map(|(k, _)| *k).collect();
         let key = |c: &Curve, m: f64| CurveKey::of(c).map(|k| (k, f64::to_bits(m)));
         assert!(keys.contains(&key(&a, 4.0)) && keys.contains(&key(&b, 4.0)));
         assert!(keys.contains(&key(&a, 7.0)) && keys.contains(&key(&b, 7.0)));

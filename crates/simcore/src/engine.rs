@@ -458,10 +458,11 @@ impl RunState {
 /// An [`Engine`] borrows its policy, source, and observer, so one engine
 /// value cannot outlive a workload's source — but its *buffers* (job
 /// arena, id map, SRPT heaps, share/rate vectors, scratch, metric sink,
-/// and the auditor with its frames) can. Donating the buffers of a finished run to the next engine via
-/// [`Engine::with_buffers`] / [`Engine::into_buffers`] makes repeated runs
-/// on one thread allocation-free at steady state after warm-up: every
-/// structure is cleared with capacity retained, never dropped. This is the
+/// and the auditor with its frames) can. Donating the buffers of a
+/// finished run to the next engine via [`Engine::with_buffers`] /
+/// [`Engine::into_buffers`] makes repeated runs on one thread
+/// allocation-free at steady state after warm-up: every structure is
+/// cleared with capacity retained, never dropped. This is the
 /// mechanism behind the sweep pool's per-worker engine reuse (see
 /// `docs/PERF.md` §6 for the lifecycle and the allocation audit).
 #[derive(Debug, Default)]
